@@ -2,14 +2,14 @@
 
 Issuers live on an allow-list (the consortium). Issuing appends the
 signed claim to the subject's document through the registry's update
-path, so the document version ticks forward. Verification resolves the
-issuer's document and checks trust, signature, and validity window,
-reporting a machine-readable reason for every rejection.
+path, so the document version ticks forward. Verification fetches the
+issuer's document (unsigned; the check runs in-process) and checks
+trust, signature, and validity window, reporting a machine-readable
+reason for every rejection.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,10 +76,10 @@ def verify_claim(
     if claim.issuer not in trusted_issuers:
         return ClaimVerdict(False, "untrusted-issuer")
     try:
-        result = resolver.resolve(claim.issuer, nonce=os.urandom(16))
+        issuer = resolver.fetch(claim.issuer)
     except (UnknownDidError, FedGateError):
         return ClaimVerdict(False, "unresolvable-issuer")
-    issuer_keys = [k.public_bytes for k in result.document.public_keys]
+    issuer_keys = [k.public_bytes for k in issuer.public_keys]
     if not claim.signature_valid(issuer_keys):
         return ClaimVerdict(False, "bad-signature")
     if now < claim.issued_at:

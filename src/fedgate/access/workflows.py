@@ -2,17 +2,22 @@
 
 Contract-initiated lookup (scheme ``contract_lookup``): the requester
 hands over only their DID; the gateway rate-limits, parks the request in
-the bounded pending table, asks the resolver for the document, and runs
-the contract. Requests whose DID never resolves stay parked until the
-ttl sweep reclaims them — that bounded parking lot is the DoS story.
+the bounded pending table, fetches the document from the resolver, and
+runs the contract. Requests whose DID never resolves stay parked until
+the ttl sweep reclaims them — that bounded parking lot is the DoS story.
 
 User-initiated lookup (scheme ``user_lookup``): the requester first asks
 the resolver front desk for an attestation (never the document itself),
-then submits that attestation. The gateway re-fetches the document
+then submits that attestation. The gateway fetches the document
 server-side, checks the attestation binds it, consumes the nonce, and
 runs the same contract — so the verdict matches scheme A for the same
 holder, contract, and clock. The front desk carries its own, larger
 rate limit and the pending table is never touched.
+
+Only the front desk signs: its attestation is the one that leaves the
+desk. Every other step reads the document with ``Resolver.fetch``, which
+signs nothing, because a signature this process makes and then checks
+itself proves nothing.
 
 Verdicts the contract actually evaluated are sealed on-chain (grant or
 denial) and carry a ``tx_id``; requests that failed before reaching the
@@ -22,7 +27,6 @@ without a ledger write so a flood cannot grow the chain.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -182,7 +186,10 @@ class AccessGateway:
     # ---------------------------------------------------------- front desk
 
     def user_lookup(self, requester: str, nonce: bytes) -> LookupResult:
-        """Scheme-B step one: resolve on the user's behalf, return attestation."""
+        """Scheme-B step one: resolve on the user's behalf, return attestation.
+
+        The only caller of ``Resolver.resolve``, and so the only signer.
+        """
         if not self._front_desk_limiter.allow(requester):
             return LookupResult(False, None, "rejected-rate")
         try:
@@ -210,17 +217,11 @@ class AccessGateway:
                 return AccessOutcome("denied", "replay")
             return AccessOutcome("rejected-capacity", "pending table full")
         try:
-            resolution = self._resolver.resolve(request.requester, request.nonce)
+            document = self._resolver.fetch(request.requester)
         except (UnknownDidError, NoDriverError, DidParseError):
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return AccessOutcome("denied", "unresolvable")
-        document = resolution.document
-        if not resolution.attestation.verify(
-            document.canonical_bytes(), self._resolver.public_key
-        ):
-            self.pending.remove(nonce_hex)
-            return AccessOutcome("denied", "bad-attestation")
         outcome = self._execute(contract.contract_id, document, nonce_hex)
         self.pending.remove(nonce_hex)
         return outcome
@@ -236,10 +237,10 @@ class AccessGateway:
         if not self._used_nonces.consume(to_hex(attestation.nonce)):
             return AccessOutcome("denied", "replay")
         try:
-            resolution = self._resolver.resolve(request.requester, os.urandom(16))
+            document = self._resolver.fetch(request.requester)
         except (UnknownDidError, NoDriverError, DidParseError):
             return AccessOutcome("denied", "unresolvable")
-        document = resolution.document
+        # The attestation came from outside, so it is checked here.
         if not attestation.verify(document.canonical_bytes(), self._resolver.public_key):
             return AccessOutcome("denied", "stale-attestation")
         return self._execute(contract.contract_id, document, to_hex(request.nonce))

@@ -11,8 +11,6 @@ from .data import (
 from .datagen import SyntheticSpec, generate_partitions, read_manifest, write_dataset
 from .federation import (
     AggregationWeights,
-    FedAvg,
-    IdentityCompression,
     RoundPlan,
     aggregate,
     client_round_seed,
@@ -36,9 +34,7 @@ __all__ = [
     "CsvMetricsWriter",
     "DatasetPartition",
     "DIVERGENCE_LIMIT",
-    "FedAvg",
     "FederationConfig",
-    "IdentityCompression",
     "LossSpec",
     "ModelParameters",
     "RoundMetrics",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,49 +135,6 @@ def aggregate(
     return ModelParameters(acc)
 
 
-class AggregationStrategy(Protocol):
-    """How the server combines one round's client models."""
-
-    name: str
-
-    def combine(
-        self, updates: Mapping[str, ModelParameters], weights: AggregationWeights
-    ) -> ModelParameters: ...
-
-
-class FedAvg:
-    """The shipped strategy: weighted averaging of client models."""
-
-    name = "fedavg"
-
-    def combine(
-        self, updates: Mapping[str, ModelParameters], weights: AggregationWeights
-    ) -> ModelParameters:
-        return aggregate(updates, weights)
-
-
-class ModelCompressor(Protocol):
-    """Client-to-server transfer encoding for model parameters."""
-
-    name: str
-
-    def compress(self, model: ModelParameters) -> ModelParameters: ...
-
-    def decompress(self, model: ModelParameters) -> ModelParameters: ...
-
-
-class IdentityCompression:
-    """No-op compression; the only shipped codec."""
-
-    name = "identity"
-
-    def compress(self, model: ModelParameters) -> ModelParameters:
-        return model
-
-    def decompress(self, model: ModelParameters) -> ModelParameters:
-        return model
-
-
 def initial_model(config: FederationConfig) -> ModelParameters:
     if config.initial_weights is not None:
         return ModelParameters.from_values(config.initial_weights)
@@ -193,8 +150,6 @@ def run_federation(
     eligibility: Callable[[int], frozenset[str]] | None = None,
     round_hook: Callable[[int], None] | None = None,
     early_stop: Callable[[RoundMetrics], bool] | None = None,
-    strategy: AggregationStrategy | None = None,
-    compressor: ModelCompressor | None = None,
     start_round: int = 1,
 ) -> ModelParameters:
     """Execute rounds ``start_round``..T of select / local-train / aggregate.
@@ -221,8 +176,6 @@ def run_federation(
         )
     by_id = {p.client_id: p for p in partitions}
     all_ids = frozenset(by_id)
-    strategy = strategy or FedAvg()
-    compressor = compressor or IdentityCompression()
 
     model = start_model if start_model is not None else initial_model(config)
     if model.dimension != config.loss.parameter_dim:
@@ -249,11 +202,10 @@ def run_federation(
         updates: dict[str, ModelParameters] = {}
         for cid in plan.selected:
             seed = client_round_seed(config.rng_seed, t, cid)
-            trained = local_train(model, by_id[cid], config, seed)
-            updates[cid] = compressor.decompress(compressor.compress(trained))
+            updates[cid] = local_train(model, by_id[cid], config, seed)
 
         weights = compute_weights(plan, partitions, config)
-        model = strategy.combine(updates, weights)
+        model = aggregate(updates, weights)
         if model.max_abs() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 

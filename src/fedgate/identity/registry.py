@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
 from ..errors import FedGateError, ValidationError
 from .did import DidIdentifier
@@ -36,12 +36,6 @@ class UnknownDidError(FedGateError):
 
 class VersionSequenceError(FedGateError):
     """An update skipped or rolled back the document version counter."""
-
-
-class RegistrationRecorder(Protocol):
-    """Callback invoked after every accepted mutation; returns a receipt."""
-
-    def __call__(self, kind: str, payload: dict, submitter: str) -> str: ...
 
 
 def _local_receipt(kind: str, payload: dict, submitter: str) -> str:

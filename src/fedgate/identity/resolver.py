@@ -1,12 +1,16 @@
-"""Driver-mediated DID resolution with signed attestations.
+"""Driver-mediated DID resolution, with signed attestations at the front desk.
 
-The resolver keeps a route table from DID method to driver backend. A
-resolution returns the latest document together with an attestation: an
-Ed25519 signature by the resolver over ``canonical document bytes ‖
-request nonce``. Callers that are never shown the document itself can
-forward the attestation; anyone holding the document bytes and the
-resolver's public key can check it, and flipping a single bit of either
-input breaks it.
+The resolver keeps a route table from DID method to driver backend.
+``fetch`` routes a DID to its driver and returns the latest document
+unsigned; every in-process reader (the contract path, claim checks, the
+user-lookup submit step) uses it, since a signature the same process
+makes and checks proves nothing. ``resolve`` is ``fetch`` plus an
+attestation: an Ed25519 signature by the resolver over ``canonical
+document bytes ‖ request nonce``. Only the front desk calls it, because
+only there does the attestation leave the desk: the requester is never
+shown the document, forwards the attestation, and the gateway checks it
+against the document it fetches itself. Flipping a single bit of either
+input breaks the check.
 """
 
 from __future__ import annotations
@@ -118,13 +122,22 @@ class Resolver:
             raise ValidationError(f"a driver for method {method!r} already exists")
         self._drivers[method] = driver
 
-    def resolve(self, did: DidIdentifier | str, nonce: bytes) -> ResolutionResult:
-        """Fetch the latest document and attest to it under ``nonce``."""
+    def fetch(self, did: DidIdentifier | str) -> DidDocument:
+        """The latest document from the method's driver, with no attestation."""
         identifier = parse_did(did) if isinstance(did, str) else did
         driver = self._drivers.get(identifier.method)
         if driver is None:
             raise NoDriverError(f"no driver registered for method {identifier.method!r}")
-        document = driver.fetch(identifier)
+        return driver.fetch(identifier)
+
+    def resolve(self, did: DidIdentifier | str, nonce: bytes) -> ResolutionResult:
+        """Fetch the latest document and attest to it under ``nonce``.
+
+        Signs, so only the front desk calls it; in-process readers ``fetch``.
+        """
+        identifier = parse_did(did) if isinstance(did, str) else did
+        document = self.fetch(identifier)
+        driver = self._drivers[identifier.method]
         body = document.canonical_bytes()
         attestation = Attestation(
             did=str(identifier),

@@ -8,9 +8,13 @@ is unambiguous. Blocks link by ``prev_hash``; the genesis block links to
 writer appends, everyone else reads.
 
 The persisted form is JSON lines, one block per line, canonical
-encoding. ``verify_chain_records`` recomputes every hash from the raw
-field values, so any single flipped bit in the file surfaces as a
-verification failure at that height.
+encoding. Chain files have one validator: ``Block.from_dict``, whose
+``__post_init__`` checks (with ``Transaction``'s) every field and
+recomputes every hash, plus a height and ``prev_hash`` check between
+blocks. ``verify_chain_records``, ``verify_chain_file``, ``load_chain``
+and ``Chain.verify`` all go through it, so they agree on every input,
+and any single flipped bit in the file surfaces as a verification
+failure at that height.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ class Transaction:
     def __post_init__(self) -> None:
         if self.kind not in TRANSACTION_KINDS:
             raise ValidationError(f"unknown transaction kind {self.kind!r}")
+        if not isinstance(self.submitter, str):
+            raise ValidationError("transaction submitter must be a string")
         if self.timestamp < 0:
             raise ValidationError("transaction timestamp must be non-negative")
         expected = _tx_id(self.payload, self.kind, self.submitter)
@@ -249,50 +255,31 @@ class Chain:
         return path
 
 
-def verify_chain_records(records: list[dict]) -> tuple[bool, int | None]:
-    """Recompute every hash in raw block dicts; (ok, first bad height).
+def _build_blocks(records: list) -> tuple[list[Block], int | None]:
+    """Blocks built from untrusted records, and the first bad height if any.
 
-    Works on untrusted data: any malformed field counts as invalid at the
-    height where it appears, so a corrupted file never verifies.
+    ``Block.from_dict`` checks each record's own fields and hashes; this
+    adds the links between blocks: heights count up from 0 and each
+    ``prev_hash`` names the block before. A malformed record counts as
+    invalid at the height where it appears; the blocks before it are
+    returned.
     """
-    if not records:
-        return False, 0
+    blocks: list[Block] = []
     prev_hash = GENESIS_PREV_HASH
     for index, record in enumerate(records):
         try:
-            if int(record["height"]) != index:
-                return False, index
-            if record["prevHash"] != prev_hash:
-                return False, index
-            tx_ids = []
-            for tx in record["transactions"]:
-                payload = from_hex(tx["payload"])
-                if tx["txId"] != _tx_id(payload, tx["kind"], tx["submitter"]):
-                    return False, index
-                tx_ids.append(tx["txId"])
-            if index > 0 and not tx_ids:
-                return False, index
-            times = [int(tx["timestamp"]) for tx in record["transactions"]]
-            if any(t != int(record["timestamp"]) for t in times):
-                return False, index
-            if merkle_root(tx_ids) != record["merkleRoot"]:
-                return False, index
-            expected = _block_hash(
-                int(record["height"]),
-                record["prevHash"],
-                record["merkleRoot"],
-                int(record["timestamp"]),
-            )
-            if record["hash"] != expected:
-                return False, index
-            prev_hash = record["hash"]
-        except (KeyError, TypeError, ValueError, ValidationError):
-            return False, index
-    return True, None
+            block = Block.from_dict(record)
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+            return blocks, index
+        if block.height != index or block.prev_hash != prev_hash:
+            return blocks, index
+        blocks.append(block)
+        prev_hash = block.hash
+    return blocks, None if blocks else 0
 
 
-def verify_chain_file(path: Path) -> tuple[bool, int | None]:
-    """Verify a persisted chain; parse failures count as tampering."""
+def _read_records(path: Path) -> tuple[list, int | None]:
+    """The JSON records of a chain file, and the height of an unparsable line."""
     records = []
     with Path(path).open("rb") as fh:
         for line in fh:
@@ -301,18 +288,29 @@ def verify_chain_file(path: Path) -> tuple[bool, int | None]:
             try:
                 records.append(json.loads(line))
             except (json.JSONDecodeError, UnicodeDecodeError):
-                return False, len(records)
+                return records, len(records)
+    return records, None
+
+
+def verify_chain_records(records: list[dict]) -> tuple[bool, int | None]:
+    """(ok, first bad height) for raw block dicts; never raises on bad data."""
+    _, bad = _build_blocks(records)
+    return bad is None, bad
+
+
+def verify_chain_file(path: Path) -> tuple[bool, int | None]:
+    """Verify a persisted chain; parse failures count as tampering."""
+    records, unparsable = _read_records(path)
+    if unparsable is not None:
+        return False, unparsable
     return verify_chain_records(records)
 
 
 def load_chain(path: Path) -> list[Block]:
     """Parse a persisted chain into validated blocks (raises on tampering)."""
-    blocks = []
-    with Path(path).open() as fh:
-        for line in fh:
-            if line.strip():
-                blocks.append(Block.from_dict(json.loads(line)))
-    ok, bad = verify_chain_records([b.to_dict() for b in blocks])
-    if not ok:
+    records, bad = _read_records(path)
+    if bad is None:
+        blocks, bad = _build_blocks(records)
+    if bad is not None:
         raise ValidationError(f"chain file invalid at height {bad}")
     return blocks

@@ -4,6 +4,7 @@
 ``Response`` with a status code and a JSON-able body (CSV for the
 metrics stream). Everything under ``/data`` and ``/jobs`` requires an
 ``Authorization: Grant <token>`` header backed by an on-ledger grant.
+``handle`` never raises: every malformed input answers 400.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ class ApiError(Exception):
         self.message = message
 
 
+def _parse(field: str, parser: Callable, value):
+    """``parser(value)`` on one untrusted body field; any failure answers 400."""
+    try:
+        return parser(value)
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise ApiError(400, f"body field {field!r} is malformed: {error}") from None
+
+
 class ServiceApi:
     def __init__(self, gateway: AccessGateway, service: FlaasService, clock: Callable[[], int]):
         self._gateway = gateway
@@ -64,6 +73,8 @@ class ServiceApi:
         headers = headers or {}
         body = body or {}
         try:
+            if not isinstance(body, dict):
+                raise ApiError(400, "body must be a JSON object")
             return self._route(method.upper(), path, query, headers, body)
         except ApiError as error:
             return Response(error.status, {"error": error.message})
@@ -108,17 +119,19 @@ class ServiceApi:
 
     def _access_request(self, body) -> Response:
         for field in ("requester", "service", "scheme", "nonce"):
-            if field not in body:
-                raise ApiError(400, f"body field {field!r} is required")
+            if not isinstance(body.get(field), str):
+                raise ApiError(400, f"body field {field!r} is required as a string")
         request = AccessRequest(
             requester=body["requester"],
             service=body["service"],
             scheme=body["scheme"],
-            nonce=from_hex(body["nonce"]),
+            nonce=_parse("nonce", from_hex, body["nonce"]),
             created_at=int(self._clock()),
         )
         attestation = (
-            Attestation.from_dict(body["attestation"]) if "attestation" in body else None
+            _parse("attestation", Attestation.from_dict, body["attestation"])
+            if "attestation" in body
+            else None
         )
         outcome = self._gateway.request_access(request, attestation=attestation)
         payload = {
@@ -160,7 +173,7 @@ class ServiceApi:
 
     def _token(self, headers) -> str:
         value = headers.get("Authorization", "")
-        if not value.startswith("Grant "):
+        if not isinstance(value, str) or not value.startswith("Grant "):
             raise UnauthorizedTokenError("expected 'Authorization: Grant <token>'")
         return value[len("Grant ") :]
 
@@ -168,15 +181,17 @@ class ServiceApi:
         token = self._token(headers)
         if "config" not in body:
             raise ApiError(400, "body field 'config' is required")
-        config = FederationConfig.from_dict(body["config"])
+        config = _parse("config", FederationConfig.from_dict, body["config"])
         data_filter = (
-            DataFilter.from_dict(body["dataFilter"]) if body.get("dataFilter") else None
+            _parse("dataFilter", DataFilter.from_dict, body["dataFilter"])
+            if body.get("dataFilter")
+            else None
         )
         record = self._service.submit_job(
             token,
             config,
-            estimated_runtime=float(body.get("estimatedRuntime", 60.0)),
-            priority_weight=float(body.get("priorityWeight", 1.0)),
+            estimated_runtime=_parse("estimatedRuntime", float, body.get("estimatedRuntime", 60.0)),
+            priority_weight=_parse("priorityWeight", float, body.get("priorityWeight", 1.0)),
             data_filter=data_filter,
         )
         return Response(201, record.to_dict())

@@ -55,8 +55,11 @@ class FlaasService:
         if not token:
             raise UnauthorizedTokenError("missing grant token")
         record = self._gateway.grants.validate(token, int(self._clock()))
-        if record is None:
-            raise UnauthorizedTokenError("unknown or expired grant token")
+        # A grant opens only the service its contract was deployed for.
+        if record is None or record.service != self.service_name:
+            raise UnauthorizedTokenError(
+                f"unknown or expired grant token for {self.service_name}"
+            )
         return record
 
     # --------------------------------------------------------------- data

@@ -22,6 +22,21 @@ class JobStateError(FedGateError):
     """An illegal job state transition was attempted."""
 
 
+def _names(field: str, values) -> tuple[str, ...] | None:
+    """``values`` as a tuple of strings, or None when the filter is absent.
+
+    An empty list is refused rather than read as "no filter": a job that
+    asked for no clients must not silently run over all of them.
+    """
+    if values is None:
+        return None
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ValidationError(f"{field} must be a list of strings")
+    if not values:
+        raise ValidationError(f"{field} must not be empty; omit it to keep them all")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class DataFilter:
     """Restricts which partitions, features, and samples a job trains on."""
@@ -31,12 +46,11 @@ class DataFilter:
     max_samples_per_client: int | None = None
 
     def __post_init__(self) -> None:
-        if self.client_ids is not None:
-            object.__setattr__(self, "client_ids", tuple(self.client_ids))
-        if self.feature_names is not None:
-            object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if self.max_samples_per_client is not None and self.max_samples_per_client < 1:
-            raise ValidationError("max_samples_per_client must be >= 1")
+        object.__setattr__(self, "client_ids", _names("clientIds", self.client_ids))
+        object.__setattr__(self, "feature_names", _names("featureNames", self.feature_names))
+        n = self.max_samples_per_client
+        if n is not None and (not isinstance(n, int) or n < 1):
+            raise ValidationError("max_samples_per_client must be an integer >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -50,10 +64,8 @@ class DataFilter:
     @classmethod
     def from_dict(cls, data: dict) -> "DataFilter":
         return cls(
-            client_ids=tuple(data["clientIds"]) if data.get("clientIds") else None,
-            feature_names=(
-                tuple(data["featureNames"]) if data.get("featureNames") else None
-            ),
+            client_ids=data.get("clientIds"),
+            feature_names=data.get("featureNames"),
             max_samples_per_client=data.get("maxSamplesPerClient"),
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -53,7 +54,6 @@ class Stack:
         self.resolver = Resolver("desk-resolver", KeyPair.generate(b"\x51" * 32))
         self.resolver.register_driver("efed", RegistryDriver(self.registry))
         self.trusted = frozenset({ISSUER_DID})
-        self._seed_counter = itertools.count(0x60)
         self._nonce_counter = itertools.count(1)
         self._token_counter = itertools.count(1)
 
@@ -89,7 +89,8 @@ class Stack:
         return next(self._nonce_counter).to_bytes(16, "big")
 
     def register_actor(self, specific_id: str) -> Actor:
-        key = KeyPair.generate(bytes([next(self._seed_counter)]) * 32)
+        # Keyed by the actor id, so any number of actors get distinct keys.
+        key = KeyPair.generate(hashlib.sha256(f"actor:{specific_id}".encode()).digest())
         document = DidDocument(
             id=DidIdentifier("efed", specific_id),
             public_keys=(

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
 from fedgate.identity import DidDocument
 from fedgate.identity.registry import UnknownDidError
-from fedgate.keys import KeyPair
+from fedgate.keys import KeyPair, verify_signature
 from fedgate.ledger import ClaimPredicate, ClaimRequirement
 
 from support import ISSUER_DID, Stack
@@ -433,3 +434,54 @@ def test_read_accounts_csv(tmp_path):
     empty.write_text("username,role\n")
     with pytest.raises(ValidationError):
         read_accounts_csv(empty)
+
+
+# ------------------------------------------------------ crypto per grant
+
+
+@pytest.fixture
+def crypto_counts(monkeypatch):
+    """Count ``KeyPair.sign`` and ``verify_signature`` calls at every import site."""
+    counts = {"sign": 0, "verify": 0}
+    sign, verify = KeyPair.sign, verify_signature
+
+    def counted_sign(self, message):
+        counts["sign"] += 1
+        return sign(self, message)
+
+    def counted_verify(*args):
+        counts["verify"] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(KeyPair, "sign", counted_sign)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedgate") and getattr(module, "verify_signature", None) is verify:
+            monkeypatch.setattr(module, "verify_signature", counted_verify)
+    return counts
+
+
+def test_contract_lookup_grant_signs_nothing(crypto_counts):
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    crypto_counts.update(sign=0, verify=0)
+    assert stack.request_a(alice.did).decision == "granted"
+    # The claim signature is the only check; no attestation is made or checked.
+    assert crypto_counts == {"sign": 0, "verify": 1}
+
+
+def test_user_lookup_grant_signs_once_at_the_front_desk(crypto_counts):
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    crypto_counts.update(sign=0, verify=0)
+    assert stack.request_b(alice.did).decision == "granted"
+    # One attestation signed at the front desk; it and the claim are checked.
+    assert crypto_counts == {"sign": 1, "verify": 2}
+
+
+def test_stack_registers_hundreds_of_actors():
+    stack = Stack()
+    actors = [stack.register_actor(f"member-{i}") for i in range(300)]
+    assert len({actor.key.public_bytes for actor in actors}) == 300
+    assert len(stack.registry) == 302  # plus the issuer and the owner

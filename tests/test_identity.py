@@ -269,6 +269,23 @@ def test_resolve_errors():
         resolver.resolve("did:efed:ghost", nonce=b"\x00" * 16)
 
 
+def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
+    registry, resolver = make_resolver()
+    doc, _ = make_document()
+    registry.register(doc, profile_hash="p")
+    signed = []
+    original = KeyPair.sign
+    monkeypatch.setattr(KeyPair, "sign", lambda self, m: signed.append(m) or original(self, m))
+    assert resolver.fetch("did:efed:alice01") == doc
+    assert signed == []
+    assert resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16).document == doc
+    assert len(signed) == 1
+    with pytest.raises(NoDriverError):
+        resolver.fetch("did:bogus:alice01")
+    with pytest.raises(UnknownDidError):
+        resolver.fetch("did:efed:ghost")
+
+
 def test_driver_routing_is_per_method():
     registry, resolver = make_resolver()
     doc, _ = make_document()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgate.canonical import canonical_json_bytes
+from fedgate.cli import main
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
 from fedgate.ledger import (
@@ -212,3 +213,94 @@ def test_any_single_bit_flip_invalidates(data):
     if not parse_failed:
         ok, _ = verify_chain_records(records)
         assert not ok
+
+
+# ------------------------------------------------------- one validator
+
+
+def reseal(records, start):
+    """Recompute tx ids, merkle roots, block hashes and links from ``start``
+    on, the way a forger would, straight from the documented formulas."""
+    for index in range(start, len(records)):
+        record = records[index]
+        for t in record["transactions"]:
+            body = bytes.fromhex(t["payload"])
+            t["txId"] = hashlib.sha256(
+                body + t["kind"].encode() + t["submitter"].encode()
+            ).hexdigest()
+        record["merkleRoot"] = merkle_root([t["txId"] for t in record["transactions"]])
+        if index > 0:
+            record["prevHash"] = records[index - 1]["hash"]
+        header = (
+            record["height"].to_bytes(8, "big")
+            + bytes.fromhex(record["prevHash"])
+            + bytes.fromhex(record["merkleRoot"])
+            + record["timestamp"].to_bytes(8, "big")
+        )
+        record["hash"] = hashlib.sha256(header).hexdigest()
+    return records
+
+
+def write_records(path, records):
+    path.write_bytes(b"".join(canonical_json_bytes(r) + b"\n" for r in records))
+    return path
+
+
+def test_reseal_reproduces_an_honest_chain():
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    assert reseal(json.loads(json.dumps(records)), 1) == records
+
+
+def forged_unknown_kind():
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[2]["transactions"][0]["kind"] = "mint_money"
+    return reseal(records, 2)
+
+
+def non_string_field(field):
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[2]["transactions"][1][field] = 7
+    return records
+
+
+@pytest.mark.parametrize(
+    "records",
+    [forged_unknown_kind(), non_string_field("submitter"), non_string_field("kind")],
+    ids=["unknown-kind-resealed", "int-submitter", "int-kind"],
+)
+def test_validators_agree_and_fail_as_values(tmp_path, records):
+    assert verify_chain_records(records) == (False, 2)
+    path = write_records(tmp_path / "chain.jsonl", records)
+    assert verify_chain_file(path) == (False, 2)
+    with pytest.raises(ValidationError, match="height 2"):
+        load_chain(path)
+    assert main(["verify-chain", str(path)]) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_field_replacement_never_raises_and_validators_agree(data, tmp_path_factory):
+    records = [b.to_dict() for b in build_chain(2).blocks]
+    index = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+    target = records[index]
+    if target["transactions"] and data.draw(st.booleans()):
+        target = target["transactions"][data.draw(st.integers(0, len(target["transactions"]) - 1))]
+    field = data.draw(st.sampled_from(sorted(target)))
+    target[field] = data.draw(JSON_VALUES)
+
+    ok, bad = verify_chain_records(records)
+    path = write_records(tmp_path_factory.mktemp("chain") / "chain.jsonl", records)
+    assert verify_chain_file(path) == (ok, bad)
+    if ok:
+        assert len(load_chain(path)) == len(records)
+    else:
+        assert bad == index
+        with pytest.raises(ValidationError):
+            load_chain(path)

@@ -519,3 +519,136 @@ def test_access_endpoints(tmp_path):
     )
 
     assert api.handle("GET", "/nothing/here").status == 404
+
+
+# ------------------------------------------------------ api edge inputs
+
+
+def access_body(stack, **fields):
+    body = {
+        "requester": "did:efed:alice",
+        "service": "fl-study",
+        "scheme": "user_lookup",
+        "nonce": stack.fresh_nonce().hex(),
+    }
+    body.update(fields)
+    return body
+
+
+@pytest.mark.parametrize(
+    "path, fields",
+    [
+        ("/access/request", {"nonce": "not-hex"}),
+        ("/access/request", {"attestation": {}}),
+        ("/jobs", {"config": {}}),
+        ("/jobs", {"config": 3}),
+        ("/jobs", {"estimatedRuntime": "x"}),
+    ],
+    ids=["non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime"],
+)
+def test_malformed_body_field_answers_400(tmp_path, path, fields):
+    stack, service, api, token = service_stack(tmp_path)
+    if path == "/access/request":
+        body = access_body(stack, **fields)
+    else:
+        body = {"config": job_config().to_dict(), **fields}
+    response = api.handle(
+        "POST", path, headers={"Authorization": f"Grant {token}"}, body=body
+    )
+    assert response.status == 400
+    assert "error" in response.body
+
+
+def test_grant_opens_only_its_own_service(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    stack.deploy_membership_policy("other-svc")
+    carol = stack.register_actor("carol")
+    stack.issuer.issue(carol.did, "consortium_member", "yes", 7200)
+    other = stack.request_a(carol.did, service="other-svc").grant
+    assert other.service == "other-svc"
+    headers = {"Authorization": f"Grant {other.token}"}
+    assert api.handle("GET", "/data/metadata", headers=headers).status == 401
+    submit = api.handle(
+        "POST", "/jobs", headers=headers, body={"config": job_config().to_dict()}
+    )
+    assert submit.status == 401
+    assert len(service.queue.all_records()) == 0
+    own = {"Authorization": f"Grant {token}"}
+    assert api.handle("GET", "/data/metadata", headers=own).status == 200
+
+
+@pytest.mark.parametrize("field", ["clientIds", "featureNames"])
+def test_empty_filter_list_is_refused_not_widened(tmp_path, field):
+    with pytest.raises(ValidationError):
+        DataFilter.from_dict({field: []})
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle(
+        "POST",
+        "/jobs",
+        headers={"Authorization": f"Grant {token}"},
+        body={"config": job_config().to_dict(), "dataFilter": {field: []}},
+    )
+    assert response.status == 400
+    assert service.queue.all_records() == []
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+BODY_KEYS = (
+    "requester", "service", "scheme", "nonce", "attestation",
+    "config", "dataFilter", "estimatedRuntime", "priorityWeight",
+)
+
+
+@st.composite
+def api_bodies(draw, stack):
+    """Arbitrary JSON, or a plausible body with arbitrary JSON in some fields."""
+    if draw(st.booleans()):
+        return draw(JSON)
+    body = access_body(stack) if draw(st.booleans()) else {"config": job_config().to_dict()}
+    for key in draw(st.lists(st.sampled_from(BODY_KEYS), max_size=3)):
+        body[key] = draw(JSON)
+    return body
+
+
+API_STATUSES = {200, 201, 400, 401, 403, 404, 429, 503}
+
+
+ROUTES = (
+    ("POST", "/access/request"),
+    ("GET", "/access/requirements"),
+    ("GET", "/access/howto"),
+    ("GET", "/data/metadata"),
+    ("GET", "/data/preview"),
+    ("POST", "/jobs"),
+    ("GET", "/jobs/job-0001"),
+    ("GET", "/jobs/job-0001/metrics"),
+    ("GET", "/jobs/job-0001/model"),
+)
+
+
+def test_handle_answers_every_input_with_a_status(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    routes = st.sampled_from(ROUTES) | st.tuples(
+        st.sampled_from(["GET", "POST", "get", "PUT"]) | st.text(max_size=6),
+        st.sampled_from([path for _, path in ROUTES]) | st.text(max_size=12),
+    )
+    headers = st.just({"Authorization": f"Grant {token}"}) | st.dictionaries(
+        st.text(max_size=8), st.text(max_size=12), max_size=2
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(route=routes, headers=headers, body=api_bodies(stack))
+    def check(route, headers, body):
+        method, path = route
+        response = api.handle(method, path, headers=headers, body=body)
+        assert response.status in API_STATUSES
+
+    check()
