@@ -15,22 +15,29 @@ show the user-lookup path stays open while contract-lookup is saturated.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from fedgate.access import SCHEME_USER_LOOKUP
+from fedgate.clock import SimulatedClock
+from fedgate.desk import MEMBERSHIP_CLAIM, build_desk
 
-from support import Stack  # noqa: E402  (test wiring doubles as the bench rig)
+SERVICE = "fl-study"
 
 
 def run_flood(requests: int, capacity: int, ttl: int, pause_every: int) -> dict:
-    stack = Stack(pending_capacity=capacity, pending_ttl=ttl)
-    stack.deploy_membership_policy()
-    member = stack.register_actor("member")
-    stack.issuer.issue(member.did, "consortium_member", "yes", 1_000_000)
-    height_before = stack.chain.height
+    desk = build_desk(
+        0,
+        SimulatedClock(start=100_000),
+        frozenset({"did:efed:issuer"}),
+        pending_capacity=capacity,
+        pending_ttl_seconds=ttl,
+    )
+    issuer = desk.claim_issuer(desk.register("issuer"))
+    desk.deploy_policy(SERVICE, desk.register("owner"))
+    member = desk.register("member")
+    issuer.issue(member.did, MEMBERSHIP_CLAIM, "yes", 1_000_000)
+    height_before = desk.chain.height
 
     tracemalloc.start()
     baseline, _ = tracemalloc.get_traced_memory()
@@ -39,13 +46,15 @@ def run_flood(requests: int, capacity: int, ttl: int, pause_every: int) -> dict:
     started = time.perf_counter()
     for i in range(requests):
         if i % 100 == 0:
-            stack.clock.advance(1)
+            desk.clock.advance(1)
         if i == requests // 4:
-            mid_flood["user_lookup"] = stack.request_b(member.did).decision
+            mid_flood["user_lookup"] = desk.request(
+                member.did, SERVICE, SCHEME_USER_LOOKUP
+            ).decision
         if pause_every and i == requests // 2:
-            stack.clock.advance(ttl + 1)  # an attacker pause; sweep reclaims
-            mid_flood["contract_lookup"] = stack.request_a(member.did).decision
-        outcome = stack.request_a(f"did:efed:ghost{i}")
+            desk.clock.advance(ttl + 1)  # an attacker pause; sweep reclaims
+            mid_flood["contract_lookup"] = desk.request(member.did, SERVICE).decision
+        outcome = desk.request(f"did:efed:ghost{i}", SERVICE)
         tally[outcome.decision] += 1
     elapsed = time.perf_counter() - started
     current, _ = tracemalloc.get_traced_memory()
@@ -54,10 +63,10 @@ def run_flood(requests: int, capacity: int, ttl: int, pause_every: int) -> dict:
     return {
         "requests": requests,
         "elapsed": elapsed,
-        "pending_peak": stack.gateway.pending.peak_size,
+        "pending_peak": desk.gateway.pending.peak_size,
         "parked_denials": tally["denied"],
         "capacity_rejections": tally["rejected-capacity"],
-        "chain_growth": stack.chain.height - height_before,
+        "chain_growth": desk.chain.height - height_before,
         "memory_mb": (current - baseline) / 1e6,
         "mid_flood": mid_flood,
     }

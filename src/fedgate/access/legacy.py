@@ -1,9 +1,10 @@
 """One-shot translation of legacy ``(username, role)`` accounts.
 
-Each account becomes a fresh DID (deterministically derived from the
-username so reruns collide instead of duplicating), a registered
-document, and an issued ``role`` claim. Already-imported usernames are
-reported as skipped rather than failing the whole batch.
+Each account becomes a fresh DID, ``did:efed:legacy-<username>`` (unsafe
+characters become ``-``), under a key derived from the username so reruns
+collide instead of duplicating; a registered one-key document; and an
+issued ``role`` claim. Already-imported usernames are reported as skipped
+rather than failing the whole batch.
 """
 
 from __future__ import annotations
@@ -14,22 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
-from ..identity import DidDocument, DidIdentifier, DidRegistry, PublicKeyEntry
+from ..identity import DidDocument, DidRegistry
 from ..identity.registry import AlreadyRegisteredError, DuplicateProfileError
 from ..keys import KeyPair
 from .issuance import ClaimIssuer
 
 _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
-
-
-def legacy_did(username: str, method: str = "efed") -> DidIdentifier:
-    safe = "".join(c if c in _USERNAME_SAFE else "-" for c in username)
-    return DidIdentifier(method=method, specific_id=f"legacy-{safe}")
-
-
-def legacy_keypair(username: str) -> KeyPair:
-    seed = hashlib.sha256(f"legacy-account:{username}".encode()).digest()
-    return KeyPair.generate(seed)
 
 
 @dataclass(frozen=True)
@@ -68,25 +59,18 @@ def import_legacy_accounts(
     """Register each account's DID and issue its role claim."""
     results = []
     for username, role in accounts:
-        did = legacy_did(username)
-        key = legacy_keypair(username)
-        document = DidDocument(
-            id=did,
-            public_keys=(
-                PublicKeyEntry(
-                    key_id="key-1", algorithm="Ed25519", public_bytes=key.public_bytes
-                ),
-            ),
-            authentication=("key-1",),
-        )
+        safe = "".join(c if c in _USERNAME_SAFE else "-" for c in username)
+        key = KeyPair.generate(hashlib.sha256(f"legacy-account:{username}".encode()).digest())
+        document = DidDocument.for_key("efed", f"legacy-{safe}", key.public_bytes)
+        did = str(document.id)
         profile_hash = hashlib.sha256(f"legacy-profile:{username}".encode()).hexdigest()
         try:
             registry.register(document, profile_hash=profile_hash)
         except (AlreadyRegisteredError, DuplicateProfileError):
-            results.append(LegacyImportResult(username, str(did), "skipped"))
+            results.append(LegacyImportResult(username, did, "skipped"))
             continue
-        claim = issuer.issue(str(did), "role", role, validity_seconds)
+        claim = issuer.issue(did, "role", role, validity_seconds)
         results.append(
-            LegacyImportResult(username, str(did), "imported", value=claim.value)
+            LegacyImportResult(username, did, "imported", value=claim.value)
         )
     return results

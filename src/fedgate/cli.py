@@ -14,15 +14,14 @@ import json
 import sys
 from pathlib import Path
 
-from .access.issuance import ClaimIssuer
 from .access.legacy import import_legacy_accounts, read_accounts_csv
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
+from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
-from .identity import DidDocument, DidIdentifier, DidRegistry, PublicKeyEntry
 from .keys import KeyPair
-from .ledger import Chain, verify_chain_file
+from .ledger import verify_chain_file
 from .scenario import ScenarioConfig, run_demo
 
 EXIT_OK = 0
@@ -108,30 +107,13 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
     accounts = read_accounts_csv(Path(args.accounts))
 
     seed = args.seed if args.seed is not None else 7
-    clock = SimulatedClock(start=1_000_000)
-    chain = Chain(clock=clock)
-    registry = DidRegistry(recorder=chain.record)
+    trusted = frozenset({"did:efed:legacy-issuer"})
+    desk = build_desk(seed, SimulatedClock(start=1_000_000), trusted)
     issuer_key = KeyPair.generate(
         hashlib.sha256(f"legacy-issuer:{seed}".encode()).digest()
     )
-    issuer_doc = DidDocument(
-        id=DidIdentifier("efed", "legacy-issuer"),
-        public_keys=(
-            PublicKeyEntry(
-                key_id="key-1", algorithm="Ed25519", public_bytes=issuer_key.public_bytes
-            ),
-        ),
-        authentication=("key-1",),
-    )
-    registry.register(issuer_doc, profile_hash="profile:legacy-issuer")
-    issuer = ClaimIssuer(
-        str(issuer_doc.id),
-        issuer_key,
-        registry,
-        frozenset({str(issuer_doc.id)}),
-        clock,
-    )
-    results = import_legacy_accounts(accounts, registry, issuer)
+    issuer = desk.claim_issuer(desk.register("legacy-issuer", issuer_key))
+    results = import_legacy_accounts(accounts, desk.registry, issuer)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,8 +128,8 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
         for r in results
     ]
     (out_dir / "report.json").write_bytes(canonical_json_bytes(report) + b"\n")
-    chain.write_chain(out_dir / "chain.jsonl")
-    registry.write_log(out_dir / "identity.jsonl")
+    desk.chain.write_chain(out_dir / "chain.jsonl")
+    desk.registry.write_log(out_dir / "identity.jsonl")
     imported = sum(1 for r in results if r.status == "imported")
     print(f"imported {imported} of {len(results)} accounts into {out_dir}")
     return EXIT_OK

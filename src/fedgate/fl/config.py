@@ -24,6 +24,8 @@ class LossSpec:
             raise ValidationError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.feature_dim < 1:
             raise ValidationError(f"feature_dim must be positive, got {self.feature_dim}")
+        if not isinstance(self.bias, bool):
+            raise ValidationError(f"bias must be true or false, got {self.bias!r}")
 
     @property
     def parameter_dim(self) -> int:
@@ -35,7 +37,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
-        return cls(kind=data["kind"], feature_dim=int(data["featureDim"]), bias=bool(data["bias"]))
+        return cls(kind=data["kind"], feature_dim=int(data["featureDim"]), bias=data["bias"])
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,10 @@ class FederationConfig:
             raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_mode not in BATCH_MODES:
             raise ValidationError(f"batch_mode must be one of {BATCH_MODES}, got {self.batch_mode!r}")
-        if self.batch_mode == "minibatch" and (self.batch_size is None or self.batch_size < 1):
+        size = self.batch_size
+        if size is not None and (isinstance(size, bool) or not isinstance(size, int) or size < 1):
+            raise ValidationError(f"batch_size must be null or an integer >= 1, got {size!r}")
+        if self.batch_mode == "minibatch" and size is None:
             raise ValidationError("minibatch mode requires batch_size >= 1")
         if self.weighting not in WEIGHTINGS:
             raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")

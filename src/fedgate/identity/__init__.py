@@ -19,7 +19,6 @@ from .registry import (
 )
 from .resolver import (
     Attestation,
-    LoopbackDriver,
     NoDriverError,
     RegistryDriver,
     ResolutionResult,
@@ -46,6 +45,5 @@ __all__ = [
     "ResolutionResult",
     "Attestation",
     "RegistryDriver",
-    "LoopbackDriver",
     "NoDriverError",
 ]

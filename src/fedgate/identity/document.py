@@ -94,6 +94,15 @@ class DidDocument:
                     f"authentication entry {ref!r} references no key in document {self.id}"
                 )
 
+    @classmethod
+    def for_key(cls, method: str, specific_id: str, public_bytes: bytes) -> "DidDocument":
+        """Version-1 document with one Ed25519 key, ``key-1``, that authenticates."""
+        return cls(
+            id=DidIdentifier(method, specific_id),
+            public_keys=(PublicKeyEntry("key-1", "Ed25519", public_bytes),),
+            authentication=("key-1",),
+        )
+
     def authentication_keys(self) -> list[bytes]:
         """Public bytes of every key usable for authentication."""
         wanted = set(self.authentication)

@@ -22,7 +22,7 @@ from ..errors import FedGateError, ValidationError
 from ..keys import KeyPair, verify_signature
 from .did import DidIdentifier, parse_did
 from .document import DidDocument
-from .registry import DidRegistry, UnknownDidError
+from .registry import DidRegistry
 
 
 class NoDriverError(FedGateError):
@@ -84,25 +84,6 @@ class RegistryDriver:
 
     def fetch(self, did: DidIdentifier) -> DidDocument:
         return self._registry.get(did)
-
-
-class LoopbackDriver:
-    """Fixed in-memory backend; exists to prove per-method routing."""
-
-    def __init__(
-        self, documents: dict[str, DidDocument] | None = None, name: str = "loopback"
-    ):
-        self._documents = dict(documents or {})
-        self.name = name
-
-    def add(self, document: DidDocument) -> None:
-        self._documents[str(document.id)] = document
-
-    def fetch(self, did: DidIdentifier) -> DidDocument:
-        try:
-            return self._documents[str(did)]
-        except KeyError:
-            raise UnknownDidError(f"loopback driver has no document for {did}") from None
 
 
 class Resolver:

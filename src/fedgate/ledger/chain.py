@@ -14,19 +14,20 @@ recomputes every hash, plus a height and ``prev_hash`` check between
 blocks. ``verify_chain_records``, ``verify_chain_file``, ``load_chain``
 and ``Chain.verify`` all go through it, so they agree on every input,
 and any single flipped bit in the file surfaces as a verification
-failure at that height.
+failure at that height. A record built in process leaves its hashes to
+that same ``__post_init__``, which fills them in, so ``Chain.record``
+computes each hash once.
 """
 
 from __future__ import annotations
 
+import json
 import threading
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-import json
-
 from ..canonical import canonical_json_bytes, from_hex, sha256, sha256_hex, to_hex
+from ..clock import wall_clock
 from ..errors import ValidationError
 
 TRANSACTION_KINDS = frozenset(
@@ -53,13 +54,26 @@ def merkle_root(tx_ids: list[str]) -> str:
     return to_hex(level[0])
 
 
+# Default of a hash field: ``__post_init__`` derives the value. No JSON value
+# is this object, so a record read from a file always has its hashes compared.
+_DERIVE = object()
+
+
+def _settle(record, name: str, derived: str, what: str) -> None:
+    """Fill in a hash field left to derive, or check the value claimed for it."""
+    if getattr(record, name) is _DERIVE:
+        object.__setattr__(record, name, derived)
+    elif getattr(record, name) != derived:
+        raise ValidationError(f"{what} does not match")
+
+
 @dataclass(frozen=True)
 class Transaction:
-    tx_id: str
     timestamp: int
     kind: str
     payload: bytes
     submitter: str
+    tx_id: str = _DERIVE
 
     def __post_init__(self) -> None:
         if self.kind not in TRANSACTION_KINDS:
@@ -68,18 +82,15 @@ class Transaction:
             raise ValidationError("transaction submitter must be a string")
         if self.timestamp < 0:
             raise ValidationError("transaction timestamp must be non-negative")
-        expected = _tx_id(self.payload, self.kind, self.submitter)
-        if self.tx_id != expected:
-            raise ValidationError(f"tx_id does not match payload for kind {self.kind}")
+        derived = _tx_id(self.payload, self.kind, self.submitter)
+        _settle(self, "tx_id", derived, f"tx_id of a {self.kind} transaction")
 
     @classmethod
     def create(cls, kind: str, payload: dict, submitter: str, timestamp: int) -> "Transaction":
-        body = canonical_json_bytes(payload)
         return cls(
-            tx_id=_tx_id(body, kind, submitter),
             timestamp=int(timestamp),
             kind=kind,
-            payload=body,
+            payload=canonical_json_bytes(payload),
             submitter=submitter,
         )
 
@@ -98,11 +109,11 @@ class Transaction:
     @classmethod
     def from_dict(cls, data: dict) -> "Transaction":
         return cls(
-            tx_id=data["txId"],
             timestamp=int(data["timestamp"]),
             kind=data["kind"],
             payload=from_hex(data["payload"]),
             submitter=data["submitter"],
+            tx_id=data["txId"],
         )
 
 
@@ -120,10 +131,10 @@ def _block_hash(height: int, prev_hash: str, root: str, timestamp: int) -> str:
 class Block:
     height: int
     prev_hash: str
-    merkle_root: str
     timestamp: int
     transactions: tuple[Transaction, ...]
-    hash: str
+    merkle_root: str = _DERIVE
+    hash: str = _DERIVE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -136,29 +147,10 @@ class Block:
         # timestamp would be the one field no hash covers.
         if any(t.timestamp != self.timestamp for t in self.transactions):
             raise ValidationError("transaction timestamps must match the block timestamp")
-        if merkle_root([t.tx_id for t in self.transactions]) != self.merkle_root:
-            raise ValidationError(f"merkle root mismatch at height {self.height}")
-        expected = _block_hash(self.height, self.prev_hash, self.merkle_root, self.timestamp)
-        if self.hash != expected:
-            raise ValidationError(f"block hash mismatch at height {self.height}")
-
-    @classmethod
-    def create(
-        cls,
-        height: int,
-        prev_hash: str,
-        timestamp: int,
-        transactions: tuple[Transaction, ...],
-    ) -> "Block":
-        root = merkle_root([t.tx_id for t in transactions])
-        return cls(
-            height=height,
-            prev_hash=prev_hash,
-            merkle_root=root,
-            timestamp=int(timestamp),
-            transactions=tuple(transactions),
-            hash=_block_hash(height, prev_hash, root, int(timestamp)),
-        )
+        root = merkle_root([t.tx_id for t in self.transactions])
+        _settle(self, "merkle_root", root, f"merkle root at height {self.height}")
+        derived = _block_hash(self.height, self.prev_hash, self.merkle_root, self.timestamp)
+        _settle(self, "hash", derived, f"block hash at height {self.height}")
 
     def to_dict(self) -> dict:
         return {
@@ -175,9 +167,9 @@ class Block:
         return cls(
             height=int(data["height"]),
             prev_hash=data["prevHash"],
-            merkle_root=data["merkleRoot"],
             timestamp=int(data["timestamp"]),
             transactions=tuple(Transaction.from_dict(t) for t in data["transactions"]),
+            merkle_root=data["merkleRoot"],
             hash=data["hash"],
         )
 
@@ -186,9 +178,9 @@ class Chain:
     """The authoritative chain: one serialized writer, concurrent readers."""
 
     def __init__(self, clock=None):
-        self._clock = clock or (lambda: int(time.time()))
+        self._clock = clock or wall_clock
         self._lock = threading.Lock()
-        genesis = Block.create(
+        genesis = Block(
             height=0,
             prev_hash=GENESIS_PREV_HASH,
             timestamp=int(self._clock()),
@@ -204,32 +196,32 @@ class Chain:
     def blocks(self) -> tuple[Block, ...]:
         return tuple(self._blocks)
 
-    @property
-    def tip(self) -> Block:
-        return self._blocks[-1]
+    def append_block(self, entries: list[tuple[str, dict, str]]) -> Block:
+        """Seal ``(kind, payload, submitter)`` entries into the next block.
 
-    def append_block(self, transactions: list[Transaction]) -> Block:
-        """Seal the given transactions into the next block."""
-        if not transactions:
+        The block time is fixed first, so each transaction is built once,
+        already stamped with it.
+        """
+        if not entries:
             raise ValidationError("a block must carry at least one transaction")
         with self._lock:
             prev = self._blocks[-1]
             timestamp = max(int(self._clock()), prev.timestamp)
-            sealed = tuple(replace(t, timestamp=timestamp) for t in transactions)
-            block = Block.create(
+            block = Block(
                 height=prev.height + 1,
                 prev_hash=prev.hash,
                 timestamp=timestamp,
-                transactions=sealed,
+                transactions=tuple(
+                    Transaction.create(kind, payload, submitter, timestamp)
+                    for kind, payload, submitter in entries
+                ),
             )
             self._blocks.append(block)
         return block
 
     def record(self, kind: str, payload: dict, submitter: str) -> str:
-        """Convenience: seal one transaction into its own block, return tx id."""
-        tx = Transaction.create(kind, payload, submitter, timestamp=int(self._clock()))
-        self.append_block([tx])
-        return tx.tx_id
+        """Seal one transaction into its own block; returns its tx id."""
+        return self.append_block([(kind, payload, submitter)]).transactions[0].tx_id
 
     def transactions(self, kind: str | None = None) -> list[Transaction]:
         txs = [t for b in self._blocks for t in b.transactions]

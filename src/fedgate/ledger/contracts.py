@@ -11,12 +11,12 @@ onto the chain as an ``access_grant`` or ``access_denial`` transaction.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..canonical import canonical_json_bytes, sha256_hex, to_hex
 from ..claims import VerifiableClaim
+from ..clock import wall_clock
 from ..errors import FedGateError, ValidationError
 from ..keys import verify_signature
 from .chain import Chain, Transaction
@@ -193,7 +193,7 @@ class ContractEngine:
         self._chain = chain
         self._document_lookup = document_lookup
         self._claim_checker = claim_checker
-        self._clock = clock or (lambda: int(time.time()))
+        self._clock = clock or wall_clock
         self._token_bytes = token_bytes or (lambda: os.urandom(16))
         self._contracts: dict[str, AccessPolicyContract] = {}
         self._by_service: dict[str, str] = {}

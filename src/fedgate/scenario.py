@@ -1,48 +1,29 @@
 """End-to-end desk scenario: identity setup, policy, access, one training job.
 
-`run_demo` wires every subsystem together the way a small consortium desk
-would: data owners and users register identifiers, an attestor issues
-membership claims, an owner deploys the access policy, each user walks one of
-the two authentication schemes, and whoever holds a grant token submits a
-training job.  Everything is driven by a simulated clock and derived from one
-seed, so two runs with the same configuration produce byte-identical
-artifacts.
+`run_demo` builds the shared desk (``fedgate.desk.build_desk``) on a ledger
+tap that mirrors every chain write into the event log, then plays the story
+of a small consortium: data owners, issuers and users register identifiers,
+an owner deploys the access policy, an attestor issues membership claims,
+each user walks one of the two authentication schemes, and whoever holds a
+grant token submits a training job. Everything is driven by a simulated
+clock and derived from one seed, so two runs with the same configuration
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .access import (
-    SCHEME_CONTRACT_LOOKUP,
-    SCHEME_USER_LOOKUP,
-    AccessGateway,
-    make_claim_checker,
-)
-from .access.issuance import ClaimIssuer
+from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
+from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
 from .errors import ValidationError
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
-from .identity import (
-    DidDocument,
-    DidIdentifier,
-    DidRegistry,
-    PublicKeyEntry,
-    RegistryDriver,
-    Resolver,
-)
-from .identity.registry import UnknownDidError
-from .keys import KeyPair
-from .ledger import Chain, ClaimPredicate, ClaimRequirement
-from .ledger.contracts import AccessPolicyContract, ContractEngine
+from .ledger import Chain
 from .service import FaultEvent, FlaasService, ServiceApi
-
-MEMBERSHIP_CLAIM = "consortium_member"
 
 DEFAULT_FEDERATION = FederationConfig(
     total_rounds=8,
@@ -203,25 +184,6 @@ class DemoResult:
     model_path: Path | None
 
 
-def _keypair(seed: int, role: str, index: int) -> KeyPair:
-    material = hashlib.sha256(f"fedgate:{seed}:{role}:{index}".encode()).digest()
-    return KeyPair.generate(material)
-
-
-def _nonce_stream(seed: int):
-    for n in itertools.count(1):
-        yield hashlib.sha256(f"nonce:{seed}:{n}".encode()).digest()[:16]
-
-
-def _token_stream(seed: int):
-    counter = itertools.count(1)
-
-    def fresh() -> bytes:
-        return hashlib.sha256(f"token:{seed}:{next(counter)}".encode()).digest()[:16]
-
-    return fresh
-
-
 def run_demo(config: ScenarioConfig) -> DemoResult:
     """Run the whole story and drop its artifacts in ``config.out_dir``.
 
@@ -245,66 +207,26 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         startTime=config.start_time,
     )
 
-    registry = DidRegistry(recorder=tap.record)
-    resolver = Resolver("demo-resolver", _keypair(config.seed, "resolver", 0))
-    resolver.register_driver("efed", RegistryDriver(registry))
-    nonces = _nonce_stream(config.seed)
+    trusted = frozenset(f"did:efed:issuer-{i}" for i in range(config.issuers))
+    desk = build_desk(config.seed, clock, trusted, chain=tap)
 
-    def document_lookup(did: str):
-        try:
-            return registry.get(did)
-        except UnknownDidError:
-            return None
-
-    def register(role: str, index: int) -> tuple[str, KeyPair]:
-        key = _keypair(config.seed, role, index)
-        document = DidDocument(
-            id=DidIdentifier("efed", f"{role}-{index}"),
-            public_keys=(
-                PublicKeyEntry(
-                    key_id="key-1", algorithm="Ed25519", public_bytes=key.public_bytes
-                ),
-            ),
-            authentication=("key-1",),
-        )
-        registry.register(document, profile_hash=f"profile:{role}-{index}")
-        log.emit("did-registered", did=str(document.id), role=role)
+    def register(role: str, index: int) -> Actor:
+        actor = desk.register(f"{role}-{index}", desk.keypair(role, index))
+        log.emit("did-registered", did=actor.did, role=role)
         clock.advance(1)
-        return str(document.id), key
+        return actor
 
     owners = [register("owner", i) for i in range(config.owners)]
     issuers = [register("issuer", i) for i in range(config.issuers)]
     users = [register("user", i) for i in range(config.users)]
-    trusted = frozenset(did for did, _ in issuers)
 
-    engine = ContractEngine(
-        tap,
-        document_lookup=document_lookup,
-        claim_checker=make_claim_checker(resolver, trusted),
-        clock=clock,
-        token_bytes=_token_stream(config.seed),
-    )
-    gateway = AccessGateway(engine, resolver, clock)
-
-    owner_did, owner_key = owners[0]
-    contract = AccessPolicyContract.create(
-        (
-            ClaimRequirement(
-                MEMBERSHIP_CLAIM, ClaimPredicate(kind="equals", value="yes")
-            ),
-        ),
-        config.service,
-        owner_did,
-    )
-    engine.deploy(contract, owner_key.sign(contract.signing_bytes()))
+    contract = desk.deploy_policy(config.service, owners[0])
     log.emit("contract-deployed", contractId=contract.contract_id, service=config.service)
     clock.advance(1)
 
-    claim_issuers = [
-        ClaimIssuer(did, key, registry, trusted, clock) for did, key in issuers
-    ]
+    claim_issuers = [desk.claim_issuer(actor) for actor in issuers]
     for i in range(config.qualified_users):
-        subject = users[i][0]
+        subject = users[i].did
         issuer = claim_issuers[i % len(claim_issuers)]
         issuer.issue(subject, MEMBERSHIP_CLAIM, "yes", validity_seconds=86_400)
         log.emit("claim-issued", issuer=issuer.did, subject=subject)
@@ -325,21 +247,21 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     clock.advance(1)
 
     service = FlaasService(
-        gateway, partitions, out_dir / "artifacts", clock, service_name=config.service
+        desk.gateway, partitions, out_dir / "artifacts", clock, service_name=config.service
     )
-    api = ServiceApi(gateway, service, clock)
+    api = ServiceApi(desk.gateway, service, clock)
 
     decisions: list[dict] = []
     token: str | None = None
-    for did, _ in users:
+    for did in [user.did for user in users]:
         body = {
             "requester": did,
             "service": config.service,
             "scheme": config.scheme,
-            "nonce": next(nonces).hex(),
+            "nonce": desk.nonce().hex(),
         }
         if config.scheme == SCHEME_USER_LOOKUP:
-            lookup = gateway.user_lookup(did, next(nonces))
+            lookup = desk.gateway.user_lookup(did, desk.nonce())
             if lookup.ok:
                 body["attestation"] = lookup.attestation.to_dict()
         response = api.handle("POST", "/access/request", body=body)
@@ -379,7 +301,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
 
     chain_path = chain.write_chain(out_dir / "chain.jsonl")
     events_path = log.write(out_dir / "events.jsonl")
-    registry.write_log(out_dir / "identity.jsonl")
+    desk.registry.write_log(out_dir / "identity.jsonl")
     chain_ok, _ = chain.verify()
 
     granted = [d for d in decisions if d["decision"] == "granted"]

@@ -84,7 +84,7 @@ class FlaasService:
         priority_weight: float,
         data_filter: DataFilter | None = None,
     ) -> JobRecord:
-        self.authorize(token)
+        grant = self.authorize(token)
         data_filter = data_filter or DataFilter()
         filtered = apply_filter(self._partitions, data_filter)
         if len(filtered) != config.total_clients:
@@ -99,7 +99,7 @@ class FlaasService:
                 f"{config.loss.feature_dim}"
             )
         spec = JobSpec(
-            grant_token=token,
+            holder=grant.holder,
             config=config,
             estimated_runtime=estimated_runtime,
             priority_weight=priority_weight,
@@ -128,9 +128,13 @@ class FlaasService:
         )
 
     def job(self, token: str, job_id: str) -> JobRecord:
-        self.authorize(token)
+        """The job, if this grant's holder submitted it.
+
+        Another holder's job answers as unknown, so its id leaks nothing.
+        """
+        grant = self.authorize(token)
         record = self.queue.get(job_id)
-        if record is None:
+        if record is None or record.spec.holder != grant.holder:
             raise UnknownJobError(f"no job {job_id}")
         return record
 

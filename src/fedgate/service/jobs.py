@@ -11,6 +11,7 @@ order. The job record is a strict state machine::
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -101,17 +102,18 @@ def apply_filter(
 
 @dataclass(frozen=True)
 class JobSpec:
-    grant_token: str
+    holder: str  # the DID whose grant submitted the job; only it may read the job
     config: FederationConfig
     estimated_runtime: float
     priority_weight: float
     data_filter: DataFilter = DataFilter()
 
     def __post_init__(self) -> None:
-        if self.estimated_runtime <= 0:
-            raise ValidationError("estimated_runtime must be positive")
-        if self.priority_weight <= 0:
-            raise ValidationError("priority_weight must be positive")
+        # NaN compares false both ways, so it would leave the WSJF order undefined.
+        for name in ("estimated_runtime", "priority_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
 
     @property
     def wsjf_ratio(self) -> float:

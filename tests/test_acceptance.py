@@ -437,7 +437,7 @@ def test_09_wsjf_optimality():
         n = int(rng.integers(1, 9))
         jobs = [
             JobSpec(
-                grant_token="t",
+                holder="did:efed:t",
                 config=config,
                 estimated_runtime=float(rng.uniform(0.5, 20.0)),
                 priority_weight=float(rng.uniform(0.1, 10.0)),
@@ -479,7 +479,7 @@ def test_10_failover_determinism(tmp_path):
         executor = JobExecutor(parts, tmp_path / name, clock=lambda: 0)
         record = JobQueue().submit(
             JobSpec(
-                grant_token="t",
+                holder="did:efed:t",
                 config=config,
                 estimated_runtime=1.0,
                 priority_weight=1.0,

@@ -235,7 +235,7 @@ def test_scheme_a_rate_limit():
 
 
 def test_unresolvable_did_parks_entry_until_ttl():
-    stack = Stack(pending_capacity=4, pending_ttl=30)
+    stack = Stack(pending_capacity=4, pending_ttl_seconds=30)
     stack.deploy_membership_policy()
     height_before = stack.chain.height
     outcome = stack.request_a("did:efed:ghost-0")
@@ -252,7 +252,7 @@ def test_unresolvable_did_parks_entry_until_ttl():
 
 
 def test_legitimate_request_succeeds_after_flood_sweep():
-    stack = Stack(pending_capacity=8, pending_ttl=30)
+    stack = Stack(pending_capacity=8, pending_ttl_seconds=30)
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
     for i in range(50):

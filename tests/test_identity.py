@@ -15,7 +15,6 @@ from fedgate.identity import (
     DuplicateProfileError,
     EmptySpecificIdError,
     IllegalCharacterError,
-    LoopbackDriver,
     NoDriverError,
     PartCountError,
     PublicKeyEntry,
@@ -286,12 +285,24 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
         resolver.fetch("did:efed:ghost")
 
 
+class LoopbackDriver:
+    """A second backend with one fixed document, to show routing by method."""
+
+    name = "loopback"
+
+    def __init__(self, document):
+        self._document = document
+
+    def fetch(self, did):
+        return self._document
+
+
 def test_driver_routing_is_per_method():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
     other, _ = make_document("probe", method="loop", seed=4)
-    loop = LoopbackDriver({str(other.id): other})
+    loop = LoopbackDriver(other)
     resolver.register_driver("loop", loop)
 
     routes = {

@@ -24,6 +24,10 @@ def tx(n, kind="did_registration", submitter="did:efed:tester"):
     return Transaction.create(kind, {"n": n}, submitter, timestamp=n)
 
 
+def entry(n, kind="did_registration", submitter="did:efed:tester"):
+    return (kind, {"n": n}, submitter)
+
+
 def build_chain(n_blocks=3, txs_per_block=2):
     clock = SimulatedClock(start=1000)
     chain = Chain(clock=clock)
@@ -32,7 +36,7 @@ def build_chain(n_blocks=3, txs_per_block=2):
         clock.advance(10)
         batch = []
         for _ in range(txs_per_block):
-            batch.append(tx(counter))
+            batch.append(entry(counter))
             counter += 1
         chain.append_block(batch)
     return chain
@@ -112,7 +116,7 @@ def test_genesis_convention():
 def test_height_counts_appends():
     chain = Chain(clock=SimulatedClock())
     for i in range(5):
-        chain.append_block([tx(i)])
+        chain.append_block([entry(i)])
         assert chain.height == i + 1
 
 
@@ -139,6 +143,24 @@ def test_record_returns_findable_tx():
     assert found is not None
     assert found.payload_dict() == {"missing": ["role"]}
     assert chain.transactions("access_denial") == [found]
+
+
+def test_record_computes_each_hash_once(monkeypatch):
+    from fedgate.ledger import chain as chain_module
+
+    chain = Chain(clock=SimulatedClock(start=9))
+    counts = {}
+    for name in ("_tx_id", "merkle_root", "_block_hash"):
+        original = getattr(chain_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(chain_module, name, counted)
+    chain.record("access_denial", {"missing": ["role"]}, "did:efed:u")
+    assert counts == {"_tx_id": 1, "merkle_root": 1, "_block_hash": 1}
+    assert chain.verify() == (True, None)
 
 
 # ---------------------------------------------------------- tamper evidence
@@ -257,16 +279,32 @@ def forged_unknown_kind():
     return reseal(records, 2)
 
 
-def non_string_field(field):
+def non_string_field(field, value=7):
     records = [b.to_dict() for b in build_chain(3).blocks]
-    records[2]["transactions"][1][field] = 7
+    records[2]["transactions"][1][field] = value
+    return records
+
+
+def null_block_hash(field):
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[2][field] = None
     return records
 
 
 @pytest.mark.parametrize(
     "records",
-    [forged_unknown_kind(), non_string_field("submitter"), non_string_field("kind")],
-    ids=["unknown-kind-resealed", "int-submitter", "int-kind"],
+    [
+        forged_unknown_kind(),
+        non_string_field("submitter"),
+        non_string_field("kind"),
+        non_string_field("txId", None),
+        null_block_hash("merkleRoot"),
+        null_block_hash("hash"),
+    ],
+    ids=[
+        "unknown-kind-resealed", "int-submitter", "int-kind",
+        "null-tx-id", "null-merkle-root", "null-hash",
+    ],
 )
 def test_validators_agree_and_fail_as_values(tmp_path, records):
     assert verify_chain_records(records) == (False, 2)

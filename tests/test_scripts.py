@@ -1,6 +1,11 @@
-"""Smoke runs of the scripts under ``scripts/``: each must exit 0."""
+"""Smoke runs of the scripts under ``scripts/``: each must exit 0.
+
+Each script runs from a copy outside the repository with only ``src`` on
+the path, so a script that reaches into ``tests/`` fails here.
+"""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args, cwd):
+    script = shutil.copy(ROOT / "scripts" / name, cwd / name)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+    env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(script), *args],
         cwd=cwd,
         env=env,
         capture_output=True,

@@ -61,7 +61,7 @@ def job_config(**overrides):
 
 def job_spec(config=None, runtime=10.0, weight=1.0, data_filter=None):
     return JobSpec(
-        grant_token="t",
+        holder="did:efed:t",
         config=config or job_config(),
         estimated_runtime=runtime,
         priority_weight=weight,
@@ -535,6 +535,10 @@ def access_body(stack, **fields):
     return body
 
 
+def config_body(**fields):
+    return {**job_config().to_dict(), **fields}
+
+
 @pytest.mark.parametrize(
     "path, fields",
     [
@@ -543,8 +547,15 @@ def access_body(stack, **fields):
         ("/jobs", {"config": {}}),
         ("/jobs", {"config": 3}),
         ("/jobs", {"estimatedRuntime": "x"}),
+        ("/jobs", {"estimatedRuntime": "nan", "priorityWeight": "nan"}),
+        ("/jobs", {"estimatedRuntime": "inf"}),
+        ("/jobs", {"config": config_body(loss={"kind": "logistic", "featureDim": 2, "bias": "false"})}),
+        ("/jobs", {"config": config_body(batchSize="x")}),
     ],
-    ids=["non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime"],
+    ids=[
+        "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
+        "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
+    ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):
     stack, service, api, token = service_stack(tmp_path)
@@ -575,6 +586,23 @@ def test_grant_opens_only_its_own_service(tmp_path):
     assert len(service.queue.all_records()) == 0
     own = {"Authorization": f"Grant {token}"}
     assert api.handle("GET", "/data/metadata", headers=own).status == 200
+
+
+def test_jobs_are_read_only_by_their_holder(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    bob = stack.register_actor("bob")
+    stack.issuer.issue(bob.did, "consortium_member", "yes", 7200)
+    bob_headers = {"Authorization": f"Grant {stack.request_a(bob.did).grant.token}"}
+    own = {"Authorization": f"Grant {token}"}
+    job_id = api.handle(
+        "POST", "/jobs", headers=own, body={"config": job_config().to_dict()}
+    ).body["jobId"]
+    assert service.run_next().state == "completed"
+    for path in (f"/jobs/{job_id}", f"/jobs/{job_id}/metrics", f"/jobs/{job_id}/model"):
+        assert api.handle("GET", path, headers=own).status == 200
+        other = api.handle("GET", path, headers=bob_headers)
+        assert other.status == 404
+        assert other.body == {"error": f"no job {job_id}"}
 
 
 @pytest.mark.parametrize("field", ["clientIds", "featureNames"])
