@@ -100,13 +100,18 @@ class AccessOutcome:
 
 
 class GrantStore:
-    """Grant tokens the service layer can redeem until they expire."""
+    """Grant tokens the service layer can redeem until they expire.
+
+    All grants share one lifetime and the clock only moves forward, so
+    ``add`` drops expired grants from the front of the insertion order.
+    """
 
     def __init__(self):
         self._records: dict[str, GrantRecord] = {}
+        self._order: deque[GrantRecord] = deque()
         self._lock = threading.Lock()
 
-    def add(self, token: GrantToken, metadata_address: str) -> GrantRecord:
+    def add(self, token: GrantToken, metadata_address: str, now: int) -> GrantRecord:
         record = GrantRecord(
             token=token.token,
             holder=token.holder,
@@ -115,7 +120,12 @@ class GrantStore:
             expires_at=token.expires_at,
         )
         with self._lock:
+            while self._order and now >= self._order[0].expires_at:
+                expired = self._order.popleft()
+                if self._records.get(expired.token) is expired:
+                    del self._records[expired.token]
             self._records[record.token] = record
+            self._order.append(record)
         return record
 
     def validate(self, token: str, now: int) -> GrantRecord | None:
@@ -248,11 +258,12 @@ class AccessGateway:
     def _execute(
         self, contract_id: str, document, request_ref: str | None = None
     ) -> AccessOutcome:
+        now = int(self._clock())
         verdict: Verdict = self._engine.execute(
-            contract_id, document, now=int(self._clock()), request_ref=request_ref
+            contract_id, document, now=now, request_ref=request_ref
         )
         if verdict.granted:
-            record = self.grants.add(verdict.grant, self._metadata_address)
+            record = self.grants.add(verdict.grant, self._metadata_address, now)
             return AccessOutcome(
                 "granted", "all-claims-valid", grant=record, tx_id=verdict.tx_id
             )

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..errors import ValidationError
 
 LOSS_KINDS = ("squared_error", "logistic")
 WEIGHTINGS = ("proportional", "uniform")
 BATCH_MODES = ("full", "minibatch")
+
+
+def _integer(name: str, value, minimum: int | None = 1) -> int:
+    """``value`` as an int of at least ``minimum``; bools, text and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -22,8 +35,7 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        if self.feature_dim < 1:
-            raise ValidationError(f"feature_dim must be positive, got {self.feature_dim}")
+        object.__setattr__(self, "feature_dim", _integer("feature_dim", self.feature_dim))
         if not isinstance(self.bias, bool):
             raise ValidationError(f"bias must be true or false, got {self.bias!r}")
 
@@ -37,7 +49,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
-        return cls(kind=data["kind"], feature_dim=int(data["featureDim"]), bias=data["bias"])
+        return cls(kind=data["kind"], feature_dim=data["featureDim"], bias=data["bias"])
 
 
 @dataclass(frozen=True)
@@ -57,25 +69,21 @@ class FederationConfig:
     initial_weights: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.total_rounds < 1:
-            raise ValidationError(f"total_rounds must be >= 1, got {self.total_rounds}")
-        if self.total_clients < 1:
-            raise ValidationError(f"total_clients must be >= 1, got {self.total_clients}")
-        if not 1 <= self.subset_size <= self.total_clients:
+        for name in ("total_rounds", "total_clients", "subset_size", "local_epochs"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed, None))
+        if self.subset_size > self.total_clients:
             raise ValidationError(
                 f"subset_size must lie in [1, {self.total_clients}], got {self.subset_size}"
             )
-        if self.local_epochs < 1:
-            raise ValidationError(f"local_epochs must be >= 1, got {self.local_epochs}")
         # Zero is allowed so a no-op step stays expressible; only negatives rejected.
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_mode not in BATCH_MODES:
             raise ValidationError(f"batch_mode must be one of {BATCH_MODES}, got {self.batch_mode!r}")
-        size = self.batch_size
-        if size is not None and (isinstance(size, bool) or not isinstance(size, int) or size < 1):
-            raise ValidationError(f"batch_size must be null or an integer >= 1, got {size!r}")
-        if self.batch_mode == "minibatch" and size is None:
+        if self.batch_size is not None:
+            object.__setattr__(self, "batch_size", _integer("batch_size", self.batch_size))
+        if self.batch_mode == "minibatch" and self.batch_size is None:
             raise ValidationError("minibatch mode requires batch_size >= 1")
         if self.weighting not in WEIGHTINGS:
             raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
@@ -85,7 +93,10 @@ class FederationConfig:
                     f"initial_weights has length {len(self.initial_weights)}, "
                     f"expected {self.loss.parameter_dim}"
                 )
-            object.__setattr__(self, "initial_weights", tuple(float(w) for w in self.initial_weights))
+            weights = tuple(float(w) for w in self.initial_weights)
+            if not all(math.isfinite(w) for w in weights):
+                raise ValidationError(f"initial_weights must be finite, got {list(weights)}")
+            object.__setattr__(self, "initial_weights", weights)
 
     def to_dict(self) -> dict:
         return {
@@ -106,13 +117,13 @@ class FederationConfig:
     def from_dict(cls, data: dict) -> "FederationConfig":
         init = data.get("initialWeights")
         return cls(
-            total_rounds=int(data["totalRounds"]),
-            total_clients=int(data["totalClients"]),
-            subset_size=int(data["subsetSize"]),
-            local_epochs=int(data["localEpochs"]),
+            total_rounds=data["totalRounds"],
+            total_clients=data["totalClients"],
+            subset_size=data["subsetSize"],
+            local_epochs=data["localEpochs"],
             learning_rate=float(data["learningRate"]),
             loss=LossSpec.from_dict(data["loss"]),
-            rng_seed=int(data.get("rngSeed", 0)),
+            rng_seed=data.get("rngSeed", 0),
             batch_mode=data.get("batchMode", "full"),
             batch_size=data.get("batchSize"),
             weighting=data.get("weighting", "proportional"),

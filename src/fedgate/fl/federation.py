@@ -146,22 +146,17 @@ def run_federation(
     partitions: Sequence[DatasetPartition],
     observer: Callable[[RoundMetrics], None] | None = None,
     *,
-    start_model: ModelParameters | None = None,
     eligibility: Callable[[int], frozenset[str]] | None = None,
-    round_hook: Callable[[int], None] | None = None,
     early_stop: Callable[[RoundMetrics], bool] | None = None,
-    start_round: int = 1,
 ) -> ModelParameters:
-    """Execute rounds ``start_round``..T of select / local-train / aggregate.
+    """Execute rounds 1..T of select / local-train / aggregate from ``initial_model``.
 
-    Per-round metrics go to ``observer``. ``eligibility`` restricts which
-    clients may be selected in a given round (failover exclusions);
-    ``round_hook`` runs before each round and may raise to abort;
-    ``early_stop`` can end the run after any round. ``start_round`` with a
-    ``start_model`` checkpoint resumes an interrupted run: all per-round
-    seeds are keyed by the absolute round index, so a resumed run is
-    bit-identical to an uninterrupted one. Bit-reproducible for a fixed
-    config and partition set.
+    Per-round metrics go to ``observer``. ``eligibility(t)`` runs before
+    round ``t`` and returns the clients that may be selected in it (failover
+    exclusions); it may raise to abort the run. ``early_stop`` can end the
+    run after any round. All per-round seeds are keyed by the absolute round
+    index, so the run is bit-reproducible for a fixed config and partition
+    set.
     """
     partitions = sorted(partitions, key=lambda p: p.client_id)
     if len(partitions) != config.total_clients:
@@ -176,21 +171,9 @@ def run_federation(
         )
     by_id = {p.client_id: p for p in partitions}
     all_ids = frozenset(by_id)
+    model = initial_model(config)
 
-    model = start_model if start_model is not None else initial_model(config)
-    if model.dimension != config.loss.parameter_dim:
-        raise ValidationError(
-            f"start model dimension {model.dimension} does not match "
-            f"{config.loss.parameter_dim}"
-        )
-    if not 1 <= start_round <= config.total_rounds + 1:
-        raise ValidationError(
-            f"start_round {start_round} outside 1..{config.total_rounds + 1}"
-        )
-
-    for t in range(start_round, config.total_rounds + 1):
-        if round_hook is not None:
-            round_hook(t)
+    for t in range(1, config.total_rounds + 1):
         eligible = eligibility(t) if eligibility is not None else all_ids
         unknown = eligible - all_ids
         if unknown:

@@ -73,6 +73,8 @@ class ServiceApi:
         headers = headers or {}
         body = body or {}
         try:
+            if not isinstance(query, dict):
+                raise ApiError(400, "query must be a mapping")
             if not isinstance(body, dict):
                 raise ApiError(400, "body must be a JSON object")
             return self._route(method.upper(), path, query, headers, body)
@@ -109,8 +111,8 @@ class ServiceApi:
 
     def _requirements(self, query) -> Response:
         service = query.get("service")
-        if not service:
-            raise ApiError(400, "query parameter 'service' is required")
+        if not isinstance(service, str) or not service:
+            raise ApiError(400, "query parameter 'service' is required as a string")
         requirements = self._gateway.requirements(service)
         return Response(
             200,

@@ -1,34 +1,31 @@
 """Runs one job at a time against the client fleet, surviving node faults.
 
-Client faults are handled inside the round loop: a standby silently
-adopts the dead node's partition (training math unchanged), otherwise
-the partition drops out of the eligible set from the fault round on.
-A server fault splits the run into segments: the standby resumes from
-the last aggregated model at the fault round, and because every
-per-round seed is keyed by the absolute round index the stitched run is
-bit-identical to an uninterrupted one. No standby server means the job
-is lost.
+A job is one pass of ``run_federation``. Every fault is an event applied
+before the round it names, server faults first, then client faults. A
+standby server takes over with the last aggregated model; because every
+per-round seed is keyed by the absolute round index, the run stays
+bit-identical to one without the fault. No standby server means the job
+is lost. A standby client silently adopts the dead node's partition
+(training math unchanged); otherwise the partition drops out of the
+eligible set from the fault round on.
 
 A run also ends early when the global loss stops improving by more than
-the configured threshold for a window of consecutive rounds, or when a
-client's training diverges.
+``STAGNATION_IMPROVEMENT`` for ``STAGNATION_WINDOW`` consecutive rounds,
+and fails when training diverges.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ..canonical import canonical_json_bytes
-from ..errors import ValidationError
+from ..errors import FedGateError, ValidationError
 from ..fl import (
     CsvMetricsWriter,
     DatasetPartition,
     RoundMetrics,
-    TrainingDivergedError,
-    initial_model,
     run_federation,
 )
 from .jobs import JobRecord, apply_filter
@@ -39,28 +36,26 @@ STAGNATION_WINDOW = 10
 
 
 class StagnationGuard:
-    """Trips after ``window`` consecutive rounds without real improvement."""
+    """Trips after ``STAGNATION_WINDOW`` consecutive rounds without real improvement."""
 
-    def __init__(
-        self,
-        min_improvement: float = STAGNATION_IMPROVEMENT,
-        window: int = STAGNATION_WINDOW,
-    ):
-        self.min_improvement = min_improvement
-        self.window = window
+    def __init__(self):
         self.best = math.inf
         self.stale_rounds = 0
         self.triggered = False
 
     def observe(self, metrics: RoundMetrics) -> bool:
-        if self.best - metrics.global_loss > self.min_improvement:
+        if self.best - metrics.global_loss > STAGNATION_IMPROVEMENT:
             self.best = metrics.global_loss
             self.stale_rounds = 0
         else:
             self.stale_rounds += 1
-            if self.stale_rounds >= self.window:
+            if self.stale_rounds >= STAGNATION_WINDOW:
                 self.triggered = True
         return self.triggered
+
+
+class _ServerLost(FedGateError):
+    """The server failed and no standby could take over."""
 
 
 class JobExecutor:
@@ -69,15 +64,10 @@ class JobExecutor:
         partitions: Sequence[DatasetPartition],
         out_dir: Path,
         clock: Callable[[], int],
-        *,
-        stagnation_improvement: float = STAGNATION_IMPROVEMENT,
-        stagnation_window: int = STAGNATION_WINDOW,
     ):
         self._partitions = list(partitions)
         self._out_dir = Path(out_dir)
         self._clock = clock
-        self._improvement = stagnation_improvement
-        self._window = stagnation_window
 
     def run(
         self,
@@ -97,114 +87,63 @@ class JobExecutor:
                 )
 
         record.transition("running", int(self._clock()))
-        job_dir = self._out_dir / record.job_id
-        job_dir.mkdir(parents=True, exist_ok=True)
+        job_dir = self._out_dir / record.job_id  # the metrics writer creates it
         metrics_path = job_dir / "metrics.csv"
         record.metrics_address = str(metrics_path)
 
-        try:
-            filtered = apply_filter(self._partitions, record.spec.data_filter)
-        except ValidationError as error:
-            record.cause = str(error)
-            record.transition("failed", int(self._clock()))
-            return record
-
-        registry = node_registry or NodeRegistry.provision(
-            [p.client_id for p in filtered],
-            standby_clients=standby_clients,
-            standby_servers=standby_servers,
-        )
-        all_ids = frozenset(p.client_id for p in filtered)
-        client_faults: dict[int, list[FaultEvent]] = {}
-        server_faults: deque[FaultEvent] = deque()
-        for event in sorted(fault_schedule, key=lambda e: e.round_index):
-            if registry.node(event.node_id).role == "server":
-                server_faults.append(event)
-            else:
-                client_faults.setdefault(event.round_index, []).append(event)
-
-        guard = StagnationGuard(self._improvement, self._window)
+        guard = StagnationGuard()
         rows: list[RoundMetrics] = []
         actions = []
-
-        def round_hook(t: int) -> None:
-            for event in client_faults.pop(t, []):
-                actions.append(registry.fail(event.node_id, t))
-
-        def eligibility(t: int) -> frozenset[str]:
-            return registry.eligible_clients(t, all_ids)
-
-        model = initial_model(config)
-        start_round = 1
-        state = "completed"
-        cause = None
-
         try:
+            filtered = apply_filter(self._partitions, record.spec.data_filter)
+            registry = node_registry or NodeRegistry.provision(
+                [p.client_id for p in filtered],
+                standby_clients=standby_clients,
+                standby_servers=standby_servers,
+            )
+            all_ids = frozenset(p.client_id for p in filtered)
+
+            def eligibility(t: int) -> frozenset[str]:
+                # server faults first, then client faults, each in schedule order
+                due = [e.node_id for e in fault_schedule if e.round_index == t]
+                for node_id in sorted(due, key=lambda n: registry.node(n).role != "server"):
+                    action = registry.fail(node_id, t)
+                    actions.append(action)
+                    if action.kind == "server-lost":
+                        raise _ServerLost("server failed with no standby")
+                return registry.eligible_clients(t, all_ids)
+
             with CsvMetricsWriter(metrics_path) as writer:
 
                 def observer(metrics: RoundMetrics) -> None:
                     rows.append(metrics)
                     writer(metrics)
 
-                while True:
-                    boundary = server_faults[0].round_index if server_faults else None
-                    stop_round = None if boundary is None else boundary - 1
-
-                    def early(metrics: RoundMetrics) -> bool:
-                        tripped = guard.observe(metrics)
-                        at_boundary = (
-                            stop_round is not None and metrics.round_index >= stop_round
-                        )
-                        return tripped or at_boundary
-
-                    if stop_round is None or stop_round >= start_round:
-                        model = run_federation(
-                            config,
-                            filtered,
-                            observer,
-                            start_model=model,
-                            start_round=start_round,
-                            eligibility=eligibility,
-                            round_hook=round_hook,
-                            early_stop=early,
-                        )
-                    if guard.triggered:
-                        state = "terminated_early"
-                        cause = (
-                            f"no loss improvement > {guard.min_improvement:g} "
-                            f"over {guard.window} rounds"
-                        )
-                        break
-                    if boundary is None:
-                        break
-                    event = server_faults.popleft()
-                    action = registry.fail(event.node_id, event.round_index)
-                    actions.append(action)
-                    if action.kind == "server-lost":
-                        state = "failed"
-                        cause = "server failed with no standby"
-                        break
-                    # standby server resumes from the checkpoint at the
-                    # fault round; absolute-round seeds keep it bit-exact
-                    start_round = event.round_index
-        except (TrainingDivergedError, ValidationError) as error:
-            state = "failed"
-            cause = str(error)
-
-        record.rounds_executed = len(rows)
-        record.cause = cause
-        if state == "failed":
+                model = run_federation(
+                    config,
+                    filtered,
+                    observer,
+                    eligibility=eligibility,
+                    early_stop=guard.observe,
+                )
+        except FedGateError as error:
+            record.rounds_executed, record.cause = len(rows), str(error)
             record.transition("failed", int(self._clock()))
             return record
 
-        final = rows[-1] if rows else None
+        record.rounds_executed = len(rows)
+        state = "terminated_early" if guard.triggered else "completed"
+        if guard.triggered:
+            record.cause = f"no loss improvement > {STAGNATION_IMPROVEMENT:g} over {STAGNATION_WINDOW} rounds"
+
+        final = rows[-1]
         artifact = {
             "weights": model.tolist(),
             "config": config.to_dict(),
             "state": state,
             "roundsExecuted": len(rows),
-            "finalLoss": None if final is None else final.global_loss,
-            "finalAccuracy": None if final is None else final.train_accuracy,
+            "finalLoss": final.global_loss,
+            "finalAccuracy": final.train_accuracy,
             "failover": [
                 {
                     "kind": a.kind,

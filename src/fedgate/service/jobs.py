@@ -50,7 +50,7 @@ class DataFilter:
         object.__setattr__(self, "client_ids", _names("clientIds", self.client_ids))
         object.__setattr__(self, "feature_names", _names("featureNames", self.feature_names))
         n = self.max_samples_per_client
-        if n is not None and (not isinstance(n, int) or n < 1):
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise ValidationError("max_samples_per_client must be an integer >= 1")
 
     def to_dict(self) -> dict:
@@ -127,9 +127,6 @@ _TRANSITIONS = {
     "failed": set(),
     "terminated_early": set(),
 }
-
-TERMINAL_STATES = frozenset(s for s, nxt in _TRANSITIONS.items() if not nxt)
-
 
 @dataclass
 class JobRecord:

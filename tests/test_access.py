@@ -210,6 +210,22 @@ def test_scheme_a_grant_happy_path():
     assert stack.gateway.grants.validate(outcome.grant.token, stack.clock()) is not None
 
 
+def test_grant_store_evicts_expired_grants():
+    stack = Stack(contract_path_per_minute=1000)
+    stack.deploy_membership_policy()
+    member = stack.register_actor("member")
+    stack.issuer.issue(member.did, "consortium_member", "yes", 86_400)
+    for _ in range(200):
+        assert stack.request_a(member.did).decision == "granted"
+    stack.clock.advance(3599)  # all still valid, so none is dropped
+    stack.request_a(member.did)
+    assert len(stack.gateway.grants) == 201
+    stack.clock.advance(7200)
+    latest = stack.request_a(member.did).grant
+    assert len(stack.gateway.grants) == 1
+    assert stack.gateway.grants.validate(latest.token, stack.clock()) == latest
+
+
 def test_scheme_a_denial_lists_missing_and_hits_chain():
     stack = Stack()
     stack.deploy_membership_policy()

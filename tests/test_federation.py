@@ -286,31 +286,6 @@ def test_run_is_bitwise_reproducible():
     assert a.weights.tobytes() == b.weights.tobytes()
 
 
-def test_resumed_run_matches_uninterrupted_run():
-    rng = np.random.default_rng(77)
-    spec = LossSpec(kind="logistic", feature_dim=2, bias=True)
-    config = FederationConfig(
-        total_rounds=6,
-        total_clients=4,
-        subset_size=2,
-        local_epochs=2,
-        learning_rate=0.3,
-        loss=spec,
-        rng_seed=31,
-    )
-    parts = random_partitions(rng, 4, 2, logistic=True)
-    full = run_federation(config, parts)
-
-    checkpoint = run_federation(config, parts, early_stop=lambda m: m.round_index == 3)
-    resumed = run_federation(config, parts, start_model=checkpoint, start_round=4)
-    assert resumed.weights.tobytes() == full.weights.tobytes()
-
-    with pytest.raises(ValidationError):
-        run_federation(config, parts, start_round=8)
-    # start_round just past T runs zero rounds and echoes the checkpoint
-    assert run_federation(config, parts, start_model=checkpoint, start_round=7) == checkpoint
-
-
 def test_observer_receives_one_row_per_round():
     config = make_config(total_rounds=4, total_clients=2, subset_size=1)
     parts = [sized_partition("a", 2), sized_partition("b", 3)]

@@ -1,7 +1,9 @@
 """Smoke runs of the scripts under ``scripts/``: each must exit 0.
 
 Each script runs from a copy outside the repository with only ``src`` on
-the path, so a script that reaches into ``tests/`` fails here.
+the path, so a script that reaches into ``tests/`` fails here. The
+benchmark's tracer must also still find every function and method it
+wraps, so a rename in ``src`` that would break ``bench/`` fails here too.
 """
 
 import os
@@ -13,18 +15,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_python(args, cwd, *paths):
+    """``python args`` in ``cwd`` with only ``paths`` (under the repo) on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(str(ROOT / path) for path in paths)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def run_script(name, *args, cwd):
     script = shutil.copy(ROOT / "scripts" / name, cwd / name)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    return subprocess.run(
-        [sys.executable, str(script), *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    return run_python([str(script), *args], cwd, "src")
 
 
 def test_flood_benchmark_script(tmp_path):
@@ -39,3 +41,9 @@ def test_run_demo_script(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert "scheme A and B trained identical models: True" in result.stdout
     assert (tmp_path / "demo/scheme-b/chain.jsonl").exists()
+
+
+def test_bench_tracer_hooks_resolve(tmp_path):
+    code = "import desk, tracing; t = tracing.Tracer(); t.install(); t.uninstall()"
+    result = run_python(["-c", code], tmp_path, "src", "bench")
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -347,6 +347,50 @@ def test_server_loss_without_standby_fails_job(tmp_path):
     assert record.rounds_executed == 4  # rounds before the fault round
 
 
+@pytest.mark.parametrize(
+    "schedule, kinds",
+    [
+        ([FaultEvent(1, "server-0")], ["server-swap"]),
+        # the client is listed first, yet server faults apply first within a round
+        ([FaultEvent(5, "node-001"), FaultEvent(5, "server-0")], ["server-swap", "client-swap"]),
+    ],
+    ids=["server-round-1", "server-and-client-round-5"],
+)
+def test_server_takeover_in_one_pass_is_bit_exact(tmp_path, schedule, kinds):
+    config = job_config(total_rounds=20)
+    reference = run_reference(tmp_path, config)
+    executor, record = submitted_job(tmp_path / "faulty", config=config)
+    executor.run(record, fault_schedule=schedule, standby_clients=1, standby_servers=1)
+    assert (record.state, record.rounds_executed) == ("completed", 20)
+    artifact = json.loads(open(record.model_address).read())
+    assert [a["kind"] for a in artifact["failover"]] == kinds
+    assert np.array(artifact["weights"]).tobytes() == np.array(reference).tobytes()
+
+
+class CountingRegistry(NodeRegistry):
+    calls = 0
+
+    def eligible_clients(self, round_index, all_ids):
+        self.calls += 1
+        return super().eligible_clients(round_index, all_ids)
+
+
+@pytest.mark.parametrize("standby_servers, rounds", [(1, 20), (0, 4)])
+def test_eligibility_is_asked_once_per_executed_round(tmp_path, standby_servers, rounds):
+    executor, record = submitted_job(tmp_path, config=job_config(total_rounds=20))
+    registry = CountingRegistry.provision(["000", "001", "002", "003"], standby_servers=standby_servers)
+    executor.run(record, fault_schedule=[FaultEvent(5, "server-0")], node_registry=registry)
+    assert registry.calls == record.rounds_executed == rounds
+
+
+def test_fault_on_unknown_node_fails_the_job(tmp_path):
+    executor, record = submitted_job(tmp_path)
+    executor.run(record, fault_schedule=[FaultEvent(2, "node-999")])
+    assert record.state == "failed"
+    assert "unknown node node-999" in record.cause
+    assert record.model_address is None
+
+
 # ---------------------------------------------------------- facade and api
 
 
@@ -476,6 +520,8 @@ def test_access_endpoints(tmp_path):
     assert reqs.body["requiredClaims"][0]["claimType"] == "consortium_member"
     assert api.handle("GET", "/access/requirements", query={"service": "nope"}).status == 404
     assert api.handle("GET", "/access/requirements").status == 400
+    unhashable = api.handle("GET", "/access/requirements", query={"service": ["x"]})
+    assert unhashable.status == 400
 
     howto = api.handle("GET", "/access/howto")
     assert howto.status == 200
@@ -551,10 +597,16 @@ def config_body(**fields):
         ("/jobs", {"estimatedRuntime": "inf"}),
         ("/jobs", {"config": config_body(loss={"kind": "logistic", "featureDim": 2, "bias": "false"})}),
         ("/jobs", {"config": config_body(batchSize="x")}),
+        ("/jobs", {"config": config_body(initialWeights=[float("nan"), 0.0])}),
+        ("/jobs", {"config": config_body(learningRate="nan")}),
+        ("/jobs", {"config": config_body(totalRounds=2.7)}),
+        ("/jobs", {"config": config_body(totalRounds=True)}),
+        ("/jobs", {"dataFilter": {"maxSamplesPerClient": True}}),
     ],
     ids=[
         "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
+        "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
     ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):
@@ -672,11 +724,15 @@ def test_handle_answers_every_input_with_a_status(tmp_path):
         st.text(max_size=8), st.text(max_size=12), max_size=2
     )
 
+    queries = st.just({"service": "fl-study"}) | JSON | st.dictionaries(
+        st.just("service") | st.text(max_size=8), JSON, max_size=2
+    )
+
     @settings(max_examples=300, deadline=None)
-    @given(route=routes, headers=headers, body=api_bodies(stack))
-    def check(route, headers, body):
+    @given(route=routes, query=queries, headers=headers, body=api_bodies(stack))
+    def check(route, query, headers, body):
         method, path = route
-        response = api.handle(method, path, headers=headers, body=body)
+        response = api.handle(method, path, query=query, headers=headers, body=body)
         assert response.status in API_STATUSES
 
     check()
