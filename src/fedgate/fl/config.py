@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 from ..errors import ValidationError
 
@@ -22,6 +22,13 @@ def _integer(name: str, value, minimum: int | None = 1) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite float; bools, text, NaN, infinities and overflowing ints are refused."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,9 @@ class FederationConfig:
                 f"subset_size must lie in [1, {self.total_clients}], got {self.subset_size}"
             )
         # Zero is allowed so a no-op step stays expressible; only negatives rejected.
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate))
+        if self.learning_rate < 0:
+            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_mode not in BATCH_MODES:
             raise ValidationError(f"batch_mode must be one of {BATCH_MODES}, got {self.batch_mode!r}")
         if self.batch_size is not None:
@@ -93,9 +101,7 @@ class FederationConfig:
                     f"initial_weights has length {len(self.initial_weights)}, "
                     f"expected {self.loss.parameter_dim}"
                 )
-            weights = tuple(float(w) for w in self.initial_weights)
-            if not all(math.isfinite(w) for w in weights):
-                raise ValidationError(f"initial_weights must be finite, got {list(weights)}")
+            weights = tuple(_real("initial_weights", w) for w in self.initial_weights)
             object.__setattr__(self, "initial_weights", weights)
 
     def to_dict(self) -> dict:
@@ -121,7 +127,7 @@ class FederationConfig:
             total_clients=data["totalClients"],
             subset_size=data["subsetSize"],
             local_epochs=data["localEpochs"],
-            learning_rate=float(data["learningRate"]),
+            learning_rate=data["learningRate"],
             loss=LossSpec.from_dict(data["loss"]),
             rng_seed=data.get("rngSeed", 0),
             batch_mode=data.get("batchMode", "full"),

@@ -21,6 +21,7 @@ from .metrics import RoundMetrics
 from .model import ModelParameters
 from .training import (
     DIVERGENCE_LIMIT,
+    FleetScores,
     TrainingDivergedError,
     global_loss,
     local_train,
@@ -124,8 +125,6 @@ def aggregate(
             f"update keys {sorted(updates)} do not match weight keys "
             f"{sorted(weights.entries)}"
         )
-    if not updates:
-        raise ValidationError("nothing to aggregate")
     dims = {m.dimension for m in updates.values()}
     if len(dims) != 1:
         raise ValidationError(f"client models disagree on dimension: {sorted(dims)}")
@@ -151,12 +150,12 @@ def run_federation(
 ) -> ModelParameters:
     """Execute rounds 1..T of select / local-train / aggregate from ``initial_model``.
 
-    Per-round metrics go to ``observer``. ``eligibility(t)`` runs before
-    round ``t`` and returns the clients that may be selected in it (failover
-    exclusions); it may raise to abort the run. ``early_stop`` can end the
-    run after any round. All per-round seeds are keyed by the absolute round
-    index, so the run is bit-reproducible for a fixed config and partition
-    set.
+    Per-round metrics go to ``observer``; loss and accuracy both come from
+    one ``FleetScores`` vector per round. ``eligibility(t)`` runs before round
+    ``t`` and returns the clients that may be selected in it (failover
+    exclusions); it may raise to abort the run. ``early_stop`` can end the run
+    after any round. All per-round seeds are keyed by the absolute round index,
+    so the run is bit-reproducible for a fixed config and partition set.
     """
     partitions = sorted(partitions, key=lambda p: p.client_id)
     if len(partitions) != config.total_clients:
@@ -171,6 +170,7 @@ def run_federation(
         )
     by_id = {p.client_id: p for p in partitions}
     all_ids = frozenset(by_id)
+    fleet = FleetScores(partitions, config.loss)
     model = initial_model(config)
 
     for t in range(1, config.total_rounds + 1):
@@ -192,10 +192,11 @@ def run_federation(
         if model.max_abs() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
+        scores = fleet.fill(model)
         metrics = RoundMetrics(
             round_index=t,
-            global_loss=global_loss(model, list(partitions), config.loss),
-            train_accuracy=training_accuracy(model, list(partitions), config.loss),
+            global_loss=global_loss(scores, fleet.labels, config.loss),
+            train_accuracy=training_accuracy(scores, fleet.labels, config.loss),
             selected_clients=plan.selected,
         )
         if observer is not None:

@@ -1,4 +1,4 @@
-"""Local client training and federation-wide loss/accuracy evaluation."""
+"""Local client training, and federation-wide loss and accuracy from one score vector."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import FedGateError, ValidationError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition
-from .losses import gradient, mean_loss, predict
+from .losses import _sigmoid, gradient
 from .model import ModelParameters
 
 # A job is aborted once any weight magnitude passes this bound.
@@ -71,38 +71,37 @@ def local_train(
     return ModelParameters(weights)
 
 
-def global_loss(
-    model: ModelParameters, partitions: list[DatasetPartition], loss: LossSpec
-) -> float:
-    """Sample-size-weighted mean loss over the pooled data.
+class FleetScores:
+    """One linear score per sample of a fixed partition list, refilled in place: each
+    partition fills its row slice of ``scores`` with one matmul on its own features,
+    so no pooled copy of the data is made. ``labels`` lines up with ``scores``."""
 
-    Equals (1/|D|) * sum_i |D_i| * local_loss(model, D_i).
-    """
-    if not partitions:
-        raise ValidationError("global_loss requires at least one partition")
-    total = sum(p.size for p in partitions)
-    acc = 0.0
-    for p in partitions:
-        acc += p.size * mean_loss(model, p.features, p.labels, loss)
-    return acc / total
+    def __init__(self, partitions: list[DatasetPartition], loss: LossSpec):
+        self.labels = np.concatenate([p.labels for p in partitions])
+        self.scores = np.empty_like(self.labels)
+        ends = np.cumsum([p.size for p in partitions])
+        self._rows = [(p.features, self.scores[e - p.size : e]) for p, e in zip(partitions, ends)]
+        self._dim, self._bias = loss.feature_dim, loss.bias
+
+    def fill(self, model: ModelParameters) -> np.ndarray:
+        for features, out in self._rows:
+            np.matmul(features, model.weights[: self._dim], out=out)
+        if self._bias:
+            self.scores += model.weights[self._dim]
+        return self.scores
 
 
-def training_accuracy(
-    model: ModelParameters, partitions: list[DatasetPartition], loss: LossSpec
-) -> float:
-    """Fraction of pooled samples the model gets right.
+def global_loss(scores: np.ndarray, labels: np.ndarray, loss: LossSpec) -> float:
+    """Mean loss over the pooled samples' scores; ``mean_loss`` on the same scores."""
+    if loss.kind == "squared_error":
+        return float(np.mean((scores - labels) ** 2))
+    return float(np.mean(np.logaddexp(0.0, scores) - labels * scores))
 
-    Logistic: thresholded probability matches the {0,1} label.
-    Squared error: prediction within 0.5 of the label.
-    """
-    correct = 0
-    total = 0
-    for p in partitions:
-        outputs = predict(model, p.features, loss)
-        if loss.kind == "logistic":
-            hits = (outputs >= 0.5) == (p.labels >= 0.5)
-        else:
-            hits = np.abs(outputs - p.labels) <= 0.5
-        correct += int(np.sum(hits))
-        total += p.size
-    return correct / total
+
+def training_accuracy(scores: np.ndarray, labels: np.ndarray, loss: LossSpec) -> float:
+    """Share of samples right under ``predict``: p >= 0.5 matches a {0,1} label, or |z - y| <= 0.5."""
+    if loss.kind == "logistic":
+        hits = (_sigmoid(scores) >= 0.5) == (labels >= 0.5)
+    else:
+        hits = np.abs(scores - labels) <= 0.5
+    return int(np.count_nonzero(hits)) / labels.shape[0]

@@ -192,8 +192,8 @@ class ServiceApi:
         record = self._service.submit_job(
             token,
             config,
-            estimated_runtime=_parse("estimatedRuntime", float, body.get("estimatedRuntime", 60.0)),
-            priority_weight=_parse("priorityWeight", float, body.get("priorityWeight", 1.0)),
+            estimated_runtime=body.get("estimatedRuntime", 60.0),
+            priority_weight=body.get("priorityWeight", 1.0),
             data_filter=data_filter,
         )
         return Response(201, record.to_dict())

@@ -11,12 +11,12 @@ order. The job record is a strict state machine::
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from dataclasses import dataclass, field
 
 from ..errors import FedGateError, ValidationError
 from ..fl import DatasetPartition, FederationConfig
+from ..fl.config import _real
 
 
 class JobStateError(FedGateError):
@@ -111,9 +111,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         # NaN compares false both ways, so it would leave the WSJF order undefined.
         for name in ("estimated_runtime", "priority_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
+            value = _real(name, getattr(self, name))
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def wsjf_ratio(self) -> float:

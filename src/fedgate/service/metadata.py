@@ -75,7 +75,8 @@ def summarize_partitions(
         raise ValidationError("preview_rows must be >= 0")
     summaries = []
     for p in sorted(partitions, key=lambda q: q.client_id):
-        histogram = Counter(_label_key(v) for v in p.labels)
+        # count float values in C, then key each distinct value once, not each sample
+        counts = Counter(p.labels.tolist())
         summaries.append(
             ClientDataSummary(
                 client_id=p.client_id,
@@ -83,7 +84,7 @@ def summarize_partitions(
                 feature_names=p.feature_names,
                 label_name=p.label_name,
                 sample_count=p.size,
-                label_histogram=dict(histogram),
+                label_histogram={_label_key(v): n for v, n in counts.items()},
             )
         )
 

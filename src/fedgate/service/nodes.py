@@ -4,7 +4,8 @@ Failover rules: a failed client whose role a standby can adopt keeps its
 partition served (training math unchanged); with no standby the client's
 partition leaves the eligible set from the fault round onward. A failed
 server hands the last aggregated model to a standby; with no standby the
-job is lost.
+job is lost. An idle standby that fails leaves its pool and is never
+promoted; the job keeps running.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class FailoverAction:
-    kind: str  # client-swap | client-excluded | server-swap | server-lost
+    kind: str  # client-swap | client-excluded | server-swap | server-lost | standby-lost
     failed_node: str
     replacement: str | None
     client_id: str | None
@@ -122,6 +123,10 @@ class NodeRegistry:
             if not node.alive:
                 raise ValidationError(f"node {node_id} already failed")
             node.alive = False
+            for pool in (self._standby_servers, self._standby_clients):
+                if node_id in pool:
+                    pool.remove(node_id)
+                    return FailoverAction("standby-lost", node_id, None, None, round_index)
 
             if node.role == "server":
                 self._server = None

@@ -3,7 +3,10 @@
 Each script runs from a copy outside the repository with only ``src`` on
 the path, so a script that reaches into ``tests/`` fails here. The
 benchmark's tracer must also still find every function and method it
-wraps, so a rename in ``src`` that would break ``bench/`` fails here too.
+wraps, so a rename in ``src`` that would break ``bench/`` fails here too,
+and a short traced run of each training workload must pass its checks:
+every exercised span records calls and the traced run leaves the same
+artifacts as the untraced one.
 """
 
 import os
@@ -11,6 +14,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,4 +51,13 @@ def test_run_demo_script(tmp_path):
 def test_bench_tracer_hooks_resolve(tmp_path):
     code = "import desk, tracing; t = tracing.Tracer(); t.install(); t.uninstall()"
     result = run_python(["-c", code], tmp_path, "src", "bench")
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("workload", ["train-wide", "train-deep"])
+def test_bench_training_workload_traced(tmp_path, workload):
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    args = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    result = run_python(args, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import (
+    DatasetPartition,
     FederationConfig,
     LossSpec,
     SyntheticSpec,
@@ -90,6 +91,15 @@ def test_histograms_match_source_csvs(tmp_path):
             counted[key] = counted.get(key, 0) + 1
         assert summary.label_histogram == counted
         assert sum(summary.label_histogram.values()) == summary.sample_count == 40
+
+
+def test_histogram_keys_each_label_value_like_a_per_sample_count():
+    labels = np.array([0.5, -0.0, 0.0, 2.0, 0.5, 1e20, -1.25, 2.0])
+    part = DatasetPartition(client_id="h", features=np.zeros((8, 1)), labels=labels)
+    (summary,) = summarize_partitions([part], "fl-study").clients
+    assert summary.label_histogram == {"0.5": 2, "0": 2, "2": 2, str(10**20): 1, "-1.25": 1}
+    assert all(type(count) is int for count in summary.label_histogram.values())
+    json.dumps(summary.to_dict())
 
 
 def test_preview_is_bounded_and_rounded():
@@ -237,6 +247,21 @@ def test_server_failover_and_loss():
     assert registry.active_server is None
 
 
+def test_idle_standby_failure_is_never_promoted():
+    registry = NodeRegistry.provision(["a"], standby_clients=1, standby_servers=1)
+    action = registry.fail("standby-client-0", 2)
+    assert (action.kind, action.replacement, action.client_id) == ("standby-lost", None, None)
+    assert registry.serving_node("a") == "node-a"
+    assert registry.fail("node-a", 3).kind == "client-excluded"
+
+    action = registry.fail("standby-server-0", 2)
+    assert (action.kind, action.replacement) == ("standby-lost", None)
+    assert registry.active_server == "server-0"
+    action = registry.fail("server-0", 4)
+    assert action.kind == "server-lost"
+    assert registry.active_server is None
+
+
 # ---------------------------------------------------------------- executor
 
 
@@ -365,6 +390,21 @@ def test_server_takeover_in_one_pass_is_bit_exact(tmp_path, schedule, kinds):
     artifact = json.loads(open(record.model_address).read())
     assert [a["kind"] for a in artifact["failover"]] == kinds
     assert np.array(artifact["weights"]).tobytes() == np.array(reference).tobytes()
+
+
+def test_idle_standby_fault_keeps_the_job_running(tmp_path):
+    config = job_config(total_rounds=20)
+    reference = run_reference(tmp_path, config)
+    executor, record = submitted_job(tmp_path / "faulty", config=config)
+    executor.run(
+        record,
+        fault_schedule=[FaultEvent(3, "standby-client-0"), FaultEvent(5, "node-001")],
+        standby_clients=1,
+    )
+    assert (record.state, record.rounds_executed) == ("completed", 20)
+    artifact = json.loads(open(record.model_address).read())
+    assert [a["kind"] for a in artifact["failover"]] == ["standby-lost", "client-excluded"]
+    assert artifact["weights"] != reference  # the dead standby did not adopt node-001
 
 
 class CountingRegistry(NodeRegistry):
@@ -602,11 +642,19 @@ def config_body(**fields):
         ("/jobs", {"config": config_body(totalRounds=2.7)}),
         ("/jobs", {"config": config_body(totalRounds=True)}),
         ("/jobs", {"dataFilter": {"maxSamplesPerClient": True}}),
+        ("/jobs", {"config": config_body(learningRate=True)}),
+        ("/jobs", {"config": config_body(learningRate="0.5")}),
+        ("/jobs", {"config": config_body(initialWeights=[True, "1"])}),
+        ("/jobs", {"estimatedRuntime": True}),
+        ("/jobs", {"priorityWeight": "2"}),
+        ("/jobs", {"estimatedRuntime": 10**400}),
     ],
     ids=[
         "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
+        "bool-learning-rate", "text-learning-rate", "bool-and-text-initial-weights", "bool-runtime",
+        "text-priority-weight", "overflowing-runtime",
     ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):
@@ -620,6 +668,21 @@ def test_malformed_body_field_answers_400(tmp_path, path, fields):
     )
     assert response.status == 400
     assert "error" in response.body
+
+
+def test_real_body_fields_take_json_integers(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    body = {
+        "config": config_body(learningRate=1, initialWeights=[0, 1]),
+        "estimatedRuntime": 30,
+        "priorityWeight": 2,
+    }
+    response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body=body)
+    assert response.status == 201
+    assert (response.body["estimatedRuntime"], response.body["priorityWeight"]) == (30.0, 2.0)
+    spec = service.queue.all_records()[0].spec
+    assert (spec.config.learning_rate, spec.config.initial_weights) == (1.0, (0.0, 1.0))
+    assert all(type(v) is float for v in (spec.estimated_runtime, spec.config.learning_rate))
 
 
 def test_grant_opens_only_its_own_service(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ from fedgate.fl import (
     TrainingDivergedError,
     global_loss,
     local_train,
+    run_federation,
+    training_accuracy,
 )
-from fedgate.fl.losses import mean_loss
+from fedgate.fl.losses import mean_loss, predict
+from fedgate.fl.training import FleetScores
 
 
 def make_config(**overrides):
@@ -99,11 +104,31 @@ def pooled_mean_loss(model, partitions, spec):
     return mean_loss(model, x, y, spec)
 
 
+def pooled_eval(model, partitions, spec):
+    """(global_loss, training_accuracy) as ``run_federation`` computes them."""
+    fleet = FleetScores(partitions, spec)
+    scores = fleet.fill(model)
+    return global_loss(scores, fleet.labels, spec), training_accuracy(scores, fleet.labels, spec)
+
+
+def per_partition_accuracy(model, partitions, spec):
+    """Oracle: ``predict`` on each partition, hits counted with the same rule."""
+    correct = 0
+    for p in partitions:
+        outputs = predict(model, p.features, spec)
+        if spec.kind == "logistic":
+            hits = (outputs >= 0.5) == (p.labels >= 0.5)
+        else:
+            hits = np.abs(outputs - p.labels) <= 0.5
+        correct += int(np.sum(hits))
+    return correct / sum(p.size for p in partitions)
+
+
 def test_global_loss_single_partition_equals_local():
     spec = LossSpec(kind="squared_error", feature_dim=1)
     part = one_sample_partition()
     model = ModelParameters.from_values([0.25])
-    assert global_loss(model, [part], spec) == mean_loss(
+    assert pooled_eval(model, [part], spec)[0] == mean_loss(
         model, part.features, part.labels, spec
     )
 
@@ -121,10 +146,9 @@ def test_global_loss_weighted_combination():
     a = mean_loss(model, p1.features, p1.labels, spec)
     b = mean_loss(model, p2.features, p2.labels, spec)
     expected = (a + 3 * b) / 4
-    assert global_loss(model, [p1, p2], spec) == pytest.approx(expected, abs=1e-15)
-    assert global_loss(model, [p1, p2], spec) == pytest.approx(
-        pooled_mean_loss(model, [p1, p2], spec), abs=1e-12
-    )
+    loss, _ = pooled_eval(model, [p1, p2], spec)
+    assert loss == pytest.approx(expected, abs=1e-15)
+    assert loss == pytest.approx(pooled_mean_loss(model, [p1, p2], spec), abs=1e-12)
 
 
 def test_global_loss_decomposition_random_partitions():
@@ -142,12 +166,75 @@ def test_global_loss_decomposition_random_partitions():
                 )
             )
         model = ModelParameters(rng.normal(size=3))
-        lhs = global_loss(model, parts, spec)
+        lhs, _ = pooled_eval(model, parts, spec)
         rhs = sum(
             p.size * mean_loss(model, p.features, p.labels, spec) for p in parts
         ) / sum(p.size for p in parts)
         assert abs(lhs - rhs) <= 1e-12
         assert abs(lhs - pooled_mean_loss(model, parts, spec)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_error"])
+@pytest.mark.parametrize("bias", [False, True])
+def test_pooled_evaluation_matches_per_partition_oracle(kind, bias):
+    rng = np.random.default_rng(29)
+    spec = LossSpec(kind=kind, feature_dim=4, bias=bias)
+    for _ in range(20):
+        parts = []
+        for i in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 40))
+            labels = (rng.random(n) > 0.5).astype(float)
+            if kind == "squared_error":
+                labels = labels + rng.normal(scale=0.4, size=n)
+            parts.append(
+                DatasetPartition(
+                    client_id=f"c{i}", features=rng.normal(size=(n, 4)), labels=labels
+                )
+            )
+        model = ModelParameters(rng.normal(size=spec.parameter_dim))
+        loss, accuracy = pooled_eval(model, parts, spec)
+        oracle = sum(
+            p.size * mean_loss(model, p.features, p.labels, spec) for p in parts
+        ) / sum(p.size for p in parts)
+        assert abs(loss - oracle) <= 1e-12
+        assert abs(loss - pooled_mean_loss(model, parts, spec)) <= 1e-12
+        assert accuracy == per_partition_accuracy(model, parts, spec)
+
+
+def test_zero_model_scores_every_sample_positive():
+    # predict gives probability 0.5 to every sample, and 0.5 counts as positive.
+    spec = LossSpec(kind="logistic", feature_dim=2, bias=True)
+    labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    part = DatasetPartition(client_id="z", features=np.ones((5, 2)), labels=labels)
+    model = ModelParameters.zeros(spec.parameter_dim)
+    assert np.all(predict(model, part.features, spec) == 0.5)
+    assert pooled_eval(model, [part], spec)[1] == 3 / 5 == per_partition_accuracy(model, [part], spec)
+
+
+def test_evaluation_makes_no_pooled_copy_of_the_features():
+    rng = np.random.default_rng(5)
+    parts = [
+        DatasetPartition(
+            client_id=f"{i:03d}",
+            features=rng.normal(size=(100, 20)),
+            labels=(rng.random(100) > 0.5).astype(float),
+        )
+        for i in range(200)
+    ]
+    feature_bytes = sum(p.features.nbytes for p in parts)
+    config = make_config(
+        total_rounds=3,
+        total_clients=200,
+        subset_size=10,
+        loss=LossSpec(kind="logistic", feature_dim=20, bias=True),
+    )
+    tracemalloc.start()
+    try:
+        run_federation(config, parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < feature_bytes / 2
 
 
 def test_learning_rate_negative_rejected_zero_allowed():
