@@ -35,12 +35,8 @@ class SlidingWindowLimiter:
         """Record an attempt; True iff the key stays within its budget."""
         now = int(self._clock())
         with self._lock:
-            hits = self._hits.get(key)
-            if hits is None:
-                hits = deque()
-                self._hits[key] = hits
-            else:
-                self._hits.move_to_end(key)
+            hits = self._hits.setdefault(key, deque())
+            self._hits.move_to_end(key)
             cutoff = now - self.window
             while hits and hits[0] <= cutoff:
                 hits.popleft()

@@ -9,10 +9,10 @@ the ttl sweep reclaims them — that bounded parking lot is the DoS story.
 User-initiated lookup (scheme ``user_lookup``): the requester first asks
 the resolver front desk for an attestation (never the document itself),
 then submits that attestation. The gateway fetches the document
-server-side, checks the attestation binds it, consumes the nonce, and
-runs the same contract — so the verdict matches scheme A for the same
-holder, contract, and clock. The front desk carries its own, larger
-rate limit and the pending table is never touched.
+server-side, checks the attestation binds it, consumes the attestation
+nonce, and runs the same contract — so the verdict matches scheme A for
+the same holder, contract, and clock. The front desk carries its own,
+larger rate limit and the pending table is never touched.
 
 Only the front desk signs: its attestation is the one that leaves the
 desk. Every other step reads the document with ``Resolver.fetch``, which
@@ -23,12 +23,18 @@ Verdicts the contract actually evaluated are sealed on-chain (grant or
 denial) and carry a ``tx_id``; requests that failed before reaching the
 contract (unresolvable DID, replay, stale attestation) are denied
 without a ledger write so a flood cannot grow the chain.
+
+A request nonce opens at most one evaluation: just before the contract
+runs it is spent in the ring of the last ``NONCE_RING_SIZE`` nonces, which
+attestation nonces share, so a replay is denied ``replay``, writes nothing
+and never reuses a tx id. The bounded tables (pending entries, nonces,
+grants) each keep one ``OrderedDict`` and evict from its front, unscanned.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +50,7 @@ from .ratelimit import SlidingWindowLimiter
 SCHEME_CONTRACT_LOOKUP = "contract_lookup"
 SCHEME_USER_LOOKUP = "user_lookup"
 _SCHEMES = (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP)
+NONCE_RING_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,7 @@ class GrantStore:
     """
 
     def __init__(self):
-        self._records: dict[str, GrantRecord] = {}
-        self._order: deque[GrantRecord] = deque()
+        self._records: OrderedDict[str, GrantRecord] = OrderedDict()
         self._lock = threading.Lock()
 
     def add(self, token: GrantToken, metadata_address: str, now: int) -> GrantRecord:
@@ -120,12 +126,9 @@ class GrantStore:
             expires_at=token.expires_at,
         )
         with self._lock:
-            while self._order and now >= self._order[0].expires_at:
-                expired = self._order.popleft()
-                if self._records.get(expired.token) is expired:
-                    del self._records[expired.token]
+            while self._records and now >= next(iter(self._records.values())).expires_at:
+                self._records.popitem(last=False)
             self._records[record.token] = record
-            self._order.append(record)
         return record
 
     def validate(self, token: str, now: int) -> GrantRecord | None:
@@ -139,12 +142,10 @@ class GrantStore:
 
 
 class _NonceRing:
-    """Remembers the most recent ``size`` consumed nonces."""
+    """Remembers the most recent ``NONCE_RING_SIZE`` consumed nonces."""
 
-    def __init__(self, size: int):
-        self._order: deque[str] = deque()
-        self._seen: set[str] = set()
-        self._size = size
+    def __init__(self):
+        self._seen: OrderedDict[str, None] = OrderedDict()
         self._lock = threading.Lock()
 
     def consume(self, nonce_hex: str) -> bool:
@@ -152,10 +153,9 @@ class _NonceRing:
         with self._lock:
             if nonce_hex in self._seen:
                 return False
-            self._seen.add(nonce_hex)
-            self._order.append(nonce_hex)
-            if len(self._order) > self._size:
-                self._seen.discard(self._order.popleft())
+            self._seen[nonce_hex] = None
+            if len(self._seen) > NONCE_RING_SIZE:
+                self._seen.popitem(last=False)
             return True
 
 
@@ -170,18 +170,15 @@ class AccessGateway:
         front_desk_per_minute: int = 100,
         pending_capacity: int = 256,
         pending_ttl_seconds: int = 30,
-        nonce_ring_size: int = 4096,
         metadata_address: str = "/data/metadata",
     ):
         self._engine = engine
         self._resolver = resolver
         self._clock = clock
-        self._contract_limiter = SlidingWindowLimiter(
-            contract_path_per_minute, 60, clock
-        )
+        self._contract_limiter = SlidingWindowLimiter(contract_path_per_minute, 60, clock)
         self._front_desk_limiter = SlidingWindowLimiter(front_desk_per_minute, 60, clock)
         self.pending = PendingTable(pending_capacity, pending_ttl_seconds, clock)
-        self._used_nonces = _NonceRing(nonce_ring_size)
+        self._used_nonces = _NonceRing()
         self.grants = GrantStore()
         self._metadata_address = metadata_address
 
@@ -222,7 +219,7 @@ class AccessGateway:
             return AccessOutcome("rejected-rate", "per-requester rate limit")
         contract = self._engine.for_service(request.service)
         nonce_hex = to_hex(request.nonce)
-        if not self.pending.try_insert(nonce_hex, request):
+        if not self.pending.try_insert(nonce_hex):
             if self.pending.contains(nonce_hex):
                 return AccessOutcome("denied", "replay")
             return AccessOutcome("rejected-capacity", "pending table full")
@@ -255,12 +252,12 @@ class AccessGateway:
             return AccessOutcome("denied", "stale-attestation")
         return self._execute(contract.contract_id, document, to_hex(request.nonce))
 
-    def _execute(
-        self, contract_id: str, document, request_ref: str | None = None
-    ) -> AccessOutcome:
+    def _execute(self, contract_id: str, document, nonce_hex: str) -> AccessOutcome:
+        if not self._used_nonces.consume(nonce_hex):
+            return AccessOutcome("denied", "replay")
         now = int(self._clock())
         verdict: Verdict = self._engine.execute(
-            contract_id, document, now=now, request_ref=request_ref
+            contract_id, document, now=now, request_ref=nonce_hex
         )
         if verdict.granted:
             record = self.grants.add(verdict.grant, self._metadata_address, now)

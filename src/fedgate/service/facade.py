@@ -39,13 +39,11 @@ class FlaasService:
         out_dir: Path,
         clock: Callable[[], int],
         service_name: str = "fl-study",
-        preview_rows: int = 5,
     ):
         self._gateway = gateway
         self._partitions = list(partitions)
         self._clock = clock
         self.service_name = service_name
-        self._preview_rows = preview_rows
         self.queue = JobQueue()
         self.executor = JobExecutor(self._partitions, Path(out_dir), clock)
 
@@ -66,9 +64,7 @@ class FlaasService:
 
     def metadata(self, token: str) -> TrainingDataMetadata:
         self.authorize(token)
-        return summarize_partitions(
-            self._partitions, self.service_name, preview_rows=self._preview_rows
-        )
+        return summarize_partitions(self._partitions, self.service_name)
 
     def preview(self, token: str) -> tuple[dict, ...]:
         return self.metadata(token).preview

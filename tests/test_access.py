@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgate.access import (
+    SCHEME_CONTRACT_LOOKUP,
+    SCHEME_USER_LOOKUP,
     AccessRequest,
     PendingTable,
     SlidingWindowLimiter,
@@ -14,6 +16,7 @@ from fedgate.access import (
     verify_claim,
 )
 from fedgate.access.issuance import ForbiddenIssuerError
+from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
@@ -144,10 +147,10 @@ def test_limiter_keys_are_independent_and_bounded():
 
 def test_pending_capacity_and_duplicates():
     table = PendingTable(2, 30, SimulatedClock(start=0))
-    assert table.try_insert("n1", "r1")
-    assert not table.try_insert("n1", "r1-again")
-    assert table.try_insert("n2", "r2")
-    assert not table.try_insert("n3", "r3")
+    assert table.try_insert("n1")
+    assert not table.try_insert("n1")
+    assert table.try_insert("n2")
+    assert not table.try_insert("n3")
     assert table.size == 2 and table.peak_size == 2
 
 
@@ -155,10 +158,10 @@ def test_pending_ttl_sweep():
     clock = SimulatedClock(start=0)
     table = PendingTable(10, 30, clock)
     for i in range(5):
-        table.try_insert(f"n{i}", i)
+        table.try_insert(f"n{i}")
     clock.advance(10)
     for i in range(5, 8):
-        table.try_insert(f"n{i}", i)
+        table.try_insert(f"n{i}")
     clock.advance(20)  # first five are now 30s old
     assert table.sweep() == 5
     assert table.size == 3
@@ -168,10 +171,10 @@ def test_pending_ttl_sweep():
 def test_pending_insert_sweeps_first():
     clock = SimulatedClock(start=0)
     table = PendingTable(2, 30, clock)
-    table.try_insert("n1", 1)
-    table.try_insert("n2", 2)
+    table.try_insert("n1")
+    table.try_insert("n2")
     clock.advance(31)
-    assert table.try_insert("n3", 3)  # old entries evicted in passing
+    assert table.try_insert("n3")  # old entries evicted in passing
     assert table.size == 1
 
 
@@ -179,10 +182,85 @@ def test_pending_churn_never_exceeds_capacity():
     clock = SimulatedClock(start=0)
     table = PendingTable(16, 30, clock)
     for step in range(600):  # 10 simulated minutes, one insert per second
-        table.try_insert(f"n{step}", step)
+        table.try_insert(f"n{step}")
         assert table.size <= 16
         clock.advance(1)
     assert table.peak_size <= 16
+
+
+class ScanPendingTable:
+    """The pending-table rule as first written, kept as an oracle: every
+    sweep scans every entry and drops those ``ttl`` seconds old or older."""
+
+    def __init__(self, capacity, ttl, clock):
+        self.capacity, self.ttl, self.clock = capacity, ttl, clock
+        self.entries = {}
+        self.peak_size = 0
+
+    def try_insert(self, nonce):
+        self.sweep()
+        if nonce in self.entries or len(self.entries) >= self.capacity:
+            return False
+        self.entries[nonce] = self.clock()
+        self.peak_size = max(self.peak_size, len(self.entries))
+        return True
+
+    def remove(self, nonce):
+        self.entries.pop(nonce, None)
+
+    def sweep(self, now=None):
+        now = self.clock() if now is None else now
+        dead = [n for n, born in self.entries.items() if now - born >= self.ttl]
+        for nonce in dead:
+            del self.entries[nonce]
+        return len(dead)
+
+    @property
+    def size(self):
+        return len(self.entries)
+
+
+PENDING_OPS = st.lists(
+    st.one_of(
+        # a small nonce space, so inserts and removes hit both fresh and live nonces
+        st.tuples(st.sampled_from(["insert", "remove"]), st.integers(0, 30)),
+        st.tuples(st.just("advance"), st.integers(0, 40)),
+        st.tuples(st.just("sweep"), st.none() | st.integers(0, 40)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 8), ttl=st.integers(1, 30), ops=PENDING_OPS)
+def test_pending_front_sweep_matches_full_scan(capacity, ttl, ops):
+    clock = SimulatedClock(start=0)
+    table = PendingTable(capacity, ttl, clock)
+    oracle = ScanPendingTable(capacity, ttl, clock)
+    for op, arg in ops:
+        if op == "advance":
+            clock.advance(arg)
+        elif op == "insert":
+            assert table.try_insert(f"n{arg}") == oracle.try_insert(f"n{arg}")
+        elif op == "remove":
+            table.remove(f"n{arg}")
+            oracle.remove(f"n{arg}")
+        else:
+            now = None if arg is None else clock() + arg
+            assert table.sweep(now) == oracle.sweep(now)
+        assert (table.size, table.peak_size) == (oracle.size, oracle.peak_size)
+        assert table.size <= capacity
+
+
+def test_nonce_ring_forgets_only_after_ring_size_newer_nonces():
+    ring = _NonceRing()
+    assert ring.consume("first")
+    for i in range(NONCE_RING_SIZE - 1):
+        assert ring.consume(f"n{i}")
+    assert not ring.consume("first")  # still among the last NONCE_RING_SIZE
+    assert not ring.consume(f"n{NONCE_RING_SIZE - 2}")
+    assert ring.consume("newest")  # now NONCE_RING_SIZE newer nonces follow it
+    assert ring.consume("first")
 
 
 # --------------------------------------------------------------- workflows
@@ -298,6 +376,31 @@ def test_scheme_b_happy_path_and_replay():
 
     replay = stack.gateway.request_access(request, attestation=lookup.attestation)
     assert replay.decision == "denied" and replay.reason == "replay"
+
+
+@pytest.mark.parametrize("qualified", [True, False], ids=["member", "unqualified"])
+@pytest.mark.parametrize("scheme", [SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP])
+def test_request_nonce_opens_one_evaluation(scheme, qualified):
+    stack = Stack()
+    stack.deploy_membership_policy()
+    actor = qualified_user(stack) if qualified else stack.register_actor("bob")
+    request = AccessRequest(actor.did, "fl-study", scheme, stack.fresh_nonce(), stack.clock())
+
+    def send():
+        attestation = None
+        if scheme == SCHEME_USER_LOOKUP:  # each send carries a fresh attestation
+            attestation = stack.gateway.user_lookup(actor.did, stack.fresh_nonce()).attestation
+        return stack.gateway.request_access(request, attestation=attestation)
+
+    first = send()
+    assert first.decision == ("granted" if qualified else "denied")
+    assert first.tx_id is not None
+    height = stack.chain.height
+    replay = send()
+    assert (replay.decision, replay.reason, replay.tx_id) == ("denied", "replay", None)
+    assert stack.chain.height == height
+    tx_ids = [tx.tx_id for block in stack.chain.blocks for tx in block.transactions]
+    assert len(tx_ids) == len(set(tx_ids))
 
 
 def test_scheme_b_stale_attestation_after_document_change():

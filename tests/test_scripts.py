@@ -4,9 +4,10 @@ Each script runs from a copy outside the repository with only ``src`` on
 the path, so a script that reaches into ``tests/`` fails here. The
 benchmark's tracer must also still find every function and method it
 wraps, so a rename in ``src`` that would break ``bench/`` fails here too,
-and a short traced run of each training workload must pass its checks:
-every exercised span records calls and the traced run leaves the same
-artifacts as the untraced one.
+and a short traced run of each workload must pass its checks: every
+exercised span records calls, the traced run leaves the same artifacts as
+the untraced one, and the flood agrees with the benchmark's pending-table
+oracle.
 """
 
 import os
@@ -54,10 +55,21 @@ def test_bench_tracer_hooks_resolve(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-@pytest.mark.parametrize("workload", ["train-wide", "train-deep"])
-def test_bench_training_workload_traced(tmp_path, workload):
+def run_bench_traced(workload, tmp_path):
+    """One short traced bench run from a copy of ``bench`` and ``src``."""
     for name in ("bench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
     args = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
-    result = run_python(args, tmp_path)
+    return run_python(args, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["train-wide", "train-deep"])
+def test_bench_training_workload_traced(tmp_path, workload):
+    result = run_bench_traced(workload, tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("workload", ["access", "flood"])
+def test_bench_access_workloads_traced(tmp_path, workload):
+    result = run_bench_traced(workload, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
