@@ -116,7 +116,7 @@ class FederationConfig:
             "batchMode": self.batch_mode,
             "batchSize": self.batch_size,
             "weighting": self.weighting,
-            "initialWeights": list(self.initial_weights) if self.initial_weights else None,
+            "initialWeights": None if self.initial_weights is None else list(self.initial_weights),
         }
 
     @classmethod
@@ -133,5 +133,5 @@ class FederationConfig:
             batch_mode=data.get("batchMode", "full"),
             batch_size=data.get("batchSize"),
             weighting=data.get("weighting", "proportional"),
-            initial_weights=tuple(init) if init else None,
+            initial_weights=None if init is None else tuple(init),
         )

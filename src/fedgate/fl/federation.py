@@ -1,9 +1,10 @@
 """Client selection, weighted aggregation, and the full federated loop.
 
 Each round the server samples a client subset, the selected clients train
-locally in isolation, and the server combines the returned models as a
-convex combination. The reduction always runs in ascending client-id
-order so runs are bit-reproducible even if training itself is parallel.
+locally in isolation (stepped together as one stack, which leaves each
+client's update unchanged), and the server combines the returned models as
+a convex combination. The reduction always runs in ascending client-id
+order so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -180,12 +181,11 @@ def run_federation(
             raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
         plan = select_clients(config, t, sorted(eligible))
 
-        # Clients are mutually independent; a parallel map would be valid
-        # here as long as aggregation still reduces in sorted-id order.
-        updates: dict[str, ModelParameters] = {}
-        for cid in plan.selected:
-            seed = client_round_seed(config.rng_seed, t, cid)
-            updates[cid] = local_train(model, by_id[cid], config, seed)
+        # Clients are mutually independent, so the round's cohort trains in
+        # one stacked call; aggregation still reduces in sorted-id order.
+        seeds = [client_round_seed(config.rng_seed, t, cid) for cid in plan.selected]
+        cohort = local_train(model, [by_id[cid] for cid in plan.selected], config, seeds)
+        updates = dict(zip(plan.selected, cohort))
 
         weights = compute_weights(plan, partitions, config)
         model = aggregate(updates, weights)

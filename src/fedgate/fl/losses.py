@@ -8,7 +8,7 @@ learning rate stays independent of partition size:
   with z = Xw and labels in {0, 1}.
 
 When the spec enables a bias term, the final model coordinate is the
-intercept and the design matrix is augmented with a ones column.
+intercept, added to each score as its own term.
 """
 
 from __future__ import annotations
@@ -20,26 +20,24 @@ from .config import LossSpec
 from .model import ModelParameters
 
 
-def design_matrix(features: np.ndarray, loss: LossSpec) -> np.ndarray:
-    """Feature matrix as seen by the model (ones column appended for bias)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != loss.feature_dim:
-        raise ValidationError(
-            f"feature matrix has shape {x.shape}, expected (*, {loss.feature_dim})"
-        )
-    if loss.bias:
-        x = np.hstack([x, np.ones((x.shape[0], 1))])
-    return x
-
-
-def raw_scores(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
-    """Linear scores z = Xw for each sample."""
+def _checked_features(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     if model.dimension != loss.parameter_dim:
         raise ValidationError(
             f"model dimension {model.dimension} does not match parameter dimension "
             f"{loss.parameter_dim}"
         )
-    return design_matrix(features, loss) @ model.weights
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != loss.feature_dim:
+        raise ValidationError(
+            f"feature matrix has shape {x.shape}, expected (*, {loss.feature_dim})"
+        )
+    return x
+
+
+def raw_scores(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+    """Linear scores z = Xw (+ the bias weight) for each sample."""
+    z = _checked_features(model, features, loss) @ model.weights[: loss.feature_dim]
+    return z + model.weights[loss.feature_dim] if loss.bias else z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -71,14 +69,28 @@ def mean_loss(
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
+def stacked_gradient(
+    weights: np.ndarray, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> np.ndarray:
+    """Each of k clients' mean-loss gradients, (k, p), from weights (k, p), features
+    (k, m, d) and labels (k, m); a row's bits do not depend on the other rows."""
+    d = loss.feature_dim
+    z = np.matmul(features, weights[:, :d, None])[..., 0]
+    if loss.bias:
+        z += weights[:, d:]
+    r = z - labels if loss.kind == "squared_error" else _sigmoid(z) - labels
+    grad = np.empty_like(weights)
+    np.matmul(r[:, None, :], features, out=grad[:, None, :d])
+    if loss.bias:
+        grad[:, d] = r.sum(axis=1)
+    grad *= (2.0 if loss.kind == "squared_error" else 1.0) / features.shape[1]
+    return grad
+
+
 def gradient(
     model: ModelParameters, features: np.ndarray, labels: np.ndarray, loss: LossSpec
 ) -> np.ndarray:
-    """Analytic gradient of the mean loss with respect to the model vector."""
-    x = design_matrix(features, loss)
-    z = x @ model.weights
+    """Analytic gradient of the mean loss: ``stacked_gradient`` for a cohort of one."""
+    x = _checked_features(model, features, loss)
     y = np.asarray(labels, dtype=np.float64)
-    m = x.shape[0]
-    if loss.kind == "squared_error":
-        return (2.0 / m) * (x.T @ (z - y))
-    return (1.0 / m) * (x.T @ (_sigmoid(z) - y))
+    return stacked_gradient(model.weights[None], x[None], y[None], loss)[0]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import FedGateError, ValidationError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition
-from .losses import _sigmoid, gradient
+from .losses import _sigmoid, stacked_gradient
 from .model import ModelParameters
 
 # A job is aborted once any weight magnitude passes this bound.
@@ -24,51 +26,61 @@ class TrainingDivergedError(FedGateError):
 
 def local_train(
     model: ModelParameters,
-    partition: DatasetPartition,
+    partitions: Sequence[DatasetPartition],
     config: FederationConfig,
-    round_seed: int,
-) -> ModelParameters:
-    """Run E epochs of gradient descent on the partition's mean loss.
+    round_seeds: Sequence[int],
+) -> list[ModelParameters]:
+    """Run E epochs of gradient descent on each partition's mean loss, all at once.
 
-    Deterministic in (model, partition, config, round_seed); the input
-    model is never modified. The round seed only feeds minibatch
-    shuffling, so full-batch runs ignore it.
+    Equally sized partitions train as one ``(k, n, d)`` stack, one
+    ``stacked_gradient`` per step. Each client shuffles minibatches with its
+    own round seed (full batch ignores it), so its update has the same bits
+    whichever clients share the call. The input model is never modified. If
+    clients diverge, the error names the lowest id among them and the first
+    check that client failed, as training them one by one in id order would.
     """
-    if model.dimension != config.loss.parameter_dim:
-        raise ValidationError(
-            f"model dimension {model.dimension} does not match loss parameter "
-            f"dimension {config.loss.parameter_dim}"
-        )
-    weights = model.weights.copy()
-    eta = config.learning_rate
-    rng = (
-        np.random.default_rng([round_seed & 0xFFFFFFFFFFFFFFFF])
-        if config.batch_mode == "minibatch"
-        else None
-    )
+    loss, minibatch = config.loss, config.batch_mode == "minibatch"
+    if model.dimension != loss.parameter_dim or any(p.feature_dim != loss.feature_dim for p in partitions):
+        raise ValidationError(f"model or partition dimensions do not match the loss spec {loss.to_dict()}")
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(partitions):
+        groups.setdefault(p.size, []).append(i)
+    trained: dict[int, np.ndarray] = {}
+    failures: dict[str, str] = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
+        for n, members in groups.items():
+            ids = [partitions[i].client_id for i in members]
+            x = np.stack([partitions[i].features for i in members])
+            y = np.stack([partitions[i].labels for i in members])
+            weights = np.tile(model.weights, (len(members), 1))
+            seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members] if minibatch else []
+            rngs = [np.random.default_rng([seed]) for seed in seeds]
+            step, rows = (config.batch_size if minibatch else n), np.arange(len(members))[:, None]
+            for _ in range(config.local_epochs):
+                if minibatch:
+                    order = np.stack([rng.permutation(n) for rng in rngs])
+                    xe, ye = x[rows, order], y[rows, order]
+                else:
+                    xe, ye = x, y
+                for i in range(0, n, step):
+                    grad = stacked_gradient(weights, xe[:, i : i + step], ye[:, i : i + step], loss)
+                    if not np.isfinite(grad).all():
+                        _note(failures, ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
+                    weights -= config.learning_rate * grad
+                _note(failures, ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
+                too_large = np.abs(weights).max(axis=1) > DIVERGENCE_LIMIT
+                _note(failures, ids, too_large, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
+            trained.update(zip(members, weights))
+    if failures:
+        client_id = min(failures)
+        raise TrainingDivergedError(client_id, failures[client_id])
+    return [ModelParameters(trained[i]) for i in range(len(partitions))]
 
-    for _ in range(config.local_epochs):
-        if config.batch_mode == "full":
-            batches = [(partition.features, partition.labels)]
-        else:
-            order = rng.permutation(partition.size)
-            size = config.batch_size
-            batches = [
-                (partition.features[order[i : i + size]], partition.labels[order[i : i + size]])
-                for i in range(0, partition.size, size)
-            ]
-        for x, y in batches:
-            grad = gradient(ModelParameters(weights), x, y, config.loss)
-            if not np.all(np.isfinite(grad)):
-                raise TrainingDivergedError(partition.client_id, "non-finite gradient")
-            weights = weights - eta * grad
-        if not np.all(np.isfinite(weights)):
-            raise TrainingDivergedError(partition.client_id, "non-finite weights")
-        if np.max(np.abs(weights)) > DIVERGENCE_LIMIT:
-            raise TrainingDivergedError(
-                partition.client_id, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}"
-            )
-    return ModelParameters(weights)
+
+def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str) -> None:
+    """Keep each client's first failed check."""
+    for i in np.flatnonzero(bad):
+        failures.setdefault(ids[i], detail)
 
 
 class FleetScores:

@@ -99,7 +99,7 @@ class ServiceApi:
             return Response(200, self._service.metadata(token).to_dict())
         if path == "/data/preview" and method == "GET":
             token = self._token(headers)
-            return Response(200, {"preview": list(self._service.preview(token))})
+            return Response(200, {"preview": self._service.metadata(token).preview_dicts()})
         if path == "/jobs" and method == "POST":
             return self._submit_job(headers, body)
         match = _JOB_PATH.match(path)

@@ -46,6 +46,7 @@ class FlaasService:
         self.service_name = service_name
         self.queue = JobQueue()
         self.executor = JobExecutor(self._partitions, Path(out_dir), clock)
+        self._summary: TrainingDataMetadata | None = None
 
     # --------------------------------------------------------------- auth
 
@@ -63,11 +64,11 @@ class FlaasService:
     # --------------------------------------------------------------- data
 
     def metadata(self, token: str) -> TrainingDataMetadata:
+        """The fleet summary, built on the first call: partitions are read-only."""
         self.authorize(token)
-        return summarize_partitions(self._partitions, self.service_name)
-
-    def preview(self, token: str) -> tuple[dict, ...]:
-        return self.metadata(token).preview
+        if self._summary is None:
+            self._summary = summarize_partitions(self._partitions, self.service_name)
+        return self._summary
 
     # --------------------------------------------------------------- jobs
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from ..errors import ValidationError
 from ..fl import DatasetPartition
@@ -21,7 +22,7 @@ class ClientDataSummary:
     feature_names: tuple[str, ...]
     label_name: str
     sample_count: int
-    label_histogram: dict[str, int]
+    label_histogram: Mapping[str, int]
 
     def to_dict(self) -> dict:
         return {
@@ -38,7 +39,7 @@ class ClientDataSummary:
 class TrainingDataMetadata:
     service: str
     clients: tuple[ClientDataSummary, ...]
-    preview: tuple[dict, ...]
+    preview: tuple[Mapping, ...]
     preview_limit: int
 
     def __post_init__(self) -> None:
@@ -51,9 +52,13 @@ class TrainingDataMetadata:
         return {
             "service": self.service,
             "clients": [c.to_dict() for c in self.clients],
-            "preview": list(self.preview),
+            "preview": self.preview_dicts(),
             "previewLimit": self.preview_limit,
         }
+
+    def preview_dicts(self) -> list[dict]:
+        """The preview rows as plain dicts and lists, freshly copied on each call."""
+        return [dict(row, features=list(row["features"])) for row in self.preview]
 
 
 def _label_key(value: float) -> str:
@@ -66,7 +71,7 @@ def summarize_partitions(
     preview_rows: int = 5,
     round_digits: int = 3,
 ) -> TrainingDataMetadata:
-    """Build the client summaries plus a bounded, value-rounded preview.
+    """Build the client summaries plus a bounded, value-rounded preview, both read-only.
 
     Preview rows are drawn round-robin across clients so every partition
     contributes before any contributes twice.
@@ -84,11 +89,11 @@ def summarize_partitions(
                 feature_names=p.feature_names,
                 label_name=p.label_name,
                 sample_count=p.size,
-                label_histogram={_label_key(v): n for v, n in counts.items()},
+                label_histogram=MappingProxyType({_label_key(v): n for v, n in counts.items()}),
             )
         )
 
-    preview: list[dict] = []
+    preview: list[Mapping] = []
     ordered = sorted(partitions, key=lambda q: q.client_id)
     depth = 0
     while len(preview) < preview_rows:
@@ -99,10 +104,10 @@ def summarize_partitions(
             if depth < p.size:
                 row = {
                     "clientId": p.client_id,
-                    "features": [round(float(v), round_digits) for v in p.features[depth]],
+                    "features": tuple(round(float(v), round_digits) for v in p.features[depth]),
                     "label": round(float(p.labels[depth]), round_digits),
                 }
-                preview.append(row)
+                preview.append(MappingProxyType(row))
                 progressed = True
         if not progressed:
             break

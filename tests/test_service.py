@@ -462,6 +462,39 @@ def test_metadata_requires_valid_token(tmp_path):
     )
 
 
+def test_metadata_is_built_once_and_never_aliased(tmp_path, monkeypatch):
+    import fedgate.service.facade as facade
+
+    builds = []
+
+    def counting_summary(*args, **kwargs):
+        builds.append(1)
+        return summarize_partitions(*args, **kwargs)
+
+    monkeypatch.setattr(facade, "summarize_partitions", counting_summary)
+    stack, service, api, token = service_stack(tmp_path)
+    assert builds == []
+    headers = {"Authorization": f"Grant {token}"}
+    first = api.handle("GET", "/data/metadata", headers=headers).body
+    pristine = json.loads(json.dumps(first))
+    first["preview"][0]["features"].append(99.0)
+    first["preview"][0]["label"] = -1.0
+    first["preview"].clear()
+    first["clients"][0]["labelHistogram"]["9"] = 9
+    first["clients"][0]["featureNames"].append("x99")
+    assert api.handle("GET", "/data/metadata", headers=headers).body == pristine
+    preview = api.handle("GET", "/data/preview", headers=headers).body["preview"]
+    assert preview == pristine["preview"]
+    preview[0]["features"][0] = 99.0
+    assert api.handle("GET", "/data/preview", headers=headers).body["preview"] == pristine["preview"]
+    cached = service.metadata(token)
+    with pytest.raises(TypeError):
+        cached.preview[0]["label"] = -1.0
+    with pytest.raises(TypeError):
+        cached.clients[0].label_histogram["9"] = 9
+    assert builds == [1]
+
+
 def test_expired_token_unauthorized(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     stack.clock.advance(3601)
@@ -648,13 +681,14 @@ def config_body(**fields):
         ("/jobs", {"estimatedRuntime": True}),
         ("/jobs", {"priorityWeight": "2"}),
         ("/jobs", {"estimatedRuntime": 10**400}),
+        ("/jobs", {"config": config_body(initialWeights=[])}),
     ],
     ids=[
         "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
         "bool-learning-rate", "text-learning-rate", "bool-and-text-initial-weights", "bool-runtime",
-        "text-priority-weight", "overflowing-runtime",
+        "text-priority-weight", "overflowing-runtime", "empty-initial-weights",
     ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import (
@@ -15,8 +17,8 @@ from fedgate.fl import (
     run_federation,
     training_accuracy,
 )
-from fedgate.fl.losses import mean_loss, predict
-from fedgate.fl.training import FleetScores
+from fedgate.fl.losses import _sigmoid, mean_loss, predict
+from fedgate.fl.training import DIVERGENCE_LIMIT, FleetScores
 
 
 def make_config(**overrides):
@@ -40,14 +42,14 @@ def one_sample_partition():
 def test_zero_learning_rate_is_identity():
     config = make_config(learning_rate=0.0)
     model = ModelParameters.from_values([3.5])
-    out = local_train(model, one_sample_partition(), config, round_seed=1)
-    assert out == model
+    out = local_train(model, [one_sample_partition()], config, [1])
+    assert out == [model]
 
 
 def test_hand_computed_single_step():
     # grad = 2(0*1 - 1)*1 = -2; w' = 0 - 1*(-2) = 2
     config = make_config(learning_rate=1.0)
-    out = local_train(ModelParameters.zeros(1), one_sample_partition(), config, round_seed=1)
+    [out] = local_train(ModelParameters.zeros(1), [one_sample_partition()], config, [1])
     assert out.tolist() == [2.0]
 
 
@@ -60,8 +62,8 @@ def test_two_epochs_compose_single_steps():
     model = ModelParameters.from_values([0.3])
     one = make_config(learning_rate=0.05)
     two = make_config(learning_rate=0.05, local_epochs=2)
-    stepped_twice = local_train(local_train(model, part, one, 9), part, one, 9)
-    assert local_train(model, part, two, 9) == stepped_twice
+    stepped_twice = local_train(local_train(model, [part], one, [9])[0], [part], one, [9])
+    assert local_train(model, [part], two, [9]) == stepped_twice
 
 
 def test_input_model_unmodified_and_deterministic():
@@ -77,12 +79,12 @@ def test_input_model_unmodified_and_deterministic():
     )
     model = ModelParameters.from_values([0.1, -0.2])
     before = model.weights.copy()
-    first = local_train(model, part, config, round_seed=42)
-    second = local_train(model, part, config, round_seed=42)
+    first = local_train(model, [part], config, [42])
+    second = local_train(model, [part], config, [42])
     assert np.array_equal(model.weights, before)
     assert first == second
     # A different round seed shuffles minibatches differently.
-    other = local_train(model, part, config, round_seed=43)
+    other = local_train(model, [part], config, [43])
     assert first != other
 
 
@@ -92,9 +94,153 @@ def test_divergence_names_the_client():
     )
     config = make_config(learning_rate=50.0, local_epochs=200)
     with pytest.raises(TrainingDivergedError) as err:
-        local_train(ModelParameters.from_values([1.0]), part, config, round_seed=0)
+        local_train(ModelParameters.from_values([1.0]), [part], config, [0])
     assert "patient-7" in str(err.value)
     assert err.value.client_id == "patient-7"
+
+
+def sequential_local_train(model, partition, config, round_seed):
+    """Oracle: one client trained alone, as ``local_train`` did before cohorts, with
+    its own gradient formula on a design matrix that carries a ones column for bias."""
+    loss = config.loss
+    x_all = partition.features
+    if loss.bias:
+        x_all = np.hstack([x_all, np.ones((partition.size, 1))])
+    weights = model.weights.copy()
+    rng = (
+        np.random.default_rng([round_seed & 0xFFFFFFFFFFFFFFFF])
+        if config.batch_mode == "minibatch"
+        else None
+    )
+    for _ in range(config.local_epochs):
+        if config.batch_mode == "full":
+            batches = [(x_all, partition.labels)]
+        else:
+            order = rng.permutation(partition.size)
+            size = config.batch_size
+            batches = [
+                (x_all[order[i : i + size]], partition.labels[order[i : i + size]])
+                for i in range(0, partition.size, size)
+            ]
+        for x, y in batches:
+            z = x @ weights
+            if loss.kind == "squared_error":
+                grad = (2.0 / x.shape[0]) * (x.T @ (z - y))
+            else:
+                grad = (1.0 / x.shape[0]) * (x.T @ (_sigmoid(z) - y))
+            if not np.all(np.isfinite(grad)):
+                raise TrainingDivergedError(partition.client_id, "non-finite gradient")
+            weights = weights - config.learning_rate * grad
+        if not np.all(np.isfinite(weights)):
+            raise TrainingDivergedError(partition.client_id, "non-finite weights")
+        if np.max(np.abs(weights)) > DIVERGENCE_LIMIT:
+            raise TrainingDivergedError(
+                partition.client_id, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}"
+            )
+    return ModelParameters(weights)
+
+
+def cohort_config(kind, bias, batch_size, **overrides):
+    return make_config(
+        loss=LossSpec(kind=kind, feature_dim=4, bias=bias),
+        batch_mode="full" if batch_size is None else "minibatch",
+        batch_size=batch_size,
+        **overrides,
+    )
+
+
+def random_partitions(rng, sizes, kind):
+    parts = []
+    for i, n in enumerate(sizes):
+        labels = (rng.random(n) > 0.5).astype(float)
+        if kind == "squared_error":
+            labels = labels + rng.normal(scale=0.4, size=n)
+        parts.append(
+            DatasetPartition(client_id=f"c{i:02d}", features=rng.normal(size=(n, 4)), labels=labels)
+        )
+    return parts
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_error"])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("batch_size", [None, 1, 4, 10])
+def test_cohort_matches_per_client_oracle(kind, bias, batch_size):
+    rng = np.random.default_rng(41)
+    parts = random_partitions(rng, [3, 7, 10, 10, 13, 100], kind)
+    config = cohort_config(kind, bias, batch_size, local_epochs=3, learning_rate=0.05)
+    model = ModelParameters(rng.normal(scale=0.5, size=config.loss.parameter_dim))
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(parts))]
+    cohort = local_train(model, parts, config, seeds)
+    worst = max(
+        np.max(np.abs(got.weights - sequential_local_train(model, p, config, seed).weights))
+        for p, seed, got in zip(parts, seeds, cohort)
+    )
+    assert worst <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "squared_error"]),
+    bias=st.booleans(),
+    batch_size=st.sampled_from([None, 1, 3, 8]),
+    sizes=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_client_update_does_not_depend_on_its_cohort(kind, bias, batch_size, sizes, data_seed, data):
+    rng = np.random.default_rng(data_seed)
+    parts = random_partitions(rng, sizes, kind)
+    config = cohort_config(kind, bias, batch_size, local_epochs=2, learning_rate=0.05)
+    model = ModelParameters(rng.normal(scale=0.5, size=config.loss.parameter_dim))
+    seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
+    order = data.draw(st.permutations(range(len(parts))))
+    cohort = local_train(model, [parts[i] for i in order], config, [seeds[i] for i in order])
+    for i, got in zip(order, cohort):
+        [alone] = local_train(model, [parts[i]], config, [seeds[i]])
+        assert np.array_equal(alone.weights, got.weights)
+
+
+@pytest.mark.parametrize("late_rows", [1, 2])
+def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows):
+    # w' = w (1 - x^2) per epoch (squared error, y = 0, lr 0.5, full batch): client
+    # "b" grows 1e8-fold, passes 1e6 in epoch 1 and overflows by epoch 39, which
+    # must not replace its first detail; the lower id "a" grows 9-fold and only
+    # passes 1e6 in epoch 7. "a" trains in a separate stack when late_rows = 2.
+    late = DatasetPartition(
+        client_id="a", features=np.full((late_rows, 1), np.sqrt(10.0)), labels=np.zeros(late_rows)
+    )
+    early = DatasetPartition(client_id="b", features=np.array([[1e4]]), labels=np.array([0.0]))
+    config = make_config(learning_rate=0.5, local_epochs=40)
+    model = ModelParameters.from_values([1.0])
+    with pytest.raises(TrainingDivergedError) as expected:
+        for part in (late, early):
+            sequential_local_train(model, part, config, 0)
+    for cohort in ([late, early], [early, late]):
+        with pytest.raises(TrainingDivergedError) as err:
+            local_train(model, cohort, config, [0, 0])
+        assert err.value.client_id == expected.value.client_id == "a"
+        assert str(err.value) == str(expected.value)
+    with pytest.raises(TrainingDivergedError) as alone:
+        local_train(model, [early], config, [0])
+    assert (alone.value.client_id, str(alone.value).endswith("exceeded 1e+06")) == ("b", True)
+
+
+def test_run_federation_trains_each_round_in_one_call(monkeypatch):
+    import fedgate.fl.federation as federation
+
+    calls = []
+
+    def counting(model, partitions, config, round_seeds):
+        calls.append([p.client_id for p in partitions])
+        return local_train(model, partitions, config, round_seeds)
+
+    monkeypatch.setattr(federation, "local_train", counting)
+    rng = np.random.default_rng(8)
+    parts = random_partitions(rng, [5, 9, 5, 12, 9], "logistic")
+    config = cohort_config("logistic", True, 4, total_rounds=4, total_clients=5, subset_size=3)
+    run_federation(config, parts)
+    assert len(calls) == 4
+    assert all(ids == sorted(ids) and len(ids) == 3 for ids in calls)
 
 
 def pooled_mean_loss(model, partitions, spec):
@@ -209,6 +355,20 @@ def test_zero_model_scores_every_sample_positive():
     model = ModelParameters.zeros(spec.parameter_dim)
     assert np.all(predict(model, part.features, spec) == 0.5)
     assert pooled_eval(model, [part], spec)[1] == 3 / 5 == per_partition_accuracy(model, [part], spec)
+
+
+def test_accuracy_threshold_is_exactly_p_at_least_one_half():
+    # _sigmoid returns exactly 0.5 down to z = -1e-17, and less from -5.6e-17 on.
+    spec = LossSpec(kind="logistic", feature_dim=1)
+    scores = np.array([0.0, -0.0, -1e-17, -5.6e-17, -1e-15])
+    assert _sigmoid(scores).tolist()[:3] == [0.5, 0.5, 0.5]
+    assert np.all(_sigmoid(scores[3:]) < 0.5)
+    for i, z in enumerate(scores):
+        positive = i < 3
+        one = np.array([z])
+        assert training_accuracy(one, np.array([1.0]), spec) == float(positive)
+        assert training_accuracy(one, np.array([0.0]), spec) == float(not positive)
+    assert training_accuracy(scores, np.ones(5), spec) == 3 / 5
 
 
 def test_evaluation_makes_no_pooled_copy_of_the_features():
