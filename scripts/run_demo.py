@@ -4,9 +4,10 @@ Usage:
     python scripts/run_demo.py --out demo-runs --seed 7
 
 Runs the default story (three data owners, one attestor, one qualified and
-one unqualified user) once per scheme, plus a variant where a client node is
-killed mid-training with a standby available. Prints a comparison of the
-decisions, job outcomes, and artifact checksums so determinism is visible.
+one unqualified user) once per scheme, plus two variants where a node is
+killed mid-training with a standby available: a client, then the server.
+Prints a comparison of the decisions, job outcomes, and artifact checksums
+so determinism is visible.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def main() -> int:
             standby_clients=1,
             out_dir=str(root / "client-failover"),
         ),
+        "server-failover": ScenarioConfig(
+            seed=args.seed,
+            fault_schedule=(FaultEvent(3, "server-0"),),
+            standby_servers=1,
+            out_dir=str(root / "server-failover"),
+        ),
     }
 
     worst = 0
@@ -76,10 +83,9 @@ def main() -> int:
         "\nscheme A and B trained identical models: "
         f"{weights_digest(model_of['scheme-a']) == weights_digest(model_of['scheme-b'])}"
     )
-    print(
-        "client failover reproduced the uninterrupted weights: "
-        f"{weights_digest(model_of['scheme-a']) == weights_digest(model_of['client-failover'])}"
-    )
+    for kind in ("client", "server"):
+        same = weights_digest(model_of["scheme-a"]) == weights_digest(model_of[f"{kind}-failover"])
+        print(f"{kind} failover reproduced the uninterrupted weights: {same}")
     return worst
 
 

@@ -16,7 +16,6 @@ from .workflows import (
     AccessGateway,
     AccessOutcome,
     AccessRequest,
-    GrantRecord,
     GrantStore,
     LookupResult,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "AccessGateway",
     "AccessOutcome",
     "AccessRequest",
-    "GrantRecord",
     "GrantStore",
     "LookupResult",
     "import_legacy_accounts",

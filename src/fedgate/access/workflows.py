@@ -69,24 +69,6 @@ class AccessRequest:
 
 
 @dataclass(frozen=True)
-class GrantRecord:
-    token: str
-    holder: str
-    service: str
-    metadata_address: str
-    expires_at: int
-
-    def to_dict(self) -> dict:
-        return {
-            "token": self.token,
-            "holder": self.holder,
-            "service": self.service,
-            "metadataAddress": self.metadata_address,
-            "expiresAt": self.expires_at,
-        }
-
-
-@dataclass(frozen=True)
 class LookupResult:
     """Front-desk reply: an attestation or a reason — never a document."""
 
@@ -102,7 +84,7 @@ class AccessOutcome:
     decision: str  # granted | denied | rejected-rate | rejected-capacity
     reason: str
     missing: tuple[str, ...] = ()
-    grant: GrantRecord | None = None
+    grant: GrantToken | None = None
     tx_id: str | None = None
 
 
@@ -114,24 +96,16 @@ class GrantStore:
     """
 
     def __init__(self):
-        self._records: OrderedDict[str, GrantRecord] = OrderedDict()
+        self._records: OrderedDict[str, GrantToken] = OrderedDict()
         self._lock = threading.Lock()
 
-    def add(self, token: GrantToken, metadata_address: str, now: int) -> GrantRecord:
-        record = GrantRecord(
-            token=token.token,
-            holder=token.holder,
-            service=token.service,
-            metadata_address=metadata_address,
-            expires_at=token.expires_at,
-        )
+    def add(self, grant: GrantToken, now: int) -> None:
         with self._lock:
             while self._records and now >= next(iter(self._records.values())).expires_at:
                 self._records.popitem(last=False)
-            self._records[record.token] = record
-        return record
+            self._records[grant.token] = grant
 
-    def validate(self, token: str, now: int) -> GrantRecord | None:
+    def validate(self, token: str, now: int) -> GrantToken | None:
         record = self._records.get(token)
         if record is None or now >= record.expires_at:
             return None
@@ -170,7 +144,6 @@ class AccessGateway:
         front_desk_per_minute: int = 100,
         pending_capacity: int = 256,
         pending_ttl_seconds: int = 30,
-        metadata_address: str = "/data/metadata",
     ):
         self._engine = engine
         self._resolver = resolver
@@ -180,7 +153,6 @@ class AccessGateway:
         self.pending = PendingTable(pending_capacity, pending_ttl_seconds, clock)
         self._used_nonces = _NonceRing()
         self.grants = GrantStore()
-        self._metadata_address = metadata_address
 
     # ------------------------------------------------------------- queries
 
@@ -260,9 +232,9 @@ class AccessGateway:
             contract_id, document, now=now, request_ref=nonce_hex
         )
         if verdict.granted:
-            record = self.grants.add(verdict.grant, self._metadata_address, now)
+            self.grants.add(verdict.grant, now)
             return AccessOutcome(
-                "granted", "all-claims-valid", grant=record, tx_id=verdict.tx_id
+                "granted", "all-claims-valid", grant=verdict.grant, tx_id=verdict.tx_id
             )
         return AccessOutcome(
             "denied", "missing-claims", missing=verdict.missing, tx_id=verdict.tx_id

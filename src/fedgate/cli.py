@@ -36,7 +36,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read scenario config: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        config = ScenarioConfig.from_dict(raw)
+        try:
+            config = ScenarioConfig.from_dict(raw)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed scenario config: {exc!r}") from None
     else:
         config = ScenarioConfig()
     overrides = {"out_dir": str(args.out)}

@@ -9,6 +9,12 @@ learning rate stays independent of partition size:
 
 When the spec enables a bias term, the final model coordinate is the
 intercept, added to each score as its own term.
+
+``stacked_gradient`` is the trainer's gradient. ``raw_scores``,
+``predict``, ``mean_loss`` and ``gradient`` have no caller in the
+package: they are the one-model reference implementations that the tests
+hold ``FleetScores``, ``global_loss``, ``training_accuracy`` and
+``stacked_gradient`` to, and are kept for that.
 """
 
 from __future__ import annotations

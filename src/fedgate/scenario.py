@@ -22,8 +22,9 @@ from .clock import SimulatedClock
 from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
 from .errors import ValidationError
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
+from .fl.config import _integer, _real
 from .ledger import Chain
-from .service import FaultEvent, FlaasService, ServiceApi
+from .service import FaultEvent, FlaasService, NodeRegistry, ServiceApi
 
 DEFAULT_FEDERATION = FederationConfig(
     total_rounds=8,
@@ -76,6 +77,19 @@ class LedgerTap:
         return getattr(self._chain, name)
 
 
+_INTEGER_FIELDS = (
+    ("owners", 1),
+    ("issuers", 1),
+    ("users", 0),
+    ("qualified_users", 0),
+    ("samples_per_client", 1),
+    ("standby_clients", 0),
+    ("standby_servers", 0),
+    ("seed", None),
+    ("start_time", None),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One runnable end-to-end story: who exists, how they authenticate,
@@ -99,25 +113,21 @@ class ScenarioConfig:
     out_dir: str = "demo-out"
 
     def __post_init__(self) -> None:
-        if self.owners < 1 or self.issuers < 1:
-            raise ValidationError("need at least one owner and one issuer")
-        if self.users < 0 or not 0 <= self.qualified_users <= self.users:
+        for name, minimum in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        for name in ("separability", "label_skew"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.qualified_users > self.users:
             raise ValidationError("qualified_users must lie in [0, users]")
         if self.scheme not in (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.service, str) or not self.service:
+            raise ValidationError(f"service must be a non-empty string, got {self.service!r}")
         if self.federation.total_clients != self.owners:
             raise ValidationError(
                 "each owner hosts exactly one partition: federation.total_clients "
                 f"({self.federation.total_clients}) must equal owners ({self.owners})"
             )
-        known_nodes = {"server-0"} | {f"node-{i:03d}" for i in range(self.owners)}
-        for event in self.fault_schedule:
-            if event.round_index > self.federation.total_rounds:
-                raise ValidationError(
-                    f"fault at round {event.round_index} is beyond the final round"
-                )
-            if event.node_id not in known_nodes:
-                raise ValidationError(f"fault names unknown node {event.node_id!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -243,6 +253,12 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     )
     write_dataset(spec, data_dir)
     partitions = load_partitions(data_dir)
+    nodes = NodeRegistry.provision(
+        [p.client_id for p in partitions],
+        config.standby_clients,
+        config.standby_servers,
+        config.fault_schedule,
+    )
     log.emit("dataset-written", clients=len(partitions), directory="data")
     clock.advance(1)
 
@@ -291,11 +307,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
             },
         )
         log.emit("job-submitted", jobId=submit.body["jobId"])
-        job_record = service.run_next(
-            fault_schedule=config.fault_schedule,
-            standby_clients=config.standby_clients,
-            standby_servers=config.standby_servers,
-        )
+        job_record = service.run_next(node_registry=nodes)
         for at, old, new in job_record.transitions:
             log.emit("job-transition", jobId=job_record.job_id, start=old, end=new, moment=at)
 

@@ -11,7 +11,7 @@ from .jobs import (
     wsjf_order,
 )
 from .metadata import ClientDataSummary, TrainingDataMetadata, summarize_partitions
-from .nodes import FaultEvent, FailoverAction, Node, NodeRegistry
+from .nodes import FaultEvent, FailoverAction, NodeRegistry
 from .executor import JobExecutor, StagnationGuard
 from .api import ApiError, Response, ServiceApi
 from .facade import FlaasService
@@ -28,7 +28,6 @@ __all__ = [
     "apply_filter",
     "wsjf_order",
     "total_weighted_completion",
-    "Node",
     "NodeRegistry",
     "FaultEvent",
     "FailoverAction",

@@ -142,7 +142,14 @@ class ServiceApi:
             "missing": list(outcome.missing),
         }
         if outcome.grant is not None:
-            payload["grant"] = outcome.grant.to_dict()
+            grant = outcome.grant
+            payload["grant"] = {
+                "token": grant.token,
+                "holder": grant.holder,
+                "service": grant.service,
+                "metadataAddress": "/data/metadata",
+                "expiresAt": grant.expires_at,
+            }
         if outcome.tx_id is not None:
             payload["txId"] = outcome.tx_id
         return Response(_OUTCOME_STATUS[outcome.decision], payload)

@@ -1,13 +1,11 @@
 """Runs one job at a time against the client fleet, surviving node faults.
 
-A job is one pass of ``run_federation``. Every fault is an event applied
-before the round it names, server faults first, then client faults. A
-standby server takes over with the last aggregated model; because every
-per-round seed is keyed by the absolute round index, the run stays
-bit-identical to one without the fault. No standby server means the job
-is lost. A standby client silently adopts the dead node's partition
-(training math unchanged); otherwise the partition drops out of the
-eligible set from the fault round on.
+A job is one pass of ``run_federation`` over one fleet, a ``NodeRegistry``
+that holds the job's standbys and fault schedule. Before each round the
+fleet applies that round's faults (see ``nodes``). A standby server takes
+over with the last aggregated model; because every per-round seed is keyed
+by the absolute round index, the run stays bit-identical to one without
+the fault. A lost server fails the job.
 
 A run also ends early when the global loss stops improving by more than
 ``STAGNATION_IMPROVEMENT`` for ``STAGNATION_WINDOW`` consecutive rounds,
@@ -29,7 +27,7 @@ from ..fl import (
     run_federation,
 )
 from .jobs import JobRecord, apply_filter
-from .nodes import FaultEvent, NodeRegistry
+from .nodes import NodeRegistry
 
 STAGNATION_IMPROVEMENT = 1e-4
 STAGNATION_WINDOW = 10
@@ -54,10 +52,6 @@ class StagnationGuard:
         return self.triggered
 
 
-class _ServerLost(FedGateError):
-    """The server failed and no standby could take over."""
-
-
 class JobExecutor:
     def __init__(
         self,
@@ -73,14 +67,14 @@ class JobExecutor:
         self,
         record: JobRecord,
         *,
-        fault_schedule: Sequence[FaultEvent] = (),
         node_registry: NodeRegistry | None = None,
-        standby_clients: int = 0,
-        standby_servers: int = 0,
     ) -> JobRecord:
-        """Execute a queued job to a terminal state, streaming metrics."""
+        """Execute a queued job to a terminal state, streaming metrics.
+
+        Without ``node_registry`` the job runs on a fault-free fleet.
+        """
         config = record.spec.config
-        for event in fault_schedule:
+        for event in node_registry.faults if node_registry else ():
             if event.round_index > config.total_rounds:
                 raise ValidationError(
                     f"fault at round {event.round_index} beyond T={config.total_rounds}"
@@ -93,24 +87,13 @@ class JobExecutor:
 
         guard = StagnationGuard()
         rows: list[RoundMetrics] = []
-        actions = []
         try:
             filtered = apply_filter(self._partitions, record.spec.data_filter)
-            registry = node_registry or NodeRegistry.provision(
-                [p.client_id for p in filtered],
-                standby_clients=standby_clients,
-                standby_servers=standby_servers,
-            )
             all_ids = frozenset(p.client_id for p in filtered)
+            registry = node_registry or NodeRegistry.provision([p.client_id for p in filtered])
 
             def eligibility(t: int) -> frozenset[str]:
-                # server faults first, then client faults, each in schedule order
-                due = [e.node_id for e in fault_schedule if e.round_index == t]
-                for node_id in sorted(due, key=lambda n: registry.node(n).role != "server"):
-                    action = registry.fail(node_id, t)
-                    actions.append(action)
-                    if action.kind == "server-lost":
-                        raise _ServerLost("server failed with no standby")
+                registry.advance(t)
                 return registry.eligible_clients(t, all_ids)
 
             with CsvMetricsWriter(metrics_path) as writer:
@@ -152,7 +135,7 @@ class JobExecutor:
                     "clientId": a.client_id,
                     "round": a.round_index,
                 }
-                for a in actions
+                for a in registry.actions
             ],
         }
         model_path = job_dir / "model.json"

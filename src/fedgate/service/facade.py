@@ -10,13 +10,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..access import AccessGateway, GrantRecord
+from ..access import AccessGateway
 from ..errors import FedGateError, ValidationError
 from ..fl import DatasetPartition, FederationConfig, check_shared_feature_space
+from ..ledger import GrantToken
 from .executor import JobExecutor
 from .jobs import DataFilter, JobQueue, JobRecord, JobSpec, apply_filter
 from .metadata import TrainingDataMetadata, summarize_partitions
-from .nodes import FaultEvent, NodeRegistry
+from .nodes import NodeRegistry
 
 
 class UnauthorizedTokenError(FedGateError):
@@ -50,7 +51,7 @@ class FlaasService:
 
     # --------------------------------------------------------------- auth
 
-    def authorize(self, token: str | None) -> GrantRecord:
+    def authorize(self, token: str | None) -> GrantToken:
         if not token:
             raise UnauthorizedTokenError("missing grant token")
         record = self._gateway.grants.validate(token, int(self._clock()))
@@ -104,25 +105,13 @@ class FlaasService:
         )
         return self.queue.submit(spec, int(self._clock()))
 
-    def run_next(
-        self,
-        *,
-        fault_schedule: Sequence[FaultEvent] = (),
-        node_registry: NodeRegistry | None = None,
-        standby_clients: int = 0,
-        standby_servers: int = 0,
-    ) -> JobRecord | None:
-        """Run the scheduler's next pick to completion; None when idle."""
+    def run_next(self, *, node_registry: NodeRegistry | None = None) -> JobRecord | None:
+        """Run the scheduler's next pick to completion on the given fleet
+        (a fault-free one by default); None when idle."""
         record = self.queue.schedule_next()
         if record is None:
             return None
-        return self.executor.run(
-            record,
-            fault_schedule=fault_schedule,
-            node_registry=node_registry,
-            standby_clients=standby_clients,
-            standby_servers=standby_servers,
-        )
+        return self.executor.run(record, node_registry=node_registry)
 
     def job(self, token: str, job_id: str) -> JobRecord:
         """The job, if this grant's holder submitted it.

@@ -190,10 +190,10 @@ class JobQueue:
 
     def schedule_next(self) -> JobRecord | None:
         """Pick the queued job with the best weight/runtime ratio (FIFO ties)."""
-        waiting = self.queued()
+        waiting = self.queued()  # in submission order, so ``wsjf_order`` ties stay FIFO
         if not waiting:
             return None
-        return min(waiting, key=lambda r: (-r.spec.wsjf_ratio, r.sequence))
+        return waiting[wsjf_order([r.spec for r in waiting])[0]]
 
     def all_records(self) -> list[JobRecord]:
         return sorted(self._jobs.values(), key=lambda r: r.sequence)

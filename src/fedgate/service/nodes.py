@@ -1,5 +1,7 @@
-"""The simulated fleet: one server, one client per partition, standbys.
+"""The simulated fleet of one job: one server, one client per partition, standbys.
 
+``NodeRegistry.provision`` names every node and takes the job's fault
+schedule; ``advance`` applies each round's faults as the job reaches it.
 Failover rules: a failed client whose role a standby can adopt keeps its
 partition served (training math unchanged); with no standby the client's
 partition leaves the eligible set from the fault round onward. A failed
@@ -12,16 +14,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
-from ..errors import ValidationError
-
-
-@dataclass
-class Node:
-    node_id: str
-    role: str  # "server" | "client"
-    client_id: str | None = None  # partition served, clients only
-    alive: bool = True
+from ..errors import FedGateError, ValidationError
+from ..fl.config import _integer
 
 
 @dataclass(frozen=True)
@@ -30,8 +26,9 @@ class FaultEvent:
     node_id: str
 
     def __post_init__(self) -> None:
-        if self.round_index < 1:
-            raise ValidationError("fault rounds start at 1")
+        object.__setattr__(self, "round_index", _integer("fault round", self.round_index))
+        if not isinstance(self.node_id, str):
+            raise ValidationError(f"fault node ids must be strings, got {self.node_id!r}")
 
 
 @dataclass(frozen=True)
@@ -45,61 +42,44 @@ class FailoverAction:
 
 class NodeRegistry:
     def __init__(self):
-        self._nodes: dict[str, Node] = {}
+        self._is_server: dict[str, bool] = {}  # every node id this fleet holds
+        self._failed: set[str] = set()
         self._server: str | None = None
         self._standby_servers: list[str] = []
         self._standby_clients: list[str] = []
         self._serving: dict[str, str] = {}  # client_id -> node_id
         self._excluded_since: dict[str, int] = {}
         self._lock = threading.Lock()
+        self.faults: tuple[FaultEvent, ...] = ()
+        self.actions: list[FailoverAction] = []
 
     @classmethod
     def provision(
         cls,
-        client_ids: list[str],
+        client_ids: Sequence[str],
         standby_clients: int = 0,
         standby_servers: int = 0,
+        faults: Sequence[FaultEvent] = (),
     ) -> "NodeRegistry":
+        """``server-0``, ``node-<client id>`` per partition, then the standbys.
+
+        A fault naming a node this fleet does not hold is refused here.
+        """
+        if len(set(client_ids)) != len(client_ids):
+            raise ValidationError("each partition is served by exactly one node")
         registry = cls()
-        registry.add_node(Node("server-0", "server"))
-        for cid in client_ids:
-            registry.add_node(Node(f"node-{cid}", "client", client_id=cid))
-        for i in range(standby_clients):
-            registry.add_standby(Node(f"standby-client-{i}", "client"))
-        for i in range(standby_servers):
-            registry.add_standby(Node(f"standby-server-{i}", "server"))
+        registry._server = "server-0"
+        registry._serving = {cid: f"node-{cid}" for cid in client_ids}
+        registry._standby_clients = [f"standby-client-{i}" for i in range(standby_clients)]
+        registry._standby_servers = [f"standby-server-{i}" for i in range(standby_servers)]
+        clients = [*registry._serving.values(), *registry._standby_clients]
+        registry._is_server = dict.fromkeys(clients, False)
+        registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
+        for event in faults:
+            if event.node_id not in registry._is_server:
+                raise ValidationError(f"fault names unknown node {event.node_id!r}")
+        registry.faults = tuple(faults)
         return registry
-
-    def add_node(self, node: Node) -> None:
-        with self._lock:
-            if node.node_id in self._nodes:
-                raise ValidationError(f"duplicate node id {node.node_id}")
-            if node.role == "server":
-                if self._server is not None:
-                    raise ValidationError("at most one active server")
-                self._server = node.node_id
-            elif node.role == "client":
-                if node.client_id is None:
-                    raise ValidationError("active client nodes must serve a partition")
-                if node.client_id in self._serving:
-                    raise ValidationError(
-                        f"partition {node.client_id} already served by "
-                        f"{self._serving[node.client_id]}"
-                    )
-                self._serving[node.client_id] = node.node_id
-            else:
-                raise ValidationError(f"unknown role {node.role!r}")
-            self._nodes[node.node_id] = node
-
-    def add_standby(self, node: Node) -> None:
-        with self._lock:
-            if node.node_id in self._nodes:
-                raise ValidationError(f"duplicate node id {node.node_id}")
-            self._nodes[node.node_id] = node
-            pool = (
-                self._standby_servers if node.role == "server" else self._standby_clients
-            )
-            pool.append(node.node_id)
 
     @property
     def active_server(self) -> str | None:
@@ -108,43 +88,42 @@ class NodeRegistry:
     def serving_node(self, client_id: str) -> str | None:
         return self._serving.get(client_id)
 
-    def node(self, node_id: str) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown node {node_id}") from None
+    def advance(self, round_index: int) -> None:
+        """Apply the faults due at this round: server nodes first, then the
+        rest, each in schedule order; losing the server loses the job."""
+        due = [e.node_id for e in self.faults if e.round_index == round_index]
+        for node_id in sorted(due, key=lambda n: not self._is_server[n]):
+            action = self.fail(node_id, round_index)
+            self.actions.append(action)
+            if action.kind == "server-lost":
+                raise FedGateError("server failed with no standby")
 
     def fail(self, node_id: str, round_index: int) -> FailoverAction:
         """Mark a node dead and promote a standby if one is available."""
         with self._lock:
-            node = self._nodes.get(node_id)
-            if node is None:
+            if node_id not in self._is_server:
                 raise ValidationError(f"unknown node {node_id}")
-            if not node.alive:
+            if node_id in self._failed:
                 raise ValidationError(f"node {node_id} already failed")
-            node.alive = False
+            self._failed.add(node_id)
             for pool in (self._standby_servers, self._standby_clients):
                 if node_id in pool:
                     pool.remove(node_id)
                     return FailoverAction("standby-lost", node_id, None, None, round_index)
 
-            if node.role == "server":
+            if self._is_server[node_id]:
                 self._server = None
                 if self._standby_servers:
-                    replacement = self._standby_servers.pop(0)
-                    self._nodes[replacement].role = "server"
-                    self._server = replacement
+                    self._server = self._standby_servers.pop(0)
                     return FailoverAction(
-                        "server-swap", node_id, replacement, None, round_index
+                        "server-swap", node_id, self._server, None, round_index
                     )
                 return FailoverAction("server-lost", node_id, None, None, round_index)
 
-            client_id = node.client_id
+            client_id = next(c for c, n in self._serving.items() if n == node_id)
             del self._serving[client_id]
             if self._standby_clients:
                 replacement = self._standby_clients.pop(0)
-                standby = self._nodes[replacement]
-                standby.client_id = client_id
                 self._serving[client_id] = replacement
                 return FailoverAction(
                     "client-swap", node_id, replacement, client_id, round_index
@@ -160,7 +139,3 @@ class NodeRegistry:
             cid for cid, since in self._excluded_since.items() if round_index >= since
         }
         return all_ids - frozenset(dropped)
-
-    @property
-    def excluded(self) -> dict[str, int]:
-        return dict(self._excluded_since)

@@ -31,7 +31,7 @@ from fedgate.fl import (
 from fedgate.fl.losses import gradient, mean_loss, predict
 from fedgate.access import verify_claim
 from fedgate.ledger import Chain, load_chain, verify_chain_file
-from fedgate.service import FaultEvent, JobExecutor, JobQueue, JobSpec, DataFilter
+from fedgate.service import FaultEvent, JobExecutor, JobQueue, JobSpec, DataFilter, NodeRegistry
 from fedgate.service.jobs import total_weighted_completion, wsjf_order
 
 from support import Stack
@@ -475,7 +475,7 @@ def test_10_failover_determinism(tmp_path):
         rng_seed=9,
     )
 
-    def run(name, fault_schedule=(), standby_clients=0):
+    def run(name, faults=(), standby_clients=0):
         executor = JobExecutor(parts, tmp_path / name, clock=lambda: 0)
         record = JobQueue().submit(
             JobSpec(
@@ -487,9 +487,10 @@ def test_10_failover_determinism(tmp_path):
             ),
             now=0,
         )
-        executor.run(
-            record, fault_schedule=fault_schedule, standby_clients=standby_clients
+        nodes = NodeRegistry.provision(
+            [p.client_id for p in parts], standby_clients, faults=faults
         )
+        executor.run(record, node_registry=nodes)
         return record
 
     reference = run("reference")

@@ -103,13 +103,52 @@ def test_scenario_config_invariants():
     with pytest.raises(ValidationError):
         ScenarioConfig(owners=2)  # federation still expects 3 partitions
     with pytest.raises(ValidationError):
-        ScenarioConfig(fault_schedule=(FaultEvent(9, "node-000"),))
-    with pytest.raises(ValidationError):
-        ScenarioConfig(fault_schedule=(FaultEvent(2, "node-999"),))
-    with pytest.raises(ValidationError):
         ScenarioConfig(scheme="wishful_thinking")
     with pytest.raises(ValidationError):
         ScenarioConfig(qualified_users=5)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(FaultEvent(9, "node-000"), "beyond T=8"), (FaultEvent(2, "node-999"), "unknown node")],
+    ids=["beyond-final-round", "unknown-node"],
+)
+def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(tmp_path, capsys, fault, message):
+    config = ScenarioConfig(fault_schedule=(fault,))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "demo"
+    assert main(["demo", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["data"]
+
+
+def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
+    raw = {
+        "faultSchedule": [
+            {"roundIndex": 3, "nodeId": "standby-client-0"},
+            {"roundIndex": 5, "nodeId": "node-001"},
+        ],
+        "standbyClients": 1,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "demo"
+    assert main(["demo", "--config", str(path), "--out", str(out)]) == 0
+    model = json.loads((out / "artifacts/job-0001/model.json").read_text())
+    assert [a["kind"] for a in model["failover"]] == ["standby-lost", "client-excluded"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"owners": "3"}, [], {"faultSchedule": [{"roundIndex": 2}]}, {"seed": 1.5}, {"service": 5}],
+    ids=["text-owners", "not-an-object", "fault-without-node", "fractional-seed", "numeric-service"],
+)
+def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_scenario_config_dict_round_trip():

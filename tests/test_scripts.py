@@ -46,6 +46,7 @@ def test_run_demo_script(tmp_path):
     result = run_script("run_demo.py", "--out", str(tmp_path / "demo"), "--seed", "7", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "scheme A and B trained identical models: True" in result.stdout
+    assert "server failover reproduced the uninterrupted weights: True" in result.stdout
     assert (tmp_path / "demo/scheme-b/chain.jsonl").exists()
 
 

@@ -190,6 +190,28 @@ def test_wsjf_beats_every_permutation(runtimes, data):
     assert ours <= best + 1e-9
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(st.sampled_from([1.0, 2.0, 4.0, 8.0]), st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_draining_the_queue_follows_wsjf_order(jobs):
+    # few distinct runtimes and weights, so equal ratios (ties) are common
+    q = JobQueue()
+    records = [q.submit(job_spec(runtime=r, weight=w), now=i) for i, (r, w) in enumerate(jobs)]
+    drained = []
+    while (record := q.schedule_next()) is not None:
+        record.transition("running", 0)
+        drained.append(records.index(record))
+    assert drained == wsjf_order([r.spec for r in records])
+    ratios = [jobs[i][1] / jobs[i][0] for i in drained]
+    for a, b, ra, rb in zip(drained, drained[1:], ratios, ratios[1:]):
+        assert ra > rb or (ra == rb and a < b)
+
+
 # ------------------------------------------------------------------ filter
 
 
@@ -215,12 +237,12 @@ def test_node_registry_invariants():
     registry = NodeRegistry.provision(["a", "b"], standby_clients=1, standby_servers=1)
     assert registry.active_server == "server-0"
     assert registry.serving_node("a") == "node-a"
-    from fedgate.service import Node
-
+    # one server and one node per partition: no other id exists to fail
+    for node_id in ("server-1", "node-a2", "standby-client-1"):
+        with pytest.raises(ValidationError, match="unknown node"):
+            NodeRegistry.provision(["a", "b"], 1, 1, faults=[FaultEvent(2, node_id)])
     with pytest.raises(ValidationError):
-        registry.add_node(Node("server-1", "server"))
-    with pytest.raises(ValidationError):
-        registry.add_node(Node("node-a2", "client", client_id="a"))
+        NodeRegistry.provision(["a", "a"])
 
 
 def test_client_failover_swap_and_exclusion():
@@ -263,6 +285,11 @@ def test_idle_standby_failure_is_never_promoted():
 
 
 # ---------------------------------------------------------------- executor
+
+
+def faulty_fleet(faults, **standbys):
+    """The fleet ``submitted_job``'s partitions run on, with faults and standbys."""
+    return NodeRegistry.provision(["000", "001", "002", "003"], faults=faults, **standbys)
 
 
 def submitted_job(tmp_path, config=None, **spec_kwargs):
@@ -311,7 +338,7 @@ def test_divergent_job_fails_with_cause(tmp_path):
 def test_fault_beyond_total_rounds_rejected(tmp_path):
     executor, record = submitted_job(tmp_path)
     with pytest.raises(ValidationError):
-        executor.run(record, fault_schedule=[FaultEvent(9, "node-000")])
+        executor.run(record, node_registry=faulty_fleet([FaultEvent(9, "node-000")]))
     assert record.state == "queued"
 
 
@@ -325,11 +352,7 @@ def test_client_standby_preserves_model_bits(tmp_path):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(
-        record,
-        fault_schedule=[FaultEvent(5, "node-001")],
-        standby_clients=1,
-    )
+    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "node-001")], standby_clients=1))
     assert record.state == "completed"
     weights = json.loads(open(record.model_address).read())["weights"]
     assert weights == reference  # exact float repr equality via JSON round-trip
@@ -339,7 +362,7 @@ def test_client_standby_preserves_model_bits(tmp_path):
 def test_no_standby_excludes_client_from_later_rounds(tmp_path):
     config = job_config(total_rounds=20, subset_size=3)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record, fault_schedule=[FaultEvent(5, "node-001")])
+    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "node-001")]))
     assert record.state == "completed"
     for metrics in read_metrics_csv(record.metrics_address):
         if metrics.round_index >= 5:
@@ -350,11 +373,7 @@ def test_server_standby_resumes_bit_exact(tmp_path):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(
-        record,
-        fault_schedule=[FaultEvent(5, "server-0")],
-        standby_servers=1,
-    )
+    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "server-0")], standby_servers=1))
     assert record.state == "completed"
     assert record.rounds_executed == 20
     weights = json.loads(open(record.model_address).read())["weights"]
@@ -366,7 +385,7 @@ def test_server_standby_resumes_bit_exact(tmp_path):
 def test_server_loss_without_standby_fails_job(tmp_path):
     config = job_config(total_rounds=20)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record, fault_schedule=[FaultEvent(5, "server-0")])
+    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "server-0")]))
     assert record.state == "failed"
     assert "server" in record.cause
     assert record.rounds_executed == 4  # rounds before the fault round
@@ -385,7 +404,7 @@ def test_server_takeover_in_one_pass_is_bit_exact(tmp_path, schedule, kinds):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(record, fault_schedule=schedule, standby_clients=1, standby_servers=1)
+    executor.run(record, node_registry=faulty_fleet(schedule, standby_clients=1, standby_servers=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
     artifact = json.loads(open(record.model_address).read())
     assert [a["kind"] for a in artifact["failover"]] == kinds
@@ -396,11 +415,8 @@ def test_idle_standby_fault_keeps_the_job_running(tmp_path):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(
-        record,
-        fault_schedule=[FaultEvent(3, "standby-client-0"), FaultEvent(5, "node-001")],
-        standby_clients=1,
-    )
+    schedule = [FaultEvent(3, "standby-client-0"), FaultEvent(5, "node-001")]
+    executor.run(record, node_registry=faulty_fleet(schedule, standby_clients=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
     artifact = json.loads(open(record.model_address).read())
     assert [a["kind"] for a in artifact["failover"]] == ["standby-lost", "client-excluded"]
@@ -418,17 +434,16 @@ class CountingRegistry(NodeRegistry):
 @pytest.mark.parametrize("standby_servers, rounds", [(1, 20), (0, 4)])
 def test_eligibility_is_asked_once_per_executed_round(tmp_path, standby_servers, rounds):
     executor, record = submitted_job(tmp_path, config=job_config(total_rounds=20))
-    registry = CountingRegistry.provision(["000", "001", "002", "003"], standby_servers=standby_servers)
-    executor.run(record, fault_schedule=[FaultEvent(5, "server-0")], node_registry=registry)
+    registry = CountingRegistry.provision(
+        ["000", "001", "002", "003"], standby_servers=standby_servers, faults=[FaultEvent(5, "server-0")]
+    )
+    executor.run(record, node_registry=registry)
     assert registry.calls == record.rounds_executed == rounds
 
 
-def test_fault_on_unknown_node_fails_the_job(tmp_path):
-    executor, record = submitted_job(tmp_path)
-    executor.run(record, fault_schedule=[FaultEvent(2, "node-999")])
-    assert record.state == "failed"
-    assert "unknown node node-999" in record.cause
-    assert record.model_address is None
+def test_fault_on_unknown_node_is_refused_at_provision():
+    with pytest.raises(ValidationError, match="unknown node 'node-999'"):
+        faulty_fleet([FaultEvent(2, "node-999")])
 
 
 # ---------------------------------------------------------- facade and api
@@ -638,6 +653,25 @@ def test_access_endpoints(tmp_path):
     )
 
     assert api.handle("GET", "/nothing/here").status == 404
+
+
+def test_grant_body_has_exactly_its_five_keys(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    carol = stack.register_actor("carol")
+    stack.issuer.issue(carol.did, "consortium_member", "yes", 3600)
+    body = {"requester": carol.did, "service": "fl-study", "scheme": "contract_lookup"}
+    response = api.handle("POST", "/access/request", body=dict(body, nonce=stack.fresh_nonce().hex()))
+    grant = response.body["grant"]
+    stored = stack.gateway.grants.validate(grant["token"], stack.clock())
+    assert grant == {
+        "token": stored.token,
+        "holder": carol.did,
+        "service": "fl-study",
+        "metadataAddress": api.handle("GET", "/access/howto").body["addresses"]["metadata"],
+        "expiresAt": stored.expires_at,
+    }
+    headers = {"Authorization": f"Grant {grant['token']}"}
+    assert api.handle("GET", grant["metadataAddress"], headers=headers).status == 200
 
 
 # ------------------------------------------------------ api edge inputs
