@@ -10,7 +10,6 @@ reason for every rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..claims import VerifiableClaim, sign_claim
@@ -22,12 +21,6 @@ from ..keys import KeyPair
 
 class ForbiddenIssuerError(FedGateError):
     """The issuer DID is not on the trusted allow-list."""
-
-
-@dataclass(frozen=True)
-class ClaimVerdict:
-    valid: bool
-    reason: str
 
 
 class ClaimIssuer:
@@ -71,31 +64,30 @@ def verify_claim(
     now: int,
     resolver: Resolver,
     trusted_issuers: frozenset[str],
-) -> ClaimVerdict:
-    """Stand-alone verifier: trust, signature against issuer document, window."""
+) -> tuple[bool, str]:
+    """Stand-alone verifier: trust, signature against issuer document, window.
+
+    Returns ``(valid, reason)``, the shape the contract engine's claim
+    checker takes.
+    """
     if claim.issuer not in trusted_issuers:
-        return ClaimVerdict(False, "untrusted-issuer")
+        return False, "untrusted-issuer"
     try:
         issuer = resolver.fetch(claim.issuer)
     except (UnknownDidError, FedGateError):
-        return ClaimVerdict(False, "unresolvable-issuer")
+        return False, "unresolvable-issuer"
     issuer_keys = [k.public_bytes for k in issuer.public_keys]
     if not claim.signature_valid(issuer_keys):
-        return ClaimVerdict(False, "bad-signature")
+        return False, "bad-signature"
     if now < claim.issued_at:
-        return ClaimVerdict(False, "not-yet-valid")
+        return False, "not-yet-valid"
     if now >= claim.expires_at:
-        return ClaimVerdict(False, "expired")
-    return ClaimVerdict(True, "valid")
+        return False, "expired"
+    return True, "valid"
 
 
 def make_claim_checker(
     resolver: Resolver, trusted_issuers: frozenset[str]
 ) -> Callable[[VerifiableClaim, int], tuple[bool, str]]:
     """Adapter feeding this policy into the contract engine."""
-
-    def checker(claim: VerifiableClaim, now: int) -> tuple[bool, str]:
-        verdict = verify_claim(claim, now, resolver, trusted_issuers)
-        return verdict.valid, verdict.reason
-
-    return checker
+    return lambda claim, now: verify_claim(claim, now, resolver, trusted_issuers)

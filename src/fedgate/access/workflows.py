@@ -20,7 +20,8 @@ signs nothing, because a signature this process makes and then checks
 itself proves nothing.
 
 Verdicts the contract actually evaluated are sealed on-chain (grant or
-denial) and carry a ``tx_id``; requests that failed before reaching the
+denial), carry a ``tx_id``, and reach the requester as the engine's own
+``AccessOutcome``; requests that failed before reaching the
 contract (unresolvable DID, replay, stale attestation) are denied
 without a ledger write so a flood cannot grow the chain.
 
@@ -43,7 +44,7 @@ from ..errors import ValidationError
 from ..identity import Attestation, NoDriverError, Resolver
 from ..identity.did import DidParseError
 from ..identity.registry import UnknownDidError
-from ..ledger import ContractEngine, GrantToken, Verdict
+from ..ledger import AccessOutcome, ContractEngine, GrantToken
 from .pending import PendingTable
 from .ratelimit import SlidingWindowLimiter
 
@@ -75,17 +76,6 @@ class LookupResult:
     ok: bool
     attestation: Attestation | None
     reason: str
-
-
-@dataclass(frozen=True)
-class AccessOutcome:
-    """Requester-facing verdict; carries a tx id iff a contract evaluated it."""
-
-    decision: str  # granted | denied | rejected-rate | rejected-capacity
-    reason: str
-    missing: tuple[str, ...] = ()
-    grant: GrantToken | None = None
-    tx_id: str | None = None
 
 
 class GrantStore:
@@ -172,10 +162,10 @@ class AccessGateway:
         if not self._front_desk_limiter.allow(requester):
             return LookupResult(False, None, "rejected-rate")
         try:
-            result = self._resolver.resolve(requester, nonce)
+            attestation = self._resolver.resolve(requester, nonce)
         except (UnknownDidError, NoDriverError, DidParseError):
             return LookupResult(False, None, "unresolvable")
-        return LookupResult(True, result.attestation, "ok")
+        return LookupResult(True, attestation, "ok")
 
     # ------------------------------------------------------------ requests
 
@@ -228,14 +218,7 @@ class AccessGateway:
         if not self._used_nonces.consume(nonce_hex):
             return AccessOutcome("denied", "replay")
         now = int(self._clock())
-        verdict: Verdict = self._engine.execute(
-            contract_id, document, now=now, request_ref=nonce_hex
-        )
-        if verdict.granted:
-            self.grants.add(verdict.grant, now)
-            return AccessOutcome(
-                "granted", "all-claims-valid", grant=verdict.grant, tx_id=verdict.tx_id
-            )
-        return AccessOutcome(
-            "denied", "missing-claims", missing=verdict.missing, tx_id=verdict.tx_id
-        )
+        outcome = self._engine.execute(contract_id, document, now=now, request_ref=nonce_hex)
+        if outcome.grant is not None:
+            self.grants.add(outcome.grant, now)
+        return outcome

@@ -17,13 +17,7 @@ from .registry import (
     UnknownDidError,
     VersionSequenceError,
 )
-from .resolver import (
-    Attestation,
-    NoDriverError,
-    RegistryDriver,
-    ResolutionResult,
-    Resolver,
-)
+from .resolver import Attestation, NoDriverError, RegistryDriver, Resolver
 
 __all__ = [
     "DidIdentifier",
@@ -42,7 +36,6 @@ __all__ = [
     "UnknownDidError",
     "VersionSequenceError",
     "Resolver",
-    "ResolutionResult",
     "Attestation",
     "RegistryDriver",
     "NoDriverError",

@@ -68,19 +68,11 @@ class Attestation:
         )
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
-    document: DidDocument
-    resolved_by: str
-    attestation: Attestation
-
-
 class RegistryDriver:
     """Backend that serves documents straight from a :class:`DidRegistry`."""
 
-    def __init__(self, registry: DidRegistry, name: str = "registry"):
+    def __init__(self, registry: DidRegistry):
         self._registry = registry
-        self.name = name
 
     def fetch(self, did: DidIdentifier) -> DidDocument:
         return self._registry.get(did)
@@ -111,24 +103,17 @@ class Resolver:
             raise NoDriverError(f"no driver registered for method {identifier.method!r}")
         return driver.fetch(identifier)
 
-    def resolve(self, did: DidIdentifier | str, nonce: bytes) -> ResolutionResult:
-        """Fetch the latest document and attest to it under ``nonce``.
+    def resolve(self, did: DidIdentifier | str, nonce: bytes) -> Attestation:
+        """Attest to the latest document under ``nonce``.
 
         Signs, so only the front desk calls it; in-process readers ``fetch``.
         """
         identifier = parse_did(did) if isinstance(did, str) else did
-        document = self.fetch(identifier)
-        driver = self._drivers[identifier.method]
-        body = document.canonical_bytes()
-        attestation = Attestation(
+        body = self.fetch(identifier).canonical_bytes()
+        return Attestation(
             did=str(identifier),
             nonce=bytes(nonce),
             document_digest=sha256_hex(body),
             resolver=self.name,
             signature=self._keypair.sign(body + bytes(nonce)),
-        )
-        return ResolutionResult(
-            document=document,
-            resolved_by=getattr(driver, "name", type(driver).__name__),
-            attestation=attestation,
         )

@@ -11,6 +11,7 @@ from .chain import (
     verify_chain_records,
 )
 from .contracts import (
+    AccessOutcome,
     AccessPolicyContract,
     ClaimPredicate,
     ClaimRequirement,
@@ -18,7 +19,6 @@ from .contracts import (
     ContractNotFoundError,
     GrantToken,
     UnauthorizedError,
-    Verdict,
 )
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "ClaimRequirement",
     "AccessPolicyContract",
     "GrantToken",
-    "Verdict",
+    "AccessOutcome",
     "ContractEngine",
     "ContractNotFoundError",
     "UnauthorizedError",

@@ -6,6 +6,7 @@ gates, and is owned by a DID. Evaluation is a pure function of
 (contract, document, now): it consults only the injected claim checker.
 Execution additionally mints a session grant token and seals the verdict
 onto the chain as an ``access_grant`` or ``access_denial`` transaction.
+The verdict is an :class:`AccessOutcome`, the value the requester receives.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ class ClaimPredicate:
             return {"kind": "one_of", "values": sorted(self.values)}
         return {"kind": "present"}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimPredicate":
-        return cls(
-            kind=data["kind"],
-            value=data.get("value"),
-            values=tuple(data.get("values", ())),
-        )
-
 
 @dataclass(frozen=True)
 class ClaimRequirement:
@@ -78,13 +71,6 @@ class ClaimRequirement:
 
     def to_dict(self) -> dict:
         return {"claimType": self.claim_type, "predicate": self.predicate.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimRequirement":
-        return cls(
-            claim_type=data["claimType"],
-            predicate=ClaimPredicate.from_dict(data["predicate"]),
-        )
 
 
 def _contract_body(
@@ -162,10 +148,11 @@ class GrantToken:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    granted: bool
-    contract_id: str
-    subject: str
+class AccessOutcome:
+    """Requester-facing verdict; carries a tx id iff a contract evaluated it."""
+
+    decision: str  # granted | denied | rejected-rate | rejected-capacity
+    reason: str
     missing: tuple[str, ...] = ()
     grant: GrantToken | None = None
     tx_id: str | None = None
@@ -240,7 +227,7 @@ class ContractEngine:
     def services(self) -> list[str]:
         return sorted(self._by_service)
 
-    def evaluate(self, contract_id: str, document, now: int) -> Verdict:
+    def evaluate(self, contract_id: str, document, now: int) -> AccessOutcome:
         """Pure verdict: no chain write, no token, same inputs → same output."""
         contract = self.get(contract_id)
         subject = str(document.id)
@@ -260,12 +247,9 @@ class ContractEngine:
                     break
             if not satisfied:
                 missing.append(requirement.claim_type)
-        return Verdict(
-            granted=not missing,
-            contract_id=contract_id,
-            subject=subject,
-            missing=tuple(missing),
-        )
+        if missing:
+            return AccessOutcome("denied", "missing-claims", tuple(missing))
+        return AccessOutcome("granted", "all-claims-valid")
 
     def execute(
         self,
@@ -273,7 +257,7 @@ class ContractEngine:
         document,
         now: int | None = None,
         request_ref: str | None = None,
-    ) -> Verdict:
+    ) -> AccessOutcome:
         """Evaluate and seal the verdict onto the chain; grants mint a token.
 
         ``request_ref`` (typically the request nonce) is folded into the
@@ -281,30 +265,26 @@ class ContractEngine:
         even when two denials would otherwise be byte-identical.
         """
         now = int(self._clock()) if now is None else int(now)
-        verdict = self.evaluate(contract_id, document, now)
+        outcome = self.evaluate(contract_id, document, now)
         contract = self.get(contract_id)
-        if verdict.granted:
+        subject = str(document.id)
+        if outcome.decision == "granted":
             grant = GrantToken(
                 token=to_hex(self._token_bytes()),
                 contract_id=contract_id,
-                holder=verdict.subject,
+                holder=subject,
                 service=contract.grants_service,
                 expires_at=now + GRANT_LIFETIME_SECONDS,
             )
-            payload = grant.to_dict()
-            if request_ref is not None:
-                payload["requestRef"] = request_ref
-            tx_id = self._chain.record(
-                "access_grant", payload, submitter=verdict.subject
-            )
-            return replace(verdict, grant=grant, tx_id=tx_id)
-        payload = {
-            "contractId": contract_id,
-            "holder": verdict.subject,
-            "service": contract.grants_service,
-            "missing": list(verdict.missing),
-        }
+            outcome = replace(outcome, grant=grant)
+            kind, payload = "access_grant", grant.to_dict()
+        else:
+            kind, payload = "access_denial", {
+                "contractId": contract_id,
+                "holder": subject,
+                "service": contract.grants_service,
+                "missing": list(outcome.missing),
+            }
         if request_ref is not None:
             payload["requestRef"] = request_ref
-        tx_id = self._chain.record("access_denial", payload, submitter=verdict.subject)
-        return replace(verdict, tx_id=tx_id)
+        return replace(outcome, tx_id=self._chain.record(kind, payload, submitter=subject))

@@ -128,6 +128,11 @@ class ScenarioConfig:
                 "each owner hosts exactly one partition: federation.total_clients "
                 f"({self.federation.total_clients}) must equal owners ({self.owners})"
             )
+        for event in self.fault_schedule:
+            if event.round_index > self.federation.total_rounds:
+                raise ValidationError(
+                    f"fault at round {event.round_index} beyond T={self.federation.total_rounds}"
+                )
 
     def to_dict(self) -> dict:
         return {

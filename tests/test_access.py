@@ -68,21 +68,20 @@ def test_verify_claim_verdicts():
     claim = stack.issuer.issue(alice.did, "consortium_member", "yes", 3600)
     now = stack.clock()
 
-    ok = verify_claim(claim, now, stack.resolver, stack.trusted)
-    assert ok.valid and ok.reason == "valid"
+    assert verify_claim(claim, now, stack.resolver, stack.trusted) == (True, "valid")
 
     expired = verify_claim(claim, now + 3600, stack.resolver, stack.trusted)
-    assert not expired.valid and expired.reason == "expired"
+    assert expired == (False, "expired")
 
     early = verify_claim(claim, claim.issued_at - 1, stack.resolver, stack.trusted)
-    assert not early.valid and early.reason == "not-yet-valid"
+    assert early == (False, "not-yet-valid")
 
     tampered = dataclasses.replace(claim, value="no")
     bad = verify_claim(tampered, now, stack.resolver, stack.trusted)
-    assert not bad.valid and bad.reason == "bad-signature"
+    assert bad == (False, "bad-signature")
 
     untrusted = verify_claim(claim, now, stack.resolver, frozenset({"did:efed:other"}))
-    assert not untrusted.valid and untrusted.reason == "untrusted-issuer"
+    assert untrusted == (False, "untrusted-issuer")
 
     ghost_issuer = sign_claim(
         stack.issuer_actor.key,
@@ -96,7 +95,7 @@ def test_verify_claim_verdicts():
     unresolvable = verify_claim(
         ghost_issuer, now, stack.resolver, frozenset({"did:efed:ghost"})
     )
-    assert not unresolvable.valid and unresolvable.reason == "unresolvable-issuer"
+    assert unresolvable == (False, "unresolvable-issuer")
 
 
 def test_signature_swap_between_claims_is_invalid():
@@ -106,7 +105,7 @@ def test_signature_swap_between_claims_is_invalid():
     b = stack.issuer.issue(alice.did, "role", "researcher", 3600)
     franken = dataclasses.replace(a, signature=b.signature)
     verdict = verify_claim(franken, stack.clock(), stack.resolver, stack.trusted)
-    assert not verdict.valid and verdict.reason == "bad-signature"
+    assert verdict == (False, "bad-signature")
 
 
 # --------------------------------------------------------------- ratelimit
@@ -286,6 +285,30 @@ def test_scheme_a_grant_happy_path():
     assert grants[0].payload_dict()["token"] == outcome.grant.token
     assert stack.gateway.pending.size == 0
     assert stack.gateway.grants.validate(outcome.grant.token, stack.clock()) is not None
+
+
+def test_gateway_returns_the_contracts_outcome(monkeypatch):
+    stack = Stack()
+    stack.deploy_membership_policy()
+    member = qualified_user(stack)
+    outsider = stack.register_actor("outsider")
+    executed = []
+    original = stack.engine.execute
+
+    def execute(*args, **kwargs):
+        executed.append(original(*args, **kwargs))
+        return executed[-1]
+
+    monkeypatch.setattr(stack.engine, "execute", execute)
+    outcomes = [
+        stack.request_a(member.did),
+        stack.request_b(member.did),
+        stack.request_a(outsider.did),
+        stack.request_b(outsider.did),
+    ]
+    assert [o.decision for o in outcomes] == ["granted", "granted", "denied", "denied"]
+    assert len(executed) == 4
+    assert all(o is e for o, e in zip(outcomes, executed))
 
 
 def test_grant_store_evicts_expired_grants():
@@ -534,7 +557,7 @@ def test_import_legacy_accounts_round_trip():
     assert doc.claims[-1].claim_type == "role"
     assert doc.claims[-1].value == "doctor"
     verdict = verify_claim(doc.claims[-1], stack.clock(), stack.resolver, stack.trusted)
-    assert verdict.valid
+    assert verdict == (True, "valid")
 
     again = import_legacy_accounts(accounts, stack.registry, stack.issuer)
     assert [r.status for r in again] == ["skipped", "skipped"]

@@ -106,15 +106,6 @@ def test_predicate_matching():
         ClaimPredicate(kind="matches_regex")
 
 
-def test_predicate_round_trip():
-    for p in (
-        ClaimPredicate(kind="equals", value="x"),
-        ClaimPredicate(kind="one_of", values=("b", "a")),
-        ClaimPredicate(kind="present"),
-    ):
-        assert ClaimPredicate.from_dict(p.to_dict()).matches("a") == p.matches("a")
-
-
 def test_contract_requires_claims():
     with pytest.raises(ValidationError):
         AccessPolicyContract.create((), "svc", "did:efed:owner")
@@ -194,7 +185,7 @@ def test_grant_when_all_claims_valid():
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
     verdict = engine.execute(cid, holder)
-    assert verdict.granted
+    assert verdict.decision == "granted"
     assert verdict.grant is not None
     assert verdict.grant.expires_at == 10_000 + 3600
     grants = chain.transactions("access_grant")
@@ -215,7 +206,7 @@ def test_denial_lists_missing_claim_types():
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
     verdict = engine.execute(cid, holder)
-    assert not verdict.granted and verdict.grant is None
+    assert verdict.decision == "denied" and verdict.grant is None
     assert verdict.missing == ("role",)
     denials = chain.transactions("access_denial")
     assert len(denials) == 1
@@ -230,7 +221,7 @@ def test_expired_claim_denied():
     )
     holder = holder_with([membership_claim(expires_at=9_500)])
     verdict = engine.execute(cid, holder)
-    assert not verdict.granted
+    assert verdict.decision == "denied"
     assert verdict.missing == ("consortium_member",)
 
 
@@ -270,7 +261,7 @@ def test_claim_for_other_subject_does_not_count():
         issued_at=9_000, expires_at=20_000,
     )
     verdict = engine.execute(cid, holder_with([borrowed]))
-    assert not verdict.granted
+    assert verdict.decision == "denied"
 
 
 def test_unknown_contract():
@@ -297,9 +288,9 @@ def test_granted_now_implies_granted_since_issuance():
     claim = membership_claim(issued_at=9_000, expires_at=20_000)
     holder = holder_with([claim])
     now = 15_000
-    assert engine.evaluate(cid, holder, now=now).granted
+    assert engine.evaluate(cid, holder, now=now).decision == "granted"
     for t in range(9_000, now + 1, 500):
-        assert engine.evaluate(cid, holder, now=t).granted
+        assert engine.evaluate(cid, holder, now=t).decision == "granted"
 
 
 def test_grant_tokens_are_fresh_random():
@@ -340,4 +331,4 @@ def test_verdict_matches_predicate_and_validity_oracle(value, now, issuer_truste
     should_grant = (
         value == "yes" and issuer_trusted and 9_000 <= now < 20_000
     )
-    assert verdict.granted == should_grant
+    assert (verdict.decision == "granted") == should_grant

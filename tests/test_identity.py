@@ -250,14 +250,15 @@ def test_resolve_returns_latest_version():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    result = resolver.resolve("did:efed:alice01", nonce=b"\x01" * 16)
-    assert result.document == doc
-    assert result.resolved_by == "registry"
-    assert result.attestation.verify(doc.canonical_bytes(), resolver.public_key)
+    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x01" * 16)
+    assert attestation.did == "did:efed:alice01"
+    assert attestation.verify(doc.canonical_bytes(), resolver.public_key)
 
-    registry.update(make_document(version=2)[0])
-    result2 = resolver.resolve("did:efed:alice01", nonce=b"\x02" * 16)
-    assert result2.document.version == 2
+    updated = make_document(version=2)[0]
+    registry.update(updated)
+    attestation2 = resolver.resolve("did:efed:alice01", nonce=b"\x02" * 16)
+    assert attestation2.verify(updated.canonical_bytes(), resolver.public_key)
+    assert not attestation2.verify(doc.canonical_bytes(), resolver.public_key)
 
 
 def test_resolve_errors():
@@ -277,7 +278,8 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
     monkeypatch.setattr(KeyPair, "sign", lambda self, m: signed.append(m) or original(self, m))
     assert resolver.fetch("did:efed:alice01") == doc
     assert signed == []
-    assert resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16).document == doc
+    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
+    assert attestation.verify(doc.canonical_bytes(), resolver.public_key)
     assert len(signed) == 1
     with pytest.raises(NoDriverError):
         resolver.fetch("did:bogus:alice01")
@@ -287,8 +289,6 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
 
 class LoopbackDriver:
     """A second backend with one fixed document, to show routing by method."""
-
-    name = "loopback"
 
     def __init__(self, document):
         self._document = document
@@ -305,12 +305,11 @@ def test_driver_routing_is_per_method():
     loop = LoopbackDriver(other)
     resolver.register_driver("loop", loop)
 
-    routes = {
-        "did:efed:alice01": "registry",
-        "did:loop:probe": "loopback",
-    }
+    routes = {"did:efed:alice01": doc, "did:loop:probe": other}
     for did, expected in routes.items():
-        assert resolver.resolve(did, nonce=b"\x05" * 16).resolved_by == expected
+        attestation = resolver.resolve(did, nonce=b"\x05" * 16)
+        assert attestation.verify(expected.canonical_bytes(), resolver.public_key)
+    assert resolver.fetch("did:loop:probe") == other
     with pytest.raises(ValidationError):
         resolver.register_driver("efed", loop)
 
@@ -321,18 +320,18 @@ def test_distinct_nonces_distinct_attestations():
     registry.register(doc, profile_hash="p")
     r1 = resolver.resolve("did:efed:alice01", nonce=b"\xaa" * 16)
     r2 = resolver.resolve("did:efed:alice01", nonce=b"\xbb" * 16)
-    assert r1.document == r2.document
-    assert r1.attestation.signature != r2.attestation.signature
+    assert r1.document_digest == r2.document_digest
+    assert r1.signature != r2.signature
     body = doc.canonical_bytes()
-    assert r1.attestation.verify(body, resolver.public_key)
-    assert r2.attestation.verify(body, resolver.public_key)
+    assert r1.verify(body, resolver.public_key)
+    assert r2.verify(body, resolver.public_key)
     # an attestation is bound to its own nonce
     swapped = Attestation(
-        did=r1.attestation.did,
-        nonce=r2.attestation.nonce,
-        document_digest=r1.attestation.document_digest,
-        resolver=r1.attestation.resolver,
-        signature=r1.attestation.signature,
+        did=r1.did,
+        nonce=r2.nonce,
+        document_digest=r1.document_digest,
+        resolver=r1.resolver,
+        signature=r1.signature,
     )
     assert not swapped.verify(body, resolver.public_key)
 
@@ -343,18 +342,18 @@ def test_attestation_detects_any_bit_flip(data):
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    result = resolver.resolve("did:efed:alice01", nonce=b"\x0f" * 16)
+    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x0f" * 16)
     body = bytearray(doc.canonical_bytes())
     bit = data.draw(st.integers(min_value=0, max_value=len(body) * 8 - 1))
     body[bit // 8] ^= 1 << (bit % 8)
-    assert not result.attestation.verify(bytes(body), resolver.public_key)
+    assert not attestation.verify(bytes(body), resolver.public_key)
 
 
 def test_attestation_round_trip():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    att = resolver.resolve("did:efed:alice01", nonce=b"\x3c" * 16).attestation
+    att = resolver.resolve("did:efed:alice01", nonce=b"\x3c" * 16)
     again = Attestation.from_dict(att.to_dict())
     assert again == att
     assert again.verify(doc.canonical_bytes(), resolver.public_key)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -35,6 +36,34 @@ def test_default_scenario_happy_path(tmp_path):
     assert ok
     for artifact in ("events.jsonl", "identity.jsonl", "summary.json", "data/manifest.json"):
         assert (result.out_dir / artifact).exists()
+
+
+# sha256 of the seed-7 demo's ledger-side artifacts. They hold no floating
+# point values, so the digests are the same on every machine; a change that
+# moves one of them changes a chain payload, an event or an identity record.
+LEDGER_DIGESTS = {
+    "contract_lookup": {
+        "chain.jsonl": "7d09061919a1016768a998f119380c3c0def3f4ec16575d7be99b8f91529aed8",
+        "events.jsonl": "fd0645b8b9621313db53675f860ec9b9f0d0811285bcec11b75e681e46be68f1",
+        "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+    },
+    "user_lookup": {
+        "chain.jsonl": "86ac2b1816cac5aec7983933bd50cccab53ead27c2a2b882da78302a80e02d93",
+        "events.jsonl": "2f7f4b2f4f57523c733c445ff8a06975e7ac349e31f24d7926496a553fe9edb6",
+        "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(LEDGER_DIGESTS))
+def test_seed_7_ledger_artifacts_are_pinned(tmp_path, scheme):
+    result = run_demo(demo_config(tmp_path, seed=7, scheme=scheme))
+    assert result.exit_code == 0
+    digests = {
+        name: hashlib.sha256((result.out_dir / name).read_bytes()).hexdigest()
+        for name in LEDGER_DIGESTS[scheme]
+    }
+    assert digests == LEDGER_DIGESTS[scheme]
 
 
 def test_denial_lands_on_chain(tmp_path):
@@ -108,19 +137,30 @@ def test_scenario_config_invariants():
         ScenarioConfig(qualified_users=5)
 
 
+PAST_T = [{"roundIndex": 9, "nodeId": "node-000"}]
+
+
 @pytest.mark.parametrize(
-    "fault, message",
-    [(FaultEvent(9, "node-000"), "beyond T=8"), (FaultEvent(2, "node-999"), "unknown node")],
-    ids=["beyond-final-round", "unknown-node"],
+    "raw, message, written",
+    [
+        ({"faultSchedule": PAST_T}, "beyond T=8", None),
+        ({"qualifiedUsers": 0, "faultSchedule": PAST_T}, "beyond T=8", None),
+        ({"faultSchedule": [{"roundIndex": 2, "nodeId": "node-999"}]}, "unknown node", ["data"]),
+    ],
+    ids=["beyond-final-round", "beyond-final-round-nobody-granted", "unknown-node"],
 )
-def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(tmp_path, capsys, fault, message):
-    config = ScenarioConfig(fault_schedule=(fault,))
+def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(
+    tmp_path, capsys, raw, message, written
+):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(config.to_dict()))
+    path.write_text(json.dumps(raw))
     out = tmp_path / "demo"
     assert main(["demo", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["data"]
+    if written is None:  # refused when the config is read
+        assert not out.exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == written
 
 
 def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):

@@ -35,13 +35,6 @@ def run_script(name, *args, cwd):
     return run_python([str(script), *args], cwd, "src")
 
 
-def test_flood_benchmark_script(tmp_path):
-    result = run_script("flood_benchmark.py", "--requests", "2000", cwd=tmp_path)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "pending peak          256" in result.stdout
-    assert "ledger growth         2 blocks" in result.stdout
-
-
 def test_run_demo_script(tmp_path):
     result = run_script("run_demo.py", "--out", str(tmp_path / "demo"), "--seed", "7", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
