@@ -10,6 +10,7 @@ reason for every rejection.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable
 
 from ..claims import VerifiableClaim, sign_claim
@@ -17,6 +18,10 @@ from ..errors import FedGateError
 from ..identity import DidRegistry, Resolver
 from ..identity.registry import UnknownDidError
 from ..keys import KeyPair
+
+CLAIM_CACHE_SIZE = 4096
+
+SignatureCache = OrderedDict[tuple[VerifiableClaim, tuple[bytes, ...]], bool]
 
 
 class ForbiddenIssuerError(FedGateError):
@@ -64,11 +69,15 @@ def verify_claim(
     now: int,
     resolver: Resolver,
     trusted_issuers: frozenset[str],
+    cache: SignatureCache,
 ) -> tuple[bool, str]:
     """Stand-alone verifier: trust, signature against issuer document, window.
 
     Returns ``(valid, reason)``, the shape the contract engine's claim
-    checker takes.
+    checker takes. ``cache`` holds the last ``CLAIM_CACHE_SIZE`` signature
+    results, least recently used first, keyed by the claim and its issuer's
+    current keys: a repeat check skips Ed25519, a rotated key misses. Trust,
+    issuer lookup and the validity window run on every call.
     """
     if claim.issuer not in trusted_issuers:
         return False, "untrusted-issuer"
@@ -76,8 +85,15 @@ def verify_claim(
         issuer = resolver.fetch(claim.issuer)
     except (UnknownDidError, FedGateError):
         return False, "unresolvable-issuer"
-    issuer_keys = [k.public_bytes for k in issuer.public_keys]
-    if not claim.signature_valid(issuer_keys):
+    key = (claim, tuple(k.public_bytes for k in issuer.public_keys))
+    # Pop and re-insert, not get and move_to_end, so concurrent checks cannot raise.
+    signed = cache.pop(key, None)
+    if signed is None:
+        signed = claim.signature_valid(key[1])
+    cache[key] = signed
+    while len(cache) > CLAIM_CACHE_SIZE:
+        cache.popitem(last=False)
+    if not signed:
         return False, "bad-signature"
     if now < claim.issued_at:
         return False, "not-yet-valid"
@@ -89,5 +105,6 @@ def verify_claim(
 def make_claim_checker(
     resolver: Resolver, trusted_issuers: frozenset[str]
 ) -> Callable[[VerifiableClaim, int], tuple[bool, str]]:
-    """Adapter feeding this policy into the contract engine."""
-    return lambda claim, now: verify_claim(claim, now, resolver, trusted_issuers)
+    """Adapter feeding this policy into the contract engine, with its own cache."""
+    cache: SignatureCache = OrderedDict()
+    return lambda claim, now: verify_claim(claim, now, resolver, trusted_issuers, cache)

@@ -25,7 +25,17 @@ class VerifiableClaim:
     expires_at: int
     signature: bytes
 
+    _FIELD_TYPES = (
+        ("claim_type", str), ("value", str), ("subject", str), ("issuer", str),
+        ("issued_at", int), ("expires_at", int), ("signature", bytes),
+    )
+
     def __post_init__(self) -> None:
+        # Claims are hashed as cache keys: each field must hold its declared type.
+        for name, kind in self._FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValidationError(f"claim field {name} must be {kind.__name__}")
         if self.issued_at >= self.expires_at:
             raise ValidationError(
                 f"claim '{self.claim_type}' issued_at {self.issued_at} must precede "
@@ -45,7 +55,7 @@ class VerifiableClaim:
             }
         )
 
-    def signature_valid(self, issuer_public_keys: list[bytes]) -> bool:
+    def signature_valid(self, issuer_public_keys: tuple[bytes, ...]) -> bool:
         """Check the signature against any of the issuer's published keys."""
         message = self.signing_bytes()
         return any(verify_signature(pk, message, self.signature) for pk in issuer_public_keys)
@@ -68,8 +78,8 @@ class VerifiableClaim:
             value=data["value"],
             subject=data["subject"],
             issuer=data["issuer"],
-            issued_at=int(data["issuedAt"]),
-            expires_at=int(data["expiresAt"]),
+            issued_at=data["issuedAt"],
+            expires_at=data["expiresAt"],
             signature=from_hex(data["signature"]),
         )
 

@@ -6,6 +6,7 @@ strings so documents and logs stay canonical and comparable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -20,33 +21,27 @@ ALGORITHM = "Ed25519"
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An Ed25519 keypair with raw public bytes exposed."""
+    """An Ed25519 keypair with raw public bytes exposed; ``sign`` reuses one key object."""
 
     private_bytes: bytes = field(repr=False)
-    public_bytes: bytes
+    public_bytes: bytes = field(init=False)
+    _key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.private_bytes) != 32:
+            raise ValueError("Ed25519 seed must be exactly 32 bytes")
+        key = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
+        object.__setattr__(self, "_key", key)
+        public = key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        object.__setattr__(self, "public_bytes", public)
 
     @classmethod
     def generate(cls, seed: bytes | None = None) -> "KeyPair":
         """Create a keypair, deterministically when a 32-byte seed is given."""
-        if seed is None:
-            private = Ed25519PrivateKey.generate()
-            from cryptography.hazmat.primitives.serialization import (
-                NoEncryption,
-                PrivateFormat,
-            )
-
-            raw = private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
-        else:
-            if len(seed) != 32:
-                raise ValueError("Ed25519 seed must be exactly 32 bytes")
-            raw = seed
-            private = Ed25519PrivateKey.from_private_bytes(raw)
-        public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return cls(private_bytes=raw, public_bytes=public)
+        return cls(os.urandom(32) if seed is None else seed)
 
     def sign(self, message: bytes) -> bytes:
-        key = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
-        return key.sign(message)
+        return self._key.sign(message)
 
 
 def verify_signature(public_bytes: bytes, message: bytes, signature: bytes) -> bool:

@@ -9,6 +9,7 @@ import itertools
 import json
 import time
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 
@@ -263,7 +264,8 @@ def test_06_claim_security():
         )
 
     honest_valid = sum(
-        verify_claim(honest(i), now, stack.resolver, stack.trusted) == (True, "valid")
+        verify_claim(honest(i), now, stack.resolver, stack.trusted, OrderedDict())
+        == (True, "valid")
         for i in range(100)
     )
 
@@ -288,7 +290,7 @@ def test_06_claim_security():
                 issued_at=now,
                 expires_at=now + 1000,
             )
-        valid, _reason = verify_claim(forged, now, stack.resolver, stack.trusted)
+        valid, _reason = verify_claim(forged, now, stack.resolver, stack.trusted, OrderedDict())
         if not valid:
             tampered_invalid += 1
     ok = honest_valid == 100 and tampered_invalid == 100

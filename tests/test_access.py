@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,12 @@ from fedgate.access import (
     read_accounts_csv,
     verify_claim,
 )
-from fedgate.access.issuance import ForbiddenIssuerError
+from fedgate.access.issuance import CLAIM_CACHE_SIZE, ForbiddenIssuerError
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
-from fedgate.identity import DidDocument
+from fedgate.identity import DidDocument, PublicKeyEntry
 from fedgate.identity.registry import UnknownDidError
 from fedgate.keys import KeyPair, verify_signature
 from fedgate.ledger import ClaimPredicate, ClaimRequirement
@@ -68,19 +69,22 @@ def test_verify_claim_verdicts():
     claim = stack.issuer.issue(alice.did, "consortium_member", "yes", 3600)
     now = stack.clock()
 
-    assert verify_claim(claim, now, stack.resolver, stack.trusted) == (True, "valid")
+    valid = verify_claim(claim, now, stack.resolver, stack.trusted, OrderedDict())
+    assert valid == (True, "valid")
 
-    expired = verify_claim(claim, now + 3600, stack.resolver, stack.trusted)
+    expired = verify_claim(claim, now + 3600, stack.resolver, stack.trusted, OrderedDict())
     assert expired == (False, "expired")
 
-    early = verify_claim(claim, claim.issued_at - 1, stack.resolver, stack.trusted)
+    early = verify_claim(claim, claim.issued_at - 1, stack.resolver, stack.trusted, OrderedDict())
     assert early == (False, "not-yet-valid")
 
     tampered = dataclasses.replace(claim, value="no")
-    bad = verify_claim(tampered, now, stack.resolver, stack.trusted)
+    bad = verify_claim(tampered, now, stack.resolver, stack.trusted, OrderedDict())
     assert bad == (False, "bad-signature")
 
-    untrusted = verify_claim(claim, now, stack.resolver, frozenset({"did:efed:other"}))
+    untrusted = verify_claim(
+        claim, now, stack.resolver, frozenset({"did:efed:other"}), OrderedDict()
+    )
     assert untrusted == (False, "untrusted-issuer")
 
     ghost_issuer = sign_claim(
@@ -93,7 +97,7 @@ def test_verify_claim_verdicts():
         expires_at=now + 10,
     )
     unresolvable = verify_claim(
-        ghost_issuer, now, stack.resolver, frozenset({"did:efed:ghost"})
+        ghost_issuer, now, stack.resolver, frozenset({"did:efed:ghost"}), OrderedDict()
     )
     assert unresolvable == (False, "unresolvable-issuer")
 
@@ -104,8 +108,129 @@ def test_signature_swap_between_claims_is_invalid():
     a = stack.issuer.issue(alice.did, "consortium_member", "yes", 3600)
     b = stack.issuer.issue(alice.did, "role", "researcher", 3600)
     franken = dataclasses.replace(a, signature=b.signature)
-    verdict = verify_claim(franken, stack.clock(), stack.resolver, stack.trusted)
+    verdict = verify_claim(franken, stack.clock(), stack.resolver, stack.trusted, OrderedDict())
     assert verdict == (False, "bad-signature")
+
+
+# --------------------------------------------------- claim signature cache
+
+
+def rotate_issuer_key(stack, key):
+    """Publish ``key`` as the issuer's only key, in its document's next version."""
+    current = stack.registry.get(ISSUER_DID)
+    stack.registry.update(
+        dataclasses.replace(
+            current,
+            public_keys=(PublicKeyEntry("key-1", "Ed25519", key.public_bytes),),
+            version=current.version + 1,
+        )
+    )
+
+
+def test_cached_signature_misses_after_issuer_key_rotation():
+    stack = Stack()
+    alice = stack.register_actor("alice")
+    claim = stack.issuer.issue(alice.did, "consortium_member", "yes", 3600)
+    now, cache = stack.clock(), OrderedDict()
+    assert verify_claim(claim, now, stack.resolver, stack.trusted, cache) == (True, "valid")
+
+    new_key = stack.keypair("issuer", 1)
+    rotate_issuer_key(stack, new_key)
+    stale = verify_claim(claim, now, stack.resolver, stack.trusted, cache)
+    assert stale == (False, "bad-signature")
+    resigned = dataclasses.replace(claim, signature=new_key.sign(claim.signing_bytes()))
+    assert verify_claim(resigned, now, stack.resolver, stack.trusted, cache) == (True, "valid")
+
+
+def test_cached_signature_still_checks_trust_and_window(crypto_counts):
+    stack = Stack()
+    alice = stack.register_actor("alice")
+    claim = stack.issuer.issue(alice.did, "consortium_member", "yes", 3600)
+    cache = OrderedDict()
+
+    def check(now, trusted=stack.trusted):
+        return verify_claim(claim, now, stack.resolver, trusted, cache)
+
+    crypto_counts.update(verify=0)
+    assert check(claim.issued_at) == (True, "valid")
+    assert check(claim.expires_at) == (False, "expired")
+    assert check(claim.issued_at - 1) == (False, "not-yet-valid")
+    assert check(claim.issued_at, frozenset({"did:efed:other"})) == (False, "untrusted-issuer")
+    assert crypto_counts["verify"] == 1
+
+
+def test_signature_cache_evicts_least_recently_used(crypto_counts):
+    stack = Stack()
+    alice = stack.register_actor("alice")
+    now, cache = stack.clock(), OrderedDict()
+    claims = [
+        sign_claim(
+            stack.issuer_actor.key,
+            claim_type="seat",
+            value=str(i),
+            subject=alice.did,
+            issuer=ISSUER_DID,
+            issued_at=now,
+            expires_at=now + 10,
+        )
+        for i in range(CLAIM_CACHE_SIZE + 1)
+    ]
+
+    def verifies(claim):
+        crypto_counts.update(verify=0)
+        assert verify_claim(claim, now, stack.resolver, stack.trusted, cache) == (True, "valid")
+        return crypto_counts["verify"]
+
+    assert sum(verifies(claim) for claim in claims) == CLAIM_CACHE_SIZE + 1
+    assert len(cache) == CLAIM_CACHE_SIZE
+    assert verifies(claims[0]) == 1  # evicted; checking it again evicts claims[1]
+    assert verifies(claims[2]) == 0  # a hit makes claims[2] the most recent
+    assert verifies(claims[1]) == 1  # so this miss evicts claims[3], not claims[2]
+    assert (verifies(claims[2]), verifies(claims[3])) == (0, 1)
+    assert len(cache) == CLAIM_CACHE_SIZE
+
+
+CACHE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("rotate"), st.integers(0, 2)),
+        st.tuples(st.just("check"), st.integers(0, 8), st.integers(-5, 25)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=CACHE_STEPS)
+def test_shared_cache_agrees_with_fresh_verification(steps):
+    """Honest, tampered and short-lived claims under three issuer keys, checked
+    at random times while the issuer's published key rotates among them."""
+    stack = Stack()
+    alice = stack.register_actor("alice")
+    t0, cache = stack.clock(), OrderedDict()
+    claims = []
+    for index in range(3):
+        key = stack.keypair("issuer", index)
+        honest, short = (
+            sign_claim(
+                key,
+                claim_type="consortium_member",
+                value="yes",
+                subject=alice.did,
+                issuer=ISSUER_DID,
+                issued_at=t0,
+                expires_at=t0 + lifetime,
+            )
+            for lifetime in (20, 3)
+        )
+        claims += [honest, dataclasses.replace(honest, value="no"), short]
+    for step in steps:
+        if step[0] == "rotate":
+            rotate_issuer_key(stack, stack.keypair("issuer", step[1]))
+            continue
+        claim, now = claims[step[1]], t0 + step[2]
+        shared = verify_claim(claim, now, stack.resolver, stack.trusted, cache)
+        assert shared == verify_claim(claim, now, stack.resolver, stack.trusted, OrderedDict())
 
 
 # --------------------------------------------------------------- ratelimit
@@ -556,7 +681,9 @@ def test_import_legacy_accounts_round_trip():
     doc = stack.registry.get("did:efed:legacy-dr_smith")
     assert doc.claims[-1].claim_type == "role"
     assert doc.claims[-1].value == "doctor"
-    verdict = verify_claim(doc.claims[-1], stack.clock(), stack.resolver, stack.trusted)
+    verdict = verify_claim(
+        doc.claims[-1], stack.clock(), stack.resolver, stack.trusted, OrderedDict()
+    )
     assert verdict == (True, "valid")
 
     again = import_legacy_accounts(accounts, stack.registry, stack.issuer)
@@ -610,6 +737,10 @@ def test_contract_lookup_grant_signs_nothing(crypto_counts):
     assert stack.request_a(alice.did).decision == "granted"
     # The claim signature is the only check; no attestation is made or checked.
     assert crypto_counts == {"sign": 0, "verify": 1}
+    # A repeat grant finds the claim signature in the desk's cache.
+    crypto_counts.update(sign=0, verify=0)
+    assert stack.request_a(alice.did).decision == "granted"
+    assert crypto_counts == {"sign": 0, "verify": 0}
 
 
 def test_user_lookup_grant_signs_once_at_the_front_desk(crypto_counts):
@@ -620,6 +751,10 @@ def test_user_lookup_grant_signs_once_at_the_front_desk(crypto_counts):
     assert stack.request_b(alice.did).decision == "granted"
     # One attestation signed at the front desk; it and the claim are checked.
     assert crypto_counts == {"sign": 1, "verify": 2}
+    # A repeat grant signs and checks a fresh attestation; the claim is cached.
+    crypto_counts.update(sign=0, verify=0)
+    assert stack.request_b(alice.did).decision == "granted"
+    assert crypto_counts == {"sign": 1, "verify": 1}
 
 
 def test_stack_registers_hundreds_of_actors():

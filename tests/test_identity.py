@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgate.claims import sign_claim
+from fedgate.claims import VerifiableClaim, sign_claim
 from fedgate.errors import ValidationError
 from fedgate.identity import (
     AlreadyRegisteredError,
@@ -26,7 +26,7 @@ from fedgate.identity import (
     WrongSchemeError,
     parse_did,
 )
-from fedgate.keys import KeyPair
+from fedgate.keys import KeyPair, verify_signature
 
 METHOD_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
 SPECIFIC_ALPHA = METHOD_ALPHA + METHOD_ALPHA.upper() + "._-"
@@ -85,6 +85,28 @@ def test_parse_format_round_trip(method, specific):
     assert parse_did(str(did)) == did
 
 
+# -------------------------------------------------------------------- keys
+
+
+def test_seeded_keypair_is_pinned_and_comparable():
+    key = KeyPair.generate(b"\x07" * 32)
+    assert key.public_bytes.hex() == (
+        "ea4a6c63e29c520abef5507b132ec5f9954776aebebe7b92421eea691446d22c"
+    )
+    assert key == KeyPair.generate(b"\x07" * 32)
+    assert key != KeyPair.generate(b"\x08" * 32)
+    with pytest.raises(ValueError):
+        KeyPair.generate(b"\x07" * 31)
+
+
+def test_random_keypairs_differ_and_verify_their_own_signatures():
+    a, b = KeyPair.generate(), KeyPair.generate()
+    assert a != b and a.public_bytes != b.public_bytes
+    for key in (a, b):
+        assert verify_signature(key.public_bytes, b"message", key.sign(b"message"))
+    assert not verify_signature(b.public_bytes, b"message", a.sign(b"message"))
+
+
 # ---------------------------------------------------------------- document
 
 
@@ -132,6 +154,43 @@ def test_with_claim_bumps_version():
     assert updated.version == doc.version + 1
     assert updated.claims[-1] == claim
     assert doc.claims == ()
+
+
+CLAIM_DICT = sign_claim(
+    KeyPair.generate(b"\x0d" * 32),
+    claim_type="role",
+    value="researcher",
+    subject="did:efed:alice01",
+    issuer="did:efed:issuer",
+    issued_at=5,
+    expires_at=9,
+).to_dict()
+
+BAD_CLAIM_FIELDS = [
+    ("claimType", 5),
+    ("value", ["yes"]),
+    ("value", None),
+    ("subject", {"id": "did:efed:alice01"}),
+    ("issuer", b"did:efed:issuer"),
+    ("issuedAt", "5"),
+    ("issuedAt", 5.0),
+    ("issuedAt", False),
+    ("expiresAt", [9]),
+    ("expiresAt", True),
+]
+
+
+@pytest.mark.parametrize(("field", "value"), BAD_CLAIM_FIELDS)
+def test_claim_rejects_fields_of_the_wrong_type(field, value):
+    assert VerifiableClaim.from_dict(CLAIM_DICT).to_dict() == CLAIM_DICT
+    with pytest.raises(ValidationError):
+        VerifiableClaim.from_dict({**CLAIM_DICT, field: value})
+
+
+def test_claim_signature_must_be_bytes():
+    claim = VerifiableClaim.from_dict(CLAIM_DICT)
+    with pytest.raises(ValidationError):
+        VerifiableClaim(**{**vars(claim), "signature": CLAIM_DICT["signature"]})
 
 
 # ---------------------------------------------------------------- registry
@@ -234,6 +293,17 @@ def test_log_replay_reproduces_state(tmp_path):
     # replay enforces the same uniqueness rules
     with pytest.raises(DuplicateProfileError):
         replayed.register(make_document("carol01", seed=3)[0], profile_hash="pa")
+
+
+@pytest.mark.parametrize(("field", "value"), BAD_CLAIM_FIELDS[:2])
+def test_log_replay_rejects_a_claim_of_the_wrong_type(tmp_path, field, value):
+    document, _ = make_document()
+    line = {"op": "register", "document": document.to_dict(), "profileHash": "p"}
+    line["document"]["claims"] = [{**CLAIM_DICT, field: value}]
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ValidationError):
+        DidRegistry.replay_log(path)
 
 
 # ---------------------------------------------------------------- resolver

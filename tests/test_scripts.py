@@ -7,9 +7,11 @@ wraps, so a rename in ``src`` that would break ``bench/`` fails here too,
 and a short traced run of each workload must pass its checks: every
 exercised span records calls, the traced run leaves the same artifacts as
 the untraced one, and the flood agrees with the benchmark's pending-table
-oracle.
+oracle. The access run must also stay under 1.5 Ed25519 operations per
+decision, which only holds while repeat claim checks hit the signature cache.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -67,3 +69,6 @@ def test_bench_training_workload_traced(tmp_path, workload):
 def test_bench_access_workloads_traced(tmp_path, workload):
     result = run_bench_traced(workload, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+    if workload == "access":
+        metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
+        assert metrics["keys.sig_ops_per_decision"]["value"] < 1.5  # 1.94 uncached
