@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .canonical import canonical_json_bytes, from_hex, to_hex
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 from .keys import KeyPair, verify_signature
 
 
@@ -32,10 +32,7 @@ class VerifiableClaim:
 
     def __post_init__(self) -> None:
         # Claims are hashed as cache keys: each field must hold its declared type.
-        for name, kind in self._FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValidationError(f"claim field {name} must be {kind.__name__}")
+        check_field_types(self, "claim", self._FIELD_TYPES)
         if self.issued_at >= self.expires_at:
             raise ValidationError(
                 f"claim '{self.claim_type}' issued_at {self.issued_at} must precede "

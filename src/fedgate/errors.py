@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the field type check records loaded from JSON share."""
 
 
 class FedGateError(Exception):
@@ -7,3 +7,13 @@ class FedGateError(Exception):
 
 class ValidationError(FedGateError):
     """An input or invariant check failed."""
+
+
+def check_field_types(
+    record: object, what: str, field_types: tuple[tuple[str, type], ...]
+) -> None:
+    """Refuse a record whose named fields do not hold their types; a bool is no int."""
+    for name, kind in field_types:
+        value = getattr(record, name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValidationError(f"{what} field {name} must be {kind.__name__}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -74,14 +74,14 @@ def client_round_seed(rng_seed: int, round_index: int, client_id: str) -> int:
 
 
 def select_clients(
-    config: FederationConfig, t: int, client_ids: Sequence[str] | None = None
+    config: FederationConfig, t: int, client_ids: Collection[str] | None = None
 ) -> RoundPlan:
     """Sample a uniform K-subset without replacement for round ``t``.
 
     The stream is keyed by (rng_seed, t) so every round is independently
-    reproducible. ``client_ids`` defaults to "0".."N-1"; when a smaller
-    roster is passed (a client was lost without standby), K is clamped to
-    the roster size.
+    reproducible. ``client_ids`` (in any order; sorted here) defaults to
+    "0".."N-1"; when a smaller roster is passed (a client was lost without
+    standby), K is clamped to the roster size.
     """
     if not 1 <= t <= config.total_rounds:
         raise ValidationError(f"round index {t} outside [1, {config.total_rounds}]")
@@ -179,15 +179,15 @@ def run_federation(
         unknown = eligible - all_ids
         if unknown:
             raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
-        plan = select_clients(config, t, sorted(eligible))
+        plan = select_clients(config, t, eligible)
 
         # Clients are mutually independent, so the round's cohort trains in
         # one stacked call; aggregation still reduces in sorted-id order.
+        cohort = [by_id[cid] for cid in plan.selected]
         seeds = [client_round_seed(config.rng_seed, t, cid) for cid in plan.selected]
-        cohort = local_train(model, [by_id[cid] for cid in plan.selected], config, seeds)
-        updates = dict(zip(plan.selected, cohort))
+        updates = dict(zip(plan.selected, local_train(model, cohort, config, seeds)))
 
-        weights = compute_weights(plan, partitions, config)
+        weights = compute_weights(plan, cohort, config)
         model = aggregate(updates, weights)
         if model.max_abs() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")

@@ -9,11 +9,16 @@ import numpy as np
 from ..errors import FedGateError, ValidationError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition
-from .losses import _sigmoid, stacked_gradient
+from .losses import stacked_gradient
 from .model import ModelParameters
 
 # A job is aborted once any weight magnitude passes this bound.
 DIVERGENCE_LIMIT = 1e6
+
+# The least z with ``_sigmoid(z) >= 0.5``. Below zero ``_sigmoid`` returns
+# exp(z) / (1 + exp(z)), which is 0.5 only while numpy's exp(z) rounds to 1.0;
+# its SIMD exp does so down to here (the tests pin this against ``_sigmoid``).
+SIGMOID_HALF = -4.510281037539698e-17
 
 
 class TrainingDivergedError(FedGateError):
@@ -104,16 +109,25 @@ class FleetScores:
 
 
 def global_loss(scores: np.ndarray, labels: np.ndarray, loss: LossSpec) -> float:
-    """Mean loss over the pooled samples' scores; ``mean_loss`` on the same scores."""
+    """Mean loss over the pooled samples' scores. Logistic softplus is taken as
+    max(z, 0) + log1p(exp(-|z|)), the formula ``np.logaddexp(0, z)`` uses, but
+    with numpy's vectorised ``exp``: one ``exp`` and one ``log1p`` per sample."""
     if loss.kind == "squared_error":
         return float(np.mean((scores - labels) ** 2))
-    return float(np.mean(np.logaddexp(0.0, scores) - labels * scores))
+    out = np.abs(scores)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(scores, 0.0)
+    out -= labels * scores
+    return float(np.mean(out))
 
 
 def training_accuracy(scores: np.ndarray, labels: np.ndarray, loss: LossSpec) -> float:
-    """Share of samples right under ``predict``: p >= 0.5 matches a {0,1} label, or |z - y| <= 0.5."""
+    """Share of samples right: sigmoid p >= 0.5 matches a {0,1} label (read as
+    z >= ``SIGMOID_HALF``, so no ``exp``), or |z - y| <= 0.5 for squared error."""
     if loss.kind == "logistic":
-        hits = (_sigmoid(scores) >= 0.5) == (labels >= 0.5)
+        hits = (scores >= SIGMOID_HALF) == (labels >= 0.5)
     else:
         hits = np.abs(scores - labels) <= 0.5
     return int(np.count_nonzero(hits)) / labels.shape[0]

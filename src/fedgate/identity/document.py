@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..claims import VerifiableClaim
-from ..errors import ValidationError
+from ..errors import ValidationError, check_field_types
 from .did import DidIdentifier, parse_did
 
 
@@ -36,6 +36,8 @@ class PublicKeyEntry:
     public_bytes: bytes
 
     def __post_init__(self) -> None:
+        fields = (("key_id", str), ("algorithm", str), ("public_bytes", bytes))
+        check_field_types(self, "public key", fields)
         if not self.key_id:
             raise ValidationError("key_id must be non-empty")
 
@@ -60,6 +62,9 @@ class ServiceEndpoint:
     type: str
     uri: str
 
+    def __post_init__(self) -> None:
+        check_field_types(self, "service endpoint", (("type", str), ("uri", str)))
+
     def to_dict(self) -> dict:
         return {"type": self.type, "uri": self.uri}
 
@@ -82,6 +87,9 @@ class DidDocument:
         object.__setattr__(self, "authentication", tuple(self.authentication))
         object.__setattr__(self, "service_endpoints", tuple(self.service_endpoints))
         object.__setattr__(self, "claims", tuple(self.claims))
+        check_field_types(self, "document", (("version", int),))
+        if not all(isinstance(ref, str) for ref in self.authentication):
+            raise ValidationError(f"authentication entries must be strings in document {self.id}")
         if self.version < 1:
             raise ValidationError(f"version must be >= 1, got {self.version}")
         key_ids = [k.key_id for k in self.public_keys]
@@ -138,5 +146,5 @@ class DidDocument:
                 ServiceEndpoint.from_dict(s) for s in data["serviceEndpoints"]
             ),
             claims=tuple(VerifiableClaim.from_dict(c) for c in data["claims"]),
-            version=int(data["version"]),
+            version=data["version"],
         )

@@ -1,11 +1,19 @@
-"""The desk tests run on: ``fedgate.desk`` plus a trusted issuer and a
-policy owner, under the short names the tests call."""
+"""What the tests share: the desk they run on (``fedgate.desk`` plus a
+trusted issuer and a policy owner, under the short names the tests call), and
+the one-model loss oracles that ``FleetScores``, ``global_loss``,
+``training_accuracy`` and ``stacked_gradient`` are held to."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from fedgate.access import SCHEME_USER_LOOKUP
 from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
+from fedgate.errors import ValidationError
+from fedgate.fl.config import LossSpec
+from fedgate.fl.losses import _sigmoid, stacked_gradient
+from fedgate.fl.model import ModelParameters
 from fedgate.ledger import AccessPolicyContract, ClaimRequirement
 
 ISSUER_DID = "did:efed:issuer"
@@ -45,3 +53,55 @@ class Stack:
 
     def request_b(self, requester: str, service: str = "fl-study"):
         return self.desk.request(requester, service, SCHEME_USER_LOOKUP)
+
+
+# ------------------------------------------------------------- loss oracles
+
+
+def _checked_features(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+    if model.dimension != loss.parameter_dim:
+        raise ValidationError(
+            f"model dimension {model.dimension} does not match parameter dimension "
+            f"{loss.parameter_dim}"
+        )
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != loss.feature_dim:
+        raise ValidationError(
+            f"feature matrix has shape {x.shape}, expected (*, {loss.feature_dim})"
+        )
+    return x
+
+
+def raw_scores(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+    """Linear scores z = Xw (+ the bias weight) for each sample."""
+    z = _checked_features(model, features, loss) @ model.weights[: loss.feature_dim]
+    return z + model.weights[loss.feature_dim] if loss.bias else z
+
+
+def predict(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+    """Model outputs: linear scores for squared_error, probabilities for logistic."""
+    z = raw_scores(model, features, loss)
+    return _sigmoid(z) if loss.kind == "logistic" else z
+
+
+def mean_loss(
+    model: ModelParameters, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> float:
+    """Mean-over-samples loss on one dataset."""
+    z = raw_scores(model, features, loss)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != (z.shape[0],):
+        raise ValidationError(f"labels shape {y.shape} does not match {z.shape[0]} samples")
+    if loss.kind == "squared_error":
+        return float(np.mean((z - y) ** 2))
+    # softplus(z) - y*z == -y*log(p) - (1-y)*log(1-p), evaluated stably
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def gradient(
+    model: ModelParameters, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> np.ndarray:
+    """Analytic gradient of the mean loss: ``stacked_gradient`` for a cohort of one."""
+    x = _checked_features(model, features, loss)
+    y = np.asarray(labels, dtype=np.float64)
+    return stacked_gradient(model.weights[None], x[None], y[None], loss)[0]

@@ -29,13 +29,12 @@ from fedgate.fl import (
     initial_model,
     run_federation,
 )
-from fedgate.fl.losses import gradient, mean_loss, predict
 from fedgate.access import verify_claim
 from fedgate.ledger import Chain, load_chain, verify_chain_file
 from fedgate.service import FaultEvent, JobExecutor, JobQueue, JobSpec, DataFilter, NodeRegistry
 from fedgate.service.jobs import total_weighted_completion, wsjf_order
 
-from support import Stack
+from support import Stack, gradient, mean_loss, predict
 from test_federation import centralized_gd_step, random_partitions
 
 

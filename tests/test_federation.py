@@ -16,7 +16,8 @@ from fedgate.fl import (
     run_federation,
     select_clients,
 )
-from fedgate.fl.losses import gradient
+
+from support import gradient
 
 
 def make_config(**overrides):

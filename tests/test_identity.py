@@ -306,6 +306,36 @@ def test_log_replay_rejects_a_claim_of_the_wrong_type(tmp_path, field, value):
         DidRegistry.replay_log(path)
 
 
+def _key_id_list(doc):
+    doc["publicKeys"][0]["keyId"] = ["key-1"]
+    doc["authentication"] = [["key-1"]]
+
+
+BAD_DOCUMENT_FIELDS = {
+    "version-bool": lambda doc: doc.update(version=True),
+    "version-text": lambda doc: doc.update(version="2"),
+    "version-fraction": lambda doc: doc.update(version=1.9),
+    "key-id-list": _key_id_list,
+    "authentication-list": lambda doc: doc.update(authentication=[["key-1"]]),
+    "key-algorithm-int": lambda doc: doc["publicKeys"][0].update(algorithm=5),
+    "endpoint-int-and-null": lambda doc: doc.update(serviceEndpoints=[{"type": 1, "uri": None}]),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_DOCUMENT_FIELDS.values(), ids=BAD_DOCUMENT_FIELDS)
+def test_document_fields_of_the_wrong_type_are_refused(tmp_path, spoil):
+    good = make_document()[0].to_dict()
+    assert DidDocument.from_dict(good).to_dict() == good
+    bad = json.loads(json.dumps(good))
+    spoil(bad)
+    with pytest.raises(ValidationError):
+        DidDocument.from_dict(bad)
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
+    with pytest.raises(ValidationError):
+        DidRegistry.replay_log(path)
+
+
 # ---------------------------------------------------------------- resolver
 
 

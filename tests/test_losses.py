@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import LossSpec, ModelParameters
-from fedgate.fl.losses import gradient, mean_loss, predict
+
+from support import gradient, mean_loss, predict
 
 
 def finite_difference_gradient(model, x, y, spec, h=1e-6):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
@@ -17,8 +17,10 @@ from fedgate.fl import (
     run_federation,
     training_accuracy,
 )
-from fedgate.fl.losses import _sigmoid, mean_loss, predict
-from fedgate.fl.training import DIVERGENCE_LIMIT, FleetScores
+from fedgate.fl.losses import _sigmoid
+from fedgate.fl.training import DIVERGENCE_LIMIT, SIGMOID_HALF, FleetScores
+
+from support import mean_loss, predict
 
 
 def make_config(**overrides):
@@ -369,6 +371,45 @@ def test_accuracy_threshold_is_exactly_p_at_least_one_half():
         assert training_accuracy(one, np.array([1.0]), spec) == float(positive)
         assert training_accuracy(one, np.array([0.0]), spec) == float(not positive)
     assert training_accuracy(scores, np.ones(5), spec) == 3 / 5
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+def test_sigmoid_half_is_the_least_score_sigmoid_rounds_to_one_half(n):
+    # numpy's exp runs 1,000 samples through its SIMD body and 1 through its
+    # remainder lanes; a numpy whose exp moves this boundary fails here.
+    assert np.all(_sigmoid(np.full(n, SIGMOID_HALF)) >= 0.5)
+    assert np.all(_sigmoid(np.full(n, np.nextafter(SIGMOID_HALF, -np.inf))) < 0.5)
+
+
+EDGE_SCORES = [0.0, -0.0, 745.0, -745.0, SIGMOID_HALF]
+EDGE_SCORES += [np.nextafter(SIGMOID_HALF, to) for to in (-np.inf, np.inf)]
+TINY_SCORES = [sign * 10.0**-e for e in range(17, 301) for sign in (1.0, -1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(EDGE_SCORES), st.sampled_from(TINY_SCORES), st.floats(-745.0, 745.0)
+            ),
+            st.sampled_from([0.0, 1.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(pairs=[(5.0313109891246635, 1.0)])  # one ulp of softplus, 1,024 ulps of the loss
+def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
+    spec = LossSpec(kind="logistic", feature_dim=1)
+    z, y = (np.array(column) for column in zip(*pairs))
+    softplus = np.logaddexp(0.0, z)
+    # The two exps differ by an ulp at times, and y*z can cancel most of
+    # softplus, so the drift is counted in ulps of the terms, not of their difference.
+    drift = abs(global_loss(z, y, spec) - np.mean(softplus - y * z))
+    assert drift <= 4 * np.spacing(np.mean(softplus + np.abs(y * z)))
+    hits = np.count_nonzero((_sigmoid(z) >= 0.5) == (y >= 0.5))
+    assert training_accuracy(z, y, spec) == hits / len(z)
 
 
 def test_evaluation_makes_no_pooled_copy_of_the_features():
