@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +48,8 @@ class DatasetPartition:
             raise ValidationError(
                 f"{len(names)} feature names for {x.shape[1]} feature columns"
             )
-        x = x.copy()
-        y = y.copy()
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "features", _locked(x))
+        object.__setattr__(self, "labels", _locked(y))
         object.__setattr__(self, "feature_names", tuple(names))
 
     @property
@@ -77,6 +73,18 @@ class DatasetPartition:
             feature_names=tuple(names),
             label_name=self.label_name,
         )
+
+
+def _locked(a: np.ndarray) -> np.ndarray:
+    """``a`` when neither it nor the ndarray owning its memory can be written (a row
+    view of a locked pool), else a locked copy: a partition never aliases writable data."""
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if a.flags.writeable or owner.flags.writeable or owner.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def check_shared_feature_space(partitions: list[DatasetPartition]) -> int:
@@ -130,11 +138,14 @@ def load_partition(path: Path) -> DatasetPartition:
 
 
 def load_partitions(directory: Path) -> list[DatasetPartition]:
-    """Load every ``client_<id>.csv`` in a directory, sorted by client id."""
+    """Load each ``client_<id>.csv`` in a directory, sorted by id, as rows of one locked pool."""
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.match(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
-    partitions = [load_partition(p) for p in paths]
+    partitions = sorted((load_partition(p) for p in paths), key=lambda p: p.client_id)
     check_shared_feature_space(partitions)
-    return sorted(partitions, key=lambda p: p.client_id)
+    x, y = np.concatenate([p.features for p in partitions]), np.concatenate([p.labels for p in partitions])
+    x.flags.writeable = y.flags.writeable = False
+    ends = np.cumsum([p.size for p in partitions])
+    return [replace(p, features=x[e - p.size : e], labels=y[e - p.size : e]) for p, e in zip(partitions, ends)]

@@ -49,10 +49,10 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], di
     direction = rng.normal(size=spec.feature_dim)
     direction /= np.linalg.norm(direction)
 
-    partitions = []
+    n, d = spec.samples_per_client, spec.feature_dim
+    pool_x, pool_y = np.empty((spec.n_clients * n, d)), np.empty(spec.n_clients * n)
     for i in range(spec.n_clients):
-        n = spec.samples_per_client
-        x = rng.normal(size=(n, spec.feature_dim))
+        x = rng.normal(size=(n, d))
         margins = x @ direction
         labels = (margins > 0).astype(np.float64)
 
@@ -67,21 +67,18 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], di
 
         # Push every point off the boundary along the hyperplane normal.
         offset = spec.separability * np.where(labels > 0.5, 1.0, -1.0)
-        x = x + np.outer(offset, direction)
+        pool_x[i * n : (i + 1) * n] = x + np.outer(offset, direction)
 
         if spec.label_noise > 0:
             flips = rng.random(n) < spec.label_noise
             labels = np.where(flips, 1.0 - labels, labels)
+        pool_y[i * n : (i + 1) * n] = labels
 
-        partitions.append(
-            DatasetPartition(
-                client_id=f"{i:03d}",
-                features=x,
-                labels=labels,
-                feature_names=tuple(f"x{j}" for j in range(spec.feature_dim)),
-                label_name="label",
-            )
-        )
+    pool_x.flags.writeable = pool_y.flags.writeable = False
+    partitions = [  # feature names default to x0, x1, ...
+        DatasetPartition(f"{i:03d}", pool_x[i * n : (i + 1) * n], pool_y[i * n : (i + 1) * n])
+        for i in range(spec.n_clients)
+    ]
 
     manifest = {
         "generator": "linear-hyperplane",

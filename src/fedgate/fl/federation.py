@@ -170,16 +170,19 @@ def run_federation(
             f"{config.loss.feature_dim}"
         )
     by_id = {p.client_id: p for p in partitions}
-    all_ids = frozenset(by_id)
+    roster = tuple(by_id)  # sorted; sorted again only when the eligible set changes
+    eligible_before = all_ids = frozenset(by_id)
     fleet = FleetScores(partitions, config.loss)
     model = initial_model(config)
 
     for t in range(1, config.total_rounds + 1):
         eligible = eligibility(t) if eligibility is not None else all_ids
-        unknown = eligible - all_ids
-        if unknown:
-            raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
-        plan = select_clients(config, t, eligible)
+        if eligible != eligible_before:
+            unknown = eligible - all_ids
+            if unknown:
+                raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
+            eligible_before, roster = eligible, tuple(sorted(eligible))
+        plan = select_clients(config, t, roster)
 
         # Clients are mutually independent, so the round's cohort trains in
         # one stacked call; aggregation still reduces in sorted-id order.

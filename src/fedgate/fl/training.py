@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import FedGateError, ValidationError
 from .config import FederationConfig, LossSpec
@@ -89,19 +90,33 @@ def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str
 
 
 class FleetScores:
-    """One linear score per sample of a fixed partition list, refilled in place: each
-    partition fills its row slice of ``scores`` with one matmul on its own features,
-    so no pooled copy of the data is made. ``labels`` lines up with ``scores``."""
+    """One linear score per sample of a fixed partition list, refilled in place.
+    Partitions that are consecutive row ranges of one array (as in the locked pool
+    of ``generate_partitions`` and ``load_partitions``) form a run, scored by one
+    matmul on a view of its rows, so no pooled copy is made. BLAS sums a matmul's
+    last ``rows % 4`` rows, and a one-row product, with other kernels (other low
+    bits) than the rest: a run grows only past a member of a multiple of four rows
+    and never by a one-row member, so on one BLAS thread each score keeps its
+    per-partition bits."""
 
     def __init__(self, partitions: list[DatasetPartition], loss: LossSpec):
         self.labels = np.concatenate([p.labels for p in partitions])
         self.scores = np.empty_like(self.labels)
-        ends = np.cumsum([p.size for p in partitions])
-        self._rows = [(p.features, self.scores[e - p.size : e]) for p, e in zip(partitions, ends)]
+        runs: list[list] = []  # [features of the run's first member, rows]
+        tail = None  # (owner id, address, strides) a member must have to extend the last run
+        for p in partitions:
+            x, start = p.features, p.features.ctypes.data
+            if p.size > 1 and x.base is not None and tail == (id(x.base), start, x.strides):
+                runs[-1][1] += p.size
+            else:
+                runs.append([x, p.size])
+            tail = (id(x.base), start + p.size * x.strides[0], x.strides) if p.size % 4 == 0 else None
+        ends = np.cumsum([n for _, n in runs])
+        self._runs = [(as_strided(x, (n, x.shape[1])), self.scores[e - n : e]) for (x, n), e in zip(runs, ends)]
         self._dim, self._bias = loss.feature_dim, loss.bias
 
     def fill(self, model: ModelParameters) -> np.ndarray:
-        for features, out in self._rows:
+        for features, out in self._runs:
             np.matmul(features, model.weights[: self._dim], out=out)
         if self._bias:
             self.scores += model.weights[self._dim]

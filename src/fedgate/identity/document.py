@@ -138,13 +138,16 @@ class DidDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DidDocument":
-        return cls(
-            id=parse_did(data["id"]),
-            public_keys=tuple(PublicKeyEntry.from_dict(k) for k in data["publicKeys"]),
-            authentication=tuple(data["authentication"]),
-            service_endpoints=tuple(
-                ServiceEndpoint.from_dict(s) for s in data["serviceEndpoints"]
-            ),
-            claims=tuple(VerifiableClaim.from_dict(c) for c in data["claims"]),
-            version=data["version"],
-        )
+        try:
+            return cls(
+                id=parse_did(data["id"]),
+                public_keys=tuple(PublicKeyEntry.from_dict(k) for k in data["publicKeys"]),
+                authentication=tuple(data["authentication"]),
+                service_endpoints=tuple(
+                    ServiceEndpoint.from_dict(s) for s in data["serviceEndpoints"]
+                ),
+                claims=tuple(VerifiableClaim.from_dict(c) for c in data["claims"]),
+                version=data["version"],
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ValidationError(f"malformed DID document: {error!r}") from error

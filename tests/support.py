@@ -78,6 +78,12 @@ def raw_scores(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> 
     return z + model.weights[loss.feature_dim] if loss.bias else z
 
 
+def per_partition_scores(model: ModelParameters, partitions, loss: LossSpec) -> np.ndarray:
+    """Scores in list order, one matmul per partition: the bits ``FleetScores.fill``
+    keeps however it merges partitions into runs."""
+    return np.concatenate([raw_scores(model, p.features, loss) for p in partitions])
+
+
 def predict(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Model outputs: linear scores for squared_error, probabilities for logistic."""
     z = raw_scores(model, features, loss)

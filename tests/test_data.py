@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,61 @@ def test_partition_validation():
 
 def test_partition_arrays_are_read_only():
     p = DatasetPartition(client_id="a", features=np.ones((2, 2)), labels=np.zeros(2))
+    with pytest.raises(ValueError):
+        p.features[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        p.labels[0] = 9.0
+
+
+def locked_pool(rows=6, cols=2):
+    pool = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols).copy()
+    pool.flags.writeable = False
+    return pool
+
+
+def test_mutating_the_callers_input_leaves_the_partition_unchanged():
+    x, y = np.ones((3, 2)), np.zeros(3)
+    p = DatasetPartition(client_id="a", features=x, labels=y)
+    x[0, 0], y[0] = 9.0, 9.0
+    assert p.features.tolist() == [[1.0, 1.0]] * 3 and p.labels.tolist() == [0.0] * 3
+
+
+def test_a_read_only_view_of_a_writable_owner_is_copied():
+    owner = np.ones((4, 2))
+    view = owner[:2]
+    view.flags.writeable = False
+    p = DatasetPartition(client_id="a", features=view, labels=np.zeros(2))
+    assert not np.shares_memory(p.features, owner)
+    owner[0, 0] = 9.0
+    assert p.features[0, 0] == 1.0
+
+
+def test_a_locked_view_over_a_bytearray_is_copied():
+    buffer = bytearray(np.ones(4).tobytes())
+    flat = np.frombuffer(buffer)
+    flat.flags.writeable = False
+    p = DatasetPartition(client_id="a", features=flat.reshape(2, 2), labels=np.zeros(2))
+    assert not np.shares_memory(p.features, flat)
+    buffer[:8] = np.float64(9.0).tobytes()
+    assert p.features.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+def test_a_view_of_a_locked_pool_is_kept_not_copied():
+    pool, labels = locked_pool(), np.zeros(6)
+    labels.flags.writeable = False
+    p = DatasetPartition(client_id="a", features=pool[2:4], labels=labels[2:4])
+    assert np.shares_memory(p.features, pool) and np.shares_memory(p.labels, labels)
+    assert p.features.tolist() == [[4.0, 5.0], [6.0, 7.0]]
+
+
+@pytest.mark.parametrize("source", ["writable", "pool-view"])
+def test_partition_arrays_refuse_writes_copied_or_not(source):
+    if source == "writable":
+        x, y = np.ones((2, 2)), np.zeros(2)
+    else:
+        x, y = locked_pool()[:2], np.zeros(2)
+        y.flags.writeable = False
+    p = DatasetPartition(client_id="a", features=x, labels=y)
     with pytest.raises(ValueError):
         p.features[0, 0] = 9.0
     with pytest.raises(ValueError):
@@ -76,6 +133,20 @@ def test_load_partitions_sorted(tmp_path):
     assert [p.client_id for p in parts] == ["a", "b", "c"]
 
 
+def test_loaded_partitions_are_row_views_of_one_locked_pool(tmp_path):
+    rng = np.random.default_rng(3)
+    saved = {}
+    for cid, n in (("b", 3), ("a", 2), ("c", 4)):
+        saved[cid] = DatasetPartition(client_id=cid, features=rng.normal(size=(n, 2)), labels=rng.random(n))
+        save_partition(saved[cid], tmp_path)
+    parts = load_partitions(tmp_path)
+    pool = parts[0].features.base
+    assert all(p.features.base is pool for p in parts) and not pool.flags.writeable
+    assert pool.tobytes() == b"".join(saved[c].features.tobytes() for c in "abc")
+    assert parts[1].labels.base is parts[0].labels.base
+    assert [p.labels.tobytes() for p in parts] == [saved[c].labels.tobytes() for c in "abc"]
+
+
 def test_select_features_subsets_columns():
     p = DatasetPartition(
         client_id="a",
@@ -106,6 +177,26 @@ def test_generated_shapes_and_determinism():
         assert p.labels.tobytes() == q.labels.tobytes()
     assert manifest1 == manifest2
     assert [p.client_id for p in parts1] == ["000", "001", "002", "003"]
+
+
+def test_generated_partitions_are_row_views_of_one_locked_pool_with_pinned_bits():
+    spec = SyntheticSpec(
+        n_clients=5, samples_per_client=7, feature_dim=3, separability=0.5, seed=4,
+        label_skew=0.6, label_noise=0.1,
+    )
+    parts, _ = generate_partitions(spec)
+    pool = parts[0].features.base
+    assert pool.shape == (35, 3) and not pool.flags.writeable
+    assert all(p.features.base is pool for p in parts)
+    assert all(p.labels.base is parts[0].labels.base for p in parts)
+    assert parts[0].feature_names == ("x0", "x1", "x2") and parts[0].label_name == "label"
+    digest = hashlib.sha256()
+    for p in parts:
+        digest.update(p.features.tobytes())
+        digest.update(p.labels.tobytes())
+    # The generator's draws and arithmetic are pinned: the same bits as when
+    # each client's arrays were built and copied on their own.
+    assert digest.hexdigest() == "e967e9c5f6010f1a00fc68a658c2cdb5382b9baf10385c3aa760f4bd7184f262"
 
 
 def test_labels_follow_recorded_hyperplane():

@@ -336,6 +336,41 @@ def test_document_fields_of_the_wrong_type_are_refused(tmp_path, spoil):
         DidRegistry.replay_log(path)
 
 
+def _upper_key_hex(doc):
+    doc["publicKeys"][0]["publicKeyHex"] = doc["publicKeys"][0]["publicKeyHex"].upper()
+
+
+def _upper_claim_signature(doc):
+    doc["claims"] = [{**CLAIM_DICT, "signature": CLAIM_DICT["signature"].upper()}]
+
+
+MALFORMED_DOCUMENTS = {
+    "key-hex-uppercase": _upper_key_hex,
+    "claim-signature-uppercase": _upper_claim_signature,
+    "id-int": lambda doc: doc.update(id=5),
+    "public-keys-object": lambda doc: doc.update(publicKeys=doc["publicKeys"][0]),
+    "version-missing": lambda doc: doc.pop("version"),
+    "claims-missing": lambda doc: doc.pop("claims"),
+    "endpoint-missing-uri": lambda doc: doc["serviceEndpoints"][0].pop("uri"),
+    "id-list": lambda doc: doc.update(id=["did:efed:alice01"]),
+}
+
+
+@pytest.mark.parametrize("spoil", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
+def test_malformed_documents_are_refused_with_validation_error(tmp_path, spoil):
+    good = make_document()[0].to_dict()
+    good["claims"] = [CLAIM_DICT]
+    assert DidDocument.from_dict(good).to_dict() == good
+    bad = json.loads(json.dumps(good))
+    spoil(bad)
+    with pytest.raises(ValidationError):
+        DidDocument.from_dict(bad)
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
+    with pytest.raises(ValidationError):
+        DidRegistry.replay_log(path)
+
+
 # ---------------------------------------------------------------- resolver
 
 

@@ -11,7 +11,9 @@ from fedgate.fl import (
     FederationConfig,
     LossSpec,
     ModelParameters,
+    SyntheticSpec,
     TrainingDivergedError,
+    generate_partitions,
     global_loss,
     local_train,
     run_federation,
@@ -20,7 +22,7 @@ from fedgate.fl import (
 from fedgate.fl.losses import _sigmoid
 from fedgate.fl.training import DIVERGENCE_LIMIT, SIGMOID_HALF, FleetScores
 
-from support import mean_loss, predict
+from support import mean_loss, per_partition_scores, predict
 
 
 def make_config(**overrides):
@@ -410,6 +412,91 @@ def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
     assert drift <= 4 * np.spacing(np.mean(softplus + np.abs(y * z)))
     hits = np.count_nonzero((_sigmoid(z) >= 0.5) == (y >= 0.5))
     assert training_accuracy(z, y, spec) == hits / len(z)
+
+
+def locked(array):
+    array.flags.writeable = False
+    return array
+
+
+@st.composite
+def mixed_fleets(draw):
+    """Partitions of one feature width drawn from every layout a fleet can have:
+    consecutive row views of a locked pool, views with gaps between them, views of
+    a second pool, independent arrays and ``select_features`` copies; ids are
+    dealt out in a drawn order, so sorting by id also reorders pool views."""
+    d = draw(st.sampled_from([1, 3, 8, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = {kind: (locked(rng.normal(size=(64, d))), locked(rng.random(64))) for kind in ("a", "b")}
+    wide = DatasetPartition("wide", rng.normal(size=(64, d + 2)), rng.random(64))
+    names = list(wide.feature_names)
+    rng.shuffle(names)
+    cursor = {"a": 0, "b": 0, "wide": 0}
+    features_labels = []
+    piece = st.tuples(
+        st.sampled_from(["a", "b", "own", "wide"]), st.integers(1, 9), st.sampled_from([0, 0, 1, 3])
+    )
+    for kind, size, gap in draw(st.lists(piece, min_size=1, max_size=14)):
+        start = cursor.get(kind, 0) + gap
+        if kind == "own" or start + size > 64:
+            features_labels.append((rng.normal(size=(size, d)), rng.random(size)))
+            continue
+        cursor[kind] = start + size
+        if kind == "wide":
+            rows = slice(start, start + size)
+            part = DatasetPartition("w", wide.features[rows], wide.labels[rows], wide.feature_names)
+            part = part.select_features(tuple(names[:d]))
+            features_labels.append((part.features, part.labels))
+        else:
+            x, y = pools[kind]
+            features_labels.append((x[start : start + size], y[start : start + size]))
+    ids = draw(st.permutations(range(len(features_labels))))
+    parts = [DatasetPartition(f"{i:03d}", x, y) for i, (x, y) in zip(ids, features_labels)]
+    return sorted(parts, key=lambda p: p.client_id), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet=mixed_fleets(), bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, seed):
+    parts, d = fleet
+    loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
+    scores = FleetScores(parts, loss)
+    rng = np.random.default_rng(seed)
+    assert scores.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
+    for _ in range(2):  # refilled in place
+        model = ModelParameters(rng.normal(size=loss.parameter_dim))
+        assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
+
+
+class MatmulCounter:
+    """numpy as ``fedgate.fl.training`` sees it, counting the matmuls it makes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.calls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def test_a_generated_fleet_is_scored_with_one_matmul_per_round(monkeypatch):
+    import fedgate.fl.training as training
+
+    counter = MatmulCounter()
+    monkeypatch.setattr(training, "np", counter)
+    spec = SyntheticSpec(n_clients=30, samples_per_client=12, feature_dim=3, separability=0.5, seed=2)
+    parts, _ = generate_partitions(spec)
+    config = make_config(
+        total_rounds=4,
+        total_clients=30,
+        subset_size=5,
+        loss=LossSpec(kind="logistic", feature_dim=3, bias=True),
+    )
+    run_federation(config, parts[::-1])
+    assert counter.calls == 4
 
 
 def test_evaluation_makes_no_pooled_copy_of_the_features():
