@@ -14,10 +14,13 @@ nonce, and runs the same contract — so the verdict matches scheme A for
 the same holder, contract, and clock. The front desk carries its own,
 larger rate limit and the pending table is never touched.
 
-Only the front desk signs: its attestation is the one that leaves the
-desk. Every other step reads the document with ``Resolver.fetch``, which
-signs nothing, because a signature this process makes and then checks
-itself proves nothing.
+Only the front desk makes attestations: its attestation is the one that
+leaves the desk. Every other step reads the document with
+``Resolver.fetch``, which signs nothing, because a signature this process
+makes and then checks itself proves nothing. The submit step checks the
+attestation with ``Resolver.verify``, which signs the same bytes again and
+compares, so a user-lookup grant makes two Ed25519 signs and no verify
+beyond the claim's.
 
 Verdicts the contract actually evaluated are sealed on-chain (grant or
 denial), carry a ``tx_id``, and reach the requester as the engine's own
@@ -157,7 +160,7 @@ class AccessGateway:
     def user_lookup(self, requester: str, nonce: bytes) -> LookupResult:
         """Scheme-B step one: resolve on the user's behalf, return attestation.
 
-        The only caller of ``Resolver.resolve``, and so the only signer.
+        The only caller of ``Resolver.resolve``, and so the only maker of attestations.
         """
         if not self._front_desk_limiter.allow(requester):
             return LookupResult(False, None, "rejected-rate")
@@ -210,7 +213,7 @@ class AccessGateway:
         except (UnknownDidError, NoDriverError, DidParseError):
             return AccessOutcome("denied", "unresolvable")
         # The attestation came from outside, so it is checked here.
-        if not attestation.verify(document.canonical_bytes(), self._resolver.public_key):
+        if not self._resolver.verify(attestation, document.canonical_bytes()):
             return AccessOutcome("denied", "stale-attestation")
         return self._execute(contract.contract_id, document, to_hex(request.nonce))
 

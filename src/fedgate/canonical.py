@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from typing import Any
-
-_HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -37,8 +34,13 @@ def from_hex(text: str) -> bytes:
 
     Strictness matters for tamper evidence: ``bytes.fromhex`` accepts
     uppercase, so a single-bit case flip in a persisted hex field would
-    otherwise decode to the same bytes and go unnoticed.
+    otherwise decode to the same bytes and go unnoticed. It also skips
+    whitespace, so only a string that ``hex()`` gives back unchanged is hex.
     """
-    if not isinstance(text, str) or not _HEX_RE.fullmatch(text):
+    try:
+        data = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.hex() != text:
         raise ValueError(f"not canonical lowercase hex: {text!r}")
-    return bytes.fromhex(text)
+    return data

@@ -9,17 +9,24 @@ attestation: an Ed25519 signature by the resolver over ``canonical
 document bytes ‖ request nonce``. Only the front desk calls it, because
 only there does the attestation leave the desk: the requester is never
 shown the document, forwards the attestation, and the gateway checks it
-against the document it fetches itself. Flipping a single bit of either
-input breaks the check.
+against the document it fetches itself.
+
+That check is ``Resolver.verify``, and it needs no public key: Ed25519
+signing is deterministic (RFC 8032 §5.1.6), so the resolver signs the same
+bytes again and compares in constant time. It accepts only the one
+signature this resolver's key makes over those bytes; a valid signature by
+any other key, or over any other nonce, is refused. Flipping a single bit
+of either input breaks the check.
 """
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 
 from ..canonical import from_hex, sha256_hex, to_hex
 from ..errors import FedGateError, ValidationError
-from ..keys import KeyPair, verify_signature
+from ..keys import KeyPair
 from .did import DidIdentifier, parse_did
 from .document import DidDocument
 from .registry import DidRegistry
@@ -36,17 +43,6 @@ class Attestation:
     document_digest: str
     resolver: str
     signature: bytes
-
-    def signed_message(self, document_bytes: bytes) -> bytes:
-        return document_bytes + self.nonce
-
-    def verify(self, document_bytes: bytes, resolver_public: bytes) -> bool:
-        """Check the attestation against the actual document bytes."""
-        if sha256_hex(document_bytes) != self.document_digest:
-            return False
-        return verify_signature(
-            resolver_public, self.signed_message(document_bytes), self.signature
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -84,10 +80,6 @@ class Resolver:
         self._keypair = keypair or KeyPair.generate()
         self._drivers: dict[str, object] = {}
 
-    @property
-    def public_key(self) -> bytes:
-        return self._keypair.public_bytes
-
     def register_driver(self, method: str, driver) -> None:
         if not method:
             raise ValidationError("driver method must be non-empty")
@@ -117,3 +109,14 @@ class Resolver:
             resolver=self.name,
             signature=self._keypair.sign(body + bytes(nonce)),
         )
+
+    def verify(self, attestation: Attestation, document_bytes: bytes) -> bool:
+        """True iff this resolver made ``attestation`` over ``document_bytes``.
+
+        A stale document fails the digest check without signing; otherwise
+        the signature is made again and compared, since Ed25519 is deterministic.
+        """
+        if sha256_hex(document_bytes) != attestation.document_digest:
+            return False
+        expected = self._keypair.sign(document_bytes + attestation.nonce)
+        return hmac.compare_digest(expected, attestation.signature)

@@ -11,12 +11,13 @@ The persisted form is JSON lines, one block per line, canonical
 encoding. Chain files have one validator: ``Block.from_dict``, whose
 ``__post_init__`` checks (with ``Transaction``'s) every field and
 recomputes every hash, plus a height and ``prev_hash`` check between
-blocks. ``verify_chain_records``, ``verify_chain_file``, ``load_chain``
-and ``Chain.verify`` all go through it, so they agree on every input,
-and any single flipped bit in the file surfaces as a verification
-failure at that height. A record built in process leaves its hashes to
-that same ``__post_init__``, which fills them in, so ``Chain.record``
-computes each hash once.
+blocks. Each field must hold its own JSON type, read as is: a height or
+timestamp is an integer and never a bool, a float or a string.
+``verify_chain_records``, ``verify_chain_file`` and ``load_chain`` all go
+through it, so they agree on every input, and any single flipped bit in
+the file surfaces as a verification failure at that height. A record built
+in process leaves its hashes to that same ``__post_init__``, which fills
+them in, so ``Chain.record`` computes each hash once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from ..canonical import canonical_json_bytes, from_hex, sha256, sha256_hex, to_hex
 from ..clock import wall_clock
-from ..errors import ValidationError
+from ..errors import ValidationError, check_field_types
 
 TRANSACTION_KINDS = frozenset(
     {"deploy_contract", "did_registration", "access_grant", "access_denial"}
@@ -75,11 +76,12 @@ class Transaction:
     submitter: str
     tx_id: str = _DERIVE
 
+    _FIELD_TYPES = (("timestamp", int), ("kind", str), ("payload", bytes), ("submitter", str))
+
     def __post_init__(self) -> None:
+        check_field_types(self, "transaction", self._FIELD_TYPES)
         if self.kind not in TRANSACTION_KINDS:
             raise ValidationError(f"unknown transaction kind {self.kind!r}")
-        if not isinstance(self.submitter, str):
-            raise ValidationError("transaction submitter must be a string")
         if self.timestamp < 0:
             raise ValidationError("transaction timestamp must be non-negative")
         derived = _tx_id(self.payload, self.kind, self.submitter)
@@ -109,7 +111,7 @@ class Transaction:
     @classmethod
     def from_dict(cls, data: dict) -> "Transaction":
         return cls(
-            timestamp=int(data["timestamp"]),
+            timestamp=data["timestamp"],
             kind=data["kind"],
             payload=from_hex(data["payload"]),
             submitter=data["submitter"],
@@ -136,7 +138,10 @@ class Block:
     merkle_root: str = _DERIVE
     hash: str = _DERIVE
 
+    _FIELD_TYPES = (("height", int), ("prev_hash", str), ("timestamp", int))
+
     def __post_init__(self) -> None:
+        check_field_types(self, "block", self._FIELD_TYPES)
         object.__setattr__(self, "transactions", tuple(self.transactions))
         if self.height < 0:
             raise ValidationError("block height must be >= 0")
@@ -165,9 +170,9 @@ class Block:
     @classmethod
     def from_dict(cls, data: dict) -> "Block":
         return cls(
-            height=int(data["height"]),
+            height=data["height"],
             prev_hash=data["prevHash"],
-            timestamp=int(data["timestamp"]),
+            timestamp=data["timestamp"],
             transactions=tuple(Transaction.from_dict(t) for t in data["transactions"]),
             merkle_root=data["merkleRoot"],
             hash=data["hash"],
@@ -235,9 +240,6 @@ class Chain:
                 if tx.tx_id == tx_id:
                     return tx
         return None
-
-    def verify(self) -> tuple[bool, int | None]:
-        return verify_chain_records([b.to_dict() for b in self._blocks])
 
     def write_chain(self, path: Path) -> Path:
         path = Path(path)

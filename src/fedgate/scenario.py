@@ -23,7 +23,7 @@ from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
 from .errors import ValidationError
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
 from .fl.config import _integer, _real
-from .ledger import Chain
+from .ledger import Chain, verify_chain_file
 from .service import FaultEvent, FlaasService, NodeRegistry, ServiceApi
 
 DEFAULT_FEDERATION = FederationConfig(
@@ -319,7 +319,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     chain_path = chain.write_chain(out_dir / "chain.jsonl")
     events_path = log.write(out_dir / "events.jsonl")
     desk.registry.write_log(out_dir / "identity.jsonl")
-    chain_ok, _ = chain.verify()
+    chain_ok, _ = verify_chain_file(chain_path)
 
     granted = [d for d in decisions if d["decision"] == "granted"]
     denied = [d for d in decisions if d["decision"] == "denied"]

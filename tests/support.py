@@ -1,9 +1,12 @@
 """What the tests share: the desk they run on (``fedgate.desk`` plus a
-trusted issuer and a policy owner, under the short names the tests call), and
-the one-model loss oracles that ``FleetScores``, ``global_loss``,
-``training_accuracy`` and ``stacked_gradient`` are held to."""
+trusted issuer and a policy owner, under the short names the tests call), the
+hex regex that ``canonical.from_hex`` is held to, and the one-model loss
+oracles that ``FleetScores``, ``global_loss``, ``training_accuracy`` and
+``stacked_gradient`` are held to."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -17,6 +20,13 @@ from fedgate.fl.model import ModelParameters
 from fedgate.ledger import AccessPolicyContract, ClaimRequirement
 
 ISSUER_DID = "did:efed:issuer"
+
+_HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
+
+
+def is_lowercase_hex(text: str) -> bool:
+    """The oracle ``canonical.from_hex`` is held to: whole bytes of lowercase hex."""
+    return _HEX_RE.fullmatch(text) is not None
 
 
 class Stack:

@@ -586,6 +586,30 @@ def test_scheme_b_attestation_for_other_did_rejected():
     assert outcome.decision == "denied" and outcome.reason == "attestation-mismatch"
 
 
+def test_scheme_b_attestation_signed_by_another_key_rejected():
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    lookup = stack.gateway.user_lookup(alice.did, stack.fresh_nonce())
+    # A valid Ed25519 signature over the very bytes the desk signs, by a key
+    # that is not the desk's.
+    body = stack.resolver.fetch(alice.did).canonical_bytes() + lookup.attestation.nonce
+    forged = dataclasses.replace(lookup.attestation, signature=alice.key.sign(body))
+    assert verify_signature(alice.key.public_bytes, body, forged.signature)
+    request = AccessRequest(
+        requester=alice.did,
+        service="fl-study",
+        scheme="user_lookup",
+        nonce=stack.fresh_nonce(),
+        created_at=stack.clock(),
+    )
+    height = stack.chain.height
+    outcome = stack.gateway.request_access(request, attestation=forged)
+    assert outcome.decision == "denied" and outcome.reason == "stale-attestation"
+    assert outcome.tx_id is None
+    assert stack.chain.height == height
+
+
 def test_front_desk_rate_limit_is_larger():
     stack = Stack()
     stack.deploy_membership_policy()
@@ -743,18 +767,19 @@ def test_contract_lookup_grant_signs_nothing(crypto_counts):
     assert crypto_counts == {"sign": 0, "verify": 0}
 
 
-def test_user_lookup_grant_signs_once_at_the_front_desk(crypto_counts):
+def test_user_lookup_grant_checks_its_attestation_by_signing_again(crypto_counts):
     stack = Stack()
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
     crypto_counts.update(sign=0, verify=0)
     assert stack.request_b(alice.did).decision == "granted"
-    # One attestation signed at the front desk; it and the claim are checked.
-    assert crypto_counts == {"sign": 1, "verify": 2}
-    # A repeat grant signs and checks a fresh attestation; the claim is cached.
+    # The front desk signs the attestation and the gateway signs it again to
+    # check it; the claim signature is the only Ed25519 verify.
+    assert crypto_counts == {"sign": 2, "verify": 1}
+    # A repeat grant signs a fresh attestation twice; the claim is cached.
     crypto_counts.update(sign=0, verify=0)
     assert stack.request_b(alice.did).decision == "granted"
-    assert crypto_counts == {"sign": 1, "verify": 1}
+    assert crypto_counts == {"sign": 2, "verify": 0}
 
 
 def test_stack_registers_hundreds_of_actors():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgate.canonical import from_hex
 from fedgate.claims import VerifiableClaim, sign_claim
 from fedgate.errors import ValidationError
 from fedgate.identity import (
@@ -27,6 +28,8 @@ from fedgate.identity import (
     parse_did,
 )
 from fedgate.keys import KeyPair, verify_signature
+
+from support import is_lowercase_hex
 
 METHOD_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
 SPECIFIC_ALPHA = METHOD_ALPHA + METHOD_ALPHA.upper() + "._-"
@@ -105,6 +108,28 @@ def test_random_keypairs_differ_and_verify_their_own_signatures():
     for key in (a, b):
         assert verify_signature(key.public_bytes, b"message", key.sign(b"message"))
     assert not verify_signature(b.public_bytes, b"message", a.sign(b"message"))
+
+
+# ---------------------------------------------------------------- hex
+
+
+HEX_ALPHABET = "0123456789abcdef" + "ABCDEF" + " \n" + "\u0661\u0662\uff11"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet=HEX_ALPHABET, max_size=12) | st.text(max_size=6))
+def test_from_hex_accepts_exactly_what_the_regex_accepts(text):
+    if is_lowercase_hex(text):
+        assert from_hex(text) == bytes.fromhex(text)
+    else:
+        with pytest.raises(ValueError):
+            from_hex(text)
+
+
+@pytest.mark.parametrize("value", [b"ab", bytearray(b"ab"), None, 171, ["ab"]])
+def test_from_hex_refuses_what_is_not_a_string(value):
+    with pytest.raises(ValueError):
+        from_hex(value)
 
 
 # ---------------------------------------------------------------- document
@@ -387,13 +412,13 @@ def test_resolve_returns_latest_version():
     registry.register(doc, profile_hash="p")
     attestation = resolver.resolve("did:efed:alice01", nonce=b"\x01" * 16)
     assert attestation.did == "did:efed:alice01"
-    assert attestation.verify(doc.canonical_bytes(), resolver.public_key)
+    assert resolver.verify(attestation, doc.canonical_bytes())
 
     updated = make_document(version=2)[0]
     registry.update(updated)
     attestation2 = resolver.resolve("did:efed:alice01", nonce=b"\x02" * 16)
-    assert attestation2.verify(updated.canonical_bytes(), resolver.public_key)
-    assert not attestation2.verify(doc.canonical_bytes(), resolver.public_key)
+    assert resolver.verify(attestation2, updated.canonical_bytes())
+    assert not resolver.verify(attestation2, doc.canonical_bytes())
 
 
 def test_resolve_errors():
@@ -414,8 +439,8 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
     assert resolver.fetch("did:efed:alice01") == doc
     assert signed == []
     attestation = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
-    assert attestation.verify(doc.canonical_bytes(), resolver.public_key)
     assert len(signed) == 1
+    assert resolver.verify(attestation, doc.canonical_bytes())
     with pytest.raises(NoDriverError):
         resolver.fetch("did:bogus:alice01")
     with pytest.raises(UnknownDidError):
@@ -443,7 +468,7 @@ def test_driver_routing_is_per_method():
     routes = {"did:efed:alice01": doc, "did:loop:probe": other}
     for did, expected in routes.items():
         attestation = resolver.resolve(did, nonce=b"\x05" * 16)
-        assert attestation.verify(expected.canonical_bytes(), resolver.public_key)
+        assert resolver.verify(attestation, expected.canonical_bytes())
     assert resolver.fetch("did:loop:probe") == other
     with pytest.raises(ValidationError):
         resolver.register_driver("efed", loop)
@@ -458,8 +483,8 @@ def test_distinct_nonces_distinct_attestations():
     assert r1.document_digest == r2.document_digest
     assert r1.signature != r2.signature
     body = doc.canonical_bytes()
-    assert r1.verify(body, resolver.public_key)
-    assert r2.verify(body, resolver.public_key)
+    assert resolver.verify(r1, body)
+    assert resolver.verify(r2, body)
     # an attestation is bound to its own nonce
     swapped = Attestation(
         did=r1.did,
@@ -468,7 +493,7 @@ def test_distinct_nonces_distinct_attestations():
         resolver=r1.resolver,
         signature=r1.signature,
     )
-    assert not swapped.verify(body, resolver.public_key)
+    assert not resolver.verify(swapped, body)
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,7 +506,7 @@ def test_attestation_detects_any_bit_flip(data):
     body = bytearray(doc.canonical_bytes())
     bit = data.draw(st.integers(min_value=0, max_value=len(body) * 8 - 1))
     body[bit // 8] ^= 1 << (bit % 8)
-    assert not attestation.verify(bytes(body), resolver.public_key)
+    assert not resolver.verify(attestation, bytes(body))
 
 
 def test_attestation_round_trip():
@@ -491,4 +516,4 @@ def test_attestation_round_trip():
     att = resolver.resolve("did:efed:alice01", nonce=b"\x3c" * 16)
     again = Attestation.from_dict(att.to_dict())
     assert again == att
-    assert again.verify(doc.canonical_bytes(), resolver.public_key)
+    assert resolver.verify(again, doc.canonical_bytes())

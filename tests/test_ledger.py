@@ -126,7 +126,7 @@ def test_append_links_blocks():
     for prev, block in zip(blocks, blocks[1:]):
         assert block.prev_hash == prev.hash
         assert block.height == prev.height + 1
-    ok, bad = chain.verify()
+    ok, bad = verify_chain_records([b.to_dict() for b in chain.blocks])
     assert ok and bad is None
 
 
@@ -160,7 +160,7 @@ def test_record_computes_each_hash_once(monkeypatch):
         monkeypatch.setattr(chain_module, name, counted)
     chain.record("access_denial", {"missing": ["role"]}, "did:efed:u")
     assert counts == {"_tx_id": 1, "merkle_root": 1, "_block_hash": 1}
-    assert chain.verify() == (True, None)
+    assert verify_chain_records([b.to_dict() for b in chain.blocks]) == (True, None)
 
 
 # ---------------------------------------------------------- tamper evidence
@@ -268,6 +268,15 @@ def write_records(path, records):
     return path
 
 
+def assert_readers_refuse(records, bad, tmp_path):
+    assert verify_chain_records(records) == (False, bad)
+    path = write_records(tmp_path / "chain.jsonl", records)
+    assert verify_chain_file(path) == (False, bad)
+    with pytest.raises(ValidationError, match=f"height {bad}"):
+        load_chain(path)
+    assert main(["verify-chain", str(path)]) == 1
+
+
 def test_reseal_reproduces_an_honest_chain():
     records = [b.to_dict() for b in build_chain(3).blocks]
     assert reseal(json.loads(json.dumps(records)), 1) == records
@@ -307,12 +316,50 @@ def null_block_hash(field):
     ],
 )
 def test_validators_agree_and_fail_as_values(tmp_path, records):
-    assert verify_chain_records(records) == (False, 2)
-    path = write_records(tmp_path / "chain.jsonl", records)
-    assert verify_chain_file(path) == (False, 2)
-    with pytest.raises(ValidationError, match="height 2"):
-        load_chain(path)
-    assert main(["verify-chain", str(path)]) == 1
+    assert_readers_refuse(records, 2, tmp_path)
+
+
+def stringly_timestamps():
+    """A block timestamp as a JSON string and its transactions' as floats; read
+    back with ``int()``, both would hash to the sealed value."""
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    for t in records[2]["transactions"]:
+        t["timestamp"] = float(t["timestamp"])
+    records[2]["timestamp"] = str(records[2]["timestamp"])
+    return records, 2
+
+
+def retyped_height(index, value):
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[index]["height"] = value
+    return records, index
+
+
+@pytest.mark.parametrize(
+    "case",
+    [stringly_timestamps(), retyped_height(0, False), retyped_height(1, 1.0)],
+    ids=["string-and-float-timestamps", "false-genesis-height", "float-height"],
+)
+def test_chain_readers_refuse_wrong_json_types(tmp_path, case):
+    records, bad = case
+    assert_readers_refuse(records, bad, tmp_path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_number_of_another_json_type_is_refused_alike(data, tmp_path_factory):
+    records = [b.to_dict() for b in build_chain(2).blocks]
+    index = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+    target = records[index]
+    if target["transactions"] and data.draw(st.booleans()):
+        target = target["transactions"][data.draw(st.integers(0, len(target["transactions"]) - 1))]
+    field = data.draw(st.sampled_from(sorted({"height", "timestamp"} & set(target))))
+    value = target[field]
+    others = [float(value), str(value), [value], {"n": value}, None]
+    if value in (0, 1):
+        others.append(bool(value))
+    target[field] = data.draw(st.sampled_from(others))
+    assert_readers_refuse(records, index, tmp_path_factory.mktemp("chain"))
 
 
 JSON_VALUES = st.recursive(
