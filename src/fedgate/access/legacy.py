@@ -20,6 +20,7 @@ from ..identity.registry import AlreadyRegisteredError, DuplicateProfileError
 from ..keys import KeyPair
 from .issuance import ClaimIssuer
 
+CLAIM_VALIDITY_SECONDS = 365 * 24 * 3600
 _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
 
@@ -54,9 +55,8 @@ def import_legacy_accounts(
     accounts: list[tuple[str, str]],
     registry: DidRegistry,
     issuer: ClaimIssuer,
-    validity_seconds: int = 365 * 24 * 3600,
 ) -> list[LegacyImportResult]:
-    """Register each account's DID and issue its role claim."""
+    """Register each account's DID and issue its ``CLAIM_VALIDITY_SECONDS`` role claim."""
     results = []
     for username, role in accounts:
         safe = "".join(c if c in _USERNAME_SAFE else "-" for c in username)
@@ -69,7 +69,7 @@ def import_legacy_accounts(
         except (AlreadyRegisteredError, DuplicateProfileError):
             results.append(LegacyImportResult(username, did, "skipped"))
             continue
-        claim = issuer.issue(did, "role", role, validity_seconds)
+        claim = issuer.issue(did, "role", role, CLAIM_VALIDITY_SECONDS)
         results.append(
             LegacyImportResult(username, did, "imported", value=claim.value)
         )

@@ -1,4 +1,8 @@
-"""Sliding-window per-key rate limiting with bounded key tracking."""
+"""Sliding-window per-key rate limiting with bounded key tracking.
+
+The key bound has one value in use, so it is the constant
+``MAX_TRACKED_KEYS`` rather than a constructor option.
+"""
 
 from __future__ import annotations
 
@@ -6,28 +10,23 @@ import threading
 from collections import OrderedDict, deque
 from typing import Callable
 
+MAX_TRACKED_KEYS = 4096
+
 
 class SlidingWindowLimiter:
     """At most ``limit`` allowed calls per key inside a trailing window.
 
-    Tracks at most ``max_keys`` keys; the least recently seen key is
-    evicted beyond that, so a flood of one-shot identities cannot grow
+    Tracks at most ``MAX_TRACKED_KEYS`` keys; the least recently seen key
+    is evicted beyond that, so a flood of one-shot identities cannot grow
     memory without bound.
     """
 
-    def __init__(
-        self,
-        limit: int,
-        window_seconds: int,
-        clock: Callable[[], int],
-        max_keys: int = 4096,
-    ):
-        if limit < 1 or window_seconds < 1 or max_keys < 1:
-            raise ValueError("limit, window and max_keys must be positive")
+    def __init__(self, limit: int, window_seconds: int, clock: Callable[[], int]):
+        if limit < 1 or window_seconds < 1:
+            raise ValueError("limit and window must be positive")
         self.limit = limit
         self.window = window_seconds
         self._clock = clock
-        self._max_keys = max_keys
         self._hits: OrderedDict[str, deque[int]] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -43,7 +42,7 @@ class SlidingWindowLimiter:
             if len(hits) >= self.limit:
                 return False
             hits.append(now)
-            while len(self._hits) > self._max_keys:
+            while len(self._hits) > MAX_TRACKED_KEYS:
                 self._hits.popitem(last=False)
             return True
 

@@ -220,8 +220,7 @@ class AccessGateway:
     def _execute(self, contract_id: str, document, nonce_hex: str) -> AccessOutcome:
         if not self._used_nonces.consume(nonce_hex):
             return AccessOutcome("denied", "replay")
-        now = int(self._clock())
-        outcome = self._engine.execute(contract_id, document, now=now, request_ref=nonce_hex)
+        outcome = self._engine.execute(contract_id, document, nonce_hex)
         if outcome.grant is not None:
-            self.grants.add(outcome.grant, now)
+            self.grants.add(outcome.grant, int(self._clock()))
         return outcome

@@ -1,17 +1,12 @@
-"""Injectable time sources.
+"""The injectable time source.
 
 Modules that stamp timestamps take a zero-argument callable returning
-UNIX seconds. Production code passes nothing and gets wall time; tests
-and deterministic demos pass a :class:`SimulatedClock` they can step.
+UNIX seconds, and take it as a required argument: no module falls back to
+wall time. The desk, the demo, the command line and the tests all pass a
+:class:`SimulatedClock` they can step.
 """
 
 from __future__ import annotations
-
-import time
-
-
-def wall_clock() -> int:
-    return int(time.time())
 
 
 class SimulatedClock:

@@ -73,21 +73,17 @@ def client_round_seed(rng_seed: int, round_index: int, client_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def select_clients(
-    config: FederationConfig, t: int, client_ids: Collection[str] | None = None
-) -> RoundPlan:
+def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]) -> RoundPlan:
     """Sample a uniform K-subset without replacement for round ``t``.
 
     The stream is keyed by (rng_seed, t) so every round is independently
-    reproducible. ``client_ids`` (in any order; sorted here) defaults to
-    "0".."N-1"; when a smaller roster is passed (a client was lost without
-    standby), K is clamped to the roster size.
+    reproducible. ``client_ids`` may come in any order (sorted here); when
+    the roster is smaller than K (a client was lost without standby), K is
+    clamped to the roster size.
     """
     if not 1 <= t <= config.total_rounds:
         raise ValidationError(f"round index {t} outside [1, {config.total_rounds}]")
-    roster = sorted(client_ids) if client_ids is not None else [
-        str(i) for i in range(config.total_clients)
-    ]
+    roster = sorted(client_ids)
     if not roster:
         raise ValidationError("no eligible clients to select from")
     if len(set(roster)) != len(roster):

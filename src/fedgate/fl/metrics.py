@@ -60,6 +60,8 @@ def read_metrics_csv(path: Path) -> list[RoundMetrics]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(METRICS_HEADER):
+                raise ValueError(f"{path} line {reader.line_num} has {len(row)} fields")
             out.append(
                 RoundMetrics(
                     round_index=int(row[0]),

@@ -1,13 +1,15 @@
 """The authoritative DID document store.
 
 Writers serialize on a lock; reads are lock-free snapshots. Every
-successful mutation is optionally reported to an injected recorder (the
-ledger wires itself in there) and mirrored into an append-only JSON-lines
-log that replays back to identical state.
+successful mutation is reported to the recorder the registry is built with
+(the desk passes ``Chain.record``; there is no local stand-in, since a test
+can pass its own) and mirrored into an append-only JSON-lines log that
+replays back to identical state. ``replay_log`` is that log's one validator:
+any malformed line is refused with a ``ValidationError`` naming the line.
 
-Each registered principal supplies a ``profile_hash``; a second
-registration with the same hash is rejected, so one real-world profile
-cannot hold two identities.
+Each registered principal supplies a non-empty string ``profile_hash``; a
+second registration with the same hash is rejected, so one real-world
+profile cannot hold two identities.
 """
 
 from __future__ import annotations
@@ -38,17 +40,13 @@ class VersionSequenceError(FedGateError):
     """An update skipped or rolled back the document version counter."""
 
 
-def _local_receipt(kind: str, payload: dict, submitter: str) -> str:
-    return f"local:{kind}:{payload['id']}:{payload['version']}"
-
-
 class DidRegistry:
-    def __init__(self, recorder: Callable[[str, dict, str], str] | None = None):
+    def __init__(self, recorder: Callable[[str, dict, str], str]):
         self._documents: dict[str, DidDocument] = {}
         self._profiles: dict[str, str] = {}
         self._log: list[dict] = []
         self._lock = threading.Lock()
-        self._recorder = recorder or _local_receipt
+        self._recorder = recorder
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -71,8 +69,8 @@ class DidRegistry:
             raise ValidationError(
                 f"fresh registrations start at version 1, got {document.version}"
             )
-        if not profile_hash:
-            raise ValidationError("profile_hash must be non-empty")
+        if not isinstance(profile_hash, str) or not profile_hash:
+            raise ValidationError("profile_hash must be a non-empty string")
         key = str(document.id)
         with self._lock:
             if key in self._documents:
@@ -127,21 +125,22 @@ class DidRegistry:
         return path
 
     @classmethod
-    def replay_log(
-        cls, path: Path, recorder: Callable[[str, dict, str], str] | None = None
-    ) -> "DidRegistry":
+    def replay_log(cls, path: Path, recorder: Callable[[str, dict, str], str]) -> "DidRegistry":
         """Rebuild a registry by replaying a JSON-lines mutation log."""
-        registry = cls(recorder=recorder)
-        with Path(path).open() as fh:
-            for line in fh:
+        registry = cls(recorder)
+        with Path(path).open("rb") as fh:
+            for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                entry = json.loads(line)
-                document = DidDocument.from_dict(entry["document"])
-                if entry["op"] == "register":
-                    registry.register(document, entry["profileHash"])
-                elif entry["op"] == "update":
-                    registry.update(document)
-                else:
-                    raise ValidationError(f"unknown log op {entry['op']!r}")
+                try:
+                    entry = json.loads(line)
+                    op, document = entry["op"], DidDocument.from_dict(entry["document"])
+                    if op == "register":
+                        registry.register(document, entry["profileHash"])
+                    elif op == "update":
+                        registry.update(document)
+                    else:
+                        raise ValidationError(f"unknown log op {op!r}")
+                except (ValidationError, ValueError, KeyError, TypeError) as error:
+                    raise ValidationError(f"{path} line {number}: {error}") from None
         return registry

@@ -16,7 +16,8 @@ signing is deterministic (RFC 8032 §5.1.6), so the resolver signs the same
 bytes again and compares in constant time. It accepts only the one
 signature this resolver's key makes over those bytes; a valid signature by
 any other key, or over any other nonce, is refused. Flipping a single bit
-of either input breaks the check.
+of either input breaks the check. The key is a required argument: a
+resolver never draws a random one, since every caller passes its own.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class RegistryDriver:
 
 
 class Resolver:
-    def __init__(self, name: str, keypair: KeyPair | None = None):
+    def __init__(self, name: str, keypair: KeyPair):
         self.name = name
-        self._keypair = keypair or KeyPair.generate()
+        self._keypair = keypair
         self._drivers: dict[str, object] = {}
 
     def register_driver(self, method: str, driver) -> None:

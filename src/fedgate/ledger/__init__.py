@@ -6,7 +6,6 @@ from .chain import (
     Chain,
     Transaction,
     load_chain,
-    merkle_root,
     verify_chain_file,
     verify_chain_records,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Transaction",
     "Block",
     "Chain",
-    "merkle_root",
     "GENESIS_PREV_HASH",
     "verify_chain_records",
     "verify_chain_file",

@@ -1,11 +1,16 @@
-"""Single-writer append-only chain of hash-linked blocks.
+"""Single-writer append-only chain of hash-linked blocks, one transaction each.
 
-Every transaction id is ``sha256(payload ‖ kind ‖ submitter)``; every
-block header hashes to ``sha256(height ‖ prev_hash ‖ merkle_root ‖
-timestamp)`` with fixed-width big-endian integers so the concatenation
-is unambiguous. Blocks link by ``prev_hash``; the genesis block links to
-32 zero bytes. There is no consensus and no mining — one authoritative
-writer appends, everyone else reads.
+Every transaction id is ``sha256(payload ‖ kind ‖ submitter)``. The genesis
+block holds no transaction and its root is 32 zero bytes; every later block
+holds exactly one, and its root is that transaction's id (stored as
+``merkleRoot``, the root of a one-leaf tree). A block header hashes to
+``sha256(height ‖ prev_hash ‖ root ‖ timestamp)`` with fixed-width
+big-endian integers so the concatenation is unambiguous. Blocks link by
+``prev_hash``; the genesis block links to 32 zero bytes. There is no
+consensus and no mining — one authoritative writer appends, everyone else
+reads, and blocks are stamped from the clock the writer is given: like the
+rest of ``fedgate``, this module keeps no default that only a test would take
+(here, wall time), since a test can pass what it needs.
 
 The persisted form is JSON lines, one block per line, canonical
 encoding. Chain files have one validator: ``Block.from_dict``, whose
@@ -26,9 +31,9 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from ..canonical import canonical_json_bytes, from_hex, sha256, sha256_hex, to_hex
-from ..clock import wall_clock
+from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..errors import ValidationError, check_field_types
 
 TRANSACTION_KINDS = frozenset(
@@ -36,23 +41,11 @@ TRANSACTION_KINDS = frozenset(
 )
 
 GENESIS_PREV_HASH = to_hex(b"\x00" * 32)
-_EMPTY_MERKLE = to_hex(b"\x00" * 32)
+_GENESIS_ROOT = to_hex(b"\x00" * 32)
 
 
 def _tx_id(payload: bytes, kind: str, submitter: str) -> str:
     return sha256_hex(payload + kind.encode() + submitter.encode())
-
-
-def merkle_root(tx_ids: list[str]) -> str:
-    """Ordered pairwise hash tree over transaction ids, odd leaf duplicated."""
-    if not tx_ids:
-        return _EMPTY_MERKLE
-    level = [from_hex(t) for t in tx_ids]
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [sha256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-    return to_hex(level[0])
 
 
 # Default of a hash field: ``__post_init__`` derives the value. No JSON value
@@ -96,9 +89,6 @@ class Transaction:
             submitter=submitter,
         )
 
-    def payload_dict(self) -> dict:
-        return json.loads(self.payload.decode("utf-8"))
-
     def to_dict(self) -> dict:
         return {
             "txId": self.tx_id,
@@ -135,7 +125,7 @@ class Block:
     prev_hash: str
     timestamp: int
     transactions: tuple[Transaction, ...]
-    merkle_root: str = _DERIVE
+    root: str = _DERIVE
     hash: str = _DERIVE
 
     _FIELD_TYPES = (("height", int), ("prev_hash", str), ("timestamp", int))
@@ -145,23 +135,26 @@ class Block:
         object.__setattr__(self, "transactions", tuple(self.transactions))
         if self.height < 0:
             raise ValidationError("block height must be >= 0")
-        if self.height > 0 and not self.transactions:
-            raise ValidationError("only the genesis block may be empty")
+        if len(self.transactions) != (1 if self.height else 0):
+            raise ValidationError(
+                f"block at height {self.height} holds {len(self.transactions)} "
+                "transactions; genesis holds none and every other block one"
+            )
         # Sealing stamps every transaction with the block time, and the block
         # time feeds the block hash; without this equality a transaction's
         # timestamp would be the one field no hash covers.
         if any(t.timestamp != self.timestamp for t in self.transactions):
             raise ValidationError("transaction timestamps must match the block timestamp")
-        root = merkle_root([t.tx_id for t in self.transactions])
-        _settle(self, "merkle_root", root, f"merkle root at height {self.height}")
-        derived = _block_hash(self.height, self.prev_hash, self.merkle_root, self.timestamp)
+        root = self.transactions[0].tx_id if self.transactions else _GENESIS_ROOT
+        _settle(self, "root", root, f"root at height {self.height}")
+        derived = _block_hash(self.height, self.prev_hash, self.root, self.timestamp)
         _settle(self, "hash", derived, f"block hash at height {self.height}")
 
     def to_dict(self) -> dict:
         return {
             "height": self.height,
             "prevHash": self.prev_hash,
-            "merkleRoot": self.merkle_root,
+            "merkleRoot": self.root,
             "timestamp": self.timestamp,
             "transactions": [t.to_dict() for t in self.transactions],
             "hash": self.hash,
@@ -174,7 +167,7 @@ class Block:
             prev_hash=data["prevHash"],
             timestamp=data["timestamp"],
             transactions=tuple(Transaction.from_dict(t) for t in data["transactions"]),
-            merkle_root=data["merkleRoot"],
+            root=data["merkleRoot"],
             hash=data["hash"],
         )
 
@@ -182,8 +175,8 @@ class Block:
 class Chain:
     """The authoritative chain: one serialized writer, concurrent readers."""
 
-    def __init__(self, clock=None):
-        self._clock = clock or wall_clock
+    def __init__(self, clock: Callable[[], int]):
+        self._clock = clock
         self._lock = threading.Lock()
         genesis = Block(
             height=0,
@@ -201,45 +194,18 @@ class Chain:
     def blocks(self) -> tuple[Block, ...]:
         return tuple(self._blocks)
 
-    def append_block(self, entries: list[tuple[str, dict, str]]) -> Block:
-        """Seal ``(kind, payload, submitter)`` entries into the next block.
+    def record(self, kind: str, payload: dict, submitter: str) -> str:
+        """Seal one transaction into its own block; returns its tx id.
 
-        The block time is fixed first, so each transaction is built once,
+        The block time is fixed first, so the transaction is built once,
         already stamped with it.
         """
-        if not entries:
-            raise ValidationError("a block must carry at least one transaction")
         with self._lock:
             prev = self._blocks[-1]
             timestamp = max(int(self._clock()), prev.timestamp)
-            block = Block(
-                height=prev.height + 1,
-                prev_hash=prev.hash,
-                timestamp=timestamp,
-                transactions=tuple(
-                    Transaction.create(kind, payload, submitter, timestamp)
-                    for kind, payload, submitter in entries
-                ),
-            )
-            self._blocks.append(block)
-        return block
-
-    def record(self, kind: str, payload: dict, submitter: str) -> str:
-        """Seal one transaction into its own block; returns its tx id."""
-        return self.append_block([(kind, payload, submitter)]).transactions[0].tx_id
-
-    def transactions(self, kind: str | None = None) -> list[Transaction]:
-        txs = [t for b in self._blocks for t in b.transactions]
-        if kind is not None:
-            txs = [t for t in txs if t.kind == kind]
-        return txs
-
-    def find_transaction(self, tx_id: str) -> Transaction | None:
-        for block in self._blocks:
-            for tx in block.transactions:
-                if tx.tx_id == tx_id:
-                    return tx
-        return None
+            tx = Transaction.create(kind, payload, submitter, timestamp)
+            self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
+        return tx.tx_id
 
     def write_chain(self, path: Path) -> Path:
         path = Path(path)

@@ -4,23 +4,24 @@ A contract lists required claims, each with a predicate over the claim
 value (``equals`` / ``one_of`` / ``present``), names the service it
 gates, and is owned by a DID. Evaluation is a pure function of
 (contract, document, now): it consults only the injected claim checker.
-Execution additionally mints a session grant token and seals the verdict
-onto the chain as an ``access_grant`` or ``access_denial`` transaction.
-The verdict is an :class:`AccessOutcome`, the value the requester receives.
+Execution additionally reads the engine's clock, mints a session grant
+token and seals the verdict onto the chain as an ``access_grant`` or
+``access_denial`` transaction. The verdict is an :class:`AccessOutcome`, the
+value the requester receives. The clock and the token source are required:
+no default stands in for them, since every caller (and every test) passes
+its own.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..canonical import canonical_json_bytes, sha256_hex, to_hex
 from ..claims import VerifiableClaim
-from ..clock import wall_clock
 from ..errors import FedGateError, ValidationError
 from ..keys import verify_signature
-from .chain import Chain, Transaction
+from .chain import Chain
 
 GRANT_LIFETIME_SECONDS = 3600
 _PREDICATE_KINDS = ("equals", "one_of", "present")
@@ -164,8 +165,8 @@ class ContractEngine:
     ``document_lookup`` maps a DID string to its current document (or
     raises/returns None); ``claim_checker(claim, now)`` returns
     ``(valid, reason)`` and carries the issuer-trust and signature
-    policy. ``token_bytes`` is injectable so demos can mint reproducible
-    grant tokens.
+    policy. ``token_bytes`` mints each grant token's bytes, so a desk built
+    from a seed mints reproducible ones.
     """
 
     def __init__(
@@ -174,14 +175,14 @@ class ContractEngine:
         *,
         document_lookup: Callable[[str], object],
         claim_checker: Callable[[VerifiableClaim, int], tuple[bool, str]],
-        clock: Callable[[], int] | None = None,
-        token_bytes: Callable[[], bytes] | None = None,
+        clock: Callable[[], int],
+        token_bytes: Callable[[], bytes],
     ):
         self._chain = chain
         self._document_lookup = document_lookup
         self._claim_checker = claim_checker
-        self._clock = clock or wall_clock
-        self._token_bytes = token_bytes or (lambda: os.urandom(16))
+        self._clock = clock
+        self._token_bytes = token_bytes
         self._contracts: dict[str, AccessPolicyContract] = {}
         self._by_service: dict[str, str] = {}
 
@@ -251,20 +252,14 @@ class ContractEngine:
             return AccessOutcome("denied", "missing-claims", tuple(missing))
         return AccessOutcome("granted", "all-claims-valid")
 
-    def execute(
-        self,
-        contract_id: str,
-        document,
-        now: int | None = None,
-        request_ref: str | None = None,
-    ) -> AccessOutcome:
-        """Evaluate and seal the verdict onto the chain; grants mint a token.
+    def execute(self, contract_id: str, document, request_ref: str) -> AccessOutcome:
+        """Evaluate at the engine's clock and seal the verdict; grants mint a token.
 
-        ``request_ref`` (typically the request nonce) is folded into the
-        sealed payload so every evaluated request leaves its own transaction,
-        even when two denials would otherwise be byte-identical.
+        ``request_ref`` (the request nonce) is folded into the sealed payload
+        so every evaluated request leaves its own transaction, even when two
+        denials would otherwise be byte-identical.
         """
-        now = int(self._clock()) if now is None else int(now)
+        now = int(self._clock())
         outcome = self.evaluate(contract_id, document, now)
         contract = self.get(contract_id)
         subject = str(document.id)
@@ -285,6 +280,5 @@ class ContractEngine:
                 "service": contract.grants_service,
                 "missing": list(outcome.missing),
             }
-        if request_ref is not None:
-            payload["requestRef"] = request_ref
+        payload["requestRef"] = request_ref
         return replace(outcome, tx_id=self._chain.record(kind, payload, submitter=subject))

@@ -73,8 +73,10 @@ class ServiceApi:
         headers = headers or {}
         body = body or {}
         try:
-            if not isinstance(query, dict):
-                raise ApiError(400, "query must be a mapping")
+            if not isinstance(method, str) or not isinstance(path, str):
+                raise ApiError(400, "method and path must be strings")
+            if not isinstance(query, dict) or not isinstance(headers, dict):
+                raise ApiError(400, "query and headers must be mappings")
             if not isinstance(body, dict):
                 raise ApiError(400, "body must be a JSON object")
             return self._route(method.upper(), path, query, headers, body)

@@ -1,7 +1,8 @@
 """What a granted user may learn about the fleet's data before training.
 
-Metadata only: per-client shape, label histogram, and a small rounded
-preview. Raw datasets never cross this boundary.
+Metadata only: per-client shape, label histogram, and a preview of
+``PREVIEW_ROWS`` rows rounded to ``PREVIEW_DIGITS`` places (constants, not
+options: each has one value in use). Raw datasets never cross this boundary.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ..errors import ValidationError
 from ..fl import DatasetPartition
+
+PREVIEW_ROWS = 5
+PREVIEW_DIGITS = 3
 
 
 @dataclass(frozen=True)
@@ -40,20 +43,13 @@ class TrainingDataMetadata:
     service: str
     clients: tuple[ClientDataSummary, ...]
     preview: tuple[Mapping, ...]
-    preview_limit: int
-
-    def __post_init__(self) -> None:
-        if len(self.preview) > self.preview_limit:
-            raise ValidationError(
-                f"{len(self.preview)} preview rows exceed limit {self.preview_limit}"
-            )
 
     def to_dict(self) -> dict:
         return {
             "service": self.service,
             "clients": [c.to_dict() for c in self.clients],
             "preview": self.preview_dicts(),
-            "previewLimit": self.preview_limit,
+            "previewLimit": PREVIEW_ROWS,
         }
 
     def preview_dicts(self) -> list[dict]:
@@ -66,18 +62,13 @@ def _label_key(value: float) -> str:
 
 
 def summarize_partitions(
-    partitions: Sequence[DatasetPartition],
-    service: str,
-    preview_rows: int = 5,
-    round_digits: int = 3,
+    partitions: Sequence[DatasetPartition], service: str
 ) -> TrainingDataMetadata:
     """Build the client summaries plus a bounded, value-rounded preview, both read-only.
 
     Preview rows are drawn round-robin across clients so every partition
     contributes before any contributes twice.
     """
-    if preview_rows < 0:
-        raise ValidationError("preview_rows must be >= 0")
     summaries = []
     for p in sorted(partitions, key=lambda q: q.client_id):
         # count float values in C, then key each distinct value once, not each sample
@@ -96,16 +87,16 @@ def summarize_partitions(
     preview: list[Mapping] = []
     ordered = sorted(partitions, key=lambda q: q.client_id)
     depth = 0
-    while len(preview) < preview_rows:
+    while len(preview) < PREVIEW_ROWS:
         progressed = False
         for p in ordered:
-            if len(preview) >= preview_rows:
+            if len(preview) >= PREVIEW_ROWS:
                 break
             if depth < p.size:
                 row = {
                     "clientId": p.client_id,
-                    "features": tuple(round(float(v), round_digits) for v in p.features[depth]),
-                    "label": round(float(p.labels[depth]), round_digits),
+                    "features": tuple(round(float(v), PREVIEW_DIGITS) for v in p.features[depth]),
+                    "label": round(float(p.labels[depth]), PREVIEW_DIGITS),
                 }
                 preview.append(MappingProxyType(row))
                 progressed = True
@@ -117,5 +108,4 @@ def summarize_partitions(
         service=service,
         clients=tuple(summaries),
         preview=tuple(preview),
-        preview_limit=preview_rows,
     )

@@ -1,11 +1,12 @@
 """What the tests share: the desk they run on (``fedgate.desk`` plus a
 trusted issuer and a policy owner, under the short names the tests call), the
-hex regex that ``canonical.from_hex`` is held to, and the one-model loss
-oracles that ``FleetScores``, ``global_loss``, ``training_accuracy`` and
-``stacked_gradient`` are held to."""
+ledger readers only tests need, the hex regex that ``canonical.from_hex`` is
+held to, and the one-model loss oracles that ``FleetScores``, ``global_loss``,
+``training_accuracy`` and ``stacked_gradient`` are held to."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from fedgate.errors import ValidationError
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import _sigmoid, stacked_gradient
 from fedgate.fl.model import ModelParameters
-from fedgate.ledger import AccessPolicyContract, ClaimRequirement
+from fedgate.ledger import AccessPolicyContract, ClaimRequirement, Transaction
 
 ISSUER_DID = "did:efed:issuer"
 
@@ -27,6 +28,25 @@ _HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 def is_lowercase_hex(text: str) -> bool:
     """The oracle ``canonical.from_hex`` is held to: whole bytes of lowercase hex."""
     return _HEX_RE.fullmatch(text) is not None
+
+
+def transactions(chain, kind: str | None = None) -> list[Transaction]:
+    """Every transaction on ``chain`` in order, or only those of ``kind``."""
+    txs = [t for b in chain.blocks for t in b.transactions]
+    return txs if kind is None else [t for t in txs if t.kind == kind]
+
+
+def find_transaction(chain, tx_id: str) -> Transaction | None:
+    return next((t for t in transactions(chain) if t.tx_id == tx_id), None)
+
+
+def payload_dict(tx: Transaction) -> dict:
+    return json.loads(tx.payload)
+
+
+def receipt(kind: str, payload: dict, submitter: str) -> str:
+    """A ``DidRegistry`` recorder for registries that need no ledger."""
+    return f"local:{kind}:{payload['id']}:{payload['version']}"
 
 
 class Stack:

@@ -17,6 +17,7 @@ from fedgate.access import (
     verify_claim,
 )
 from fedgate.access.issuance import CLAIM_CACHE_SIZE, ForbiddenIssuerError
+from fedgate.access.ratelimit import MAX_TRACKED_KEYS
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
@@ -26,7 +27,7 @@ from fedgate.identity.registry import UnknownDidError
 from fedgate.keys import KeyPair, verify_signature
 from fedgate.ledger import ClaimPredicate, ClaimRequirement
 
-from support import ISSUER_DID, Stack
+from support import ISSUER_DID, Stack, payload_dict, transactions
 
 
 # ---------------------------------------------------------------- issuance
@@ -257,13 +258,13 @@ def test_limiter_window_slides():
 
 def test_limiter_keys_are_independent_and_bounded():
     clock = SimulatedClock(start=0)
-    limiter = SlidingWindowLimiter(1, 60, clock, max_keys=100)
+    limiter = SlidingWindowLimiter(1, 60, clock)
     assert limiter.allow("a")
     assert limiter.allow("b")
     assert not limiter.allow("a")
-    for i in range(1000):
+    for i in range(MAX_TRACKED_KEYS + 100):
         limiter.allow(f"flood-{i}")
-    assert limiter.tracked_keys <= 100
+    assert limiter.tracked_keys <= MAX_TRACKED_KEYS
 
 
 # ----------------------------------------------------------------- pending
@@ -405,9 +406,9 @@ def test_scheme_a_grant_happy_path():
     assert outcome.grant is not None
     assert outcome.grant.holder == alice.did
     assert outcome.tx_id is not None
-    grants = stack.chain.transactions("access_grant")
+    grants = transactions(stack.chain, "access_grant")
     assert len(grants) == 1
-    assert grants[0].payload_dict()["token"] == outcome.grant.token
+    assert payload_dict(grants[0])["token"] == outcome.grant.token
     assert stack.gateway.pending.size == 0
     assert stack.gateway.grants.validate(outcome.grant.token, stack.clock()) is not None
 
@@ -460,7 +461,7 @@ def test_scheme_a_denial_lists_missing_and_hits_chain():
     assert outcome.decision == "denied"
     assert outcome.reason == "missing-claims"
     assert outcome.missing == ("consortium_member",)
-    denials = stack.chain.transactions("access_denial")
+    denials = transactions(stack.chain, "access_denial")
     assert len(denials) == 1
     assert outcome.tx_id == denials[0].tx_id
 
@@ -688,8 +689,8 @@ def test_scheme_equivalence_and_ledger_bookkeeping(case, name_index):
     assert a.decision == ("granted" if should_grant else "denied")
 
     evaluated = [o for o in (a, b) if o.tx_id is not None]
-    grants = stack.chain.transactions("access_grant")
-    denials = stack.chain.transactions("access_denial")
+    grants = transactions(stack.chain, "access_grant")
+    denials = transactions(stack.chain, "access_denial")
     assert len(grants) == sum(1 for o in evaluated if o.decision == "granted")
     assert len(denials) == sum(1 for o in evaluated if o.decision == "denied")
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,10 @@ from fedgate.ledger import (
     UnauthorizedError,
 )
 
+from support import payload_dict, transactions
+
 ISSUER_DID = "did:efed:issuer"
+REQUEST_REF = "0f" * 16
 ISSUER_KEY = KeyPair.generate(b"\x31" * 32)
 OWNER_KEY = KeyPair.generate(b"\x32" * 32)
 HOLDER_KEY = KeyPair.generate(b"\x33" * 32)
@@ -47,16 +52,21 @@ def claim_checker(claim, now):
     return True, "valid"
 
 
-def make_engine(clock=None, token_bytes=None):
+def counting_tokens():
+    counter = itertools.count(1)
+    return lambda: next(counter).to_bytes(16, "big")
+
+
+def make_engine(token_bytes=None):
     documents = {}
-    clock = clock or SimulatedClock(start=10_000)
+    clock = SimulatedClock(start=10_000)
     chain = Chain(clock=clock)
     engine = ContractEngine(
         chain,
         document_lookup=documents.get,
         claim_checker=claim_checker,
         clock=clock,
-        token_bytes=token_bytes,
+        token_bytes=token_bytes or counting_tokens(),
     )
     owner_doc = simple_document("owner", OWNER_KEY)
     documents[str(owner_doc.id)] = owner_doc
@@ -131,7 +141,7 @@ def test_deploy_and_query():
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     assert engine.get(cid) == contract
     assert engine.query_requirements("fl-study") == contract.required_claims
-    assert len(chain.transactions("deploy_contract")) == 1
+    assert len(transactions(chain, "deploy_contract")) == 1
 
 
 def test_deploy_rejects_wrong_signer():
@@ -184,13 +194,13 @@ def test_grant_when_all_claims_valid():
     contract = membership_contract()
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    verdict = engine.execute(cid, holder)
+    verdict = engine.execute(cid, holder, REQUEST_REF)
     assert verdict.decision == "granted"
     assert verdict.grant is not None
     assert verdict.grant.expires_at == 10_000 + 3600
-    grants = chain.transactions("access_grant")
+    grants = transactions(chain, "access_grant")
     assert len(grants) == 1
-    assert grants[0].payload_dict()["token"] == verdict.grant.token
+    assert payload_dict(grants[0])["token"] == verdict.grant.token
 
 
 def test_denial_lists_missing_claim_types():
@@ -205,12 +215,12 @@ def test_denial_lists_missing_claim_types():
     )
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    verdict = engine.execute(cid, holder)
+    verdict = engine.execute(cid, holder, REQUEST_REF)
     assert verdict.decision == "denied" and verdict.grant is None
     assert verdict.missing == ("role",)
-    denials = chain.transactions("access_denial")
+    denials = transactions(chain, "access_denial")
     assert len(denials) == 1
-    assert denials[0].payload_dict()["missing"] == ["role"]
+    assert payload_dict(denials[0])["missing"] == ["role"]
 
 
 def test_expired_claim_denied():
@@ -220,7 +230,7 @@ def test_expired_claim_denied():
         OWNER_KEY.sign(membership_contract().signing_bytes()),
     )
     holder = holder_with([membership_claim(expires_at=9_500)])
-    verdict = engine.execute(cid, holder)
+    verdict = engine.execute(cid, holder, REQUEST_REF)
     assert verdict.decision == "denied"
     assert verdict.missing == ("consortium_member",)
 
@@ -247,7 +257,7 @@ def test_tampered_claim_is_the_missing_one():
         subject="did:efed:holder", issuer=ISSUER_DID, issued_at=9_000, expires_at=20_000,
     )
     holder = holder_with([membership_claim(), good_role, forged])
-    verdict = engine.execute(cid, holder)
+    verdict = engine.execute(cid, holder, REQUEST_REF)
     assert verdict.missing == ("hospital",)
 
 
@@ -260,14 +270,14 @@ def test_claim_for_other_subject_does_not_count():
         subject="did:efed:somebody-else", issuer=ISSUER_DID,
         issued_at=9_000, expires_at=20_000,
     )
-    verdict = engine.execute(cid, holder_with([borrowed]))
+    verdict = engine.execute(cid, holder_with([borrowed]), REQUEST_REF)
     assert verdict.decision == "denied"
 
 
 def test_unknown_contract():
     engine, _, _ = make_engine()
     with pytest.raises(ContractNotFoundError):
-        engine.execute("00" * 32, holder_with([]))
+        engine.execute("00" * 32, holder_with([]), REQUEST_REF)
 
 
 def test_evaluation_is_deterministic():
@@ -293,26 +303,13 @@ def test_granted_now_implies_granted_since_issuance():
         assert engine.evaluate(cid, holder, now=t).decision == "granted"
 
 
-def test_grant_tokens_are_fresh_random():
-    engine, _, _ = make_engine()
-    contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
-    holder = holder_with([membership_claim()])
-    tokens = {engine.execute(cid, holder).grant.token for _ in range(20)}
-    assert len(tokens) == 20
-    assert all(len(t) == 32 for t in tokens)
-
-
 def test_injected_token_source_gives_reproducible_tokens():
-    import itertools
-
-    counter = itertools.count(1)
-    engine, _, _ = make_engine(token_bytes=lambda: next(counter).to_bytes(16, "big"))
+    engine, _, _ = make_engine(token_bytes=counting_tokens())
     contract = membership_contract()
     cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    assert engine.execute(cid, holder).grant.token == ("00" * 15) + "01"
-    assert engine.execute(cid, holder).grant.token == ("00" * 15) + "02"
+    assert engine.execute(cid, holder, REQUEST_REF).grant.token == ("00" * 15) + "01"
+    assert engine.execute(cid, holder, REQUEST_REF).grant.token == ("00" * 15) + "02"
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,9 +68,9 @@ def test_selection_is_deterministic_per_round():
 def test_selection_round_bounds():
     config = make_config(total_rounds=2)
     with pytest.raises(ValidationError):
-        select_clients(config, 0)
+        select_clients(config, 0, ["a", "b"])
     with pytest.raises(ValidationError):
-        select_clients(config, 3)
+        select_clients(config, 3, ["a", "b"])
 
 
 def test_selection_frequencies_are_uniform():

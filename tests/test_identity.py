@@ -29,7 +29,7 @@ from fedgate.identity import (
 )
 from fedgate.keys import KeyPair, verify_signature
 
-from support import is_lowercase_hex
+from support import is_lowercase_hex, receipt
 
 METHOD_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
 SPECIFIC_ALPHA = METHOD_ALPHA + METHOD_ALPHA.upper() + "._-"
@@ -222,7 +222,7 @@ def test_claim_signature_must_be_bytes():
 
 
 def test_register_and_get():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     doc, _ = make_document()
     registry.register(doc, profile_hash="profile-a")
     assert registry.get("did:efed:alice01") == doc
@@ -230,7 +230,7 @@ def test_register_and_get():
 
 
 def test_duplicate_id_rejected():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     doc, _ = make_document()
     registry.register(doc, profile_hash="profile-a")
     with pytest.raises(AlreadyRegisteredError):
@@ -238,7 +238,7 @@ def test_duplicate_id_rejected():
 
 
 def test_duplicate_profile_rejected():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     a, _ = make_document("alice01")
     b, _ = make_document("bob01")
     registry.register(a, profile_hash="same-person")
@@ -247,7 +247,7 @@ def test_duplicate_profile_rejected():
 
 
 def test_update_requires_exact_version_step():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
     with pytest.raises(VersionSequenceError):
@@ -261,7 +261,7 @@ def test_update_requires_exact_version_step():
 
 
 def test_registration_must_start_at_version_one():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     with pytest.raises(ValidationError):
         registry.register(make_document(version=2)[0], profile_hash="p")
 
@@ -294,7 +294,7 @@ def test_recorder_sees_every_mutation():
 
 
 def test_log_replay_reproduces_state(tmp_path):
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     a, _ = make_document("alice01")
     b, _ = make_document("bob01", seed=2)
     registry.register(a, profile_hash="pa")
@@ -311,7 +311,7 @@ def test_log_replay_reproduces_state(tmp_path):
     registry.update(a.with_claim(claim))
 
     path = registry.write_log(tmp_path / "registry.jsonl")
-    replayed = DidRegistry.replay_log(path)
+    replayed = DidRegistry.replay_log(path, receipt)
     assert replayed.ids() == registry.ids()
     for did in registry.ids():
         assert replayed.get(did) == registry.get(did)
@@ -328,7 +328,7 @@ def test_log_replay_rejects_a_claim_of_the_wrong_type(tmp_path, field, value):
     path = tmp_path / "registry.jsonl"
     path.write_text(json.dumps(line) + "\n")
     with pytest.raises(ValidationError):
-        DidRegistry.replay_log(path)
+        DidRegistry.replay_log(path, receipt)
 
 
 def _key_id_list(doc):
@@ -358,7 +358,7 @@ def test_document_fields_of_the_wrong_type_are_refused(tmp_path, spoil):
     path = tmp_path / "registry.jsonl"
     path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
     with pytest.raises(ValidationError):
-        DidRegistry.replay_log(path)
+        DidRegistry.replay_log(path, receipt)
 
 
 def _upper_key_hex(doc):
@@ -393,14 +393,38 @@ def test_malformed_documents_are_refused_with_validation_error(tmp_path, spoil):
     path = tmp_path / "registry.jsonl"
     path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
     with pytest.raises(ValidationError):
-        DidRegistry.replay_log(path)
+        DidRegistry.replay_log(path, receipt)
+
+
+def _log_line(specific_id="alice01", seed=1, **changes):
+    entry = {"op": "register", "document": make_document(specific_id, seed=seed)[0].to_dict()}
+    entry = {**entry, "profileHash": specific_id, **changes}
+    return json.dumps({k: v for k, v in entry.items() if v is not None})
+
+
+MALFORMED_LOG_LINES = {
+    "not-json": "{not json",
+    "json-list": f"[{_log_line()}]",
+    "op-missing": _log_line(op=None),
+    "profile-hash-missing": _log_line(profileHash=None),
+    "profile-hash-int": _log_line(profileHash=5),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LOG_LINES.values(), ids=MALFORMED_LOG_LINES)
+def test_log_replay_refuses_a_malformed_line_naming_it(tmp_path, line):
+    good = _log_line("bob01", seed=2)
+    path = tmp_path / "registry.jsonl"
+    path.write_text(good + "\n\n" + line + "\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        DidRegistry.replay_log(path, receipt)
 
 
 # ---------------------------------------------------------------- resolver
 
 
 def make_resolver():
-    registry = DidRegistry()
+    registry = DidRegistry(receipt)
     resolver = Resolver("desk-resolver", KeyPair.generate(b"\x21" * 32))
     resolver.register_driver("efed", RegistryDriver(registry))
     return registry, resolver

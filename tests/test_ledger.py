@@ -11,13 +11,15 @@ from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
 from fedgate.ledger import (
     GENESIS_PREV_HASH,
+    Block,
     Chain,
     Transaction,
     load_chain,
-    merkle_root,
     verify_chain_file,
     verify_chain_records,
 )
+
+from support import find_transaction, payload_dict, transactions
 
 
 def tx(n, kind="did_registration", submitter="did:efed:tester"):
@@ -28,47 +30,22 @@ def entry(n, kind="did_registration", submitter="did:efed:tester"):
     return (kind, {"n": n}, submitter)
 
 
-def build_chain(n_blocks=3, txs_per_block=2):
+def build_chain(n_blocks=3, step=10):
     clock = SimulatedClock(start=1000)
     chain = Chain(clock=clock)
-    counter = 0
-    for _ in range(n_blocks):
-        clock.advance(10)
-        batch = []
-        for _ in range(txs_per_block):
-            batch.append(entry(counter))
-            counter += 1
-        chain.append_block(batch)
+    for n in range(n_blocks):
+        clock.advance(step)
+        chain.record(*entry(n))
     return chain
 
 
-# -------------------------------------------------------------------- merkle
+# ---------------------------------------------------------------- block root
 
 
 def test_merkle_single_leaf_is_itself():
-    t = tx(1)
-    assert merkle_root([t.tx_id]) == t.tx_id
-
-
-def test_merkle_two_leaves_hand_computed():
-    a, b = tx(1), tx(2)
-    expected = hashlib.sha256(
-        bytes.fromhex(a.tx_id) + bytes.fromhex(b.tx_id)
-    ).hexdigest()
-    assert merkle_root([a.tx_id, b.tx_id]) == expected
-
-
-def test_merkle_three_leaves_duplicates_last():
-    a, b, c = tx(1), tx(2), tx(3)
-    left = hashlib.sha256(bytes.fromhex(a.tx_id) + bytes.fromhex(b.tx_id)).digest()
-    right = hashlib.sha256(bytes.fromhex(c.tx_id) + bytes.fromhex(c.tx_id)).digest()
-    expected = hashlib.sha256(left + right).hexdigest()
-    assert merkle_root([a.tx_id, b.tx_id, c.tx_id]) == expected
-
-
-def test_merkle_is_order_sensitive():
-    a, b = tx(1), tx(2)
-    assert merkle_root([a.tx_id, b.tx_id]) != merkle_root([b.tx_id, a.tx_id])
+    chain = build_chain(1)
+    (block_tx,) = chain.blocks[1].transactions
+    assert chain.blocks[1].to_dict()["merkleRoot"] == block_tx.tx_id
 
 
 # -------------------------------------------------------------- transactions
@@ -116,7 +93,7 @@ def test_genesis_convention():
 def test_height_counts_appends():
     chain = Chain(clock=SimulatedClock())
     for i in range(5):
-        chain.append_block([entry(i)])
+        chain.record(*entry(i))
         assert chain.height == i + 1
 
 
@@ -131,18 +108,18 @@ def test_append_links_blocks():
 
 
 def test_empty_append_rejected():
-    chain = Chain(clock=SimulatedClock())
-    with pytest.raises(ValidationError):
-        chain.append_block([])
+    genesis = Chain(clock=SimulatedClock()).blocks[0]
+    with pytest.raises(ValidationError, match="holds 0 transactions"):
+        Block(height=1, prev_hash=genesis.hash, timestamp=0, transactions=())
 
 
 def test_record_returns_findable_tx():
     chain = Chain(clock=SimulatedClock(start=9))
     tx_id = chain.record("access_denial", {"missing": ["role"]}, "did:efed:u")
-    found = chain.find_transaction(tx_id)
+    found = find_transaction(chain, tx_id)
     assert found is not None
-    assert found.payload_dict() == {"missing": ["role"]}
-    assert chain.transactions("access_denial") == [found]
+    assert payload_dict(found) == {"missing": ["role"]}
+    assert transactions(chain, "access_denial") == [found]
 
 
 def test_record_computes_each_hash_once(monkeypatch):
@@ -150,7 +127,7 @@ def test_record_computes_each_hash_once(monkeypatch):
 
     chain = Chain(clock=SimulatedClock(start=9))
     counts = {}
-    for name in ("_tx_id", "merkle_root", "_block_hash"):
+    for name in ("_tx_id", "_block_hash"):
         original = getattr(chain_module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -159,7 +136,7 @@ def test_record_computes_each_hash_once(monkeypatch):
 
         monkeypatch.setattr(chain_module, name, counted)
     chain.record("access_denial", {"missing": ["role"]}, "did:efed:u")
-    assert counts == {"_tx_id": 1, "merkle_root": 1, "_block_hash": 1}
+    assert counts == {"_tx_id": 1, "_block_hash": 1}
     assert verify_chain_records([b.to_dict() for b in chain.blocks]) == (True, None)
 
 
@@ -177,11 +154,9 @@ def test_mutated_payload_detected_at_its_height():
 
 
 def test_reordered_transactions_break_merkle_root():
-    chain = build_chain(1, txs_per_block=3)
-    records = [b.to_dict() for b in chain.blocks]
-    txs = records[1]["transactions"]
-    txs[0], txs[1] = txs[1], txs[0]
-    records[1]["transactions"] = txs
+    records = [b.to_dict() for b in build_chain(2, step=0).blocks]
+    first, second = records[1]["transactions"], records[2]["transactions"]
+    records[1]["transactions"], records[2]["transactions"] = second, first
     ok, bad = verify_chain_records(records)
     assert not ok and bad == 1
 
@@ -241,8 +216,9 @@ def test_any_single_bit_flip_invalidates(data):
 
 
 def reseal(records, start):
-    """Recompute tx ids, merkle roots, block hashes and links from ``start``
-    on, the way a forger would, straight from the documented formulas."""
+    """Recompute tx ids, roots, block hashes and links from ``start`` on, the
+    way a forger would, straight from the documented formulas (a block's root
+    is its first transaction's id)."""
     for index in range(start, len(records)):
         record = records[index]
         for t in record["transactions"]:
@@ -250,7 +226,8 @@ def reseal(records, start):
             t["txId"] = hashlib.sha256(
                 body + t["kind"].encode() + t["submitter"].encode()
             ).hexdigest()
-        record["merkleRoot"] = merkle_root([t["txId"] for t in record["transactions"]])
+        txs = record["transactions"]
+        record["merkleRoot"] = txs[0]["txId"] if txs else "00" * 32
         if index > 0:
             record["prevHash"] = records[index - 1]["hash"]
         header = (
@@ -290,7 +267,7 @@ def forged_unknown_kind():
 
 def non_string_field(field, value=7):
     records = [b.to_dict() for b in build_chain(3).blocks]
-    records[2]["transactions"][1][field] = value
+    records[2]["transactions"][0][field] = value
     return records
 
 
@@ -341,6 +318,26 @@ def retyped_height(index, value):
     ids=["string-and-float-timestamps", "false-genesis-height", "float-height"],
 )
 def test_chain_readers_refuse_wrong_json_types(tmp_path, case):
+    records, bad = case
+    assert_readers_refuse(records, bad, tmp_path)
+
+
+def moved_transaction(into, take_from=1):
+    """Block ``into`` carries one more transaction, block ``take_from``'s, stamped
+    with its time, and the chain is resealed from ``into`` on so that every hash
+    and link holds: only the one-transaction rule is broken."""
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    extra = dict(records[take_from]["transactions"][0], timestamp=records[into]["timestamp"])
+    records[into]["transactions"].append(extra)
+    return reseal(records, into), into
+
+
+@pytest.mark.parametrize(
+    "case",
+    [moved_transaction(2), moved_transaction(0)],
+    ids=["two-transaction-block", "transaction-in-genesis"],
+)
+def test_chain_readers_refuse_a_block_of_the_wrong_size(tmp_path, case):
     records, bad = case
     assert_readers_refuse(records, bad, tmp_path)
 

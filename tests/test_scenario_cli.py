@@ -327,6 +327,9 @@ def test_cli_plot_metrics_rejects_empty_and_missing(tmp_path):
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("wrong,header\n1,2\n")
     assert main(["plot-metrics", str(malformed)]) == 2
+    short = tmp_path / "short.csv"
+    short.write_text("round,global_loss,train_accuracy,selected_clients\n1,0.5\n")
+    assert main(["plot-metrics", str(short)]) == 2
 
 
 def test_cli_import_legacy(tmp_path):

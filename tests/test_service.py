@@ -30,6 +30,7 @@ from fedgate.service import (
     wsjf_order,
 )
 from fedgate.service.facade import RejectedConfigError
+from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS
 
 from support import Stack
 
@@ -79,7 +80,7 @@ def test_histograms_match_source_csvs(tmp_path):
     )
     write_dataset(spec, tmp_path)
     parts = load_partitions(tmp_path)
-    meta = summarize_partitions(parts, "fl-study", preview_rows=4)
+    meta = summarize_partitions(parts, "fl-study")
     assert len(meta.clients) == 3
     for summary in meta.clients:
         # independent recount straight from the persisted CSV
@@ -104,20 +105,15 @@ def test_histogram_keys_each_label_value_like_a_per_sample_count():
 
 def test_preview_is_bounded_and_rounded():
     parts = fleet_partitions()
-    meta = summarize_partitions(parts, "fl-study", preview_rows=6, round_digits=2)
-    assert len(meta.preview) == 6
+    meta = summarize_partitions(parts, "fl-study")
+    assert len(meta.preview) == PREVIEW_ROWS == meta.to_dict()["previewLimit"]
     # round-robin: first rows come from distinct clients
     assert [r["clientId"] for r in meta.preview[:4]] == ["000", "001", "002", "003"]
     for row in meta.preview:
         for v in row["features"]:
-            assert v == round(v, 2)
+            assert v == round(v, PREVIEW_DIGITS)
     total_rows = sum(p.size for p in parts)
     assert len(meta.preview) < total_rows
-
-
-def test_preview_zero_is_allowed():
-    meta = summarize_partitions(fleet_partitions(), "fl-study", preview_rows=0)
-    assert meta.preview == ()
 
 
 # ------------------------------------------------------------------- queue
@@ -848,10 +844,10 @@ ROUTES = (
 def test_handle_answers_every_input_with_a_status(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     routes = st.sampled_from(ROUTES) | st.tuples(
-        st.sampled_from(["GET", "POST", "get", "PUT"]) | st.text(max_size=6),
-        st.sampled_from([path for _, path in ROUTES]) | st.text(max_size=12),
+        st.sampled_from(["GET", "POST", "get", "PUT"]) | st.text(max_size=6) | JSON,
+        st.sampled_from([path for _, path in ROUTES]) | st.text(max_size=12) | JSON,
     )
-    headers = st.just({"Authorization": f"Grant {token}"}) | st.dictionaries(
+    headers = st.just({"Authorization": f"Grant {token}"}) | JSON | st.dictionaries(
         st.text(max_size=8), st.text(max_size=12), max_size=2
     )
 
