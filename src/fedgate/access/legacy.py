@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,18 +35,21 @@ class LegacyImportResult:
 
 
 def read_accounts_csv(path: Path) -> list[tuple[str, str]]:
-    """Read ``username,role`` rows (header required)."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"username", "role"} <= set(reader.fieldnames):
-            raise ValidationError(f"{path} must have a username,role header")
-        rows = []
-        for row in reader:
-            username = (row["username"] or "").strip()
-            role = (row["role"] or "").strip()
-            if not username or not role:
-                raise ValidationError(f"{path}: blank username or role in {row}")
-            rows.append((username, role))
+    """Read ``username,role`` rows (header required) from a UTF-8 file."""
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or not {"username", "role"} <= set(reader.fieldnames):
+        raise ValidationError(f"{path} must have a username,role header")
+    rows = []
+    for row in reader:
+        username = (row["username"] or "").strip()
+        role = (row["role"] or "").strip()
+        if not username or not role:
+            raise ValidationError(f"{path}: blank username or role in {row}")
+        rows.append((username, role))
     if not rows:
         raise ValidationError(f"{path} holds no account rows")
     return rows

@@ -1,8 +1,8 @@
 """Bounded table of in-flight access requests.
 
 The table holds at most ``capacity`` live entries, keyed by request nonce,
-and every entry dies ``ttl`` seconds after it was parked whether or not
-anyone sweeps explicitly — insertion sweeps first. All entries share one
+and every entry dies ``ttl`` seconds after it was parked: each insertion
+sweeps first, and nothing else sweeps. All entries share one
 ttl and sit in birth order, so a sweep pops expired entries from the front
 and stops at the first live one. If the clock steps back, an entry parked
 afterwards waits behind a later-born one: eviction only waits, and the
@@ -32,11 +32,13 @@ class PendingTable:
         """Atomic check-and-insert; False when full or the nonce is live."""
         now = int(self._clock())
         with self._lock:
-            self._sweep_locked(now)
-            if nonce in self._born or len(self._born) >= self.capacity:
+            born = self._born
+            while born and now - next(iter(born.values())) >= self.ttl:
+                born.popitem(last=False)
+            if nonce in born or len(born) >= self.capacity:
                 return False
-            self._born[nonce] = now
-            self._peak = max(self._peak, len(self._born))
+            born[nonce] = now
+            self._peak = max(self._peak, len(born))
             return True
 
     def contains(self, nonce: str) -> bool:
@@ -46,19 +48,6 @@ class PendingTable:
     def remove(self, nonce: str) -> None:
         with self._lock:
             self._born.pop(nonce, None)
-
-    def sweep(self, now: int | None = None) -> int:
-        """Drop entries older than ttl; returns how many were evicted."""
-        now = int(self._clock()) if now is None else int(now)
-        with self._lock:
-            return self._sweep_locked(now)
-
-    def _sweep_locked(self, now: int) -> int:
-        born, evicted = self._born, 0
-        while born and now - next(iter(born.values())) >= self.ttl:
-            born.popitem(last=False)
-            evicted += 1
-        return evicted
 
     @property
     def size(self) -> int:

@@ -173,7 +173,7 @@ class AccessGateway:
     # ------------------------------------------------------------ requests
 
     def request_access(
-        self, request: AccessRequest, attestation: Attestation | None = None
+        self, request: AccessRequest, attestation: Attestation | None
     ) -> AccessOutcome:
         if request.scheme == SCHEME_CONTRACT_LOOKUP:
             return self._contract_lookup(request)

@@ -2,7 +2,9 @@
 
 Exit codes are a contract shared by every subcommand: 0 on success, 1 when a
 domain check fails (a denial, a broken chain, a failed job), 2 when the input
-itself is unusable (bad flags, missing or malformed files).
+itself is unusable (bad flags, missing, unreadable or malformed files): ``main``
+maps every ``OSError`` and ``ValidationError`` to 2, and the text readers turn
+a byte that is not UTF-8 into a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ EXIT_INPUT = 2
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read scenario config: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raw = json.loads(Path(args.config).read_bytes())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"cannot read scenario config: {exc}") from None
         try:
             config = ScenarioConfig.from_dict(raw)
         except (KeyError, TypeError, AttributeError) as exc:
@@ -76,11 +77,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_chain(args: argparse.Namespace) -> int:
-    try:
-        ok, bad_height = verify_chain_file(Path(args.chain))
-    except OSError as exc:
-        print(f"cannot read chain: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    ok, bad_height = verify_chain_file(Path(args.chain))
     if ok:
         print("chain verified")
         return EXIT_OK
@@ -91,7 +88,7 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
 def cmd_plot_metrics(args: argparse.Namespace) -> int:
     try:
         rows = read_metrics_csv(Path(args.metrics))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"cannot read metrics: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not rows:
@@ -207,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot use file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FedGateError as exc:
         print(f"refused: {exc}", file=sys.stderr)

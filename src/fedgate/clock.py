@@ -12,7 +12,7 @@ from __future__ import annotations
 class SimulatedClock:
     """Manually advanced clock; usable directly as a clock callable."""
 
-    def __init__(self, start: int = 0):
+    def __init__(self, start: int):
         self._now = int(start)
 
     def now(self) -> int:

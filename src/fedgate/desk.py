@@ -57,15 +57,14 @@ class Desk:
     trusted: frozenset[str]
     _nonces: itertools.count = field(default_factory=lambda: itertools.count(1))
 
-    def keypair(self, role: str, index: int = 0) -> KeyPair:
+    def keypair(self, role: str, index: int) -> KeyPair:
         return _keypair(self.seed, role, index)
 
     def nonce(self) -> bytes:
         return _sha256(f"nonce:{self.seed}:{next(self._nonces)}")[:16]
 
-    def register(self, specific_id: str, key: KeyPair | None = None) -> Actor:
-        """Register ``did:efed:<specific_id>``, by default under ``keypair(specific_id)``."""
-        key = key or self.keypair(specific_id)
+    def register(self, specific_id: str, key: KeyPair) -> Actor:
+        """Register ``did:efed:<specific_id>`` under ``key``."""
         document = DidDocument.for_key("efed", specific_id, key.public_bytes)
         self.registry.register(document, profile_hash=f"profile:{specific_id}")
         return Actor(str(document.id), key)
@@ -96,13 +95,10 @@ def build_desk(
     seed: int,
     clock: SimulatedClock,
     trusted_issuers: frozenset[str],
-    *,
-    chain: Chain | None = None,
     **limits,
 ) -> Desk:
-    """Wire a desk on ``chain`` (a fresh one by default); ``limits`` go to
-    ``AccessGateway`` unchanged."""
-    chain = chain or Chain(clock=clock)
+    """Wire a desk on a fresh chain; ``limits`` go to ``AccessGateway`` unchanged."""
+    chain = Chain(clock=clock)
     registry = DidRegistry(recorder=chain.record)
     resolver = Resolver("desk-resolver", _keypair(seed, "resolver", 0))
     resolver.register_driver("efed", RegistryDriver(registry))

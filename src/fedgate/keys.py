@@ -6,7 +6,6 @@ strings so documents and logs stay canonical and comparable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -36,9 +35,9 @@ class KeyPair:
         object.__setattr__(self, "public_bytes", public)
 
     @classmethod
-    def generate(cls, seed: bytes | None = None) -> "KeyPair":
-        """Create a keypair, deterministically when a 32-byte seed is given."""
-        return cls(os.urandom(32) if seed is None else seed)
+    def generate(cls, seed: bytes) -> "KeyPair":
+        """The keypair of a 32-byte seed; callers derive seeds, nothing is random."""
+        return cls(seed)
 
     def sign(self, message: bytes) -> bytes:
         return self._key.sign(message)

@@ -17,7 +17,8 @@ encoding. Chain files have one validator: ``Block.from_dict``, whose
 ``__post_init__`` checks (with ``Transaction``'s) every field and
 recomputes every hash, plus a height and ``prev_hash`` check between
 blocks. Each field must hold its own JSON type, read as is: a height or
-timestamp is an integer and never a bool, a float or a string.
+timestamp is an integer in ``[0, 2**64)`` and never a bool, a float or a
+string.
 ``verify_chain_records``, ``verify_chain_file`` and ``load_chain`` all go
 through it, so they agree on every input, and any single flipped bit in
 the file surfaces as a verification failure at that height. A record built
@@ -75,8 +76,6 @@ class Transaction:
         check_field_types(self, "transaction", self._FIELD_TYPES)
         if self.kind not in TRANSACTION_KINDS:
             raise ValidationError(f"unknown transaction kind {self.kind!r}")
-        if self.timestamp < 0:
-            raise ValidationError("transaction timestamp must be non-negative")
         derived = _tx_id(self.payload, self.kind, self.submitter)
         _settle(self, "tx_id", derived, f"tx_id of a {self.kind} transaction")
 
@@ -133,8 +132,10 @@ class Block:
     def __post_init__(self) -> None:
         check_field_types(self, "block", self._FIELD_TYPES)
         object.__setattr__(self, "transactions", tuple(self.transactions))
-        if self.height < 0:
-            raise ValidationError("block height must be >= 0")
+        # Both are hashed as 8-byte unsigned integers (see ``_block_hash``); the
+        # range also bounds the transaction timestamps, which equal the block's.
+        if not (0 <= self.height < 2**64 and 0 <= self.timestamp < 2**64):
+            raise ValidationError(f"block height or timestamp outside [0, 2**64) at {self.height}")
         if len(self.transactions) != (1 if self.height else 0):
             raise ValidationError(
                 f"block at height {self.height} holds {len(self.transactions)} "
@@ -229,7 +230,7 @@ def _build_blocks(records: list) -> tuple[list[Block], int | None]:
     for index, record in enumerate(records):
         try:
             block = Block.from_dict(record)
-        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+        except (KeyError, TypeError, ValueError, ValidationError):
             return blocks, index
         if block.height != index or block.prev_hash != prev_hash:
             return blocks, index

@@ -1,7 +1,7 @@
 """End-to-end desk scenario: identity setup, policy, access, one training job.
 
-`run_demo` builds the shared desk (``fedgate.desk.build_desk``) on a ledger
-tap that mirrors every chain write into the event log, then plays the story
+`run_demo` builds the shared desk (``fedgate.desk.build_desk``) and an event
+log that mirrors every block of the desk's chain, then plays the story
 of a small consortium: data owners, issuers and users register identifiers,
 an owner deploys the access policy, an attestor issues membership claims,
 each user walks one of the two authentication schemes, and whoever holds a
@@ -38,43 +38,47 @@ DEFAULT_FEDERATION = FederationConfig(
 
 
 class EventLog:
-    """Append-only record of everything a scenario does, one entry per step."""
+    """Append-only record of everything a scenario does, one entry per step.
 
-    def __init__(self, clock: SimulatedClock):
+    The log mirrors ``chain``: before each entry, and before it is written,
+    it adds one ``ledger-write`` entry for each block sealed since, stamped
+    with the block time, so the log carries enough to rebuild the ledger
+    (see ``replay_ledger``).
+    """
+
+    def __init__(self, clock: SimulatedClock, chain: Chain):
         self._clock = clock
+        self._chain = chain
+        self._mirrored = chain.height
         self.entries: list[dict] = []
 
+    def _mirror_chain(self) -> None:
+        blocks = self._chain.blocks
+        for block in blocks[self._mirrored + 1 :]:
+            (tx,) = block.transactions
+            self.entries.append(
+                {
+                    "at": block.timestamp,
+                    "event": "ledger-write",
+                    "kind": tx.kind,
+                    "payload": json.loads(tx.payload),
+                    "submitter": tx.submitter,
+                    "txId": tx.tx_id,
+                }
+            )
+        self._mirrored = len(blocks) - 1
+
     def emit(self, event: str, **fields) -> None:
+        self._mirror_chain()
         self.entries.append({"at": self._clock.now(), "event": event, **fields})
 
     def write(self, path: Path) -> Path:
+        self._mirror_chain()
         path = Path(path)
         with path.open("wb") as fh:
             for entry in self.entries:
                 fh.write(canonical_json_bytes(entry) + b"\n")
         return path
-
-
-class LedgerTap:
-    """Chain wrapper that mirrors every write into the event log.
-
-    Reads pass straight through; `record` is intercepted so the event log
-    carries enough to rebuild the ledger (see `replay_ledger`).
-    """
-
-    def __init__(self, chain: Chain, log: EventLog):
-        self._chain = chain
-        self._log = log
-
-    def record(self, kind: str, payload: dict, submitter: str) -> str:
-        tx_id = self._chain.record(kind, payload, submitter)
-        self._log.emit(
-            "ledger-write", kind=kind, payload=payload, submitter=submitter, txId=tx_id
-        )
-        return tx_id
-
-    def __getattr__(self, name: str):
-        return getattr(self._chain, name)
 
 
 _INTEGER_FIELDS = (
@@ -134,29 +138,6 @@ class ScenarioConfig:
                     f"fault at round {event.round_index} beyond T={self.federation.total_rounds}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "owners": self.owners,
-            "issuers": self.issuers,
-            "users": self.users,
-            "qualifiedUsers": self.qualified_users,
-            "scheme": self.scheme,
-            "federation": self.federation.to_dict(),
-            "samplesPerClient": self.samples_per_client,
-            "separability": self.separability,
-            "labelSkew": self.label_skew,
-            "faultSchedule": [
-                {"roundIndex": e.round_index, "nodeId": e.node_id}
-                for e in self.fault_schedule
-            ],
-            "standbyClients": self.standby_clients,
-            "standbyServers": self.standby_servers,
-            "seed": self.seed,
-            "startTime": self.start_time,
-            "service": self.service,
-            "outDir": self.out_dir,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         defaults = cls()
@@ -212,18 +193,15 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clock = SimulatedClock(start=config.start_time)
-    log = EventLog(clock)
-    chain = Chain(clock=clock)
-    tap = LedgerTap(chain, log)
+    trusted = frozenset(f"did:efed:issuer-{i}" for i in range(config.issuers))
+    desk = build_desk(config.seed, clock, trusted)
+    log = EventLog(clock, desk.chain)
     log.emit(
         "scenario-start",
         seed=config.seed,
         scheme=config.scheme,
         startTime=config.start_time,
     )
-
-    trusted = frozenset(f"did:efed:issuer-{i}" for i in range(config.issuers))
-    desk = build_desk(config.seed, clock, trusted, chain=tap)
 
     def register(role: str, index: int) -> Actor:
         actor = desk.register(f"{role}-{index}", desk.keypair(role, index))
@@ -316,7 +294,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         for at, old, new in job_record.transitions:
             log.emit("job-transition", jobId=job_record.job_id, start=old, end=new, moment=at)
 
-    chain_path = chain.write_chain(out_dir / "chain.jsonl")
+    chain_path = desk.chain.write_chain(out_dir / "chain.jsonl")
     events_path = log.write(out_dir / "events.jsonl")
     desk.registry.write_log(out_dir / "identity.jsonl")
     chain_ok, _ = verify_chain_file(chain_path)
@@ -342,7 +320,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         "scheme": config.scheme,
         "decisions": decisions,
         "chainVerified": chain_ok,
-        "chainBlocks": chain.height + 1,
+        "chainBlocks": desk.chain.height + 1,
         "exitCode": exit_code,
     }
     if job_record is not None:

@@ -196,7 +196,7 @@ class ServiceApi:
         data_filter = (
             _parse("dataFilter", DataFilter.from_dict, body["dataFilter"])
             if body.get("dataFilter")
-            else None
+            else DataFilter()
         )
         record = self._service.submit_job(
             token,

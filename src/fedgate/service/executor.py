@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..canonical import canonical_json_bytes
-from ..errors import FedGateError, ValidationError
+from ..errors import FedGateError
 from ..fl import (
     CsvMetricsWriter,
     DatasetPartition,
@@ -67,19 +67,14 @@ class JobExecutor:
         self,
         record: JobRecord,
         *,
-        node_registry: NodeRegistry | None = None,
+        node_registry: NodeRegistry,
     ) -> JobRecord:
-        """Execute a queued job to a terminal state, streaming metrics.
+        """Execute a queued job to a terminal state on ``node_registry``, streaming metrics.
 
-        Without ``node_registry`` the job runs on a fault-free fleet.
+        The fleet's fault schedule is taken as checked: ``ScenarioConfig``, its
+        only producer, refuses a fault past the last round.
         """
         config = record.spec.config
-        for event in node_registry.faults if node_registry else ():
-            if event.round_index > config.total_rounds:
-                raise ValidationError(
-                    f"fault at round {event.round_index} beyond T={config.total_rounds}"
-                )
-
         record.transition("running", int(self._clock()))
         job_dir = self._out_dir / record.job_id  # the metrics writer creates it
         metrics_path = job_dir / "metrics.csv"
@@ -90,11 +85,10 @@ class JobExecutor:
         try:
             filtered = apply_filter(self._partitions, record.spec.data_filter)
             all_ids = frozenset(p.client_id for p in filtered)
-            registry = node_registry or NodeRegistry.provision([p.client_id for p in filtered])
 
             def eligibility(t: int) -> frozenset[str]:
-                registry.advance(t)
-                return registry.eligible_clients(t, all_ids)
+                node_registry.advance(t)
+                return node_registry.eligible_clients(t, all_ids)
 
             with CsvMetricsWriter(metrics_path) as writer:
 
@@ -135,7 +129,7 @@ class JobExecutor:
                     "clientId": a.client_id,
                     "round": a.round_index,
                 }
-                for a in registry.actions
+                for a in node_registry.actions
             ],
         }
         model_path = job_dir / "model.json"

@@ -39,7 +39,7 @@ class FlaasService:
         partitions: Sequence[DatasetPartition],
         out_dir: Path,
         clock: Callable[[], int],
-        service_name: str = "fl-study",
+        service_name: str,
     ):
         self._gateway = gateway
         self._partitions = list(partitions)
@@ -80,10 +80,9 @@ class FlaasService:
         *,
         estimated_runtime: float,
         priority_weight: float,
-        data_filter: DataFilter | None = None,
+        data_filter: DataFilter,
     ) -> JobRecord:
         grant = self.authorize(token)
-        data_filter = data_filter or DataFilter()
         filtered = apply_filter(self._partitions, data_filter)
         if len(filtered) != config.total_clients:
             raise RejectedConfigError(
@@ -105,9 +104,8 @@ class FlaasService:
         )
         return self.queue.submit(spec, int(self._clock()))
 
-    def run_next(self, *, node_registry: NodeRegistry | None = None) -> JobRecord | None:
-        """Run the scheduler's next pick to completion on the given fleet
-        (a fault-free one by default); None when idle."""
+    def run_next(self, *, node_registry: NodeRegistry) -> JobRecord | None:
+        """Run the scheduler's next pick to completion on the given fleet; None when idle."""
         record = self.queue.schedule_next()
         if record is None:
             return None

@@ -53,15 +53,6 @@ class DataFilter:
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise ValidationError("max_samples_per_client must be an integer >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "clientIds": list(self.client_ids) if self.client_ids is not None else None,
-            "featureNames": (
-                list(self.feature_names) if self.feature_names is not None else None
-            ),
-            "maxSamplesPerClient": self.max_samples_per_client,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "DataFilter":
         return cls(

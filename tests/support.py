@@ -68,7 +68,7 @@ class Stack:
         return self.desk.nonce()
 
     def register_actor(self, specific_id: str) -> Actor:
-        return self.desk.register(specific_id)
+        return self.desk.register(specific_id, self.desk.keypair(specific_id, 0))
 
     def deploy_policy(
         self, service: str, requirements: tuple[ClaimRequirement, ...]

@@ -288,9 +288,9 @@ def test_pending_ttl_sweep():
     for i in range(5, 8):
         table.try_insert(f"n{i}")
     clock.advance(20)  # first five are now 30s old
-    assert table.sweep() == 5
-    assert table.size == 3
-    assert table.sweep() == 0
+    assert table.try_insert("n8")  # the insert sweeps them first
+    assert table.size == 4
+    assert not table.contains("n4") and table.contains("n5")
 
 
 def test_pending_insert_sweeps_first():
@@ -323,7 +323,9 @@ class ScanPendingTable:
         self.peak_size = 0
 
     def try_insert(self, nonce):
-        self.sweep()
+        now = self.clock()
+        for dead in [n for n, born in self.entries.items() if now - born >= self.ttl]:
+            del self.entries[dead]
         if nonce in self.entries or len(self.entries) >= self.capacity:
             return False
         self.entries[nonce] = self.clock()
@@ -332,13 +334,6 @@ class ScanPendingTable:
 
     def remove(self, nonce):
         self.entries.pop(nonce, None)
-
-    def sweep(self, now=None):
-        now = self.clock() if now is None else now
-        dead = [n for n, born in self.entries.items() if now - born >= self.ttl]
-        for nonce in dead:
-            del self.entries[nonce]
-        return len(dead)
 
     @property
     def size(self):
@@ -350,7 +345,6 @@ PENDING_OPS = st.lists(
         # a small nonce space, so inserts and removes hit both fresh and live nonces
         st.tuples(st.sampled_from(["insert", "remove"]), st.integers(0, 30)),
         st.tuples(st.just("advance"), st.integers(0, 40)),
-        st.tuples(st.just("sweep"), st.none() | st.integers(0, 40)),
     ),
     max_size=120,
 )
@@ -367,12 +361,9 @@ def test_pending_front_sweep_matches_full_scan(capacity, ttl, ops):
             clock.advance(arg)
         elif op == "insert":
             assert table.try_insert(f"n{arg}") == oracle.try_insert(f"n{arg}")
-        elif op == "remove":
+        else:
             table.remove(f"n{arg}")
             oracle.remove(f"n{arg}")
-        else:
-            now = None if arg is None else clock() + arg
-            assert table.sweep(now) == oracle.sweep(now)
         assert (table.size, table.peak_size) == (oracle.size, oracle.peak_size)
         assert table.size <= capacity
 
@@ -491,7 +482,8 @@ def test_unresolvable_did_parks_entry_until_ttl():
     full = stack.request_a("did:efed:ghost-9")
     assert full.decision == "rejected-capacity"
     stack.clock.advance(31)
-    assert stack.gateway.pending.sweep() == 4
+    assert stack.request_a("did:efed:ghost-10").reason == "unresolvable"
+    assert stack.gateway.pending.size == 1  # the four parked entries expired
 
 
 def test_legitimate_request_succeeds_after_flood_sweep():

@@ -91,7 +91,7 @@ def test_genesis_convention():
 
 
 def test_height_counts_appends():
-    chain = Chain(clock=SimulatedClock())
+    chain = Chain(clock=SimulatedClock(0))
     for i in range(5):
         chain.record(*entry(i))
         assert chain.height == i + 1
@@ -108,7 +108,7 @@ def test_append_links_blocks():
 
 
 def test_empty_append_rejected():
-    genesis = Chain(clock=SimulatedClock()).blocks[0]
+    genesis = Chain(clock=SimulatedClock(0)).blocks[0]
     with pytest.raises(ValidationError, match="holds 0 transactions"):
         Block(height=1, prev_hash=genesis.hash, timestamp=0, transactions=())
 

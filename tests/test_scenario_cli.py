@@ -181,8 +181,24 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
 
 @pytest.mark.parametrize(
     "raw",
-    [{"owners": "3"}, [], {"faultSchedule": [{"roundIndex": 2}]}, {"seed": 1.5}, {"service": 5}],
-    ids=["text-owners", "not-an-object", "fault-without-node", "fractional-seed", "numeric-service"],
+    [
+        {"owners": "3"},
+        [],
+        {"faultSchedule": [{"roundIndex": 2}]},
+        {"seed": 1.5},
+        {"service": 5},
+        {"startTime": -5},
+        {"startTime": 2**64},
+    ],
+    ids=[
+        "text-owners",
+        "not-an-object",
+        "fault-without-node",
+        "fractional-seed",
+        "numeric-service",
+        "negative-start-time",
+        "start-time-past-64-bits",
+    ],
 )
 def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     path = tmp_path / "scenario.json"
@@ -191,18 +207,44 @@ def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     assert "invalid input" in capsys.readouterr().err
 
 
-def test_scenario_config_dict_round_trip():
-    config = ScenarioConfig(
+def test_scenario_config_from_dict_reads_the_file_keys():
+    raw = {
+        "seed": 42,
+        "scheme": "user_lookup",
+        "faultSchedule": [{"roundIndex": 2, "nodeId": "server-0"}],
+        "standbyServers": 1,
+    }
+    assert ScenarioConfig.from_dict(raw) == ScenarioConfig(
         seed=42,
         scheme="user_lookup",
         fault_schedule=(FaultEvent(2, "server-0"),),
         standby_servers=1,
     )
-    assert ScenarioConfig.from_dict(config.to_dict()) == config
     assert ScenarioConfig.from_dict({}) == ScenarioConfig()
 
 
 # --------------------------------------------------------------------- cli
+
+
+def _not_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode().replace(b"?", b"\xff"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["import-legacy", str(tmp), "--out", str(tmp / "out")],
+        lambda tmp: ["import-legacy", _not_utf8(tmp, "a.csv", "username,role\n?,r\n")],
+        lambda tmp: ["gen-data", "--out", _not_utf8(tmp, "taken", "")],
+        lambda tmp: ["demo", "--config", _not_utf8(tmp, "s.json", '{"seed": ?}')],
+    ],
+    ids=["import-a-directory", "import-non-utf8", "gen-data-over-a-file", "demo-non-utf8-config"],
+)
+def test_cli_unusable_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_cli_demo_and_verify_chain(tmp_path):
@@ -220,9 +262,8 @@ def test_cli_demo_same_seed_byte_identical_models(tmp_path):
 
 
 def test_cli_demo_config_file(tmp_path):
-    config = ScenarioConfig(users=3, qualified_users=2, out_dir="ignored")
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(config.to_dict()))
+    path.write_text(json.dumps({"users": 3, "qualifiedUsers": 2, "outDir": "ignored"}))
     out = tmp_path / "demo"
     assert main(["demo", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())

@@ -283,7 +283,7 @@ def test_idle_standby_failure_is_never_promoted():
 # ---------------------------------------------------------------- executor
 
 
-def faulty_fleet(faults, **standbys):
+def job_fleet(faults=(), **standbys):
     """The fleet ``submitted_job``'s partitions run on, with faults and standbys."""
     return NodeRegistry.provision(["000", "001", "002", "003"], faults=faults, **standbys)
 
@@ -300,7 +300,7 @@ def submitted_job(tmp_path, config=None, **spec_kwargs):
 
 def test_happy_job_completes_with_artifacts(tmp_path):
     executor, record = submitted_job(tmp_path)
-    executor.run(record)
+    executor.run(record, node_registry=job_fleet())
     assert record.state == "completed"
     assert record.rounds_executed == 5
     rows = read_metrics_csv(record.metrics_address)
@@ -315,7 +315,7 @@ def test_happy_job_completes_with_artifacts(tmp_path):
 def test_zero_learning_rate_terminates_early(tmp_path):
     config = job_config(total_rounds=50, learning_rate=0.0)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record)
+    executor.run(record, node_registry=job_fleet())
     assert record.state == "terminated_early"
     # one round to set the baseline, then ten stagnant rounds
     assert record.rounds_executed == 11
@@ -325,22 +325,15 @@ def test_zero_learning_rate_terminates_early(tmp_path):
 def test_divergent_job_fails_with_cause(tmp_path):
     config = job_config(total_rounds=10, learning_rate=1e9)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record)
+    executor.run(record, node_registry=job_fleet())
     assert record.state == "failed"
     assert record.model_address is None
     assert "diverged" in record.cause or "magnitude" in record.cause
 
 
-def test_fault_beyond_total_rounds_rejected(tmp_path):
-    executor, record = submitted_job(tmp_path)
-    with pytest.raises(ValidationError):
-        executor.run(record, node_registry=faulty_fleet([FaultEvent(9, "node-000")]))
-    assert record.state == "queued"
-
-
 def run_reference(tmp_path, config):
     executor, record = submitted_job(tmp_path / "ref", config=config)
-    executor.run(record)
+    executor.run(record, node_registry=job_fleet())
     return json.loads(open(record.model_address).read())["weights"]
 
 
@@ -348,7 +341,7 @@ def test_client_standby_preserves_model_bits(tmp_path):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "node-001")], standby_clients=1))
+    executor.run(record, node_registry=job_fleet([FaultEvent(5, "node-001")], standby_clients=1))
     assert record.state == "completed"
     weights = json.loads(open(record.model_address).read())["weights"]
     assert weights == reference  # exact float repr equality via JSON round-trip
@@ -358,7 +351,7 @@ def test_client_standby_preserves_model_bits(tmp_path):
 def test_no_standby_excludes_client_from_later_rounds(tmp_path):
     config = job_config(total_rounds=20, subset_size=3)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "node-001")]))
+    executor.run(record, node_registry=job_fleet([FaultEvent(5, "node-001")]))
     assert record.state == "completed"
     for metrics in read_metrics_csv(record.metrics_address):
         if metrics.round_index >= 5:
@@ -369,7 +362,7 @@ def test_server_standby_resumes_bit_exact(tmp_path):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "server-0")], standby_servers=1))
+    executor.run(record, node_registry=job_fleet([FaultEvent(5, "server-0")], standby_servers=1))
     assert record.state == "completed"
     assert record.rounds_executed == 20
     weights = json.loads(open(record.model_address).read())["weights"]
@@ -381,7 +374,7 @@ def test_server_standby_resumes_bit_exact(tmp_path):
 def test_server_loss_without_standby_fails_job(tmp_path):
     config = job_config(total_rounds=20)
     executor, record = submitted_job(tmp_path, config=config)
-    executor.run(record, node_registry=faulty_fleet([FaultEvent(5, "server-0")]))
+    executor.run(record, node_registry=job_fleet([FaultEvent(5, "server-0")]))
     assert record.state == "failed"
     assert "server" in record.cause
     assert record.rounds_executed == 4  # rounds before the fault round
@@ -400,7 +393,7 @@ def test_server_takeover_in_one_pass_is_bit_exact(tmp_path, schedule, kinds):
     config = job_config(total_rounds=20)
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
-    executor.run(record, node_registry=faulty_fleet(schedule, standby_clients=1, standby_servers=1))
+    executor.run(record, node_registry=job_fleet(schedule, standby_clients=1, standby_servers=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
     artifact = json.loads(open(record.model_address).read())
     assert [a["kind"] for a in artifact["failover"]] == kinds
@@ -412,7 +405,7 @@ def test_idle_standby_fault_keeps_the_job_running(tmp_path):
     reference = run_reference(tmp_path, config)
     executor, record = submitted_job(tmp_path / "faulty", config=config)
     schedule = [FaultEvent(3, "standby-client-0"), FaultEvent(5, "node-001")]
-    executor.run(record, node_registry=faulty_fleet(schedule, standby_clients=1))
+    executor.run(record, node_registry=job_fleet(schedule, standby_clients=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
     artifact = json.loads(open(record.model_address).read())
     assert [a["kind"] for a in artifact["failover"]] == ["standby-lost", "client-excluded"]
@@ -439,7 +432,7 @@ def test_eligibility_is_asked_once_per_executed_round(tmp_path, standby_servers,
 
 def test_fault_on_unknown_node_is_refused_at_provision():
     with pytest.raises(ValidationError, match="unknown node 'node-999'"):
-        faulty_fleet([FaultEvent(2, "node-999")])
+        job_fleet([FaultEvent(2, "node-999")])
 
 
 # ---------------------------------------------------------- facade and api
@@ -452,7 +445,7 @@ def service_stack(tmp_path):
     stack.deploy_membership_policy()
     parts = fleet_partitions()
     service = FlaasService(
-        stack.gateway, parts, tmp_path / "artifacts", stack.clock
+        stack.gateway, parts, tmp_path / "artifacts", stack.clock, service_name="fl-study"
     )
     api = ServiceApi(stack.gateway, service, stack.clock)
     alice = stack.register_actor("alice")
@@ -543,7 +536,7 @@ def test_job_lifecycle_through_api(tmp_path):
     job_id = submit.body["jobId"]
     assert submit.body["state"] == "queued"
 
-    assert service.run_next() is not None
+    assert service.run_next(node_registry=job_fleet()) is not None
     status = api.handle("GET", f"/jobs/{job_id}", headers=headers)
     assert status.status == 200 and status.body["state"] == "completed"
 
@@ -591,7 +584,7 @@ def test_filtered_job_runs_on_subset(tmp_path):
         priority_weight=1.0,
         data_filter=DataFilter(client_ids=("000", "002")),
     )
-    service.run_next()
+    service.run_next(node_registry=job_fleet())
     assert record.state == "completed"
     for metrics in read_metrics_csv(record.metrics_address):
         assert set(metrics.selected_clients) <= {"000", "002"}
@@ -776,7 +769,7 @@ def test_jobs_are_read_only_by_their_holder(tmp_path):
     job_id = api.handle(
         "POST", "/jobs", headers=own, body={"config": job_config().to_dict()}
     ).body["jobId"]
-    assert service.run_next().state == "completed"
+    assert service.run_next(node_registry=job_fleet()).state == "completed"
     for path in (f"/jobs/{job_id}", f"/jobs/{job_id}/metrics", f"/jobs/{job_id}/model"):
         assert api.handle("GET", path, headers=own).status == 200
         other = api.handle("GET", path, headers=bob_headers)
