@@ -47,7 +47,7 @@ from ..errors import ValidationError
 from ..identity import Attestation, NoDriverError, Resolver
 from ..identity.did import DidParseError
 from ..identity.registry import UnknownDidError
-from ..ledger import AccessOutcome, ContractEngine, GrantToken
+from ..ledger import AccessOutcome, AccessPolicyContract, ContractEngine, GrantToken
 from .pending import PendingTable
 from .ratelimit import SlidingWindowLimiter
 
@@ -138,7 +138,7 @@ class AccessGateway:
         pending_capacity: int = 256,
         pending_ttl_seconds: int = 30,
     ):
-        self._engine = engine
+        self.engine = engine
         self._resolver = resolver
         self._clock = clock
         self._contract_limiter = SlidingWindowLimiter(contract_path_per_minute, 60, clock)
@@ -146,14 +146,6 @@ class AccessGateway:
         self.pending = PendingTable(pending_capacity, pending_ttl_seconds, clock)
         self._used_nonces = _NonceRing()
         self.grants = GrantStore()
-
-    # ------------------------------------------------------------- queries
-
-    def requirements(self, service: str):
-        return self._engine.query_requirements(service)
-
-    def services(self) -> list[str]:
-        return self._engine.services()
 
     # ---------------------------------------------------------- front desk
 
@@ -182,7 +174,7 @@ class AccessGateway:
     def _contract_lookup(self, request: AccessRequest) -> AccessOutcome:
         if not self._contract_limiter.allow(request.requester):
             return AccessOutcome("rejected-rate", "per-requester rate limit")
-        contract = self._engine.for_service(request.service)
+        contract = self.engine.for_service(request.service)
         nonce_hex = to_hex(request.nonce)
         if not self.pending.try_insert(nonce_hex):
             if self.pending.contains(nonce_hex):
@@ -194,7 +186,7 @@ class AccessGateway:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return AccessOutcome("denied", "unresolvable")
-        outcome = self._execute(contract.contract_id, document, nonce_hex)
+        outcome = self._execute(contract, document, nonce_hex)
         self.pending.remove(nonce_hex)
         return outcome
 
@@ -205,7 +197,7 @@ class AccessGateway:
             return AccessOutcome("denied", "missing-attestation")
         if attestation.did != request.requester:
             return AccessOutcome("denied", "attestation-mismatch")
-        contract = self._engine.for_service(request.service)
+        contract = self.engine.for_service(request.service)
         if not self._used_nonces.consume(to_hex(attestation.nonce)):
             return AccessOutcome("denied", "replay")
         try:
@@ -215,12 +207,12 @@ class AccessGateway:
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document.canonical_bytes()):
             return AccessOutcome("denied", "stale-attestation")
-        return self._execute(contract.contract_id, document, to_hex(request.nonce))
+        return self._execute(contract, document, to_hex(request.nonce))
 
-    def _execute(self, contract_id: str, document, nonce_hex: str) -> AccessOutcome:
+    def _execute(self, contract: AccessPolicyContract, document, nonce_hex: str) -> AccessOutcome:
         if not self._used_nonces.consume(nonce_hex):
             return AccessOutcome("denied", "replay")
-        outcome = self._engine.execute(contract_id, document, nonce_hex)
+        outcome = self.engine.execute(contract, document, nonce_hex)
         if outcome.grant is not None:
             self.grants.add(outcome.grant, int(self._clock()))
         return outcome

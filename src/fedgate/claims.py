@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .canonical import canonical_json_bytes, from_hex, to_hex
-from .errors import ValidationError, check_field_types
+from .errors import ValidationError, check_field_types, from_camel_keys
 from .keys import KeyPair, verify_signature
 
 
@@ -70,15 +70,7 @@ class VerifiableClaim:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerifiableClaim":
-        return cls(
-            claim_type=data["claimType"],
-            value=data["value"],
-            subject=data["subject"],
-            issuer=data["issuer"],
-            issued_at=data["issuedAt"],
-            expires_at=data["expiresAt"],
-            signature=from_hex(data["signature"]),
-        )
+        return from_camel_keys(cls, data, "claim", signature=from_hex)
 
 
 def sign_claim(

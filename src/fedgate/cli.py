@@ -37,10 +37,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             raw = json.loads(Path(args.config).read_bytes())
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValidationError(f"cannot read scenario config: {exc}") from None
-        try:
-            config = ScenarioConfig.from_dict(raw)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValidationError(f"malformed scenario config: {exc!r}") from None
+        config = ScenarioConfig.from_dict(raw)
     else:
         config = ScenarioConfig()
     overrides = {"out_dir": str(args.out)}
@@ -86,14 +83,9 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_metrics(args: argparse.Namespace) -> int:
-    try:
-        rows = read_metrics_csv(Path(args.metrics))
-    except ValueError as exc:
-        print(f"cannot read metrics: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    rows = read_metrics_csv(Path(args.metrics))
     if not rows:
-        print("metrics file has no data rows", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValidationError("metrics file has no data rows")
     out = Path(args.out) if args.out else Path(args.metrics).with_suffix(".dat")
     lines = ["# round global_loss train_accuracy"]
     for row in rows:
@@ -169,17 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--label-skew", type=float, default=0.0)
     gen.set_defaults(func=cmd_gen_data)
 
-    verify = sub.add_parser(
-        "verify-chain", parents=[common], help="check a persisted ledger file"
-    )
+    verify = sub.add_parser("verify-chain", help="check a persisted ledger file")
     verify.add_argument("chain", help="chain JSONL file")
     verify.set_defaults(func=cmd_verify_chain)
 
-    plot = sub.add_parser(
-        "plot-metrics",
-        parents=[common],
-        help="turn a metrics CSV into a gnuplot-ready series",
-    )
+    plot = sub.add_parser("plot-metrics", help="turn a metrics CSV into a gnuplot-ready series")
     plot.add_argument("metrics", help="metrics CSV file")
     plot.add_argument("--out", default=None, help="output .dat path")
     plot.set_defaults(func=cmd_plot_metrics)

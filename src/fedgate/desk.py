@@ -75,7 +75,7 @@ class Desk:
     def deploy_policy(
         self, service: str, owner: Actor, requirements=MEMBERSHIP_POLICY
     ) -> AccessPolicyContract:
-        contract = AccessPolicyContract.create(requirements, service, owner.did)
+        contract = AccessPolicyContract(requirements, service, owner.did)
         self.engine.deploy(contract, owner.key.sign(contract.signing_bytes()))
         return contract
 

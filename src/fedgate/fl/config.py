@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
-from ..errors import ValidationError
+from ..errors import ValidationError, from_camel_keys
 
 LOSS_KINDS = ("squared_error", "logistic")
 WEIGHTINGS = ("proportional", "uniform")
@@ -56,7 +56,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
-        return cls(kind=data["kind"], feature_dim=data["featureDim"], bias=data["bias"])
+        return from_camel_keys(cls, data, "loss")
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,4 @@ class FederationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FederationConfig":
-        init = data.get("initialWeights")
-        return cls(
-            total_rounds=data["totalRounds"],
-            total_clients=data["totalClients"],
-            subset_size=data["subsetSize"],
-            local_epochs=data["localEpochs"],
-            learning_rate=data["learningRate"],
-            loss=LossSpec.from_dict(data["loss"]),
-            rng_seed=data.get("rngSeed", 0),
-            batch_mode=data.get("batchMode", "full"),
-            batch_size=data.get("batchSize"),
-            weighting=data.get("weighting", "proportional"),
-            initial_weights=None if init is None else tuple(init),
-        )
+        return from_camel_keys(cls, data, "federation config", loss=LossSpec.from_dict)

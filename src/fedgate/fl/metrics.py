@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
+from ..errors import ValidationError
+
 METRICS_HEADER = ("round", "global_loss", "train_accuracy", "selected_clients")
 
 
@@ -51,23 +53,27 @@ class CsvMetricsWriter:
 
 
 def read_metrics_csv(path: Path) -> list[RoundMetrics]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != METRICS_HEADER:
-            raise ValueError(f"{path} is not a round-metrics CSV (header {header})")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(METRICS_HEADER):
-                raise ValueError(f"{path} line {reader.line_num} has {len(row)} fields")
-            out.append(
-                RoundMetrics(
-                    round_index=int(row[0]),
-                    global_loss=float(row[1]),
-                    train_accuracy=float(row[2]),
-                    selected_clients=tuple(c for c in row[3].split(";") if c),
+    """Rows of a round-metrics CSV; a malformed line or a non-UTF-8 byte is a ValidationError."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != METRICS_HEADER:
+                raise ValueError(f"not a round-metrics CSV (header {header})")
+            out = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(METRICS_HEADER):
+                    raise ValueError(f"line {reader.line_num} has {len(row)} fields")
+                out.append(
+                    RoundMetrics(
+                        round_index=int(row[0]),
+                        global_loss=float(row[1]),
+                        train_accuracy=float(row[2]),
+                        selected_clients=tuple(c for c in row[3].split(";") if c),
+                    )
                 )
-            )
+    except ValueError as exc:  # the int and float parsers raise it too, as does decoding
+        raise ValidationError(f"cannot read metrics {path}: {exc}") from None
     return out

@@ -25,8 +25,12 @@ from dataclasses import dataclass, replace
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..claims import VerifiableClaim
-from ..errors import ValidationError, check_field_types
+from ..errors import ValidationError, check_field_types, check_keys
 from .did import DidIdentifier, parse_did
+
+_DOCUMENT_KEYS = frozenset(
+    {"id", "publicKeys", "authentication", "serviceEndpoints", "claims", "version"}
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,7 @@ class PublicKeyEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PublicKeyEntry":
+        check_keys(data, "public key", {"keyId", "algorithm", "publicKeyHex"})
         return cls(
             key_id=data["keyId"],
             algorithm=data["algorithm"],
@@ -70,6 +75,7 @@ class ServiceEndpoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceEndpoint":
+        check_keys(data, "service endpoint", {"type", "uri"})
         return cls(type=data["type"], uri=data["uri"])
 
 
@@ -138,6 +144,7 @@ class DidDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DidDocument":
+        check_keys(data, "document", _DOCUMENT_KEYS)
         try:
             return cls(
                 id=parse_did(data["id"]),

@@ -19,7 +19,7 @@ import threading
 from pathlib import Path
 from typing import Callable
 
-from ..errors import FedGateError, ValidationError
+from ..errors import FedGateError, ValidationError, check_keys
 from .did import DidIdentifier
 from .document import DidDocument
 
@@ -134,6 +134,7 @@ class DidRegistry:
                     continue
                 try:
                     entry = json.loads(line)
+                    check_keys(entry, "log entry", {"op", "document", "profileHash"})
                     op, document = entry["op"], DidDocument.from_dict(entry["document"])
                     if op == "register":
                         registry.register(document, entry["profileHash"])

@@ -16,7 +16,8 @@ The persisted form is JSON lines, one block per line, canonical
 encoding. Chain files have one validator: ``Block.from_dict``, whose
 ``__post_init__`` checks (with ``Transaction``'s) every field and
 recomputes every hash, plus a height and ``prev_hash`` check between
-blocks. Each field must hold its own JSON type, read as is: a height or
+blocks. A block or transaction record holds only the keys its ``to_dict``
+writes, and each field must hold its own JSON type, read as is: a height or
 timestamp is an integer in ``[0, 2**64)`` and never a bool, a float or a
 string.
 ``verify_chain_records``, ``verify_chain_file`` and ``load_chain`` all go
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
-from ..errors import ValidationError, check_field_types
+from ..errors import ValidationError, check_field_types, check_keys
 
 TRANSACTION_KINDS = frozenset(
     {"deploy_contract", "did_registration", "access_grant", "access_denial"}
@@ -43,6 +44,9 @@ TRANSACTION_KINDS = frozenset(
 
 GENESIS_PREV_HASH = to_hex(b"\x00" * 32)
 _GENESIS_ROOT = to_hex(b"\x00" * 32)
+# The keys ``to_dict`` writes; a record read back may hold no other.
+_TRANSACTION_KEYS = frozenset({"txId", "timestamp", "kind", "payload", "submitter"})
+_BLOCK_KEYS = frozenset({"height", "prevHash", "merkleRoot", "timestamp", "transactions", "hash"})
 
 
 def _tx_id(payload: bytes, kind: str, submitter: str) -> str:
@@ -99,6 +103,7 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Transaction":
+        check_keys(data, "transaction", _TRANSACTION_KEYS)
         return cls(
             timestamp=data["timestamp"],
             kind=data["kind"],
@@ -163,6 +168,7 @@ class Block:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Block":
+        check_keys(data, "block", _BLOCK_KEYS)
         return cls(
             height=data["height"],
             prev_hash=data["prevHash"],

@@ -14,7 +14,7 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..canonical import canonical_json_bytes, sha256_hex, to_hex
@@ -28,7 +28,7 @@ _PREDICATE_KINDS = ("equals", "one_of", "present")
 
 
 class ContractNotFoundError(FedGateError):
-    """No contract matches the requested id or service."""
+    """No contract gates the requested service."""
 
 
 class UnauthorizedError(FedGateError):
@@ -74,24 +74,12 @@ class ClaimRequirement:
         return {"claimType": self.claim_type, "predicate": self.predicate.to_dict()}
 
 
-def _contract_body(
-    required_claims: tuple[ClaimRequirement, ...], grants_service: str, owner: str
-) -> bytes:
-    return canonical_json_bytes(
-        {
-            "requiredClaims": [r.to_dict() for r in required_claims],
-            "grantsService": grants_service,
-            "owner": owner,
-        }
-    )
-
-
 @dataclass(frozen=True)
 class AccessPolicyContract:
-    contract_id: str
     required_claims: tuple[ClaimRequirement, ...]
     grants_service: str
     owner: str
+    contract_id: str = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "required_claims", tuple(self.required_claims))
@@ -99,12 +87,17 @@ class AccessPolicyContract:
             raise ValidationError("a contract must require at least one claim")
         if not self.grants_service:
             raise ValidationError("grants_service must be non-empty")
-        if self.contract_id != sha256_hex(self.signing_bytes()):
-            raise ValidationError("contract_id does not match contract body")
+        object.__setattr__(self, "contract_id", sha256_hex(self.signing_bytes()))
 
     def signing_bytes(self) -> bytes:
         """Canonical body: what the owner signs and the id hashes."""
-        return _contract_body(self.required_claims, self.grants_service, self.owner)
+        return canonical_json_bytes(
+            {
+                "requiredClaims": [r.to_dict() for r in self.required_claims],
+                "grantsService": self.grants_service,
+                "owner": self.owner,
+            }
+        )
 
     @classmethod
     def create(
@@ -113,13 +106,7 @@ class AccessPolicyContract:
         grants_service: str,
         owner: str,
     ) -> "AccessPolicyContract":
-        body = _contract_body(tuple(required_claims), grants_service, owner)
-        return cls(
-            contract_id=sha256_hex(body),
-            required_claims=tuple(required_claims),
-            grants_service=grants_service,
-            owner=owner,
-        )
+        return cls(required_claims, grants_service, owner)
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +147,11 @@ class AccessOutcome:
 
 
 class ContractEngine:
-    """Deploys policies and evaluates documents against them.
+    """Deploys policies, one per service, and evaluates documents against them.
+
+    One table, keyed by service: a contract's id hashes its service, so the
+    service check also refuses a second copy. ``for_service`` is the one
+    lookup; its caller carries the contract to ``evaluate`` and ``execute``.
 
     ``document_lookup`` maps a DID string to its current document (or
     raises/returns None); ``claim_checker(claim, now)`` returns
@@ -183,11 +174,10 @@ class ContractEngine:
         self._claim_checker = claim_checker
         self._clock = clock
         self._token_bytes = token_bytes
-        self._contracts: dict[str, AccessPolicyContract] = {}
-        self._by_service: dict[str, str] = {}
+        self._by_service: dict[str, AccessPolicyContract] = {}
 
-    def deploy(self, contract: AccessPolicyContract, signature: bytes) -> str:
-        """Store a policy after checking the owner's signature; returns id."""
+    def deploy(self, contract: AccessPolicyContract, signature: bytes) -> None:
+        """Store a policy after checking the owner's signature."""
         document = self._document_lookup(contract.owner)
         if document is None:
             raise UnauthorizedError(f"owner {contract.owner} has no document")
@@ -197,8 +187,6 @@ class ContractEngine:
             raise UnauthorizedError(
                 f"signature does not verify against owner {contract.owner}"
             )
-        if contract.contract_id in self._contracts:
-            raise ValidationError(f"contract {contract.contract_id} already deployed")
         if contract.grants_service in self._by_service:
             raise ValidationError(
                 f"service {contract.grants_service!r} already has a policy"
@@ -206,31 +194,19 @@ class ContractEngine:
         self._chain.record(
             "deploy_contract", contract.to_dict(), submitter=contract.owner
         )
-        self._contracts[contract.contract_id] = contract
-        self._by_service[contract.grants_service] = contract.contract_id
-        return contract.contract_id
-
-    def get(self, contract_id: str) -> AccessPolicyContract:
-        try:
-            return self._contracts[contract_id]
-        except KeyError:
-            raise ContractNotFoundError(f"no contract {contract_id}") from None
+        self._by_service[contract.grants_service] = contract
 
     def for_service(self, service: str) -> AccessPolicyContract:
-        contract_id = self._by_service.get(service)
-        if contract_id is None:
-            raise ContractNotFoundError(f"no contract grants service {service!r}")
-        return self._contracts[contract_id]
-
-    def query_requirements(self, service: str) -> tuple[ClaimRequirement, ...]:
-        return self.for_service(service).required_claims
+        try:
+            return self._by_service[service]
+        except KeyError:
+            raise ContractNotFoundError(f"no contract grants service {service!r}") from None
 
     def services(self) -> list[str]:
         return sorted(self._by_service)
 
-    def evaluate(self, contract_id: str, document, now: int) -> AccessOutcome:
+    def evaluate(self, contract: AccessPolicyContract, document, now: int) -> AccessOutcome:
         """Pure verdict: no chain write, no token, same inputs → same output."""
-        contract = self.get(contract_id)
         subject = str(document.id)
         missing = []
         for requirement in contract.required_claims:
@@ -252,7 +228,7 @@ class ContractEngine:
             return AccessOutcome("denied", "missing-claims", tuple(missing))
         return AccessOutcome("granted", "all-claims-valid")
 
-    def execute(self, contract_id: str, document, request_ref: str) -> AccessOutcome:
+    def execute(self, contract: AccessPolicyContract, document, request_ref: str) -> AccessOutcome:
         """Evaluate at the engine's clock and seal the verdict; grants mint a token.
 
         ``request_ref`` (the request nonce) is folded into the sealed payload
@@ -260,25 +236,25 @@ class ContractEngine:
         denials would otherwise be byte-identical.
         """
         now = int(self._clock())
-        outcome = self.evaluate(contract_id, document, now)
-        contract = self.get(contract_id)
         subject = str(document.id)
-        if outcome.decision == "granted":
+        verdict = self.evaluate(contract, document, now)
+        grant = None
+        if verdict.decision == "granted":
             grant = GrantToken(
                 token=to_hex(self._token_bytes()),
-                contract_id=contract_id,
+                contract_id=contract.contract_id,
                 holder=subject,
                 service=contract.grants_service,
                 expires_at=now + GRANT_LIFETIME_SECONDS,
             )
-            outcome = replace(outcome, grant=grant)
             kind, payload = "access_grant", grant.to_dict()
         else:
             kind, payload = "access_denial", {
-                "contractId": contract_id,
+                "contractId": contract.contract_id,
                 "holder": subject,
                 "service": contract.grants_service,
-                "missing": list(outcome.missing),
+                "missing": list(verdict.missing),
             }
         payload["requestRef"] = request_ref
-        return replace(outcome, tx_id=self._chain.record(kind, payload, submitter=subject))
+        tx_id = self._chain.record(kind, payload, submitter=subject)
+        return AccessOutcome(verdict.decision, verdict.reason, verdict.missing, grant, tx_id)

@@ -20,7 +20,7 @@ from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
-from .errors import ValidationError
+from .errors import ValidationError, from_camel_keys
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
 from .fl.config import _integer, _real
 from .ledger import Chain, verify_chain_file
@@ -90,7 +90,7 @@ _INTEGER_FIELDS = (
     ("standby_clients", 0),
     ("standby_servers", 0),
     ("seed", None),
-    ("start_time", None),
+    ("start_time", 0),
 )
 
 
@@ -123,6 +123,8 @@ class ScenarioConfig:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.qualified_users > self.users:
             raise ValidationError("qualified_users must lie in [0, users]")
+        if self.start_time >= 2**64:  # the genesis block's time must lie in [0, 2**64)
+            raise ValidationError(f"start_time must lie in [0, 2**64), got {self.start_time}")
         if self.scheme not in (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.service, str) or not self.service:
@@ -140,31 +142,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        defaults = cls()
-        return cls(
-            owners=data.get("owners", defaults.owners),
-            issuers=data.get("issuers", defaults.issuers),
-            users=data.get("users", defaults.users),
-            qualified_users=data.get("qualifiedUsers", defaults.qualified_users),
-            scheme=data.get("scheme", defaults.scheme),
-            federation=(
-                FederationConfig.from_dict(data["federation"])
-                if "federation" in data
-                else defaults.federation
-            ),
-            samples_per_client=data.get("samplesPerClient", defaults.samples_per_client),
-            separability=data.get("separability", defaults.separability),
-            label_skew=data.get("labelSkew", defaults.label_skew),
-            fault_schedule=tuple(
-                FaultEvent(e["roundIndex"], e["nodeId"])
-                for e in data.get("faultSchedule", ())
-            ),
-            standby_clients=data.get("standbyClients", defaults.standby_clients),
-            standby_servers=data.get("standbyServers", defaults.standby_servers),
-            seed=data.get("seed", defaults.seed),
-            start_time=data.get("startTime", defaults.start_time),
-            service=data.get("service", defaults.service),
-            out_dir=data.get("outDir", defaults.out_dir),
+        def faults(events) -> tuple[FaultEvent, ...]:
+            return tuple(from_camel_keys(FaultEvent, e, "fault event") for e in events)
+
+        return from_camel_keys(
+            cls, data, "scenario config", federation=FederationConfig.from_dict, fault_schedule=faults
         )
 
 

@@ -115,7 +115,7 @@ class ServiceApi:
         service = query.get("service")
         if not isinstance(service, str) or not service:
             raise ApiError(400, "query parameter 'service' is required as a string")
-        requirements = self._gateway.requirements(service)
+        requirements = self._gateway.engine.for_service(service).required_claims
         return Response(
             200,
             {"service": service, "requiredClaims": [r.to_dict() for r in requirements]},
@@ -160,7 +160,7 @@ class ServiceApi:
         return Response(
             200,
             {
-                "services": self._gateway.services(),
+                "services": self._gateway.engine.services(),
                 "flow": [
                     "GET /access/requirements?service=<name> to see required claims",
                     "collect the claims from a consortium issuer",

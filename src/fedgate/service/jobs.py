@@ -14,7 +14,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import FedGateError, ValidationError
+from ..errors import FedGateError, ValidationError, from_camel_keys
 from ..fl import DatasetPartition, FederationConfig
 from ..fl.config import _real
 
@@ -55,11 +55,7 @@ class DataFilter:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DataFilter":
-        return cls(
-            client_ids=data.get("clientIds"),
-            feature_names=data.get("featureNames"),
-            max_samples_per_client=data.get("maxSamplesPerClient"),
-        )
+        return from_camel_keys(cls, data, "data filter")
 
 
 def apply_filter(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgate.canonical import sha256_hex
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
@@ -123,13 +124,12 @@ def test_contract_requires_claims():
 
 def test_contract_id_binds_body():
     c = membership_contract()
-    with pytest.raises(ValidationError):
-        AccessPolicyContract(
-            contract_id=c.contract_id,
-            required_claims=c.required_claims,
-            grants_service="other-service",
-            owner=c.owner,
-        )
+    assert c.contract_id == sha256_hex(c.signing_bytes())
+    assert AccessPolicyContract(c.required_claims, c.grants_service, c.owner) == c
+    assert membership_contract(service="other-service").contract_id != c.contract_id
+    assert membership_contract(claim_type="other-claim").contract_id != c.contract_id
+    with pytest.raises(TypeError):
+        AccessPolicyContract(c.required_claims, c.grants_service, c.owner, c.contract_id)
 
 
 # -------------------------------------------------------------------- deploy
@@ -138,9 +138,9 @@ def test_contract_id_binds_body():
 def test_deploy_and_query():
     engine, chain, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
-    assert engine.get(cid) == contract
-    assert engine.query_requirements("fl-study") == contract.required_claims
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    assert engine.for_service("fl-study") is contract
+    assert engine.services() == ["fl-study"]
     assert len(transactions(chain, "deploy_contract")) == 1
 
 
@@ -179,11 +179,11 @@ def test_two_services_have_independent_requirements():
     )
     engine.deploy(a, OWNER_KEY.sign(a.signing_bytes()))
     engine.deploy(b, OWNER_KEY.sign(b.signing_bytes()))
-    assert engine.query_requirements("svc-a") == a.required_claims
-    assert engine.query_requirements("svc-b") == b.required_claims
+    assert engine.for_service("svc-a").required_claims == a.required_claims
+    assert engine.for_service("svc-b").required_claims == b.required_claims
     assert engine.services() == ["svc-a", "svc-b"]
     with pytest.raises(ContractNotFoundError):
-        engine.query_requirements("svc-c")
+        engine.for_service("svc-c")
 
 
 # ------------------------------------------------------------------ verdicts
@@ -192,9 +192,9 @@ def test_two_services_have_independent_requirements():
 def test_grant_when_all_claims_valid():
     engine, chain, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    verdict = engine.execute(cid, holder, REQUEST_REF)
+    verdict = engine.execute(contract, holder, REQUEST_REF)
     assert verdict.decision == "granted"
     assert verdict.grant is not None
     assert verdict.grant.expires_at == 10_000 + 3600
@@ -213,9 +213,9 @@ def test_denial_lists_missing_claim_types():
         "fl-study",
         "did:efed:owner",
     )
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    verdict = engine.execute(cid, holder, REQUEST_REF)
+    verdict = engine.execute(contract, holder, REQUEST_REF)
     assert verdict.decision == "denied" and verdict.grant is None
     assert verdict.missing == ("role",)
     denials = transactions(chain, "access_denial")
@@ -225,12 +225,10 @@ def test_denial_lists_missing_claim_types():
 
 def test_expired_claim_denied():
     engine, _, _ = make_engine()
-    cid = engine.deploy(
-        membership_contract(),
-        OWNER_KEY.sign(membership_contract().signing_bytes()),
-    )
+    contract = membership_contract()
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim(expires_at=9_500)])
-    verdict = engine.execute(cid, holder, REQUEST_REF)
+    verdict = engine.execute(contract, holder, REQUEST_REF)
     assert verdict.decision == "denied"
     assert verdict.missing == ("consortium_member",)
 
@@ -246,7 +244,7 @@ def test_tampered_claim_is_the_missing_one():
         "fl-study",
         "did:efed:owner",
     )
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
 
     good_role = sign_claim(
         ISSUER_KEY, claim_type="role", value="researcher",
@@ -257,36 +255,40 @@ def test_tampered_claim_is_the_missing_one():
         subject="did:efed:holder", issuer=ISSUER_DID, issued_at=9_000, expires_at=20_000,
     )
     holder = holder_with([membership_claim(), good_role, forged])
-    verdict = engine.execute(cid, holder, REQUEST_REF)
+    verdict = engine.execute(contract, holder, REQUEST_REF)
     assert verdict.missing == ("hospital",)
 
 
 def test_claim_for_other_subject_does_not_count():
     engine, _, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     borrowed = sign_claim(
         ISSUER_KEY, claim_type="consortium_member", value="yes",
         subject="did:efed:somebody-else", issuer=ISSUER_DID,
         issued_at=9_000, expires_at=20_000,
     )
-    verdict = engine.execute(cid, holder_with([borrowed]), REQUEST_REF)
+    verdict = engine.execute(contract, holder_with([borrowed]), REQUEST_REF)
     assert verdict.decision == "denied"
 
 
 def test_unknown_contract():
-    engine, _, _ = make_engine()
+    engine, chain, _ = make_engine()
+    contract = membership_contract()
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    height = chain.height
     with pytest.raises(ContractNotFoundError):
-        engine.execute("00" * 32, holder_with([]), REQUEST_REF)
+        engine.for_service("unknown-service")
+    assert chain.height == height
 
 
 def test_evaluation_is_deterministic():
     engine, chain, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
     height_before = chain.height
-    verdicts = {engine.evaluate(cid, holder, now=10_000) for _ in range(1000)}
+    verdicts = {engine.evaluate(contract, holder, now=10_000) for _ in range(1000)}
     assert len(verdicts) == 1
     assert chain.height == height_before  # evaluate never writes
 
@@ -294,22 +296,22 @@ def test_evaluation_is_deterministic():
 def test_granted_now_implies_granted_since_issuance():
     engine, _, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     claim = membership_claim(issued_at=9_000, expires_at=20_000)
     holder = holder_with([claim])
     now = 15_000
-    assert engine.evaluate(cid, holder, now=now).decision == "granted"
+    assert engine.evaluate(contract, holder, now=now).decision == "granted"
     for t in range(9_000, now + 1, 500):
-        assert engine.evaluate(cid, holder, now=t).decision == "granted"
+        assert engine.evaluate(contract, holder, now=t).decision == "granted"
 
 
 def test_injected_token_source_gives_reproducible_tokens():
     engine, _, _ = make_engine(token_bytes=counting_tokens())
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     holder = holder_with([membership_claim()])
-    assert engine.execute(cid, holder, REQUEST_REF).grant.token == ("00" * 15) + "01"
-    assert engine.execute(cid, holder, REQUEST_REF).grant.token == ("00" * 15) + "02"
+    assert engine.execute(contract, holder, REQUEST_REF).grant.token == ("00" * 15) + "01"
+    assert engine.execute(contract, holder, REQUEST_REF).grant.token == ("00" * 15) + "02"
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,10 +323,10 @@ def test_injected_token_source_gives_reproducible_tokens():
 def test_verdict_matches_predicate_and_validity_oracle(value, now, issuer_trusted):
     engine, chain, _ = make_engine()
     contract = membership_contract()
-    cid = engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
+    engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))
     issuer = ISSUER_DID if issuer_trusted else "did:efed:rogue"
     claim = membership_claim(value=value, issuer=issuer)
-    verdict = engine.evaluate(cid, holder_with([claim]), now=now)
+    verdict = engine.evaluate(contract, holder_with([claim]), now=now)
     should_grant = (
         value == "yes" and issuer_trusted and 9_000 <= now < 20_000
     )

@@ -377,6 +377,11 @@ MALFORMED_DOCUMENTS = {
     "claims-missing": lambda doc: doc.pop("claims"),
     "endpoint-missing-uri": lambda doc: doc["serviceEndpoints"][0].pop("uri"),
     "id-list": lambda doc: doc.update(id=["did:efed:alice01"]),
+    "document-extra-key": lambda doc: doc.update(role="admin"),
+    "key-extra-key": lambda doc: doc["publicKeys"][0].update(revoked=False),
+    "endpoint-extra-key": lambda doc: doc["serviceEndpoints"][0].update(priority=1),
+    "claim-extra-key": lambda doc: doc["claims"][0].update(note="hand edit"),
+    "key-not-an-object": lambda doc: doc.update(publicKeys=["key-1"]),
 }
 
 
@@ -407,6 +412,7 @@ MALFORMED_LOG_LINES = {
     "op-missing": _log_line(op=None),
     "profile-hash-missing": _log_line(profileHash=None),
     "profile-hash-int": _log_line(profileHash=5),
+    "entry-extra-key": _log_line(note="hand edit"),
 }
 
 

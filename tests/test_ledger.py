@@ -277,6 +277,19 @@ def null_block_hash(field):
     return records
 
 
+def injected_key(record_of, key="note"):
+    """A key no writer writes, added to block 2 or to what ``record_of`` picks in it."""
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    record_of(records[2])[key] = "hand edit"
+    return records
+
+
+def transaction_not_an_object():
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[2]["transactions"] = ["not an object"]
+    return records
+
+
 @pytest.mark.parametrize(
     "records",
     [
@@ -286,10 +299,14 @@ def null_block_hash(field):
         non_string_field("txId", None),
         null_block_hash("merkleRoot"),
         null_block_hash("hash"),
+        injected_key(lambda block: block),
+        injected_key(lambda block: block["transactions"][0], "decoded"),
+        transaction_not_an_object(),
     ],
     ids=[
         "unknown-kind-resealed", "int-submitter", "int-kind",
         "null-tx-id", "null-merkle-root", "null-hash",
+        "block-extra-key", "transaction-extra-key", "transaction-not-an-object",
     ],
 )
 def test_validators_agree_and_fail_as_values(tmp_path, records):

@@ -12,11 +12,12 @@ from fedgate.fl import (
     FederationConfig,
     LossSpec,
     load_partitions,
+    read_metrics_csv,
     run_federation,
 )
 from fedgate.ledger import load_chain, verify_chain_file
 from fedgate.scenario import DEFAULT_FEDERATION, ScenarioConfig, replay_ledger, run_demo
-from fedgate.service import FaultEvent
+from fedgate.service import DataFilter, FaultEvent
 
 
 def demo_config(tmp_path, name="demo", **overrides):
@@ -189,6 +190,8 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         {"service": 5},
         {"startTime": -5},
         {"startTime": 2**64},
+        {"qualifiedUser": 0},
+        {"faultSchedule": [{"roundIndex": 2, "nodeId": "server-0", "node": "server-0"}]},
     ],
     ids=[
         "text-owners",
@@ -198,6 +201,8 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         "numeric-service",
         "negative-start-time",
         "start-time-past-64-bits",
+        "qualified-users-typo",
+        "fault-event-extra-key",
     ],
 )
 def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
@@ -205,6 +210,8 @@ def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     path.write_text(json.dumps(raw))
     assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
     assert "invalid input" in capsys.readouterr().err
+    # Refused while the config is read, so no artifact directory is made.
+    assert not (tmp_path / "demo").exists()
 
 
 def test_scenario_config_from_dict_reads_the_file_keys():
@@ -221,6 +228,26 @@ def test_scenario_config_from_dict_reads_the_file_keys():
         standby_servers=1,
     )
     assert ScenarioConfig.from_dict({}) == ScenarioConfig()
+
+
+def test_config_readers_refuse_unknown_keys_and_default_absent_ones():
+    federation = DEFAULT_FEDERATION.to_dict()
+    spoiled = [
+        (ScenarioConfig, {"qualifiedUser": 0}),
+        (ScenarioConfig, {"faultSchedule": [{"roundIndex": 1, "nodeId": "server-0", "at": 1}]}),
+        (FederationConfig, {**federation, "weightng": "uniform"}),
+        (LossSpec, {"kind": "logistic", "featureDim": 2, "Bias": True}),
+        (DataFilter, {"featurenames": ["x0"]}),
+    ]
+    for reader, raw in spoiled:
+        with pytest.raises(ValidationError, match="unknown keys"):
+            reader.from_dict(raw)
+    required = ("totalRounds", "totalClients", "subsetSize", "localEpochs", "learningRate")
+    minimal = {key: federation[key] for key in required}
+    minimal["loss"] = {"kind": "logistic", "featureDim": 2}
+    assert FederationConfig.from_dict(minimal) == dataclasses.replace(DEFAULT_FEDERATION, rng_seed=0)
+    assert FederationConfig.from_dict(federation) == DEFAULT_FEDERATION
+    assert DataFilter.from_dict({}) == DataFilter()
 
 
 # --------------------------------------------------------------------- cli
@@ -371,6 +398,30 @@ def test_cli_plot_metrics_rejects_empty_and_missing(tmp_path):
     short = tmp_path / "short.csv"
     short.write_text("round,global_loss,train_accuracy,selected_clients\n1,0.5\n")
     assert main(["plot-metrics", str(short)]) == 2
+
+
+def test_read_metrics_csv_refuses_with_validation_error(tmp_path):
+    header = "round,global_loss,train_accuracy,selected_clients\n"
+    for name, text in [
+        ("header", "wrong,header\n"),
+        ("short", header + "1,0.5\n"),
+        ("non-number", header + "1,half,0.5,a\n"),
+    ]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            read_metrics_csv(path)
+    path = tmp_path / "not-utf8.csv"
+    path.write_bytes(header.encode() + b"1,0.5,0.5,\xff\n")
+    with pytest.raises(ValidationError):
+        read_metrics_csv(path)
+
+
+@pytest.mark.parametrize("command", ["verify-chain", "plot-metrics"])
+def test_seed_is_refused_where_it_does_nothing(tmp_path, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "1", str(tmp_path / "input")])
+    assert exit_info.value.code == 2
 
 
 def test_cli_import_legacy(tmp_path):

@@ -705,13 +705,16 @@ def config_body(**fields):
         ("/jobs", {"priorityWeight": "2"}),
         ("/jobs", {"estimatedRuntime": 10**400}),
         ("/jobs", {"config": config_body(initialWeights=[])}),
+        ("/jobs", {"dataFilter": {"featurenames": ["x0"]}}),
+        ("/jobs", {"config": config_body(weightng="uniform")}),
     ],
     ids=[
         "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
         "bool-learning-rate", "text-learning-rate", "bool-and-text-initial-weights", "bool-runtime",
-        "text-priority-weight", "overflowing-runtime", "empty-initial-weights",
+        "text-priority-weight", "overflowing-runtime", "empty-initial-weights", "filter-key-typo",
+        "config-key-typo",
     ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):
