@@ -1,6 +1,6 @@
 """Claim lifecycle and the two authentication workflows with DoS bounds."""
 
-from .issuance import ClaimIssuer, ForbiddenIssuerError, make_claim_checker, verify_claim
+from .issuance import ClaimIssuer, make_claim_checker, verify_claim
 from .legacy import LegacyImportResult, import_legacy_accounts, read_accounts_csv
 from .pending import PendingTable
 from .ratelimit import SlidingWindowLimiter
@@ -16,7 +16,6 @@ from .workflows import (
 
 __all__ = [
     "ClaimIssuer",
-    "ForbiddenIssuerError",
     "verify_claim",
     "make_claim_checker",
     "SlidingWindowLimiter",

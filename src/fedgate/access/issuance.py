@@ -16,16 +16,12 @@ from typing import Callable
 from ..claims import VerifiableClaim, sign_claim
 from ..errors import FedGateError
 from ..identity import DidRegistry, Resolver
-from ..identity.registry import UnknownDidError
+from ..identity.resolver import UNRESOLVABLE
 from ..keys import KeyPair
 
 CLAIM_CACHE_SIZE = 4096
 
 SignatureCache = OrderedDict[tuple[VerifiableClaim, tuple[bytes, ...]], bool]
-
-
-class ForbiddenIssuerError(FedGateError):
-    """The issuer DID is not on the trusted allow-list."""
 
 
 class ClaimIssuer:
@@ -48,7 +44,7 @@ class ClaimIssuer:
     ) -> VerifiableClaim:
         """Sign a claim for a registered subject and attach it to their document."""
         if self.did not in self._trusted:
-            raise ForbiddenIssuerError(f"{self.did} is not a trusted issuer")
+            raise FedGateError(f"{self.did} is not a trusted issuer")
         document = self._registry.get(subject)  # raises UnknownDidError
         now = int(self._clock())
         claim = sign_claim(
@@ -83,7 +79,7 @@ def verify_claim(
         return False, "untrusted-issuer"
     try:
         issuer = resolver.fetch(claim.issuer)
-    except (UnknownDidError, FedGateError):
+    except UNRESOLVABLE:
         return False, "unresolvable-issuer"
     key = (claim, tuple(k.public_bytes for k in issuer.public_keys))
     # Pop and re-insert, not get and move_to_end, so concurrent checks cannot raise.

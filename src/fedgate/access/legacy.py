@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..errors import ValidationError
 from ..identity import DidDocument, DidRegistry
-from ..identity.registry import AlreadyRegisteredError, DuplicateProfileError
+from ..identity.registry import AlreadyRegisteredError
 from ..keys import KeyPair
 from .issuance import ClaimIssuer
 
@@ -70,7 +70,7 @@ def import_legacy_accounts(
         profile_hash = hashlib.sha256(f"legacy-profile:{username}".encode()).hexdigest()
         try:
             registry.register(document, profile_hash=profile_hash)
-        except (AlreadyRegisteredError, DuplicateProfileError):
+        except AlreadyRegisteredError:  # the DID or the profile hash is taken
             results.append(LegacyImportResult(username, did, "skipped"))
             continue
         claim = issuer.issue(did, "role", role, CLAIM_VALIDITY_SECONDS)

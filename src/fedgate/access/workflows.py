@@ -44,9 +44,8 @@ from typing import Callable
 
 from ..canonical import to_hex
 from ..errors import ValidationError
-from ..identity import Attestation, NoDriverError, Resolver
-from ..identity.did import DidParseError
-from ..identity.registry import UnknownDidError
+from ..identity import Attestation, Resolver
+from ..identity.resolver import UNRESOLVABLE
 from ..ledger import AccessOutcome, AccessPolicyContract, ContractEngine, GrantToken
 from .pending import PendingTable
 from .ratelimit import SlidingWindowLimiter
@@ -158,7 +157,7 @@ class AccessGateway:
             return LookupResult(False, None, "rejected-rate")
         try:
             attestation = self._resolver.resolve(requester, nonce)
-        except (UnknownDidError, NoDriverError, DidParseError):
+        except UNRESOLVABLE:
             return LookupResult(False, None, "unresolvable")
         return LookupResult(True, attestation, "ok")
 
@@ -182,7 +181,7 @@ class AccessGateway:
             return AccessOutcome("rejected-capacity", "pending table full")
         try:
             document = self._resolver.fetch(request.requester)
-        except (UnknownDidError, NoDriverError, DidParseError):
+        except UNRESOLVABLE:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return AccessOutcome("denied", "unresolvable")
@@ -202,7 +201,7 @@ class AccessGateway:
             return AccessOutcome("denied", "replay")
         try:
             document = self._resolver.fetch(request.requester)
-        except (UnknownDidError, NoDriverError, DidParseError):
+        except UNRESOLVABLE:
             return AccessOutcome("denied", "unresolvable")
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document.canonical_bytes()):

@@ -4,11 +4,11 @@ from dataclasses import fields
 
 
 class FedGateError(Exception):
-    """Base class for all fedgate errors."""
+    """A refused operation (the CLI exits 1, a job ends failed); base of every fedgate error."""
 
 
 class ValidationError(FedGateError):
-    """An input or invariant check failed."""
+    """An input or invariant check failed (the CLI exits 2, the API answers 400)."""
 
 
 def check_field_types(

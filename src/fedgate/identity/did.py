@@ -16,26 +16,6 @@ _METHOD_RE = re.compile(r"^[a-z0-9]+$")
 _SPECIFIC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-class DidParseError(ValidationError):
-    """A string could not be read as a decentralized identifier."""
-
-
-class WrongSchemeError(DidParseError):
-    """The first part was not the literal ``did``."""
-
-
-class PartCountError(DidParseError):
-    """The string did not split into exactly three colon-separated parts."""
-
-
-class EmptySpecificIdError(DidParseError):
-    """The method-specific id part was empty."""
-
-
-class IllegalCharacterError(DidParseError):
-    """Method or specific id holds characters outside the allowed sets."""
-
-
 @dataclass(frozen=True)
 class DidIdentifier:
     method: str
@@ -43,13 +23,11 @@ class DidIdentifier:
 
     def __post_init__(self) -> None:
         if not _METHOD_RE.match(self.method):
-            raise IllegalCharacterError(
-                f"method must be lowercase alphanumeric, got {self.method!r}"
-            )
+            raise ValidationError(f"method must be lowercase alphanumeric, got {self.method!r}")
         if not self.specific_id:
-            raise EmptySpecificIdError("method-specific id must be non-empty")
+            raise ValidationError("method-specific id must be non-empty")
         if not _SPECIFIC_ID_RE.match(self.specific_id):
-            raise IllegalCharacterError(
+            raise ValidationError(
                 f"specific id may only use [A-Za-z0-9._-], got {self.specific_id!r}"
             )
 
@@ -61,10 +39,8 @@ def parse_did(text: str) -> DidIdentifier:
     """Split ``did:<method>:<specific-id>`` into its three parts."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise PartCountError(
-            f"expected three colon-separated parts, got {len(parts)} in {text!r}"
-        )
+        raise ValidationError(f"expected three colon-separated parts, got {len(parts)} in {text!r}")
     scheme, method, specific_id = parts
     if scheme != "did":
-        raise WrongSchemeError(f"scheme must be 'did', got {scheme!r}")
+        raise ValidationError(f"scheme must be 'did', got {scheme!r}")
     return DidIdentifier(method=method, specific_id=specific_id)

@@ -25,19 +25,11 @@ from .document import DidDocument
 
 
 class AlreadyRegisteredError(FedGateError):
-    """The DID is already present in the registry."""
-
-
-class DuplicateProfileError(FedGateError):
-    """Another DID was already registered for the same profile hash."""
+    """The DID, or another DID for the same profile hash, is already registered."""
 
 
 class UnknownDidError(FedGateError):
-    """No document is stored for the requested DID."""
-
-
-class VersionSequenceError(FedGateError):
-    """An update skipped or rolled back the document version counter."""
+    """No document is stored for the requested DID, or no driver serves its method."""
 
 
 class DidRegistry:
@@ -77,9 +69,7 @@ class DidRegistry:
                 raise AlreadyRegisteredError(f"{key} is already registered")
             holder = self._profiles.get(profile_hash)
             if holder is not None:
-                raise DuplicateProfileError(
-                    f"profile already registered under {holder}"
-                )
+                raise AlreadyRegisteredError(f"profile already registered under {holder}")
             receipt = self._commit("register", document, profile_hash)
         return receipt
 
@@ -91,7 +81,7 @@ class DidRegistry:
             if current is None:
                 raise UnknownDidError(f"cannot update unregistered {key}")
             if document.version != current.version + 1:
-                raise VersionSequenceError(
+                raise FedGateError(
                     f"{key}: version must step {current.version} -> "
                     f"{current.version + 1}, got {document.version}"
                 )

@@ -26,15 +26,14 @@ import hmac
 from dataclasses import dataclass
 
 from ..canonical import from_hex, sha256_hex, to_hex
-from ..errors import FedGateError, ValidationError
+from ..errors import ValidationError, from_camel_keys
 from ..keys import KeyPair
 from .did import DidIdentifier, parse_did
 from .document import DidDocument
-from .registry import DidRegistry
+from .registry import DidRegistry, UnknownDidError
 
-
-class NoDriverError(FedGateError):
-    """No driver is registered for the DID method."""
+# What ``Resolver.fetch`` and ``resolve`` raise for a DID they cannot serve.
+UNRESOLVABLE = (UnknownDidError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,7 @@ class Attestation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Attestation":
-        return cls(
-            did=data["did"],
-            nonce=from_hex(data["nonce"]),
-            document_digest=data["documentDigest"],
-            resolver=data["resolver"],
-            signature=from_hex(data["signature"]),
-        )
+        return from_camel_keys(cls, data, "attestation", nonce=from_hex, signature=from_hex)
 
 
 class RegistryDriver:
@@ -93,7 +86,7 @@ class Resolver:
         identifier = parse_did(did) if isinstance(did, str) else did
         driver = self._drivers.get(identifier.method)
         if driver is None:
-            raise NoDriverError(f"no driver registered for method {identifier.method!r}")
+            raise UnknownDidError(f"no driver registered for method {identifier.method!r}")
         return driver.fetch(identifier)
 
     def resolve(self, did: DidIdentifier | str, nonce: bytes) -> Attestation:

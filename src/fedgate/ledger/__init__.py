@@ -17,7 +17,6 @@ from .contracts import (
     ContractEngine,
     ContractNotFoundError,
     GrantToken,
-    UnauthorizedError,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "AccessOutcome",
     "ContractEngine",
     "ContractNotFoundError",
-    "UnauthorizedError",
 ]

@@ -31,10 +31,6 @@ class ContractNotFoundError(FedGateError):
     """No contract gates the requested service."""
 
 
-class UnauthorizedError(FedGateError):
-    """A signature did not verify against the claimed owner's keys."""
-
-
 @dataclass(frozen=True)
 class ClaimPredicate:
     kind: str
@@ -180,13 +176,11 @@ class ContractEngine:
         """Store a policy after checking the owner's signature."""
         document = self._document_lookup(contract.owner)
         if document is None:
-            raise UnauthorizedError(f"owner {contract.owner} has no document")
+            raise FedGateError(f"owner {contract.owner} has no document")
         keys = document.authentication_keys()
         body = contract.signing_bytes()
         if not any(verify_signature(k, body, signature) for k in keys):
-            raise UnauthorizedError(
-                f"signature does not verify against owner {contract.owner}"
-            )
+            raise FedGateError(f"signature does not verify against owner {contract.owner}")
         if contract.grants_service in self._by_service:
             raise ValidationError(
                 f"service {contract.grants_service!r} already has a policy"

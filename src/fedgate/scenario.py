@@ -123,8 +123,15 @@ class ScenarioConfig:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.qualified_users > self.users:
             raise ValidationError("qualified_users must lie in [0, users]")
-        if self.start_time >= 2**64:  # the genesis block's time must lie in [0, 2**64)
-            raise ValidationError(f"start_time must lie in [0, 2**64), got {self.start_time}")
+        # run_demo steps the clock once per registration, claim and access
+        # request, and once each for the deploy and the dataset. Every time it
+        # stamps, up to the job's at the last step, must lie in [0, 2**64).
+        steps = self.owners + self.issuers + 2 * self.users + self.qualified_users + 2
+        if self.start_time + steps >= 2**64:
+            raise ValidationError(
+                f"start_time plus the demo's {steps} clock steps must lie below 2**64, "
+                f"got {self.start_time}"
+            )
         if self.scheme not in (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.service, str) or not self.service:

@@ -5,7 +5,6 @@ from .jobs import (
     JobQueue,
     JobRecord,
     JobSpec,
-    JobStateError,
     apply_filter,
     total_weighted_completion,
     wsjf_order,
@@ -23,7 +22,6 @@ __all__ = [
     "JobSpec",
     "JobRecord",
     "JobQueue",
-    "JobStateError",
     "DataFilter",
     "apply_filter",
     "wsjf_order",

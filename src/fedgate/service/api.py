@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..access import AccessGateway, AccessRequest
 from ..canonical import from_hex
-from ..errors import ValidationError
+from ..errors import ValidationError, check_keys
 from ..fl import FederationConfig
 from ..identity import Attestation
 from ..ledger import ContractNotFoundError
@@ -23,6 +23,8 @@ from .facade import FlaasService, UnauthorizedTokenError, UnknownJobError
 from .jobs import DataFilter
 
 _JOB_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9-]+)(?P<tail>/metrics|/model)?$")
+_REQUEST_KEYS = frozenset({"requester", "service", "scheme", "nonce", "attestation"})
+_JOB_KEYS = frozenset({"config", "dataFilter", "estimatedRuntime", "priorityWeight"})
 
 _OUTCOME_STATUS = {
     "granted": 200,
@@ -122,6 +124,7 @@ class ServiceApi:
         )
 
     def _access_request(self, body) -> Response:
+        check_keys(body, "access request", _REQUEST_KEYS)
         for field in ("requester", "service", "scheme", "nonce"):
             if not isinstance(body.get(field), str):
                 raise ApiError(400, f"body field {field!r} is required as a string")
@@ -190,12 +193,13 @@ class ServiceApi:
 
     def _submit_job(self, headers, body) -> Response:
         token = self._token(headers)
+        check_keys(body, "job body", _JOB_KEYS)
         if "config" not in body:
             raise ApiError(400, "body field 'config' is required")
         config = _parse("config", FederationConfig.from_dict, body["config"])
         data_filter = (
             _parse("dataFilter", DataFilter.from_dict, body["dataFilter"])
-            if body.get("dataFilter")
+            if "dataFilter" in body
             else DataFilter()
         )
         record = self._service.submit_job(

@@ -28,10 +28,6 @@ class UnknownJobError(FedGateError):
     """No job with the requested id."""
 
 
-class RejectedConfigError(ValidationError):
-    """The job's federation config cannot run on the filtered partitions."""
-
-
 class FlaasService:
     def __init__(
         self,
@@ -85,13 +81,13 @@ class FlaasService:
         grant = self.authorize(token)
         filtered = apply_filter(self._partitions, data_filter)
         if len(filtered) != config.total_clients:
-            raise RejectedConfigError(
+            raise ValidationError(
                 f"config expects {config.total_clients} clients but the filter "
                 f"leaves {len(filtered)}"
             )
         dim = check_shared_feature_space(filtered)
         if dim != config.loss.feature_dim:
-            raise RejectedConfigError(
+            raise ValidationError(
                 f"filtered feature dimension {dim} does not match loss spec "
                 f"{config.loss.feature_dim}"
             )

@@ -19,10 +19,6 @@ from ..fl import DatasetPartition, FederationConfig
 from ..fl.config import _real
 
 
-class JobStateError(FedGateError):
-    """An illegal job state transition was attempted."""
-
-
 def _names(field: str, values) -> tuple[str, ...] | None:
     """``values`` as a tuple of strings, or None when the filter is absent.
 
@@ -131,9 +127,9 @@ class JobRecord:
 
     def transition(self, new_state: str, now: int) -> None:
         if new_state not in _TRANSITIONS:
-            raise JobStateError(f"unknown state {new_state!r}")
+            raise FedGateError(f"unknown state {new_state!r}")
         if new_state not in _TRANSITIONS[self.state]:
-            raise JobStateError(f"illegal transition {self.state} -> {new_state}")
+            raise FedGateError(f"illegal transition {self.state} -> {new_state}")
         self.transitions.append((int(now), self.state, new_state))
         self.state = new_state
 

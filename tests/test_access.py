@@ -16,12 +16,12 @@ from fedgate.access import (
     read_accounts_csv,
     verify_claim,
 )
-from fedgate.access.issuance import CLAIM_CACHE_SIZE, ForbiddenIssuerError
+from fedgate.access.issuance import CLAIM_CACHE_SIZE
 from fedgate.access.ratelimit import MAX_TRACKED_KEYS
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
-from fedgate.errors import ValidationError
+from fedgate.errors import FedGateError, ValidationError
 from fedgate.identity import DidDocument, PublicKeyEntry
 from fedgate.identity.registry import UnknownDidError
 from fedgate.keys import KeyPair, verify_signature
@@ -54,7 +54,7 @@ def test_untrusted_issuer_forbidden():
     rogue = ClaimIssuer(
         rogue_actor.did, rogue_actor.key, stack.registry, stack.trusted, stack.clock
     )
-    with pytest.raises(ForbiddenIssuerError):
+    with pytest.raises(FedGateError, match="is not a trusted issuer"):
         rogue.issue(alice.did, "consortium_member", "yes", 3600)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fedgate.canonical import sha256_hex
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
-from fedgate.errors import ValidationError
+from fedgate.errors import FedGateError, ValidationError
 from fedgate.identity import DidDocument, DidIdentifier, PublicKeyEntry
 from fedgate.keys import KeyPair
 from fedgate.ledger import (
@@ -17,7 +17,6 @@ from fedgate.ledger import (
     ClaimRequirement,
     ContractEngine,
     ContractNotFoundError,
-    UnauthorizedError,
 )
 
 from support import payload_dict, transactions
@@ -147,7 +146,7 @@ def test_deploy_and_query():
 def test_deploy_rejects_wrong_signer():
     engine, _, _ = make_engine()
     contract = membership_contract()
-    with pytest.raises(UnauthorizedError):
+    with pytest.raises(FedGateError, match="signature does not verify against owner"):
         engine.deploy(contract, HOLDER_KEY.sign(contract.signing_bytes()))
 
 
@@ -158,7 +157,7 @@ def test_deploy_rejects_unknown_owner_and_duplicates():
         "svc",
         "did:efed:ghost",
     )
-    with pytest.raises(UnauthorizedError):
+    with pytest.raises(FedGateError, match="owner did:efed:ghost has no document"):
         engine.deploy(ghost, OWNER_KEY.sign(ghost.signing_bytes()))
     contract = membership_contract()
     engine.deploy(contract, OWNER_KEY.sign(contract.signing_bytes()))

@@ -190,6 +190,7 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         {"service": 5},
         {"startTime": -5},
         {"startTime": 2**64},
+        {"startTime": 2**64 - 1},
         {"qualifiedUser": 0},
         {"faultSchedule": [{"roundIndex": 2, "nodeId": "server-0", "node": "server-0"}]},
     ],
@@ -201,6 +202,7 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         "numeric-service",
         "negative-start-time",
         "start-time-past-64-bits",
+        "start-time-leaves-no-clock-steps",
         "qualified-users-typo",
         "fault-event-extra-key",
     ],
@@ -211,6 +213,27 @@ def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
     assert "invalid input" in capsys.readouterr().err
     # Refused while the config is read, so no artifact directory is made.
+    assert not (tmp_path / "demo").exists()
+
+
+# The default story steps the clock 11 times: 3 + 1 + 2 registrations, the
+# deploy, 1 claim, the dataset and 2 access requests.
+LARGEST_DEMO_START = 2**64 - 1 - 11
+
+
+def test_cli_demo_runs_from_the_largest_start_time(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"startTime": LARGEST_DEMO_START}))
+    assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 0
+    ok, _ = verify_chain_file(tmp_path / "demo/chain.jsonl")
+    assert ok
+
+
+def test_cli_demo_refuses_a_start_time_one_past_the_largest(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"startTime": LARGEST_DEMO_START + 1}))
+    assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
+    assert "11 clock steps" in capsys.readouterr().err
     assert not (tmp_path / "demo").exists()
 
 

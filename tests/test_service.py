@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgate.errors import ValidationError
+from fedgate.errors import FedGateError, ValidationError
 from fedgate.fl import (
     DatasetPartition,
     FederationConfig,
@@ -22,14 +22,12 @@ from fedgate.service import (
     FaultEvent,
     JobQueue,
     JobSpec,
-    JobStateError,
     NodeRegistry,
     apply_filter,
     summarize_partitions,
     total_weighted_completion,
     wsjf_order,
 )
-from fedgate.service.facade import RejectedConfigError
 from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS
 
 from support import Stack
@@ -145,13 +143,13 @@ def test_job_ids_are_monotone():
 def test_state_machine_disallows_skips_and_reversals():
     q = JobQueue()
     record = q.submit(job_spec(), now=0)
-    with pytest.raises(JobStateError):
+    with pytest.raises(FedGateError, match="illegal transition queued -> completed"):
         record.transition("completed", 1)
     record.transition("running", 1)
-    with pytest.raises(JobStateError):
+    with pytest.raises(FedGateError, match="illegal transition running -> queued"):
         record.transition("queued", 2)
     record.transition("completed", 2)
-    with pytest.raises(JobStateError):
+    with pytest.raises(FedGateError, match="illegal transition completed -> running"):
         record.transition("running", 3)
     assert [(a, b) for _, a, b in record.transitions] == [
         ("queued", "running"),
@@ -554,7 +552,7 @@ def test_job_lifecycle_through_api(tmp_path):
 
 def test_submit_rejects_config_filter_mismatch(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
-    with pytest.raises(RejectedConfigError):
+    with pytest.raises(ValidationError, match="config expects 4 clients but the filter leaves"):
         service.submit_job(
             token,
             job_config(),  # expects 4 clients
@@ -728,6 +726,35 @@ def test_malformed_body_field_answers_400(tmp_path, path, fields):
     )
     assert response.status == 400
     assert "error" in response.body
+
+
+@pytest.mark.parametrize(
+    "path, fields, named",
+    [
+        ("/jobs", lambda attestation: {"priorityWieght": 5.0}, "priorityWieght"),
+        ("/jobs", lambda attestation: {"dataFilter": []}, "data filter must be an object"),
+        ("/access/request", lambda attestation: {"attestaton": attestation}, "attestaton"),
+        (
+            "/access/request",
+            lambda attestation: {"attestation": {**attestation, "signer": "did:efed:alice"}},
+            "signer",
+        ),
+    ],
+    ids=["priority-weight-typo", "empty-data-filter", "attestation-typo", "attestation-extra-key"],
+)
+def test_unknown_or_empty_body_keys_answer_400_and_change_nothing(tmp_path, path, fields, named):
+    stack, service, api, token = service_stack(tmp_path)
+    attestation = stack.gateway.user_lookup("did:efed:alice", stack.fresh_nonce()).attestation
+    if path == "/access/request":
+        body = access_body(stack, **fields(attestation.to_dict()))
+    else:
+        body = {"config": job_config().to_dict(), **fields(attestation.to_dict())}
+    height = stack.chain.height
+    response = api.handle("POST", path, headers={"Authorization": f"Grant {token}"}, body=body)
+    assert response.status == 400
+    assert named in response.body["error"]
+    assert stack.chain.height == height
+    assert service.queue.all_records() == []
 
 
 def test_real_body_fields_take_json_integers(tmp_path):

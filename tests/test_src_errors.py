@@ -1,0 +1,91 @@
+"""``src/`` declares one exception type per handling.
+
+The test walks ``src/`` with ``ast`` and lists every exception class. The
+list must equal ``KEPT``, which names, for each type, the code outside the
+tests that catches it by name (or the data it carries beyond its message).
+A new exception that only a test catches fails here: raise its base class,
+which already has the same handling, and let the test match the message.
+"""
+
+import ast
+import builtins
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+KEPT = {
+    "fedgate/errors.py:FedGateError": "cli.main exits 1 (refused); JobExecutor.run marks the job failed",
+    "fedgate/errors.py:ValidationError": "cli.main exits 2; ServiceApi.handle answers 400",
+    "fedgate/identity/registry.py:AlreadyRegisteredError": (
+        "import_legacy_accounts reports a taken DID or profile hash as skipped"
+    ),
+    "fedgate/identity/registry.py:UnknownDidError": (
+        "the gateway denies it as unresolvable (resolver.UNRESOLVABLE); "
+        "bench/desk.py's document_lookup reads it as no document"
+    ),
+    "fedgate/ledger/contracts.py:ContractNotFoundError": "ServiceApi.handle answers 404",
+    "fedgate/service/facade.py:UnauthorizedTokenError": "ServiceApi.handle answers 401",
+    "fedgate/service/facade.py:UnknownJobError": "ServiceApi.handle answers 404",
+    "fedgate/service/api.py:ApiError": "carries the status ServiceApi.handle answers",
+    "fedgate/fl/training.py:TrainingDivergedError": "carries the client_id that diverged",
+}
+
+
+def _parsed(root: Path):
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def exception_classes(root: Path) -> dict[str, ast.ClassDef]:
+    """Every class under ``root`` that derives from a built-in exception, by ``module:name``."""
+    classes = {
+        f"{module}:{node.name}": node
+        for module, tree in _parsed(root)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    exceptions: dict[str, ast.ClassDef] = {}
+    grown = True
+    while grown:
+        names = {key.split(":")[1] for key in exceptions}
+        grown = False
+        for key, node in classes.items():
+            bases = {ast.unparse(base).split(".")[-1] for base in node.bases}
+            builtin = any(
+                isinstance(getattr(builtins, b, None), type)
+                and issubclass(getattr(builtins, b), BaseException)
+                for b in bases
+            )
+            if key not in exceptions and (builtin or bases & names):
+                exceptions[key] = node
+                grown = True
+    return exceptions
+
+
+def caught_by_name(roots: list[Path]) -> set[str]:
+    """Names in an ``except`` clause, through module-level tuples such as ``UNRESOLVABLE``."""
+    tuples, caught = {}, set()
+    for root in roots:
+        for _, tree in _parsed(root):
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+                    for target in node.targets:
+                        tuples[ast.unparse(target)] = [ast.unparse(e) for e in node.value.elts]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught.update(ast.unparse(kind).split(".")[-1] for kind in kinds)
+    return caught | {name for key in caught & tuples.keys() for name in tuples[key]}
+
+
+def test_src_declares_exactly_the_kept_exception_types():
+    found = exception_classes(SRC)
+    assert set(found) == set(KEPT)
+
+
+def test_each_kept_type_is_caught_outside_the_tests_or_carries_data():
+    caught = caught_by_name([SRC, ROOT / "bench", ROOT / "scripts"])
+    for key, node in exception_classes(SRC).items():
+        carries = any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in node.body)
+        assert node.name in caught or carries, f"{key}: {KEPT.get(key)}"
