@@ -1,10 +1,11 @@
 """One-shot translation of legacy ``(username, role)`` accounts.
 
 Each account becomes a fresh DID, ``did:efed:legacy-<username>`` (unsafe
-characters become ``-``), under a key derived from the username so reruns
-collide instead of duplicating; a registered one-key document; and an
-issued ``role`` claim. Already-imported usernames are reported as skipped
-rather than failing the whole batch.
+characters become ``-``), so reruns collide by DID instead of duplicating; a
+registered one-key document under a key the desk derives from its seed and
+the account's row, never from the username; and an issued ``role`` claim.
+Already-imported usernames are reported as skipped rather than failing the
+whole batch, but a batch in which two usernames map to one DID is refused.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import ValidationError
-from ..identity import DidDocument, DidRegistry
+from ..identity import DidDocument
 from ..identity.registry import AlreadyRegisteredError
-from ..keys import KeyPair
 from .issuance import ClaimIssuer
+
+if TYPE_CHECKING:
+    from ..desk import Desk
 
 CLAIM_VALIDITY_SECONDS = 365 * 24 * 3600
 _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
@@ -57,24 +61,28 @@ def read_accounts_csv(path: Path) -> list[tuple[str, str]]:
 
 def import_legacy_accounts(
     accounts: list[tuple[str, str]],
-    registry: DidRegistry,
+    desk: Desk,
     issuer: ClaimIssuer,
 ) -> list[LegacyImportResult]:
     """Register each account's DID and issue its ``CLAIM_VALIDITY_SECONDS`` role claim."""
+    ids = ["legacy-" + "".join(c if c in _USERNAME_SAFE else "-" for c in u) for u, _ in accounts]
+    owners: dict[str, str] = {}
+    for (username, _), specific_id in zip(accounts, ids):
+        if owners.setdefault(specific_id, username) != username:
+            raise ValidationError(
+                f"usernames {owners[specific_id]!r} and {username!r} both map to did:efed:{specific_id}"
+            )
     results = []
-    for username, role in accounts:
-        safe = "".join(c if c in _USERNAME_SAFE else "-" for c in username)
-        key = KeyPair.generate(hashlib.sha256(f"legacy-account:{username}".encode()).digest())
-        document = DidDocument.for_key("efed", f"legacy-{safe}", key.public_bytes)
+    for row, ((username, role), specific_id) in enumerate(zip(accounts, ids)):
+        key = desk.keypair("legacy-account", row)
+        document = DidDocument.for_key("efed", specific_id, key.public_bytes)
         did = str(document.id)
         profile_hash = hashlib.sha256(f"legacy-profile:{username}".encode()).hexdigest()
         try:
-            registry.register(document, profile_hash=profile_hash)
+            desk.registry.register(document, profile_hash=profile_hash)
         except AlreadyRegisteredError:  # the DID or the profile hash is taken
             results.append(LegacyImportResult(username, did, "skipped"))
             continue
         claim = issuer.issue(did, "role", role, CLAIM_VALIDITY_SECONDS)
-        results.append(
-            LegacyImportResult(username, did, "imported", value=claim.value)
-        )
+        results.append(LegacyImportResult(username, did, "imported", value=claim.value))
     return results

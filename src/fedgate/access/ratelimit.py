@@ -1,7 +1,8 @@
 """Sliding-window per-key rate limiting with bounded key tracking.
 
-The key bound has one value in use, so it is the constant
-``MAX_TRACKED_KEYS`` rather than a constructor option.
+The key bound and the window each have one value in use, so they are the
+constants ``MAX_TRACKED_KEYS`` and ``RATE_WINDOW_SECONDS`` rather than
+constructor options.
 """
 
 from __future__ import annotations
@@ -11,21 +12,21 @@ from collections import OrderedDict, deque
 from typing import Callable
 
 MAX_TRACKED_KEYS = 4096
+RATE_WINDOW_SECONDS = 60
 
 
 class SlidingWindowLimiter:
-    """At most ``limit`` allowed calls per key inside a trailing window.
+    """At most ``limit`` allowed calls per key inside a trailing ``RATE_WINDOW_SECONDS``.
 
     Tracks at most ``MAX_TRACKED_KEYS`` keys; the least recently seen key
     is evicted beyond that, so a flood of one-shot identities cannot grow
     memory without bound.
     """
 
-    def __init__(self, limit: int, window_seconds: int, clock: Callable[[], int]):
-        if limit < 1 or window_seconds < 1:
-            raise ValueError("limit and window must be positive")
+    def __init__(self, limit: int, clock: Callable[[], int]):
+        if limit < 1:
+            raise ValueError("limit must be positive")
         self.limit = limit
-        self.window = window_seconds
         self._clock = clock
         self._hits: OrderedDict[str, deque[int]] = OrderedDict()
         self._lock = threading.Lock()
@@ -36,7 +37,7 @@ class SlidingWindowLimiter:
         with self._lock:
             hits = self._hits.setdefault(key, deque())
             self._hits.move_to_end(key)
-            cutoff = now - self.window
+            cutoff = now - RATE_WINDOW_SECONDS
             while hits and hits[0] <= cutoff:
                 hits.popleft()
             if len(hits) >= self.limit:

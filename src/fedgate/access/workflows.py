@@ -140,8 +140,8 @@ class AccessGateway:
         self.engine = engine
         self._resolver = resolver
         self._clock = clock
-        self._contract_limiter = SlidingWindowLimiter(contract_path_per_minute, 60, clock)
-        self._front_desk_limiter = SlidingWindowLimiter(front_desk_per_minute, 60, clock)
+        self._contract_limiter = SlidingWindowLimiter(contract_path_per_minute, clock)
+        self._front_desk_limiter = SlidingWindowLimiter(front_desk_per_minute, clock)
         self.pending = PendingTable(pending_capacity, pending_ttl_seconds, clock)
         self._used_nonces = _NonceRing()
         self.grants = GrantStore()

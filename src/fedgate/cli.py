@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -22,7 +21,6 @@ from .clock import SimulatedClock
 from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
-from .keys import KeyPair
 from .ledger import verify_chain_file
 from .scenario import ScenarioConfig, run_demo
 
@@ -101,11 +99,8 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 7
     trusted = frozenset({"did:efed:legacy-issuer"})
     desk = build_desk(seed, SimulatedClock(start=1_000_000), trusted)
-    issuer_key = KeyPair.generate(
-        hashlib.sha256(f"legacy-issuer:{seed}".encode()).digest()
-    )
-    issuer = desk.claim_issuer(desk.register("legacy-issuer", issuer_key))
-    results = import_legacy_accounts(accounts, desk.registry, issuer)
+    issuer = desk.claim_issuer(desk.register("legacy-issuer", desk.keypair("legacy-issuer", 0)))
+    results = import_legacy_accounts(accounts, desk, issuer)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,8 @@ from .data import (
 from .datagen import SyntheticSpec, generate_partitions, read_manifest, write_dataset
 from .federation import (
     AggregationWeights,
-    RoundPlan,
     aggregate,
+    check_fleet,
     client_round_seed,
     compute_weights,
     initial_model,
@@ -38,10 +38,10 @@ __all__ = [
     "LossSpec",
     "ModelParameters",
     "RoundMetrics",
-    "RoundPlan",
     "SyntheticSpec",
     "TrainingDivergedError",
     "aggregate",
+    "check_fleet",
     "check_shared_feature_space",
     "client_round_seed",
     "compute_weights",

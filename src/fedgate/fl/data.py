@@ -66,13 +66,7 @@ class DatasetPartition:
         if missing:
             raise ValidationError(f"unknown feature names {missing} for client {self.client_id}")
         idx = [self.feature_names.index(n) for n in names]
-        return DatasetPartition(
-            client_id=self.client_id,
-            features=self.features[:, idx],
-            labels=self.labels,
-            feature_names=tuple(names),
-            label_name=self.label_name,
-        )
+        return replace(self, features=self.features[:, idx], feature_names=tuple(names))
 
 
 def _locked(a: np.ndarray) -> np.ndarray:

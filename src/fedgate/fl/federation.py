@@ -33,20 +33,6 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class RoundPlan:
-    """The client subset selected for one round, sorted ascending."""
-
-    round_index: int
-    selected: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.selected)) != len(self.selected):
-            raise ValidationError("selected clients must be distinct")
-        if not self.selected:
-            raise ValidationError("a round plan must select at least one client")
-
-
-@dataclass(frozen=True)
 class AggregationWeights:
     """Per-client convex weights, summing to one."""
 
@@ -73,8 +59,8 @@ def client_round_seed(rng_seed: int, round_index: int, client_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]) -> RoundPlan:
-    """Sample a uniform K-subset without replacement for round ``t``.
+def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]) -> tuple[str, ...]:
+    """Sample a uniform K-subset without replacement for round ``t``, sorted ascending.
 
     The stream is keyed by (rng_seed, t) so every round is independently
     reproducible. ``client_ids`` may come in any order (sorted here); when
@@ -91,24 +77,20 @@ def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]
     k = min(config.subset_size, len(roster))
     rng = np.random.default_rng([_seed_key(config.rng_seed), t])
     chosen = rng.choice(len(roster), size=k, replace=False)
-    return RoundPlan(round_index=t, selected=tuple(sorted(roster[i] for i in chosen)))
+    return tuple(sorted(roster[i] for i in chosen))
 
 
 def compute_weights(
-    plan: RoundPlan, partitions: Sequence[DatasetPartition], config: FederationConfig
+    cohort: Sequence[DatasetPartition], config: FederationConfig
 ) -> AggregationWeights:
-    """Weights over the selected subset: data-size proportional or uniform.
+    """Weights over the round's cohort: data-size proportional or uniform.
 
     A final renormalization pins the sum to 1 exactly up to float error.
     """
-    by_id = {p.client_id: p for p in partitions}
-    missing = [cid for cid in plan.selected if cid not in by_id]
-    if missing:
-        raise ValidationError(f"selected clients without partitions: {missing}")
     if config.weighting == "uniform":
-        raw = {cid: 1.0 for cid in plan.selected}
+        raw = {p.client_id: 1.0 for p in cohort}
     else:
-        raw = {cid: float(by_id[cid].size) for cid in plan.selected}
+        raw = {p.client_id: float(p.size) for p in cohort}
     total = sum(raw.values())
     return AggregationWeights({cid: w / total for cid, w in raw.items()})
 
@@ -129,6 +111,25 @@ def aggregate(
     for cid in sorted(updates):
         acc = acc + weights.entries[cid] * updates[cid].weights
     return ModelParameters(acc)
+
+
+def check_fleet(
+    config: FederationConfig, partitions: Sequence[DatasetPartition]
+) -> list[DatasetPartition]:
+    """``partitions`` sorted by id, checked against ``config``: one per configured
+    client, all in one feature space, of the loss spec's dimension."""
+    partitions = sorted(partitions, key=lambda p: p.client_id)
+    if len(partitions) != config.total_clients:
+        raise ValidationError(
+            f"{len(partitions)} partitions for {config.total_clients} configured clients"
+        )
+    feature_dim = check_shared_feature_space(partitions)
+    if feature_dim != config.loss.feature_dim:
+        raise ValidationError(
+            f"partition feature dimension {feature_dim} does not match loss spec "
+            f"{config.loss.feature_dim}"
+        )
+    return partitions
 
 
 def initial_model(config: FederationConfig) -> ModelParameters:
@@ -154,17 +155,7 @@ def run_federation(
     after any round. All per-round seeds are keyed by the absolute round index,
     so the run is bit-reproducible for a fixed config and partition set.
     """
-    partitions = sorted(partitions, key=lambda p: p.client_id)
-    if len(partitions) != config.total_clients:
-        raise ValidationError(
-            f"{len(partitions)} partitions for {config.total_clients} configured clients"
-        )
-    feature_dim = check_shared_feature_space(list(partitions))
-    if feature_dim != config.loss.feature_dim:
-        raise ValidationError(
-            f"partition feature dimension {feature_dim} does not match loss spec "
-            f"{config.loss.feature_dim}"
-        )
+    partitions = check_fleet(config, partitions)
     by_id = {p.client_id: p for p in partitions}
     roster = tuple(by_id)  # sorted; sorted again only when the eligible set changes
     eligible_before = all_ids = frozenset(by_id)
@@ -178,16 +169,15 @@ def run_federation(
             if unknown:
                 raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
             eligible_before, roster = eligible, tuple(sorted(eligible))
-        plan = select_clients(config, t, roster)
+        selected = select_clients(config, t, roster)
 
         # Clients are mutually independent, so the round's cohort trains in
         # one stacked call; aggregation still reduces in sorted-id order.
-        cohort = [by_id[cid] for cid in plan.selected]
-        seeds = [client_round_seed(config.rng_seed, t, cid) for cid in plan.selected]
-        updates = dict(zip(plan.selected, local_train(model, cohort, config, seeds)))
+        cohort = [by_id[cid] for cid in selected]
+        seeds = [client_round_seed(config.rng_seed, t, cid) for cid in selected]
+        updates = dict(zip(selected, local_train(model, cohort, config, seeds)))
 
-        weights = compute_weights(plan, cohort, config)
-        model = aggregate(updates, weights)
+        model = aggregate(updates, compute_weights(cohort, config))
         if model.max_abs() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
@@ -196,7 +186,7 @@ def run_federation(
             round_index=t,
             global_loss=global_loss(scores, fleet.labels, config.loss),
             train_accuracy=training_accuracy(scores, fleet.labels, config.loss),
-            selected_clients=plan.selected,
+            selected_clients=selected,
         )
         if observer is not None:
             observer(metrics)

@@ -83,15 +83,6 @@ class Transaction:
         derived = _tx_id(self.payload, self.kind, self.submitter)
         _settle(self, "tx_id", derived, f"tx_id of a {self.kind} transaction")
 
-    @classmethod
-    def create(cls, kind: str, payload: dict, submitter: str, timestamp: int) -> "Transaction":
-        return cls(
-            timestamp=int(timestamp),
-            kind=kind,
-            payload=canonical_json_bytes(payload),
-            submitter=submitter,
-        )
-
     def to_dict(self) -> dict:
         return {
             "txId": self.tx_id,
@@ -210,7 +201,7 @@ class Chain:
         with self._lock:
             prev = self._blocks[-1]
             timestamp = max(int(self._clock()), prev.timestamp)
-            tx = Transaction.create(kind, payload, submitter, timestamp)
+            tx = Transaction(timestamp, kind, canonical_json_bytes(payload), submitter)
             self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
         return tx.tx_id
 

@@ -1,8 +1,8 @@
 """Grant-gated service operations: metadata, preview, job lifecycle.
 
 Every operation redeems a grant token against the gateway's store; no
-token, no data. Job submission re-checks the federation config against
-the partitions the job's filter actually leaves visible.
+token, no data. Job submission runs ``check_fleet``, the check that opens
+the run, on the partitions the job's filter leaves visible.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..access import AccessGateway
-from ..errors import FedGateError, ValidationError
-from ..fl import DatasetPartition, FederationConfig, check_shared_feature_space
+from ..errors import FedGateError
+from ..fl import DatasetPartition, FederationConfig, check_fleet
 from ..ledger import GrantToken
 from .executor import JobExecutor
 from .jobs import DataFilter, JobQueue, JobRecord, JobSpec, apply_filter
@@ -79,18 +79,7 @@ class FlaasService:
         data_filter: DataFilter,
     ) -> JobRecord:
         grant = self.authorize(token)
-        filtered = apply_filter(self._partitions, data_filter)
-        if len(filtered) != config.total_clients:
-            raise ValidationError(
-                f"config expects {config.total_clients} clients but the filter "
-                f"leaves {len(filtered)}"
-            )
-        dim = check_shared_feature_space(filtered)
-        if dim != config.loss.feature_dim:
-            raise ValidationError(
-                f"filtered feature dimension {dim} does not match loss spec "
-                f"{config.loss.feature_dim}"
-            )
+        check_fleet(config, apply_filter(self._partitions, data_filter))
         spec = JobSpec(
             holder=grant.holder,
             config=config,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
 from ..fl import DatasetPartition, FederationConfig
@@ -70,16 +70,7 @@ def apply_filter(
         chosen = [p.select_features(data_filter.feature_names) for p in chosen]
     if data_filter.max_samples_per_client is not None:
         n = data_filter.max_samples_per_client
-        chosen = [
-            DatasetPartition(
-                client_id=p.client_id,
-                features=p.features[:n],
-                labels=p.labels[:n],
-                feature_names=p.feature_names,
-                label_name=p.label_name,
-            )
-            for p in chosen
-        ]
+        chosen = [replace(p, features=p.features[:n], labels=p.labels[:n]) for p in chosen]
     return sorted(chosen, key=lambda p: p.client_id)
 
 
@@ -115,7 +106,6 @@ _TRANSITIONS = {
 @dataclass
 class JobRecord:
     job_id: str
-    sequence: int
     spec: JobSpec
     state: str = "queued"
     submitted_at: int = 0
@@ -155,31 +145,20 @@ class JobQueue:
 
     def submit(self, spec: JobSpec, now: int) -> JobRecord:
         with self._lock:
-            sequence = next(self._counter)
-            record = JobRecord(
-                job_id=f"job-{sequence:04d}",
-                sequence=sequence,
-                spec=spec,
-                submitted_at=int(now),
-            )
+            record = JobRecord(f"job-{next(self._counter):04d}", spec, submitted_at=int(now))
             self._jobs[record.job_id] = record
         return record
 
     def get(self, job_id: str) -> JobRecord | None:
         return self._jobs.get(job_id)
 
-    def queued(self) -> list[JobRecord]:
-        return [r for r in self._jobs.values() if r.state == "queued"]
-
     def schedule_next(self) -> JobRecord | None:
         """Pick the queued job with the best weight/runtime ratio (FIFO ties)."""
-        waiting = self.queued()  # in submission order, so ``wsjf_order`` ties stay FIFO
+        # ``_jobs`` keeps submission order, so ``wsjf_order`` ties stay FIFO
+        waiting = [r for r in self._jobs.values() if r.state == "queued"]
         if not waiting:
             return None
         return waiting[wsjf_order([r.spec for r in waiting])[0]]
-
-    def all_records(self) -> list[JobRecord]:
-        return sorted(self._jobs.values(), key=lambda r: r.sequence)
 
 
 def wsjf_order(jobs: list[JobSpec]) -> list[int]:

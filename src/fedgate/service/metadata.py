@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -66,11 +67,12 @@ def summarize_partitions(
 ) -> TrainingDataMetadata:
     """Build the client summaries plus a bounded, value-rounded preview, both read-only.
 
-    Preview rows are drawn round-robin across clients so every partition
-    contributes before any contributes twice.
+    Preview rows are the first ``PREVIEW_ROWS`` cells of a depth-major walk
+    over the clients, so every partition contributes before any contributes twice.
     """
+    ordered = sorted(partitions, key=lambda q: q.client_id)
     summaries = []
-    for p in sorted(partitions, key=lambda q: q.client_id):
+    for p in ordered:
         # count float values in C, then key each distinct value once, not each sample
         counts = Counter(p.labels.tolist())
         summaries.append(
@@ -84,28 +86,16 @@ def summarize_partitions(
             )
         )
 
-    preview: list[Mapping] = []
-    ordered = sorted(partitions, key=lambda q: q.client_id)
-    depth = 0
-    while len(preview) < PREVIEW_ROWS:
-        progressed = False
-        for p in ordered:
-            if len(preview) >= PREVIEW_ROWS:
-                break
-            if depth < p.size:
-                row = {
-                    "clientId": p.client_id,
-                    "features": tuple(round(float(v), PREVIEW_DIGITS) for v in p.features[depth]),
-                    "label": round(float(p.labels[depth]), PREVIEW_DIGITS),
-                }
-                preview.append(MappingProxyType(row))
-                progressed = True
-        if not progressed:
-            break
-        depth += 1
-
-    return TrainingDataMetadata(
-        service=service,
-        clients=tuple(summaries),
-        preview=tuple(preview),
+    # every partition holds a row at depth 0, so the k-th cell lies at most k deep
+    cells = ((p, depth) for depth in range(PREVIEW_ROWS) for p in ordered if depth < p.size)
+    preview = tuple(
+        MappingProxyType(
+            {
+                "clientId": p.client_id,
+                "features": tuple(round(float(v), PREVIEW_DIGITS) for v in p.features[depth]),
+                "label": round(float(p.labels[depth]), PREVIEW_DIGITS),
+            }
+        )
+        for p, depth in islice(cells, PREVIEW_ROWS)
     )
+    return TrainingDataMetadata(service=service, clients=tuple(summaries), preview=preview)

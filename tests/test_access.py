@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 from collections import OrderedDict
 
@@ -21,6 +22,7 @@ from fedgate.access.ratelimit import MAX_TRACKED_KEYS
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
+from fedgate.desk import build_desk
 from fedgate.errors import FedGateError, ValidationError
 from fedgate.identity import DidDocument, PublicKeyEntry
 from fedgate.identity.registry import UnknownDidError
@@ -239,7 +241,7 @@ def test_shared_cache_agrees_with_fresh_verification(steps):
 
 def test_limiter_allows_up_to_limit_then_blocks():
     clock = SimulatedClock(start=0)
-    limiter = SlidingWindowLimiter(3, 60, clock)
+    limiter = SlidingWindowLimiter(3, clock)
     assert [limiter.allow("u") for _ in range(5)] == [True, True, True, False, False]
     clock.advance(61)
     assert limiter.allow("u")
@@ -247,7 +249,7 @@ def test_limiter_allows_up_to_limit_then_blocks():
 
 def test_limiter_window_slides():
     clock = SimulatedClock(start=0)
-    limiter = SlidingWindowLimiter(2, 60, clock)
+    limiter = SlidingWindowLimiter(2, clock)
     assert limiter.allow("u")
     clock.advance(30)
     assert limiter.allow("u")
@@ -258,7 +260,7 @@ def test_limiter_window_slides():
 
 def test_limiter_keys_are_independent_and_bounded():
     clock = SimulatedClock(start=0)
-    limiter = SlidingWindowLimiter(1, 60, clock)
+    limiter = SlidingWindowLimiter(1, clock)
     assert limiter.allow("a")
     assert limiter.allow("b")
     assert not limiter.allow("a")
@@ -693,7 +695,7 @@ def test_scheme_equivalence_and_ledger_bookkeeping(case, name_index):
 def test_import_legacy_accounts_round_trip():
     stack = Stack()
     accounts = [("dr_smith", "doctor"), ("nurse.jones", "nurse")]
-    results = import_legacy_accounts(accounts, stack.registry, stack.issuer)
+    results = import_legacy_accounts(accounts, stack.desk, stack.issuer)
     assert [r.status for r in results] == ["imported", "imported"]
     doc = stack.registry.get("did:efed:legacy-dr_smith")
     assert doc.claims[-1].claim_type == "role"
@@ -703,8 +705,35 @@ def test_import_legacy_accounts_round_trip():
     )
     assert verdict == (True, "valid")
 
-    again = import_legacy_accounts(accounts, stack.registry, stack.issuer)
+    again = import_legacy_accounts(accounts, stack.desk, stack.issuer)
     assert [r.status for r in again] == ["skipped", "skipped"]
+
+
+def test_legacy_usernames_that_share_a_did_refuse_the_batch():
+    stack = Stack()
+    height = stack.chain.height
+    accounts = [("alice smith", "doctor"), ("alice-smith", "nurse")]
+    with pytest.raises(ValidationError, match="'alice smith' and 'alice-smith'"):
+        import_legacy_accounts(accounts, stack.desk, stack.issuer)
+    assert "did:efed:legacy-alice-smith" not in stack.registry
+    assert stack.chain.height == height
+    # One username given twice is one account: its second row is skipped.
+    repeated = import_legacy_accounts([("ada", "a"), ("ada", "b")], stack.desk, stack.issuer)
+    assert [r.status for r in repeated] == ["imported", "skipped"]
+
+
+def test_legacy_keys_come_from_the_desk_seed_not_the_username():
+    accounts = [("dr_smith", "doctor"), ("nurse.jones", "nurse")]
+    keys = []
+    for seed in (1, 2):
+        desk = build_desk(seed, SimulatedClock(start=100_000), frozenset({ISSUER_DID}))
+        issuer = desk.claim_issuer(desk.register("issuer", desk.keypair("issuer", 0)))
+        results = import_legacy_accounts(accounts, desk, issuer)
+        keys.append([desk.registry.get(r.did).authentication_keys() for r in results])
+    for (username, _), first, second in zip(accounts, *keys):
+        guessed = KeyPair.generate(hashlib.sha256(f"legacy-account:{username}".encode()).digest())
+        assert first != second
+        assert guessed.public_bytes not in first + second
 
 
 def test_read_accounts_csv(tmp_path):

@@ -10,7 +10,6 @@ from fedgate.fl import (
     FederationConfig,
     LossSpec,
     ModelParameters,
-    RoundPlan,
     aggregate,
     compute_weights,
     run_federation,
@@ -54,8 +53,7 @@ def random_partitions(rng, n_clients, dim, max_samples=8, logistic=False):
 
 def test_select_all_when_subset_is_everyone():
     config = make_config(total_clients=4, subset_size=4, rng_seed=999)
-    plan = select_clients(config, 1, ["d", "b", "a", "c"])
-    assert plan.selected == ("a", "b", "c", "d")
+    assert select_clients(config, 1, ["d", "b", "a", "c"]) == ("a", "b", "c", "d")
 
 
 def test_selection_is_deterministic_per_round():
@@ -82,10 +80,10 @@ def test_selection_frequencies_are_uniform():
     ids = [f"c{i}" for i in range(n)]
     counts = {cid: 0 for cid in ids}
     for t in range(1, rounds + 1):
-        plan = select_clients(config, t, ids)
-        assert len(plan.selected) == k
-        assert len(set(plan.selected)) == k
-        for cid in plan.selected:
+        selected = select_clients(config, t, ids)
+        assert len(selected) == k
+        assert len(set(selected)) == k
+        for cid in selected:
             counts[cid] += 1
     expected = rounds * k / n
     sd = (rounds * (k / n) * (1 - k / n)) ** 0.5
@@ -95,8 +93,7 @@ def test_selection_frequencies_are_uniform():
 
 def test_selection_clamps_to_small_roster():
     config = make_config(total_clients=5, subset_size=4)
-    plan = select_clients(config, 1, ["a", "b"])
-    assert plan.selected == ("a", "b")
+    assert select_clients(config, 1, ["a", "b"]) == ("a", "b")
 
 
 # ------------------------------------------------------------------ weights
@@ -110,47 +107,30 @@ def sized_partition(cid, n):
 
 def test_uniform_weights():
     parts = [sized_partition(c, n) for c, n in [("a", 1), ("b", 9), ("c", 2), ("d", 5)]]
-    plan = RoundPlan(round_index=1, selected=("a", "b", "c", "d"))
-    w = compute_weights(plan, parts, make_config(total_clients=4, subset_size=4, weighting="uniform"))
+    w = compute_weights(parts, make_config(total_clients=4, subset_size=4, weighting="uniform"))
     assert all(v == pytest.approx(0.25) for v in w.entries.values())
 
 
 def test_proportional_weights():
     parts = [sized_partition("a", 2), sized_partition("b", 6)]
-    plan = RoundPlan(round_index=1, selected=("a", "b"))
-    w = compute_weights(plan, parts, make_config())
+    w = compute_weights(parts, make_config())
     assert w.entries["a"] == pytest.approx(0.25)
     assert w.entries["b"] == pytest.approx(0.75)
 
 
 def test_proportional_equal_sizes_matches_uniform():
     parts = [sized_partition("a", 3), sized_partition("b", 3), sized_partition("c", 3)]
-    plan = RoundPlan(round_index=1, selected=("a", "b", "c"))
-    prop = compute_weights(plan, parts, make_config(total_clients=3, subset_size=3))
-    unif = compute_weights(
-        plan, parts, make_config(total_clients=3, subset_size=3, weighting="uniform")
-    )
+    prop = compute_weights(parts, make_config(total_clients=3, subset_size=3))
+    unif = compute_weights(parts, make_config(total_clients=3, subset_size=3, weighting="uniform"))
     assert prop.entries == pytest.approx(unif.entries)
-
-
-def test_weights_require_known_selection():
-    with pytest.raises(ValidationError):
-        compute_weights(
-            RoundPlan(round_index=1, selected=("ghost",)),
-            [sized_partition("a", 1)],
-            make_config(),
-        )
-    with pytest.raises(ValidationError):
-        RoundPlan(round_index=1, selected=())
 
 
 @settings(max_examples=100, deadline=None)
 @given(sizes=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=8))
 def test_weights_sum_to_one(sizes):
     parts = [sized_partition(f"c{i}", n) for i, n in enumerate(sizes)]
-    plan = RoundPlan(round_index=1, selected=tuple(p.client_id for p in parts))
     config = make_config(total_clients=len(parts), subset_size=len(parts))
-    w = compute_weights(plan, parts, config)
+    w = compute_weights(parts, config)
     assert abs(sum(w.entries.values()) - 1.0) <= 1e-12
 
 

@@ -23,7 +23,7 @@ from support import find_transaction, payload_dict, transactions
 
 
 def tx(n, kind="did_registration", submitter="did:efed:tester"):
-    return Transaction.create(kind, {"n": n}, submitter, timestamp=n)
+    return Transaction(n, kind, canonical_json_bytes({"n": n}), submitter)
 
 
 def entry(n, kind="did_registration", submitter="did:efed:tester"):
@@ -70,7 +70,7 @@ def test_tx_rejects_wrong_id_and_kind():
             submitter=t.submitter,
         )
     with pytest.raises(ValidationError):
-        Transaction.create("mint_money", {}, "did:efed:x", timestamp=1)
+        Transaction(1, "mint_money", canonical_json_bytes({}), "did:efed:x")
 
 
 def test_tx_round_trip():

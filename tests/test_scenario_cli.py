@@ -464,5 +464,14 @@ def test_cli_import_legacy(tmp_path):
     assert main(["import-legacy", str(tmp_path / "ghost.csv")]) == 2
 
 
+def test_cli_import_legacy_refuses_usernames_that_share_a_did(tmp_path, capsys):
+    accounts = tmp_path / "accounts.csv"
+    accounts.write_text("username,role\nalice smith,doctor\nalice-smith,nurse\n")
+    out = tmp_path / "legacy"
+    assert main(["import-legacy", str(accounts), "--out", str(out)]) == 2
+    assert "'alice smith' and 'alice-smith'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_federation_matches_scenario_owner_count():
     assert DEFAULT_FEDERATION.total_clients == ScenarioConfig().owners

@@ -101,6 +101,22 @@ def test_histogram_keys_each_label_value_like_a_per_sample_count():
     json.dumps(summary.to_dict())
 
 
+def test_preview_walks_uneven_partitions_depth_major():
+    def rows(*sizes):
+        parts = [
+            DatasetPartition(cid, np.arange(n, dtype=float)[:, None], np.zeros(n))
+            for cid, n in sizes
+        ]
+        meta = summarize_partitions(parts, "fl-study")
+        return [(r["clientId"], r["features"][0]) for r in meta.preview]
+
+    assert rows(("b", 3), ("a", 1), ("c", 2)) == [
+        ("a", 0.0), ("b", 0.0), ("c", 0.0), ("b", 1.0), ("c", 1.0)
+    ]
+    assert rows(("a", 1), ("b", 1)) == [("a", 0.0), ("b", 0.0)]
+    assert rows(("a", 7)) == [("a", float(d)) for d in range(PREVIEW_ROWS)]
+
+
 def test_preview_is_bounded_and_rounded():
     parts = fleet_partitions()
     meta = summarize_partitions(parts, "fl-study")
@@ -552,7 +568,7 @@ def test_job_lifecycle_through_api(tmp_path):
 
 def test_submit_rejects_config_filter_mismatch(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
-    with pytest.raises(ValidationError, match="config expects 4 clients but the filter leaves"):
+    with pytest.raises(ValidationError, match="2 partitions for 4 configured clients"):
         service.submit_job(
             token,
             job_config(),  # expects 4 clients
@@ -754,7 +770,7 @@ def test_unknown_or_empty_body_keys_answer_400_and_change_nothing(tmp_path, path
     assert response.status == 400
     assert named in response.body["error"]
     assert stack.chain.height == height
-    assert service.queue.all_records() == []
+    assert service.queue.get("job-0001") is None
 
 
 def test_real_body_fields_take_json_integers(tmp_path):
@@ -767,7 +783,7 @@ def test_real_body_fields_take_json_integers(tmp_path):
     response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body=body)
     assert response.status == 201
     assert (response.body["estimatedRuntime"], response.body["priorityWeight"]) == (30.0, 2.0)
-    spec = service.queue.all_records()[0].spec
+    spec = service.queue.get(response.body["jobId"]).spec
     assert (spec.config.learning_rate, spec.config.initial_weights) == (1.0, (0.0, 1.0))
     assert all(type(v) is float for v in (spec.estimated_runtime, spec.config.learning_rate))
 
@@ -785,7 +801,7 @@ def test_grant_opens_only_its_own_service(tmp_path):
         "POST", "/jobs", headers=headers, body={"config": job_config().to_dict()}
     )
     assert submit.status == 401
-    assert len(service.queue.all_records()) == 0
+    assert service.queue.get("job-0001") is None
     own = {"Authorization": f"Grant {token}"}
     assert api.handle("GET", "/data/metadata", headers=own).status == 200
 
@@ -819,7 +835,7 @@ def test_empty_filter_list_is_refused_not_widened(tmp_path, field):
         body={"config": job_config().to_dict(), "dataFilter": {field: []}},
     )
     assert response.status == 400
-    assert service.queue.all_records() == []
+    assert service.queue.get("job-0001") is None
 
 
 JSON = st.recursive(
