@@ -62,7 +62,6 @@ class AccessRequest:
     service: str
     scheme: str
     nonce: bytes
-    created_at: int
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:

@@ -97,9 +97,10 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
     accounts = read_accounts_csv(Path(args.accounts))
 
     seed = args.seed if args.seed is not None else 7
-    trusted = frozenset({"did:efed:legacy-issuer"})
+    # every account id starts with "legacy-", so no username maps to the issuer's DID
+    trusted = frozenset({"did:efed:importer"})
     desk = build_desk(seed, SimulatedClock(start=1_000_000), trusted)
-    issuer = desk.claim_issuer(desk.register("legacy-issuer", desk.keypair("legacy-issuer", 0)))
+    issuer = desk.claim_issuer(desk.register("importer", desk.keypair("importer", 0)))
     results = import_legacy_accounts(accounts, desk, issuer)
 
     out_dir = Path(args.out)

@@ -15,9 +15,6 @@ class SimulatedClock:
     def __init__(self, start: int):
         self._now = int(start)
 
-    def now(self) -> int:
-        return self._now
-
     def advance(self, seconds: int) -> int:
         if seconds < 0:
             raise ValueError("clocks only move forward")

@@ -16,8 +16,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessGateway, AccessOutcome
-from .access import AccessRequest, ClaimIssuer, make_claim_checker
+from .access import AccessGateway, ClaimIssuer, make_claim_checker
 from .clock import SimulatedClock
 from .identity import DidDocument, DidRegistry, RegistryDriver, Resolver
 from .keys import KeyPair
@@ -78,17 +77,6 @@ class Desk:
         contract = AccessPolicyContract(requirements, service, owner.did)
         self.engine.deploy(contract, owner.key.sign(contract.signing_bytes()))
         return contract
-
-    def request(
-        self, requester: str, service: str, scheme: str = SCHEME_CONTRACT_LOOKUP
-    ) -> AccessOutcome:
-        """One access request under fresh nonces. Under ``user_lookup`` the front
-        desk attests first; if it refuses, the request goes without and is denied."""
-        attestation = None
-        if scheme == SCHEME_USER_LOOKUP:
-            attestation = self.gateway.user_lookup(requester, self.nonce()).attestation
-        request = AccessRequest(requester, service, scheme, self.nonce(), int(self.clock()))
-        return self.gateway.request_access(request, attestation=attestation)
 
 
 def build_desk(

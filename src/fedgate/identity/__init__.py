@@ -1,20 +1,6 @@
 """Decentralized identifiers: parsing, documents, registry, resolution."""
 
-from .did import DidIdentifier, parse_did
-from .document import DidDocument, PublicKeyEntry, ServiceEndpoint
-from .registry import AlreadyRegisteredError, DidRegistry, UnknownDidError
+from .did import DidIdentifier
+from .document import DidDocument, PublicKeyEntry
+from .registry import DidRegistry
 from .resolver import Attestation, RegistryDriver, Resolver
-
-__all__ = [
-    "DidIdentifier",
-    "parse_did",
-    "DidDocument",
-    "PublicKeyEntry",
-    "ServiceEndpoint",
-    "DidRegistry",
-    "AlreadyRegisteredError",
-    "UnknownDidError",
-    "Resolver",
-    "Attestation",
-    "RegistryDriver",
-]

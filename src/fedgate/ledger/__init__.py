@@ -1,14 +1,6 @@
 """Append-only hash-linked ledger and the access-policy contract engine."""
 
-from .chain import (
-    GENESIS_PREV_HASH,
-    Block,
-    Chain,
-    Transaction,
-    load_chain,
-    verify_chain_file,
-    verify_chain_records,
-)
+from .chain import Chain, load_chain, verify_chain_file
 from .contracts import (
     AccessOutcome,
     AccessPolicyContract,
@@ -18,20 +10,3 @@ from .contracts import (
     ContractNotFoundError,
     GrantToken,
 )
-
-__all__ = [
-    "Transaction",
-    "Block",
-    "Chain",
-    "GENESIS_PREV_HASH",
-    "verify_chain_records",
-    "verify_chain_file",
-    "load_chain",
-    "ClaimPredicate",
-    "ClaimRequirement",
-    "AccessPolicyContract",
-    "GrantToken",
-    "AccessOutcome",
-    "ContractEngine",
-    "ContractNotFoundError",
-]

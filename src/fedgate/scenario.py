@@ -70,7 +70,7 @@ class EventLog:
 
     def emit(self, event: str, **fields) -> None:
         self._mirror_chain()
-        self.entries.append({"at": self._clock.now(), "event": event, **fields})
+        self.entries.append({"at": self._clock(), "event": event, **fields})
 
     def write(self, path: Path) -> Path:
         self._mirror_chain()
@@ -363,7 +363,7 @@ def replay_ledger(events_path: Path) -> Chain:
     for entry in entries:
         if entry["event"] != "ledger-write":
             continue
-        clock.advance(entry["at"] - clock.now())
+        clock.advance(entry["at"] - clock())
         tx_id = chain.record(entry["kind"], entry["payload"], entry["submitter"])
         if tx_id != entry["txId"]:
             raise ValidationError(

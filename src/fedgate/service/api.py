@@ -57,10 +57,12 @@ def _parse(field: str, parser: Callable, value):
 
 
 class ServiceApi:
+    """``clock`` is unread: a request carries no time of its own yet (ROADMAP
+    item 3), and one stamped here would prove nothing."""
+
     def __init__(self, gateway: AccessGateway, service: FlaasService, clock: Callable[[], int]):
         self._gateway = gateway
         self._service = service
-        self._clock = clock
 
     def handle(
         self,
@@ -133,7 +135,6 @@ class ServiceApi:
             service=body["service"],
             scheme=body["scheme"],
             nonce=_parse("nonce", from_hex, body["nonce"]),
-            created_at=int(self._clock()),
         )
         attestation = (
             _parse("attestation", Attestation.from_dict, body["attestation"])

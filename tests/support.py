@@ -1,8 +1,9 @@
 """What the tests share: the desk they run on (``fedgate.desk`` plus a
-trusted issuer and a policy owner, under the short names the tests call), the
-ledger readers only tests need, the hex regex that ``canonical.from_hex`` is
-held to, and the one-model loss oracles that ``FleetScores``, ``global_loss``,
-``training_accuracy`` and ``stacked_gradient`` are held to."""
+trusted issuer and a policy owner, under the short names the tests call, and
+one access request under each scheme), the ledger readers only tests need,
+the hex regex that ``canonical.from_hex`` is held to, and the one-model loss
+oracles that ``FleetScores``, ``global_loss``, ``training_accuracy`` and
+``stacked_gradient`` are held to."""
 
 from __future__ import annotations
 
@@ -11,14 +12,15 @@ import re
 
 import numpy as np
 
-from fedgate.access import SCHEME_USER_LOOKUP
+from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessRequest
 from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import _sigmoid, stacked_gradient
 from fedgate.fl.model import ModelParameters
-from fedgate.ledger import AccessPolicyContract, ClaimRequirement, Transaction
+from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
+from fedgate.ledger.chain import Transaction
 
 ISSUER_DID = "did:efed:issuer"
 
@@ -78,11 +80,17 @@ class Stack:
     def deploy_membership_policy(self, service: str = "fl-study") -> AccessPolicyContract:
         return self.desk.deploy_policy(service, self.owner)
 
-    def request_a(self, requester: str, service: str = "fl-study"):
-        return self.desk.request(requester, service)
+    def request_a(self, requester: str, service: str = "fl-study") -> AccessOutcome:
+        """One contract-lookup request under a fresh nonce."""
+        request = AccessRequest(requester, service, SCHEME_CONTRACT_LOOKUP, self.desk.nonce())
+        return self.gateway.request_access(request, attestation=None)
 
-    def request_b(self, requester: str, service: str = "fl-study"):
-        return self.desk.request(requester, service, SCHEME_USER_LOOKUP)
+    def request_b(self, requester: str, service: str = "fl-study") -> AccessOutcome:
+        """One user-lookup request under fresh nonces: the front desk attests
+        first; if it refuses, the request goes without and is denied."""
+        attestation = self.gateway.user_lookup(requester, self.desk.nonce()).attestation
+        request = AccessRequest(requester, service, SCHEME_USER_LOOKUP, self.desk.nonce())
+        return self.gateway.request_access(request, attestation=attestation)
 
 
 # ------------------------------------------------------------- loss oracles

@@ -18,21 +18,25 @@ from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.cli import main
 from fedgate.fl import (
-    AggregationWeights,
     DatasetPartition,
     FederationConfig,
     LossSpec,
-    ModelParameters,
     SyntheticSpec,
-    aggregate,
     generate_partitions,
-    initial_model,
     run_federation,
 )
-from fedgate.access import verify_claim
+from fedgate.fl.federation import AggregationWeights, aggregate, initial_model
+from fedgate.fl.model import ModelParameters
+from fedgate.access.issuance import verify_claim
 from fedgate.ledger import Chain, load_chain, verify_chain_file
-from fedgate.service import FaultEvent, JobExecutor, JobQueue, JobSpec, DataFilter, NodeRegistry
-from fedgate.service.jobs import total_weighted_completion, wsjf_order
+from fedgate.service import FaultEvent, JobExecutor, NodeRegistry
+from fedgate.service.jobs import (
+    DataFilter,
+    JobQueue,
+    JobSpec,
+    total_weighted_completion,
+    wsjf_order,
+)
 
 from support import Stack, gradient, mean_loss, predict
 from test_federation import centralized_gd_step, random_partitions

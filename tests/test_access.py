@@ -13,11 +13,9 @@ from fedgate.access import (
     AccessRequest,
     PendingTable,
     SlidingWindowLimiter,
-    import_legacy_accounts,
-    read_accounts_csv,
-    verify_claim,
 )
-from fedgate.access.issuance import CLAIM_CACHE_SIZE
+from fedgate.access.issuance import CLAIM_CACHE_SIZE, verify_claim
+from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
 from fedgate.access.ratelimit import MAX_TRACKED_KEYS
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
@@ -511,7 +509,6 @@ def test_scheme_b_happy_path_and_replay():
         service="fl-study",
         scheme="user_lookup",
         nonce=stack.fresh_nonce(),
-        created_at=stack.clock(),
     )
     first = stack.gateway.request_access(request, attestation=lookup.attestation)
     assert first.decision == "granted"
@@ -527,7 +524,7 @@ def test_request_nonce_opens_one_evaluation(scheme, qualified):
     stack = Stack()
     stack.deploy_membership_policy()
     actor = qualified_user(stack) if qualified else stack.register_actor("bob")
-    request = AccessRequest(actor.did, "fl-study", scheme, stack.fresh_nonce(), stack.clock())
+    request = AccessRequest(actor.did, "fl-study", scheme, stack.fresh_nonce())
 
     def send():
         attestation = None
@@ -558,7 +555,6 @@ def test_scheme_b_stale_attestation_after_document_change():
         service="fl-study",
         scheme="user_lookup",
         nonce=stack.fresh_nonce(),
-        created_at=stack.clock(),
     )
     outcome = stack.gateway.request_access(request, attestation=lookup.attestation)
     assert outcome.decision == "denied" and outcome.reason == "stale-attestation"
@@ -575,7 +571,6 @@ def test_scheme_b_attestation_for_other_did_rejected():
         service="fl-study",
         scheme="user_lookup",
         nonce=stack.fresh_nonce(),
-        created_at=stack.clock(),
     )
     outcome = stack.gateway.request_access(request, attestation=lookup.attestation)
     assert outcome.decision == "denied" and outcome.reason == "attestation-mismatch"
@@ -596,7 +591,6 @@ def test_scheme_b_attestation_signed_by_another_key_rejected():
         service="fl-study",
         scheme="user_lookup",
         nonce=stack.fresh_nonce(),
-        created_at=stack.clock(),
     )
     height = stack.chain.height
     outcome = stack.gateway.request_access(request, attestation=forged)

@@ -7,14 +7,12 @@ from fedgate.errors import ValidationError
 from fedgate.fl import (
     DatasetPartition,
     SyntheticSpec,
-    check_shared_feature_space,
     generate_partitions,
-    load_partition,
     load_partitions,
-    read_manifest,
-    save_partition,
     write_dataset,
 )
+from fedgate.fl.data import check_shared_feature_space, load_partition, save_partition
+from fedgate.fl.datagen import read_manifest
 
 
 def test_partition_validation():

@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
-from fedgate.fl import (
+from fedgate.fl import DatasetPartition, FederationConfig, LossSpec, run_federation
+from fedgate.fl.federation import (
     AggregationWeights,
-    DatasetPartition,
-    FederationConfig,
-    LossSpec,
-    ModelParameters,
     aggregate,
     compute_weights,
-    run_federation,
+    initial_model,
     select_clients,
 )
+from fedgate.fl.model import ModelParameters
 
 from support import gradient
 
@@ -241,8 +239,6 @@ def test_one_round_equals_centralized_step(kind):
         )
         parts = random_partitions(rng, n, dim, logistic=(kind == "logistic"))
         final = run_federation(config, parts)
-        from fedgate.fl import initial_model
-
         expected = centralized_gd_step(initial_model(config), parts, config)
         assert np.max(np.abs(final.weights - expected)) <= 1e-9
 

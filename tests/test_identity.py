@@ -8,7 +8,6 @@ from fedgate.canonical import from_hex
 from fedgate.claims import VerifiableClaim, sign_claim
 from fedgate.errors import ValidationError
 from fedgate.identity import (
-    AlreadyRegisteredError,
     Attestation,
     DidDocument,
     DidIdentifier,
@@ -16,10 +15,10 @@ from fedgate.identity import (
     PublicKeyEntry,
     RegistryDriver,
     Resolver,
-    ServiceEndpoint,
-    UnknownDidError,
-    parse_did,
 )
+from fedgate.identity.did import parse_did
+from fedgate.identity.document import ServiceEndpoint
+from fedgate.identity.registry import AlreadyRegisteredError, UnknownDidError
 from fedgate.errors import FedGateError
 from fedgate.keys import KeyPair, verify_signature
 

@@ -9,15 +9,8 @@ from fedgate.canonical import canonical_json_bytes
 from fedgate.cli import main
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
-from fedgate.ledger import (
-    GENESIS_PREV_HASH,
-    Block,
-    Chain,
-    Transaction,
-    load_chain,
-    verify_chain_file,
-    verify_chain_records,
-)
+from fedgate.ledger import Chain, load_chain, verify_chain_file
+from fedgate.ledger.chain import GENESIS_PREV_HASH, Block, Transaction, verify_chain_records
 
 from support import find_transaction, payload_dict, transactions
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
-from fedgate.fl import LossSpec, ModelParameters
+from fedgate.fl import LossSpec
+from fedgate.fl.model import ModelParameters
 
 from support import gradient, mean_loss, predict
 

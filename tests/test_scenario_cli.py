@@ -17,7 +17,8 @@ from fedgate.fl import (
 )
 from fedgate.ledger import load_chain, verify_chain_file
 from fedgate.scenario import DEFAULT_FEDERATION, ScenarioConfig, replay_ledger, run_demo
-from fedgate.service import DataFilter, FaultEvent
+from fedgate.service import FaultEvent
+from fedgate.service.jobs import DataFilter
 
 
 def demo_config(tmp_path, name="demo", **overrides):
@@ -471,6 +472,18 @@ def test_cli_import_legacy_refuses_usernames_that_share_a_did(tmp_path, capsys):
     assert main(["import-legacy", str(accounts), "--out", str(out)]) == 2
     assert "'alice smith' and 'alice-smith'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_legacy_takes_an_account_named_issuer(tmp_path):
+    accounts = tmp_path / "accounts.csv"
+    accounts.write_text("username,role\nissuer,admin\nada,analyst\n")
+    out = tmp_path / "legacy"
+    assert main(["import-legacy", str(accounts), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(r["did"], r["status"]) for r in report] == [
+        ("did:efed:legacy-issuer", "imported"),
+        ("did:efed:legacy-ada", "imported"),
+    ]
 
 
 def test_default_federation_matches_scenario_owner_count():

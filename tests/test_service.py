@@ -17,18 +17,16 @@ from fedgate.fl import (
     read_metrics_csv,
     write_dataset,
 )
-from fedgate.service import (
+from fedgate.service import FaultEvent, NodeRegistry
+from fedgate.service.jobs import (
     DataFilter,
-    FaultEvent,
     JobQueue,
     JobSpec,
-    NodeRegistry,
     apply_filter,
-    summarize_partitions,
     total_weighted_completion,
     wsjf_order,
 )
-from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS
+from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS, summarize_partitions
 
 from support import Stack
 

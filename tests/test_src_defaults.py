@@ -24,7 +24,6 @@ ALLOWED = {
     "fedgate/access/workflows.py:AccessGateway.__init__(pending_ttl_seconds)": _GATEWAY_LIMIT,
     "fedgate/cli.py:main(argv)": "the fedgate console script calls main() with no arguments",
     "fedgate/desk.py:Desk.deploy_policy(requirements)": "run_demo deploys the membership policy",
-    "fedgate/desk.py:Desk.request(scheme)": "kept until the access request is reshaped (ROADMAP item 3)",
     "fedgate/fl/config.py:_integer(minimum)": "the LossSpec, FederationConfig and FaultEvent checks take 1",
     "fedgate/fl/federation.py:run_federation(observer)": _RUN_FEDERATION,
     "fedgate/fl/federation.py:run_federation(eligibility)": _RUN_FEDERATION,
@@ -63,5 +62,5 @@ def defaulted_parameters(root: Path) -> list[str]:
 
 def test_every_default_in_src_has_a_caller_outside_the_tests():
     found = defaulted_parameters(SRC)
-    assert len(found) == len(set(found)) == 17
+    assert len(found) == len(set(found)) == 16
     assert set(found) == set(ALLOWED)

@@ -10,17 +10,21 @@ from fedgate.fl import (
     DatasetPartition,
     FederationConfig,
     LossSpec,
-    ModelParameters,
     SyntheticSpec,
-    TrainingDivergedError,
     generate_partitions,
-    global_loss,
-    local_train,
     run_federation,
-    training_accuracy,
 )
 from fedgate.fl.losses import _sigmoid
-from fedgate.fl.training import DIVERGENCE_LIMIT, SIGMOID_HALF, FleetScores
+from fedgate.fl.model import ModelParameters
+from fedgate.fl.training import (
+    DIVERGENCE_LIMIT,
+    SIGMOID_HALF,
+    FleetScores,
+    TrainingDivergedError,
+    global_loss,
+    local_train,
+    training_accuracy,
+)
 
 from support import mean_loss, per_partition_scores, predict
 
