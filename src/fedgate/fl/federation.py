@@ -63,17 +63,13 @@ def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]
     """Sample a uniform K-subset without replacement for round ``t``, sorted ascending.
 
     The stream is keyed by (rng_seed, t) so every round is independently
-    reproducible. ``client_ids`` may come in any order (sorted here); when
-    the roster is smaller than K (a client was lost without standby), K is
-    clamped to the roster size.
+    reproducible; ``run_federation`` passes each ``t`` in [1, T] and a roster
+    without duplicates, in any order (sorted here). When the roster is
+    smaller than K (a client was lost without standby), K is clamped to it.
     """
-    if not 1 <= t <= config.total_rounds:
-        raise ValidationError(f"round index {t} outside [1, {config.total_rounds}]")
     roster = sorted(client_ids)
-    if not roster:
+    if not roster:  # every remaining client was lost
         raise ValidationError("no eligible clients to select from")
-    if len(set(roster)) != len(roster):
-        raise ValidationError("client roster contains duplicates")
     k = min(config.subset_size, len(roster))
     rng = np.random.default_rng([_seed_key(config.rng_seed), t])
     chosen = rng.choice(len(roster), size=k, replace=False)
@@ -141,19 +137,18 @@ def initial_model(config: FederationConfig) -> ModelParameters:
 def run_federation(
     config: FederationConfig,
     partitions: Sequence[DatasetPartition],
-    observer: Callable[[RoundMetrics], None] | None = None,
+    observer: Callable[[RoundMetrics], object] | None = None,
     *,
     eligibility: Callable[[int], frozenset[str]] | None = None,
-    early_stop: Callable[[RoundMetrics], bool] | None = None,
 ) -> ModelParameters:
     """Execute rounds 1..T of select / local-train / aggregate from ``initial_model``.
 
-    Per-round metrics go to ``observer``; loss and accuracy both come from
-    one ``FleetScores`` vector per round. ``eligibility(t)`` runs before round
-    ``t`` and returns the clients that may be selected in it (failover
-    exclusions); it may raise to abort the run. ``early_stop`` can end the run
-    after any round. All per-round seeds are keyed by the absolute round index,
-    so the run is bit-reproducible for a fixed config and partition set.
+    Per-round metrics go to ``observer``, whose truthy return ends the run
+    after that round; loss and accuracy both come from one ``FleetScores``
+    vector per round. ``eligibility(t)`` runs before round ``t`` and returns
+    the fleet's clients that may be selected in it (failover exclusions); it
+    may raise to abort the run. All per-round seeds are keyed by the absolute
+    round index, so the run is bit-reproducible for a fixed config and fleet.
     """
     partitions = check_fleet(config, partitions)
     by_id = {p.client_id: p for p in partitions}
@@ -165,9 +160,6 @@ def run_federation(
     for t in range(1, config.total_rounds + 1):
         eligible = eligibility(t) if eligibility is not None else all_ids
         if eligible != eligible_before:
-            unknown = eligible - all_ids
-            if unknown:
-                raise ValidationError(f"eligible set references unknown clients: {sorted(unknown)}")
             eligible_before, roster = eligible, tuple(sorted(eligible))
         selected = select_clients(config, t, roster)
 
@@ -188,8 +180,6 @@ def run_federation(
             train_accuracy=training_accuracy(scores, fleet.labels, config.loss),
             selected_clients=selected,
         )
-        if observer is not None:
-            observer(metrics)
-        if early_stop is not None and early_stop(metrics):
+        if observer is not None and observer(metrics):
             break
     return model

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..errors import FedGateError, ValidationError
+from ..errors import FedGateError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition
 from .losses import stacked_gradient
@@ -44,10 +44,9 @@ def local_train(
     whichever clients share the call. The input model is never modified. If
     clients diverge, the error names the lowest id among them and the first
     check that client failed, as training them one by one in id order would.
+    Dimensions come checked by ``check_fleet``, ``initial_model`` and ``aggregate``.
     """
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
-    if model.dimension != loss.parameter_dim or any(p.feature_dim != loss.feature_dim for p in partitions):
-        raise ValidationError(f"model or partition dimensions do not match the loss spec {loss.to_dict()}")
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(partitions):
         groups.setdefault(p.size, []).append(i)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..claims import VerifiableClaim
 from ..errors import ValidationError, check_field_types, check_keys
+from ..keys import ALGORITHM
 from .did import DidIdentifier, parse_did
 
 _DOCUMENT_KEYS = frozenset(
@@ -40,10 +41,11 @@ class PublicKeyEntry:
     public_bytes: bytes
 
     def __post_init__(self) -> None:
-        fields = (("key_id", str), ("algorithm", str), ("public_bytes", bytes))
-        check_field_types(self, "public key", fields)
+        check_field_types(self, "public key", (("key_id", str), ("public_bytes", bytes)))
         if not self.key_id:
             raise ValidationError("key_id must be non-empty")
+        if self.algorithm != ALGORITHM:
+            raise ValidationError(f"key algorithm must be {ALGORITHM}, got {self.algorithm!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +115,7 @@ class DidDocument:
         """Version-1 document with one Ed25519 key, ``key-1``, that authenticates."""
         return cls(
             id=DidIdentifier(method, specific_id),
-            public_keys=(PublicKeyEntry("key-1", "Ed25519", public_bytes),),
+            public_keys=(PublicKeyEntry("key-1", ALGORITHM, public_bytes),),
             authentication=("key-1",),
         )
 

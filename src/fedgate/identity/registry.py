@@ -52,9 +52,6 @@ class DidRegistry:
         except KeyError:
             raise UnknownDidError(f"no document registered for {did}") from None
 
-    def ids(self) -> list[str]:
-        return sorted(self._documents)
-
     def register(self, document: DidDocument, profile_hash: str) -> str:
         """Store a fresh document at version 1; returns the recorder receipt."""
         if document.version != 1:

@@ -82,7 +82,6 @@ class EventLog:
 
 
 _INTEGER_FIELDS = (
-    ("owners", 1),
     ("issuers", 1),
     ("users", 0),
     ("qualified_users", 0),
@@ -97,9 +96,9 @@ _INTEGER_FIELDS = (
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One runnable end-to-end story: who exists, how they authenticate,
-    what gets trained, and which nodes die when."""
+    what gets trained, and which nodes die when. One data owner hosts each
+    of the federation's ``total_clients`` partitions."""
 
-    owners: int = 3
     issuers: int = 1
     users: int = 2
     qualified_users: int = 1
@@ -126,7 +125,7 @@ class ScenarioConfig:
         # run_demo steps the clock once per registration, claim and access
         # request, and once each for the deploy and the dataset. Every time it
         # stamps, up to the job's at the last step, must lie in [0, 2**64).
-        steps = self.owners + self.issuers + 2 * self.users + self.qualified_users + 2
+        steps = self.federation.total_clients + self.issuers + 2 * self.users + self.qualified_users + 2
         if self.start_time + steps >= 2**64:
             raise ValidationError(
                 f"start_time plus the demo's {steps} clock steps must lie below 2**64, "
@@ -136,11 +135,6 @@ class ScenarioConfig:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.service, str) or not self.service:
             raise ValidationError(f"service must be a non-empty string, got {self.service!r}")
-        if self.federation.total_clients != self.owners:
-            raise ValidationError(
-                "each owner hosts exactly one partition: federation.total_clients "
-                f"({self.federation.total_clients}) must equal owners ({self.owners})"
-            )
         for event in self.fault_schedule:
             if event.round_index > self.federation.total_rounds:
                 raise ValidationError(
@@ -198,7 +192,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         clock.advance(1)
         return actor
 
-    owners = [register("owner", i) for i in range(config.owners)]
+    owners = [register("owner", i) for i in range(config.federation.total_clients)]
     issuers = [register("issuer", i) for i in range(config.issuers)]
     users = [register("user", i) for i in range(config.users)]
 
@@ -216,7 +210,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
 
     data_dir = out_dir / "data"
     spec = SyntheticSpec(
-        n_clients=config.owners,
+        n_clients=config.federation.total_clients,
         samples_per_client=config.samples_per_client,
         feature_dim=config.federation.loss.feature_dim,
         separability=config.separability,
@@ -350,23 +344,27 @@ def replay_ledger(events_path: Path) -> Chain:
 
     The rebuilt chain carries the same transactions, timestamps, and block
     hashes as the original, which is what makes the event log a faithful
-    record rather than a narration.
+    record rather than a narration. The log opens with its scenario-start
+    entry; a malformed line, or one whose transaction does not rebuild, is
+    refused with a ``ValidationError`` naming the line.
     """
-    with Path(events_path).open() as fh:
-        entries = [json.loads(line) for line in fh]
-    try:
-        start = next(e for e in entries if e["event"] == "scenario-start")["startTime"]
-    except StopIteration:
-        raise ValidationError("event log has no scenario-start entry") from None
-    clock = SimulatedClock(start=start)
-    chain = Chain(clock=clock)
-    for entry in entries:
-        if entry["event"] != "ledger-write":
-            continue
-        clock.advance(entry["at"] - clock())
-        tx_id = chain.record(entry["kind"], entry["payload"], entry["submitter"])
-        if tx_id != entry["txId"]:
-            raise ValidationError(
-                f"replay diverged: expected {entry['txId']}, rebuilt {tx_id}"
-            )
+    chain = None
+    with Path(events_path).open("rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                entry = json.loads(line)
+                if number == 1:
+                    if entry["event"] != "scenario-start":
+                        raise ValidationError("the log does not open with scenario-start")
+                    clock = SimulatedClock(start=entry["startTime"])
+                    chain = Chain(clock=clock)
+                elif entry["event"] == "ledger-write":
+                    clock.advance(entry["at"] - clock())
+                    tx_id = chain.record(entry["kind"], entry["payload"], entry["submitter"])
+                    if tx_id != entry["txId"]:
+                        raise ValidationError(f"replay diverged: expected {entry['txId']}, rebuilt {tx_id}")
+            except (ValidationError, ValueError, KeyError, TypeError) as error:
+                raise ValidationError(f"{events_path} line {number}: {error}") from None
+    if chain is None:
+        raise ValidationError(f"{events_path} is empty")
     return chain

@@ -217,8 +217,8 @@ class ServiceApi:
         job_id = match.group("job_id")
         tail = match.group("tail")
         if tail == "/metrics":
-            csv_text = self._service.job_metrics_csv(token, job_id)
+            csv_text = self._service.job_artifact(token, job_id, "metrics")
             return Response(200, csv_text, content_type="text/csv")
         if tail == "/model":
-            return Response(200, self._service.job_model(token, job_id))
+            return Response(200, self._service.job_artifact(token, job_id, "model"))
         return Response(200, self._service.job(token, job_id).to_dict())

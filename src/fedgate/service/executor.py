@@ -92,17 +92,12 @@ class JobExecutor:
 
             with CsvMetricsWriter(metrics_path) as writer:
 
-                def observer(metrics: RoundMetrics) -> None:
+                def observer(metrics: RoundMetrics) -> bool:
                     rows.append(metrics)
                     writer(metrics)
+                    return guard.observe(metrics)
 
-                model = run_federation(
-                    config,
-                    filtered,
-                    observer,
-                    eligibility=eligibility,
-                    early_stop=guard.observe,
-                )
+                model = run_federation(config, filtered, observer, eligibility=eligibility)
         except FedGateError as error:
             record.rounds_executed, record.cause = len(rows), str(error)
             record.transition("failed", int(self._clock()))

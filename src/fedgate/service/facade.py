@@ -7,6 +7,7 @@ the run, on the partitions the job's filter leaves visible.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -107,16 +108,15 @@ class FlaasService:
             raise UnknownJobError(f"no job {job_id}")
         return record
 
-    def job_metrics_csv(self, token: str, job_id: str) -> str:
+    def job_artifact(self, token: str, job_id: str, kind: str) -> str | dict:
+        """The job's ``metrics`` CSV text or ``model`` JSON; one not written yet,
+        or gone or unreadable on disk, answers as unknown, as another holder's job does."""
         record = self.job(token, job_id)
-        if record.metrics_address is None:
-            raise UnknownJobError(f"job {job_id} has no metrics yet")
-        return Path(record.metrics_address).read_text()
-
-    def job_model(self, token: str, job_id: str) -> dict:
-        import json
-
-        record = self.job(token, job_id)
-        if record.model_address is None:
-            raise UnknownJobError(f"job {job_id} has no model artifact")
-        return json.loads(Path(record.model_address).read_text())
+        address = record.metrics_address if kind == "metrics" else record.model_address
+        if address is None:
+            raise UnknownJobError(f"job {job_id} has no {kind} yet")
+        try:
+            text = Path(address).read_text(encoding="utf-8")
+            return text if kind == "metrics" else json.loads(text)
+        except (OSError, ValueError):
+            raise UnknownJobError(f"job {job_id} has no readable {kind}") from None

@@ -43,7 +43,6 @@ class FailoverAction:
 class NodeRegistry:
     def __init__(self):
         self._is_server: dict[str, bool] = {}  # every node id this fleet holds
-        self._failed: set[str] = set()
         self._server: str | None = None
         self._standby_servers: list[str] = []
         self._standby_clients: list[str] = []
@@ -63,7 +62,8 @@ class NodeRegistry:
     ) -> "NodeRegistry":
         """``server-0``, ``node-<client id>`` per partition, then the standbys.
 
-        A fault naming a node this fleet does not hold is refused here.
+        A fault naming a node this fleet does not hold, or a node an earlier
+        fault names, is refused here, so each node fails at most once.
         """
         if len(set(client_ids)) != len(client_ids):
             raise ValidationError("each partition is served by exactly one node")
@@ -75,9 +75,12 @@ class NodeRegistry:
         clients = [*registry._serving.values(), *registry._standby_clients]
         registry._is_server = dict.fromkeys(clients, False)
         registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
-        for event in faults:
-            if event.node_id not in registry._is_server:
-                raise ValidationError(f"fault names unknown node {event.node_id!r}")
+        named = [event.node_id for event in faults]
+        for node_id in named:
+            if node_id not in registry._is_server:
+                raise ValidationError(f"fault names unknown node {node_id!r}")
+            if named.count(node_id) > 1:
+                raise ValidationError(f"fault schedule names node {node_id!r} twice")
         registry.faults = tuple(faults)
         return registry
 
@@ -99,13 +102,8 @@ class NodeRegistry:
                 raise FedGateError("server failed with no standby")
 
     def fail(self, node_id: str, round_index: int) -> FailoverAction:
-        """Mark a node dead and promote a standby if one is available."""
+        """Mark a live node of this fleet dead and promote a standby if one is available."""
         with self._lock:
-            if node_id not in self._is_server:
-                raise ValidationError(f"unknown node {node_id}")
-            if node_id in self._failed:
-                raise ValidationError(f"node {node_id} already failed")
-            self._failed.add(node_id)
             for pool in (self._standby_servers, self._standby_clients):
                 if node_id in pool:
                     pool.remove(node_id)

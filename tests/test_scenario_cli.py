@@ -109,6 +109,37 @@ def test_event_log_replays_to_same_ledger(tmp_path):
     )
 
 
+def _drop_kind(lines):
+    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
+    entry = json.loads(lines[write])
+    del entry["kind"]
+    lines[write] = json.dumps(entry)
+    return write + 1
+
+
+def _not_json(lines):
+    lines[2] = "{not json"
+    return 3
+
+
+def _no_start(lines):
+    del lines[0]
+    return 1
+
+
+@pytest.mark.parametrize(
+    "spoil", [_drop_kind, _not_json, _no_start], ids=["write-without-kind", "not-json", "no-start"]
+)
+def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
+    result = run_demo(demo_config(tmp_path))
+    lines = result.events_path.read_text().splitlines()
+    number = spoil(lines)
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"line {number}: "):
+        replay_ledger(path)
+
+
 def test_scheme_b_demo_reaches_same_decisions(tmp_path):
     a = run_demo(demo_config(tmp_path, "a", scheme="contract_lookup"))
     b = run_demo(demo_config(tmp_path, "b", scheme="user_lookup"))
@@ -132,14 +163,13 @@ def test_demo_with_client_fault_and_standby(tmp_path):
 
 def test_scenario_config_invariants():
     with pytest.raises(ValidationError):
-        ScenarioConfig(owners=2)  # federation still expects 3 partitions
-    with pytest.raises(ValidationError):
         ScenarioConfig(scheme="wishful_thinking")
     with pytest.raises(ValidationError):
         ScenarioConfig(qualified_users=5)
 
 
 PAST_T = [{"roundIndex": 9, "nodeId": "node-000"}]
+TWICE = [{"roundIndex": 3, "nodeId": "node-001"}, {"roundIndex": 5, "nodeId": "node-001"}]
 
 
 @pytest.mark.parametrize(
@@ -148,8 +178,9 @@ PAST_T = [{"roundIndex": 9, "nodeId": "node-000"}]
         ({"faultSchedule": PAST_T}, "beyond T=8", None),
         ({"qualifiedUsers": 0, "faultSchedule": PAST_T}, "beyond T=8", None),
         ({"faultSchedule": [{"roundIndex": 2, "nodeId": "node-999"}]}, "unknown node", ["data"]),
+        ({"faultSchedule": TWICE, "standbyClients": 1}, "names node 'node-001' twice", ["data"]),
     ],
-    ids=["beyond-final-round", "beyond-final-round-nobody-granted", "unknown-node"],
+    ids=["beyond-final-round", "beyond-final-round-nobody-granted", "unknown-node", "repeated-node"],
 )
 def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(
     tmp_path, capsys, raw, message, written
@@ -184,7 +215,8 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
 @pytest.mark.parametrize(
     "raw",
     [
-        {"owners": "3"},
+        {"issuers": "1"},
+        {"owners": 3},
         [],
         {"faultSchedule": [{"roundIndex": 2}]},
         {"seed": 1.5},
@@ -196,7 +228,8 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         {"faultSchedule": [{"roundIndex": 2, "nodeId": "server-0", "node": "server-0"}]},
     ],
     ids=[
-        "text-owners",
+        "text-issuers",
+        "owners-key",
         "not-an-object",
         "fault-without-node",
         "fractional-seed",
@@ -484,7 +517,3 @@ def test_cli_import_legacy_takes_an_account_named_issuer(tmp_path):
         ("did:efed:legacy-issuer", "imported"),
         ("did:efed:legacy-ada", "imported"),
     ]
-
-
-def test_default_federation_matches_scenario_owner_count():
-    assert DEFAULT_FEDERATION.total_clients == ScenarioConfig().owners

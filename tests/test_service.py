@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,9 @@ def test_node_registry_invariants():
     for node_id in ("server-1", "node-a2", "standby-client-1"):
         with pytest.raises(ValidationError, match="unknown node"):
             NodeRegistry.provision(["a", "b"], 1, 1, faults=[FaultEvent(2, node_id)])
+    # each node fails at most once
+    with pytest.raises(ValidationError, match="names node 'node-a' twice"):
+        NodeRegistry.provision(["a", "b"], 1, 1, faults=[FaultEvent(2, "node-a"), FaultEvent(4, "node-a")])
     with pytest.raises(ValidationError):
         NodeRegistry.provision(["a", "a"])
 
@@ -562,6 +566,19 @@ def test_job_lifecycle_through_api(tmp_path):
     assert len(model.body["weights"]) == 2
 
     assert api.handle("GET", "/jobs/nope", headers=headers).status == 404
+
+
+def test_missing_or_unreadable_artifact_answers_404(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    headers = {"Authorization": f"Grant {token}"}
+    body = {"config": job_config().to_dict()}
+    job_id = api.handle("POST", "/jobs", headers=headers, body=body).body["jobId"]
+    record = service.run_next(node_registry=job_fleet())
+    Path(record.model_address).unlink()
+    Path(record.metrics_address).write_bytes(b"round\n\xff\n")  # not UTF-8
+    for kind in ("model", "metrics"):
+        response = api.handle("GET", f"/jobs/{job_id}/{kind}", headers=headers)
+        assert (response.status, response.body) == (404, {"error": f"job {job_id} has no readable {kind}"})
 
 
 def test_submit_rejects_config_filter_mismatch(tmp_path):

@@ -27,7 +27,6 @@ ALLOWED = {
     "fedgate/fl/config.py:_integer(minimum)": "the LossSpec, FederationConfig and FaultEvent checks take 1",
     "fedgate/fl/federation.py:run_federation(observer)": _RUN_FEDERATION,
     "fedgate/fl/federation.py:run_federation(eligibility)": _RUN_FEDERATION,
-    "fedgate/fl/federation.py:run_federation(early_stop)": _RUN_FEDERATION,
     "fedgate/service/api.py:ServiceApi.handle(query)": _HANDLE,
     "fedgate/service/api.py:ServiceApi.handle(headers)": _HANDLE,
     "fedgate/service/api.py:ServiceApi.handle(body)": _HANDLE,
@@ -62,5 +61,5 @@ def defaulted_parameters(root: Path) -> list[str]:
 
 def test_every_default_in_src_has_a_caller_outside_the_tests():
     found = defaulted_parameters(SRC)
-    assert len(found) == len(set(found)) == 16
+    assert len(found) == len(set(found)) == 15
     assert set(found) == set(ALLOWED)
