@@ -82,7 +82,6 @@ def verify_claim(
     except UNRESOLVABLE:
         return False, "unresolvable-issuer"
     key = (claim, tuple(k.public_bytes for k in issuer.public_keys))
-    # Pop and re-insert, not get and move_to_end, so concurrent checks cannot raise.
     signed = cache.pop(key, None)
     if signed is None:
         signed = claim.signature_valid(key[1])

@@ -12,7 +12,6 @@ so load tests can assert the bound actually held.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable
 
@@ -25,29 +24,25 @@ class PendingTable:
         self.ttl = ttl_seconds
         self._clock = clock
         self._born: OrderedDict[str, int] = OrderedDict()
-        self._lock = threading.Lock()
         self._peak = 0
 
     def try_insert(self, nonce: str) -> bool:
-        """Atomic check-and-insert; False when full or the nonce is live."""
+        """Sweep, then park the nonce; False when full or the nonce is live."""
         now = int(self._clock())
-        with self._lock:
-            born = self._born
-            while born and now - next(iter(born.values())) >= self.ttl:
-                born.popitem(last=False)
-            if nonce in born or len(born) >= self.capacity:
-                return False
-            born[nonce] = now
-            self._peak = max(self._peak, len(born))
-            return True
+        born = self._born
+        while born and now - next(iter(born.values())) >= self.ttl:
+            born.popitem(last=False)
+        if nonce in born or len(born) >= self.capacity:
+            return False
+        born[nonce] = now
+        self._peak = max(self._peak, len(born))
+        return True
 
     def contains(self, nonce: str) -> bool:
-        with self._lock:
-            return nonce in self._born
+        return nonce in self._born
 
     def remove(self, nonce: str) -> None:
-        with self._lock:
-            self._born.pop(nonce, None)
+        self._born.pop(nonce, None)
 
     @property
     def size(self) -> int:

@@ -7,7 +7,6 @@ constructor options.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict, deque
 from typing import Callable
 
@@ -29,23 +28,21 @@ class SlidingWindowLimiter:
         self.limit = limit
         self._clock = clock
         self._hits: OrderedDict[str, deque[int]] = OrderedDict()
-        self._lock = threading.Lock()
 
     def allow(self, key: str) -> bool:
         """Record an attempt; True iff the key stays within its budget."""
         now = int(self._clock())
-        with self._lock:
-            hits = self._hits.setdefault(key, deque())
-            self._hits.move_to_end(key)
-            cutoff = now - RATE_WINDOW_SECONDS
-            while hits and hits[0] <= cutoff:
-                hits.popleft()
-            if len(hits) >= self.limit:
-                return False
-            hits.append(now)
-            while len(self._hits) > MAX_TRACKED_KEYS:
-                self._hits.popitem(last=False)
-            return True
+        hits = self._hits.setdefault(key, deque())
+        self._hits.move_to_end(key)
+        cutoff = now - RATE_WINDOW_SECONDS
+        while hits and hits[0] <= cutoff:
+            hits.popleft()
+        if len(hits) >= self.limit:
+            return False
+        hits.append(now)
+        while len(self._hits) > MAX_TRACKED_KEYS:
+            self._hits.popitem(last=False)
+        return True
 
     @property
     def tracked_keys(self) -> int:

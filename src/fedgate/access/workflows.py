@@ -37,7 +37,6 @@ grants) each keep one ``OrderedDict`` and evict from its front, unscanned.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
@@ -88,13 +87,11 @@ class GrantStore:
 
     def __init__(self):
         self._records: OrderedDict[str, GrantToken] = OrderedDict()
-        self._lock = threading.Lock()
 
     def add(self, grant: GrantToken, now: int) -> None:
-        with self._lock:
-            while self._records and now >= next(iter(self._records.values())).expires_at:
-                self._records.popitem(last=False)
-            self._records[grant.token] = grant
+        while self._records and now >= next(iter(self._records.values())).expires_at:
+            self._records.popitem(last=False)
+        self._records[grant.token] = grant
 
     def validate(self, token: str, now: int) -> GrantToken | None:
         record = self._records.get(token)
@@ -111,17 +108,15 @@ class _NonceRing:
 
     def __init__(self):
         self._seen: OrderedDict[str, None] = OrderedDict()
-        self._lock = threading.Lock()
 
     def consume(self, nonce_hex: str) -> bool:
         """True if fresh (and now consumed); False on replay."""
-        with self._lock:
-            if nonce_hex in self._seen:
-                return False
-            self._seen[nonce_hex] = None
-            if len(self._seen) > NONCE_RING_SIZE:
-                self._seen.popitem(last=False)
-            return True
+        if nonce_hex in self._seen:
+            return False
+        self._seen[nonce_hex] = None
+        if len(self._seen) > NONCE_RING_SIZE:
+            self._seen.popitem(last=False)
+        return True
 
 
 class AccessGateway:

@@ -8,6 +8,9 @@ derives from the seed: keys from ``sha256("fedgate:<seed>:<role>:<index>")``,
 request nonces from ``"nonce:<seed>:<n>"`` and grant tokens from
 ``"token:<seed>:<n>"``, so two desks built from one seed and driven the same
 way leave byte-identical ledgers.
+
+One thread drives a desk; adding a thread means bringing back
+synchronisation. No table takes a lock: ``tests/test_src_threads.py`` guards that.
 """
 
 from __future__ import annotations

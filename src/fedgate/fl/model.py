@@ -14,8 +14,8 @@ from ..errors import ValidationError
 class ModelParameters:
     """A fixed-length vector of 64-bit real weights.
 
-    Immutable value: the backing array is locked against writes so models
-    can be shared freely between concurrent training contexts.
+    Immutable value: the backing array is locked against writes, so one
+    model can be handed to every client of a round without a copy.
     """
 
     weights: np.ndarray = field(repr=False)

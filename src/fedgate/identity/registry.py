@@ -1,11 +1,11 @@
 """The authoritative DID document store.
 
-Writers serialize on a lock; reads are lock-free snapshots. Every
-successful mutation is reported to the recorder the registry is built with
-(the desk passes ``Chain.record``; there is no local stand-in, since a test
-can pass its own) and mirrored into an append-only JSON-lines log that
-replays back to identical state. ``replay_log`` is that log's one validator:
-any malformed line is refused with a ``ValidationError`` naming the line.
+Every successful mutation is reported to the recorder the registry is
+built with (the desk passes ``Chain.record``; there is no local stand-in,
+since a test can pass its own) and mirrored into an append-only JSON-lines
+log that replays back to identical state. ``replay_log`` is that log's one
+validator: any malformed line is refused with a ``ValidationError`` naming
+the line.
 
 Each registered principal supplies a non-empty string ``profile_hash``; a
 second registration with the same hash is rejected, so one real-world
@@ -15,7 +15,6 @@ profile cannot hold two identities.
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Callable
 
@@ -37,7 +36,6 @@ class DidRegistry:
         self._documents: dict[str, DidDocument] = {}
         self._profiles: dict[str, str] = {}
         self._log: list[dict] = []
-        self._lock = threading.Lock()
         self._recorder = recorder
 
     def __len__(self) -> int:
@@ -61,29 +59,25 @@ class DidRegistry:
         if not isinstance(profile_hash, str) or not profile_hash:
             raise ValidationError("profile_hash must be a non-empty string")
         key = str(document.id)
-        with self._lock:
-            if key in self._documents:
-                raise AlreadyRegisteredError(f"{key} is already registered")
-            holder = self._profiles.get(profile_hash)
-            if holder is not None:
-                raise AlreadyRegisteredError(f"profile already registered under {holder}")
-            receipt = self._commit("register", document, profile_hash)
-        return receipt
+        if key in self._documents:
+            raise AlreadyRegisteredError(f"{key} is already registered")
+        holder = self._profiles.get(profile_hash)
+        if holder is not None:
+            raise AlreadyRegisteredError(f"profile already registered under {holder}")
+        return self._commit("register", document, profile_hash)
 
     def update(self, document: DidDocument) -> str:
         """Replace an existing document with its next version."""
         key = str(document.id)
-        with self._lock:
-            current = self._documents.get(key)
-            if current is None:
-                raise UnknownDidError(f"cannot update unregistered {key}")
-            if document.version != current.version + 1:
-                raise FedGateError(
-                    f"{key}: version must step {current.version} -> "
-                    f"{current.version + 1}, got {document.version}"
-                )
-            receipt = self._commit("update", document, None)
-        return receipt
+        current = self._documents.get(key)
+        if current is None:
+            raise UnknownDidError(f"cannot update unregistered {key}")
+        if document.version != current.version + 1:
+            raise FedGateError(
+                f"{key}: version must step {current.version} -> "
+                f"{current.version + 1}, got {document.version}"
+            )
+        return self._commit("update", document, None)
 
     def _commit(self, op: str, document: DidDocument, profile_hash: str | None) -> str:
         payload = {

@@ -30,10 +30,9 @@ them in, so ``Chain.record`` computes each hash once.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..errors import ValidationError, check_field_types, check_keys
@@ -171,11 +170,10 @@ class Block:
 
 
 class Chain:
-    """The authoritative chain: one serialized writer, concurrent readers."""
+    """The authoritative chain: the desk appends, every party reads the written file."""
 
     def __init__(self, clock: Callable[[], int]):
         self._clock = clock
-        self._lock = threading.Lock()
         genesis = Block(
             height=0,
             prev_hash=GENESIS_PREV_HASH,
@@ -198,18 +196,21 @@ class Chain:
         The block time is fixed first, so the transaction is built once,
         already stamped with it.
         """
-        with self._lock:
-            prev = self._blocks[-1]
-            timestamp = max(int(self._clock()), prev.timestamp)
-            tx = Transaction(timestamp, kind, canonical_json_bytes(payload), submitter)
-            self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
+        prev = self._blocks[-1]
+        timestamp = max(int(self._clock()), prev.timestamp)
+        tx = Transaction(timestamp, kind, canonical_json_bytes(payload), submitter)
+        self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
         return tx.tx_id
+
+    def written_lines(self) -> Iterator[bytes]:
+        """The chain file's lines: each block's canonical JSON and a newline."""
+        for block in self._blocks:
+            yield canonical_json_bytes(block.to_dict()) + b"\n"
 
     def write_chain(self, path: Path) -> Path:
         path = Path(path)
         with path.open("wb") as fh:
-            for block in self._blocks:
-                fh.write(canonical_json_bytes(block.to_dict()) + b"\n")
+            fh.writelines(self.written_lines())
         return path
 
 

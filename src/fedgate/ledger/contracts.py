@@ -122,8 +122,12 @@ class GrantToken:
     expires_at: int
 
     def to_dict(self) -> dict:
+        """The ``access_grant`` payload. Every party reads the ledger, so it
+        holds the SHA-256 of the bearer token's text, never the token itself
+        (RFC 6750 §5.3): an auditor can match a presented token to its grant,
+        and a reader of the ledger cannot present it."""
         return {
-            "token": self.token,
+            "tokenDigest": sha256_hex(self.token.encode()),
             "contractId": self.contract_id,
             "holder": self.holder,
             "service": self.service,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
@@ -339,14 +340,17 @@ def _relative(address: str | None, root: Path) -> str | None:
     return str(Path(address).relative_to(root))
 
 
-def replay_ledger(events_path: Path) -> Chain:
-    """Rebuild the ledger purely from an event log.
+def replay_ledger(events_path: Path, chain_path: Path) -> Chain:
+    """Rebuild the ledger purely from an event log, and check it against the chain file.
 
-    The rebuilt chain carries the same transactions, timestamps, and block
-    hashes as the original, which is what makes the event log a faithful
-    record rather than a narration. The log opens with its scenario-start
-    entry; a malformed line, or one whose transaction does not rebuild, is
-    refused with a ``ValidationError`` naming the line.
+    The rebuilt chain must write the bytes of ``chain_path``, line for line:
+    same transactions, timestamps and block hashes, which is what makes the
+    event log a faithful record rather than a narration. A transaction id
+    does not cover its block time, so only this comparison catches a shifted
+    ``at``. The log opens with its scenario-start entry; a malformed line, or
+    one whose transaction does not rebuild, is refused with a
+    ``ValidationError`` naming the line, and a chain file that differs is
+    refused naming the first differing height.
     """
     chain = None
     with Path(events_path).open("rb") as fh:
@@ -367,4 +371,8 @@ def replay_ledger(events_path: Path) -> Chain:
                 raise ValidationError(f"{events_path} line {number}: {error}") from None
     if chain is None:
         raise ValidationError(f"{events_path} is empty")
+    written = Path(chain_path).read_bytes().splitlines(keepends=True)
+    for height, (rebuilt, line) in enumerate(zip_longest(chain.written_lines(), written)):
+        if rebuilt != line:
+            raise ValidationError(f"{chain_path} differs from the replayed ledger at height {height}")
     return chain

@@ -11,7 +11,6 @@ order. The job record is a strict state machine::
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field, replace
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
@@ -141,12 +140,10 @@ class JobQueue:
     def __init__(self):
         self._jobs: dict[str, JobRecord] = {}
         self._counter = itertools.count(1)
-        self._lock = threading.Lock()
 
     def submit(self, spec: JobSpec, now: int) -> JobRecord:
-        with self._lock:
-            record = JobRecord(f"job-{next(self._counter):04d}", spec, submitted_at=int(now))
-            self._jobs[record.job_id] = record
+        record = JobRecord(f"job-{next(self._counter):04d}", spec, submitted_at=int(now))
+        self._jobs[record.job_id] = record
         return record
 
     def get(self, job_id: str) -> JobRecord | None:

@@ -12,7 +12,6 @@ promoted; the job keeps running.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +47,6 @@ class NodeRegistry:
         self._standby_clients: list[str] = []
         self._serving: dict[str, str] = {}  # client_id -> node_id
         self._excluded_since: dict[str, int] = {}
-        self._lock = threading.Lock()
         self.faults: tuple[FaultEvent, ...] = ()
         self.actions: list[FailoverAction] = []
 
@@ -103,33 +101,32 @@ class NodeRegistry:
 
     def fail(self, node_id: str, round_index: int) -> FailoverAction:
         """Mark a live node of this fleet dead and promote a standby if one is available."""
-        with self._lock:
-            for pool in (self._standby_servers, self._standby_clients):
-                if node_id in pool:
-                    pool.remove(node_id)
-                    return FailoverAction("standby-lost", node_id, None, None, round_index)
+        for pool in (self._standby_servers, self._standby_clients):
+            if node_id in pool:
+                pool.remove(node_id)
+                return FailoverAction("standby-lost", node_id, None, None, round_index)
 
-            if self._is_server[node_id]:
-                self._server = None
-                if self._standby_servers:
-                    self._server = self._standby_servers.pop(0)
-                    return FailoverAction(
-                        "server-swap", node_id, self._server, None, round_index
-                    )
-                return FailoverAction("server-lost", node_id, None, None, round_index)
-
-            client_id = next(c for c, n in self._serving.items() if n == node_id)
-            del self._serving[client_id]
-            if self._standby_clients:
-                replacement = self._standby_clients.pop(0)
-                self._serving[client_id] = replacement
+        if self._is_server[node_id]:
+            self._server = None
+            if self._standby_servers:
+                self._server = self._standby_servers.pop(0)
                 return FailoverAction(
-                    "client-swap", node_id, replacement, client_id, round_index
+                    "server-swap", node_id, self._server, None, round_index
                 )
-            self._excluded_since[client_id] = round_index
+            return FailoverAction("server-lost", node_id, None, None, round_index)
+
+        client_id = next(c for c, n in self._serving.items() if n == node_id)
+        del self._serving[client_id]
+        if self._standby_clients:
+            replacement = self._standby_clients.pop(0)
+            self._serving[client_id] = replacement
             return FailoverAction(
-                "client-excluded", node_id, None, client_id, round_index
+                "client-swap", node_id, replacement, client_id, round_index
             )
+        self._excluded_since[client_id] = round_index
+        return FailoverAction(
+            "client-excluded", node_id, None, client_id, round_index
+        )
 
     def eligible_clients(self, round_index: int, all_ids: frozenset[str]) -> frozenset[str]:
         """Partitions still served at the given round."""

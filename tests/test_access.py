@@ -399,7 +399,9 @@ def test_scheme_a_grant_happy_path():
     assert outcome.tx_id is not None
     grants = transactions(stack.chain, "access_grant")
     assert len(grants) == 1
-    assert payload_dict(grants[0])["token"] == outcome.grant.token
+    assert payload_dict(grants[0])["tokenDigest"] == (
+        hashlib.sha256(outcome.grant.token.encode()).hexdigest()
+    )
     assert stack.gateway.pending.size == 0
     assert stack.gateway.grants.validate(outcome.grant.token, stack.clock()) is not None
 

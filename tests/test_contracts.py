@@ -199,7 +199,7 @@ def test_grant_when_all_claims_valid():
     assert verdict.grant.expires_at == 10_000 + 3600
     grants = transactions(chain, "access_grant")
     assert len(grants) == 1
-    assert payload_dict(grants[0])["token"] == verdict.grant.token
+    assert payload_dict(grants[0])["tokenDigest"] == sha256_hex(verdict.grant.token.encode())
 
 
 def test_denial_lists_missing_claim_types():

@@ -83,6 +83,16 @@ def test_genesis_convention():
     assert genesis.transactions == ()
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.5, True, "1"])
+def test_simulated_clock_refuses_a_time_that_is_not_an_int(bad):
+    with pytest.raises(ValidationError, match="whole seconds"):
+        SimulatedClock(start=bad)
+    clock = SimulatedClock(start=5)
+    with pytest.raises(ValidationError, match="whole seconds"):
+        clock.advance(bad)
+    assert clock() == 5
+
+
 def test_height_counts_appends():
     chain = Chain(clock=SimulatedClock(0))
     for i in range(5):

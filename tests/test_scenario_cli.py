@@ -45,13 +45,13 @@ def test_default_scenario_happy_path(tmp_path):
 # moves one of them changes a chain payload, an event or an identity record.
 LEDGER_DIGESTS = {
     "contract_lookup": {
-        "chain.jsonl": "7d09061919a1016768a998f119380c3c0def3f4ec16575d7be99b8f91529aed8",
-        "events.jsonl": "fd0645b8b9621313db53675f860ec9b9f0d0811285bcec11b75e681e46be68f1",
+        "chain.jsonl": "0add1533014fb0ae8079416facc35961d9926d583781f7069ad3be2e5bdb70f2",
+        "events.jsonl": "023254cccb3cc0e5b0c90b3d93cde1a3242993d158fe2358de19b288a3dc11f2",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
     },
     "user_lookup": {
-        "chain.jsonl": "86ac2b1816cac5aec7983933bd50cccab53ead27c2a2b882da78302a80e02d93",
-        "events.jsonl": "2f7f4b2f4f57523c733c445ff8a06975e7ac349e31f24d7926496a553fe9edb6",
+        "chain.jsonl": "a3c258b1219c45145563d211baed87a168b4bfdcf1806fe069d5734cf93c26c4",
+        "events.jsonl": "a4fea1fd8d0792f4205947879ddd9a74caad9b9f27036c8eb5bc82e6aa393768",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
     },
 }
@@ -101,12 +101,54 @@ def test_same_seed_twice_is_byte_identical(tmp_path):
     assert first.model_path.read_bytes() != third.model_path.read_bytes()
 
 
+# The four seed-7 stories of scripts/run_demo.py.
+DEMO_VARIANTS = {
+    "scheme-a": {},
+    "scheme-b": {"scheme": "user_lookup"},
+    "client-failover": {"fault_schedule": (FaultEvent(3, "node-001"),), "standby_clients": 1},
+    "server-failover": {"fault_schedule": (FaultEvent(3, "server-0"),), "standby_servers": 1},
+}
+
+
 def test_event_log_replays_to_same_ledger(tmp_path):
-    result = run_demo(demo_config(tmp_path))
-    rebuilt = replay_ledger(result.events_path)
-    assert rebuilt.write_chain(tmp_path / "rebuilt.jsonl").read_bytes() == (
-        result.chain_path.read_bytes()
-    )
+    for name, variant in DEMO_VARIANTS.items():
+        result = run_demo(demo_config(tmp_path, name, seed=7, **variant))
+        assert result.exit_code == 0
+        rebuilt = replay_ledger(result.events_path, result.chain_path)
+        assert rebuilt.write_chain(tmp_path / f"{name}.jsonl").read_bytes() == (
+            result.chain_path.read_bytes()
+        )
+
+
+def _write_at(lines, index, at):
+    entry = json.loads(lines[index])
+    entry["at"] = at
+    lines[index] = json.dumps(entry)
+
+
+def test_ledger_replay_refuses_a_shifted_block_time_naming_the_height(tmp_path):
+    # A tx id does not cover its block time, so only the chain file shows the shift.
+    result = run_demo(demo_config(tmp_path, seed=7))
+    lines = result.events_path.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
+    _write_at(lines, last, json.loads(lines[last])["at"] + 500)
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    height = len(load_chain(result.chain_path)) - 1
+    with pytest.raises(ValidationError, match=f"at height {height}$"):
+        replay_ledger(path, result.chain_path)
+
+
+def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
+    first = run_demo(demo_config(tmp_path, "one", seed=7))
+    other = run_demo(demo_config(tmp_path, "two", seed=8))
+    with pytest.raises(ValidationError, match="at height 1$"):
+        replay_ledger(first.events_path, other.chain_path)
+    short = tmp_path / "short.jsonl"
+    short.write_bytes(b"".join(first.chain_path.read_bytes().splitlines(keepends=True)[:-1]))
+    height = len(load_chain(first.chain_path)) - 1
+    with pytest.raises(ValidationError, match=f"at height {height}$"):
+        replay_ledger(first.events_path, short)
 
 
 def _drop_kind(lines):
@@ -127,8 +169,16 @@ def _no_start(lines):
     return 1
 
 
+def _float_at(lines):
+    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
+    _write_at(lines, write, float(json.loads(lines[write])["at"]))
+    return write + 1
+
+
 @pytest.mark.parametrize(
-    "spoil", [_drop_kind, _not_json, _no_start], ids=["write-without-kind", "not-json", "no-start"]
+    "spoil",
+    [_drop_kind, _not_json, _no_start, _float_at],
+    ids=["write-without-kind", "not-json", "no-start", "float-at"],
 )
 def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
     result = run_demo(demo_config(tmp_path))
@@ -137,7 +187,7 @@ def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=f"line {number}: "):
-        replay_ledger(path)
+        replay_ledger(path, result.chain_path)
 
 
 def test_scheme_b_demo_reaches_same_decisions(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +535,52 @@ def test_random_tokens_never_authorize(tmp_path):
             "GET", "/data/metadata", headers={"Authorization": f"Grant {fake}"}
         )
         assert response.status == 401
+
+
+def test_the_ledger_holds_no_grant_token(tmp_path):
+    """Every consortium party reads chain.jsonl and events.jsonl, so neither
+    holds a bearer token (RFC 6750 §5.3): each grant records its token's
+    SHA-256, and no 32-hex-digit string in either file opens the service."""
+    from fedgate.ledger import load_chain
+    from fedgate.scenario import EventLog
+    from fedgate.service import FlaasService, ServiceApi
+
+    stack = Stack()
+    log = EventLog(stack.clock, stack.chain)
+    stack.deploy_membership_policy()
+    service = FlaasService(
+        stack.gateway, fleet_partitions(), tmp_path / "artifacts", stack.clock, service_name="fl-study"
+    )
+    api = ServiceApi(stack.gateway, service, stack.clock)
+    tokens = []
+    for i, scheme in enumerate(["contract_lookup", "user_lookup"] * 3):
+        member = stack.register_actor(f"member-{i}")
+        stack.issuer.issue(member.did, "consortium_member", "yes", 7200)
+        body = {"requester": member.did, "service": "fl-study", "scheme": scheme}
+        if scheme == "user_lookup":
+            lookup = stack.gateway.user_lookup(member.did, stack.fresh_nonce())
+            body["attestation"] = lookup.attestation.to_dict()
+        body["nonce"] = stack.fresh_nonce().hex()
+        tokens.append(api.handle("POST", "/access/request", body=body).body["grant"]["token"])
+        log.emit("access-request", requester=member.did)
+        stack.clock.advance(1)
+    chain_path = stack.chain.write_chain(tmp_path / "chain.jsonl")
+    events_path = log.write(tmp_path / "events.jsonl")
+
+    txs = [tx for block in load_chain(chain_path) for tx in block.transactions]
+    digests = [json.loads(tx.payload)["tokenDigest"] for tx in txs if tx.kind == "access_grant"]
+    assert digests == [hashlib.sha256(token.encode()).hexdigest() for token in tokens]
+    ledger = "\n".join([chain_path.read_text(), events_path.read_text()] + [tx.payload.decode() for tx in txs])
+    assert not any(token in ledger for token in tokens)
+    held = {
+        run[i : i + 32] for run in re.findall(r"[0-9a-f]{32,}", ledger) for i in range(len(run) - 31)
+    }
+    for text in sorted(held):
+        response = api.handle("GET", "/data/metadata", headers={"Authorization": f"Grant {text}"})
+        assert response.status == 401
+    for token in tokens:
+        response = api.handle("GET", "/data/metadata", headers={"Authorization": f"Grant {token}"})
+        assert response.status == 200
 
 
 def test_job_lifecycle_through_api(tmp_path):
