@@ -25,6 +25,7 @@ from .issuance import ClaimIssuer
 if TYPE_CHECKING:
     from ..desk import Desk
 
+ROLE_CLAIM = "role"
 CLAIM_VALIDITY_SECONDS = 365 * 24 * 3600
 _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
@@ -34,7 +35,6 @@ class LegacyImportResult:
     username: str
     did: str
     status: str  # imported | skipped
-    claim_type: str = "role"
     value: str = ""
 
 
@@ -83,6 +83,6 @@ def import_legacy_accounts(
         except AlreadyRegisteredError:  # the DID or the profile hash is taken
             results.append(LegacyImportResult(username, did, "skipped"))
             continue
-        claim = issuer.issue(did, "role", role, CLAIM_VALIDITY_SECONDS)
+        claim = issuer.issue(did, ROLE_CLAIM, role, CLAIM_VALIDITY_SECONDS)
         results.append(LegacyImportResult(username, did, "imported", value=claim.value))
     return results

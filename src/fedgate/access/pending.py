@@ -45,9 +45,5 @@ class PendingTable:
         self._born.pop(nonce, None)
 
     @property
-    def size(self) -> int:
-        return len(self._born)
-
-    @property
     def peak_size(self) -> int:
         return self._peak

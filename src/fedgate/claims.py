@@ -40,17 +40,10 @@ class VerifiableClaim:
             )
 
     def signing_bytes(self) -> bytes:
-        """Canonical bytes covered by the issuer signature."""
-        return canonical_json_bytes(
-            {
-                "claimType": self.claim_type,
-                "value": self.value,
-                "subject": self.subject,
-                "issuer": self.issuer,
-                "issuedAt": self.issued_at,
-                "expiresAt": self.expires_at,
-            }
-        )
+        """Canonical bytes covered by the issuer signature: ``to_dict`` without it."""
+        body = self.to_dict()
+        del body["signature"]
+        return canonical_json_bytes(body)
 
     def signature_valid(self, issuer_public_keys: tuple[bytes, ...]) -> bool:
         """Check the signature against any of the issuer's published keys."""

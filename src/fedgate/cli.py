@@ -15,14 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-from .access.legacy import import_legacy_accounts, read_accounts_csv
+from .access.legacy import ROLE_CLAIM, import_legacy_accounts, read_accounts_csv
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
 from .ledger import verify_chain_file
-from .scenario import ScenarioConfig, run_demo
+from .scenario import START_TIME, ScenarioConfig, run_demo
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -99,7 +99,7 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 7
     # every account id starts with "legacy-", so no username maps to the issuer's DID
     trusted = frozenset({"did:efed:importer"})
-    desk = build_desk(seed, SimulatedClock(start=1_000_000), trusted)
+    desk = build_desk(seed, SimulatedClock(start=START_TIME), trusted)
     issuer = desk.claim_issuer(desk.register("importer", desk.keypair("importer", 0)))
     results = import_legacy_accounts(accounts, desk, issuer)
 
@@ -110,7 +110,7 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
             "username": r.username,
             "did": r.did,
             "status": r.status,
-            "claimType": r.claim_type,
+            "claimType": ROLE_CLAIM,
             "value": r.value,
         }
         for r in results

@@ -1,6 +1,7 @@
 """Shared exception types, and the field type and key checks records loaded from JSON share."""
 
 from dataclasses import fields
+from functools import cache
 
 
 class FedGateError(Exception):
@@ -29,16 +30,23 @@ def check_keys(data: object, what: str, keys) -> None:
         raise ValidationError(f"{what} has unknown keys {sorted(map(str, data.keys() - keys))}")
 
 
+@cache
+def _camel_names(cls) -> dict[str, str]:
+    """Each field name of ``cls``, keyed by its camelCase."""
+    names = {}
+    for f in fields(cls):
+        head, *rest = f.name.split("_")
+        names[head + "".join(word.title() for word in rest)] = f.name
+    return names
+
+
 def from_camel_keys(cls, data: object, what: str, **readers):
     """``cls`` read from ``data``, whose keys are the camelCase of its field names.
 
     Any other key is refused and an absent one takes the field's default;
     ``readers`` maps a field name to the function that reads its value.
     """
-    names = {}
-    for f in fields(cls):
-        head, *rest = f.name.split("_")
-        names[head + "".join(word.title() for word in rest)] = f.name
+    names = _camel_names(cls)
     check_keys(data, what, names.keys())
     values = {names[key]: value for key, value in data.items()}
     try:

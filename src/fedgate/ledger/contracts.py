@@ -85,15 +85,16 @@ class AccessPolicyContract:
             raise ValidationError("grants_service must be non-empty")
         object.__setattr__(self, "contract_id", sha256_hex(self.signing_bytes()))
 
+    def _body(self) -> dict:
+        return {
+            "requiredClaims": [r.to_dict() for r in self.required_claims],
+            "grantsService": self.grants_service,
+            "owner": self.owner,
+        }
+
     def signing_bytes(self) -> bytes:
         """Canonical body: what the owner signs and the id hashes."""
-        return canonical_json_bytes(
-            {
-                "requiredClaims": [r.to_dict() for r in self.required_claims],
-                "grantsService": self.grants_service,
-                "owner": self.owner,
-            }
-        )
+        return canonical_json_bytes(self._body())
 
     @classmethod
     def create(
@@ -105,12 +106,7 @@ class AccessPolicyContract:
         return cls(required_claims, grants_service, owner)
 
     def to_dict(self) -> dict:
-        return {
-            "contractId": self.contract_id,
-            "requiredClaims": [r.to_dict() for r in self.required_claims],
-            "grantsService": self.grants_service,
-            "owner": self.owner,
-        }
+        return {"contractId": self.contract_id, **self._body()}
 
 
 @dataclass(frozen=True)

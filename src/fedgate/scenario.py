@@ -2,12 +2,12 @@
 
 `run_demo` builds the shared desk (``fedgate.desk.build_desk``) and an event
 log that mirrors every block of the desk's chain, then plays the story
-of a small consortium: data owners, issuers and users register identifiers,
-an owner deploys the access policy, an attestor issues membership claims,
-each user walks one of the two authentication schemes, and whoever holds a
-grant token submits a training job. Everything is driven by a simulated
-clock and derived from one seed, so two runs with the same configuration
-produce byte-identical artifacts.
+of a small consortium: data owners, one attestor and users register
+identifiers, an owner deploys the access policy, the attestor issues
+membership claims, each user walks one of the two authentication schemes,
+and whoever holds a grant token submits a training job. Everything is
+driven by a simulated clock and derived from one seed, so two runs with the
+same configuration produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .clock import SimulatedClock
 from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
 from .errors import ValidationError, from_camel_keys
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
-from .fl.config import _integer, _real
+from .fl.config import _integer
 from .ledger import Chain, verify_chain_file
 from .service import FaultEvent, FlaasService, NodeRegistry, ServiceApi
 
@@ -36,6 +36,15 @@ DEFAULT_FEDERATION = FederationConfig(
     loss=LossSpec(kind="logistic", feature_dim=2),
     rng_seed=7,
 )
+
+# What every demo shares: the one trusted attestor, each owner's synthetic
+# partition, the clock's first reading and the service the policy gates.
+ATTESTOR = "did:efed:issuer-0"
+SAMPLES_PER_CLIENT = 40
+SEPARABILITY = 2.0
+LABEL_SKEW = 0.0
+START_TIME = 1_000_000
+SERVICE = "fl-study"
 
 
 class EventLog:
@@ -83,14 +92,11 @@ class EventLog:
 
 
 _INTEGER_FIELDS = (
-    ("issuers", 1),
     ("users", 0),
     ("qualified_users", 0),
-    ("samples_per_client", 1),
     ("standby_clients", 0),
     ("standby_servers", 0),
     ("seed", None),
-    ("start_time", 0),
 )
 
 
@@ -100,42 +106,23 @@ class ScenarioConfig:
     what gets trained, and which nodes die when. One data owner hosts each
     of the federation's ``total_clients`` partitions."""
 
-    issuers: int = 1
     users: int = 2
     qualified_users: int = 1
     scheme: str = SCHEME_CONTRACT_LOOKUP
     federation: FederationConfig = DEFAULT_FEDERATION
-    samples_per_client: int = 40
-    separability: float = 2.0
-    label_skew: float = 0.0
     fault_schedule: tuple[FaultEvent, ...] = ()
     standby_clients: int = 0
     standby_servers: int = 0
     seed: int = 7
-    start_time: int = 1_000_000
-    service: str = "fl-study"
     out_dir: str = "demo-out"
 
     def __post_init__(self) -> None:
         for name, minimum in _INTEGER_FIELDS:
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        for name in ("separability", "label_skew"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.qualified_users > self.users:
             raise ValidationError("qualified_users must lie in [0, users]")
-        # run_demo steps the clock once per registration, claim and access
-        # request, and once each for the deploy and the dataset. Every time it
-        # stamps, up to the job's at the last step, must lie in [0, 2**64).
-        steps = self.federation.total_clients + self.issuers + 2 * self.users + self.qualified_users + 2
-        if self.start_time + steps >= 2**64:
-            raise ValidationError(
-                f"start_time plus the demo's {steps} clock steps must lie below 2**64, "
-                f"got {self.start_time}"
-            )
         if self.scheme not in (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if not isinstance(self.service, str) or not self.service:
-            raise ValidationError(f"service must be a non-empty string, got {self.service!r}")
         for event in self.fault_schedule:
             if event.round_index > self.federation.total_rounds:
                 raise ValidationError(
@@ -176,16 +163,10 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clock = SimulatedClock(start=config.start_time)
-    trusted = frozenset(f"did:efed:issuer-{i}" for i in range(config.issuers))
-    desk = build_desk(config.seed, clock, trusted)
+    clock = SimulatedClock(start=START_TIME)
+    desk = build_desk(config.seed, clock, frozenset({ATTESTOR}))
     log = EventLog(clock, desk.chain)
-    log.emit(
-        "scenario-start",
-        seed=config.seed,
-        scheme=config.scheme,
-        startTime=config.start_time,
-    )
+    log.emit("scenario-start", seed=config.seed, scheme=config.scheme, startTime=START_TIME)
 
     def register(role: str, index: int) -> Actor:
         actor = desk.register(f"{role}-{index}", desk.keypair(role, index))
@@ -194,29 +175,26 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         return actor
 
     owners = [register("owner", i) for i in range(config.federation.total_clients)]
-    issuers = [register("issuer", i) for i in range(config.issuers)]
+    attestor = desk.claim_issuer(register("issuer", 0))
     users = [register("user", i) for i in range(config.users)]
 
-    contract = desk.deploy_policy(config.service, owners[0])
-    log.emit("contract-deployed", contractId=contract.contract_id, service=config.service)
+    contract = desk.deploy_policy(SERVICE, owners[0])
+    log.emit("contract-deployed", contractId=contract.contract_id, service=SERVICE)
     clock.advance(1)
 
-    claim_issuers = [desk.claim_issuer(actor) for actor in issuers]
-    for i in range(config.qualified_users):
-        subject = users[i].did
-        issuer = claim_issuers[i % len(claim_issuers)]
-        issuer.issue(subject, MEMBERSHIP_CLAIM, "yes", validity_seconds=86_400)
-        log.emit("claim-issued", issuer=issuer.did, subject=subject)
+    for user in users[: config.qualified_users]:
+        attestor.issue(user.did, MEMBERSHIP_CLAIM, "yes", validity_seconds=86_400)
+        log.emit("claim-issued", issuer=attestor.did, subject=user.did)
         clock.advance(1)
 
     data_dir = out_dir / "data"
     spec = SyntheticSpec(
         n_clients=config.federation.total_clients,
-        samples_per_client=config.samples_per_client,
+        samples_per_client=SAMPLES_PER_CLIENT,
         feature_dim=config.federation.loss.feature_dim,
-        separability=config.separability,
+        separability=SEPARABILITY,
         seed=config.seed,
-        label_skew=config.label_skew,
+        label_skew=LABEL_SKEW,
     )
     write_dataset(spec, data_dir)
     partitions = load_partitions(data_dir)
@@ -229,9 +207,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     log.emit("dataset-written", clients=len(partitions), directory="data")
     clock.advance(1)
 
-    service = FlaasService(
-        desk.gateway, partitions, out_dir / "artifacts", clock, service_name=config.service
-    )
+    service = FlaasService(desk.gateway, partitions, out_dir / "artifacts", clock, service_name=SERVICE)
     api = ServiceApi(desk.gateway, service, clock)
 
     decisions: list[dict] = []
@@ -239,7 +215,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
     for did in [user.did for user in users]:
         body = {
             "requester": did,
-            "service": config.service,
+            "service": SERVICE,
             "scheme": config.scheme,
             "nonce": desk.nonce().hex(),
         }

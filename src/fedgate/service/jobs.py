@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
 from ..fl import DatasetPartition, FederationConfig
-from ..fl.config import _real
+from ..fl.config import _integer, _real
 
 
 def _names(field: str, values) -> tuple[str, ...] | None:
@@ -44,9 +44,9 @@ class DataFilter:
     def __post_init__(self) -> None:
         object.__setattr__(self, "client_ids", _names("clientIds", self.client_ids))
         object.__setattr__(self, "feature_names", _names("featureNames", self.feature_names))
-        n = self.max_samples_per_client
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
-            raise ValidationError("max_samples_per_client must be an integer >= 1")
+        if self.max_samples_per_client is not None:
+            n = _integer("max_samples_per_client", self.max_samples_per_client)
+            object.__setattr__(self, "max_samples_per_client", n)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DataFilter":

@@ -276,7 +276,7 @@ def test_pending_capacity_and_duplicates():
     assert not table.try_insert("n1")
     assert table.try_insert("n2")
     assert not table.try_insert("n3")
-    assert table.size == 2 and table.peak_size == 2
+    assert table.contains("n2") and not table.contains("n3") and table.peak_size == 2
 
 
 def test_pending_ttl_sweep():
@@ -289,8 +289,7 @@ def test_pending_ttl_sweep():
         table.try_insert(f"n{i}")
     clock.advance(20)  # first five are now 30s old
     assert table.try_insert("n8")  # the insert sweeps them first
-    assert table.size == 4
-    assert not table.contains("n4") and table.contains("n5")
+    assert [table.contains(f"n{i}") for i in range(9)] == [False] * 5 + [True] * 4
 
 
 def test_pending_insert_sweeps_first():
@@ -300,7 +299,7 @@ def test_pending_insert_sweeps_first():
     table.try_insert("n2")
     clock.advance(31)
     assert table.try_insert("n3")  # old entries evicted in passing
-    assert table.size == 1
+    assert [table.contains(n) for n in ("n1", "n2", "n3")] == [False, False, True]
 
 
 def test_pending_churn_never_exceeds_capacity():
@@ -308,9 +307,8 @@ def test_pending_churn_never_exceeds_capacity():
     table = PendingTable(16, 30, clock)
     for step in range(600):  # 10 simulated minutes, one insert per second
         table.try_insert(f"n{step}")
-        assert table.size <= 16
         clock.advance(1)
-    assert table.peak_size <= 16
+    assert table.peak_size == 16
 
 
 class ScanPendingTable:
@@ -334,10 +332,6 @@ class ScanPendingTable:
 
     def remove(self, nonce):
         self.entries.pop(nonce, None)
-
-    @property
-    def size(self):
-        return len(self.entries)
 
 
 PENDING_OPS = st.lists(
@@ -364,8 +358,8 @@ def test_pending_front_sweep_matches_full_scan(capacity, ttl, ops):
         else:
             table.remove(f"n{arg}")
             oracle.remove(f"n{arg}")
-        assert (table.size, table.peak_size) == (oracle.size, oracle.peak_size)
-        assert table.size <= capacity
+        assert [table.contains(f"n{i}") for i in range(31)] == [f"n{i}" in oracle.entries for i in range(31)]
+        assert table.peak_size == oracle.peak_size <= capacity
 
 
 def test_nonce_ring_forgets_only_after_ring_size_newer_nonces():
@@ -392,7 +386,9 @@ def test_scheme_a_grant_happy_path():
     stack = Stack()
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
-    outcome = stack.request_a(alice.did)
+    nonce = stack.fresh_nonce()
+    request = AccessRequest(alice.did, "fl-study", SCHEME_CONTRACT_LOOKUP, nonce)
+    outcome = stack.gateway.request_access(request, attestation=None)
     assert outcome.decision == "granted"
     assert outcome.grant is not None
     assert outcome.grant.holder == alice.did
@@ -402,7 +398,7 @@ def test_scheme_a_grant_happy_path():
     assert payload_dict(grants[0])["tokenDigest"] == (
         hashlib.sha256(outcome.grant.token.encode()).hexdigest()
     )
-    assert stack.gateway.pending.size == 0
+    assert not stack.gateway.pending.contains(nonce.hex()) and stack.gateway.pending.peak_size == 1
     assert stack.gateway.grants.validate(outcome.grant.token, stack.clock()) is not None
 
 
@@ -477,15 +473,16 @@ def test_unresolvable_did_parks_entry_until_ttl():
     outcome = stack.request_a("did:efed:ghost-0")
     assert outcome.decision == "denied" and outcome.reason == "unresolvable"
     assert stack.chain.height == height_before  # nothing written on-chain
-    assert stack.gateway.pending.size == 1
+    assert stack.gateway.pending.peak_size == 1
     for i in range(1, 4):
         stack.request_a(f"did:efed:ghost-{i}")
-    assert stack.gateway.pending.size == 4
+    assert stack.gateway.pending.peak_size == 4
     full = stack.request_a("did:efed:ghost-9")
     assert full.decision == "rejected-capacity"
     stack.clock.advance(31)
-    assert stack.request_a("did:efed:ghost-10").reason == "unresolvable"
-    assert stack.gateway.pending.size == 1  # the four parked entries expired
+    # The four parked entries expired, so four ghosts fit again, and a fifth does not.
+    later = [stack.request_a(f"did:efed:ghost-{i}") for i in range(10, 15)]
+    assert [o.reason for o in later] == ["unresolvable"] * 4 + ["pending table full"]
 
 
 def test_legitimate_request_succeeds_after_flood_sweep():

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgate.canonical import sha256_hex
+from fedgate.canonical import canonical_json_bytes, sha256_hex
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.errors import FedGateError, ValidationError
@@ -129,6 +130,18 @@ def test_contract_id_binds_body():
     assert membership_contract(claim_type="other-claim").contract_id != c.contract_id
     with pytest.raises(TypeError):
         AccessPolicyContract(c.required_claims, c.grants_service, c.owner, c.contract_id)
+
+
+def test_each_signed_body_is_the_persisted_record_less_its_seal():
+    one_of = ClaimRequirement("role", ClaimPredicate(kind="one_of", values=("b", "a")))
+    present = ClaimRequirement("site", ClaimPredicate(kind="present"))
+    contracts = [membership_contract(), AccessPolicyContract((one_of, present), "svc", "did:efed:owner")]
+    claims = [membership_claim(), membership_claim(value="no", issued_at=1, expires_at=2)]
+    for record, seal in [(c, "contractId") for c in contracts] + [(c, "signature") for c in claims]:
+        body = json.loads(canonical_json_bytes(record.to_dict()))
+        del body[seal]
+        assert json.loads(record.signing_bytes()) == body
+        assert record.signing_bytes() == canonical_json_bytes(body)
 
 
 # -------------------------------------------------------------------- deploy

@@ -40,19 +40,23 @@ def test_default_scenario_happy_path(tmp_path):
         assert (result.out_dir / artifact).exists()
 
 
-# sha256 of the seed-7 demo's ledger-side artifacts. They hold no floating
-# point values, so the digests are the same on every machine; a change that
-# moves one of them changes a chain payload, an event or an identity record.
+# sha256 of the seed-7 demo's ledger-side artifacts and its summary. They hold
+# no floating point values (the summary keeps decisions, tx ids, the block
+# count, the job state and relative paths), so the digests are the same on
+# every machine; a change that moves one of them changes a chain payload, an
+# event, an identity record or the story's outcome.
 LEDGER_DIGESTS = {
     "contract_lookup": {
         "chain.jsonl": "0add1533014fb0ae8079416facc35961d9926d583781f7069ad3be2e5bdb70f2",
         "events.jsonl": "023254cccb3cc0e5b0c90b3d93cde1a3242993d158fe2358de19b288a3dc11f2",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+        "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
         "chain.jsonl": "a3c258b1219c45145563d211baed87a168b4bfdcf1806fe069d5734cf93c26c4",
         "events.jsonl": "a4fea1fd8d0792f4205947879ddd9a74caad9b9f27036c8eb5bc82e6aa393768",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+        "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
     },
 }
 
@@ -265,28 +269,18 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
 @pytest.mark.parametrize(
     "raw",
     [
-        {"issuers": "1"},
         {"owners": 3},
         [],
         {"faultSchedule": [{"roundIndex": 2}]},
         {"seed": 1.5},
-        {"service": 5},
-        {"startTime": -5},
-        {"startTime": 2**64},
-        {"startTime": 2**64 - 1},
         {"qualifiedUser": 0},
         {"faultSchedule": [{"roundIndex": 2, "nodeId": "server-0", "node": "server-0"}]},
     ],
     ids=[
-        "text-issuers",
         "owners-key",
         "not-an-object",
         "fault-without-node",
         "fractional-seed",
-        "numeric-service",
-        "negative-start-time",
-        "start-time-past-64-bits",
-        "start-time-leaves-no-clock-steps",
         "qualified-users-typo",
         "fault-event-extra-key",
     ],
@@ -300,24 +294,24 @@ def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     assert not (tmp_path / "demo").exists()
 
 
-# The default story steps the clock 11 times: 3 + 1 + 2 registrations, the
-# deploy, 1 claim, the dataset and 2 access requests.
-LARGEST_DEMO_START = 2**64 - 1 - 11
-
-
-def test_cli_demo_runs_from_the_largest_start_time(tmp_path, capsys):
+# The demo's fixed values are module constants, not config keys.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("issuers", 1),
+        ("samplesPerClient", 40),
+        ("separability", 2.0),
+        ("labelSkew", 0.0),
+        ("startTime", 1_000_000),
+        ("service", "fl-study"),
+    ],
+)
+def test_cli_demo_refuses_a_fixed_value_as_an_unknown_key(tmp_path, capsys, key, value):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"startTime": LARGEST_DEMO_START}))
-    assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 0
-    ok, _ = verify_chain_file(tmp_path / "demo/chain.jsonl")
-    assert ok
-
-
-def test_cli_demo_refuses_a_start_time_one_past_the_largest(tmp_path, capsys):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"startTime": LARGEST_DEMO_START + 1}))
+    path.write_text(json.dumps({key: value}))
     assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
-    assert "11 clock steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown keys" in err and repr(key) in err
     assert not (tmp_path / "demo").exists()
 
 

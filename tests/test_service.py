@@ -775,6 +775,9 @@ def config_body(**fields):
         ("/jobs", {"config": config_body(totalRounds=2.7)}),
         ("/jobs", {"config": config_body(totalRounds=True)}),
         ("/jobs", {"dataFilter": {"maxSamplesPerClient": True}}),
+        ("/jobs", {"dataFilter": {"maxSamplesPerClient": 2.5}}),
+        ("/jobs", {"dataFilter": {"maxSamplesPerClient": 0}}),
+        ("/jobs", {"dataFilter": {"maxSamplesPerClient": "2"}}),
         ("/jobs", {"config": config_body(learningRate=True)}),
         ("/jobs", {"config": config_body(learningRate="0.5")}),
         ("/jobs", {"config": config_body(initialWeights=[True, "1"])}),
@@ -789,6 +792,7 @@ def config_body(**fields):
         "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
+        "fractional-sample-cap", "zero-sample-cap", "text-sample-cap",
         "bool-learning-rate", "text-learning-rate", "bool-and-text-initial-weights", "bool-runtime",
         "text-priority-weight", "overflowing-runtime", "empty-initial-weights", "filter-key-typo",
         "config-key-typo",
@@ -849,6 +853,19 @@ def test_real_body_fields_take_json_integers(tmp_path):
     spec = service.queue.get(response.body["jobId"]).spec
     assert (spec.config.learning_rate, spec.config.initial_weights) == (1.0, (0.0, 1.0))
     assert all(type(v) is float for v in (spec.estimated_runtime, spec.config.learning_rate))
+
+
+def test_count_body_fields_take_integral_floats(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    body = {
+        "config": config_body(totalRounds=5.0, loss={"kind": "logistic", "featureDim": 2.0}),
+        "dataFilter": {"maxSamplesPerClient": 2.0},
+    }
+    response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body=body)
+    assert response.status == 201
+    spec = service.queue.get(response.body["jobId"]).spec
+    counts = (spec.config.total_rounds, spec.config.loss.feature_dim, spec.data_filter.max_samples_per_client)
+    assert counts == (5, 2, 2) and all(type(n) is int for n in counts)
 
 
 def test_grant_opens_only_its_own_service(tmp_path):
