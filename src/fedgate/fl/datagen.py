@@ -17,6 +17,7 @@ import numpy as np
 
 from ..canonical import canonical_json_bytes
 from ..errors import ValidationError
+from .config import _real
 from .data import DatasetPartition, save_partition
 
 MANIFEST_NAME = "manifest.json"
@@ -35,6 +36,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_clients < 1 or self.samples_per_client < 1 or self.feature_dim < 1:
             raise ValidationError("n_clients, samples_per_client, feature_dim must be positive")
+        object.__setattr__(self, "separability", _real("separability", self.separability))
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not 0 <= self.label_skew <= 1:

@@ -10,7 +10,6 @@ order so runs are bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from ..errors import ValidationError
 from .config import FederationConfig
 from .data import DatasetPartition, check_shared_feature_space
 from .metrics import RoundMetrics
-from .model import ModelParameters
 from .training import (
     DIVERGENCE_LIMIT,
     FleetScores,
@@ -28,23 +26,6 @@ from .training import (
     local_train,
     training_accuracy,
 )
-
-WEIGHT_SUM_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class AggregationWeights:
-    """Per-client convex weights, summing to one."""
-
-    entries: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        total = sum(self.entries.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValidationError(f"aggregation weights sum to {total!r}, expected 1")
-        if any(w < 0 or w > 1 for w in self.entries.values()):
-            raise ValidationError("aggregation weights must lie in [0, 1]")
-        object.__setattr__(self, "entries", dict(self.entries))
 
 
 def _seed_key(seed: int) -> int:
@@ -76,37 +57,26 @@ def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]
     return tuple(sorted(roster[i] for i in chosen))
 
 
-def compute_weights(
-    cohort: Sequence[DatasetPartition], config: FederationConfig
-) -> AggregationWeights:
-    """Weights over the round's cohort: data-size proportional or uniform.
-
-    A final renormalization pins the sum to 1 exactly up to float error.
-    """
+def compute_weights(cohort: Sequence[DatasetPartition], config: FederationConfig) -> dict[str, float]:
+    """Convex weights over the round's cohort: data-size proportional or uniform.
+    Each partition holds at least one sample, so every weight lies in (0, 1] and
+    the weights sum to 1 up to float error."""
     if config.weighting == "uniform":
         raw = {p.client_id: 1.0 for p in cohort}
     else:
         raw = {p.client_id: float(p.size) for p in cohort}
     total = sum(raw.values())
-    return AggregationWeights({cid: w / total for cid, w in raw.items()})
+    return {cid: w / total for cid, w in raw.items()}
 
 
-def aggregate(
-    updates: Mapping[str, ModelParameters], weights: AggregationWeights
-) -> ModelParameters:
-    """Convex combination of client models, reduced in ascending id order."""
-    if set(updates) != set(weights.entries):
-        raise ValidationError(
-            f"update keys {sorted(updates)} do not match weight keys "
-            f"{sorted(weights.entries)}"
-        )
-    dims = {m.dimension for m in updates.values()}
-    if len(dims) != 1:
-        raise ValidationError(f"client models disagree on dimension: {sorted(dims)}")
-    acc = np.zeros(dims.pop(), dtype=np.float64)
-    for cid in sorted(updates):
-        acc = acc + weights.entries[cid] * updates[cid].weights
-    return ModelParameters(acc)
+def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -> np.ndarray:
+    """Convex combination of client models over one cohort's ids, reduced in
+    ascending id order."""
+    ids = sorted(updates)
+    acc = np.zeros_like(updates[ids[0]])
+    for cid in ids:
+        acc = acc + weights[cid] * updates[cid]
+    return acc
 
 
 def check_fleet(
@@ -128,10 +98,11 @@ def check_fleet(
     return partitions
 
 
-def initial_model(config: FederationConfig) -> ModelParameters:
+def initial_model(config: FederationConfig) -> np.ndarray:
+    """The round-0 model: one float64 vector of the loss spec's dimension."""
     if config.initial_weights is not None:
-        return ModelParameters.from_values(config.initial_weights)
-    return ModelParameters.zeros(config.loss.parameter_dim)
+        return np.array(config.initial_weights)
+    return np.zeros(config.loss.parameter_dim)
 
 
 def run_federation(
@@ -140,7 +111,7 @@ def run_federation(
     observer: Callable[[RoundMetrics], object] | None = None,
     *,
     eligibility: Callable[[int], frozenset[str]] | None = None,
-) -> ModelParameters:
+) -> np.ndarray:
     """Execute rounds 1..T of select / local-train / aggregate from ``initial_model``.
 
     Per-round metrics go to ``observer``, whose truthy return ends the run
@@ -170,7 +141,7 @@ def run_federation(
         updates = dict(zip(selected, local_train(model, cohort, config, seeds)))
 
         model = aggregate(updates, compute_weights(cohort, config))
-        if model.max_abs() > DIVERGENCE_LIMIT:
+        if np.abs(model).max() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
         scores = fleet.fill(model)

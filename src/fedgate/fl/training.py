@@ -11,7 +11,6 @@ from ..errors import FedGateError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition
 from .losses import stacked_gradient
-from .model import ModelParameters
 
 # A job is aborted once any weight magnitude passes this bound.
 DIVERGENCE_LIMIT = 1e6
@@ -31,12 +30,13 @@ class TrainingDivergedError(FedGateError):
 
 
 def local_train(
-    model: ModelParameters,
+    model: np.ndarray,
     partitions: Sequence[DatasetPartition],
     config: FederationConfig,
     round_seeds: Sequence[int],
-) -> list[ModelParameters]:
-    """Run E epochs of gradient descent on each partition's mean loss, all at once.
+) -> np.ndarray:
+    """Run E epochs of gradient descent on each partition's mean loss, all at once;
+    row i of the returned ``(k, p)`` array is ``partitions[i]``'s update.
 
     Equally sized partitions train as one ``(k, n, d)`` stack, one
     ``stacked_gradient`` per step. Each client shuffles minibatches with its
@@ -44,20 +44,20 @@ def local_train(
     whichever clients share the call. The input model is never modified. If
     clients diverge, the error names the lowest id among them and the first
     check that client failed, as training them one by one in id order would.
-    Dimensions come checked by ``check_fleet``, ``initial_model`` and ``aggregate``.
+    Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(partitions):
         groups.setdefault(p.size, []).append(i)
-    trained: dict[int, np.ndarray] = {}
+    trained = np.empty((len(partitions), model.shape[0]))
     failures: dict[str, str] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
         for n, members in groups.items():
             ids = [partitions[i].client_id for i in members]
             x = np.stack([partitions[i].features for i in members])
             y = np.stack([partitions[i].labels for i in members])
-            weights = np.tile(model.weights, (len(members), 1))
+            weights = np.tile(model, (len(members), 1))
             seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members] if minibatch else []
             rngs = [np.random.default_rng([seed]) for seed in seeds]
             step, rows = (config.batch_size if minibatch else n), np.arange(len(members))[:, None]
@@ -75,11 +75,11 @@ def local_train(
                 _note(failures, ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
                 too_large = np.abs(weights).max(axis=1) > DIVERGENCE_LIMIT
                 _note(failures, ids, too_large, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
-            trained.update(zip(members, weights))
+            trained[members] = weights
     if failures:
         client_id = min(failures)
         raise TrainingDivergedError(client_id, failures[client_id])
-    return [ModelParameters(trained[i]) for i in range(len(partitions))]
+    return trained
 
 
 def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str) -> None:
@@ -114,11 +114,11 @@ class FleetScores:
         self._runs = [(as_strided(x, (n, x.shape[1])), self.scores[e - n : e]) for (x, n), e in zip(runs, ends)]
         self._dim, self._bias = loss.feature_dim, loss.bias
 
-    def fill(self, model: ModelParameters) -> np.ndarray:
+    def fill(self, model: np.ndarray) -> np.ndarray:
         for features, out in self._runs:
-            np.matmul(features, model.weights[: self._dim], out=out)
+            np.matmul(features, model[: self._dim], out=out)
         if self._bias:
-            self.scores += model.weights[self._dim]
+            self.scores += model[self._dim]
         return self.scores
 
 

@@ -246,7 +246,7 @@ def _read_records(path: Path) -> tuple[list, int | None]:
                 continue
             try:
                 records.append(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except ValueError:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
                 return records, len(records)
     return records, None
 

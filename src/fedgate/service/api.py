@@ -22,7 +22,7 @@ from ..ledger import ContractNotFoundError
 from .facade import FlaasService, UnauthorizedTokenError, UnknownJobError
 from .jobs import DataFilter
 
-_JOB_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9-]+)(?P<tail>/metrics|/model)?$")
+_JOB_PATH = re.compile(r"/jobs/(?P<job_id>[A-Za-z0-9-]+)(?P<tail>/metrics|/model)?")
 _REQUEST_KEYS = frozenset({"requester", "service", "scheme", "nonce", "attestation"})
 _JOB_KEYS = frozenset({"config", "dataFilter", "estimatedRuntime", "priorityWeight"})
 
@@ -108,7 +108,7 @@ class ServiceApi:
             return Response(200, {"preview": self._service.metadata(token).preview_dicts()})
         if path == "/jobs" and method == "POST":
             return self._submit_job(headers, body)
-        match = _JOB_PATH.match(path)
+        match = _JOB_PATH.fullmatch(path)
         if match and method == "GET":
             return self._job_routes(match, headers)
         raise ApiError(404, f"no route for {method} {path}")

@@ -18,7 +18,6 @@ from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import _sigmoid, stacked_gradient
-from fedgate.fl.model import ModelParameters
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
 
@@ -96,10 +95,10 @@ class Stack:
 # ------------------------------------------------------------- loss oracles
 
 
-def _checked_features(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
-    if model.dimension != loss.parameter_dim:
+def _checked_features(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+    if model.shape != (loss.parameter_dim,):
         raise ValidationError(
-            f"model dimension {model.dimension} does not match parameter dimension "
+            f"model shape {model.shape} does not match parameter dimension "
             f"{loss.parameter_dim}"
         )
     x = np.asarray(features, dtype=np.float64)
@@ -110,26 +109,26 @@ def _checked_features(model: ModelParameters, features: np.ndarray, loss: LossSp
     return x
 
 
-def raw_scores(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+def raw_scores(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Linear scores z = Xw (+ the bias weight) for each sample."""
-    z = _checked_features(model, features, loss) @ model.weights[: loss.feature_dim]
-    return z + model.weights[loss.feature_dim] if loss.bias else z
+    z = _checked_features(model, features, loss) @ model[: loss.feature_dim]
+    return z + model[loss.feature_dim] if loss.bias else z
 
 
-def per_partition_scores(model: ModelParameters, partitions, loss: LossSpec) -> np.ndarray:
+def per_partition_scores(model: np.ndarray, partitions, loss: LossSpec) -> np.ndarray:
     """Scores in list order, one matmul per partition: the bits ``FleetScores.fill``
     keeps however it merges partitions into runs."""
     return np.concatenate([raw_scores(model, p.features, loss) for p in partitions])
 
 
-def predict(model: ModelParameters, features: np.ndarray, loss: LossSpec) -> np.ndarray:
+def predict(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Model outputs: linear scores for squared_error, probabilities for logistic."""
     z = raw_scores(model, features, loss)
     return _sigmoid(z) if loss.kind == "logistic" else z
 
 
 def mean_loss(
-    model: ModelParameters, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+    model: np.ndarray, features: np.ndarray, labels: np.ndarray, loss: LossSpec
 ) -> float:
     """Mean-over-samples loss on one dataset."""
     z = raw_scores(model, features, loss)
@@ -143,9 +142,9 @@ def mean_loss(
 
 
 def gradient(
-    model: ModelParameters, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+    model: np.ndarray, features: np.ndarray, labels: np.ndarray, loss: LossSpec
 ) -> np.ndarray:
     """Analytic gradient of the mean loss: ``stacked_gradient`` for a cohort of one."""
     x = _checked_features(model, features, loss)
     y = np.asarray(labels, dtype=np.float64)
-    return stacked_gradient(model.weights[None], x[None], y[None], loss)[0]
+    return stacked_gradient(model[None], x[None], y[None], loss)[0]

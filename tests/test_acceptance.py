@@ -25,8 +25,7 @@ from fedgate.fl import (
     generate_partitions,
     run_federation,
 )
-from fedgate.fl.federation import AggregationWeights, aggregate, initial_model
-from fedgate.fl.model import ModelParameters
+from fedgate.fl.federation import aggregate, initial_model
 from fedgate.access.issuance import verify_claim
 from fedgate.ledger import Chain, load_chain, verify_chain_file
 from fedgate.service import FaultEvent, JobExecutor, NodeRegistry
@@ -77,7 +76,7 @@ def test_01_centralized_equivalence():
         parts = random_partitions(rng, n, dim, logistic=(kind == "logistic"))
         final = run_federation(config, parts)
         expected = centralized_gd_step(initial_model(config), parts, config)
-        worst = max(worst, float(np.max(np.abs(final.weights - expected))))
+        worst = max(worst, float(np.max(np.abs(final - expected))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 5.0
     report(1, "centralized equivalence", ok, f"worst delta {worst:.2e}, {elapsed:.2f}s")
@@ -116,13 +115,8 @@ def test_02_desk_scale_convergence():
     pooled_y = np.concatenate([p.labels for p in parts])
     weights = np.zeros(loss.parameter_dim)
     for _ in range(config.total_rounds * config.local_epochs):
-        model = ModelParameters(weights)
-        weights = weights - config.learning_rate * gradient(
-            model, pooled_x, pooled_y, loss
-        )
-    central_accuracy = float(
-        np.mean((predict(ModelParameters(weights), pooled_x, loss) >= 0.5) == pooled_y)
-    )
+        weights = weights - config.learning_rate * gradient(weights, pooled_x, pooled_y, loss)
+    central_accuracy = float(np.mean((predict(weights, pooled_x, loss) >= 0.5) == pooled_y))
     elapsed = time.perf_counter() - started
     gap = abs(fed_accuracy - central_accuracy)
     ok = fed_accuracy >= 0.95 and gap <= 0.04 and elapsed < 30.0
@@ -149,26 +143,23 @@ def test_03_aggregation_properties():
         ids = [f"c{i:02d}" for i in range(n)]
         raw = rng.random(n) + 1e-3
         probs = raw / raw.sum()
-        weights = AggregationWeights(dict(zip(ids, probs)))
-        updates = {cid: ModelParameters(rng.normal(size=dim)) for cid in ids}
+        weights = dict(zip(ids, probs))
+        updates = {cid: rng.normal(size=dim) for cid in ids}
         combined = aggregate(updates, weights)
 
-        stacked = np.stack([updates[cid].weights for cid in ids])
+        stacked = np.stack([updates[cid] for cid in ids])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-        convex_ok = bool(
-            np.all(combined.weights >= lo - 1e-12)
-            and np.all(combined.weights <= hi + 1e-12)
-        )
+        convex_ok = bool(np.all(combined >= lo - 1e-12) and np.all(combined <= hi + 1e-12))
 
         shuffled_ids = list(ids)
         rng.shuffle(shuffled_ids)
         permuted = aggregate(
             {cid: updates[cid] for cid in shuffled_ids},
-            AggregationWeights({cid: weights.entries[cid] for cid in shuffled_ids}),
+            {cid: weights[cid] for cid in shuffled_ids},
         )
-        permutation_ok = combined.weights.tobytes() == permuted.weights.tobytes()
+        permutation_ok = combined.tobytes() == permuted.tobytes()
 
-        sum_ok = abs(sum(weights.entries.values()) - 1.0) <= 1e-12
+        sum_ok = abs(sum(weights.values()) - 1.0) <= 1e-12
         if not (convex_ok and permutation_ok and sum_ok):
             failures += 1
     ok = failures == 0
@@ -195,16 +186,13 @@ def test_04_gradient_finite_differences():
                 else rng.normal(size=n)
             )
             w = rng.normal(size=spec.parameter_dim)
-            analytic = gradient(ModelParameters(w), x, y, spec)
+            analytic = gradient(w, x, y, spec)
             numeric = np.empty_like(analytic)
             for j in range(w.size):
                 up, down = w.copy(), w.copy()
                 up[j] += h
                 down[j] -= h
-                numeric[j] = (
-                    mean_loss(ModelParameters(up), x, y, spec)
-                    - mean_loss(ModelParameters(down), x, y, spec)
-                ) / (2 * h)
+                numeric[j] = (mean_loss(up, x, y, spec) - mean_loss(down, x, y, spec)) / (2 * h)
             scale = np.maximum(1.0, np.abs(analytic))
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
     ok = worst <= 1e-5

@@ -190,6 +190,22 @@ def test_file_round_trip_and_tamper(tmp_path):
         load_chain(path)
 
 
+def test_integer_past_the_digit_limit_reads_as_tampering(tmp_path, capsys):
+    # json.loads refuses a 5,000-digit integer with a plain ValueError, not a
+    # JSONDecodeError; the line is unparsable like any other.
+    path = build_chain(3).write_chain(tmp_path / "chain.jsonl")
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert b'"height":1,' in lines[1]
+    lines[1] = lines[1].replace(b'"height":1,', b'"height":' + b"9" * 5000 + b",")
+    path.write_bytes(b"".join(lines))
+    assert verify_chain_file(path) == (False, 1)
+    with pytest.raises(ValidationError, match="height 1"):
+        load_chain(path)
+    capsys.readouterr()
+    assert main(["verify-chain", str(path)]) == 1
+    assert capsys.readouterr().out == "chain invalid at height 1\n"
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_any_single_bit_flip_invalidates(data):

@@ -375,6 +375,15 @@ def test_cli_unusable_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_gen_data_names_a_non_finite_separability(tmp_path, capsys, value):
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(out), "--separability", value]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "separability must be a finite number" in err
+    assert not out.exists()
+
+
 def test_cli_demo_and_verify_chain(tmp_path):
     out = tmp_path / "demo"
     assert main(["demo", "--out", str(out), "--seed", "5"]) == 0

@@ -614,6 +614,9 @@ def test_job_lifecycle_through_api(tmp_path):
     assert len(model.body["weights"]) == 2
 
     assert api.handle("GET", "/jobs/nope", headers=headers).status == 404
+    # Every route compares the whole path, so a final newline names no route.
+    for path in (f"/jobs/{job_id}\n", f"/jobs/{job_id}/metrics\n", f"/jobs/{job_id}/model\n", "/access/howto\n"):
+        assert api.handle("GET", path, headers=headers).status == 404, repr(path)
 
 
 def test_missing_or_unreadable_artifact_answers_404(tmp_path):

@@ -15,7 +15,6 @@ from fedgate.fl import (
     run_federation,
 )
 from fedgate.fl.losses import _sigmoid
-from fedgate.fl.model import ModelParameters
 from fedgate.fl.training import (
     DIVERGENCE_LIMIT,
     SIGMOID_HALF,
@@ -49,15 +48,15 @@ def one_sample_partition():
 
 def test_zero_learning_rate_is_identity():
     config = make_config(learning_rate=0.0)
-    model = ModelParameters.from_values([3.5])
+    model = np.array([3.5])
     out = local_train(model, [one_sample_partition()], config, [1])
-    assert out == [model]
+    assert np.array_equal(out, [model])
 
 
 def test_hand_computed_single_step():
     # grad = 2(0*1 - 1)*1 = -2; w' = 0 - 1*(-2) = 2
     config = make_config(learning_rate=1.0)
-    [out] = local_train(ModelParameters.zeros(1), [one_sample_partition()], config, [1])
+    [out] = local_train(np.zeros(1), [one_sample_partition()], config, [1])
     assert out.tolist() == [2.0]
 
 
@@ -67,11 +66,11 @@ def test_two_epochs_compose_single_steps():
         features=np.array([[1.0], [2.0], [-1.0]]),
         labels=np.array([1.0, 0.5, 0.0]),
     )
-    model = ModelParameters.from_values([0.3])
+    model = np.array([0.3])
     one = make_config(learning_rate=0.05)
     two = make_config(learning_rate=0.05, local_epochs=2)
     stepped_twice = local_train(local_train(model, [part], one, [9])[0], [part], one, [9])
-    assert local_train(model, [part], two, [9]) == stepped_twice
+    assert np.array_equal(local_train(model, [part], two, [9]), stepped_twice)
 
 
 def test_input_model_unmodified_and_deterministic():
@@ -85,15 +84,15 @@ def test_input_model_unmodified_and_deterministic():
         batch_mode="minibatch",
         batch_size=3,
     )
-    model = ModelParameters.from_values([0.1, -0.2])
-    before = model.weights.copy()
+    model = np.array([0.1, -0.2])
+    before = model.copy()
     first = local_train(model, [part], config, [42])
     second = local_train(model, [part], config, [42])
-    assert np.array_equal(model.weights, before)
-    assert first == second
+    assert np.array_equal(model, before)
+    assert np.array_equal(first, second)
     # A different round seed shuffles minibatches differently.
     other = local_train(model, [part], config, [43])
-    assert first != other
+    assert not np.array_equal(first, other)
 
 
 def test_divergence_names_the_client():
@@ -102,7 +101,7 @@ def test_divergence_names_the_client():
     )
     config = make_config(learning_rate=50.0, local_epochs=200)
     with pytest.raises(TrainingDivergedError) as err:
-        local_train(ModelParameters.from_values([1.0]), [part], config, [0])
+        local_train(np.array([1.0]), [part], config, [0])
     assert "patient-7" in str(err.value)
     assert err.value.client_id == "patient-7"
 
@@ -114,7 +113,7 @@ def sequential_local_train(model, partition, config, round_seed):
     x_all = partition.features
     if loss.bias:
         x_all = np.hstack([x_all, np.ones((partition.size, 1))])
-    weights = model.weights.copy()
+    weights = model.copy()
     rng = (
         np.random.default_rng([round_seed & 0xFFFFFFFFFFFFFFFF])
         if config.batch_mode == "minibatch"
@@ -145,7 +144,7 @@ def sequential_local_train(model, partition, config, round_seed):
             raise TrainingDivergedError(
                 partition.client_id, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}"
             )
-    return ModelParameters(weights)
+    return weights
 
 
 def cohort_config(kind, bias, batch_size, **overrides):
@@ -176,11 +175,11 @@ def test_cohort_matches_per_client_oracle(kind, bias, batch_size):
     rng = np.random.default_rng(41)
     parts = random_partitions(rng, [3, 7, 10, 10, 13, 100], kind)
     config = cohort_config(kind, bias, batch_size, local_epochs=3, learning_rate=0.05)
-    model = ModelParameters(rng.normal(scale=0.5, size=config.loss.parameter_dim))
+    model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(parts))]
     cohort = local_train(model, parts, config, seeds)
     worst = max(
-        np.max(np.abs(got.weights - sequential_local_train(model, p, config, seed).weights))
+        np.max(np.abs(got - sequential_local_train(model, p, config, seed)))
         for p, seed, got in zip(parts, seeds, cohort)
     )
     assert worst <= 1e-12
@@ -199,13 +198,13 @@ def test_client_update_does_not_depend_on_its_cohort(kind, bias, batch_size, siz
     rng = np.random.default_rng(data_seed)
     parts = random_partitions(rng, sizes, kind)
     config = cohort_config(kind, bias, batch_size, local_epochs=2, learning_rate=0.05)
-    model = ModelParameters(rng.normal(scale=0.5, size=config.loss.parameter_dim))
+    model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
     order = data.draw(st.permutations(range(len(parts))))
     cohort = local_train(model, [parts[i] for i in order], config, [seeds[i] for i in order])
     for i, got in zip(order, cohort):
         [alone] = local_train(model, [parts[i]], config, [seeds[i]])
-        assert np.array_equal(alone.weights, got.weights)
+        assert np.array_equal(alone, got)
 
 
 @pytest.mark.parametrize("late_rows", [1, 2])
@@ -219,7 +218,7 @@ def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows)
     )
     early = DatasetPartition(client_id="b", features=np.array([[1e4]]), labels=np.array([0.0]))
     config = make_config(learning_rate=0.5, local_epochs=40)
-    model = ModelParameters.from_values([1.0])
+    model = np.array([1.0])
     with pytest.raises(TrainingDivergedError) as expected:
         for part in (late, early):
             sequential_local_train(model, part, config, 0)
@@ -281,7 +280,7 @@ def per_partition_accuracy(model, partitions, spec):
 def test_global_loss_single_partition_equals_local():
     spec = LossSpec(kind="squared_error", feature_dim=1)
     part = one_sample_partition()
-    model = ModelParameters.from_values([0.25])
+    model = np.array([0.25])
     assert pooled_eval(model, [part], spec)[0] == mean_loss(
         model, part.features, part.labels, spec
     )
@@ -296,7 +295,7 @@ def test_global_loss_weighted_combination():
         features=np.array([[1.0], [2.0], [3.0]]),
         labels=np.array([1.0, 1.0, 1.0]),
     )
-    model = ModelParameters.from_values([1.0])
+    model = np.array([1.0])
     a = mean_loss(model, p1.features, p1.labels, spec)
     b = mean_loss(model, p2.features, p2.labels, spec)
     expected = (a + 3 * b) / 4
@@ -319,7 +318,7 @@ def test_global_loss_decomposition_random_partitions():
                     labels=(rng.random(n) > 0.5).astype(float),
                 )
             )
-        model = ModelParameters(rng.normal(size=3))
+        model = rng.normal(size=3)
         lhs, _ = pooled_eval(model, parts, spec)
         rhs = sum(
             p.size * mean_loss(model, p.features, p.labels, spec) for p in parts
@@ -345,7 +344,7 @@ def test_pooled_evaluation_matches_per_partition_oracle(kind, bias):
                     client_id=f"c{i}", features=rng.normal(size=(n, 4)), labels=labels
                 )
             )
-        model = ModelParameters(rng.normal(size=spec.parameter_dim))
+        model = rng.normal(size=spec.parameter_dim)
         loss, accuracy = pooled_eval(model, parts, spec)
         oracle = sum(
             p.size * mean_loss(model, p.features, p.labels, spec) for p in parts
@@ -360,7 +359,7 @@ def test_zero_model_scores_every_sample_positive():
     spec = LossSpec(kind="logistic", feature_dim=2, bias=True)
     labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     part = DatasetPartition(client_id="z", features=np.ones((5, 2)), labels=labels)
-    model = ModelParameters.zeros(spec.parameter_dim)
+    model = np.zeros(spec.parameter_dim)
     assert np.all(predict(model, part.features, spec) == 0.5)
     assert pooled_eval(model, [part], spec)[1] == 3 / 5 == per_partition_accuracy(model, [part], spec)
 
@@ -468,7 +467,7 @@ def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, see
     rng = np.random.default_rng(seed)
     assert scores.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
     for _ in range(2):  # refilled in place
-        model = ModelParameters(rng.normal(size=loss.parameter_dim))
+        model = rng.normal(size=loss.parameter_dim)
         assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
 
 
