@@ -58,22 +58,22 @@ def main() -> int:
 
     worst = 0
     for name, config in variants.items():
-        result = run_demo(config)
-        worst = max(worst, result.exit_code)
-        summary = json.loads(result.summary_path.read_text())
+        summary = run_demo(config)
+        out_dir = Path(config.out_dir)
+        worst = max(worst, summary["exitCode"])
         decisions = ", ".join(
-            f"{d['did'].rsplit(':', 1)[1]}={d['decision']}" for d in result.decisions
+            f"{d['did'].rsplit(':', 1)[1]}={d['decision']}" for d in summary["decisions"]
         )
-        print(f"[{name}] exit={result.exit_code} {decisions}")
-        if result.job_state is not None:
-            job = summary["job"]
+        print(f"[{name}] exit={summary['exitCode']} {decisions}")
+        job = summary.get("job")
+        if job is not None:
             print(
                 f"    job {job['jobId']}: {job['state']} after "
                 f"{job['roundsExecuted']} rounds"
             )
-        if result.model_path is not None:
-            print(f"    weights sha256/16 {weights_digest(result.model_path)}")
-        print(f"    chain sha256/16 {digest(result.chain_path)}")
+            if job["model"] is not None:
+                print(f"    weights sha256/16 {weights_digest(out_dir / job['model'])}")
+        print(f"    chain sha256/16 {digest(out_dir / 'chain.jsonl')}")
 
     model_of = {
         name: Path(cfg.out_dir) / "artifacts/job-0001/model.json"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,14 +27,6 @@ if TYPE_CHECKING:
 ROLE_CLAIM = "role"
 CLAIM_VALIDITY_SECONDS = 365 * 24 * 3600
 _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
-
-
-@dataclass(frozen=True)
-class LegacyImportResult:
-    username: str
-    did: str
-    status: str  # imported | skipped
-    value: str = ""
 
 
 def read_accounts_csv(path: Path) -> list[tuple[str, str]]:
@@ -63,8 +54,13 @@ def import_legacy_accounts(
     accounts: list[tuple[str, str]],
     desk: Desk,
     issuer: ClaimIssuer,
-) -> list[LegacyImportResult]:
-    """Register each account's DID and issue its ``CLAIM_VALIDITY_SECONDS`` role claim."""
+) -> list[dict]:
+    """Register each account's DID and issue its ``CLAIM_VALIDITY_SECONDS`` role claim.
+
+    Returns one ``report.json`` row per account: its ``username``, ``did``,
+    ``status`` (``imported`` or ``skipped``), ``claimType`` and the claim's
+    ``value``, empty for a skipped account.
+    """
     ids = ["legacy-" + "".join(c if c in _USERNAME_SAFE else "-" for c in u) for u, _ in accounts]
     owners: dict[str, str] = {}
     for (username, _), specific_id in zip(accounts, ids):
@@ -72,7 +68,7 @@ def import_legacy_accounts(
             raise ValidationError(
                 f"usernames {owners[specific_id]!r} and {username!r} both map to did:efed:{specific_id}"
             )
-    results = []
+    report = []
     for row, ((username, role), specific_id) in enumerate(zip(accounts, ids)):
         key = desk.keypair("legacy-account", row)
         document = DidDocument.for_key("efed", specific_id, key.public_bytes)
@@ -81,8 +77,10 @@ def import_legacy_accounts(
         try:
             desk.registry.register(document, profile_hash=profile_hash)
         except AlreadyRegisteredError:  # the DID or the profile hash is taken
-            results.append(LegacyImportResult(username, did, "skipped"))
-            continue
-        claim = issuer.issue(did, ROLE_CLAIM, role, CLAIM_VALIDITY_SECONDS)
-        results.append(LegacyImportResult(username, did, "imported", value=claim.value))
-    return results
+            status, value = "skipped", ""
+        else:
+            status, value = "imported", issuer.issue(did, ROLE_CLAIM, role, CLAIM_VALIDITY_SECONDS).value
+        report.append(
+            {"username": username, "did": did, "status": status, "claimType": ROLE_CLAIM, "value": value}
+        )
+    return report

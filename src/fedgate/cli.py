@@ -15,18 +15,20 @@ import json
 import sys
 from pathlib import Path
 
-from .access.legacy import ROLE_CLAIM, import_legacy_accounts, read_accounts_csv
+from .access.legacy import import_legacy_accounts, read_accounts_csv
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
-from .ledger import verify_chain_file
-from .scenario import START_TIME, ScenarioConfig, run_demo
+from .ledger import load_chain, verify_chain_file
+from .scenario import START_TIME, ScenarioConfig, replay_ledger, run_demo
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+
+_DECISION_OF = {"access_grant": "granted", "access_denial": "denied"}
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -48,13 +50,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
         overrides["scheme"] = args.scheme
     config = dataclasses.replace(config, **overrides)
 
-    result = run_demo(config)
-    for decision in result.decisions:
+    summary = run_demo(config)
+    for decision in summary["decisions"]:
         print(f"{decision['did']}: {decision['decision']}")
-    if result.job_state is not None:
-        print(f"job: {result.job_state}")
-    print(f"artifacts: {result.out_dir}")
-    return result.exit_code
+    if "job" in summary:
+        print(f"job: {summary['job']['state']}")
+    print(f"artifacts: {Path(config.out_dir)}")
+    return summary["exitCode"]
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -73,10 +75,45 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_verify_chain(args: argparse.Namespace) -> int:
     ok, bad_height = verify_chain_file(Path(args.chain))
-    if ok:
-        print("chain verified")
-        return EXIT_OK
-    print(f"chain invalid at height {bad_height}")
+    if not ok:
+        print(f"chain invalid at height {bad_height}")
+        return EXIT_DOMAIN
+    print("chain verified")
+    if args.events is not None:
+        try:
+            replay_ledger(Path(args.events), Path(args.chain))
+        except ValidationError as exc:  # names the line or the first differing height
+            print(f"replay refused: {exc}")
+            return EXIT_DOMAIN
+        print("event log replays to the chain")
+    if args.explain is not None:
+        return _explain_decision(load_chain(Path(args.chain)), args.explain)
+    return EXIT_OK
+
+
+def _explain_decision(blocks, request_ref: str) -> int:
+    """Print the access decision sealed for ``request_ref``, as its block holds it."""
+    for block in blocks:
+        for tx in block.transactions:
+            if tx.kind not in _DECISION_OF:
+                continue
+            try:  # the block hashes cover these bytes, not their shape
+                payload = json.loads(tx.payload)
+                if payload["requestRef"] != request_ref:
+                    continue
+                lines = [
+                    f"request {request_ref}: {_DECISION_OF[tx.kind]}",
+                    f"  holder: {payload['holder']}",
+                    f"  service: {payload['service']}",
+                    f"  contract: {payload['contractId']}",
+                    f"  missing claims: {', '.join(payload.get('missing', [])) or '-'}",
+                    f"  block: {block.height} at time {block.timestamp}",
+                ]
+            except (ValueError, TypeError, KeyError):
+                raise ValidationError(f"block {block.height} holds a malformed {tx.kind} payload") from None
+            print("\n".join(lines))
+            return EXIT_OK
+    print(f"no access decision has requestRef {request_ref}")
     return EXIT_DOMAIN
 
 
@@ -101,25 +138,15 @@ def cmd_import_legacy(args: argparse.Namespace) -> int:
     trusted = frozenset({"did:efed:importer"})
     desk = build_desk(seed, SimulatedClock(start=START_TIME), trusted)
     issuer = desk.claim_issuer(desk.register("importer", desk.keypair("importer", 0)))
-    results = import_legacy_accounts(accounts, desk, issuer)
+    report = import_legacy_accounts(accounts, desk, issuer)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = [
-        {
-            "username": r.username,
-            "did": r.did,
-            "status": r.status,
-            "claimType": ROLE_CLAIM,
-            "value": r.value,
-        }
-        for r in results
-    ]
     (out_dir / "report.json").write_bytes(canonical_json_bytes(report) + b"\n")
     desk.chain.write_chain(out_dir / "chain.jsonl")
     desk.registry.write_log(out_dir / "identity.jsonl")
-    imported = sum(1 for r in results if r.status == "imported")
-    print(f"imported {imported} of {len(results)} accounts into {out_dir}")
+    imported = sum(1 for r in report if r["status"] == "imported")
+    print(f"imported {imported} of {len(report)} accounts into {out_dir}")
     return EXIT_OK
 
 
@@ -159,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-chain", help="check a persisted ledger file")
     verify.add_argument("chain", help="chain JSONL file")
+    verify.add_argument("--events", default=None, help="event log that must replay to the chain")
+    verify.add_argument(
+        "--explain", default=None, metavar="REQUEST_REF", help="print the access decision of one request"
+    )
     verify.set_defaults(func=cmd_verify_chain)
 
     plot = sub.add_parser("plot-metrics", help="turn a metrics CSV into a gnuplot-ready series")

@@ -139,26 +139,18 @@ class ScenarioConfig:
         )
 
 
-@dataclass(frozen=True)
-class DemoResult:
-    exit_code: int
-    out_dir: Path
-    chain_path: Path
-    events_path: Path
-    summary_path: Path
-    decisions: tuple[dict, ...]
-    job_state: str | None
-    model_path: Path | None
+def run_demo(config: ScenarioConfig) -> dict:
+    """Run the whole story, drop its artifacts in ``config.out_dir`` and
+    return the summary it writes there as ``summary.json``.
 
-
-def run_demo(config: ScenarioConfig) -> DemoResult:
-    """Run the whole story and drop its artifacts in ``config.out_dir``.
-
-    Exit code 0 means the scenario played out exactly as configured: every
+    The ledger, event log and identity log are ``chain.jsonl``,
+    ``events.jsonl`` and ``identity.jsonl`` in the out dir, and the
+    summary's ``job`` names the job's metrics and model files relative to it.
+    ``exitCode`` 0 means the scenario played out exactly as configured: every
     claimed user got in, every unclaimed user was turned away on-chain, the
     training job reached a healthy terminal state, and the ledger verifies.
-    Exit code 1 flags a domain failure (no grants issued, job failed, chain
-    broken); validation problems raise and are mapped to 2 by the CLI.
+    1 flags a domain failure (no grants issued, job failed, chain broken);
+    validation problems raise and are mapped to 2 by the CLI.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +247,7 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
             log.emit("job-transition", jobId=job_record.job_id, start=old, end=new, moment=at)
 
     chain_path = desk.chain.write_chain(out_dir / "chain.jsonl")
-    events_path = log.write(out_dir / "events.jsonl")
+    log.write(out_dir / "events.jsonl")
     desk.registry.write_log(out_dir / "identity.jsonl")
     chain_ok, _ = verify_chain_file(chain_path)
 
@@ -272,21 +264,15 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
         and len(denied) == config.users - config.qualified_users
         and healthy_job
     )
-    exit_code = 0 if as_configured else 1
-
-    model_path = None
     summary = {
         "seed": config.seed,
         "scheme": config.scheme,
         "decisions": decisions,
         "chainVerified": chain_ok,
         "chainBlocks": desk.chain.height + 1,
-        "exitCode": exit_code,
+        "exitCode": 0 if as_configured else 1,
     }
     if job_record is not None:
-        model_path = (
-            Path(job_record.model_address) if job_record.model_address else None
-        )
         summary["job"] = {
             "jobId": job_record.job_id,
             "state": job_record.state,
@@ -295,19 +281,8 @@ def run_demo(config: ScenarioConfig) -> DemoResult:
             "metrics": _relative(job_record.metrics_address, out_dir),
             "model": _relative(job_record.model_address, out_dir),
         }
-    summary_path = out_dir / "summary.json"
-    summary_path.write_bytes(canonical_json_bytes(summary) + b"\n")
-
-    return DemoResult(
-        exit_code=exit_code,
-        out_dir=out_dir,
-        chain_path=chain_path,
-        events_path=events_path,
-        summary_path=summary_path,
-        decisions=tuple(decisions),
-        job_state=job_record.state if job_record is not None else None,
-        model_path=model_path,
-    )
+    (out_dir / "summary.json").write_bytes(canonical_json_bytes(summary) + b"\n")
+    return summary
 
 
 def _relative(address: str | None, root: Path) -> str | None:

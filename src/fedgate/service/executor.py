@@ -116,16 +116,7 @@ class JobExecutor:
             "roundsExecuted": len(rows),
             "finalLoss": final.global_loss,
             "finalAccuracy": final.train_accuracy,
-            "failover": [
-                {
-                    "kind": a.kind,
-                    "failedNode": a.failed_node,
-                    "replacement": a.replacement,
-                    "clientId": a.client_id,
-                    "round": a.round_index,
-                }
-                for a in node_registry.actions
-            ],
+            "failover": node_registry.actions,
         }
         model_path = job_dir / "model.json"
         model_path.write_bytes(canonical_json_bytes(artifact) + b"\n")

@@ -30,15 +30,6 @@ class FaultEvent:
             raise ValidationError(f"fault node ids must be strings, got {self.node_id!r}")
 
 
-@dataclass(frozen=True)
-class FailoverAction:
-    kind: str  # client-swap | client-excluded | server-swap | server-lost | standby-lost
-    failed_node: str
-    replacement: str | None
-    client_id: str | None
-    round_index: int
-
-
 class NodeRegistry:
     def __init__(self):
         self._is_server: dict[str, bool] = {}  # every node id this fleet holds
@@ -48,7 +39,7 @@ class NodeRegistry:
         self._serving: dict[str, str] = {}  # client_id -> node_id
         self._excluded_since: dict[str, int] = {}
         self.faults: tuple[FaultEvent, ...] = ()
-        self.actions: list[FailoverAction] = []
+        self.actions: list[dict] = []  # the failover log model.json carries
 
     @classmethod
     def provision(
@@ -96,37 +87,41 @@ class NodeRegistry:
         for node_id in sorted(due, key=lambda n: not self._is_server[n]):
             action = self.fail(node_id, round_index)
             self.actions.append(action)
-            if action.kind == "server-lost":
+            if action["kind"] == "server-lost":
                 raise FedGateError("server failed with no standby")
 
-    def fail(self, node_id: str, round_index: int) -> FailoverAction:
-        """Mark a live node of this fleet dead and promote a standby if one is available."""
-        for pool in (self._standby_servers, self._standby_clients):
-            if node_id in pool:
-                pool.remove(node_id)
-                return FailoverAction("standby-lost", node_id, None, None, round_index)
+    def fail(self, node_id: str, round_index: int) -> dict:
+        """Mark a live node of this fleet dead and promote a standby if one is available.
 
-        if self._is_server[node_id]:
-            self._server = None
-            if self._standby_servers:
-                self._server = self._standby_servers.pop(0)
-                return FailoverAction(
-                    "server-swap", node_id, self._server, None, round_index
-                )
-            return FailoverAction("server-lost", node_id, None, None, round_index)
-
-        client_id = next(c for c, n in self._serving.items() if n == node_id)
-        del self._serving[client_id]
-        if self._standby_clients:
-            replacement = self._standby_clients.pop(0)
-            self._serving[client_id] = replacement
-            return FailoverAction(
-                "client-swap", node_id, replacement, client_id, round_index
-            )
-        self._excluded_since[client_id] = round_index
-        return FailoverAction(
-            "client-excluded", node_id, None, client_id, round_index
-        )
+        Returns the failover-log entry: ``kind`` (``client-swap``,
+        ``client-excluded``, ``server-swap``, ``server-lost`` or
+        ``standby-lost``), ``failedNode``, ``replacement``, ``clientId`` and
+        ``round``.
+        """
+        replacement = client_id = None
+        pool = self._standby_servers if self._is_server[node_id] else self._standby_clients
+        if node_id in pool:
+            pool.remove(node_id)
+            kind = "standby-lost"
+        elif self._is_server[node_id]:
+            self._server = replacement = self._standby_servers.pop(0) if self._standby_servers else None
+            kind = "server-lost" if replacement is None else "server-swap"
+        else:
+            client_id = next(c for c, n in self._serving.items() if n == node_id)
+            del self._serving[client_id]
+            if self._standby_clients:
+                self._serving[client_id] = replacement = self._standby_clients.pop(0)
+                kind = "client-swap"
+            else:
+                self._excluded_since[client_id] = round_index
+                kind = "client-excluded"
+        return {
+            "kind": kind,
+            "failedNode": node_id,
+            "replacement": replacement,
+            "clientId": client_id,
+            "round": round_index,
+        }
 
     def eligible_clients(self, round_index: int, all_ids: frozenset[str]) -> frozenset[str]:
         """Partitions still served at the given round."""

@@ -689,7 +689,7 @@ def test_import_legacy_accounts_round_trip():
     stack = Stack()
     accounts = [("dr_smith", "doctor"), ("nurse.jones", "nurse")]
     results = import_legacy_accounts(accounts, stack.desk, stack.issuer)
-    assert [r.status for r in results] == ["imported", "imported"]
+    assert [r["status"] for r in results] == ["imported", "imported"]
     doc = stack.registry.get("did:efed:legacy-dr_smith")
     assert doc.claims[-1].claim_type == "role"
     assert doc.claims[-1].value == "doctor"
@@ -699,7 +699,7 @@ def test_import_legacy_accounts_round_trip():
     assert verdict == (True, "valid")
 
     again = import_legacy_accounts(accounts, stack.desk, stack.issuer)
-    assert [r.status for r in again] == ["skipped", "skipped"]
+    assert [r["status"] for r in again] == ["skipped", "skipped"]
 
 
 def test_legacy_usernames_that_share_a_did_refuse_the_batch():
@@ -712,7 +712,7 @@ def test_legacy_usernames_that_share_a_did_refuse_the_batch():
     assert stack.chain.height == height
     # One username given twice is one account: its second row is skipped.
     repeated = import_legacy_accounts([("ada", "a"), ("ada", "b")], stack.desk, stack.issuer)
-    assert [r.status for r in repeated] == ["imported", "skipped"]
+    assert [r["status"] for r in repeated] == ["imported", "skipped"]
 
 
 def test_legacy_keys_come_from_the_desk_seed_not_the_username():
@@ -722,7 +722,7 @@ def test_legacy_keys_come_from_the_desk_seed_not_the_username():
         desk = build_desk(seed, SimulatedClock(start=100_000), frozenset({ISSUER_DID}))
         issuer = desk.claim_issuer(desk.register("issuer", desk.keypair("issuer", 0)))
         results = import_legacy_accounts(accounts, desk, issuer)
-        keys.append([desk.registry.get(r.did).authentication_keys() for r in results])
+        keys.append([desk.registry.get(r["did"]).authentication_keys() for r in results])
     for (username, _), first, second in zip(accounts, *keys):
         guessed = KeyPair.generate(hashlib.sha256(f"legacy-account:{username}".encode()).digest())
         assert first != second

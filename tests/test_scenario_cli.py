@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
 from fedgate.cli import main
+from fedgate.clock import SimulatedClock
+from fedgate.desk import build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl import (
     DatasetPartition,
@@ -15,9 +18,9 @@ from fedgate.fl import (
     read_metrics_csv,
     run_federation,
 )
-from fedgate.ledger import load_chain, verify_chain_file
-from fedgate.scenario import DEFAULT_FEDERATION, ScenarioConfig, replay_ledger, run_demo
-from fedgate.service import FaultEvent
+from fedgate.ledger import Chain, load_chain, verify_chain_file
+from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, replay_ledger, run_demo
+from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import DataFilter
 
 
@@ -29,15 +32,16 @@ def demo_config(tmp_path, name="demo", **overrides):
 
 
 def test_default_scenario_happy_path(tmp_path):
-    result = run_demo(demo_config(tmp_path))
-    assert result.exit_code == 0
-    assert [d["decision"] for d in result.decisions] == ["granted", "denied"]
-    assert result.job_state == "completed"
-    assert result.model_path.exists()
-    ok, _ = verify_chain_file(result.chain_path)
+    summary = run_demo(demo_config(tmp_path))
+    out = tmp_path / "demo"
+    assert summary["exitCode"] == 0
+    assert [d["decision"] for d in summary["decisions"]] == ["granted", "denied"]
+    assert summary["job"]["state"] == "completed"
+    assert (out / summary["job"]["model"]).exists()
+    ok, _ = verify_chain_file(out / "chain.jsonl")
     assert ok
     for artifact in ("events.jsonl", "identity.jsonl", "summary.json", "data/manifest.json"):
-        assert (result.out_dir / artifact).exists()
+        assert (out / artifact).exists()
 
 
 # sha256 of the seed-7 demo's ledger-side artifacts and its summary. They hold
@@ -63,32 +67,32 @@ LEDGER_DIGESTS = {
 
 @pytest.mark.parametrize("scheme", sorted(LEDGER_DIGESTS))
 def test_seed_7_ledger_artifacts_are_pinned(tmp_path, scheme):
-    result = run_demo(demo_config(tmp_path, seed=7, scheme=scheme))
-    assert result.exit_code == 0
+    summary = run_demo(demo_config(tmp_path, seed=7, scheme=scheme))
+    assert summary["exitCode"] == 0
     digests = {
-        name: hashlib.sha256((result.out_dir / name).read_bytes()).hexdigest()
+        name: hashlib.sha256((tmp_path / "demo" / name).read_bytes()).hexdigest()
         for name in LEDGER_DIGESTS[scheme]
     }
     assert digests == LEDGER_DIGESTS[scheme]
 
 
 def test_denial_lands_on_chain(tmp_path):
-    result = run_demo(demo_config(tmp_path))
-    denial = next(d for d in result.decisions if d["decision"] == "denied")
-    blocks = load_chain(result.chain_path)
+    summary = run_demo(demo_config(tmp_path))
+    denial = next(d for d in summary["decisions"] if d["decision"] == "denied")
+    blocks = load_chain(tmp_path / "demo/chain.jsonl")
     tx_ids = [tx.tx_id for block in blocks for tx in block.transactions]
     assert denial["txId"] in tx_ids
     assert denial["missing"] == ["consortium_member"]
 
 
 def test_no_qualified_users_exits_nonzero(tmp_path):
-    result = run_demo(demo_config(tmp_path, users=1, qualified_users=0))
-    assert result.exit_code == 1
-    assert result.job_state is None
-    assert [d["decision"] for d in result.decisions] == ["denied"]
+    summary = run_demo(demo_config(tmp_path, users=1, qualified_users=0))
+    assert summary["exitCode"] == 1
+    assert "job" not in summary
+    assert [d["decision"] for d in summary["decisions"]] == ["denied"]
     denial_txs = [
         tx
-        for block in load_chain(result.chain_path)
+        for block in load_chain(tmp_path / "demo/chain.jsonl")
         for tx in block.transactions
         if tx.kind == "access_denial"
     ]
@@ -96,13 +100,15 @@ def test_no_qualified_users_exits_nonzero(tmp_path):
 
 
 def test_same_seed_twice_is_byte_identical(tmp_path):
-    first = run_demo(demo_config(tmp_path, "one", seed=11))
-    second = run_demo(demo_config(tmp_path, "two", seed=11))
-    assert first.model_path.read_bytes() == second.model_path.read_bytes()
-    assert first.chain_path.read_bytes() == second.chain_path.read_bytes()
-    assert first.events_path.read_bytes() == second.events_path.read_bytes()
-    third = run_demo(demo_config(tmp_path, "three", seed=12))
-    assert first.model_path.read_bytes() != third.model_path.read_bytes()
+    run_demo(demo_config(tmp_path, "one", seed=11))
+    run_demo(demo_config(tmp_path, "two", seed=11))
+    first, second = tmp_path / "one", tmp_path / "two"
+    model = "artifacts/job-0001/model.json"
+    assert (first / model).read_bytes() == (second / model).read_bytes()
+    assert (first / "chain.jsonl").read_bytes() == (second / "chain.jsonl").read_bytes()
+    assert (first / "events.jsonl").read_bytes() == (second / "events.jsonl").read_bytes()
+    run_demo(demo_config(tmp_path, "three", seed=12))
+    assert (first / model).read_bytes() != (tmp_path / "three" / model).read_bytes()
 
 
 # The four seed-7 stories of scripts/run_demo.py.
@@ -116,12 +122,19 @@ DEMO_VARIANTS = {
 
 def test_event_log_replays_to_same_ledger(tmp_path):
     for name, variant in DEMO_VARIANTS.items():
-        result = run_demo(demo_config(tmp_path, name, seed=7, **variant))
-        assert result.exit_code == 0
-        rebuilt = replay_ledger(result.events_path, result.chain_path)
+        summary = run_demo(demo_config(tmp_path, name, seed=7, **variant))
+        assert summary["exitCode"] == 0
+        chain_path = tmp_path / name / "chain.jsonl"
+        rebuilt = replay_ledger(tmp_path / name / "events.jsonl", chain_path)
         assert rebuilt.write_chain(tmp_path / f"{name}.jsonl").read_bytes() == (
-            result.chain_path.read_bytes()
+            chain_path.read_bytes()
         )
+
+
+def test_run_demo_returns_the_summary_it_writes(tmp_path):
+    for name, variant in DEMO_VARIANTS.items():
+        summary = run_demo(demo_config(tmp_path, name, seed=7, **variant))
+        assert summary == json.loads((tmp_path / name / "summary.json").read_bytes())
 
 
 def _write_at(lines, index, at):
@@ -132,27 +145,29 @@ def _write_at(lines, index, at):
 
 def test_ledger_replay_refuses_a_shifted_block_time_naming_the_height(tmp_path):
     # A tx id does not cover its block time, so only the chain file shows the shift.
-    result = run_demo(demo_config(tmp_path, seed=7))
-    lines = result.events_path.read_text().splitlines()
+    run_demo(demo_config(tmp_path, seed=7))
+    chain_path = tmp_path / "demo/chain.jsonl"
+    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
     last = max(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
     _write_at(lines, last, json.loads(lines[last])["at"] + 500)
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    height = len(load_chain(result.chain_path)) - 1
+    height = len(load_chain(chain_path)) - 1
     with pytest.raises(ValidationError, match=f"at height {height}$"):
-        replay_ledger(path, result.chain_path)
+        replay_ledger(path, chain_path)
 
 
 def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
-    first = run_demo(demo_config(tmp_path, "one", seed=7))
-    other = run_demo(demo_config(tmp_path, "two", seed=8))
+    run_demo(demo_config(tmp_path, "one", seed=7))
+    run_demo(demo_config(tmp_path, "two", seed=8))
+    events_path, chain_path = tmp_path / "one/events.jsonl", tmp_path / "one/chain.jsonl"
     with pytest.raises(ValidationError, match="at height 1$"):
-        replay_ledger(first.events_path, other.chain_path)
+        replay_ledger(events_path, tmp_path / "two/chain.jsonl")
     short = tmp_path / "short.jsonl"
-    short.write_bytes(b"".join(first.chain_path.read_bytes().splitlines(keepends=True)[:-1]))
-    height = len(load_chain(first.chain_path)) - 1
+    short.write_bytes(b"".join(chain_path.read_bytes().splitlines(keepends=True)[:-1]))
+    height = len(load_chain(chain_path)) - 1
     with pytest.raises(ValidationError, match=f"at height {height}$"):
-        replay_ledger(first.events_path, short)
+        replay_ledger(events_path, short)
 
 
 def _drop_kind(lines):
@@ -185,21 +200,21 @@ def _float_at(lines):
     ids=["write-without-kind", "not-json", "no-start", "float-at"],
 )
 def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
-    result = run_demo(demo_config(tmp_path))
-    lines = result.events_path.read_text().splitlines()
+    run_demo(demo_config(tmp_path))
+    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
     number = spoil(lines)
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=f"line {number}: "):
-        replay_ledger(path, result.chain_path)
+        replay_ledger(path, tmp_path / "demo/chain.jsonl")
 
 
 def test_scheme_b_demo_reaches_same_decisions(tmp_path):
     a = run_demo(demo_config(tmp_path, "a", scheme="contract_lookup"))
     b = run_demo(demo_config(tmp_path, "b", scheme="user_lookup"))
-    assert a.exit_code == b.exit_code == 0
-    assert [d["decision"] for d in a.decisions] == [
-        d["decision"] for d in b.decisions
+    assert a["exitCode"] == b["exitCode"] == 0
+    assert [d["decision"] for d in a["decisions"]] == [
+        d["decision"] for d in b["decisions"]
     ]
 
 
@@ -209,10 +224,27 @@ def test_demo_with_client_fault_and_standby(tmp_path):
         fault_schedule=(FaultEvent(3, "node-001"),),
         standby_clients=1,
     )
-    result = run_demo(config)
-    assert result.exit_code == 0
-    model = json.loads(result.model_path.read_text())
+    summary = run_demo(config)
+    assert summary["exitCode"] == 0
+    model = json.loads((tmp_path / "demo" / summary["job"]["model"]).read_text())
     assert [a["kind"] for a in model["failover"]] == ["client-swap"]
+
+
+@pytest.mark.parametrize("name, kinds", [("client-failover", ["client-swap"]), ("server-failover", ["server-swap"])])
+def test_model_failover_log_is_the_fleet_actions(tmp_path, monkeypatch, name, kinds):
+    fleets = []
+    provision = NodeRegistry.provision
+
+    def provision_and_keep(*args):
+        fleets.append(provision(*args))
+        return fleets[-1]
+
+    monkeypatch.setattr(NodeRegistry, "provision", staticmethod(provision_and_keep))
+    summary = run_demo(demo_config(tmp_path, seed=7, **DEMO_VARIANTS[name]))
+    model = json.loads((tmp_path / "demo" / summary["job"]["model"]).read_bytes())
+    (fleet,) = fleets
+    assert [a["kind"] for a in fleet.actions] == kinds
+    assert model["failover"] == fleet.actions
 
 
 def test_scenario_config_invariants():
@@ -408,6 +440,65 @@ def test_cli_demo_config_file(tmp_path):
     assert main(["demo", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_cli_verify_chain_replays_each_seed_7_event_log(tmp_path, capsys):
+    for name, variant in DEMO_VARIANTS.items():
+        run_demo(demo_config(tmp_path, name, seed=7, **variant))
+        out = tmp_path / name
+        assert main(["verify-chain", str(out / "chain.jsonl"), "--events", str(out / "events.jsonl")]) == 0
+    assert capsys.readouterr().out.count("event log replays to the chain") == len(DEMO_VARIANTS)
+
+
+def test_cli_verify_chain_refuses_a_shifted_event_log_naming_the_height(tmp_path, capsys):
+    run_demo(demo_config(tmp_path, seed=7))
+    chain_path = tmp_path / "demo/chain.jsonl"
+    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
+    _write_at(lines, last, json.loads(lines[last])["at"] + 500)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    assert main(["verify-chain", str(chain_path), "--events", str(events)]) == 1
+    height = len(load_chain(chain_path)) - 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f"at height {height}")
+    assert main(["verify-chain", str(chain_path), "--events", str(tmp_path / "missing.jsonl")]) == 2
+
+
+def test_cli_verify_chain_explains_a_seed_7_denial(tmp_path, capsys):
+    run_demo(demo_config(tmp_path, seed=7))
+    chain_path = tmp_path / "demo/chain.jsonl"
+    before = sorted((p.name, p.read_bytes()) for p in (tmp_path / "demo").iterdir() if p.is_file())
+    (denial,) = [
+        (block, json.loads(tx.payload))
+        for block in load_chain(chain_path)
+        for tx in block.transactions
+        if tx.kind == "access_denial"
+    ]
+    block, payload = denial
+    capsys.readouterr()
+    assert main(["verify-chain", str(chain_path), "--explain", payload["requestRef"]]) == 0
+    out = capsys.readouterr().out
+    for text in (
+        ": denied",
+        "holder: did:efed:user-1",
+        "service: fl-study",
+        f"contract: {payload['contractId']}",
+        "missing claims: consortium_member",
+        f"block: {block.height} at time {block.timestamp}",
+    ):
+        assert text in out
+    assert main(["verify-chain", str(chain_path), "--explain", "0" * 32]) == 1
+    assert "no access decision" in capsys.readouterr().out
+    after = sorted((p.name, p.read_bytes()) for p in (tmp_path / "demo").iterdir() if p.is_file())
+    assert after == before
+
+
+def test_cli_verify_chain_explain_refuses_a_malformed_decision_payload(tmp_path, capsys):
+    chain = Chain(clock=SimulatedClock(start=START_TIME))
+    chain.record("access_denial", {"requestRef": "r1"}, submitter="did:efed:user-0")
+    path = chain.write_chain(tmp_path / "chain.jsonl")
+    assert main(["verify-chain", str(path), "--explain", "r1"]) == 2
+    assert "block 1 holds a malformed access_denial payload" in capsys.readouterr().err
+
+
 def test_cli_verify_chain_detects_bit_flip(tmp_path):
     out = tmp_path / "demo"
     main(["demo", "--out", str(out), "--seed", "5"])
@@ -549,6 +640,41 @@ def test_cli_import_legacy(tmp_path):
     malformed.write_text("who,what\nada,analyst\n")
     assert main(["import-legacy", str(malformed), "--out", str(out)]) == 2
     assert main(["import-legacy", str(tmp_path / "ghost.csv")]) == 2
+
+
+# A fixed accounts file in which "ada" comes twice, so the second row is
+# skipped; sha256 of what `fedgate import-legacy --seed 7` writes for it. No
+# file holds a float, so the digests are the same on every machine.
+LEGACY_ACCOUNTS = "username,role\nada,analyst\ngrace,admin\nada,auditor\nalan turing,researcher\n"
+LEGACY_DIGESTS = {
+    "chain.jsonl": "1592c39534b8e08ef9d38a54c544a8c7c4d7a60296901b45e2a779adb31bcecc",
+    "identity.jsonl": "d61096644e0b51354f2be41421caf71b6d3d710d402105b0129304a26fe63945",
+    "report.json": "2757531d24cb1d6cab2cf79a1abfd127650b074b826ec968f9cf1f60b52483e0",
+}
+
+
+def _import_legacy_seed_7(tmp_path):
+    accounts = tmp_path / "accounts.csv"
+    accounts.write_text(LEGACY_ACCOUNTS)
+    out = tmp_path / "legacy"
+    assert main(["import-legacy", str(accounts), "--out", str(out), "--seed", "7"]) == 0
+    return accounts, out
+
+
+def test_cli_import_legacy_seed_7_artifacts_are_pinned(tmp_path):
+    _, out = _import_legacy_seed_7(tmp_path)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LEGACY_DIGESTS}
+    assert digests == LEGACY_DIGESTS
+    report = json.loads((out / "report.json").read_bytes())
+    assert [r["status"] for r in report] == ["imported", "imported", "skipped", "imported"]
+
+
+def test_import_legacy_accounts_returns_the_report_rows(tmp_path):
+    accounts, out = _import_legacy_seed_7(tmp_path)
+    desk = build_desk(7, SimulatedClock(start=START_TIME), frozenset({"did:efed:importer"}))
+    issuer = desk.claim_issuer(desk.register("importer", desk.keypair("importer", 0)))
+    rows = import_legacy_accounts(read_accounts_csv(accounts), desk, issuer)
+    assert rows == json.loads((out / "report.json").read_bytes())
 
 
 def test_cli_import_legacy_refuses_usernames_that_share_a_did(tmp_path, capsys):

@@ -262,12 +262,12 @@ def test_node_registry_invariants():
 def test_client_failover_swap_and_exclusion():
     registry = NodeRegistry.provision(["a", "b"], standby_clients=1)
     action = registry.fail("node-a", 3)
-    assert action.kind == "client-swap"
+    assert action["kind"] == "client-swap"
     assert registry.serving_node("a") == "standby-client-0"
     assert registry.eligible_clients(5, frozenset({"a", "b"})) == {"a", "b"}
 
     action = registry.fail("node-b", 4)
-    assert action.kind == "client-excluded"
+    assert action["kind"] == "client-excluded"
     assert registry.eligible_clients(3, frozenset({"a", "b"})) == {"a", "b"}
     assert registry.eligible_clients(4, frozenset({"a", "b"})) == {"a"}
     assert registry.eligible_clients(9, frozenset({"a", "b"})) == {"a"}
@@ -276,25 +276,25 @@ def test_client_failover_swap_and_exclusion():
 def test_server_failover_and_loss():
     registry = NodeRegistry.provision(["a"], standby_servers=1)
     action = registry.fail("server-0", 2)
-    assert action.kind == "server-swap"
+    assert action["kind"] == "server-swap"
     assert registry.active_server == "standby-server-0"
     action = registry.fail("standby-server-0", 3)
-    assert action.kind == "server-lost"
+    assert action["kind"] == "server-lost"
     assert registry.active_server is None
 
 
 def test_idle_standby_failure_is_never_promoted():
     registry = NodeRegistry.provision(["a"], standby_clients=1, standby_servers=1)
     action = registry.fail("standby-client-0", 2)
-    assert (action.kind, action.replacement, action.client_id) == ("standby-lost", None, None)
+    assert (action["kind"], action["replacement"], action["clientId"]) == ("standby-lost", None, None)
     assert registry.serving_node("a") == "node-a"
-    assert registry.fail("node-a", 3).kind == "client-excluded"
+    assert registry.fail("node-a", 3)["kind"] == "client-excluded"
 
     action = registry.fail("standby-server-0", 2)
-    assert (action.kind, action.replacement) == ("standby-lost", None)
+    assert (action["kind"], action["replacement"]) == ("standby-lost", None)
     assert registry.active_server == "server-0"
     action = registry.fail("server-0", 4)
-    assert action.kind == "server-lost"
+    assert action["kind"] == "server-lost"
     assert registry.active_server is None
 
 

@@ -31,7 +31,6 @@ KEPT = {
     ),
     "fedgate/fl/datagen.py:read_manifest": "the reader of the manifest write_dataset writes",
     "fedgate/identity/registry.py:DidRegistry.replay_log": "the one validator of identity.jsonl",
-    "fedgate/scenario.py:replay_ledger": "the replay check of events.jsonl against chain.jsonl",
     "fedgate/service/jobs.py:total_weighted_completion": "the oracle of acceptance criterion 09",
     "fedgate/service/nodes.py:NodeRegistry.active_server": (
         "the failover tests read which server node serves"
