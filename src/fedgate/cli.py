@@ -91,18 +91,19 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _explain_decision(blocks, request_ref: str) -> int:
-    """Print the access decision sealed for ``request_ref``, as its block holds it."""
+def _explain_decision(blocks, ref: str) -> int:
+    """Print the access decision whose ``requestRef`` or ``txId`` is ``ref``, as its block holds it."""
     for block in blocks:
         for tx in block.transactions:
             if tx.kind not in _DECISION_OF:
                 continue
             try:  # the block hashes cover these bytes, not their shape
                 payload = json.loads(tx.payload)
-                if payload["requestRef"] != request_ref:
+                if ref not in (payload["requestRef"], tx.tx_id):
                     continue
                 lines = [
-                    f"request {request_ref}: {_DECISION_OF[tx.kind]}",
+                    f"request {payload['requestRef']}: {_DECISION_OF[tx.kind]}",
+                    f"  tx: {tx.tx_id}",
                     f"  holder: {payload['holder']}",
                     f"  service: {payload['service']}",
                     f"  contract: {payload['contractId']}",
@@ -113,7 +114,7 @@ def _explain_decision(blocks, request_ref: str) -> int:
                 raise ValidationError(f"block {block.height} holds a malformed {tx.kind} payload") from None
             print("\n".join(lines))
             return EXIT_OK
-    print(f"no access decision has requestRef {request_ref}")
+    print(f"no access decision has requestRef or txId {ref}")
     return EXIT_DOMAIN
 
 
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("chain", help="chain JSONL file")
     verify.add_argument("--events", default=None, help="event log that must replay to the chain")
     verify.add_argument(
-        "--explain", default=None, metavar="REQUEST_REF", help="print the access decision of one request"
+        "--explain", default=None, metavar="REF", help="print one access decision, by its requestRef or txId"
     )
     verify.set_defaults(func=cmd_verify_chain)
 

@@ -5,7 +5,8 @@ learning rate stays independent of partition size:
 
 * squared_error:  loss = mean((Xw - y)^2),      grad = (2/m) X^T (Xw - y)
 * logistic:       loss = mean(softplus(z) - yz), grad = (1/m) X^T (sigma(z) - y)
-  with z = Xw and labels in {0, 1}.
+  with z = Xw and labels in {0, 1}, and sigma(z) from one exp: with
+  e = exp(-|z|), it is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
 
 When the spec enables a bias term, the final model coordinate is the
 intercept, added to each score as its own term. ``stacked_gradient`` is the
@@ -22,12 +23,8 @@ from .config import LossSpec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|), but a NaN keeps its sign bit
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def stacked_gradient(

@@ -15,9 +15,9 @@ from .losses import stacked_gradient
 # A job is aborted once any weight magnitude passes this bound.
 DIVERGENCE_LIMIT = 1e6
 
-# The least z with ``_sigmoid(z) >= 0.5``. Below zero ``_sigmoid`` returns
-# exp(z) / (1 + exp(z)), which is 0.5 only while numpy's exp(z) rounds to 1.0;
-# its SIMD exp does so down to here (the tests pin this against ``_sigmoid``).
+# The least z with ``_sigmoid(z) >= 0.5``. Below zero ``_sigmoid`` is e / (1 + e)
+# with e = exp(-|z|), which is 0.5 only while numpy's exp rounds e to 1.0; its
+# SIMD exp does so down to here (the tests pin this against ``_sigmoid``).
 SIGMOID_HALF = -4.510281037539698e-17
 
 
@@ -39,12 +39,13 @@ def local_train(
     row i of the returned ``(k, p)`` array is ``partitions[i]``'s update.
 
     Equally sized partitions train as one ``(k, n, d)`` stack, one
-    ``stacked_gradient`` per step. Each client shuffles minibatches with its
-    own round seed (full batch ignores it), so its update has the same bits
-    whichever clients share the call. The input model is never modified. If
-    clients diverge, the error names the lowest id among them and the first
-    check that client failed, as training them one by one in id order would.
-    Dimensions come checked by ``check_fleet`` and ``initial_model``.
+    ``stacked_gradient`` per step. Each client draws its E epochs' minibatch
+    orders in one ``permuted`` call on its own round seed (full batch ignores
+    it), so its update has the same bits whichever clients share the call. The
+    input model is never modified. If clients diverge, the error names the
+    lowest id among them and the first check that client failed, as training
+    them one by one in id order would. Dimensions come checked by
+    ``check_fleet`` and ``initial_model``.
     """
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
     groups: dict[int, list[int]] = {}
@@ -58,13 +59,14 @@ def local_train(
             x = np.stack([partitions[i].features for i in members])
             y = np.stack([partitions[i].labels for i in members])
             weights = np.tile(model, (len(members), 1))
-            seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members] if minibatch else []
-            rngs = [np.random.default_rng([seed]) for seed in seeds]
+            if minibatch:
+                epochs = np.tile(np.arange(n), (config.local_epochs, 1))
+                seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members]
+                orders = np.stack([np.random.default_rng([s]).permuted(epochs, axis=1) for s in seeds])
             step, rows = (config.batch_size if minibatch else n), np.arange(len(members))[:, None]
-            for _ in range(config.local_epochs):
+            for epoch in range(config.local_epochs):
                 if minibatch:
-                    order = np.stack([rng.permutation(n) for rng in rngs])
-                    xe, ye = x[rows, order], y[rows, order]
+                    xe, ye = x[rows, orders[:, epoch]], y[rows, orders[:, epoch]]
                 else:
                     xe, ye = x, y
                 for i in range(0, n, step):
@@ -72,9 +74,10 @@ def local_train(
                     if not np.isfinite(grad).all():
                         _note(failures, ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
                     weights -= config.learning_rate * grad
-                _note(failures, ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
-                too_large = np.abs(weights).max(axis=1) > DIVERGENCE_LIMIT
-                _note(failures, ids, too_large, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
+                peak = np.abs(weights).max(axis=1)  # NaN for a row holding one, so it fails too
+                if not (peak <= DIVERGENCE_LIMIT).all():
+                    _note(failures, ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
+                    _note(failures, ids, peak > DIVERGENCE_LIMIT, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
             trained[members] = weights
     if failures:
         client_id = min(failures)

@@ -1,8 +1,9 @@
 """What the tests share: the desk they run on (``fedgate.desk`` plus a
 trusted issuer and a policy owner, under the short names the tests call, and
 one access request under each scheme), the ledger readers only tests need,
-the hex regex that ``canonical.from_hex`` is held to, and the one-model loss
-oracles that ``FleetScores``, ``global_loss``, ``training_accuracy`` and
+the hex regex that ``canonical.from_hex`` is held to, the reference sigmoid
+that ``_sigmoid`` is held to bit for bit, and the one-model loss oracles that
+``FleetScores``, ``global_loss``, ``training_accuracy`` and
 ``stacked_gradient`` are held to."""
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl.config import LossSpec
-from fedgate.fl.losses import _sigmoid, stacked_gradient
+from fedgate.fl.losses import stacked_gradient
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
 
@@ -95,6 +96,19 @@ class Stack:
 # ------------------------------------------------------------- loss oracles
 
 
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """A two-branch sigmoid: 1 / (1 + exp(-z)) on the scores z >= 0 and
+    exp(z) / (1 + exp(z)) on the rest (NaN included), each branch gathered,
+    computed with its own ``exp`` and scattered back. ``_sigmoid`` takes one
+    ``exp`` over the whole array and must return these bytes."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _checked_features(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     if model.shape != (loss.parameter_dim,):
         raise ValidationError(
@@ -124,7 +138,7 @@ def per_partition_scores(model: np.ndarray, partitions, loss: LossSpec) -> np.nd
 def predict(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     """Model outputs: linear scores for squared_error, probabilities for logistic."""
     z = raw_scores(model, features, loss)
-    return _sigmoid(z) if loss.kind == "logistic" else z
+    return reference_sigmoid(z) if loss.kind == "logistic" else z
 
 
 def mean_loss(

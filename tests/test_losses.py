@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedgate.errors import ValidationError
 from fedgate.fl import LossSpec
+from fedgate.fl.losses import _sigmoid
+from fedgate.fl.training import SIGMOID_HALF
 
-from support import gradient, mean_loss, predict
+from support import gradient, mean_loss, predict, reference_sigmoid
 
 
 def finite_difference_gradient(model, x, y, spec, h=1e-6):
@@ -105,3 +108,30 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
         mean_loss(np.zeros(2), np.ones((2, 3)), np.ones(2), spec)
 
+
+def _nan(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, SIGMOID_HALF]
+SIGMOID_EDGES += [np.nextafter(SIGMOID_HALF, to) for to in (-np.inf, np.inf)]
+SIGMOID_EDGES += [5e-324, -5e-324, 2.2250738585072e-308, -2.2250738585072e-308]
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001)
+SIGMOID_EDGES += [_nan(bits) for bits in NAN_BITS]  # both signs, a payload, a signalling NaN
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+        elements=st.one_of(
+            st.sampled_from(SIGMOID_EDGES), st.floats(width=64), st.floats(-800.0, 800.0)
+        ),
+    )
+)
+@example(z=np.array(SIGMOID_EDGES * 5))  # past the SIMD width, so every lane sees each edge
+def test_sigmoid_returns_the_reference_bytes(z):
+    got, want = _sigmoid(z), reference_sigmoid(z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

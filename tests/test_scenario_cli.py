@@ -463,21 +463,22 @@ def test_cli_verify_chain_refuses_a_shifted_event_log_naming_the_height(tmp_path
 
 
 def test_cli_verify_chain_explains_a_seed_7_denial(tmp_path, capsys):
-    run_demo(demo_config(tmp_path, seed=7))
+    summary = run_demo(demo_config(tmp_path, seed=7))
     chain_path = tmp_path / "demo/chain.jsonl"
     before = sorted((p.name, p.read_bytes()) for p in (tmp_path / "demo").iterdir() if p.is_file())
     (denial,) = [
-        (block, json.loads(tx.payload))
+        (block, tx, json.loads(tx.payload))
         for block in load_chain(chain_path)
         for tx in block.transactions
         if tx.kind == "access_denial"
     ]
-    block, payload = denial
+    block, tx, payload = denial
     capsys.readouterr()
     assert main(["verify-chain", str(chain_path), "--explain", payload["requestRef"]]) == 0
     out = capsys.readouterr().out
     for text in (
-        ": denied",
+        f"request {payload['requestRef']}: denied",
+        f"tx: {tx.tx_id}",
         "holder: did:efed:user-1",
         "service: fl-study",
         f"contract: {payload['contractId']}",
@@ -485,8 +486,12 @@ def test_cli_verify_chain_explains_a_seed_7_denial(tmp_path, capsys):
         f"block: {block.height} at time {block.timestamp}",
     ):
         assert text in out
+    # summary.json names a decision only by its txId, which explains it the same way.
+    (denied,) = [d for d in summary["decisions"] if d["decision"] == "denied"]
+    assert main(["verify-chain", str(chain_path), "--explain", denied["txId"]]) == 0
+    assert capsys.readouterr().out == out
     assert main(["verify-chain", str(chain_path), "--explain", "0" * 32]) == 1
-    assert "no access decision" in capsys.readouterr().out
+    assert "no access decision has requestRef or txId" in capsys.readouterr().out
     after = sorted((p.name, p.read_bytes()) for p in (tmp_path / "demo").iterdir() if p.is_file())
     assert after == before
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fedgate.fl import (
     generate_partitions,
     run_federation,
 )
-from fedgate.fl.losses import _sigmoid
+from fedgate.fl.losses import _sigmoid, stacked_gradient
 from fedgate.fl.training import (
     DIVERGENCE_LIMIT,
     SIGMOID_HALF,
@@ -25,7 +26,7 @@ from fedgate.fl.training import (
     training_accuracy,
 )
 
-from support import mean_loss, per_partition_scores, predict
+from support import mean_loss, per_partition_scores, predict, reference_sigmoid
 
 
 def make_config(**overrides):
@@ -134,7 +135,7 @@ def sequential_local_train(model, partition, config, round_seed):
             if loss.kind == "squared_error":
                 grad = (2.0 / x.shape[0]) * (x.T @ (z - y))
             else:
-                grad = (1.0 / x.shape[0]) * (x.T @ (_sigmoid(z) - y))
+                grad = (1.0 / x.shape[0]) * (x.T @ (reference_sigmoid(z) - y))
             if not np.all(np.isfinite(grad)):
                 raise TrainingDivergedError(partition.client_id, "non-finite gradient")
             weights = weights - config.learning_rate * grad
@@ -145,6 +146,37 @@ def sequential_local_train(model, partition, config, round_seed):
                 partition.client_id, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}"
             )
     return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    epochs=st.integers(min_value=1, max_value=6),
+    batch_size=st.integers(min_value=1, max_value=300),
+)
+def test_one_draw_per_round_is_the_per_epoch_permutation_stream(seed, n, epochs, batch_size):
+    # The stream sequential_local_train draws: one permutation(n) per epoch.
+    rng = np.random.default_rng([seed])
+    stream = np.stack([rng.permutation(n) for _ in range(epochs)])
+    drawn = np.random.default_rng([seed]).permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+    assert drawn.dtype == stream.dtype and np.array_equal(drawn, stream)
+    # local_train hands stacked_gradient those rows in that order, batch by batch;
+    # each label is its row's index, and a zero learning rate keeps every step finite.
+    batches = []
+
+    def recording(weights, features, labels, loss):
+        batches.append(labels[0].astype(np.int64))
+        return stacked_gradient(weights, features, labels, loss)
+
+    part = DatasetPartition(client_id="c0", features=np.zeros((n, 1)), labels=np.arange(n, dtype=float))
+    config = make_config(
+        local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size
+    )
+    with mock.patch("fedgate.fl.training.stacked_gradient", recording):
+        local_train(np.zeros(1), [part], config, [seed])
+    assert np.array_equal(np.concatenate(batches), stream.ravel())
+    assert len(batches) == epochs * -(-n // batch_size)
 
 
 def cohort_config(kind, bias, batch_size, **overrides):
