@@ -18,9 +18,10 @@ Only the front desk makes attestations: its attestation is the one that
 leaves the desk. Every other step reads the document with
 ``Resolver.fetch``, which signs nothing, because a signature this process
 makes and then checks itself proves nothing. The submit step checks the
-attestation with ``Resolver.verify``, which signs the same bytes again and
-compares, so a user-lookup grant makes two Ed25519 signs and no verify
-beyond the claim's.
+attestation with ``Resolver.verify`` against the one the resolver kept, so a
+grant makes no Ed25519 sign under contract lookup, one under user lookup,
+and no verify beyond the claim's; and an attestation opens at most one
+evaluation, ever, even once the nonce ring below has forgotten its nonce.
 
 Verdicts the contract actually evaluated are sealed on-chain (grant or
 denial), carry a ``tx_id``, and reach the requester as the engine's own
@@ -198,7 +199,7 @@ class AccessGateway:
         except UNRESOLVABLE:
             return AccessOutcome("denied", "unresolvable")
         # The attestation came from outside, so it is checked here.
-        if not self._resolver.verify(attestation, document.canonical_bytes()):
+        if not self._resolver.verify(attestation, document):
             return AccessOutcome("denied", "stale-attestation")
         return self._execute(contract, document, to_hex(request.nonce))
 

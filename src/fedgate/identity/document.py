@@ -21,7 +21,7 @@ Canonical schema::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..claims import VerifiableClaim
@@ -89,6 +89,8 @@ class DidDocument:
     service_endpoints: tuple[ServiceEndpoint, ...] = ()
     claims: tuple[VerifiableClaim, ...] = ()
     version: int = 1
+    # (canonical bytes, their SHA-256), encoded once: this record and all it holds are frozen.
+    _encoded: tuple[bytes, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "public_keys", tuple(self.public_keys))
@@ -109,6 +111,8 @@ class DidDocument:
                 raise ValidationError(
                     f"authentication entry {ref!r} references no key in document {self.id}"
                 )
+        body = canonical_json_bytes(self.to_dict())
+        object.__setattr__(self, "_encoded", (body, sha256_hex(body)))
 
     @classmethod
     def for_key(cls, method: str, specific_id: str, public_bytes: bytes) -> "DidDocument":
@@ -129,10 +133,10 @@ class DidDocument:
         return replace(self, claims=self.claims + (claim,), version=self.version + 1)
 
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
+        return self._encoded[0]
 
     def digest(self) -> str:
-        return sha256_hex(self.canonical_bytes())
+        return self._encoded[1]
 
     def to_dict(self) -> dict:
         return {

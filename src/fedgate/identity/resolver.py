@@ -11,21 +11,23 @@ only there does the attestation leave the desk: the requester is never
 shown the document, forwards the attestation, and the gateway checks it
 against the document it fetches itself.
 
-That check is ``Resolver.verify``, and it needs no public key: Ed25519
-signing is deterministic (RFC 8032 §5.1.6), so the resolver signs the same
-bytes again and compares in constant time. It accepts only the one
-signature this resolver's key makes over those bytes; a valid signature by
-any other key, or over any other nonce, is refused. Flipping a single bit
-of either input breaks the check. The key is a required argument: a
-resolver never draws a random one, since every caller passes its own.
+That check is ``Resolver.verify``, and it signs nothing: the resolver keeps
+each attestation it issues, by nonce, in one table of at most
+``ISSUED_ATTESTATIONS``, oldest evicted first. ``verify`` pops the nonce's
+entry and accepts only that attestation, field for field (the signature in
+constant time), over the document just fetched: an attestation is checked
+once, ever. So a user-lookup grant costs one Ed25519 sign and a
+contract-lookup grant none. The key is a required argument: a resolver
+never draws a random one, since every caller passes its own.
 """
 
 from __future__ import annotations
 
 import hmac
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..canonical import from_hex, sha256_hex, to_hex
+from ..canonical import from_hex, to_hex
 from ..errors import ValidationError, from_camel_keys
 from ..keys import KeyPair
 from .did import DidIdentifier, parse_did
@@ -34,6 +36,7 @@ from .registry import DidRegistry, UnknownDidError
 
 # What ``Resolver.fetch`` and ``resolve`` raise for a DID they cannot serve.
 UNRESOLVABLE = (UnknownDidError, ValidationError)
+ISSUED_ATTESTATIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ class Resolver:
         self.name = name
         self._keypair = keypair
         self._drivers: dict[str, object] = {}
+        self._issued: OrderedDict[bytes, Attestation] = OrderedDict()
 
     def register_driver(self, method: str, driver) -> None:
         if not method:
@@ -90,27 +94,34 @@ class Resolver:
         return driver.fetch(identifier)
 
     def resolve(self, did: DidIdentifier | str, nonce: bytes) -> Attestation:
-        """Attest to the latest document under ``nonce``.
+        """Attest to the latest document under ``nonce``, and keep it for ``verify``.
 
         Signs, so only the front desk calls it; in-process readers ``fetch``.
         """
         identifier = parse_did(did) if isinstance(did, str) else did
-        body = self.fetch(identifier).canonical_bytes()
-        return Attestation(
+        document, nonce = self.fetch(identifier), bytes(nonce)
+        attestation = self._issued[nonce] = Attestation(
             did=str(identifier),
-            nonce=bytes(nonce),
-            document_digest=sha256_hex(body),
+            nonce=nonce,
+            document_digest=document.digest(),
             resolver=self.name,
-            signature=self._keypair.sign(body + bytes(nonce)),
+            signature=self._keypair.sign(document.canonical_bytes() + nonce),
         )
+        if len(self._issued) > ISSUED_ATTESTATIONS:
+            self._issued.popitem(last=False)
+        return attestation
 
-    def verify(self, attestation: Attestation, document_bytes: bytes) -> bool:
-        """True iff this resolver made ``attestation`` over ``document_bytes``.
+    def verify(self, attestation: Attestation, document: DidDocument) -> bool:
+        """True iff this resolver issued ``attestation``, unpresented, over ``document``.
 
-        A stale document fails the digest check without signing; otherwise
-        the signature is made again and compared, since Ed25519 is deterministic.
+        Pops the nonce's entry whatever the answer, so no attestation is
+        checked twice; signs nothing, since the issued attestation is kept.
         """
-        if sha256_hex(document_bytes) != attestation.document_digest:
-            return False
-        expected = self._keypair.sign(document_bytes + attestation.nonce)
-        return hmac.compare_digest(expected, attestation.signature)
+        issued = self._issued.pop(attestation.nonce, None)
+        return (
+            issued is not None
+            and (issued.did, issued.document_digest, issued.resolver)
+            == (attestation.did, attestation.document_digest, attestation.resolver)
+            and hmac.compare_digest(issued.signature, attestation.signature)
+            and issued.document_digest == document.digest()
+        )

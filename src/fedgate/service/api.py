@@ -58,7 +58,7 @@ def _parse(field: str, parser: Callable, value):
 
 class ServiceApi:
     """``clock`` is unread: a request carries no time of its own yet (ROADMAP
-    item 3), and one stamped here would prove nothing."""
+    item 4), and one stamped here would prove nothing."""
 
     def __init__(self, gateway: AccessGateway, service: FlaasService, clock: Callable[[], int]):
         self._gateway = gateway

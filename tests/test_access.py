@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
 from fedgate.errors import FedGateError, ValidationError
 from fedgate.identity import DidDocument, PublicKeyEntry
+from fedgate.identity import resolver as resolver_module
+from fedgate.identity.resolver import ISSUED_ATTESTATIONS
 from fedgate.identity.registry import UnknownDidError
 from fedgate.keys import KeyPair, verify_signature
 from fedgate.ledger import ClaimPredicate, ClaimRequirement
@@ -782,19 +785,89 @@ def test_contract_lookup_grant_signs_nothing(crypto_counts):
     assert crypto_counts == {"sign": 0, "verify": 0}
 
 
-def test_user_lookup_grant_checks_its_attestation_by_signing_again(crypto_counts):
+def test_user_lookup_grant_signs_once(crypto_counts):
     stack = Stack()
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
     crypto_counts.update(sign=0, verify=0)
     assert stack.request_b(alice.did).decision == "granted"
-    # The front desk signs the attestation and the gateway signs it again to
-    # check it; the claim signature is the only Ed25519 verify.
-    assert crypto_counts == {"sign": 2, "verify": 1}
-    # A repeat grant signs a fresh attestation twice; the claim is cached.
+    # The front desk signs the attestation; the gateway checks it against the
+    # one the resolver kept, signing nothing. The claim is the only verify.
+    assert crypto_counts == {"sign": 1, "verify": 1}
+    # A repeat grant signs one fresh attestation; the claim is cached.
     crypto_counts.update(sign=0, verify=0)
     assert stack.request_b(alice.did).decision == "granted"
-    assert crypto_counts == {"sign": 2, "verify": 0}
+    assert crypto_counts == {"sign": 1, "verify": 0}
+
+
+def submit_b(stack, actor, attestation):
+    """One user-lookup submission of ``attestation`` under a fresh request nonce."""
+    request = AccessRequest(actor.did, "fl-study", SCHEME_USER_LOOKUP, stack.fresh_nonce())
+    return stack.gateway.request_access(request, attestation=attestation)
+
+
+def test_attestation_opens_one_evaluation_after_the_nonce_ring_forgets_it():
+    stack = Stack(contract_path_per_minute=NONCE_RING_SIZE)
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    attestation = stack.gateway.user_lookup(alice.did, stack.fresh_nonce()).attestation
+    assert submit_b(stack, alice, attestation).decision == "granted"
+    for _ in range(NONCE_RING_SIZE):
+        assert stack.request_a(alice.did).decision == "granted"
+    assert attestation.nonce.hex() not in stack.gateway._used_nonces._seen
+    height = stack.chain.height
+    again = submit_b(stack, alice, attestation)
+    assert (again.decision, again.reason, again.tx_id) == ("denied", "stale-attestation", None)
+    assert stack.chain.height == height
+
+
+def test_issued_attestations_keep_the_newest_up_to_their_bound():
+    stack = Stack(front_desk_per_minute=ISSUED_ATTESTATIONS + 1)
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    lookups = [
+        stack.gateway.user_lookup(alice.did, stack.fresh_nonce())
+        for _ in range(ISSUED_ATTESTATIONS + 1)
+    ]
+    assert all(lookup.ok for lookup in lookups)
+    assert len(stack.resolver._issued) == ISSUED_ATTESTATIONS
+    height = stack.chain.height
+    oldest = submit_b(stack, alice, lookups[0].attestation)
+    assert (oldest.decision, oldest.reason) == ("denied", "stale-attestation")
+    assert stack.chain.height == height
+    assert submit_b(stack, alice, lookups[-1].attestation).decision == "granted"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bound=st.integers(min_value=1, max_value=6),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["lookup", "submit"]), st.integers(min_value=0, max_value=9)),
+        max_size=40,
+    ),
+)
+def test_issued_attestations_stay_within_their_bound(bound, steps):
+    """Lookups and submissions at the resolver, against a model table under a
+    small bound: each submission of the latest attestation made under a nonce
+    is accepted exactly when the model still holds it."""
+    stack = Stack()
+    alice = stack.register_actor("alice")
+    resolver = stack.resolver
+    document = resolver.fetch(alice.did)
+    model: OrderedDict[bytes, object] = OrderedDict()
+    latest = {}
+    with mock.patch.object(resolver_module, "ISSUED_ATTESTATIONS", bound):
+        for step, index in steps:
+            nonce = bytes([index]) * 16
+            if step == "lookup":
+                latest[nonce] = model[nonce] = resolver.resolve(alice.did, nonce)
+                if len(model) > bound:
+                    model.popitem(last=False)
+            elif nonce in latest:
+                expected = model.pop(nonce, None) is not None
+                assert resolver.verify(latest[nonce], document) == expected
+            assert len(resolver._issued) == len(model) <= bound
+            assert list(resolver._issued) == list(model)
 
 
 def test_stack_registers_hundreds_of_actors():

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgate.canonical import from_hex
+from fedgate import scenario
+from fedgate.canonical import canonical_json_bytes, from_hex, sha256_hex
 from fedgate.claims import VerifiableClaim, sign_claim
 from fedgate.errors import ValidationError
 from fedgate.identity import (
@@ -171,6 +173,64 @@ def test_with_claim_bumps_version():
     assert updated.version == doc.version + 1
     assert updated.claims[-1] == claim
     assert doc.claims == ()
+
+
+CLAIMS = st.builds(
+    VerifiableClaim,
+    claim_type=st.text(min_size=1, max_size=8),
+    value=st.text(max_size=8),
+    subject=st.just("did:efed:alice01"),
+    issuer=st.just("did:efed:issuer"),
+    issued_at=st.integers(min_value=0, max_value=10**6),
+    expires_at=st.integers(min_value=10**6 + 1, max_value=2 * 10**6),
+    signature=st.binary(min_size=64, max_size=64),
+)
+
+
+def assert_stored_encoding(doc):
+    body = canonical_json_bytes(doc.to_dict())
+    assert doc.canonical_bytes() == body
+    assert doc.digest() == sha256_hex(body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.text(alphabet=METHOD_ALPHA, min_size=1, max_size=12),
+    specific=st.text(alphabet=SPECIFIC_ALPHA, min_size=1, max_size=24),
+    public_bytes=st.binary(min_size=32, max_size=32),
+    claims=st.lists(CLAIMS, max_size=4),
+)
+def test_stored_document_bytes_are_its_canonical_encoding(method, specific, public_bytes, claims):
+    docs = [DidDocument.for_key(method, specific, public_bytes)]
+    for claim in claims:
+        docs.append(docs[-1].with_claim(claim))
+    docs += [DidDocument.from_dict(doc.to_dict()) for doc in docs]
+    for doc in docs:
+        assert_stored_encoding(doc)
+    # The stored encoding takes no part in equality or hashing.
+    twin = DidDocument.from_dict(docs[-1].to_dict())
+    object.__setattr__(twin, "_encoded", (b"", ""))
+    assert twin == docs[-1] and hash(twin) == hash(docs[-1])
+
+
+def test_seed_7_demo_documents_store_their_canonical_encoding(tmp_path, monkeypatch):
+    desks, build = [], scenario.build_desk
+
+    def capture(*args, **kwargs):
+        desks.append(build(*args, **kwargs))
+        return desks[-1]
+
+    monkeypatch.setattr(scenario, "build_desk", capture)
+    out = tmp_path / "demo"
+    scenario.run_demo(scenario.ScenarioConfig(out_dir=str(out), seed=7))
+    replayed = DidRegistry.replay_log(out / "identity.jsonl", receipt)
+    ids = {json.loads(line)["document"]["id"] for line in (out / "identity.jsonl").open()}
+    assert len(ids) == len(desks[0].registry) > 2
+    for did in ids:
+        live = desks[0].registry.get(did)
+        assert_stored_encoding(live)
+        assert_stored_encoding(replayed.get(did))
+        assert replayed.get(did).digest() == live.digest()
 
 
 CLAIM_DICT = sign_claim(
@@ -435,13 +495,15 @@ def test_resolve_returns_latest_version():
     registry.register(doc, profile_hash="p")
     attestation = resolver.resolve("did:efed:alice01", nonce=b"\x01" * 16)
     assert attestation.did == "did:efed:alice01"
-    assert resolver.verify(attestation, doc.canonical_bytes())
+    assert resolver.verify(attestation, doc)
 
     updated = make_document(version=2)[0]
     registry.update(updated)
     attestation2 = resolver.resolve("did:efed:alice01", nonce=b"\x02" * 16)
-    assert resolver.verify(attestation2, updated.canonical_bytes())
-    assert not resolver.verify(attestation2, doc.canonical_bytes())
+    assert attestation2.document_digest == updated.digest()
+    assert not resolver.verify(attestation2, doc)  # a stale document
+    attestation3 = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
+    assert resolver.verify(attestation3, updated)
 
 
 def test_resolve_errors():
@@ -463,7 +525,8 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
     assert signed == []
     attestation = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
     assert len(signed) == 1
-    assert resolver.verify(attestation, doc.canonical_bytes())
+    assert resolver.verify(attestation, doc)
+    assert len(signed) == 1  # the check signs nothing
     with pytest.raises(UnknownDidError, match="no driver registered for method 'bogus'"):
         resolver.fetch("did:bogus:alice01")
     with pytest.raises(UnknownDidError):
@@ -491,7 +554,7 @@ def test_driver_routing_is_per_method():
     routes = {"did:efed:alice01": doc, "did:loop:probe": other}
     for did, expected in routes.items():
         attestation = resolver.resolve(did, nonce=b"\x05" * 16)
-        assert resolver.verify(attestation, expected.canonical_bytes())
+        assert resolver.verify(attestation, expected)
     assert resolver.fetch("did:loop:probe") == other
     with pytest.raises(ValidationError):
         resolver.register_driver("efed", loop)
@@ -505,9 +568,6 @@ def test_distinct_nonces_distinct_attestations():
     r2 = resolver.resolve("did:efed:alice01", nonce=b"\xbb" * 16)
     assert r1.document_digest == r2.document_digest
     assert r1.signature != r2.signature
-    body = doc.canonical_bytes()
-    assert resolver.verify(r1, body)
-    assert resolver.verify(r2, body)
     # an attestation is bound to its own nonce
     swapped = Attestation(
         did=r1.did,
@@ -516,20 +576,61 @@ def test_distinct_nonces_distinct_attestations():
         resolver=r1.resolver,
         signature=r1.signature,
     )
-    assert not resolver.verify(swapped, body)
+    assert not resolver.verify(swapped, doc)
+    assert resolver.verify(r1, doc)
+    # Each attestation opens one check: the swap spent r2's entry, r1's was spent.
+    assert not resolver.verify(r2, doc)
+    assert not resolver.verify(r1, doc)
+
+
+class BytesDocument:
+    """Stands in for a document whose canonical bytes are ``body``, which need not parse."""
+
+    def __init__(self, body: bytes):
+        self._digest = sha256_hex(body)
+
+    def digest(self) -> str:
+        return self._digest
+
+
+def flip_bit(data, value: bytes) -> bytes:
+    flipped = bytearray(value)
+    bit = data.draw(st.integers(min_value=0, max_value=len(flipped) * 8 - 1))
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_attestation_detects_any_bit_flip(data):
+@given(data=st.data(), target=st.sampled_from(["document", "signature"]))
+def test_attestation_detects_any_bit_flip(data, target):
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
     attestation = resolver.resolve("did:efed:alice01", nonce=b"\x0f" * 16)
-    body = bytearray(doc.canonical_bytes())
-    bit = data.draw(st.integers(min_value=0, max_value=len(body) * 8 - 1))
-    body[bit // 8] ^= 1 << (bit % 8)
-    assert not resolver.verify(attestation, bytes(body))
+    document = BytesDocument(doc.canonical_bytes())
+    if target == "document":
+        document = BytesDocument(flip_bit(data, doc.canonical_bytes()))
+    else:
+        attestation = replace(attestation, signature=flip_bit(data, attestation.signature))
+    assert not resolver.verify(attestation, document)
+
+
+ALTERED_ATTESTATIONS = {
+    "did": lambda att: replace(att, did="did:efed:mallory"),
+    "document-digest": lambda att: replace(att, document_digest="0" * 64),
+    "resolver": lambda att: replace(att, resolver="other-resolver"),
+    "nonce": lambda att: replace(att, nonce=b"\x10" * 16),
+    "signature": lambda att: replace(att, signature=bytes(64)),
+}
+
+
+@pytest.mark.parametrize("alter", ALTERED_ATTESTATIONS.values(), ids=ALTERED_ATTESTATIONS)
+def test_attestation_altered_in_any_field_is_refused(alter):
+    registry, resolver = make_resolver()
+    doc, _ = make_document()
+    registry.register(doc, profile_hash="p")
+    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x0e" * 16)
+    assert not resolver.verify(alter(attestation), doc)
 
 
 def test_attestation_round_trip():
@@ -539,4 +640,4 @@ def test_attestation_round_trip():
     att = resolver.resolve("did:efed:alice01", nonce=b"\x3c" * 16)
     again = Attestation.from_dict(att.to_dict())
     assert again == att
-    assert resolver.verify(again, doc.canonical_bytes())
+    assert resolver.verify(again, doc)
