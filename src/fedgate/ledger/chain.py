@@ -2,8 +2,8 @@
 
 Every transaction id is ``sha256(payload ‖ kind ‖ submitter)``. The genesis
 block holds no transaction and its root is 32 zero bytes; every later block
-holds exactly one, and its root is that transaction's id (stored as
-``merkleRoot``, the root of a one-leaf tree). A block header hashes to
+holds exactly one, and its root is that transaction's id (the root of a
+one-leaf tree). A block header hashes to
 ``sha256(height ‖ prev_hash ‖ root ‖ timestamp)`` with fixed-width
 big-endian integers so the concatenation is unambiguous. Blocks link by
 ``prev_hash``; the genesis block links to 32 zero bytes. There is no
@@ -12,30 +12,36 @@ reads, and blocks are stamped from the clock the writer is given: like the
 rest of ``fedgate``, this module keeps no default that only a test would take
 (here, wall time), since a test can pass what it needs.
 
-The persisted form is JSON lines, one block per line, canonical
-encoding. Chain files have one validator: ``Block.from_dict``, whose
-``__post_init__`` checks (with ``Transaction``'s) every field and
-recomputes every hash, plus a height and ``prev_hash`` check between
-blocks. A block or transaction record holds only the keys its ``to_dict``
-writes, and each field must hold its own JSON type, read as is: a height or
-timestamp is an integer in ``[0, 2**64)`` and never a bool, a float or a
-string.
-``verify_chain_records``, ``verify_chain_file`` and ``load_chain`` all go
-through it, so they agree on every input, and any single flipped bit in
-the file surfaces as a verification failure at that height. A record built
-in process leaves its hashes to that same ``__post_init__``, which fills
-them in, so ``Chain.record`` computes each hash once.
+The persisted form is JSON lines, one flat canonical line per block, and a
+line states each fact once. The genesis line holds exactly ``hash``,
+``height``, ``prevHash`` and ``timestamp``; every later line holds those
+keys plus ``kind``, ``submitter`` and ``payload``, the transaction's
+canonical payload JSON as a JSON string. The transaction id, the root and
+the transaction's timestamp (the block's) are not written: the reader
+derives them.
+
+Chain files have one validator: the ``Transaction`` and ``Block``
+constructors. Each tests its fields' types as given (a height or timestamp
+is an ``int`` in ``[0, 2**64)``, never a bool, a float or a string; a kind,
+submitter or hash is a string) and derives its hash once. ``Chain.record``
+builds its block through them, and so does ``Block.from_dict``, which reads
+one line: the line holds exactly the keys the writer writes at its height,
+and the hash it states must equal the one derived. ``_build_blocks`` adds
+the links between blocks: heights count up from 0 and each ``prev_hash``
+names the block before. ``verify_chain_records``, ``verify_chain_file`` and
+``load_chain`` all go through it, so they agree on every input, and any
+single flipped bit in the file surfaces as a verification failure at that
+height.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
-from ..errors import ValidationError, check_field_types, check_keys
+from ..errors import ValidationError
 
 TRANSACTION_KINDS = frozenset(
     {"deploy_contract", "did_registration", "access_grant", "access_denial"}
@@ -43,130 +49,116 @@ TRANSACTION_KINDS = frozenset(
 
 GENESIS_PREV_HASH = to_hex(b"\x00" * 32)
 _GENESIS_ROOT = to_hex(b"\x00" * 32)
-# The keys ``to_dict`` writes; a record read back may hold no other.
-_TRANSACTION_KEYS = frozenset({"txId", "timestamp", "kind", "payload", "submitter"})
-_BLOCK_KEYS = frozenset({"height", "prevHash", "merkleRoot", "timestamp", "transactions", "hash"})
+# The keys the writer puts on a chain line; a line read back holds no other.
+_GENESIS_KEYS = frozenset({"hash", "height", "prevHash", "timestamp"})
+_LINE_KEYS = _GENESIS_KEYS | {"kind", "submitter", "payload"}
 
 
 def _tx_id(payload: bytes, kind: str, submitter: str) -> str:
     return sha256_hex(payload + kind.encode() + submitter.encode())
 
 
-# Default of a hash field: ``__post_init__`` derives the value. No JSON value
-# is this object, so a record read from a file always has its hashes compared.
-_DERIVE = object()
-
-
-def _settle(record, name: str, derived: str, what: str) -> None:
-    """Fill in a hash field left to derive, or check the value claimed for it."""
-    if getattr(record, name) is _DERIVE:
-        object.__setattr__(record, name, derived)
-    elif getattr(record, name) != derived:
-        raise ValidationError(f"{what} does not match")
-
-
-@dataclass(frozen=True)
-class Transaction:
-    timestamp: int
-    kind: str
-    payload: bytes
-    submitter: str
-    tx_id: str = _DERIVE
-
-    _FIELD_TYPES = (("timestamp", int), ("kind", str), ("payload", bytes), ("submitter", str))
-
-    def __post_init__(self) -> None:
-        check_field_types(self, "transaction", self._FIELD_TYPES)
-        if self.kind not in TRANSACTION_KINDS:
-            raise ValidationError(f"unknown transaction kind {self.kind!r}")
-        derived = _tx_id(self.payload, self.kind, self.submitter)
-        _settle(self, "tx_id", derived, f"tx_id of a {self.kind} transaction")
-
-    def to_dict(self) -> dict:
-        return {
-            "txId": self.tx_id,
-            "timestamp": self.timestamp,
-            "kind": self.kind,
-            "payload": to_hex(self.payload),
-            "submitter": self.submitter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Transaction":
-        check_keys(data, "transaction", _TRANSACTION_KEYS)
-        return cls(
-            timestamp=data["timestamp"],
-            kind=data["kind"],
-            payload=from_hex(data["payload"]),
-            submitter=data["submitter"],
-            tx_id=data["txId"],
-        )
-
-
 def _block_hash(height: int, prev_hash: str, root: str, timestamp: int) -> str:
+    # ``root`` is always derived here, so only ``prev_hash`` needs the strict decode.
     header = (
         height.to_bytes(8, "big")
         + from_hex(prev_hash)
-        + from_hex(root)
+        + bytes.fromhex(root)
         + timestamp.to_bytes(8, "big")
     )
     return sha256_hex(header)
 
 
-@dataclass(frozen=True)
+class Transaction:
+    """One sealed fact; its fields are checked as given and its id derived once."""
+
+    __slots__ = ("timestamp", "kind", "payload", "submitter", "tx_id")
+
+    def __init__(self, timestamp: int, kind: str, payload: bytes, submitter: str):
+        if type(timestamp) is not int or type(payload) is not bytes:
+            raise ValidationError("a transaction's timestamp must be int and its payload bytes")
+        if type(kind) is not str or type(submitter) is not str:
+            raise ValidationError("a transaction's kind and submitter must be str")
+        if kind not in TRANSACTION_KINDS:
+            raise ValidationError(f"unknown transaction kind {kind!r}")
+        self.timestamp = timestamp
+        self.kind = kind
+        self.payload = payload
+        self.submitter = submitter
+        self.tx_id = _tx_id(payload, kind, submitter)
+
+
 class Block:
-    height: int
-    prev_hash: str
-    timestamp: int
-    transactions: tuple[Transaction, ...]
-    root: str = _DERIVE
-    hash: str = _DERIVE
+    """One block; its fields are checked as given and its hash derived once."""
 
-    _FIELD_TYPES = (("height", int), ("prev_hash", str), ("timestamp", int))
+    __slots__ = ("height", "prev_hash", "timestamp", "transactions", "hash")
 
-    def __post_init__(self) -> None:
-        check_field_types(self, "block", self._FIELD_TYPES)
-        object.__setattr__(self, "transactions", tuple(self.transactions))
+    def __init__(
+        self, height: int, prev_hash: str, timestamp: int, transactions: tuple[Transaction, ...]
+    ):
+        if type(height) is not int or type(prev_hash) is not str or type(timestamp) is not int:
+            raise ValidationError("block fields must be int height, str prev_hash, int timestamp")
         # Both are hashed as 8-byte unsigned integers (see ``_block_hash``); the
-        # range also bounds the transaction timestamps, which equal the block's.
-        if not (0 <= self.height < 2**64 and 0 <= self.timestamp < 2**64):
-            raise ValidationError(f"block height or timestamp outside [0, 2**64) at {self.height}")
-        if len(self.transactions) != (1 if self.height else 0):
+        # range also bounds the transaction's timestamp, which equals the block's.
+        if not (0 <= height < 2**64 and 0 <= timestamp < 2**64):
+            raise ValidationError(f"block height or timestamp outside [0, 2**64) at {height}")
+        if len(transactions) != (1 if height else 0):
             raise ValidationError(
-                f"block at height {self.height} holds {len(self.transactions)} "
+                f"block at height {height} holds {len(transactions)} "
                 "transactions; genesis holds none and every other block one"
             )
-        # Sealing stamps every transaction with the block time, and the block
-        # time feeds the block hash; without this equality a transaction's
-        # timestamp would be the one field no hash covers.
-        if any(t.timestamp != self.timestamp for t in self.transactions):
-            raise ValidationError("transaction timestamps must match the block timestamp")
-        root = self.transactions[0].tx_id if self.transactions else _GENESIS_ROOT
-        _settle(self, "root", root, f"root at height {self.height}")
-        derived = _block_hash(self.height, self.prev_hash, self.root, self.timestamp)
-        _settle(self, "hash", derived, f"block hash at height {self.height}")
+        root = _GENESIS_ROOT
+        for tx in transactions:
+            # Sealing stamps the transaction with the block time, and the block
+            # time feeds the block hash; without this equality the transaction's
+            # timestamp would be the one field no hash covers.
+            if tx.timestamp != timestamp:
+                raise ValidationError("a transaction's timestamp must match its block's")
+            root = tx.tx_id
+        self.height = height
+        self.prev_hash = prev_hash
+        self.timestamp = timestamp
+        self.transactions = transactions
+        self.hash = _block_hash(height, prev_hash, root, timestamp)
 
     def to_dict(self) -> dict:
-        return {
+        """The block's chain line, as the object it encodes."""
+        line = {
+            "hash": self.hash,
             "height": self.height,
             "prevHash": self.prev_hash,
-            "merkleRoot": self.root,
             "timestamp": self.timestamp,
-            "transactions": [t.to_dict() for t in self.transactions],
-            "hash": self.hash,
         }
+        for tx in self.transactions:
+            line["kind"] = tx.kind
+            line["submitter"] = tx.submitter
+            line["payload"] = tx.payload.decode()
+        return line
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Block":
-        check_keys(data, "block", _BLOCK_KEYS)
-        return cls(
-            height=data["height"],
-            prev_hash=data["prevHash"],
-            timestamp=data["timestamp"],
-            transactions=tuple(Transaction.from_dict(t) for t in data["transactions"]),
-            root=data["merkleRoot"],
-            hash=data["hash"],
-        )
+    def from_dict(cls, data: object) -> "Block":
+        """The block one chain line states, built through the constructors.
+
+        Raises ``ValidationError``, or ``ValueError`` for a ``prevHash`` that
+        is not lowercase hex or a payload that does not encode as UTF-8.
+        """
+        if type(data) is not dict:
+            raise ValidationError(f"a chain line must be an object, got {type(data).__name__}")
+        keys = data.keys()
+        if keys == _LINE_KEYS:
+            payload = data["payload"]
+            if type(payload) is not str:
+                raise ValidationError("transaction field payload must be str")
+            tx = Transaction(data["timestamp"], data["kind"], payload.encode(), data["submitter"])
+            transactions = (tx,)
+        elif keys == _GENESIS_KEYS:
+            transactions = ()
+        else:
+            raise ValidationError(f"a chain line holds the keys {sorted(map(str, keys))}")
+        block = cls(data["height"], data["prevHash"], data["timestamp"], transactions)
+        if block.hash != data["hash"]:
+            raise ValidationError(f"block hash at height {block.height} does not match")
+        return block
 
 
 class Chain:
@@ -174,12 +166,7 @@ class Chain:
 
     def __init__(self, clock: Callable[[], int]):
         self._clock = clock
-        genesis = Block(
-            height=0,
-            prev_hash=GENESIS_PREV_HASH,
-            timestamp=int(self._clock()),
-            transactions=(),
-        )
+        genesis = Block(0, GENESIS_PREV_HASH, int(self._clock()), ())
         self._blocks: list[Block] = [genesis]
 
     @property
@@ -217,18 +204,16 @@ class Chain:
 def _build_blocks(records: list) -> tuple[list[Block], int | None]:
     """Blocks built from untrusted records, and the first bad height if any.
 
-    ``Block.from_dict`` checks each record's own fields and hashes; this
-    adds the links between blocks: heights count up from 0 and each
-    ``prev_hash`` names the block before. A malformed record counts as
-    invalid at the height where it appears; the blocks before it are
-    returned.
+    ``Block.from_dict`` checks each record's own fields and hash; this adds
+    the links between blocks. A malformed record counts as invalid at the
+    height where it appears; the blocks before it are returned.
     """
     blocks: list[Block] = []
     prev_hash = GENESIS_PREV_HASH
     for index, record in enumerate(records):
         try:
             block = Block.from_dict(record)
-        except (KeyError, TypeError, ValueError, ValidationError):
+        except (ValueError, ValidationError):
             return blocks, index
         if block.height != index or block.prev_hash != prev_hash:
             return blocks, index
@@ -244,8 +229,8 @@ def _read_records(path: Path) -> tuple[list, int | None]:
         for line in fh:
             if not line.strip():
                 continue
-            try:
-                records.append(json.loads(line))
+            try:  # decoded here, strictly: ``json.loads`` would guess at an encoding
+                records.append(json.loads(line.decode()))
             except ValueError:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
                 return records, len(records)
     return records, None

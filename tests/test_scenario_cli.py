@@ -51,13 +51,13 @@ def test_default_scenario_happy_path(tmp_path):
 # event, an identity record or the story's outcome.
 LEDGER_DIGESTS = {
     "contract_lookup": {
-        "chain.jsonl": "0add1533014fb0ae8079416facc35961d9926d583781f7069ad3be2e5bdb70f2",
+        "chain.jsonl": "ae96a718c556f6cdfcbdf752edbe6d1430c151e38b3bb5981a578f5be45e29f1",
         "events.jsonl": "023254cccb3cc0e5b0c90b3d93cde1a3242993d158fe2358de19b288a3dc11f2",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
         "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
-        "chain.jsonl": "a3c258b1219c45145563d211baed87a168b4bfdcf1806fe069d5734cf93c26c4",
+        "chain.jsonl": "b2e878a09059ad3c2d8ca1503b05441300a997362a9ec2128c57d27fc0ff100c",
         "events.jsonl": "a4fea1fd8d0792f4205947879ddd9a74caad9b9f27036c8eb5bc82e6aa393768",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
         "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
@@ -509,8 +509,9 @@ def test_cli_verify_chain_detects_bit_flip(tmp_path):
     main(["demo", "--out", str(out), "--seed", "5"])
     chain_path = out / "chain.jsonl"
     raw = bytearray(chain_path.read_bytes())
-    # flip one bit inside a payload hex digit, keeping the JSON parseable
+    # flip one bit of a key name inside the payload string, keeping the JSON parseable
     offset = raw.index(b'"payload"') + 20
+    assert raw[offset : offset + 1].isalpha()
     raw[offset] ^= 0x01
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_bytes(bytes(raw))
@@ -652,7 +653,7 @@ def test_cli_import_legacy(tmp_path):
 # file holds a float, so the digests are the same on every machine.
 LEGACY_ACCOUNTS = "username,role\nada,analyst\ngrace,admin\nada,auditor\nalan turing,researcher\n"
 LEGACY_DIGESTS = {
-    "chain.jsonl": "1592c39534b8e08ef9d38a54c544a8c7c4d7a60296901b45e2a779adb31bcecc",
+    "chain.jsonl": "bc4415f328c666c816e0994b91f1a7af23999a568a25adb5d44e931b8301ef54",
     "identity.jsonl": "d61096644e0b51354f2be41421caf71b6d3d710d402105b0129304a26fe63945",
     "report.json": "2757531d24cb1d6cab2cf79a1abfd127650b074b826ec968f9cf1f60b52483e0",
 }
