@@ -21,7 +21,7 @@ from .clock import SimulatedClock
 from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
-from .ledger import load_chain, verify_chain_file
+from .ledger import load_chain
 from .scenario import START_TIME, ScenarioConfig, replay_ledger, run_demo
 
 EXIT_OK = 0
@@ -74,20 +74,21 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_chain(args: argparse.Namespace) -> int:
-    ok, bad_height = verify_chain_file(Path(args.chain))
-    if not ok:
-        print(f"chain invalid at height {bad_height}")
+    try:  # the chain is read once; --events and --explain take its blocks
+        blocks = load_chain(Path(args.chain))
+    except ValidationError as exc:  # names the first bad height
+        print(exc)
         return EXIT_DOMAIN
     print("chain verified")
     if args.events is not None:
         try:
-            replay_ledger(Path(args.events), Path(args.chain))
+            replay_ledger(Path(args.events), blocks)
         except ValidationError as exc:  # names the line or the first differing height
             print(f"replay refused: {exc}")
             return EXIT_DOMAIN
         print("event log replays to the chain")
     if args.explain is not None:
-        return _explain_decision(load_chain(Path(args.chain)), args.explain)
+        return _explain_decision(blocks, args.explain)
     return EXIT_OK
 
 

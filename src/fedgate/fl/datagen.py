@@ -9,7 +9,6 @@ by biasing each client's class mix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +103,3 @@ def write_dataset(spec: SyntheticSpec, directory: Path) -> Path:
         save_partition(p, directory)
     (directory / MANIFEST_NAME).write_bytes(canonical_json_bytes(manifest) + b"\n")
     return directory
-
-
-def read_manifest(directory: Path) -> dict:
-    return json.loads((Path(directory) / MANIFEST_NAME).read_text())

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
 from ..errors import ValidationError
@@ -189,15 +189,11 @@ class Chain:
         self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
         return tx.tx_id
 
-    def written_lines(self) -> Iterator[bytes]:
-        """The chain file's lines: each block's canonical JSON and a newline."""
-        for block in self._blocks:
-            yield canonical_json_bytes(block.to_dict()) + b"\n"
-
     def write_chain(self, path: Path) -> Path:
+        """Write the chain file: each block's canonical JSON and a newline."""
         path = Path(path)
         with path.open("wb") as fh:
-            fh.writelines(self.written_lines())
+            fh.writelines(canonical_json_bytes(block.to_dict()) + b"\n" for block in self._blocks)
         return path
 
 
@@ -227,11 +223,9 @@ def _read_records(path: Path) -> tuple[list, int | None]:
     records = []
     with Path(path).open("rb") as fh:
         for line in fh:
-            if not line.strip():
-                continue
             try:  # decoded here, strictly: ``json.loads`` would guess at an encoding
                 records.append(json.loads(line.decode()))
-            except ValueError:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
+            except ValueError:  # bad JSON or a blank line, bad UTF-8, an integer past the digit limit
                 return records, len(records)
     return records, None
 
@@ -256,5 +250,5 @@ def load_chain(path: Path) -> list[Block]:
     if bad is None:
         blocks, bad = _build_blocks(records)
     if bad is not None:
-        raise ValidationError(f"chain file invalid at height {bad}")
+        raise ValidationError(f"chain invalid at height {bad}")
     return blocks

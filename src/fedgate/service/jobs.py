@@ -161,13 +161,3 @@ class JobQueue:
 def wsjf_order(jobs: list[JobSpec]) -> list[int]:
     """Indices of ``jobs`` in execution order under the scheduling rule."""
     return sorted(range(len(jobs)), key=lambda i: (-jobs[i].wsjf_ratio, i))
-
-
-def total_weighted_completion(jobs: list[JobSpec], order: list[int]) -> float:
-    """Σ weight_j · completion_j when jobs run back-to-back in ``order``."""
-    clock = 0.0
-    total = 0.0
-    for index in order:
-        clock += jobs[index].estimated_runtime
-        total += jobs[index].priority_weight * clock
-    return total

@@ -2,9 +2,10 @@
 trusted issuer and a policy owner, under the short names the tests call, and
 one access request under each scheme), the ledger readers only tests need,
 the hex regex that ``canonical.from_hex`` is held to, the reference sigmoid
-that ``_sigmoid`` is held to bit for bit, and the one-model loss oracles that
+that ``_sigmoid`` is held to bit for bit, the one-model loss oracles that
 ``FleetScores``, ``global_loss``, ``training_accuracy`` and
-``stacked_gradient`` are held to."""
+``stacked_gradient`` are held to, and the total weighted completion time
+that ``wsjf_order`` is held to (acceptance criterion 09)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import stacked_gradient
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
+from fedgate.service.jobs import JobSpec
 
 ISSUER_DID = "did:efed:issuer"
 
@@ -162,3 +164,13 @@ def gradient(
     x = _checked_features(model, features, loss)
     y = np.asarray(labels, dtype=np.float64)
     return stacked_gradient(model[None], x[None], y[None], loss)[0]
+
+
+def total_weighted_completion(jobs: list[JobSpec], order: list[int]) -> float:
+    """Σ weight_j · completion_j when jobs run back-to-back in ``order``."""
+    clock = 0.0
+    total = 0.0
+    for index in order:
+        clock += jobs[index].estimated_runtime
+        total += jobs[index].priority_weight * clock
+    return total

@@ -33,11 +33,10 @@ from fedgate.service.jobs import (
     DataFilter,
     JobQueue,
     JobSpec,
-    total_weighted_completion,
     wsjf_order,
 )
 
-from support import Stack, gradient, mean_loss, predict
+from support import Stack, gradient, mean_loss, predict, total_weighted_completion
 from test_federation import centralized_gd_step, random_partitions
 
 

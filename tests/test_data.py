@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from fedgate.fl import (
     write_dataset,
 )
 from fedgate.fl.data import check_shared_feature_space, load_partition, save_partition
-from fedgate.fl.datagen import read_manifest
+from fedgate.fl.datagen import MANIFEST_NAME
+
+
+def read_manifest(directory: Path) -> dict:
+    return json.loads((Path(directory) / MANIFEST_NAME).read_text())
 
 
 def test_partition_validation():

@@ -512,6 +512,20 @@ def test_a_chain_file_in_the_nested_layout_is_refused_at_genesis(tmp_path, capsy
     assert capsys.readouterr().out == "chain invalid at height 0\n"
 
 
+def test_a_blank_line_in_a_chain_file_is_refused_at_its_height(tmp_path, capsys):
+    # The writer writes no blank line, so a reader that skipped one would accept bytes it never wrote.
+    run_demo(ScenarioConfig(out_dir=str(tmp_path / "demo"), seed=7))
+    written = (tmp_path / "demo" / "chain.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "blank.jsonl"
+    path.write_bytes(b"".join(written[:3]) + b"\n  \n" + b"".join(written[3:]))
+    assert verify_chain_file(path) == (False, 3)
+    with pytest.raises(ValidationError, match="height 3"):
+        load_chain(path)
+    capsys.readouterr()
+    assert main(["verify-chain", str(path)]) == 1
+    assert capsys.readouterr().out == "chain invalid at height 3\n"
+
+
 def test_every_bit_flip_of_two_seed_7_lines_is_refused_at_its_height(tmp_path):
     """Each single-bit flip of the seed-7 contract-lookup demo's genesis line
     and first ``access_grant`` line, newline included, is refused by both

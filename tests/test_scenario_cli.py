@@ -52,13 +52,13 @@ def test_default_scenario_happy_path(tmp_path):
 LEDGER_DIGESTS = {
     "contract_lookup": {
         "chain.jsonl": "ae96a718c556f6cdfcbdf752edbe6d1430c151e38b3bb5981a578f5be45e29f1",
-        "events.jsonl": "023254cccb3cc0e5b0c90b3d93cde1a3242993d158fe2358de19b288a3dc11f2",
+        "events.jsonl": "deb988be6ea1dd81b365b002370ed23a7d805c95f22b7e1e8962cb80e0359371",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
         "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
         "chain.jsonl": "b2e878a09059ad3c2d8ca1503b05441300a997362a9ec2128c57d27fc0ff100c",
-        "events.jsonl": "a4fea1fd8d0792f4205947879ddd9a74caad9b9f27036c8eb5bc82e6aa393768",
+        "events.jsonl": "ea531e756b7253e525e21a7942f16abb84695b90b06be1edb22b92f22b9e5dc3",
         "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
         "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
     },
@@ -120,15 +120,34 @@ DEMO_VARIANTS = {
 }
 
 
-def test_event_log_replays_to_same_ledger(tmp_path):
+@pytest.fixture(scope="module")
+def seed_7_demos(tmp_path_factory):
+    """The out dir of each seed-7 story, run once for the tests that only read it."""
+    root = tmp_path_factory.mktemp("seed-7")
     for name, variant in DEMO_VARIANTS.items():
-        summary = run_demo(demo_config(tmp_path, name, seed=7, **variant))
-        assert summary["exitCode"] == 0
-        chain_path = tmp_path / name / "chain.jsonl"
-        rebuilt = replay_ledger(tmp_path / name / "events.jsonl", chain_path)
-        assert rebuilt.write_chain(tmp_path / f"{name}.jsonl").read_bytes() == (
-            chain_path.read_bytes()
-        )
+        assert run_demo(demo_config(root, name, seed=7, **variant))["exitCode"] == 0
+    return {name: root / name for name in DEMO_VARIANTS}
+
+
+def ledger_writes(events_path):
+    entries = [json.loads(line) for line in events_path.read_bytes().splitlines()]
+    return [e for e in entries if e["event"] == "ledger-write"]
+
+
+def test_event_log_replays_to_same_ledger(seed_7_demos):
+    for out in seed_7_demos.values():
+        blocks = load_chain(out / "chain.jsonl")
+        replay_ledger(out / "events.jsonl", blocks)
+        assert [e["txId"] for e in ledger_writes(out / "events.jsonl")] == [
+            tx.tx_id for block in blocks for tx in block.transactions
+        ]
+
+
+def test_a_ledger_write_entry_only_points_at_its_block(seed_7_demos):
+    # The chain file carries the transaction; the log names it by id and time.
+    for out in seed_7_demos.values():
+        writes = ledger_writes(out / "events.jsonl")
+        assert writes and all(sorted(e) == ["at", "event", "txId"] for e in writes)
 
 
 def test_run_demo_returns_the_summary_it_writes(tmp_path):
@@ -152,9 +171,9 @@ def test_ledger_replay_refuses_a_shifted_block_time_naming_the_height(tmp_path):
     _write_at(lines, last, json.loads(lines[last])["at"] + 500)
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    height = len(load_chain(chain_path)) - 1
-    with pytest.raises(ValidationError, match=f"at height {height}$"):
-        replay_ledger(path, chain_path)
+    blocks = load_chain(chain_path)
+    with pytest.raises(ValidationError, match=f"at height {len(blocks) - 1}$"):
+        replay_ledger(path, blocks)
 
 
 def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
@@ -162,18 +181,54 @@ def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
     run_demo(demo_config(tmp_path, "two", seed=8))
     events_path, chain_path = tmp_path / "one/events.jsonl", tmp_path / "one/chain.jsonl"
     with pytest.raises(ValidationError, match="at height 1$"):
-        replay_ledger(events_path, tmp_path / "two/chain.jsonl")
+        replay_ledger(events_path, load_chain(tmp_path / "two/chain.jsonl"))
     short = tmp_path / "short.jsonl"
     short.write_bytes(b"".join(chain_path.read_bytes().splitlines(keepends=True)[:-1]))
     height = len(load_chain(chain_path)) - 1
     with pytest.raises(ValidationError, match=f"at height {height}$"):
-        replay_ledger(events_path, short)
+        replay_ledger(events_path, load_chain(short))
 
 
-def _drop_kind(lines):
+def test_ledger_replay_refuses_a_shifted_start_time_at_genesis(tmp_path):
+    run_demo(demo_config(tmp_path, seed=7))
+    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
+    entry = json.loads(lines[0])
+    entry["startTime"] += 1
+    lines[0] = json.dumps(entry)
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="at height 0$"):
+        replay_ledger(path, load_chain(tmp_path / "demo/chain.jsonl"))
+
+
+def test_every_bit_flip_of_two_seed_7_ledger_writes_is_refused(seed_7_demos, tmp_path):
+    """Each single-bit flip of the first and last ``ledger-write`` line of the
+    seed-7 contract-lookup log, newline included, is refused by replay."""
+    out = seed_7_demos["scheme-a"]
+    blocks = load_chain(out / "chain.jsonl")
+    written = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
+    writes = [i for i, line in enumerate(written) if json.loads(line)["event"] == "ledger-write"]
+    path = tmp_path / "flipped.jsonl"
+    accepted = []
+    for index in (writes[0], writes[-1]):
+        before, line = b"".join(written[:index]), written[index]
+        after = b"".join(written[index + 1 :])
+        for bit in range(len(line) * 8):
+            flipped = bytearray(line)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(before + flipped + after)
+            try:
+                replay_ledger(path, blocks)
+            except ValidationError:
+                continue
+            accepted.append((index + 1, bit))
+    assert accepted == []
+
+
+def _drop_tx_id(lines):
     write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
     entry = json.loads(lines[write])
-    del entry["kind"]
+    del entry["txId"]
     lines[write] = json.dumps(entry)
     return write + 1
 
@@ -194,10 +249,16 @@ def _float_at(lines):
     return write + 1
 
 
+def _bool_at(lines):
+    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
+    _write_at(lines, write, True)
+    return write + 1
+
+
 @pytest.mark.parametrize(
     "spoil",
-    [_drop_kind, _not_json, _no_start, _float_at],
-    ids=["write-without-kind", "not-json", "no-start", "float-at"],
+    [_drop_tx_id, _not_json, _no_start, _float_at, _bool_at],
+    ids=["write-without-txId", "not-json", "no-start", "float-at", "bool-at"],
 )
 def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
     run_demo(demo_config(tmp_path))
@@ -206,7 +267,7 @@ def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=f"line {number}: "):
-        replay_ledger(path, tmp_path / "demo/chain.jsonl")
+        replay_ledger(path, load_chain(tmp_path / "demo/chain.jsonl"))
 
 
 def test_scheme_b_demo_reaches_same_decisions(tmp_path):

@@ -26,12 +26,11 @@ from fedgate.service.jobs import (
     JobQueue,
     JobSpec,
     apply_filter,
-    total_weighted_completion,
     wsjf_order,
 )
 from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS, summarize_partitions
 
-from support import Stack
+from support import Stack, total_weighted_completion
 
 
 def fleet_partitions(n_clients=4, samples=30, seed=5):

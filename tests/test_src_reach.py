@@ -29,9 +29,7 @@ KEPT = {
     "fedgate/access/ratelimit.py:SlidingWindowLimiter.tracked_keys": (
         "the one reading of the limiter's key bound, which the bound test checks"
     ),
-    "fedgate/fl/datagen.py:read_manifest": "the reader of the manifest write_dataset writes",
     "fedgate/identity/registry.py:DidRegistry.replay_log": "the one validator of identity.jsonl",
-    "fedgate/service/jobs.py:total_weighted_completion": "the oracle of acceptance criterion 09",
     "fedgate/service/nodes.py:NodeRegistry.active_server": (
         "the failover tests read which server node serves"
     ),
