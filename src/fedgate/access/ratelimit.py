@@ -43,7 +43,3 @@ class SlidingWindowLimiter:
         while len(self._hits) > MAX_TRACKED_KEYS:
             self._hits.popitem(last=False)
         return True
-
-    @property
-    def tracked_keys(self) -> int:
-        return len(self._hits)

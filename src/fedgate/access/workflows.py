@@ -42,7 +42,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from ..canonical import to_hex
 from ..errors import ValidationError
 from ..identity import Attestation, Resolver
 from ..identity.resolver import UNRESOLVABLE
@@ -169,7 +168,7 @@ class AccessGateway:
         if not self._contract_limiter.allow(request.requester):
             return AccessOutcome("rejected-rate", "per-requester rate limit")
         contract = self.engine.for_service(request.service)
-        nonce_hex = to_hex(request.nonce)
+        nonce_hex = request.nonce.hex()
         if not self.pending.try_insert(nonce_hex):
             if self.pending.contains(nonce_hex):
                 return AccessOutcome("denied", "replay")
@@ -192,7 +191,7 @@ class AccessGateway:
         if attestation.did != request.requester:
             return AccessOutcome("denied", "attestation-mismatch")
         contract = self.engine.for_service(request.service)
-        if not self._used_nonces.consume(to_hex(attestation.nonce)):
+        if not self._used_nonces.consume(attestation.nonce.hex()):
             return AccessOutcome("denied", "replay")
         try:
             document = self._resolver.fetch(request.requester)
@@ -201,7 +200,7 @@ class AccessGateway:
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document):
             return AccessOutcome("denied", "stale-attestation")
-        return self._execute(contract, document, to_hex(request.nonce))
+        return self._execute(contract, document, request.nonce.hex())
 
     def _execute(self, contract: AccessPolicyContract, document, nonce_hex: str) -> AccessOutcome:
         if not self._used_nonces.consume(nonce_hex):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .canonical import canonical_json_bytes, from_hex, to_hex
+from .canonical import canonical_json_bytes, from_hex
 from .errors import ValidationError, check_field_types, from_camel_keys
 from .keys import KeyPair, verify_signature
 
@@ -58,7 +58,7 @@ class VerifiableClaim:
             "issuer": self.issuer,
             "issuedAt": self.issued_at,
             "expiresAt": self.expires_at,
-            "signature": to_hex(self.signature),
+            "signature": self.signature.hex(),
         }
 
     @classmethod

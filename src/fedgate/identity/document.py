@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
+from ..canonical import canonical_json_bytes, from_hex, sha256_hex
 from ..claims import VerifiableClaim
 from ..errors import ValidationError, check_field_types, check_keys
 from ..keys import ALGORITHM
@@ -51,7 +51,7 @@ class PublicKeyEntry:
         return {
             "keyId": self.key_id,
             "algorithm": self.algorithm,
-            "publicKeyHex": to_hex(self.public_bytes),
+            "publicKeyHex": self.public_bytes.hex(),
         }
 
     @classmethod

@@ -3,9 +3,10 @@
 Every successful mutation is reported to the recorder the registry is
 built with (the desk passes ``Chain.record``; there is no local stand-in,
 since a test can pass its own) and mirrored into an append-only JSON-lines
-log that replays back to identical state. ``replay_log`` is that log's one
-validator: any malformed line is refused with a ``ValidationError`` naming
-the line.
+log, in the chain file's encoding and line rule (``fedgate.canonical``),
+that replays back to identical state. ``replay_log`` is that log's one
+validator: the first malformed line, or line that is not a JSON line, is
+refused with a ``ValidationError`` naming the line.
 
 Each registered principal supplies a non-empty string ``profile_hash``; a
 second registration with the same hash is rejected, so one real-world
@@ -14,10 +15,10 @@ profile cannot hold two identities.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable
 
+from ..canonical import read_json_lines, write_json_lines
 from ..errors import FedGateError, ValidationError, check_keys
 from .did import DidIdentifier
 from .document import DidDocument
@@ -98,31 +99,26 @@ class DidRegistry:
     # ------------------------------------------------------------ log I/O
 
     def write_log(self, path: Path) -> Path:
-        """Persist the mutation history as one JSON object per line."""
-        path = Path(path)
-        with path.open("w") as fh:
-            for entry in self._log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        return path
+        """Persist the mutation history as one canonical JSON object per line."""
+        return write_json_lines(path, self._log)
 
     @classmethod
     def replay_log(cls, path: Path, recorder: Callable[[str, dict, str], str]) -> "DidRegistry":
         """Rebuild a registry by replaying a JSON-lines mutation log."""
         registry = cls(recorder)
-        with Path(path).open("rb") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    check_keys(entry, "log entry", {"op", "document", "profileHash"})
-                    op, document = entry["op"], DidDocument.from_dict(entry["document"])
-                    if op == "register":
-                        registry.register(document, entry["profileHash"])
-                    elif op == "update":
-                        registry.update(document)
-                    else:
-                        raise ValidationError(f"unknown log op {op!r}")
-                except (ValidationError, ValueError, KeyError, TypeError) as error:
-                    raise ValidationError(f"{path} line {number}: {error}") from None
+        entries, unreadable = read_json_lines(path)
+        for number, entry in enumerate(entries, start=1):
+            try:
+                check_keys(entry, "log entry", {"op", "document", "profileHash"})
+                op, document = entry["op"], DidDocument.from_dict(entry["document"])
+                if op == "register":
+                    registry.register(document, entry["profileHash"])
+                elif op == "update":
+                    registry.update(document)
+                else:
+                    raise ValidationError(f"unknown log op {op!r}")
+            except (ValidationError, ValueError, KeyError, TypeError) as error:
+                raise ValidationError(f"{path} line {number}: {error}") from None
+        if unreadable is not None:
+            raise ValidationError(f"{path} line {unreadable + 1}: not a JSON line")
         return registry

@@ -27,7 +27,7 @@ import hmac
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..canonical import from_hex, to_hex
+from ..canonical import from_hex
 from ..errors import ValidationError, from_camel_keys
 from ..keys import KeyPair
 from .did import DidIdentifier, parse_did
@@ -50,10 +50,10 @@ class Attestation:
     def to_dict(self) -> dict:
         return {
             "did": self.did,
-            "nonce": to_hex(self.nonce),
+            "nonce": self.nonce.hex(),
             "documentDigest": self.document_digest,
             "resolver": self.resolver,
-            "signature": to_hex(self.signature),
+            "signature": self.signature.hex(),
         }
 
     @classmethod

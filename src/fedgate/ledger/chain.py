@@ -12,11 +12,12 @@ reads, and blocks are stamped from the clock the writer is given: like the
 rest of ``fedgate``, this module keeps no default that only a test would take
 (here, wall time), since a test can pass what it needs.
 
-The persisted form is JSON lines, one flat canonical line per block, and a
-line states each fact once. The genesis line holds exactly ``hash``,
-``height``, ``prevHash`` and ``timestamp``; every later line holds those
-keys plus ``kind``, ``submitter`` and ``payload``, the transaction's
-canonical payload JSON as a JSON string. The transaction id, the root and
+The persisted form is JSON lines, one flat canonical line per block, written
+and read by ``fedgate.canonical``'s JSON-lines pair, and a line states each
+fact once. The genesis line holds exactly ``hash``, ``height``,
+``prevHash`` and ``timestamp``; every later line holds those keys plus
+``kind``, ``submitter`` and ``payload``, the transaction's canonical payload
+JSON as a JSON string. The transaction id, the root and
 the transaction's timestamp (the block's) are not written: the reader
 derives them.
 
@@ -36,19 +37,18 @@ height.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable
 
-from ..canonical import canonical_json_bytes, from_hex, sha256_hex, to_hex
+from ..canonical import canonical_json_bytes, from_hex, read_json_lines, sha256_hex, write_json_lines
 from ..errors import ValidationError
 
 TRANSACTION_KINDS = frozenset(
     {"deploy_contract", "did_registration", "access_grant", "access_denial"}
 )
 
-GENESIS_PREV_HASH = to_hex(b"\x00" * 32)
-_GENESIS_ROOT = to_hex(b"\x00" * 32)
+GENESIS_PREV_HASH = (b"\x00" * 32).hex()
+_GENESIS_ROOT = (b"\x00" * 32).hex()
 # The keys the writer puts on a chain line; a line read back holds no other.
 _GENESIS_KEYS = frozenset({"hash", "height", "prevHash", "timestamp"})
 _LINE_KEYS = _GENESIS_KEYS | {"kind", "submitter", "payload"}
@@ -191,10 +191,7 @@ class Chain:
 
     def write_chain(self, path: Path) -> Path:
         """Write the chain file: each block's canonical JSON and a newline."""
-        path = Path(path)
-        with path.open("wb") as fh:
-            fh.writelines(canonical_json_bytes(block.to_dict()) + b"\n" for block in self._blocks)
-        return path
+        return write_json_lines(path, (block.to_dict() for block in self._blocks))
 
 
 def _build_blocks(records: list) -> tuple[list[Block], int | None]:
@@ -218,18 +215,6 @@ def _build_blocks(records: list) -> tuple[list[Block], int | None]:
     return blocks, None if blocks else 0
 
 
-def _read_records(path: Path) -> tuple[list, int | None]:
-    """The JSON records of a chain file, and the height of an unparsable line."""
-    records = []
-    with Path(path).open("rb") as fh:
-        for line in fh:
-            try:  # decoded here, strictly: ``json.loads`` would guess at an encoding
-                records.append(json.loads(line.decode()))
-            except ValueError:  # bad JSON or a blank line, bad UTF-8, an integer past the digit limit
-                return records, len(records)
-    return records, None
-
-
 def verify_chain_records(records: list[dict]) -> tuple[bool, int | None]:
     """(ok, first bad height) for raw block dicts; never raises on bad data."""
     _, bad = _build_blocks(records)
@@ -238,7 +223,7 @@ def verify_chain_records(records: list[dict]) -> tuple[bool, int | None]:
 
 def verify_chain_file(path: Path) -> tuple[bool, int | None]:
     """Verify a persisted chain; parse failures count as tampering."""
-    records, unparsable = _read_records(path)
+    records, unparsable = read_json_lines(path)
     if unparsable is not None:
         return False, unparsable
     return verify_chain_records(records)
@@ -246,7 +231,7 @@ def verify_chain_file(path: Path) -> tuple[bool, int | None]:
 
 def load_chain(path: Path) -> list[Block]:
     """Parse a persisted chain into validated blocks (raises on tampering)."""
-    records, bad = _read_records(path)
+    records, bad = read_json_lines(path)
     if bad is None:
         blocks, bad = _build_blocks(records)
     if bad is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..canonical import canonical_json_bytes, sha256_hex, to_hex
+from ..canonical import canonical_json_bytes, sha256_hex
 from ..claims import VerifiableClaim
 from ..errors import FedGateError, ValidationError
 from ..keys import verify_signature
@@ -235,7 +235,7 @@ class ContractEngine:
         grant = None
         if verdict.decision == "granted":
             grant = GrantToken(
-                token=to_hex(self._token_bytes()),
+                token=self._token_bytes().hex(),
                 contract_id=contract.contract_id,
                 holder=subject,
                 service=contract.grants_service,

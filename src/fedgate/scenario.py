@@ -12,13 +12,12 @@ same configuration produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
 from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
-from .canonical import canonical_json_bytes
+from .canonical import canonical_json_bytes, read_json_lines, write_json_lines
 from .clock import SimulatedClock
 from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
 from .errors import ValidationError, from_camel_keys
@@ -54,8 +53,9 @@ class EventLog:
     The log points at ``chain``: before each entry, and before it is written,
     it adds one ``ledger-write`` entry for each block sealed since, holding
     only the block time (``at``) and the transaction's ``txId``. The chain
-    file carries the transaction itself; ``replay_ledger`` checks that the
-    log and the chain name the same transactions at the same times.
+    file carries the transaction itself, so a step's own entry holds only
+    what its block does not; ``replay_ledger`` checks that the log and the
+    chain name the same transactions at the same times.
     """
 
     def __init__(self, clock: SimulatedClock, chain: Chain):
@@ -77,11 +77,7 @@ class EventLog:
 
     def write(self, path: Path) -> Path:
         self._mirror_chain()
-        path = Path(path)
-        with path.open("wb") as fh:
-            for entry in self.entries:
-                fh.write(canonical_json_bytes(entry) + b"\n")
-        return path
+        return write_json_lines(path, self.entries)
 
 
 _INTEGER_FIELDS = (
@@ -151,11 +147,11 @@ def run_demo(config: ScenarioConfig) -> dict:
     clock = SimulatedClock(start=START_TIME)
     desk = build_desk(config.seed, clock, frozenset({ATTESTOR}))
     log = EventLog(clock, desk.chain)
-    log.emit("scenario-start", seed=config.seed, scheme=config.scheme, startTime=START_TIME)
+    log.emit("scenario-start", seed=config.seed, scheme=config.scheme)
 
     def register(role: str, index: int) -> Actor:
         actor = desk.register(f"{role}-{index}", desk.keypair(role, index))
-        log.emit("did-registered", did=actor.did, role=role)
+        log.emit("did-registered", role=role)
         clock.advance(1)
         return actor
 
@@ -163,13 +159,13 @@ def run_demo(config: ScenarioConfig) -> dict:
     attestor = desk.claim_issuer(register("issuer", 0))
     users = [register("user", i) for i in range(config.users)]
 
-    contract = desk.deploy_policy(SERVICE, owners[0])
-    log.emit("contract-deployed", contractId=contract.contract_id, service=SERVICE)
+    desk.deploy_policy(SERVICE, owners[0])
+    log.emit("contract-deployed")
     clock.advance(1)
 
     for user in users[: config.qualified_users]:
         attestor.issue(user.did, MEMBERSHIP_CLAIM, "yes", validity_seconds=86_400)
-        log.emit("claim-issued", issuer=attestor.did, subject=user.did)
+        log.emit("claim-issued", issuer=attestor.did)
         clock.advance(1)
 
     data_dir = out_dir / "data"
@@ -217,7 +213,7 @@ def run_demo(config: ScenarioConfig) -> dict:
                 "txId": response.body.get("txId"),
             }
         )
-        log.emit("access-request", requester=did, decision=response.body["decision"])
+        log.emit("access-request")
         if response.body["decision"] == "granted" and token is None:
             token = response.body["grant"]["token"]
         clock.advance(1)
@@ -287,28 +283,30 @@ def _relative(address: str | None, root: Path) -> str | None:
 def replay_ledger(events_path: Path, blocks: list[Block]) -> None:
     """Check an event log against the chain it points at, given as ``load_chain``'s blocks.
 
-    The log's ``scenario-start`` line states the genesis block's time, and
-    its n-th ``ledger-write`` line block n's time and transaction id. The tx
-    id covers kind, submitter and payload, and the block hash covers the id
-    and the time, so that is the whole proof that the log records the chain.
-    A malformed line is refused with a ``ValidationError`` naming the line,
+    The log's first line, ``scenario-start``, is stamped with the genesis
+    block's time, and its n-th ``ledger-write`` line states block n's time
+    and transaction id. The tx id covers kind, submitter and payload, and the
+    block hash covers the id and the time, so that is the whole proof that
+    the log records the chain. A malformed line, or one that is not a JSON
+    line, is refused with a ``ValidationError`` naming the first such line,
     and a log that differs from the chain naming the first height where it
     does.
     """
+    entries, unreadable = read_json_lines(events_path)
     stated = []
-    with Path(events_path).open("rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            try:
-                entry = json.loads(line.decode())
-                if number == 1 and entry["event"] != "scenario-start":
-                    raise ValidationError("the log does not open with scenario-start")
-                if number == 1 or entry["event"] == "ledger-write":
-                    fact = (entry["startTime"],) if number == 1 else (entry["at"], entry["txId"])
-                    if type(fact[0]) is not int:  # a bool is an int, and 1000000.0 == 1000000
-                        raise ValidationError(f"a time must be an integer, got {fact[0]!r}")
-                    stated.append(fact)
-            except (ValidationError, ValueError, KeyError, TypeError) as error:
-                raise ValidationError(f"{events_path} line {number}: {error}") from None
+    for number, entry in enumerate(entries, start=1):
+        try:
+            if number == 1 and entry["event"] != "scenario-start":
+                raise ValidationError("the log does not open with scenario-start")
+            if number == 1 or entry["event"] == "ledger-write":
+                fact = (entry["at"],) if number == 1 else (entry["at"], entry["txId"])
+                if type(fact[0]) is not int:  # a bool is an int, and 1000000.0 == 1000000
+                    raise ValidationError(f"a time must be an integer, got {fact[0]!r}")
+                stated.append(fact)
+        except (ValidationError, KeyError, TypeError) as error:
+            raise ValidationError(f"{events_path} line {number}: {error}") from None
+    if unreadable is not None:
+        raise ValidationError(f"{events_path} line {unreadable + 1}: not a JSON line")
     sealed = [(blocks[0].timestamp,)] + [(b.timestamp, b.transactions[0].tx_id) for b in blocks[1:]]
     for height, (fact, block_fact) in enumerate(zip_longest(stated, sealed)):
         if fact != block_fact:

@@ -33,10 +33,9 @@ class FaultEvent:
 class NodeRegistry:
     def __init__(self):
         self._is_server: dict[str, bool] = {}  # every node id this fleet holds
-        self._server: str | None = None
         self._standby_servers: list[str] = []
         self._standby_clients: list[str] = []
-        self._serving: dict[str, str] = {}  # client_id -> node_id
+        self._client_of: dict[str, str] = {}  # live client node -> the client it serves
         self._excluded_since: dict[str, int] = {}
         self.faults: tuple[FaultEvent, ...] = ()
         self.actions: list[dict] = []  # the failover log model.json carries
@@ -57,11 +56,10 @@ class NodeRegistry:
         if len(set(client_ids)) != len(client_ids):
             raise ValidationError("each partition is served by exactly one node")
         registry = cls()
-        registry._server = "server-0"
-        registry._serving = {cid: f"node-{cid}" for cid in client_ids}
+        registry._client_of = {f"node-{cid}": cid for cid in client_ids}
         registry._standby_clients = [f"standby-client-{i}" for i in range(standby_clients)]
         registry._standby_servers = [f"standby-server-{i}" for i in range(standby_servers)]
-        clients = [*registry._serving.values(), *registry._standby_clients]
+        clients = [*registry._client_of, *registry._standby_clients]
         registry._is_server = dict.fromkeys(clients, False)
         registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
         named = [event.node_id for event in faults]
@@ -72,13 +70,6 @@ class NodeRegistry:
                 raise ValidationError(f"fault schedule names node {node_id!r} twice")
         registry.faults = tuple(faults)
         return registry
-
-    @property
-    def active_server(self) -> str | None:
-        return self._server
-
-    def serving_node(self, client_id: str) -> str | None:
-        return self._serving.get(client_id)
 
     def advance(self, round_index: int) -> None:
         """Apply the faults due at this round: server nodes first, then the
@@ -104,13 +95,13 @@ class NodeRegistry:
             pool.remove(node_id)
             kind = "standby-lost"
         elif self._is_server[node_id]:
-            self._server = replacement = self._standby_servers.pop(0) if self._standby_servers else None
+            replacement = self._standby_servers.pop(0) if self._standby_servers else None
             kind = "server-lost" if replacement is None else "server-swap"
         else:
-            client_id = next(c for c, n in self._serving.items() if n == node_id)
-            del self._serving[client_id]
+            client_id = self._client_of.pop(node_id)
             if self._standby_clients:
-                self._serving[client_id] = replacement = self._standby_clients.pop(0)
+                replacement = self._standby_clients.pop(0)
+                self._client_of[replacement] = client_id
                 kind = "client-swap"
             else:
                 self._excluded_since[client_id] = round_index

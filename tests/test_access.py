@@ -265,9 +265,18 @@ def test_limiter_keys_are_independent_and_bounded():
     assert limiter.allow("a")
     assert limiter.allow("b")
     assert not limiter.allow("a")
-    for i in range(MAX_TRACKED_KEYS + 100):
-        limiter.allow(f"flood-{i}")
-    assert limiter.tracked_keys <= MAX_TRACKED_KEYS
+    # "a" and MAX_TRACKED_KEYS - 1 other keys are all remembered ...
+    limiter = SlidingWindowLimiter(1, clock)
+    assert limiter.allow("a")
+    for i in range(MAX_TRACKED_KEYS - 1):
+        assert limiter.allow(f"flood-{i}")
+    assert not limiter.allow("a")
+    # ... and one more evicts "a", the least recently seen
+    limiter = SlidingWindowLimiter(1, clock)
+    assert limiter.allow("a")
+    for i in range(MAX_TRACKED_KEYS):
+        assert limiter.allow(f"flood-{i}")
+    assert limiter.allow("a")
 
 
 # ----------------------------------------------------------------- pending

@@ -474,8 +474,22 @@ MALFORMED_LOG_LINES = {
 def test_log_replay_refuses_a_malformed_line_naming_it(tmp_path, line):
     good = _log_line("bob01", seed=2)
     path = tmp_path / "registry.jsonl"
-    path.write_text(good + "\n\n" + line + "\n")
-    with pytest.raises(ValidationError, match="line 3"):
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(ValidationError, match="line 2"):
+        DidRegistry.replay_log(path, receipt)
+
+
+# Each is refused as the chain reader refuses it, naming the first such line.
+@pytest.mark.parametrize(
+    "before, between, number",
+    [(b"", b"\n\n", 2), (b"\xef\xbb\xbf", b"\n", 1), (b"", b'\n{"op":"caf\xe9"}\n', 2)],
+    ids=["blank-line", "bom-on-line-1", "latin-1-byte"],
+)
+def test_log_replay_refuses_a_line_that_is_not_a_json_line_naming_it(tmp_path, before, between, number):
+    good = [_log_line(name, seed=seed).encode() for name, seed in (("bob01", 2), ("carol01", 3))]
+    path = tmp_path / "registry.jsonl"
+    path.write_bytes(before + good[0] + between + good[1] + b"\n")
+    with pytest.raises(ValidationError, match=f"line {number}: not a JSON line$"):
         DidRegistry.replay_log(path, receipt)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
+from fedgate.canonical import canonical_json_bytes
 from fedgate.cli import main
 from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
@@ -52,14 +53,14 @@ def test_default_scenario_happy_path(tmp_path):
 LEDGER_DIGESTS = {
     "contract_lookup": {
         "chain.jsonl": "ae96a718c556f6cdfcbdf752edbe6d1430c151e38b3bb5981a578f5be45e29f1",
-        "events.jsonl": "deb988be6ea1dd81b365b002370ed23a7d805c95f22b7e1e8962cb80e0359371",
-        "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+        "events.jsonl": "2fd0c5157547b63984f49c79218404db5209c7fc7108243f7e1f2bddad51d57c",
+        "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
         "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
         "chain.jsonl": "b2e878a09059ad3c2d8ca1503b05441300a997362a9ec2128c57d27fc0ff100c",
-        "events.jsonl": "ea531e756b7253e525e21a7942f16abb84695b90b06be1edb22b92f22b9e5dc3",
-        "identity.jsonl": "3ce924985e7f9f1439c89daa4c745fa1f8b71df93bc2b035a71271853105b9a4",
+        "events.jsonl": "e1d9a899e42a61f71c1ab621c4764dec444290906dc94df074b3e23e1390738a",
+        "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
         "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
     },
 }
@@ -150,6 +151,26 @@ def test_a_ledger_write_entry_only_points_at_its_block(seed_7_demos):
         assert writes and all(sorted(e) == ["at", "event", "txId"] for e in writes)
 
 
+def test_every_log_line_is_canonical_json(seed_7_demos):
+    for out in seed_7_demos.values():
+        for name in ("chain.jsonl", "events.jsonl", "identity.jsonl"):
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            assert lines and all(canonical_json_bytes(json.loads(line)) + b"\n" == line for line in lines)
+
+
+# What a block already holds: its payload and submitter name the DID, the
+# contract, the claim's subject and the requester, its kind is the decision,
+# and the genesis time is the start time.
+LEDGER_FACTS = {"did", "requester", "decision", "subject", "contractId", "service", "startTime"}
+
+
+def test_the_event_log_restates_no_ledger_fact(seed_7_demos):
+    for out in seed_7_demos.values():
+        entries = [json.loads(line) for line in (out / "events.jsonl").read_bytes().splitlines()]
+        steps = [e for e in entries if e["event"] != "ledger-write"]
+        assert len(steps) > 10 and all(LEDGER_FACTS.isdisjoint(e) for e in steps)
+
+
 def test_run_demo_returns_the_summary_it_writes(tmp_path):
     for name, variant in DEMO_VARIANTS.items():
         summary = run_demo(demo_config(tmp_path, name, seed=7, **variant))
@@ -192,9 +213,7 @@ def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
 def test_ledger_replay_refuses_a_shifted_start_time_at_genesis(tmp_path):
     run_demo(demo_config(tmp_path, seed=7))
     lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
-    entry = json.loads(lines[0])
-    entry["startTime"] += 1
-    lines[0] = json.dumps(entry)
+    _write_at(lines, 0, json.loads(lines[0])["at"] + 1)
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="at height 0$"):
@@ -715,7 +734,7 @@ def test_cli_import_legacy(tmp_path):
 LEGACY_ACCOUNTS = "username,role\nada,analyst\ngrace,admin\nada,auditor\nalan turing,researcher\n"
 LEGACY_DIGESTS = {
     "chain.jsonl": "bc4415f328c666c816e0994b91f1a7af23999a568a25adb5d44e931b8301ef54",
-    "identity.jsonl": "d61096644e0b51354f2be41421caf71b6d3d710d402105b0129304a26fe63945",
+    "identity.jsonl": "a1bf481e22efd04549f27c36fcc29e75a04d1ca52bb96f18b084fda137ffa244",
     "report.json": "2757531d24cb1d6cab2cf79a1abfd127650b074b826ec968f9cf1f60b52483e0",
 }
 

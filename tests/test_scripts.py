@@ -7,7 +7,7 @@ wraps, so a rename in ``src`` that would break ``bench/`` fails here too,
 and a short traced run of each workload must pass its checks: every
 exercised span records calls, the traced run leaves the same artifacts as
 the untraced one, and the flood agrees with the benchmark's pending-table
-oracle. The access run must also stay under 1.5 Ed25519 operations per
+oracle. The access run must also stay under 1.0 Ed25519 operations per
 decision, which only holds while repeat claim checks hit the signature cache.
 """
 

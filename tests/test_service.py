@@ -244,9 +244,11 @@ def test_apply_filter_clients_features_samples():
 
 
 def test_node_registry_invariants():
+    # server-0 serves, with standby-server-0 behind it, and node-a serves a
     registry = NodeRegistry.provision(["a", "b"], standby_clients=1, standby_servers=1)
-    assert registry.active_server == "server-0"
-    assert registry.serving_node("a") == "node-a"
+    swap = registry.fail("server-0", 2)
+    assert (swap["kind"], swap["replacement"]) == ("server-swap", "standby-server-0")
+    assert registry.fail("node-a", 2)["clientId"] == "a"
     # one server and one node per partition: no other id exists to fail
     for node_id in ("server-1", "node-a2", "standby-client-1"):
         with pytest.raises(ValidationError, match="unknown node"):
@@ -262,7 +264,7 @@ def test_client_failover_swap_and_exclusion():
     registry = NodeRegistry.provision(["a", "b"], standby_clients=1)
     action = registry.fail("node-a", 3)
     assert action["kind"] == "client-swap"
-    assert registry.serving_node("a") == "standby-client-0"
+    assert (action["replacement"], action["clientId"]) == ("standby-client-0", "a")
     assert registry.eligible_clients(5, frozenset({"a", "b"})) == {"a", "b"}
 
     action = registry.fail("node-b", 4)
@@ -271,30 +273,35 @@ def test_client_failover_swap_and_exclusion():
     assert registry.eligible_clients(4, frozenset({"a", "b"})) == {"a"}
     assert registry.eligible_clients(9, frozenset({"a", "b"})) == {"a"}
 
+    # a serves through standby-client-0, so its failure takes a out
+    action = registry.fail("standby-client-0", 10)
+    assert (action["kind"], action["clientId"]) == ("client-excluded", "a")
+    assert registry.eligible_clients(10, frozenset({"a", "b"})) == frozenset()
+
 
 def test_server_failover_and_loss():
     registry = NodeRegistry.provision(["a"], standby_servers=1)
     action = registry.fail("server-0", 2)
     assert action["kind"] == "server-swap"
-    assert registry.active_server == "standby-server-0"
+    assert action["replacement"] == "standby-server-0"
     action = registry.fail("standby-server-0", 3)
     assert action["kind"] == "server-lost"
-    assert registry.active_server is None
+    assert action["replacement"] is None
 
 
 def test_idle_standby_failure_is_never_promoted():
     registry = NodeRegistry.provision(["a"], standby_clients=1, standby_servers=1)
     action = registry.fail("standby-client-0", 2)
     assert (action["kind"], action["replacement"], action["clientId"]) == ("standby-lost", None, None)
-    assert registry.serving_node("a") == "node-a"
-    assert registry.fail("node-a", 3)["kind"] == "client-excluded"
+    # node-a still serves a, and no standby is left to take its place
+    action = registry.fail("node-a", 3)
+    assert (action["kind"], action["replacement"], action["clientId"]) == ("client-excluded", None, "a")
 
     action = registry.fail("standby-server-0", 2)
     assert (action["kind"], action["replacement"]) == ("standby-lost", None)
-    assert registry.active_server == "server-0"
+    # server-0 still serves, and no standby is left to take its place
     action = registry.fail("server-0", 4)
-    assert action["kind"] == "server-lost"
-    assert registry.active_server is None
+    assert (action["kind"], action["replacement"]) == ("server-lost", None)
 
 
 # ---------------------------------------------------------------- executor

@@ -26,16 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 KEPT = {
-    "fedgate/access/ratelimit.py:SlidingWindowLimiter.tracked_keys": (
-        "the one reading of the limiter's key bound, which the bound test checks"
-    ),
     "fedgate/identity/registry.py:DidRegistry.replay_log": "the one validator of identity.jsonl",
-    "fedgate/service/nodes.py:NodeRegistry.active_server": (
-        "the failover tests read which server node serves"
-    ),
-    "fedgate/service/nodes.py:NodeRegistry.serving_node": (
-        "the failover tests read which node serves a client"
-    ),
 }
 
 
