@@ -27,7 +27,10 @@ Verdicts the contract actually evaluated are sealed on-chain (grant or
 denial), carry a ``tx_id``, and reach the requester as the engine's own
 ``AccessOutcome``; requests that failed before reaching the
 contract (unresolvable DID, replay, stale attestation) are denied
-without a ledger write so a flood cannot grow the chain.
+without a ledger write so a flood cannot grow the chain. Such a refusal
+carries nothing of its own, so each is one shared module constant and a
+refused request builds no outcome; ``AccessOutcome`` is frozen, so sharing
+one is safe.
 
 A request nonce opens at most one evaluation: just before the contract
 runs it is spent in the ring of the last ``NONCE_RING_SIZE`` nonces, which
@@ -55,18 +58,30 @@ _SCHEMES = (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP)
 NONCE_RING_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class AccessRequest:
-    requester: str
-    service: str
-    scheme: str
-    nonce: bytes
+REJECTED_RATE = AccessOutcome("rejected-rate", "per-requester rate limit")
+REJECTED_CAPACITY = AccessOutcome("rejected-capacity", "pending table full")
+DENIED_REPLAY = AccessOutcome("denied", "replay")
+DENIED_UNRESOLVABLE = AccessOutcome("denied", "unresolvable")
+DENIED_MISSING_ATTESTATION = AccessOutcome("denied", "missing-attestation")
+DENIED_ATTESTATION_MISMATCH = AccessOutcome("denied", "attestation-mismatch")
+DENIED_STALE_ATTESTATION = AccessOutcome("denied", "stale-attestation")
 
-    def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if len(self.nonce) != 16:
+
+class AccessRequest:
+    """One request, its scheme and nonce checked as given; slotted, since a
+    flood builds one per ghost."""
+
+    __slots__ = ("requester", "service", "scheme", "nonce")
+
+    def __init__(self, requester: str, service: str, scheme: str, nonce: bytes):
+        if scheme not in _SCHEMES:
+            raise ValidationError(f"unknown scheme {scheme!r}")
+        if len(nonce) != 16:
             raise ValidationError("request nonce must be 16 bytes")
+        self.requester = requester
+        self.service = service
+        self.scheme = scheme
+        self.nonce = nonce
 
 
 @dataclass(frozen=True)
@@ -166,19 +181,19 @@ class AccessGateway:
 
     def _contract_lookup(self, request: AccessRequest) -> AccessOutcome:
         if not self._contract_limiter.allow(request.requester):
-            return AccessOutcome("rejected-rate", "per-requester rate limit")
+            return REJECTED_RATE
         contract = self.engine.for_service(request.service)
         nonce_hex = request.nonce.hex()
         if not self.pending.try_insert(nonce_hex):
             if self.pending.contains(nonce_hex):
-                return AccessOutcome("denied", "replay")
-            return AccessOutcome("rejected-capacity", "pending table full")
+                return DENIED_REPLAY
+            return REJECTED_CAPACITY
         try:
             document = self._resolver.fetch(request.requester)
         except UNRESOLVABLE:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
-            return AccessOutcome("denied", "unresolvable")
+            return DENIED_UNRESOLVABLE
         outcome = self._execute(contract, document, nonce_hex)
         self.pending.remove(nonce_hex)
         return outcome
@@ -187,24 +202,24 @@ class AccessGateway:
         self, request: AccessRequest, attestation: Attestation | None
     ) -> AccessOutcome:
         if attestation is None:
-            return AccessOutcome("denied", "missing-attestation")
+            return DENIED_MISSING_ATTESTATION
         if attestation.did != request.requester:
-            return AccessOutcome("denied", "attestation-mismatch")
+            return DENIED_ATTESTATION_MISMATCH
         contract = self.engine.for_service(request.service)
         if not self._used_nonces.consume(attestation.nonce.hex()):
-            return AccessOutcome("denied", "replay")
+            return DENIED_REPLAY
         try:
             document = self._resolver.fetch(request.requester)
         except UNRESOLVABLE:
-            return AccessOutcome("denied", "unresolvable")
+            return DENIED_UNRESOLVABLE
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document):
-            return AccessOutcome("denied", "stale-attestation")
+            return DENIED_STALE_ATTESTATION
         return self._execute(contract, document, request.nonce.hex())
 
     def _execute(self, contract: AccessPolicyContract, document, nonce_hex: str) -> AccessOutcome:
         if not self._used_nonces.consume(nonce_hex):
-            return AccessOutcome("denied", "replay")
+            return DENIED_REPLAY
         outcome = self.engine.execute(contract, document, nonce_hex)
         if outcome.grant is not None:
             self.grants.add(outcome.grant, int(self._clock()))

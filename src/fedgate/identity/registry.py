@@ -5,8 +5,9 @@ built with (the desk passes ``Chain.record``; there is no local stand-in,
 since a test can pass its own) and mirrored into an append-only JSON-lines
 log, in the chain file's encoding and line rule (``fedgate.canonical``),
 that replays back to identical state. ``replay_log`` is that log's one
-validator: the first malformed line, or line that is not a JSON line, is
-refused with a ``ValidationError`` naming the line.
+validator: the first malformed line, line that is not a JSON line, or line
+the registry itself refuses (a second registration, a version that skips a
+step), is refused with a ``ValidationError`` naming the line.
 
 Each registered principal supplies a non-empty string ``profile_hash``; a
 second registration with the same hash is rejected, so one real-world
@@ -117,7 +118,7 @@ class DidRegistry:
                     registry.update(document)
                 else:
                     raise ValidationError(f"unknown log op {op!r}")
-            except (ValidationError, ValueError, KeyError, TypeError) as error:
+            except (FedGateError, ValueError, KeyError, TypeError) as error:
                 raise ValidationError(f"{path} line {number}: {error}") from None
         if unreadable is not None:
             raise ValidationError(f"{path} line {unreadable + 1}: not a JSON line")

@@ -34,8 +34,10 @@ _OUTCOME_STATUS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
+    """Slotted and unfrozen: each request builds one, and nothing hashes it."""
+
     status: int
     body: dict | list | str
     content_type: str = "application/json"

@@ -394,6 +394,28 @@ def qualified_user(stack, name="alice"):
     return actor
 
 
+@pytest.mark.parametrize(
+    "scheme, nonce",
+    [("oauth", b"\x01" * 16), (SCHEME_CONTRACT_LOOKUP, b"\x01" * 15), (SCHEME_USER_LOOKUP, b"\x01" * 17)],
+    ids=["unknown-scheme", "15-byte-nonce", "17-byte-nonce"],
+)
+def test_access_request_refuses_an_unknown_scheme_or_a_nonce_not_16_bytes(scheme, nonce):
+    with pytest.raises(ValidationError):
+        AccessRequest("did:efed:alice", "fl-study", scheme, nonce)
+
+
+def test_a_capacity_refusal_is_one_shared_frozen_outcome():
+    # A refused ghost builds no outcome of its own; the shared one cannot change.
+    stack = Stack(pending_capacity=1)
+    stack.deploy_membership_policy()
+    assert stack.request_a("did:efed:ghost-0").reason == "unresolvable"
+    first, second = stack.request_a("did:efed:ghost-1"), stack.request_a("did:efed:ghost-2")
+    assert first.decision == "rejected-capacity"
+    assert first is second
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.reason = "changed"
+
+
 def test_scheme_a_grant_happy_path():
     stack = Stack()
     stack.deploy_membership_policy()

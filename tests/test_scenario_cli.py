@@ -19,10 +19,13 @@ from fedgate.fl import (
     read_metrics_csv,
     run_federation,
 )
+from fedgate.identity import DidRegistry
 from fedgate.ledger import Chain, load_chain, verify_chain_file
 from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, replay_ledger, run_demo
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import DataFilter
+
+from support import receipt
 
 
 def demo_config(tmp_path, name="demo", **overrides):
@@ -156,6 +159,25 @@ def test_every_log_line_is_canonical_json(seed_7_demos):
         for name in ("chain.jsonl", "events.jsonl", "identity.jsonl"):
             lines = (out / name).read_bytes().splitlines(keepends=True)
             assert lines and all(canonical_json_bytes(json.loads(line)) + b"\n" == line for line in lines)
+
+
+def test_identity_log_replay_names_a_repeated_registration(seed_7_demos, tmp_path):
+    lines = (seed_7_demos["scheme-a"] / "identity.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "identity.jsonl"
+    path.write_bytes(b"".join(lines) + lines[0])
+    with pytest.raises(ValidationError, match=f"line {len(lines) + 1}: did:efed:owner-0 is already registered"):
+        DidRegistry.replay_log(path, receipt)
+
+
+def test_identity_log_replay_names_a_skipped_version(seed_7_demos, tmp_path):
+    lines = (seed_7_demos["scheme-a"] / "identity.jsonl").read_bytes().splitlines(keepends=True)
+    number, entry = next((n, json.loads(line)) for n, line in enumerate(lines, 1) if b'"op":"update"' in line)
+    entry["document"]["version"] += 1
+    lines[number - 1] = canonical_json_bytes(entry) + b"\n"
+    path = tmp_path / "identity.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValidationError, match=f"line {number}: .*version must step 1 -> 2, got 3"):
+        DidRegistry.replay_log(path, receipt)
 
 
 # What a block already holds: its payload and submitter name the DID, the

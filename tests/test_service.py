@@ -749,6 +749,83 @@ def test_grant_body_has_exactly_its_five_keys(tmp_path):
     assert api.handle("GET", grant["metadataAddress"], headers=headers).status == 200
 
 
+def _ghost_body(stack, requester="did:efed:ghost"):
+    return access_body(stack, requester=requester, scheme="contract_lookup")
+
+
+def _post(api, body):
+    return api.handle("POST", "/access/request", body=body)
+
+
+def _rate_refusals(stack, api):
+    for _ in range(10):  # the contract path's budget, spent on parked lookups
+        _post(api, _ghost_body(stack))
+    return lambda: _ghost_body(stack)
+
+
+def _capacity_refusals(stack, api):
+    for i in range(stack.gateway.pending.capacity):
+        _post(api, _ghost_body(stack, f"did:efed:ghost-{i}"))
+    return lambda: _ghost_body(stack, "did:efed:late")
+
+
+def _replay_refusals(stack, api):
+    body = _ghost_body(stack)
+    _post(api, body)  # parked as unresolvable, so its nonce stays live
+    return lambda: dict(body)
+
+
+def _unresolvable_refusals(stack, api):
+    return lambda: _ghost_body(stack)
+
+
+def _missing_attestation_refusals(stack, api):
+    return lambda: access_body(stack)
+
+
+def _attestation_mismatch_refusals(stack, api):
+    bob = stack.register_actor("bob")
+    attestation = stack.gateway.user_lookup("did:efed:alice", stack.fresh_nonce()).attestation
+    return lambda: access_body(stack, requester=bob.did, attestation=attestation.to_dict())
+
+
+def _stale_attestation_refusals(stack, api):
+    attestations = iter(
+        [stack.gateway.user_lookup("did:efed:alice", stack.fresh_nonce()).attestation for _ in range(2)]
+    )
+    stack.issuer.issue("did:efed:alice", "role", "researcher", 3600)  # the document moves on
+    return lambda: access_body(stack, attestation=next(attestations).to_dict())
+
+
+# Each refusal the gateway makes before a contract runs: a setup that returns
+# a maker of bodies it refuses, and the (status, decision, reason) it answers.
+REFUSALS = {
+    "rate": (_rate_refusals, (429, "rejected-rate", "per-requester rate limit")),
+    "capacity": (_capacity_refusals, (503, "rejected-capacity", "pending table full")),
+    "replay": (_replay_refusals, (403, "denied", "replay")),
+    "unresolvable": (_unresolvable_refusals, (403, "denied", "unresolvable")),
+    "missing-attestation": (_missing_attestation_refusals, (403, "denied", "missing-attestation")),
+    "attestation-mismatch": (_attestation_mismatch_refusals, (403, "denied", "attestation-mismatch")),
+    "stale-attestation": (_stale_attestation_refusals, (403, "denied", "stale-attestation")),
+}
+
+
+@pytest.mark.parametrize("setup, expected", REFUSALS.values(), ids=REFUSALS)
+def test_every_refusal_answers_only_its_verdict_and_writes_nothing(tmp_path, setup, expected):
+    stack, service, api, token = service_stack(tmp_path)
+    status, decision, reason = expected
+    refused_body = setup(stack, api)
+    height = stack.chain.height
+    first = _post(api, refused_body())
+    assert (first.status, first.body) == (status, {"decision": decision, "reason": reason, "missing": []})
+    # A caller may keep and change its reply; the next one is built afresh.
+    first.body["reason"] = "changed"
+    first.body["missing"].append("consortium_member")
+    second = _post(api, refused_body())
+    assert (second.status, second.body) == (status, {"decision": decision, "reason": reason, "missing": []})
+    assert stack.chain.height == height
+
+
 # ------------------------------------------------------ api edge inputs
 
 
@@ -771,6 +848,9 @@ def config_body(**fields):
     "path, fields",
     [
         ("/access/request", {"nonce": "not-hex"}),
+        ("/access/request", {"scheme": "oauth"}),
+        ("/access/request", {"nonce": "01" * 15}),
+        ("/access/request", {"nonce": "01" * 17}),
         ("/access/request", {"attestation": {}}),
         ("/jobs", {"config": {}}),
         ("/jobs", {"config": 3}),
@@ -798,7 +878,8 @@ def config_body(**fields):
         ("/jobs", {"config": config_body(weightng="uniform")}),
     ],
     ids=[
-        "non-hex-nonce", "empty-attestation", "empty-config", "int-config", "text-runtime",
+        "non-hex-nonce", "unknown-scheme", "15-byte-nonce", "17-byte-nonce", "empty-attestation",
+        "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
         "fractional-sample-cap", "zero-sample-cap", "text-sample-cap",
