@@ -32,8 +32,11 @@ class SlidingWindowLimiter:
     def allow(self, key: str) -> bool:
         """Record an attempt; True iff the key stays within its budget."""
         now = int(self._clock())
-        hits = self._hits.setdefault(key, deque())
-        self._hits.move_to_end(key)
+        hits = self._hits.get(key)
+        if hits is None:  # a new key goes in at the end, so it needs no move
+            hits = self._hits[key] = deque()
+        else:
+            self._hits.move_to_end(key)
         cutoff = now - RATE_WINDOW_SECONDS
         while hits and hits[0] <= cutoff:
             hits.popleft()

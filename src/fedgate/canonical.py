@@ -4,9 +4,9 @@ Every signature and hash in the system operates on canonical JSON: UTF-8,
 lexicographically sorted keys, no insignificant whitespace. Binary fields
 are lowercase hex so the encoding round-trips through text transports.
 
-A desk's logs (``chain.jsonl``, ``events.jsonl``, ``identity.jsonl``) are
-JSON lines in that encoding: ``write_json_lines`` writes each of them and
-``read_json_lines`` reads each of them back, so all three share one line rule.
+A desk's two logs (``chain.jsonl``, ``identity.jsonl``) are JSON lines in
+that encoding: ``write_json_lines`` writes each of them and
+``read_json_lines`` reads each of them back, so both share one line rule.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
 from .ledger import load_chain
-from .scenario import START_TIME, ScenarioConfig, replay_ledger, run_demo
+from .scenario import START_TIME, ScenarioConfig, run_demo
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -74,19 +74,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_chain(args: argparse.Namespace) -> int:
-    try:  # the chain is read once; --events and --explain take its blocks
+    try:  # the chain is read once; --explain takes its blocks
         blocks = load_chain(Path(args.chain))
     except ValidationError as exc:  # names the first bad height
         print(exc)
         return EXIT_DOMAIN
     print("chain verified")
-    if args.events is not None:
-        try:
-            replay_ledger(Path(args.events), blocks)
-        except ValidationError as exc:  # names the line or the first differing height
-            print(f"replay refused: {exc}")
-            return EXIT_DOMAIN
-        print("event log replays to the chain")
     if args.explain is not None:
         return _explain_decision(blocks, args.explain)
     return EXIT_OK
@@ -188,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-chain", help="check a persisted ledger file")
     verify.add_argument("chain", help="chain JSONL file")
-    verify.add_argument("--events", default=None, help="event log that must replay to the chain")
     verify.add_argument(
         "--explain", default=None, metavar="REF", help="print one access decision, by its requestRef or txId"
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..canonical import canonical_json_bytes
 from ..errors import FedGateError
@@ -53,15 +53,9 @@ class StagnationGuard:
 
 
 class JobExecutor:
-    def __init__(
-        self,
-        partitions: Sequence[DatasetPartition],
-        out_dir: Path,
-        clock: Callable[[], int],
-    ):
+    def __init__(self, partitions: Sequence[DatasetPartition], out_dir: Path):
         self._partitions = list(partitions)
         self._out_dir = Path(out_dir)
-        self._clock = clock
 
     def run(
         self,
@@ -75,7 +69,7 @@ class JobExecutor:
         only producer, refuses a fault past the last round.
         """
         config = record.spec.config
-        record.transition("running", int(self._clock()))
+        record.transition("running")
         job_dir = self._out_dir / record.job_id  # the metrics writer creates it
         metrics_path = job_dir / "metrics.csv"
         record.metrics_address = str(metrics_path)
@@ -100,7 +94,7 @@ class JobExecutor:
                 model = run_federation(config, filtered, observer, eligibility=eligibility)
         except FedGateError as error:
             record.rounds_executed, record.cause = len(rows), str(error)
-            record.transition("failed", int(self._clock()))
+            record.transition("failed")
             return record
 
         record.rounds_executed = len(rows)
@@ -121,5 +115,5 @@ class JobExecutor:
         model_path = job_dir / "model.json"
         model_path.write_bytes(canonical_json_bytes(artifact) + b"\n")
         record.model_address = str(model_path)
-        record.transition(state, int(self._clock()))
+        record.transition(state)
         return record

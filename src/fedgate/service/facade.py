@@ -43,7 +43,7 @@ class FlaasService:
         self._clock = clock
         self.service_name = service_name
         self.queue = JobQueue()
-        self.executor = JobExecutor(self._partitions, Path(out_dir), clock)
+        self.executor = JobExecutor(self._partitions, Path(out_dir))
         self._summary: TrainingDataMetadata | None = None
 
     # --------------------------------------------------------------- auth

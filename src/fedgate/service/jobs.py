@@ -11,7 +11,7 @@ order. The job record is a strict state machine::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
 from ..fl import DatasetPartition, FederationConfig
@@ -112,14 +112,12 @@ class JobRecord:
     model_address: str | None = None
     cause: str | None = None
     rounds_executed: int = 0
-    transitions: list[tuple[int, str, str]] = field(default_factory=list)
 
-    def transition(self, new_state: str, now: int) -> None:
+    def transition(self, new_state: str) -> None:
         if new_state not in _TRANSITIONS:
             raise FedGateError(f"unknown state {new_state!r}")
         if new_state not in _TRANSITIONS[self.state]:
             raise FedGateError(f"illegal transition {self.state} -> {new_state}")
-        self.transitions.append((int(now), self.state, new_state))
         self.state = new_state
 
     def to_dict(self) -> dict:

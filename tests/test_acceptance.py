@@ -469,7 +469,7 @@ def test_10_failover_determinism(tmp_path):
     )
 
     def run(name, faults=(), standby_clients=0):
-        executor = JobExecutor(parts, tmp_path / name, clock=lambda: 0)
+        executor = JobExecutor(parts, tmp_path / name)
         record = JobQueue().submit(
             JobSpec(
                 holder="did:efed:t",

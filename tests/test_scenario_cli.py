@@ -21,7 +21,7 @@ from fedgate.fl import (
 )
 from fedgate.identity import DidRegistry
 from fedgate.ledger import Chain, load_chain, verify_chain_file
-from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, replay_ledger, run_demo
+from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, run_demo
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import DataFilter
 
@@ -35,6 +35,20 @@ def demo_config(tmp_path, name="demo", **overrides):
 # ---------------------------------------------------------------- scenario
 
 
+# Every file ``run_demo`` writes, so that none comes back or goes unnoticed.
+DEMO_FILES = [
+    "artifacts/job-0001/metrics.csv",
+    "artifacts/job-0001/model.json",
+    "chain.jsonl",
+    "data/client_000.csv",
+    "data/client_001.csv",
+    "data/client_002.csv",
+    "data/manifest.json",
+    "identity.jsonl",
+    "summary.json",
+]
+
+
 def test_default_scenario_happy_path(tmp_path):
     summary = run_demo(demo_config(tmp_path))
     out = tmp_path / "demo"
@@ -44,25 +58,22 @@ def test_default_scenario_happy_path(tmp_path):
     assert (out / summary["job"]["model"]).exists()
     ok, _ = verify_chain_file(out / "chain.jsonl")
     assert ok
-    for artifact in ("events.jsonl", "identity.jsonl", "summary.json", "data/manifest.json"):
-        assert (out / artifact).exists()
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == DEMO_FILES
 
 
 # sha256 of the seed-7 demo's ledger-side artifacts and its summary. They hold
 # no floating point values (the summary keeps decisions, tx ids, the block
 # count, the job state and relative paths), so the digests are the same on
 # every machine; a change that moves one of them changes a chain payload, an
-# event, an identity record or the story's outcome.
+# identity record or the story's outcome.
 LEDGER_DIGESTS = {
     "contract_lookup": {
         "chain.jsonl": "ae96a718c556f6cdfcbdf752edbe6d1430c151e38b3bb5981a578f5be45e29f1",
-        "events.jsonl": "2fd0c5157547b63984f49c79218404db5209c7fc7108243f7e1f2bddad51d57c",
         "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
         "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
         "chain.jsonl": "b2e878a09059ad3c2d8ca1503b05441300a997362a9ec2128c57d27fc0ff100c",
-        "events.jsonl": "e1d9a899e42a61f71c1ab621c4764dec444290906dc94df074b3e23e1390738a",
         "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
         "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
     },
@@ -110,7 +121,8 @@ def test_same_seed_twice_is_byte_identical(tmp_path):
     model = "artifacts/job-0001/model.json"
     assert (first / model).read_bytes() == (second / model).read_bytes()
     assert (first / "chain.jsonl").read_bytes() == (second / "chain.jsonl").read_bytes()
-    assert (first / "events.jsonl").read_bytes() == (second / "events.jsonl").read_bytes()
+    for name in ("identity.jsonl", "summary.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
     run_demo(demo_config(tmp_path, "three", seed=12))
     assert (first / model).read_bytes() != (tmp_path / "three" / model).read_bytes()
 
@@ -133,32 +145,14 @@ def seed_7_demos(tmp_path_factory):
     return {name: root / name for name in DEMO_VARIANTS}
 
 
-def ledger_writes(events_path):
-    entries = [json.loads(line) for line in events_path.read_bytes().splitlines()]
-    return [e for e in entries if e["event"] == "ledger-write"]
-
-
-def test_event_log_replays_to_same_ledger(seed_7_demos):
-    for out in seed_7_demos.values():
-        blocks = load_chain(out / "chain.jsonl")
-        replay_ledger(out / "events.jsonl", blocks)
-        assert [e["txId"] for e in ledger_writes(out / "events.jsonl")] == [
-            tx.tx_id for block in blocks for tx in block.transactions
-        ]
-
-
-def test_a_ledger_write_entry_only_points_at_its_block(seed_7_demos):
-    # The chain file carries the transaction; the log names it by id and time.
-    for out in seed_7_demos.values():
-        writes = ledger_writes(out / "events.jsonl")
-        assert writes and all(sorted(e) == ["at", "event", "txId"] for e in writes)
-
-
 def test_every_log_line_is_canonical_json(seed_7_demos):
     for out in seed_7_demos.values():
-        for name in ("chain.jsonl", "events.jsonl", "identity.jsonl"):
+        for name in ("chain.jsonl", "identity.jsonl"):
             lines = (out / name).read_bytes().splitlines(keepends=True)
             assert lines and all(canonical_json_bytes(json.loads(line)) + b"\n" == line for line in lines)
+        for name in ("summary.json", "artifacts/job-0001/model.json", "data/manifest.json"):
+            data = (out / name).read_bytes()
+            assert data == canonical_json_bytes(json.loads(data)) + b"\n", name
 
 
 def test_identity_log_replay_names_a_repeated_registration(seed_7_demos, tmp_path):
@@ -180,135 +174,10 @@ def test_identity_log_replay_names_a_skipped_version(seed_7_demos, tmp_path):
         DidRegistry.replay_log(path, receipt)
 
 
-# What a block already holds: its payload and submitter name the DID, the
-# contract, the claim's subject and the requester, its kind is the decision,
-# and the genesis time is the start time.
-LEDGER_FACTS = {"did", "requester", "decision", "subject", "contractId", "service", "startTime"}
-
-
-def test_the_event_log_restates_no_ledger_fact(seed_7_demos):
-    for out in seed_7_demos.values():
-        entries = [json.loads(line) for line in (out / "events.jsonl").read_bytes().splitlines()]
-        steps = [e for e in entries if e["event"] != "ledger-write"]
-        assert len(steps) > 10 and all(LEDGER_FACTS.isdisjoint(e) for e in steps)
-
-
 def test_run_demo_returns_the_summary_it_writes(tmp_path):
     for name, variant in DEMO_VARIANTS.items():
         summary = run_demo(demo_config(tmp_path, name, seed=7, **variant))
         assert summary == json.loads((tmp_path / name / "summary.json").read_bytes())
-
-
-def _write_at(lines, index, at):
-    entry = json.loads(lines[index])
-    entry["at"] = at
-    lines[index] = json.dumps(entry)
-
-
-def test_ledger_replay_refuses_a_shifted_block_time_naming_the_height(tmp_path):
-    # A tx id does not cover its block time, so only the chain file shows the shift.
-    run_demo(demo_config(tmp_path, seed=7))
-    chain_path = tmp_path / "demo/chain.jsonl"
-    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
-    last = max(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
-    _write_at(lines, last, json.loads(lines[last])["at"] + 500)
-    path = tmp_path / "events.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    blocks = load_chain(chain_path)
-    with pytest.raises(ValidationError, match=f"at height {len(blocks) - 1}$"):
-        replay_ledger(path, blocks)
-
-
-def test_ledger_replay_refuses_a_chain_file_it_does_not_rebuild(tmp_path):
-    run_demo(demo_config(tmp_path, "one", seed=7))
-    run_demo(demo_config(tmp_path, "two", seed=8))
-    events_path, chain_path = tmp_path / "one/events.jsonl", tmp_path / "one/chain.jsonl"
-    with pytest.raises(ValidationError, match="at height 1$"):
-        replay_ledger(events_path, load_chain(tmp_path / "two/chain.jsonl"))
-    short = tmp_path / "short.jsonl"
-    short.write_bytes(b"".join(chain_path.read_bytes().splitlines(keepends=True)[:-1]))
-    height = len(load_chain(chain_path)) - 1
-    with pytest.raises(ValidationError, match=f"at height {height}$"):
-        replay_ledger(events_path, load_chain(short))
-
-
-def test_ledger_replay_refuses_a_shifted_start_time_at_genesis(tmp_path):
-    run_demo(demo_config(tmp_path, seed=7))
-    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
-    _write_at(lines, 0, json.loads(lines[0])["at"] + 1)
-    path = tmp_path / "events.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="at height 0$"):
-        replay_ledger(path, load_chain(tmp_path / "demo/chain.jsonl"))
-
-
-def test_every_bit_flip_of_two_seed_7_ledger_writes_is_refused(seed_7_demos, tmp_path):
-    """Each single-bit flip of the first and last ``ledger-write`` line of the
-    seed-7 contract-lookup log, newline included, is refused by replay."""
-    out = seed_7_demos["scheme-a"]
-    blocks = load_chain(out / "chain.jsonl")
-    written = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
-    writes = [i for i, line in enumerate(written) if json.loads(line)["event"] == "ledger-write"]
-    path = tmp_path / "flipped.jsonl"
-    accepted = []
-    for index in (writes[0], writes[-1]):
-        before, line = b"".join(written[:index]), written[index]
-        after = b"".join(written[index + 1 :])
-        for bit in range(len(line) * 8):
-            flipped = bytearray(line)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(before + flipped + after)
-            try:
-                replay_ledger(path, blocks)
-            except ValidationError:
-                continue
-            accepted.append((index + 1, bit))
-    assert accepted == []
-
-
-def _drop_tx_id(lines):
-    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
-    entry = json.loads(lines[write])
-    del entry["txId"]
-    lines[write] = json.dumps(entry)
-    return write + 1
-
-
-def _not_json(lines):
-    lines[2] = "{not json"
-    return 3
-
-
-def _no_start(lines):
-    del lines[0]
-    return 1
-
-
-def _float_at(lines):
-    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
-    _write_at(lines, write, float(json.loads(lines[write])["at"]))
-    return write + 1
-
-
-def _bool_at(lines):
-    write = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
-    _write_at(lines, write, True)
-    return write + 1
-
-
-@pytest.mark.parametrize(
-    "spoil",
-    [_drop_tx_id, _not_json, _no_start, _float_at, _bool_at],
-    ids=["write-without-txId", "not-json", "no-start", "float-at", "bool-at"],
-)
-def test_ledger_replay_refuses_a_malformed_line_naming_it(tmp_path, spoil):
-    run_demo(demo_config(tmp_path))
-    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
-    number = spoil(lines)
-    path = tmp_path / "events.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match=f"line {number}: "):
-        replay_ledger(path, load_chain(tmp_path / "demo/chain.jsonl"))
 
 
 def test_scheme_b_demo_reaches_same_decisions(tmp_path):
@@ -540,28 +409,6 @@ def test_cli_demo_config_file(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["decisions"]) == 3
     assert main(["demo", "--config", str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_verify_chain_replays_each_seed_7_event_log(tmp_path, capsys):
-    for name, variant in DEMO_VARIANTS.items():
-        run_demo(demo_config(tmp_path, name, seed=7, **variant))
-        out = tmp_path / name
-        assert main(["verify-chain", str(out / "chain.jsonl"), "--events", str(out / "events.jsonl")]) == 0
-    assert capsys.readouterr().out.count("event log replays to the chain") == len(DEMO_VARIANTS)
-
-
-def test_cli_verify_chain_refuses_a_shifted_event_log_naming_the_height(tmp_path, capsys):
-    run_demo(demo_config(tmp_path, seed=7))
-    chain_path = tmp_path / "demo/chain.jsonl"
-    lines = (tmp_path / "demo/events.jsonl").read_text().splitlines()
-    last = max(i for i, line in enumerate(lines) if json.loads(line)["event"] == "ledger-write")
-    _write_at(lines, last, json.loads(lines[last])["at"] + 500)
-    events = tmp_path / "events.jsonl"
-    events.write_text("\n".join(lines) + "\n")
-    assert main(["verify-chain", str(chain_path), "--events", str(events)]) == 1
-    height = len(load_chain(chain_path)) - 1
-    assert capsys.readouterr().out.splitlines()[-1].endswith(f"at height {height}")
-    assert main(["verify-chain", str(chain_path), "--events", str(tmp_path / "missing.jsonl")]) == 2
 
 
 def test_cli_verify_chain_explains_a_seed_7_denial(tmp_path, capsys):

@@ -160,17 +160,14 @@ def test_state_machine_disallows_skips_and_reversals():
     q = JobQueue()
     record = q.submit(job_spec(), now=0)
     with pytest.raises(FedGateError, match="illegal transition queued -> completed"):
-        record.transition("completed", 1)
-    record.transition("running", 1)
+        record.transition("completed")
+    record.transition("running")
     with pytest.raises(FedGateError, match="illegal transition running -> queued"):
-        record.transition("queued", 2)
-    record.transition("completed", 2)
+        record.transition("queued")
+    record.transition("completed")
     with pytest.raises(FedGateError, match="illegal transition completed -> running"):
-        record.transition("running", 3)
-    assert [(a, b) for _, a, b in record.transitions] == [
-        ("queued", "running"),
-        ("running", "completed"),
-    ]
+        record.transition("running")
+    assert record.state == "completed"
 
 
 def test_spec_validation():
@@ -214,7 +211,7 @@ def test_draining_the_queue_follows_wsjf_order(jobs):
     records = [q.submit(job_spec(runtime=r, weight=w), now=i) for i, (r, w) in enumerate(jobs)]
     drained = []
     while (record := q.schedule_next()) is not None:
-        record.transition("running", 0)
+        record.transition("running")
         drained.append(records.index(record))
     assert drained == wsjf_order([r.spec for r in records])
     ratios = [jobs[i][1] / jobs[i][0] for i in drained]
@@ -316,7 +313,7 @@ def submitted_job(tmp_path, config=None, **spec_kwargs):
     from fedgate.service import JobExecutor
 
     parts = fleet_partitions()
-    executor = JobExecutor(parts, tmp_path, clock=lambda: 777)
+    executor = JobExecutor(parts, tmp_path)
     q = JobQueue()
     record = q.submit(job_spec(config=config, **spec_kwargs), now=0)
     return executor, record
@@ -544,15 +541,13 @@ def test_random_tokens_never_authorize(tmp_path):
 
 
 def test_the_ledger_holds_no_grant_token(tmp_path):
-    """Every consortium party reads chain.jsonl and events.jsonl, so neither
+    """Every consortium party reads chain.jsonl and identity.jsonl, so neither
     holds a bearer token (RFC 6750 §5.3): each grant records its token's
     SHA-256, and no 32-hex-digit string in either file opens the service."""
     from fedgate.ledger import load_chain
-    from fedgate.scenario import EventLog
     from fedgate.service import FlaasService, ServiceApi
 
     stack = Stack()
-    log = EventLog(stack.clock, stack.chain)
     stack.deploy_membership_policy()
     service = FlaasService(
         stack.gateway, fleet_partitions(), tmp_path / "artifacts", stack.clock, service_name="fl-study"
@@ -568,15 +563,14 @@ def test_the_ledger_holds_no_grant_token(tmp_path):
             body["attestation"] = lookup.attestation.to_dict()
         body["nonce"] = stack.fresh_nonce().hex()
         tokens.append(api.handle("POST", "/access/request", body=body).body["grant"]["token"])
-        log.emit("access-request", requester=member.did)
         stack.clock.advance(1)
     chain_path = stack.chain.write_chain(tmp_path / "chain.jsonl")
-    events_path = log.write(tmp_path / "events.jsonl")
+    identity_path = stack.registry.write_log(tmp_path / "identity.jsonl")
 
     txs = [tx for block in load_chain(chain_path) for tx in block.transactions]
     digests = [json.loads(tx.payload)["tokenDigest"] for tx in txs if tx.kind == "access_grant"]
     assert digests == [hashlib.sha256(token.encode()).hexdigest() for token in tokens]
-    ledger = "\n".join([chain_path.read_text(), events_path.read_text()] + [tx.payload.decode() for tx in txs])
+    ledger = "\n".join([chain_path.read_text(), identity_path.read_text()] + [tx.payload.decode() for tx in txs])
     assert not any(token in ledger for token in tokens)
     held = {
         run[i : i + 32] for run in re.findall(r"[0-9a-f]{32,}", ledger) for i in range(len(run) - 31)
