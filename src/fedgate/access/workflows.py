@@ -1,18 +1,22 @@
 """The two authentication workflows over contracts, resolver, and ledger.
 
 Contract-initiated lookup (scheme ``contract_lookup``): the requester
-hands over only their DID; the gateway rate-limits, parks the request in
-the bounded pending table, fetches the document from the resolver, and
-runs the contract. Requests whose DID never resolves stay parked until
-the ttl sweep reclaims them — that bounded parking lot is the DoS story.
+hands over only their DID; the gateway parks the request in the bounded
+pending table, fetches the document, rate-limits, and runs the contract.
+Requests whose DID never resolves stay parked until the ttl sweep
+reclaims them — that bounded parking lot is the DoS story.
 
 User-initiated lookup (scheme ``user_lookup``): the requester first asks
 the resolver front desk for an attestation (never the document itself),
 then submits that attestation. The gateway fetches the document
 server-side, checks the attestation binds it, consumes the attestation
 nonce, and runs the same contract — so the verdict matches scheme A for
-the same holder, contract, and clock. The front desk carries its own,
-larger rate limit and the pending table is never touched.
+the same holder, contract, and clock. The front desk fetches, applies its
+own, larger rate limit, then attests; the pending table is never touched.
+
+Both limiters run after the fetch, so a made-up DID never spends a limiter
+slot and cannot evict a member's window. A rate-refused request's pending
+entry leaves at once, its nonce unspent.
 
 Only the front desk makes attestations: its attestation is the one that
 leaves the desk. Every other step reads the document with
@@ -162,13 +166,13 @@ class AccessGateway:
 
         The only caller of ``Resolver.resolve``, and so the only maker of attestations.
         """
-        if not self._front_desk_limiter.allow(requester):
-            return LookupResult(False, None, "rejected-rate")
         try:
-            attestation = self._resolver.resolve(requester, nonce)
+            document = self._resolver.fetch(requester)
         except UNRESOLVABLE:
             return LookupResult(False, None, "unresolvable")
-        return LookupResult(True, attestation, "ok")
+        if not self._front_desk_limiter.allow(requester):
+            return LookupResult(False, None, "rejected-rate")
+        return LookupResult(True, self._resolver.resolve(document, nonce), "ok")
 
     # ------------------------------------------------------------ requests
 
@@ -180,8 +184,6 @@ class AccessGateway:
         return self._user_lookup_submit(request, attestation)
 
     def _contract_lookup(self, request: AccessRequest) -> AccessOutcome:
-        if not self._contract_limiter.allow(request.requester):
-            return REJECTED_RATE
         contract = self.engine.for_service(request.service)
         nonce_hex = request.nonce.hex()
         if not self.pending.try_insert(nonce_hex):
@@ -194,6 +196,9 @@ class AccessGateway:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return DENIED_UNRESOLVABLE
+        if not self._contract_limiter.allow(request.requester):
+            self.pending.remove(nonce_hex)  # its nonce stays unspent
+            return REJECTED_RATE
         outcome = self._execute(contract, document, nonce_hex)
         self.pending.remove(nonce_hex)
         return outcome

@@ -4,12 +4,12 @@ The resolver keeps a route table from DID method to driver backend.
 ``fetch`` routes a DID to its driver and returns the latest document
 unsigned; every in-process reader (the contract path, claim checks, the
 user-lookup submit step) uses it, since a signature the same process
-makes and checks proves nothing. ``resolve`` is ``fetch`` plus an
-attestation: an Ed25519 signature by the resolver over ``canonical
-document bytes ‖ request nonce``. Only the front desk calls it, because
-only there does the attestation leave the desk: the requester is never
-shown the document, forwards the attestation, and the gateway checks it
-against the document it fetches itself.
+makes and checks proves nothing. ``resolve`` attests to a document the
+caller has just fetched: an Ed25519 signature by the resolver over
+``canonical document bytes ‖ request nonce``. Only the front desk calls it,
+because only there does the attestation leave the desk: the requester is
+never shown the document, forwards the attestation, and the gateway checks
+it against the document it fetches itself.
 
 That check is ``Resolver.verify``, and it signs nothing: the resolver keeps
 each attestation it issues, by nonce, in one table of at most
@@ -34,7 +34,7 @@ from .did import DidIdentifier, parse_did
 from .document import DidDocument
 from .registry import DidRegistry, UnknownDidError
 
-# What ``Resolver.fetch`` and ``resolve`` raise for a DID they cannot serve.
+# What ``Resolver.fetch`` raises for a DID it cannot serve.
 UNRESOLVABLE = (UnknownDidError, ValidationError)
 ISSUED_ATTESTATIONS = 4096
 
@@ -93,15 +93,15 @@ class Resolver:
             raise UnknownDidError(f"no driver registered for method {identifier.method!r}")
         return driver.fetch(identifier)
 
-    def resolve(self, did: DidIdentifier | str, nonce: bytes) -> Attestation:
-        """Attest to the latest document under ``nonce``, and keep it for ``verify``.
+    def resolve(self, document: DidDocument, nonce: bytes) -> Attestation:
+        """Attest to ``document``, just fetched, under ``nonce``; keep it for ``verify``.
 
-        Signs, so only the front desk calls it; in-process readers ``fetch``.
+        Signs, so only the front desk calls it, after its fetch and its rate
+        limit; in-process readers only ``fetch``.
         """
-        identifier = parse_did(did) if isinstance(did, str) else did
-        document, nonce = self.fetch(identifier), bytes(nonce)
+        nonce = bytes(nonce)
         attestation = self._issued[nonce] = Attestation(
-            did=str(identifier),
+            did=str(document.id),
             nonce=nonce,
             document_digest=document.digest(),
             resolver=self.name,

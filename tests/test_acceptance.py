@@ -18,7 +18,6 @@ from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.cli import main
 from fedgate.fl import (
-    DatasetPartition,
     FederationConfig,
     LossSpec,
     SyntheticSpec,

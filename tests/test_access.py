@@ -15,9 +15,10 @@ from fedgate.access import (
     PendingTable,
     SlidingWindowLimiter,
 )
+from fedgate.access import ratelimit as ratelimit_module
 from fedgate.access.issuance import CLAIM_CACHE_SIZE, verify_claim
 from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
-from fedgate.access.ratelimit import MAX_TRACKED_KEYS
+from fedgate.access.ratelimit import MAX_TRACKED_KEYS, RATE_WINDOW_SECONDS
 from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
@@ -28,7 +29,6 @@ from fedgate.identity import resolver as resolver_module
 from fedgate.identity.resolver import ISSUED_ATTESTATIONS
 from fedgate.identity.registry import UnknownDidError
 from fedgate.keys import KeyPair, verify_signature
-from fedgate.ledger import ClaimPredicate, ClaimRequirement
 
 from support import ISSUER_DID, Stack, payload_dict, transactions
 
@@ -271,12 +271,41 @@ def test_limiter_keys_are_independent_and_bounded():
     for i in range(MAX_TRACKED_KEYS - 1):
         assert limiter.allow(f"flood-{i}")
     assert not limiter.allow("a")
-    # ... and one more evicts "a", the least recently seen
+    # ... and one more is refused untracked, since "a", the least recently
+    # seen, still has a live window: no key's budget is ever reset.
     limiter = SlidingWindowLimiter(1, clock)
     assert limiter.allow("a")
-    for i in range(MAX_TRACKED_KEYS):
+    for i in range(MAX_TRACKED_KEYS - 1):
         assert limiter.allow(f"flood-{i}")
-    assert limiter.allow("a")
+    assert not limiter.allow("newcomer")
+    assert not limiter.allow("a")
+    clock.advance(RATE_WINDOW_SECONDS)  # every window has emptied
+    assert limiter.allow("newcomer")  # it takes the place of "flood-0"
+    assert limiter.allow("a") and not limiter.allow("a")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    limit=st.integers(min_value=1, max_value=3),
+    calls=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=20)),
+        max_size=60,
+    ),
+)
+def test_no_run_of_other_keys_resets_a_budget(limit, calls):
+    """Under a key bound of 3, no sequence of calls lets any key get more than
+    ``limit`` allowed calls inside one ``RATE_WINDOW_SECONDS`` window."""
+    clock = SimulatedClock(start=0)
+    limiter = SlidingWindowLimiter(limit, clock)
+    allowed: dict[int, list[int]] = {}
+    with mock.patch.object(ratelimit_module, "MAX_TRACKED_KEYS", 3):
+        for key, wait in calls:
+            clock.advance(wait)
+            if limiter.allow(f"k{key}"):
+                times = allowed.setdefault(key, [])
+                times.append(clock())
+                assert sum(t > clock() - RATE_WINDOW_SECONDS for t in times) <= limit
+            assert len(limiter._hits) <= 3
 
 
 # ----------------------------------------------------------------- pending
@@ -498,6 +527,50 @@ def test_scheme_a_rate_limit():
     assert outcomes[10:] == ["rejected-rate"] * 2
     stack.clock.advance(61)
     assert stack.request_a(alice.did).decision == "granted"
+
+
+def test_made_up_dids_do_not_reset_a_contract_path_budget():
+    """A member past its budget stays refused after 4,096 requests under
+    made-up DIDs and a wait past the pending ttl, inside the rate window."""
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    assert [stack.request_a(alice.did).decision for _ in range(11)] == ["granted"] * 10 + [
+        "rejected-rate"
+    ]
+    ghosts = [stack.request_a(f"did:efed:ghost-{i}").reason for i in range(MAX_TRACKED_KEYS)]
+    assert ghosts.count("unresolvable") == stack.gateway.pending.capacity
+    assert ghosts.count("pending table full") == MAX_TRACKED_KEYS - stack.gateway.pending.capacity
+    stack.clock.advance(31)
+    assert [stack.request_a(alice.did).decision for _ in range(10)] == ["rejected-rate"] * 10
+
+
+def test_made_up_dids_do_not_reset_a_front_desk_budget():
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    lookups = [stack.gateway.user_lookup(alice.did, stack.fresh_nonce()).reason for _ in range(101)]
+    assert lookups == ["ok"] * 100 + ["rejected-rate"]
+    for i in range(MAX_TRACKED_KEYS):
+        ghost = stack.gateway.user_lookup(f"did:efed:ghost-{i}", stack.fresh_nonce())
+        assert ghost.reason == "unresolvable"
+    stack.clock.advance(31)
+    assert [stack.request_b(alice.did).reason for _ in range(10)] == ["missing-attestation"] * 10
+
+
+def test_a_rate_refused_request_leaves_no_entry_and_spends_no_nonce():
+    stack = Stack(contract_path_per_minute=1, pending_capacity=1)
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    assert stack.request_a(alice.did).decision == "granted"
+    request = AccessRequest(alice.did, "fl-study", SCHEME_CONTRACT_LOOKUP, stack.fresh_nonce())
+    assert stack.gateway.request_access(request, None).decision == "rejected-rate"
+    assert not stack.gateway.pending.contains(request.nonce.hex())
+    # A parked ghost fills the table, which refuses before the limiter is asked.
+    assert stack.request_a("did:efed:ghost").reason == "unresolvable"
+    assert stack.gateway.request_access(request, None).decision == "rejected-capacity"
+    stack.clock.advance(61)  # the ghost's entry and alice's window have both expired
+    assert stack.gateway.request_access(request, None).decision == "granted"
 
 
 def test_unresolvable_did_parks_entry_until_ttl():
@@ -891,7 +964,7 @@ def test_issued_attestations_stay_within_their_bound(bound, steps):
         for step, index in steps:
             nonce = bytes([index]) * 16
             if step == "lookup":
-                latest[nonce] = model[nonce] = resolver.resolve(alice.did, nonce)
+                latest[nonce] = model[nonce] = resolver.resolve(document, nonce)
                 if len(model) > bound:
                     model.popitem(last=False)
             elif nonce in latest:

@@ -24,7 +24,7 @@ from fedgate.identity.registry import AlreadyRegisteredError, UnknownDidError
 from fedgate.errors import FedGateError
 from fedgate.keys import KeyPair, verify_signature
 
-from support import is_lowercase_hex, receipt
+from support import Stack, is_lowercase_hex, receipt
 
 METHOD_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
 SPECIFIC_ALPHA = METHOD_ALPHA + METHOD_ALPHA.upper() + "._-"
@@ -507,25 +507,29 @@ def test_resolve_returns_latest_version():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x01" * 16)
+    attestation = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x01" * 16)
     assert attestation.did == "did:efed:alice01"
     assert resolver.verify(attestation, doc)
 
     updated = make_document(version=2)[0]
     registry.update(updated)
-    attestation2 = resolver.resolve("did:efed:alice01", nonce=b"\x02" * 16)
+    attestation2 = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x02" * 16)
     assert attestation2.document_digest == updated.digest()
     assert not resolver.verify(attestation2, doc)  # a stale document
-    attestation3 = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
+    attestation3 = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x03" * 16)
     assert resolver.verify(attestation3, updated)
 
 
-def test_resolve_errors():
-    registry, resolver = make_resolver()
-    with pytest.raises(UnknownDidError, match="no driver registered for method 'bogus'"):
-        resolver.resolve("did:bogus:alice01", nonce=b"\x00" * 16)
-    with pytest.raises(UnknownDidError):
-        resolver.resolve("did:efed:ghost", nonce=b"\x00" * 16)
+def test_resolve_errors(monkeypatch):
+    """The front desk fetches before it resolves, so a DID that does not
+    resolve is answered ``unresolvable``: nothing signed, kept or counted."""
+    stack = Stack()
+    signed = []
+    monkeypatch.setattr(KeyPair, "sign", lambda self, m: signed.append(m))
+    for did in ("did:bogus:alice01", "did:efed:ghost"):
+        assert stack.gateway.user_lookup(did, stack.fresh_nonce()).reason == "unresolvable"
+    assert signed == [] and not stack.resolver._issued
+    assert not stack.gateway._front_desk_limiter._hits
 
 
 def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
@@ -537,7 +541,7 @@ def test_fetch_routes_like_resolve_and_signs_nothing(monkeypatch):
     monkeypatch.setattr(KeyPair, "sign", lambda self, m: signed.append(m) or original(self, m))
     assert resolver.fetch("did:efed:alice01") == doc
     assert signed == []
-    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x03" * 16)
+    attestation = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x03" * 16)
     assert len(signed) == 1
     assert resolver.verify(attestation, doc)
     assert len(signed) == 1  # the check signs nothing
@@ -567,7 +571,7 @@ def test_driver_routing_is_per_method():
 
     routes = {"did:efed:alice01": doc, "did:loop:probe": other}
     for did, expected in routes.items():
-        attestation = resolver.resolve(did, nonce=b"\x05" * 16)
+        attestation = resolver.resolve(resolver.fetch(did), nonce=b"\x05" * 16)
         assert resolver.verify(attestation, expected)
     assert resolver.fetch("did:loop:probe") == other
     with pytest.raises(ValidationError):
@@ -578,8 +582,8 @@ def test_distinct_nonces_distinct_attestations():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    r1 = resolver.resolve("did:efed:alice01", nonce=b"\xaa" * 16)
-    r2 = resolver.resolve("did:efed:alice01", nonce=b"\xbb" * 16)
+    r1 = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\xaa" * 16)
+    r2 = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\xbb" * 16)
     assert r1.document_digest == r2.document_digest
     assert r1.signature != r2.signature
     # an attestation is bound to its own nonce
@@ -620,7 +624,7 @@ def test_attestation_detects_any_bit_flip(data, target):
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x0f" * 16)
+    attestation = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x0f" * 16)
     document = BytesDocument(doc.canonical_bytes())
     if target == "document":
         document = BytesDocument(flip_bit(data, doc.canonical_bytes()))
@@ -643,7 +647,7 @@ def test_attestation_altered_in_any_field_is_refused(alter):
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    attestation = resolver.resolve("did:efed:alice01", nonce=b"\x0e" * 16)
+    attestation = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x0e" * 16)
     assert not resolver.verify(alter(attestation), doc)
 
 
@@ -651,7 +655,7 @@ def test_attestation_round_trip():
     registry, resolver = make_resolver()
     doc, _ = make_document()
     registry.register(doc, profile_hash="p")
-    att = resolver.resolve("did:efed:alice01", nonce=b"\x3c" * 16)
+    att = resolver.resolve(resolver.fetch("did:efed:alice01"), nonce=b"\x3c" * 16)
     again = Attestation.from_dict(att.to_dict())
     assert again == att
     assert resolver.verify(again, doc)

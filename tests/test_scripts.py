@@ -69,6 +69,13 @@ def test_bench_training_workload_traced(tmp_path, workload):
 def test_bench_access_workloads_traced(tmp_path, workload):
     result = run_bench_traced(workload, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+    metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
     if workload == "access":
-        metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
         assert metrics["keys.sig_ops_per_decision"]["value"] < 1.0  # 0.70 cached, 1.44 uncached
+    else:
+        # Only a DID that resolves reaches a limiter, so no ghost spends a
+        # call there: 1,102 calls against 1,102 decisions on this run.
+        decided = sum(
+            metrics[f"access.decision.{name}"]["value"] for name in ("granted", "rejected-rate")
+        )
+        assert metrics["access.ratelimit.calls"]["value"] <= decided

@@ -752,9 +752,11 @@ def _post(api, body):
 
 
 def _rate_refusals(stack, api):
-    for _ in range(10):  # the contract path's budget, spent on parked lookups
-        _post(api, _ghost_body(stack))
-    return lambda: _ghost_body(stack)
+    # Only a DID that resolves reaches the limiter: alice, granted once
+    # already, spends the rest of the contract path's budget.
+    for _ in range(10):
+        _post(api, access_body(stack, scheme="contract_lookup"))
+    return lambda: access_body(stack, scheme="contract_lookup")
 
 
 def _capacity_refusals(stack, api):
