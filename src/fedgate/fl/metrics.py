@@ -53,7 +53,11 @@ class CsvMetricsWriter:
 
 
 def read_metrics_csv(path: Path) -> list[RoundMetrics]:
-    """Rows of a round-metrics CSV; a malformed line or a non-UTF-8 byte is a ValidationError."""
+    """Rows of a round-metrics CSV; a malformed line or a non-UTF-8 byte is a ValidationError.
+
+    A row must hold exactly the fields ``CsvMetricsWriter`` writes for the
+    values read from it, so a blank line or a re-spelled number is refused.
+    """
     try:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -62,18 +66,17 @@ def read_metrics_csv(path: Path) -> list[RoundMetrics]:
                 raise ValueError(f"not a round-metrics CSV (header {header})")
             out = []
             for row in reader:
-                if not row:
-                    continue
                 if len(row) != len(METRICS_HEADER):
                     raise ValueError(f"line {reader.line_num} has {len(row)} fields")
-                out.append(
-                    RoundMetrics(
-                        round_index=int(row[0]),
-                        global_loss=float(row[1]),
-                        train_accuracy=float(row[2]),
-                        selected_clients=tuple(c for c in row[3].split(";") if c),
-                    )
+                metrics = RoundMetrics(
+                    round_index=int(row[0]),
+                    global_loss=float(row[1]),
+                    train_accuracy=float(row[2]),
+                    selected_clients=tuple(c for c in row[3].split(";") if c),
                 )
+                if metrics.to_row() != row:
+                    raise ValueError(f"line {reader.line_num} is not as its writer writes it")
+                out.append(metrics)
     except ValueError as exc:  # the int and float parsers raise it too, as does decoding
         raise ValidationError(f"cannot read metrics {path}: {exc}") from None
     return out

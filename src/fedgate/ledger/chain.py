@@ -17,9 +17,9 @@ and read by ``fedgate.canonical``'s JSON-lines pair, and a line states each
 fact once. The genesis line holds exactly ``hash``, ``height``,
 ``prevHash`` and ``timestamp``; every later line holds those keys plus
 ``kind``, ``submitter`` and ``payload``, the transaction's canonical payload
-JSON as a JSON string. The transaction id, the root and
-the transaction's timestamp (the block's) are not written: the reader
-derives them.
+JSON as a JSON string. The transaction id and the root are not written:
+the reader derives them. A transaction carries no time of its own; its
+block's timestamp is the time it was sealed.
 
 Chain files have one validator: the ``Transaction`` and ``Block``
 constructors. Each tests its fields' types as given (a height or timestamp
@@ -72,16 +72,13 @@ def _block_hash(height: int, prev_hash: str, root: str, timestamp: int) -> str:
 class Transaction:
     """One sealed fact; its fields are checked as given and its id derived once."""
 
-    __slots__ = ("timestamp", "kind", "payload", "submitter", "tx_id")
+    __slots__ = ("kind", "payload", "submitter", "tx_id")
 
-    def __init__(self, timestamp: int, kind: str, payload: bytes, submitter: str):
-        if type(timestamp) is not int or type(payload) is not bytes:
-            raise ValidationError("a transaction's timestamp must be int and its payload bytes")
-        if type(kind) is not str or type(submitter) is not str:
-            raise ValidationError("a transaction's kind and submitter must be str")
+    def __init__(self, kind: str, payload: bytes, submitter: str):
+        if type(kind) is not str or type(payload) is not bytes or type(submitter) is not str:
+            raise ValidationError("a transaction's kind and submitter must be str, its payload bytes")
         if kind not in TRANSACTION_KINDS:
             raise ValidationError(f"unknown transaction kind {kind!r}")
-        self.timestamp = timestamp
         self.kind = kind
         self.payload = payload
         self.submitter = submitter
@@ -98,8 +95,7 @@ class Block:
     ):
         if type(height) is not int or type(prev_hash) is not str or type(timestamp) is not int:
             raise ValidationError("block fields must be int height, str prev_hash, int timestamp")
-        # Both are hashed as 8-byte unsigned integers (see ``_block_hash``); the
-        # range also bounds the transaction's timestamp, which equals the block's.
+        # Both are hashed as 8-byte unsigned integers (see ``_block_hash``).
         if not (0 <= height < 2**64 and 0 <= timestamp < 2**64):
             raise ValidationError(f"block height or timestamp outside [0, 2**64) at {height}")
         if len(transactions) != (1 if height else 0):
@@ -107,14 +103,7 @@ class Block:
                 f"block at height {height} holds {len(transactions)} "
                 "transactions; genesis holds none and every other block one"
             )
-        root = _GENESIS_ROOT
-        for tx in transactions:
-            # Sealing stamps the transaction with the block time, and the block
-            # time feeds the block hash; without this equality the transaction's
-            # timestamp would be the one field no hash covers.
-            if tx.timestamp != timestamp:
-                raise ValidationError("a transaction's timestamp must match its block's")
-            root = tx.tx_id
+        root = transactions[0].tx_id if transactions else _GENESIS_ROOT
         self.height = height
         self.prev_hash = prev_hash
         self.timestamp = timestamp
@@ -149,7 +138,7 @@ class Block:
             payload = data["payload"]
             if type(payload) is not str:
                 raise ValidationError("transaction field payload must be str")
-            tx = Transaction(data["timestamp"], data["kind"], payload.encode(), data["submitter"])
+            tx = Transaction(data["kind"], payload.encode(), data["submitter"])
             transactions = (tx,)
         elif keys == _GENESIS_KEYS:
             transactions = ()
@@ -178,14 +167,10 @@ class Chain:
         return tuple(self._blocks)
 
     def record(self, kind: str, payload: dict, submitter: str) -> str:
-        """Seal one transaction into its own block; returns its tx id.
-
-        The block time is fixed first, so the transaction is built once,
-        already stamped with it.
-        """
+        """Seal one transaction into its own block; returns its tx id."""
         prev = self._blocks[-1]
         timestamp = max(int(self._clock()), prev.timestamp)
-        tx = Transaction(timestamp, kind, canonical_json_bytes(payload), submitter)
+        tx = Transaction(kind, canonical_json_bytes(payload), submitter)
         self._blocks.append(Block(prev.height + 1, prev.hash, timestamp, (tx,)))
         return tx.tx_id
 

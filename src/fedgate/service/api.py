@@ -104,10 +104,10 @@ class ServiceApi:
             return self._howto()
         if path == "/data/metadata" and method == "GET":
             token = self._token(headers)
-            return Response(200, self._service.metadata(token).to_dict())
+            return Response(200, self._service.metadata(token))
         if path == "/data/preview" and method == "GET":
             token = self._token(headers)
-            return Response(200, {"preview": self._service.metadata(token).preview_dicts()})
+            return Response(200, {"preview": self._service.preview(token)})
         if path == "/jobs" and method == "POST":
             return self._submit_job(headers, body)
         match = _JOB_PATH.fullmatch(path)

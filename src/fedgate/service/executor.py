@@ -65,8 +65,10 @@ class JobExecutor:
     ) -> JobRecord:
         """Execute a queued job to a terminal state on ``node_registry``, streaming metrics.
 
-        The fleet's fault schedule is taken as checked: ``ScenarioConfig``, its
-        only producer, refuses a fault past the last round.
+        A job whose ``metrics.csv`` or ``model.json`` cannot be written ends
+        ``failed``, the OS error its cause. The fleet's fault schedule is taken
+        as checked: ``ScenarioConfig``, its only producer, refuses a fault past
+        the last round.
         """
         config = record.spec.config
         record.transition("running")
@@ -92,28 +94,28 @@ class JobExecutor:
                     return guard.observe(metrics)
 
                 model = run_federation(config, filtered, observer, eligibility=eligibility)
-        except FedGateError as error:
+
+            state = "terminated_early" if guard.triggered else "completed"
+            final = rows[-1]
+            artifact = {
+                "weights": model.tolist(),
+                "config": config.to_dict(),
+                "state": state,
+                "roundsExecuted": len(rows),
+                "finalLoss": final.global_loss,
+                "finalAccuracy": final.train_accuracy,
+                "failover": node_registry.actions,
+            }
+            model_path = job_dir / "model.json"
+            model_path.write_bytes(canonical_json_bytes(artifact) + b"\n")
+        except (FedGateError, OSError) as error:  # OSError: an artifact could not be written
             record.rounds_executed, record.cause = len(rows), str(error)
             record.transition("failed")
             return record
 
         record.rounds_executed = len(rows)
-        state = "terminated_early" if guard.triggered else "completed"
         if guard.triggered:
             record.cause = f"no loss improvement > {STAGNATION_IMPROVEMENT:g} over {STAGNATION_WINDOW} rounds"
-
-        final = rows[-1]
-        artifact = {
-            "weights": model.tolist(),
-            "config": config.to_dict(),
-            "state": state,
-            "roundsExecuted": len(rows),
-            "finalLoss": final.global_loss,
-            "finalAccuracy": final.train_accuracy,
-            "failover": node_registry.actions,
-        }
-        model_path = job_dir / "model.json"
-        model_path.write_bytes(canonical_json_bytes(artifact) + b"\n")
         record.model_address = str(model_path)
         record.transition(state)
         return record

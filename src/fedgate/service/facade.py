@@ -17,7 +17,7 @@ from ..fl import DatasetPartition, FederationConfig, check_fleet
 from ..ledger import GrantToken
 from .executor import JobExecutor
 from .jobs import DataFilter, JobQueue, JobRecord, JobSpec, apply_filter
-from .metadata import TrainingDataMetadata, summarize_partitions
+from .metadata import copy_preview, copy_summary, summarize_partitions
 from .nodes import NodeRegistry
 
 
@@ -44,7 +44,7 @@ class FlaasService:
         self.service_name = service_name
         self.queue = JobQueue()
         self.executor = JobExecutor(self._partitions, Path(out_dir))
-        self._summary: TrainingDataMetadata | None = None
+        self._summary: dict | None = None
 
     # --------------------------------------------------------------- auth
 
@@ -61,12 +61,20 @@ class FlaasService:
 
     # --------------------------------------------------------------- data
 
-    def metadata(self, token: str) -> TrainingDataMetadata:
+    def _cached_summary(self, token: str) -> dict:
         """The fleet summary, built on the first call: partitions are read-only."""
         self.authorize(token)
         if self._summary is None:
             self._summary = summarize_partitions(self._partitions, self.service_name)
         return self._summary
+
+    def metadata(self, token: str) -> dict:
+        """The ``/data/metadata`` body, a fresh copy of the summary for each caller."""
+        return copy_summary(self._cached_summary(token))
+
+    def preview(self, token: str) -> list[dict]:
+        """The summary's preview rows, a fresh copy for each caller."""
+        return copy_preview(self._cached_summary(token)["preview"])
 
     # --------------------------------------------------------------- jobs
 

@@ -12,9 +12,11 @@ from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl import (
+    CsvMetricsWriter,
     DatasetPartition,
     FederationConfig,
     LossSpec,
+    RoundMetrics,
     load_partitions,
     read_metrics_csv,
     run_federation,
@@ -570,6 +572,28 @@ def test_read_metrics_csv_refuses_with_validation_error(tmp_path):
     path = tmp_path / "not-utf8.csv"
     path.write_bytes(header.encode() + b"1,0.5,0.5,\xff\n")
     with pytest.raises(ValidationError):
+        read_metrics_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.replace(b"\r\n", b"\r\n\r\n"),
+        lambda data: data.replace(b",0.75,", b", 0.75,"),
+        lambda data: data.replace(b",0.75,", b",0.750,"),
+        lambda data: data.replace(b"\r\n2,", b"\r\n02,"),
+        lambda data: data.replace(b"a;b", b"a;;b"),
+    ],
+    ids=["doubled-line-ends", "leading-space", "trailing-zero", "padded-round", "empty-client"],
+)
+def test_read_metrics_csv_refuses_a_row_its_writer_never_writes(tmp_path, edit):
+    path = tmp_path / "metrics.csv"
+    with CsvMetricsWriter(path) as writer:
+        writer(RoundMetrics(1, 0.5, 0.75, ("a", "b")))
+        writer(RoundMetrics(2, 0.25, 1.0, ("c",)))
+    assert [m.round_index for m in read_metrics_csv(path)] == [1, 2]
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValidationError, match="line [23]"):
         read_metrics_csv(path)
 
 

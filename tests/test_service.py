@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgate.canonical import canonical_json_bytes
 from fedgate.errors import FedGateError, ValidationError
 from fedgate.fl import (
     DatasetPartition,
@@ -28,6 +29,7 @@ from fedgate.service.jobs import (
     apply_filter,
     wsjf_order,
 )
+from fedgate.scenario import ScenarioConfig, run_demo
 from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS, summarize_partitions
 
 from support import Stack, total_weighted_completion
@@ -79,26 +81,28 @@ def test_histograms_match_source_csvs(tmp_path):
     write_dataset(spec, tmp_path)
     parts = load_partitions(tmp_path)
     meta = summarize_partitions(parts, "fl-study")
-    assert len(meta.clients) == 3
-    for summary in meta.clients:
+    assert len(meta["clients"]) == 3
+    for summary in meta["clients"]:
         # independent recount straight from the persisted CSV
-        path = tmp_path / f"client_{summary.client_id}.csv"
+        path = tmp_path / f"client_{summary['clientId']}.csv"
         labels = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
         counted = {}
         for raw in labels:
             key = str(int(float(raw)))
             counted[key] = counted.get(key, 0) + 1
-        assert summary.label_histogram == counted
-        assert sum(summary.label_histogram.values()) == summary.sample_count == 40
+        assert summary["labelHistogram"] == counted
+        assert sum(summary["labelHistogram"].values()) == summary["sampleCount"] == 40
 
 
 def test_histogram_keys_each_label_value_like_a_per_sample_count():
     labels = np.array([0.5, -0.0, 0.0, 2.0, 0.5, 1e20, -1.25, 2.0])
     part = DatasetPartition(client_id="h", features=np.zeros((8, 1)), labels=labels)
-    (summary,) = summarize_partitions([part], "fl-study").clients
-    assert summary.label_histogram == {"0.5": 2, "0": 2, "2": 2, str(10**20): 1, "-1.25": 1}
-    assert all(type(count) is int for count in summary.label_histogram.values())
-    json.dumps(summary.to_dict())
+    (summary,) = summarize_partitions([part], "fl-study")["clients"]
+    histogram = summary["labelHistogram"]
+    assert histogram == {"0.5": 2, "0": 2, "2": 2, str(10**20): 1, "-1.25": 1}
+    assert list(histogram) == sorted(histogram)
+    assert all(type(count) is int for count in histogram.values())
+    json.dumps(summary)
 
 
 def test_preview_walks_uneven_partitions_depth_major():
@@ -108,7 +112,7 @@ def test_preview_walks_uneven_partitions_depth_major():
             for cid, n in sizes
         ]
         meta = summarize_partitions(parts, "fl-study")
-        return [(r["clientId"], r["features"][0]) for r in meta.preview]
+        return [(r["clientId"], r["features"][0]) for r in meta["preview"]]
 
     assert rows(("b", 3), ("a", 1), ("c", 2)) == [
         ("a", 0.0), ("b", 0.0), ("c", 0.0), ("b", 1.0), ("c", 1.0)
@@ -120,14 +124,15 @@ def test_preview_walks_uneven_partitions_depth_major():
 def test_preview_is_bounded_and_rounded():
     parts = fleet_partitions()
     meta = summarize_partitions(parts, "fl-study")
-    assert len(meta.preview) == PREVIEW_ROWS == meta.to_dict()["previewLimit"]
+    preview = meta["preview"]
+    assert len(preview) == PREVIEW_ROWS == meta["previewLimit"]
     # round-robin: first rows come from distinct clients
-    assert [r["clientId"] for r in meta.preview[:4]] == ["000", "001", "002", "003"]
-    for row in meta.preview:
+    assert [r["clientId"] for r in preview[:4]] == ["000", "001", "002", "003"]
+    for row in preview:
         for v in row["features"]:
             assert v == round(v, PREVIEW_DIGITS)
     total_rows = sum(p.size for p in parts)
-    assert len(meta.preview) < total_rows
+    assert len(preview) < total_rows
 
 
 # ------------------------------------------------------------------- queue
@@ -319,6 +324,27 @@ def submitted_job(tmp_path, config=None, **spec_kwargs):
     return executor, record
 
 
+@pytest.mark.parametrize(
+    "blocked, error, rounds",
+    [("out-dir", "Not a directory", 0), ("model", "Is a directory", 5)],
+    ids=["out-dir", "model"],
+)
+def test_a_job_whose_artifacts_cannot_be_written_fails_with_the_os_error(
+    tmp_path, blocked, error, rounds
+):
+    out = tmp_path / "out"
+    executor, record = submitted_job(out)
+    if blocked == "out-dir":
+        out.write_text("a file where the artifacts directory should be")
+    else:
+        (out / record.job_id / "model.json").mkdir(parents=True)
+    executor.run(record, node_registry=job_fleet())
+    assert record.state == "failed"
+    assert error in record.cause
+    assert record.rounds_executed == rounds
+    assert record.model_address is None
+
+
 def test_happy_job_completes_with_artifacts(tmp_path):
     executor, record = submitted_job(tmp_path)
     executor.run(record, node_registry=job_fleet())
@@ -459,12 +485,12 @@ def test_fault_on_unknown_node_is_refused_at_provision():
 # ---------------------------------------------------------- facade and api
 
 
-def service_stack(tmp_path):
+def service_stack(tmp_path, parts=None):
     from fedgate.service import FlaasService, ServiceApi
 
     stack = Stack()
     stack.deploy_membership_policy()
-    parts = fleet_partitions()
+    parts = fleet_partitions() if parts is None else parts
     service = FlaasService(
         stack.gateway, parts, tmp_path / "artifacts", stack.clock, service_name="fl-study"
     )
@@ -512,12 +538,63 @@ def test_metadata_is_built_once_and_never_aliased(tmp_path, monkeypatch):
     assert preview == pristine["preview"]
     preview[0]["features"][0] = 99.0
     assert api.handle("GET", "/data/preview", headers=headers).body["preview"] == pristine["preview"]
-    cached = service.metadata(token)
-    with pytest.raises(TypeError):
-        cached.preview[0]["label"] = -1.0
-    with pytest.raises(TypeError):
-        cached.clients[0].label_histogram["9"] = 9
+    returned = service.metadata(token)
+    returned["preview"][0]["label"] = -1.0
+    returned["clients"][0]["labelHistogram"]["9"] = 9
+    assert api.handle("GET", "/data/metadata", headers=headers).body == pristine
     assert builds == [1]
+
+
+def seed_7_demo_fleet(tmp_path):
+    run_demo(ScenarioConfig(out_dir=str(tmp_path / "demo"), seed=7))
+    return load_partitions(tmp_path / "demo" / "data")
+
+
+def bench_shaped_fleet(tmp_path):
+    spec = SyntheticSpec(
+        n_clients=1000,
+        samples_per_client=100,
+        feature_dim=20,
+        separability=0.5,
+        seed=1,
+        label_skew=0.6,
+        label_noise=0.05,
+    )
+    return generate_partitions(spec)[0]
+
+
+# sha256 of the canonical JSON of the /data/metadata and /data/preview bodies,
+# computed when the summary was still kept as wrapper objects and rebuilt into
+# JSON on every reply; the plain-JSON summary must answer the same bytes.
+@pytest.mark.parametrize(
+    "fleet, pinned",
+    [
+        (
+            seed_7_demo_fleet,
+            (
+                "32fc77b1b7316a82836b8d95056270369ff02bd5417e9e52bc8feba2a4654253",
+                "1d2ca7f62cef5417df164ec70a99f4813d3714069a38e3d9749269f45cb21385",
+            ),
+        ),
+        (
+            bench_shaped_fleet,
+            (
+                "8fd02252099fbfb5faf542bbea4c866a7ea3f67f9d1e3485c1330fd5a926421e",
+                "387ff08dea2fc7dbd34e4a4a159f8314e75140fb7b26bb2de1bfd78164960a1d",
+            ),
+        ),
+    ],
+    ids=["seed-7-demo", "bench-shaped"],
+)
+def test_metadata_and_preview_bodies_are_pinned(tmp_path, fleet, pinned):
+    _, _, api, token = service_stack(tmp_path, fleet(tmp_path))
+    headers = {"Authorization": f"Grant {token}"}
+    digests = []
+    for route in ("/data/metadata", "/data/preview"):
+        response = api.handle("GET", route, headers=headers)
+        assert response.status == 200
+        digests.append(hashlib.sha256(canonical_json_bytes(response.body)).hexdigest())
+    assert tuple(digests) == pinned
 
 
 def test_expired_token_unauthorized(tmp_path):
