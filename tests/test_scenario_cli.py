@@ -157,6 +157,27 @@ def test_every_log_line_is_canonical_json(seed_7_demos):
             assert data == canonical_json_bytes(json.loads(data)) + b"\n", name
 
 
+# sha256 of the canonical JSON of the seed-7 model.json's ``config`` block, and
+# the contractId of the seed-7 policy, as its deploy_contract payload holds it:
+# the job config and the contract body are written by the records' own writers.
+SEED_7_CONFIG_DIGEST = "307b1f917f681004b8db8a17b0a84795436796e0dc3149a68f5e277240cdf14b"
+SEED_7_CONTRACT_ID = "d8d6802f75531349c90e7b4b48d08a16e573f03e874a04a9b20c2e300cc7d60c"
+
+
+@pytest.mark.parametrize("story", ["scheme-a", "scheme-b"])
+def test_seed_7_job_config_and_contract_id_are_pinned(seed_7_demos, story):
+    out = seed_7_demos[story]
+    model = json.loads((out / "artifacts/job-0001/model.json").read_bytes())
+    assert hashlib.sha256(canonical_json_bytes(model["config"])).hexdigest() == SEED_7_CONFIG_DIGEST
+    deployed = [
+        json.loads(tx.payload)
+        for block in load_chain(out / "chain.jsonl")
+        for tx in block.transactions
+        if tx.kind == "deploy_contract"
+    ]
+    assert [payload["contractId"] for payload in deployed] == [SEED_7_CONTRACT_ID]
+
+
 def test_identity_log_replay_names_a_repeated_registration(seed_7_demos, tmp_path):
     lines = (seed_7_demos["scheme-a"] / "identity.jsonl").read_bytes().splitlines(keepends=True)
     path = tmp_path / "identity.jsonl"
