@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .canonical import canonical_json_bytes, from_hex
-from .errors import ValidationError, check_field_types, from_camel_keys
+from .errors import ValidationError, check_field_types, from_camel_keys, to_camel_dict
 from .keys import KeyPair, verify_signature
 
 
@@ -51,15 +51,7 @@ class VerifiableClaim:
         return any(verify_signature(pk, message, self.signature) for pk in issuer_public_keys)
 
     def to_dict(self) -> dict:
-        return {
-            "claimType": self.claim_type,
-            "value": self.value,
-            "subject": self.subject,
-            "issuer": self.issuer,
-            "issuedAt": self.issued_at,
-            "expiresAt": self.expires_at,
-            "signature": self.signature.hex(),
-        }
+        return to_camel_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerifiableClaim":

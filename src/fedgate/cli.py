@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
 from .access.legacy import import_legacy_accounts, read_accounts_csv
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
@@ -22,7 +23,7 @@ from .desk import build_desk
 from .errors import FedGateError, ValidationError
 from .fl import SyntheticSpec, read_metrics_csv, write_dataset
 from .ledger import load_chain
-from .scenario import START_TIME, ScenarioConfig, run_demo
+from .scenario import DEFAULT_SEED, START_TIME, ScenarioConfig, run_demo
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -33,8 +34,8 @@ _DECISION_OF = {"access_grant": "granted", "access_denial": "denied"}
 
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_bytes())
+        try:  # decoded strictly here: ``json.loads`` would guess at the bytes' encoding
+            raw = json.loads(Path(args.config).read_bytes().decode())
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValidationError(f"cannot read scenario config: {exc}") from None
         config = ScenarioConfig.from_dict(raw)
@@ -65,7 +66,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         samples_per_client=args.samples,
         feature_dim=args.dim,
         separability=args.separability,
-        seed=args.seed if args.seed is not None else 7,
+        seed=args.seed if args.seed is not None else DEFAULT_SEED,
         label_skew=args.label_skew,
     )
     directory = write_dataset(spec, Path(args.out))
@@ -128,7 +129,7 @@ def cmd_plot_metrics(args: argparse.Namespace) -> int:
 def cmd_import_legacy(args: argparse.Namespace) -> int:
     accounts = read_accounts_csv(Path(args.accounts))
 
-    seed = args.seed if args.seed is not None else 7
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     # every account id starts with "legacy-", so no username maps to the issuer's DID
     trusted = frozenset({"did:efed:importer"})
     desk = build_desk(seed, SimulatedClock(start=START_TIME), trusted)
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--config", default=None, help="scenario config JSON file")
     demo.add_argument(
         "--scheme",
-        choices=("contract_lookup", "user_lookup"),
+        choices=(SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP),
         default=None,
         help="authentication workflow",
     )

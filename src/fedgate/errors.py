@@ -1,4 +1,4 @@
-"""Shared exception types, and the field type and key checks records loaded from JSON share."""
+"""Shared exception types, and the field checks and camelCase key map that records in JSON share."""
 
 from dataclasses import fields
 from functools import cache
@@ -32,11 +32,12 @@ def check_keys(data: object, what: str, keys) -> None:
 
 @cache
 def _camel_names(cls) -> dict[str, str]:
-    """Each field name of ``cls``, keyed by its camelCase."""
+    """Each field name of ``cls`` that its constructor takes, keyed by its camelCase."""
     names = {}
     for f in fields(cls):
-        head, *rest = f.name.split("_")
-        names[head + "".join(word.title() for word in rest)] = f.name
+        if f.init:
+            head, *rest = f.name.split("_")
+            names[head + "".join(word.title() for word in rest)] = f.name
     return names
 
 
@@ -53,3 +54,24 @@ def from_camel_keys(cls, data: object, what: str, **readers):
         return cls(**{n: readers[n](v) if n in readers else v for n, v in values.items()})
     except TypeError as error:  # a required key is absent, or a value has the wrong shape
         raise ValidationError(f"malformed {what}: {error}") from None
+
+
+def _written(value):
+    """``value`` as JSON holds it: bytes as lowercase hex, a tuple as a list, a record by its ``to_dict``."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, tuple):
+        return [_written(item) for item in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def to_camel_dict(record, **writers) -> dict:
+    """``record``'s fields under the keys ``from_camel_keys`` reads them from.
+
+    ``writers`` maps a field name to the function that writes its value.
+    """
+    body = {}
+    for key, name in _camel_names(type(record)).items():
+        value = getattr(record, name)
+        body[key] = writers[name](value) if name in writers else _written(value)
+    return body

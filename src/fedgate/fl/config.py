@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
-from ..errors import ValidationError, from_camel_keys
+from ..errors import ValidationError, from_camel_keys, to_camel_dict
 
 LOSS_KINDS = ("squared_error", "logistic")
 WEIGHTINGS = ("proportional", "uniform")
@@ -52,7 +52,7 @@ class LossSpec:
         return self.feature_dim + (1 if self.bias else 0)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "featureDim": self.feature_dim, "bias": self.bias}
+        return to_camel_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
@@ -105,19 +105,7 @@ class FederationConfig:
             object.__setattr__(self, "initial_weights", weights)
 
     def to_dict(self) -> dict:
-        return {
-            "totalRounds": self.total_rounds,
-            "totalClients": self.total_clients,
-            "subsetSize": self.subset_size,
-            "localEpochs": self.local_epochs,
-            "learningRate": self.learning_rate,
-            "loss": self.loss.to_dict(),
-            "rngSeed": self.rng_seed,
-            "batchMode": self.batch_mode,
-            "batchSize": self.batch_size,
-            "weighting": self.weighting,
-            "initialWeights": None if self.initial_weights is None else list(self.initial_weights),
-        }
+        return to_camel_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FederationConfig":

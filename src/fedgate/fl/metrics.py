@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import IO
 
@@ -55,28 +57,27 @@ class CsvMetricsWriter:
 def read_metrics_csv(path: Path) -> list[RoundMetrics]:
     """Rows of a round-metrics CSV; a malformed line or a non-UTF-8 byte is a ValidationError.
 
-    A row must hold exactly the fields ``CsvMetricsWriter`` writes for the
-    values read from it, so a blank line or a re-spelled number is refused.
+    The file must hold exactly the text ``CsvMetricsWriter`` writes for the
+    rows read from it, so a blank line, a re-spelled or quoted number, a line
+    ended by a line feed alone, or a last line with no end is refused, its
+    line named.
     """
     try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != METRICS_HEADER:
-                raise ValueError(f"not a round-metrics CSV (header {header})")
-            out = []
-            for row in reader:
-                if len(row) != len(METRICS_HEADER):
-                    raise ValueError(f"line {reader.line_num} has {len(row)} fields")
-                metrics = RoundMetrics(
-                    round_index=int(row[0]),
-                    global_loss=float(row[1]),
-                    train_accuracy=float(row[2]),
-                    selected_clients=tuple(c for c in row[3].split(";") if c),
-                )
-                if metrics.to_row() != row:
-                    raise ValueError(f"line {reader.line_num} is not as its writer writes it")
-                out.append(metrics)
-    except ValueError as exc:  # the int and float parsers raise it too, as does decoding
+        text = Path(path).read_bytes().decode()
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader, None)  # the header, which the comparison below checks
+        out = []
+        for row in reader:
+            if len(row) != len(METRICS_HEADER):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields")
+            clients = tuple(c for c in row[3].split(";") if c)
+            out.append(RoundMetrics(int(row[0]), float(row[1]), float(row[2]), clients))
+        written = io.StringIO(newline="")
+        csv.writer(written).writerows([METRICS_HEADER, *(m.to_row() for m in out)])
+        lines = zip_longest(text.splitlines(True), written.getvalue().splitlines(True))
+        for number, (read, wrote) in enumerate(lines, 1):
+            if read != wrote:
+                raise ValueError(f"line {number} is not as its writer writes it")
+    except (ValueError, csv.Error) as exc:  # bad numbers and UTF-8 too; csv.Error: an oversized field
         raise ValidationError(f"cannot read metrics {path}: {exc}") from None
     return out

@@ -1,9 +1,10 @@
 """DID documents: the resolvable record behind an identifier.
 
 A document carries public key material, authentication descriptors,
-service endpoints, attached claims, and a version counter. The canonical
-JSON encoding (sorted keys, no whitespace, lowercase hex) is the byte
-string every registry hash and resolver attestation operates on.
+attached claims, and a version counter; it has no service endpoints, which
+W3C DID Core makes optional and no desk program fills. The canonical JSON
+encoding (sorted keys, no whitespace, lowercase hex) is the byte string
+every registry hash and resolver attestation operates on.
 
 Canonical schema::
 
@@ -14,7 +15,6 @@ Canonical schema::
       "publicKeys": [
         {"algorithm": "Ed25519", "keyId": "key-1", "publicKeyHex": "..."}
       ],
-      "serviceEndpoints": [{"type": "flaas", "uri": "efed://..."}],
       "version": 1
     }
 """
@@ -25,13 +25,11 @@ from dataclasses import dataclass, field, replace
 
 from ..canonical import canonical_json_bytes, from_hex, sha256_hex
 from ..claims import VerifiableClaim
-from ..errors import ValidationError, check_field_types, check_keys
+from ..errors import ValidationError, check_field_types, check_keys, to_camel_dict
 from ..keys import ALGORITHM
 from .did import DidIdentifier, parse_did
 
-_DOCUMENT_KEYS = frozenset(
-    {"id", "publicKeys", "authentication", "serviceEndpoints", "claims", "version"}
-)
+_DOCUMENT_KEYS = frozenset({"id", "publicKeys", "authentication", "claims", "version"})
 
 
 @dataclass(frozen=True)
@@ -65,28 +63,10 @@ class PublicKeyEntry:
 
 
 @dataclass(frozen=True)
-class ServiceEndpoint:
-    type: str
-    uri: str
-
-    def __post_init__(self) -> None:
-        check_field_types(self, "service endpoint", (("type", str), ("uri", str)))
-
-    def to_dict(self) -> dict:
-        return {"type": self.type, "uri": self.uri}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceEndpoint":
-        check_keys(data, "service endpoint", {"type", "uri"})
-        return cls(type=data["type"], uri=data["uri"])
-
-
-@dataclass(frozen=True)
 class DidDocument:
     id: DidIdentifier
     public_keys: tuple[PublicKeyEntry, ...] = ()
     authentication: tuple[str, ...] = ()
-    service_endpoints: tuple[ServiceEndpoint, ...] = ()
     claims: tuple[VerifiableClaim, ...] = ()
     version: int = 1
     # (canonical bytes, their SHA-256), encoded once: this record and all it holds are frozen.
@@ -95,7 +75,6 @@ class DidDocument:
     def __post_init__(self) -> None:
         object.__setattr__(self, "public_keys", tuple(self.public_keys))
         object.__setattr__(self, "authentication", tuple(self.authentication))
-        object.__setattr__(self, "service_endpoints", tuple(self.service_endpoints))
         object.__setattr__(self, "claims", tuple(self.claims))
         check_field_types(self, "document", (("version", int),))
         if not all(isinstance(ref, str) for ref in self.authentication):
@@ -139,14 +118,7 @@ class DidDocument:
         return self._encoded[1]
 
     def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "publicKeys": [k.to_dict() for k in self.public_keys],
-            "authentication": list(self.authentication),
-            "serviceEndpoints": [s.to_dict() for s in self.service_endpoints],
-            "claims": [c.to_dict() for c in self.claims],
-            "version": self.version,
-        }
+        return to_camel_dict(self, id=str)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DidDocument":
@@ -156,9 +128,6 @@ class DidDocument:
                 id=parse_did(data["id"]),
                 public_keys=tuple(PublicKeyEntry.from_dict(k) for k in data["publicKeys"]),
                 authentication=tuple(data["authentication"]),
-                service_endpoints=tuple(
-                    ServiceEndpoint.from_dict(s) for s in data["serviceEndpoints"]
-                ),
                 claims=tuple(VerifiableClaim.from_dict(c) for c in data["claims"]),
                 version=data["version"],
             )

@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..canonical import from_hex
-from ..errors import ValidationError, from_camel_keys
+from ..errors import ValidationError, from_camel_keys, to_camel_dict
 from ..keys import KeyPair
 from .did import DidIdentifier, parse_did
 from .document import DidDocument
@@ -48,13 +48,7 @@ class Attestation:
     signature: bytes
 
     def to_dict(self) -> dict:
-        return {
-            "did": self.did,
-            "nonce": self.nonce.hex(),
-            "documentDigest": self.document_digest,
-            "resolver": self.resolver,
-            "signature": self.signature.hex(),
-        }
+        return to_camel_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Attestation":

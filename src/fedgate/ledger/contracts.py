@@ -19,7 +19,7 @@ from typing import Callable
 
 from ..canonical import canonical_json_bytes, sha256_hex
 from ..claims import VerifiableClaim
-from ..errors import FedGateError, ValidationError
+from ..errors import FedGateError, ValidationError, to_camel_dict
 from ..keys import verify_signature
 from .chain import Chain
 
@@ -67,7 +67,7 @@ class ClaimRequirement:
     predicate: ClaimPredicate
 
     def to_dict(self) -> dict:
-        return {"claimType": self.claim_type, "predicate": self.predicate.to_dict()}
+        return to_camel_dict(self)
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,9 @@ class AccessPolicyContract:
             raise ValidationError("grants_service must be non-empty")
         object.__setattr__(self, "contract_id", sha256_hex(self.signing_bytes()))
 
-    def _body(self) -> dict:
-        return {
-            "requiredClaims": [r.to_dict() for r in self.required_claims],
-            "grantsService": self.grants_service,
-            "owner": self.owner,
-        }
-
     def signing_bytes(self) -> bytes:
-        """Canonical body: what the owner signs and the id hashes."""
-        return canonical_json_bytes(self._body())
+        """Canonical body, every field but the id: what the owner signs and the id hashes."""
+        return canonical_json_bytes(to_camel_dict(self))
 
     @classmethod
     def create(
@@ -106,7 +99,7 @@ class AccessPolicyContract:
         return cls(required_claims, grants_service, owner)
 
     def to_dict(self) -> dict:
-        return {"contractId": self.contract_id, **self._body()}
+        return {"contractId": self.contract_id, **to_camel_dict(self)}
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .fl.config import _integer
 from .ledger import verify_chain_file
 from .service import FaultEvent, FlaasService, NodeRegistry, ServiceApi
 
+DEFAULT_SEED = 7
 DEFAULT_FEDERATION = FederationConfig(
     total_rounds=8,
     total_clients=3,
@@ -31,7 +32,7 @@ DEFAULT_FEDERATION = FederationConfig(
     local_epochs=2,
     learning_rate=0.5,
     loss=LossSpec(kind="logistic", feature_dim=2),
-    rng_seed=7,
+    rng_seed=DEFAULT_SEED,
 )
 
 # What every demo shares: the one trusted attestor, each owner's synthetic
@@ -66,7 +67,7 @@ class ScenarioConfig:
     fault_schedule: tuple[FaultEvent, ...] = ()
     standby_clients: int = 0
     standby_servers: int = 0
-    seed: int = 7
+    seed: int = DEFAULT_SEED
     out_dir: str = "demo-out"
 
     def __post_init__(self) -> None:

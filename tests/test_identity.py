@@ -19,7 +19,6 @@ from fedgate.identity import (
     Resolver,
 )
 from fedgate.identity.did import parse_did
-from fedgate.identity.document import ServiceEndpoint
 from fedgate.identity.registry import AlreadyRegisteredError, UnknownDidError
 from fedgate.errors import FedGateError
 from fedgate.keys import KeyPair, verify_signature
@@ -39,7 +38,6 @@ def make_document(specific_id="alice01", method="efed", version=1, claims=(), se
                 PublicKeyEntry(key_id="key-1", algorithm="Ed25519", public_bytes=key.public_bytes),
             ),
             authentication=("key-1",),
-            service_endpoints=(ServiceEndpoint(type="flaas", uri="efed://svc"),),
             claims=tuple(claims),
             version=version,
         ),
@@ -429,11 +427,9 @@ MALFORMED_DOCUMENTS = {
     "public-keys-object": lambda doc: doc.update(publicKeys=doc["publicKeys"][0]),
     "version-missing": lambda doc: doc.pop("version"),
     "claims-missing": lambda doc: doc.pop("claims"),
-    "endpoint-missing-uri": lambda doc: doc["serviceEndpoints"][0].pop("uri"),
     "id-list": lambda doc: doc.update(id=["did:efed:alice01"]),
     "document-extra-key": lambda doc: doc.update(role="admin"),
     "key-extra-key": lambda doc: doc["publicKeys"][0].update(revoked=False),
-    "endpoint-extra-key": lambda doc: doc["serviceEndpoints"][0].update(priority=1),
     "claim-extra-key": lambda doc: doc["claims"][0].update(note="hand edit"),
     "key-not-an-object": lambda doc: doc.update(publicKeys=["key-1"]),
 }

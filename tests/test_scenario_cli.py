@@ -70,13 +70,13 @@ def test_default_scenario_happy_path(tmp_path):
 # identity record or the story's outcome.
 LEDGER_DIGESTS = {
     "contract_lookup": {
-        "chain.jsonl": "ae96a718c556f6cdfcbdf752edbe6d1430c151e38b3bb5981a578f5be45e29f1",
-        "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
+        "chain.jsonl": "4ed329bdabd1c15fe79edcc8d5ad5a4742d45957f580b83827dbd359e91bbbb5",
+        "identity.jsonl": "89733ab3a1e9c4b9570914759a40d146cfcc3b51b0bdaaedb5a7dfba9dc70634",
         "summary.json": "4981f6160bbc0c78586f01c493e18590a90d29a9b903a18e761e8949aa4dcd52",
     },
     "user_lookup": {
-        "chain.jsonl": "b2e878a09059ad3c2d8ca1503b05441300a997362a9ec2128c57d27fc0ff100c",
-        "identity.jsonl": "c69aa0347ec80a43df83547205ab0b7f25bfdc9fed8d2bae999e310d0764d3ab",
+        "chain.jsonl": "064c10e95972f4a66a5e3732dce8d7bc46da1559c9be8d3265238e84498dda3d",
+        "identity.jsonl": "89733ab3a1e9c4b9570914759a40d146cfcc3b51b0bdaaedb5a7dfba9dc70634",
         "summary.json": "314275abfbae80bd3896876ce70bf4a29cada7a6843b3d58bf2b8b41980a30d8",
     },
 }
@@ -317,6 +317,14 @@ def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):
     assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
     assert "invalid input" in capsys.readouterr().err
     # Refused while the config is read, so no artifact directory is made.
+    assert not (tmp_path / "demo").exists()
+
+
+def test_cli_demo_refuses_a_config_that_is_not_utf_8(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps({"seed": 3}).encode("utf-16-le"))
+    assert main(["demo", "--config", str(path), "--out", str(tmp_path / "demo")]) == 2
+    assert "cannot read scenario config" in capsys.readouterr().err
     assert not (tmp_path / "demo").exists()
 
 
@@ -585,6 +593,7 @@ def test_read_metrics_csv_refuses_with_validation_error(tmp_path):
         ("header", "wrong,header\n"),
         ("short", header + "1,0.5\n"),
         ("non-number", header + "1,half,0.5,a\n"),
+        ("oversized-field", header + "1,0.5,0.5," + "a" * 200_000 + "\n"),
     ]:
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
@@ -618,6 +627,25 @@ def test_read_metrics_csv_refuses_a_row_its_writer_never_writes(tmp_path, edit):
         read_metrics_csv(path)
 
 
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda data: data.replace(b"\r\n", b"\n"), 1),
+        (lambda data: data.replace(b",0.75,", b',"0.75",'), 2),
+        (lambda data: data.removesuffix(b"\r\n"), 3),
+    ],
+    ids=["bare-line-feeds", "quoted-number", "no-final-line-end"],
+)
+def test_read_metrics_csv_refuses_line_ends_and_quotes_its_writer_never_writes(tmp_path, edit, line):
+    path = tmp_path / "metrics.csv"
+    with CsvMetricsWriter(path) as writer:
+        writer(RoundMetrics(1, 0.5, 0.75, ("a", "b")))
+        writer(RoundMetrics(2, 0.25, 1.0, ("c",)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValidationError, match=f"line {line} is not as its writer writes it"):
+        read_metrics_csv(path)
+
+
 @pytest.mark.parametrize("command", ["verify-chain", "plot-metrics"])
 def test_seed_is_refused_where_it_does_nothing(tmp_path, command):
     with pytest.raises(SystemExit) as exit_info:
@@ -647,8 +675,8 @@ def test_cli_import_legacy(tmp_path):
 # file holds a float, so the digests are the same on every machine.
 LEGACY_ACCOUNTS = "username,role\nada,analyst\ngrace,admin\nada,auditor\nalan turing,researcher\n"
 LEGACY_DIGESTS = {
-    "chain.jsonl": "bc4415f328c666c816e0994b91f1a7af23999a568a25adb5d44e931b8301ef54",
-    "identity.jsonl": "a1bf481e22efd04549f27c36fcc29e75a04d1ca52bb96f18b084fda137ffa244",
+    "chain.jsonl": "c0bb1dd00c14063ffc7f1b6e9e7509ef0c1bcbac113aeb7aa2cbdfce2081a85a",
+    "identity.jsonl": "b6d69eea64a82588948ff65f02d0e03dc18b649aa781198b49021e9fc0535995",
     "report.json": "2757531d24cb1d6cab2cf79a1abfd127650b074b826ec968f9cf1f60b52483e0",
 }
 
