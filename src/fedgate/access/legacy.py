@@ -30,21 +30,25 @@ _USERNAME_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345
 
 
 def read_accounts_csv(path: Path) -> list[tuple[str, str]]:
-    """Read ``username,role`` rows (header required) from a UTF-8 file."""
+    """Read ``username,role`` rows (header required) from a UTF-8 file; a row the
+    csv module refuses is a ValidationError naming its line."""
     try:
         text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8: {exc}") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or not {"username", "role"} <= set(reader.fieldnames):
-        raise ValidationError(f"{path} must have a username,role header")
     rows = []
-    for row in reader:
-        username = (row["username"] or "").strip()
-        role = (row["role"] or "").strip()
-        if not username or not role:
-            raise ValidationError(f"{path}: blank username or role in {row}")
-        rows.append((username, role))
+    try:
+        if reader.fieldnames is None or not {"username", "role"} <= set(reader.fieldnames):
+            raise ValidationError(f"{path} must have a username,role header")
+        for row in reader:
+            username = (row["username"] or "").strip()
+            role = (row["role"] or "").strip()
+            if not username or not role:
+                raise ValidationError(f"{path}: blank username or role in {row}")
+            rows.append((username, role))
+    except csv.Error as exc:  # an oversized field
+        raise ValidationError(f"cannot read accounts {path} line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path} holds no account rows")
     return rows

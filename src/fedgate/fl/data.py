@@ -107,18 +107,26 @@ def save_partition(partition: DatasetPartition, directory: Path) -> Path:
 
 
 def load_partition(path: Path) -> DatasetPartition:
+    """One ``client_<id>.csv``; a cell that is not a number, a row of the wrong
+    width or a row the csv module refuses is a ValidationError naming its line."""
     match = _PARTITION_FILE_RE.match(path.name)
     if not match:
         raise ValidationError(f"{path.name!r} does not match client_<id>.csv")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} is empty") from None
-        if len(header) < 2:
-            raise ValidationError(f"{path} needs at least one feature column and a label column")
-        rows = [[float(v) for v in row] for row in reader if row]
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path} is empty")
+            if len(header) < 2:
+                raise ValidationError(f"{path} needs at least one feature column and a label column")
+            rows = []
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields under a header of {len(header)}")
+                rows.append([float(v) for v in row])
+        except (ValueError, csv.Error) as exc:  # csv.Error: an oversized field
+            raise ValidationError(f"cannot read partition {path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path} holds no data rows")
     data = np.array(rows, dtype=np.float64)

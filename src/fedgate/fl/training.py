@@ -41,10 +41,12 @@ def local_train(
     Equally sized partitions train as one ``(k, n, d)`` stack, one
     ``stacked_gradient`` per step. Each client draws its E epochs' minibatch
     orders in one ``permuted`` call on its own round seed (full batch ignores
-    it), so its update has the same bits whichever clients share the call. The
-    input model is never modified. If clients diverge, the error names the
-    lowest id among them and the first check that client failed, as training
-    them one by one in id order would. Dimensions come checked by
+    it), so its update has the same bits whichever clients share the call.
+    Those orders, offset to each client's rows of the flat ``(k*n, d)`` stack
+    once per round, let each epoch gather its ``(k, n, d)`` batch in one
+    ``take``. The input model is never modified. If clients diverge, the error
+    names the lowest id among them and the first check that client failed, as
+    training them one by one in id order would. Dimensions come checked by
     ``check_fleet`` and ``initial_model``.
     """
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
@@ -63,10 +65,12 @@ def local_train(
                 epochs = np.tile(np.arange(n), (config.local_epochs, 1))
                 seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members]
                 orders = np.stack([np.random.default_rng([s]).permuted(epochs, axis=1) for s in seeds])
-            step, rows = (config.batch_size if minibatch else n), np.arange(len(members))[:, None]
+                rows = orders + np.arange(0, len(members) * n, n)[:, None, None]  # into the flat stack
+                flat_x, flat_y = x.reshape(-1, x.shape[2]), y.reshape(-1)
+            step = config.batch_size if minibatch else n
             for epoch in range(config.local_epochs):
                 if minibatch:
-                    xe, ye = x[rows, orders[:, epoch]], y[rows, orders[:, epoch]]
+                    xe, ye = flat_x.take(rows[:, epoch], axis=0), flat_y.take(rows[:, epoch])
                 else:
                     xe, ye = x, y
                 for i in range(0, n, step):
@@ -93,28 +97,48 @@ def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str
 
 class FleetScores:
     """One linear score per sample of a fixed partition list, refilled in place.
-    Partitions that are consecutive row ranges of one array (as in the locked pool
-    of ``generate_partitions`` and ``load_partitions``) form a run, scored by one
-    matmul on a view of its rows, so no pooled copy is made. BLAS sums a matmul's
-    last ``rows % 4`` rows, and a one-row product, with other kernels (other low
-    bits) than the rest: a run grows only past a member of a multiple of four rows
-    and never by a one-row member, so on one BLAS thread each score keeps its
-    per-partition bits."""
+
+    Partitions that are row ranges of one array (as in the locked pool of
+    ``generate_partitions`` and ``load_partitions``) form runs, each scored by
+    one matmul on a ``(items, rows, d)`` view, so no pooled copy is made:
+
+    * adjacent ranges merge into one item. BLAS sums a product's last
+      ``rows % 4`` rows, and a one-row product, with other kernels (other low
+      bits) than the rest, so an item grows only past a member of a multiple of
+      four rows and never by a one-row member;
+    * equal-size ranges at a constant stride (every k-th client of a pool, or
+      capped partitions of one) are the items of one batched product, which
+      numpy computes item by item as each partition's own product;
+    * anything else is a run of its own.
+
+    So on one BLAS thread each score keeps its per-partition bits."""
 
     def __init__(self, partitions: list[DatasetPartition], loss: LossSpec):
         self.labels = np.concatenate([p.labels for p in partitions])
         self.scores = np.empty_like(self.labels)
-        runs: list[list] = []  # [features of the run's first member, rows]
-        tail = None  # (owner id, address, strides) a member must have to extend the last run
+        runs: list[list] = []  # [first member's features, items, rows per item, item stride in bytes]
+        # The last member's (owner id, strides), its item's address, and where a
+        # member must start to merge onto it.
+        owner = last = merge_at = None
         for p in partitions:
-            x, start = p.features, p.features.ctypes.data
-            if p.size > 1 and x.base is not None and tail == (id(x.base), start, x.strides):
-                runs[-1][1] += p.size
+            x, n = p.features, p.size
+            # ctypes.data reads an address faster than __array_interface__, whose
+            # per-call dict also grew a 1,000-partition job's peak RSS by about 1 MB.
+            start, key = x.ctypes.data, (id(x.base), x.strides)
+            run = runs[-1] if x.base is not None and key == owner else None
+            if run is not None and run[1] == 1 and n > 1 and start == merge_at:
+                run[2] += n
+            elif run is not None and n == run[2] and (run[1] == 1 or start - last == run[3]):
+                run[1], run[3], last = run[1] + 1, start - last, start
             else:
-                runs.append([x, p.size])
-            tail = (id(x.base), start + p.size * x.strides[0], x.strides) if p.size % 4 == 0 else None
-        ends = np.cumsum([n for _, n in runs])
-        self._runs = [(as_strided(x, (n, x.shape[1])), self.scores[e - n : e]) for (x, n), e in zip(runs, ends)]
+                runs.append([x, 1, n, 0])
+                last = start
+            owner, merge_at = key, (start + n * x.strides[0] if n % 4 == 0 else None)
+        ends = np.cumsum([c * n for _, c, n, _ in runs])
+        self._runs = [
+            (as_strided(x, (c, n, x.shape[1]), (step, *x.strides)), self.scores[e - c * n : e].reshape(c, n))
+            for (x, c, n, step), e in zip(runs, ends)
+        ]
         self._dim, self._bias = loss.feature_dim, loss.bias
 
     def fill(self, model: np.ndarray) -> np.ndarray:

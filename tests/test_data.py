@@ -151,6 +151,25 @@ def test_loaded_partitions_are_row_views_of_one_locked_pool(tmp_path):
     assert [p.labels.tobytes() for p in parts] == [saved[c].labels.tobytes() for c in "abc"]
 
 
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: lines[2].replace(lines[2].split(",")[0], "abc", 1), 3),
+        (lambda lines: lines[4] + ",0.5", 5),
+        (lambda lines: lines[1] + "," + "9" * 200_000, 2),
+    ],
+    ids=["non-numeric-cell", "extra-field", "oversized-field"],
+)
+def test_load_partitions_names_the_line_of_a_bad_cell(tmp_path, edit, line):
+    write_dataset(SyntheticSpec(n_clients=2, samples_per_client=5, feature_dim=2, separability=0.5, seed=3), tmp_path)
+    path = tmp_path / "client_001.csv"
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"client_001.csv line {line}: "):
+        load_partitions(tmp_path)
+
+
 def test_select_features_subsets_columns():
     p = DatasetPartition(
         client_id="a",

@@ -705,6 +705,14 @@ def test_import_legacy_accounts_returns_the_report_rows(tmp_path):
     assert rows == json.loads((out / "report.json").read_bytes())
 
 
+def test_cli_import_legacy_names_the_line_of_an_oversized_field(tmp_path, capsys):
+    accounts = tmp_path / "accounts.csv"
+    accounts.write_text("username,role\nada,analyst\n" + "g" * 200_000 + ",admin\n")
+    assert main(["import-legacy", str(accounts), "--out", str(tmp_path / "out")]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert "accounts.csv line 3: field larger than field limit" in err
+
+
 def test_cli_import_legacy_refuses_usernames_that_share_a_did(tmp_path, capsys):
     accounts = tmp_path / "accounts.csv"
     accounts.write_text("username,role\nalice smith,doctor\nalice-smith,nurse\n")

@@ -63,6 +63,14 @@ def run_bench_traced(workload, tmp_path):
 def test_bench_training_workload_traced(tmp_path, workload):
     result = run_bench_traced(workload, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+    # A round is one stacked local_train call, one aggregate, one selection and
+    # two evaluations (loss and accuracy), however many clients it trains.
+    [settings] = [line for line in result.stdout.splitlines() if line.startswith("settings ")]
+    settings = json.loads(settings.removeprefix("settings "))
+    rounds = settings["work"] * settings[workload.replace("-", "_")]["totalRounds"]
+    metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
+    calls = {name: metrics[f"fl.{name}.calls"]["value"] for name in ("local_train", "aggregate", "select", "eval")}
+    assert calls == {"local_train": rounds, "aggregate": rounds, "select": rounds, "eval": 2 * rounds}
 
 
 @pytest.mark.parametrize("workload", ["access", "flood"])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from fedgate.fl.training import (
     local_train,
     training_accuracy,
 )
+from fedgate.service.jobs import DataFilter, apply_filter
 
 from support import mean_loss, per_partition_scores, predict, reference_sigmoid
 
@@ -501,6 +503,55 @@ def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, see
     for _ in range(2):  # refilled in place
         model = rng.normal(size=loss.parameter_dim)
         assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
+
+
+@st.composite
+def pool_fleets(draw):
+    """Partitions of one ``generate_partitions`` pool as jobs select them: pieces of
+    every-k-th clients from an offset, adjacent ranges, ``max_samples_per_client``
+    caps of either, shuffled subsets and stand-alone copies, one after another."""
+    n, d = draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 20]))
+    spec = SyntheticSpec(n_clients=40, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
+    pool, _ = generate_partitions(spec)
+    fleet = []
+    for kind in draw(st.lists(st.sampled_from(["strided", "range", "shuffled", "own"]), min_size=1, max_size=4)):
+        if kind == "strided":
+            k = draw(st.integers(1, 9))
+            piece = pool[draw(st.integers(0, k - 1)) :: k]
+        elif kind == "range":
+            start = draw(st.integers(0, 39))
+            piece = pool[start : draw(st.integers(start + 1, 40))]
+        elif kind == "shuffled":
+            piece = [pool[i] for i in draw(st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True))]
+        else:
+            piece = [replace(p, features=p.features.copy(), labels=p.labels.copy()) for p in pool[:3]]
+        cap = draw(st.none() | st.integers(1, 13))
+        if cap is not None:
+            piece = [replace(p, features=p.features[:cap], labels=p.labels[:cap]) for p in piece]
+        fleet.extend(piece)
+    return fleet, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet=pool_fleets(), bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fleet_scores_of_pool_selections_keep_per_partition_bits(fleet, bias, seed):
+    parts, d = fleet
+    loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
+    model = np.random.default_rng(seed).normal(size=loss.parameter_dim)
+    assert FleetScores(parts, loss).fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
+
+
+def test_an_every_tenth_client_filter_of_the_bench_fleet_is_one_run():
+    spec = SyntheticSpec(
+        n_clients=1000, samples_per_client=100, feature_dim=20, separability=0.5, label_skew=0.6, label_noise=0.05, seed=1
+    )
+    pool, _ = generate_partitions(spec)
+    loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
+    for offset in (0, 3, 9):
+        chosen = apply_filter(pool, DataFilter(client_ids=tuple(p.client_id for p in pool[offset::10])))
+        assert len(chosen) == 100 and len(FleetScores(chosen, loss)._runs) == 1
+    capped = apply_filter(pool, DataFilter(max_samples_per_client=7))
+    assert len(FleetScores(capped, loss)._runs) == 1
 
 
 class MatmulCounter:
