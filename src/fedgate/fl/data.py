@@ -10,6 +10,7 @@ import csv
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +28,9 @@ class DatasetPartition:
     labels: np.ndarray = field(repr=False)
     feature_names: tuple[str, ...] = ()
     label_name: str = "label"
+    # Set only by ``Fleet.__iter__``: to ``as_fleet`` any other partition is a pool of its own.
+    _fleet: Fleet | None = field(default=None, init=False, repr=False, compare=False)
+    _index: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.features, dtype=np.float64)
@@ -60,37 +64,94 @@ class DatasetPartition:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def select_features(self, names: tuple[str, ...]) -> "DatasetPartition":
+    def select_features(self, names: tuple[str, ...]) -> DatasetPartition:
         """Restrict to a subset of feature columns, preserving order of ``names``."""
-        missing = [n for n in names if n not in self.feature_names]
-        if missing:
-            raise ValidationError(f"unknown feature names {missing} for client {self.client_id}")
-        idx = [self.feature_names.index(n) for n in names]
-        return replace(self, features=self.features[:, idx], feature_names=tuple(names))
+        return next(iter(as_fleet([replace(self)]).select_features(names)))  # replaced: a pool of its own
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
-    """``a`` when neither it nor the ndarray owning its memory can be written (a row
-    view of a locked pool), else a locked copy: a partition never aliases writable data."""
-    owner = a
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if a.flags.writeable or owner.flags.writeable or owner.base is not None:
+    """``a`` when it is, or is a read-only view of, a locked ndarray owning its memory,
+    else a locked copy: a partition never aliases writable data. numpy points a view's
+    ``base`` at the array owning its memory; over a ``bytearray`` that base has a base."""
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable or owner.base is not None:
         a = a.copy()
         a.flags.writeable = False
     return a
 
 
-def check_shared_feature_space(partitions: list[DatasetPartition]) -> int:
+@dataclass(frozen=True, eq=False)
+class Fleet:
+    """Clients as row ranges of locked pools: client ``i`` holds rows ``starts[i] :
+    starts[i] + sizes[i]`` of ``pools[owners[i]]``, named by ``columns[owners[i]]``.
+    The generator and ``load_partitions`` lay a fleet in one pool, and ``apply_filter``
+    keeps it there; partitions built by hand are each a pool of their own, uncopied."""
+
+    pools: tuple[tuple[np.ndarray, np.ndarray], ...]  # (rows, d) features, (rows,) labels
+    owners: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    ids: tuple[str, ...]
+    columns: tuple[tuple[tuple[str, ...], str], ...]  # each pool's feature names and label name
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        """Each client as a partition over its rows that remembers this fleet."""
+        for i, (o, s, n) in enumerate(zip(self.owners.tolist(), self.starts.tolist(), self.sizes.tolist())):
+            (x, y), (names, label) = self.pools[o], self.columns[o]
+            p = DatasetPartition(self.ids[i], x[s : s + n], y[s : s + n], names, label)
+            p.__dict__.update(_fleet=self, _index=i)
+            yield p
+
+    def select(self, index: Sequence[int]) -> Fleet:
+        """The clients at ``index``, in that order."""
+        ids = tuple(map(self.ids.__getitem__, index))
+        return replace(self, owners=self.owners[index], starts=self.starts[index], sizes=self.sizes[index], ids=ids)
+
+    def select_features(self, names: tuple[str, ...]) -> Fleet:
+        """The columns ``names``, in that order, of each pool a client uses, gathered once."""
+        pools, columns = list(self.pools), list(self.columns)
+        for o in dict.fromkeys(self.owners.tolist()):
+            (x, y), (have, label) = pools[o], columns[o]
+            missing = [n for n in names if n not in have]
+            if missing:
+                raise ValidationError(f"unknown feature names {missing}")
+            pools[o], columns[o] = (x.take([have.index(n) for n in names], axis=1), y), (tuple(names), label)
+            pools[o][0].flags.writeable = False
+        return replace(self, pools=tuple(pools), columns=tuple(columns))
+
+    def packed(self) -> Fleet:
+        """The clients' rows copied, in order, into one locked pool named as the first client's."""
+        parts = list(self)
+        x, y = np.concatenate([p.features for p in parts]), np.concatenate([p.labels for p in parts])
+        x.flags.writeable = y.flags.writeable = False
+        starts, columns = np.cumsum(self.sizes) - self.sizes, (self.columns[self.owners[0]],)
+        return replace(self, pools=((x, y),), owners=0 * self.owners, starts=starts, columns=columns)
+
+
+def as_fleet(partitions: Fleet | Sequence[DatasetPartition]) -> Fleet:
+    """``partitions`` as a fleet, in list order: those one fleet handed out select
+    from its pools; the arrays of any others are each a pool of their own."""
+    if isinstance(partitions, Fleet):
+        return partitions
+    base = partitions[0]._fleet if partitions else None
+    if base is not None and all(p._fleet is base for p in partitions):
+        return base.select([p._index for p in partitions])
+    check_shared_feature_space(partitions)
+    pools, sizes = tuple((p.features, p.labels) for p in partitions), np.array([p.size for p in partitions])
+    columns = tuple((p.feature_names, p.label_name) for p in partitions)
+    return Fleet(pools, np.arange(len(pools)), 0 * sizes, sizes, tuple(p.client_id for p in partitions), columns)
+
+
+def check_shared_feature_space(partitions: Sequence[DatasetPartition]) -> int:
     """All partitions in one federation must share the feature dimension."""
     if not partitions:
         raise ValidationError("at least one partition is required")
     dims = {p.feature_dim for p in partitions}
     if len(dims) != 1:
         raise ValidationError(f"partitions disagree on feature dimension: {sorted(dims)}")
-    ids = [p.client_id for p in partitions]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate client ids across partitions")
     return dims.pop()
 
 
@@ -140,14 +201,11 @@ def load_partition(path: Path) -> DatasetPartition:
 
 
 def load_partitions(directory: Path) -> list[DatasetPartition]:
-    """Load each ``client_<id>.csv`` in a directory, sorted by id, as rows of one locked pool."""
+    """Load each ``client_<id>.csv`` in a directory, sorted by id, as rows of one
+    locked pool when their headers agree."""
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.match(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
-    partitions = sorted((load_partition(p) for p in paths), key=lambda p: p.client_id)
-    check_shared_feature_space(partitions)
-    x, y = np.concatenate([p.features for p in partitions]), np.concatenate([p.labels for p in partitions])
-    x.flags.writeable = y.flags.writeable = False
-    ends = np.cumsum([p.size for p in partitions])
-    return [replace(p, features=x[e - p.size : e], labels=y[e - p.size : e]) for p, e in zip(partitions, ends)]
+    fleet = as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))
+    return list(fleet.packed() if len(set(fleet.columns)) == 1 else fleet)

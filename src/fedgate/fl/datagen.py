@@ -17,7 +17,7 @@ import numpy as np
 from ..canonical import canonical_json_bytes
 from ..errors import ValidationError
 from .config import _real
-from .data import DatasetPartition, save_partition
+from .data import DatasetPartition, Fleet, save_partition
 
 MANIFEST_NAME = "manifest.json"
 
@@ -76,10 +76,9 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], di
         pool_y[i * n : (i + 1) * n] = labels
 
     pool_x.flags.writeable = pool_y.flags.writeable = False
-    partitions = [  # feature names default to x0, x1, ...
-        DatasetPartition(f"{i:03d}", pool_x[i * n : (i + 1) * n], pool_y[i * n : (i + 1) * n])
-        for i in range(spec.n_clients)
-    ]
+    k, names = spec.n_clients, tuple(f"x{j}" for j in range(d))
+    starts, ids = np.arange(0, k * n, n), tuple(f"{i:03d}" for i in range(k))
+    fleet = Fleet(((pool_x, pool_y),), np.zeros(k, dtype=np.int64), starts, np.full(k, n), ids, ((names, "label"),))
 
     manifest = {
         "generator": "linear-hyperplane",
@@ -92,7 +91,7 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], di
         "labelNoise": spec.label_noise,
         "seed": spec.seed,
     }
-    return partitions, manifest
+    return list(fleet), manifest
 
 
 def write_dataset(spec: SyntheticSpec, directory: Path) -> Path:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from .config import FederationConfig
-from .data import DatasetPartition, check_shared_feature_space
+from .data import DatasetPartition, Fleet, as_fleet
 from .metrics import RoundMetrics
 from .training import (
     DIVERGENCE_LIMIT,
@@ -57,16 +57,13 @@ def select_clients(config: FederationConfig, t: int, client_ids: Collection[str]
     return tuple(sorted(roster[i] for i in chosen))
 
 
-def compute_weights(cohort: Sequence[DatasetPartition], config: FederationConfig) -> dict[str, float]:
+def compute_weights(cohort: Fleet, config: FederationConfig) -> dict[str, float]:
     """Convex weights over the round's cohort: data-size proportional or uniform.
-    Each partition holds at least one sample, so every weight lies in (0, 1] and
+    Each client holds at least one sample, so every weight lies in (0, 1] and
     the weights sum to 1 up to float error."""
-    if config.weighting == "uniform":
-        raw = {p.client_id: 1.0 for p in cohort}
-    else:
-        raw = {p.client_id: float(p.size) for p in cohort}
-    total = sum(raw.values())
-    return {cid: w / total for cid, w in raw.items()}
+    raw = [1.0] * len(cohort) if config.weighting == "uniform" else [float(n) for n in cohort.sizes.tolist()]
+    total = sum(raw)
+    return {cid: w / total for cid, w in zip(cohort.ids, raw)}
 
 
 def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -> np.ndarray:
@@ -79,23 +76,19 @@ def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -
     return acc
 
 
-def check_fleet(
-    config: FederationConfig, partitions: Sequence[DatasetPartition]
-) -> list[DatasetPartition]:
-    """``partitions`` sorted by id, checked against ``config``: one per configured
-    client, all in one feature space, of the loss spec's dimension."""
-    partitions = sorted(partitions, key=lambda p: p.client_id)
-    if len(partitions) != config.total_clients:
-        raise ValidationError(
-            f"{len(partitions)} partitions for {config.total_clients} configured clients"
-        )
-    feature_dim = check_shared_feature_space(partitions)
-    if feature_dim != config.loss.feature_dim:
-        raise ValidationError(
-            f"partition feature dimension {feature_dim} does not match loss spec "
-            f"{config.loss.feature_dim}"
-        )
-    return partitions
+def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
+    """``fleet`` sorted by id, checked against ``config``: one client per
+    configured client, each once, of the loss spec's dimension."""
+    if not all(a < b for a, b in zip(fleet.ids, fleet.ids[1:])):  # sorted, an id held twice is adjacent
+        fleet = fleet.select(sorted(range(len(fleet)), key=fleet.ids.__getitem__))
+        if any(a == b for a, b in zip(fleet.ids, fleet.ids[1:])):
+            raise ValidationError("duplicate client ids across partitions")
+    if len(fleet) != config.total_clients:
+        raise ValidationError(f"{len(fleet)} partitions for {config.total_clients} configured clients")
+    d = fleet.pools[fleet.owners[0]][0].shape[1]  # every pool a client uses has it
+    if d != config.loss.feature_dim:
+        raise ValidationError(f"partition feature dimension {d} does not match loss spec {config.loss.feature_dim}")
+    return fleet
 
 
 def initial_model(config: FederationConfig) -> np.ndarray:
@@ -107,7 +100,7 @@ def initial_model(config: FederationConfig) -> np.ndarray:
 
 def run_federation(
     config: FederationConfig,
-    partitions: Sequence[DatasetPartition],
+    partitions: Fleet | Sequence[DatasetPartition],
     observer: Callable[[RoundMetrics], object] | None = None,
     *,
     eligibility: Callable[[int], frozenset[str]] | None = None,
@@ -121,11 +114,11 @@ def run_federation(
     may raise to abort the run. All per-round seeds are keyed by the absolute
     round index, so the run is bit-reproducible for a fixed config and fleet.
     """
-    partitions = check_fleet(config, partitions)
-    by_id = {p.client_id: p for p in partitions}
-    roster = tuple(by_id)  # sorted; sorted again only when the eligible set changes
-    eligible_before = all_ids = frozenset(by_id)
-    fleet = FleetScores(partitions, config.loss)
+    fleet = check_fleet(config, as_fleet(partitions))
+    index = {cid: i for i, cid in enumerate(fleet.ids)}
+    roster = fleet.ids  # sorted; sorted again only when the eligible set changes
+    eligible_before = all_ids = frozenset(roster)
+    evaluation = FleetScores(fleet, config.loss)
     model = initial_model(config)
 
     for t in range(1, config.total_rounds + 1):
@@ -136,19 +129,19 @@ def run_federation(
 
         # Clients are mutually independent, so the round's cohort trains in
         # one stacked call; aggregation still reduces in sorted-id order.
-        cohort = [by_id[cid] for cid in selected]
-        seeds = [client_round_seed(config.rng_seed, t, cid) for cid in selected]
+        cohort = fleet.select([index[cid] for cid in selected])
+        seeds = (client_round_seed(config.rng_seed, t, cid) for cid in selected)  # drawn under minibatch only
         updates = dict(zip(selected, local_train(model, cohort, config, seeds)))
 
         model = aggregate(updates, compute_weights(cohort, config))
         if np.abs(model).max() > DIVERGENCE_LIMIT:
             raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
-        scores = fleet.fill(model)
+        scores = evaluation.fill(model)
         metrics = RoundMetrics(
             round_index=t,
-            global_loss=global_loss(scores, fleet.labels, config.loss),
-            train_accuracy=training_accuracy(scores, fleet.labels, config.loss),
+            global_loss=global_loss(scores, evaluation.labels, config.loss),
+            train_accuracy=training_accuracy(scores, evaluation.labels, config.loss),
             selected_clients=selected,
         )
         if observer is not None and observer(metrics):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import FedGateError
 from .config import FederationConfig, LossSpec
-from .data import DatasetPartition
+from .data import DatasetPartition, Fleet, as_fleet
 from .losses import stacked_gradient
 
 # A job is aborted once any weight magnitude passes this bound.
@@ -31,50 +31,51 @@ class TrainingDivergedError(FedGateError):
 
 def local_train(
     model: np.ndarray,
-    partitions: Sequence[DatasetPartition],
+    partitions: Fleet | Sequence[DatasetPartition],
     config: FederationConfig,
-    round_seeds: Sequence[int],
+    round_seeds: Iterable[int],
 ) -> np.ndarray:
-    """Run E epochs of gradient descent on each partition's mean loss, all at once;
-    row i of the returned ``(k, p)`` array is ``partitions[i]``'s update.
+    """Run E epochs of gradient descent on each client's mean loss, all at once;
+    row i of the returned ``(k, p)`` array is client i's update.
 
-    Equally sized partitions train as one ``(k, n, d)`` stack, one
-    ``stacked_gradient`` per step. Each client draws its E epochs' minibatch
-    orders in one ``permuted`` call on its own round seed (full batch ignores
-    it), so its update has the same bits whichever clients share the call.
-    Those orders, offset to each client's rows of the flat ``(k*n, d)`` stack
-    once per round, let each epoch gather its ``(k, n, d)`` batch in one
-    ``take``. The input model is never modified. If clients diverge, the error
-    names the lowest id among them and the first check that client failed, as
-    training them one by one in id order would. Dimensions come checked by
-    ``check_fleet`` and ``initial_model``.
+    A cohort of several pools is packed into one first. Equally sized clients
+    train as one ``(k, n, d)`` stack that one ``take`` gathers from the pool
+    (one per epoch under minibatch), with one ``stacked_gradient`` per batch.
+    ``round_seeds`` (one per client, in cohort order) is read only under
+    minibatch: each client draws its E epochs' orders in one ``permuted`` call
+    on its seed, so its update has the same bits whichever clients share it. The input model is never
+    modified. If clients diverge, the error names the lowest id among them and
+    the first check that client failed, as training them one by one in id
+    order would. Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
+    cohort = as_fleet(partitions)
+    if len(cohort.pools) > 1:
+        cohort = cohort.packed()
+    ((pool_x, pool_y),) = cohort.pools
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(partitions):
-        groups.setdefault(p.size, []).append(i)
-    trained = np.empty((len(partitions), model.shape[0]))
+    if minibatch:
+        round_seeds = [s & 0xFFFFFFFFFFFFFFFF for s in round_seeds]
+    trained = np.empty((len(cohort), model.shape[0]))
     failures: dict[str, str] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
-        for n, members in groups.items():
-            ids = [partitions[i].client_id for i in members]
-            x = np.stack([partitions[i].features for i in members])
-            y = np.stack([partitions[i].labels for i in members])
+        for n in dict.fromkeys(cohort.sizes.tolist()):
+            members = np.flatnonzero(cohort.sizes == n)
+            ids = [cohort.ids[i] for i in members]
+            starts = cohort.starts[members]
             weights = np.tile(model, (len(members), 1))
             if minibatch:
                 epochs = np.tile(np.arange(n), (config.local_epochs, 1))
-                seeds = [round_seeds[i] & 0xFFFFFFFFFFFFFFFF for i in members]
-                orders = np.stack([np.random.default_rng([s]).permuted(epochs, axis=1) for s in seeds])
-                rows = orders + np.arange(0, len(members) * n, n)[:, None, None]  # into the flat stack
-                flat_x, flat_y = x.reshape(-1, x.shape[2]), y.reshape(-1)
+                orders = np.stack([np.random.default_rng([round_seeds[i]]).permuted(epochs, axis=1) for i in members])
+                rows = orders + starts[:, None, None]  # (k, E, n) rows of the pool
+            else:
+                rows = starts[:, None] + np.arange(n)
+                x, y = pool_x.take(rows, axis=0), pool_y.take(rows)
             step = config.batch_size if minibatch else n
             for epoch in range(config.local_epochs):
                 if minibatch:
-                    xe, ye = flat_x.take(rows[:, epoch], axis=0), flat_y.take(rows[:, epoch])
-                else:
-                    xe, ye = x, y
+                    x, y = pool_x.take(rows[:, epoch], axis=0), pool_y.take(rows[:, epoch])
                 for i in range(0, n, step):
-                    grad = stacked_gradient(weights, xe[:, i : i + step], ye[:, i : i + step], loss)
+                    grad = stacked_gradient(weights, x[:, i : i + step], y[:, i : i + step], loss)
                     if not np.isfinite(grad).all():
                         _note(failures, ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
                     weights -= config.learning_rate * grad
@@ -96,49 +97,45 @@ def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str
 
 
 class FleetScores:
-    """One linear score per sample of a fixed partition list, refilled in place.
+    """One linear score per sample of a fixed fleet, in its order, refilled in place.
 
-    Partitions that are row ranges of one array (as in the locked pool of
-    ``generate_partitions`` and ``load_partitions``) form runs, each scored by
-    one matmul on a ``(items, rows, d)`` view, so no pooled copy is made:
+    Clients form runs from their pool, start and size alone, each scored by
+    one matmul on an ``(items, rows, d)`` view of the pool, so no pooled copy
+    is made:
 
-    * adjacent ranges merge into one item. BLAS sums a product's last
-      ``rows % 4`` rows, and a one-row product, with other kernels (other low
-      bits) than the rest, so an item grows only past a member of a multiple of
-      four rows and never by a one-row member;
-    * equal-size ranges at a constant stride (every k-th client of a pool, or
-      capped partitions of one) are the items of one batched product, which
-      numpy computes item by item as each partition's own product;
+    * adjacent ranges of one pool merge into one item. BLAS sums a product's
+      last ``rows % 4`` rows, and a one-row product, with other kernels (other
+      low bits) than the rest, so an item grows only past a member of a
+      multiple of four rows and never by a one-row member;
+    * equal-size ranges of one pool at a constant stride (every k-th client,
+      capped clients) are the items of one batched product, which numpy
+      computes item by item as each client's own product;
     * anything else is a run of its own.
 
     So on one BLAS thread each score keeps its per-partition bits."""
 
-    def __init__(self, partitions: list[DatasetPartition], loss: LossSpec):
-        self.labels = np.concatenate([p.labels for p in partitions])
-        self.scores = np.empty_like(self.labels)
-        runs: list[list] = []  # [first member's features, items, rows per item, item stride in bytes]
-        # The last member's (owner id, strides), its item's address, and where a
-        # member must start to merge onto it.
-        owner = last = merge_at = None
-        for p in partitions:
-            x, n = p.features, p.size
-            # ctypes.data reads an address faster than __array_interface__, whose
-            # per-call dict also grew a 1,000-partition job's peak RSS by about 1 MB.
-            start, key = x.ctypes.data, (id(x.base), x.strides)
-            run = runs[-1] if x.base is not None and key == owner else None
-            if run is not None and run[1] == 1 and n > 1 and start == merge_at:
-                run[2] += n
-            elif run is not None and n == run[2] and (run[1] == 1 or start - last == run[3]):
-                run[1], run[3], last = run[1] + 1, start - last, start
+    def __init__(self, partitions: Fleet | Sequence[DatasetPartition], loss: LossSpec):
+        fleet = as_fleet(partitions)
+        runs: list[list[int]] = []  # [pool, first start, items, rows per item, item step in rows]
+        last = merge_at = None  # the last item's start; where a client must start to merge onto it
+        for pool, start, n in zip(fleet.owners.tolist(), fleet.starts.tolist(), fleet.sizes.tolist()):
+            run = runs[-1] if runs and runs[-1][0] == pool else None
+            if run is not None and run[2] == 1 and n > 1 and start == merge_at:
+                run[3] += n
+            elif run is not None and n == run[3] and (run[2] == 1 or start - last == run[4]):
+                run[2], run[4], last = run[2] + 1, start - last, start
             else:
-                runs.append([x, 1, n, 0])
+                runs.append([pool, start, 1, n, 0])
                 last = start
-            owner, merge_at = key, (start + n * x.strides[0] if n % 4 == 0 else None)
-        ends = np.cumsum([c * n for _, c, n, _ in runs])
-        self._runs = [
-            (as_strided(x, (c, n, x.shape[1]), (step, *x.strides)), self.scores[e - c * n : e].reshape(c, n))
-            for (x, c, n, step), e in zip(runs, ends)
-        ]
+            merge_at = start + n if n % 4 == 0 else None
+        self.scores = np.empty(int(fleet.sizes.sum()))
+        self._runs, labels, end = [], [], 0
+        for pool, start, c, n, step in runs:
+            x, y = fleet.pools[pool]
+            out, end = self.scores[end : end + c * n].reshape(c, n), end + c * n
+            self._runs.append((as_strided(x[start:], (c, n, x.shape[1]), (step * x.strides[0], *x.strides)), out))
+            labels.append(as_strided(y[start:], (c, n), (step * y.strides[0], *y.strides)).reshape(-1))
+        self.labels = np.concatenate(labels)
         self._dim, self._bias = loss.feature_dim, loss.bias
 
     def fill(self, model: np.ndarray) -> np.ndarray:

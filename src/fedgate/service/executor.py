@@ -23,6 +23,7 @@ from ..errors import FedGateError
 from ..fl import (
     CsvMetricsWriter,
     DatasetPartition,
+    Fleet,
     RoundMetrics,
     run_federation,
 )
@@ -53,8 +54,8 @@ class StagnationGuard:
 
 
 class JobExecutor:
-    def __init__(self, partitions: Sequence[DatasetPartition], out_dir: Path):
-        self._partitions = list(partitions)
+    def __init__(self, partitions: Fleet | Sequence[DatasetPartition], out_dir: Path):
+        self._fleet = partitions  # apply_filter makes a list a fleet
         self._out_dir = Path(out_dir)
 
     def run(
@@ -79,8 +80,8 @@ class JobExecutor:
         guard = StagnationGuard()
         rows: list[RoundMetrics] = []
         try:
-            filtered = apply_filter(self._partitions, record.spec.data_filter)
-            all_ids = frozenset(p.client_id for p in filtered)
+            filtered = apply_filter(self._fleet, record.spec.data_filter)
+            all_ids = frozenset(filtered.ids)
 
             def eligibility(t: int) -> frozenset[str]:
                 node_registry.advance(t)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from ..access import AccessGateway
 from ..errors import FedGateError
-from ..fl import DatasetPartition, FederationConfig, check_fleet
+from ..fl import DatasetPartition, FederationConfig, as_fleet, check_fleet
 from ..ledger import GrantToken
 from .executor import JobExecutor
 from .jobs import DataFilter, JobQueue, JobRecord, JobSpec, apply_filter
@@ -40,10 +40,11 @@ class FlaasService:
     ):
         self._gateway = gateway
         self._partitions = list(partitions)
+        self._fleet = as_fleet(self._partitions)
         self._clock = clock
         self.service_name = service_name
         self.queue = JobQueue()
-        self.executor = JobExecutor(self._partitions, Path(out_dir))
+        self.executor = JobExecutor(self._fleet, Path(out_dir))
         self._summary: dict | None = None
 
     # --------------------------------------------------------------- auth
@@ -88,7 +89,7 @@ class FlaasService:
         data_filter: DataFilter,
     ) -> JobRecord:
         grant = self.authorize(token)
-        check_fleet(config, apply_filter(self._partitions, data_filter))
+        check_fleet(config, apply_filter(self._fleet, data_filter))
         spec = JobSpec(
             holder=grant.holder,
             config=config,

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
-from ..fl import DatasetPartition, FederationConfig
+from ..fl import DatasetPartition, FederationConfig, Fleet, as_fleet
 from ..fl.config import _integer, _real
 
 
@@ -53,24 +56,23 @@ class DataFilter:
         return from_camel_keys(cls, data, "data filter")
 
 
-def apply_filter(
-    partitions: list[DatasetPartition], data_filter: DataFilter
-) -> list[DatasetPartition]:
-    """Materialize the filtered view a job will train on."""
-    chosen = partitions
+def apply_filter(partitions: Fleet | Sequence[DatasetPartition], data_filter: DataFilter) -> Fleet:
+    """The fleet a job trains on, in the order given, by index arithmetic on its
+    pools: a client filter selects offsets, a sample cap shortens sizes, and a
+    feature filter gathers each used pool's columns once, by its own names."""
+    fleet = as_fleet(partitions)
     if data_filter.client_ids is not None:
         wanted = set(data_filter.client_ids)
-        known = {p.client_id for p in partitions}
-        missing = wanted - known
+        missing = wanted.difference(fleet.ids)
         if missing:
             raise ValidationError(f"filter references unknown clients: {sorted(missing)}")
-        chosen = [p for p in chosen if p.client_id in wanted]
+        fleet = fleet.select([i for i, cid in enumerate(fleet.ids) if cid in wanted])
     if data_filter.feature_names is not None:
-        chosen = [p.select_features(data_filter.feature_names) for p in chosen]
-    if data_filter.max_samples_per_client is not None:
-        n = data_filter.max_samples_per_client
-        chosen = [replace(p, features=p.features[:n], labels=p.labels[:n]) for p in chosen]
-    return sorted(chosen, key=lambda p: p.client_id)
+        fleet = fleet.select_features(data_filter.feature_names)
+    if data_filter.max_samples_per_client is not None:  # clamped first: numpy takes no int past int64
+        cap = min(data_filter.max_samples_per_client, int(fleet.sizes.max()))
+        fleet = replace(fleet, sizes=np.minimum(fleet.sizes, cap))
+    return fleet
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from fedgate.fl import (
     load_partitions,
     write_dataset,
 )
-from fedgate.fl.data import check_shared_feature_space, load_partition, save_partition
+from fedgate.fl.data import as_fleet, check_shared_feature_space, load_partition, save_partition
 from fedgate.fl.datagen import MANIFEST_NAME
 
 
@@ -265,3 +266,32 @@ def test_write_dataset_layout(tmp_path):
     assert manifest["nClients"] == 2
     parts = load_partitions(out)
     assert len(parts) == 2 and parts[0].size == 5
+
+
+def test_a_fleet_hands_out_row_views_that_select_from_its_pool():
+    parts, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2))
+    fleet = as_fleet(parts[::-2])
+    assert fleet.ids == ("005", "003", "001") and fleet.starts.tolist() == [20, 12, 4]
+    assert len(fleet.pools) == 1 and fleet.pools[0][0] is parts[0].features.base
+    # A replaced partition, even with the same rows, is a pool of its own.
+    mixed = as_fleet([parts[0], replace(parts[1], client_id="x")])
+    assert len(mixed.pools) == 2 and mixed.pools[1][0] is not mixed.pools[0][0]
+    assert [p.client_id for p in mixed] == ["000", "x"]
+
+
+def test_partitions_that_name_their_columns_differently_keep_their_names(tmp_path):
+    a = DatasetPartition("a", np.array([[1.0, 2.0]]), np.zeros(1), feature_names=("age", "bmi"))
+    b = DatasetPartition("b", np.array([[3.0, 4.0]]), np.ones(1), feature_names=("bmi", "age"), label_name="y")
+    c = DatasetPartition("c", np.array([[5.0, 6.0]]), np.ones(1), feature_names=("h", "w"))
+    assert check_shared_feature_space([a, b, c]) == 2
+    for p in (a, b):
+        save_partition(p, tmp_path)
+    for parts in ([a, b], load_partitions(tmp_path)):
+        assert [(p.feature_names, p.label_name) for p in parts] == [(("age", "bmi"), "label"), (("bmi", "age"), "y")]
+        # A feature filter reads each client's own names.
+        picked = as_fleet(parts).select_features(("age",))
+        assert [(p.feature_names, p.features.tolist()) for p in picked] == [(("age",), [[1.0]]), (("age",), [[4.0]])]
+    # Only the clients a fleet keeps must hold the names.
+    assert [p.client_id for p in as_fleet([a, c]).select([0]).select_features(("age",))] == ["a"]
+    with pytest.raises(ValidationError, match="unknown feature names"):
+        as_fleet([a, c]).select_features(("age",))

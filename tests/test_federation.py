@@ -4,8 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
-from fedgate.fl import DatasetPartition, FederationConfig, LossSpec, run_federation
-from fedgate.fl.federation import aggregate, compute_weights, initial_model, select_clients
+from fedgate.fl import (
+    DatasetPartition,
+    FederationConfig,
+    LossSpec,
+    SyntheticSpec,
+    generate_partitions,
+    run_federation,
+)
+from fedgate.fl.data import as_fleet
+from fedgate.fl.federation import aggregate, client_round_seed, compute_weights, initial_model, select_clients
 
 from support import gradient
 
@@ -90,21 +98,21 @@ def sized_partition(cid, n):
 
 def test_uniform_weights():
     parts = [sized_partition(c, n) for c, n in [("a", 1), ("b", 9), ("c", 2), ("d", 5)]]
-    w = compute_weights(parts, make_config(total_clients=4, subset_size=4, weighting="uniform"))
+    w = compute_weights(as_fleet(parts), make_config(total_clients=4, subset_size=4, weighting="uniform"))
     assert all(v == pytest.approx(0.25) for v in w.values())
 
 
 def test_proportional_weights():
     parts = [sized_partition("a", 2), sized_partition("b", 6)]
-    w = compute_weights(parts, make_config())
+    w = compute_weights(as_fleet(parts), make_config())
     assert w["a"] == pytest.approx(0.25)
     assert w["b"] == pytest.approx(0.75)
 
 
 def test_proportional_equal_sizes_matches_uniform():
     parts = [sized_partition("a", 3), sized_partition("b", 3), sized_partition("c", 3)]
-    prop = compute_weights(parts, make_config(total_clients=3, subset_size=3))
-    unif = compute_weights(parts, make_config(total_clients=3, subset_size=3, weighting="uniform"))
+    prop = compute_weights(as_fleet(parts), make_config(total_clients=3, subset_size=3))
+    unif = compute_weights(as_fleet(parts), make_config(total_clients=3, subset_size=3, weighting="uniform"))
     assert prop == pytest.approx(unif)
 
 
@@ -128,7 +136,7 @@ def test_weights_sum_to_one(sizes, weighting):
     # the sum is 1 up to float error, the check ``aggregate`` takes on trust.
     parts = [DatasetPartition(f"c{i}", _ONES[:n], _ZEROS[:n]) for i, n in enumerate(sizes)]
     config = make_config(total_clients=len(parts), subset_size=len(parts), weighting=weighting)
-    w = compute_weights(parts, config)
+    w = compute_weights(as_fleet(parts), config)
     assert sorted(w) == sorted(p.client_id for p in parts)
     assert all(0.0 < v <= 1.0 for v in w.values())
     assert abs(sum(w.values()) - 1.0) <= 1e-12
@@ -288,3 +296,50 @@ def test_partition_count_must_match_config():
     config = make_config(total_clients=3, subset_size=2)
     with pytest.raises(ValidationError):
         run_federation(config, [sized_partition("a", 1)])
+
+
+def test_a_fleet_with_an_id_twice_is_refused():
+    config = make_config(total_clients=2)
+    with pytest.raises(ValidationError, match="duplicate client ids"):
+        run_federation(config, [sized_partition("a", 2), sized_partition("a", 3)])
+
+
+@pytest.mark.parametrize("batch_mode, batch_size, derived", [("full", None, 0), ("minibatch", 2, 12)])
+def test_round_seeds_are_derived_only_where_minibatches_draw_them(monkeypatch, batch_mode, batch_size, derived):
+    import fedgate.fl.federation as federation
+
+    calls = []
+
+    def counting(rng_seed, round_index, client_id):
+        calls.append((round_index, client_id))
+        return client_round_seed(rng_seed, round_index, client_id)
+
+    monkeypatch.setattr(federation, "client_round_seed", counting)
+    config = make_config(
+        total_rounds=4, total_clients=5, subset_size=3, batch_mode=batch_mode, batch_size=batch_size
+    )
+    run_federation(config, random_partitions(np.random.default_rng(4), 5, 1))
+    assert len(calls) == derived
+
+
+def test_a_run_keeps_its_bits_whatever_the_fleet_layout():
+    # One generated pool, its clients' copies (each a pool of its own) and a
+    # reversed list all train and score to the same bytes.
+    parts, _ = generate_partitions(
+        SyntheticSpec(n_clients=12, samples_per_client=9, feature_dim=3, separability=0.5, seed=6, label_skew=0.5)
+    )
+    copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in parts]
+    for batch_mode, batch_size in (("full", None), ("minibatch", 4)):
+        config = make_config(
+            total_rounds=5,
+            total_clients=12,
+            subset_size=4,
+            loss=LossSpec(kind="logistic", feature_dim=3, bias=True),
+            batch_mode=batch_mode,
+            batch_size=batch_size,
+        )
+        runs = []
+        for fleet in (parts, copies, parts[::-1]):
+            seen = []
+            runs.append((run_federation(config, fleet, seen.append).tobytes(), seen))
+        assert runs[0] == runs[1] == runs[2]

@@ -325,6 +325,17 @@ def assert_readers_refuse(records, bad, tmp_path):
     assert main(["verify-chain", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value", [("timestamp", 2**64), ("timestamp", -1), ("height", 2**64)], ids=["timestamp-2**64", "timestamp--1", "height-2**64"]
+)
+def test_a_field_past_eight_unsigned_bytes_is_refused_not_raised(tmp_path, field, value):
+    # The header hashes both as 8-byte unsigned integers, where 2**64 and -1
+    # raise OverflowError; the readers must report the line instead.
+    records = [b.to_dict() for b in build_chain(3).blocks]
+    records[2][field] = value
+    assert_readers_refuse(records, 2, tmp_path)
+
+
 def test_reseal_reproduces_an_honest_chain():
     records = [b.to_dict() for b in build_chain(3).blocks]
     assert reseal(json.loads(json.dumps(records)), 0) == records

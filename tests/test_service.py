@@ -175,6 +175,13 @@ def test_state_machine_disallows_skips_and_reversals():
     assert record.state == "completed"
 
 
+def test_an_unknown_state_is_named_as_unknown_not_as_illegal():
+    record = JobQueue().submit(job_spec(), now=0)
+    with pytest.raises(FedGateError, match="^unknown state 'paused'$"):
+        record.transition("paused")
+    assert record.state == "queued"
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         job_spec(runtime=0.0)
@@ -1079,6 +1086,39 @@ def test_empty_filter_list_is_refused_not_widened(tmp_path, field):
     )
     assert response.status == 400
     assert service.queue.get("job-0001") is None
+
+
+@pytest.mark.parametrize("field", ["clientIds", "featureNames"])
+@pytest.mark.parametrize("value", ["001", ["001", 7]], ids=["string", "list-with-an-int"])
+def test_a_filter_list_that_is_not_all_strings_is_refused(tmp_path, field, value):
+    # Read as a sequence, "001" would filter the clients "0" and "1".
+    message = f"{field} must be a list of strings"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DataFilter.from_dict({field: value})
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle(
+        "POST",
+        "/jobs",
+        headers={"Authorization": f"Grant {token}"},
+        body={"config": job_config().to_dict(), "dataFilter": {field: value}},
+    )
+    assert (response.status, response.body) == (400, {"error": message})
+    assert service.queue.get("job-0001") is None
+
+
+@pytest.mark.parametrize("cap", [30, 2**63, 10**19])
+def test_a_cap_past_every_client_keeps_them_whole(tmp_path, cap):
+    # A JSON integer has no bound, and numpy holds none past int64.
+    assert [p.size for p in apply_filter(fleet_partitions(), DataFilter(max_samples_per_client=cap))] == [30] * 4
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle(
+        "POST",
+        "/jobs",
+        headers={"Authorization": f"Grant {token}"},
+        body={"config": job_config().to_dict(), "dataFilter": {"maxSamplesPerClient": cap}},
+    )
+    assert response.status == 201
+    assert service.run_next(node_registry=job_fleet()).state == "completed"
 
 
 JSON = st.recursive(

@@ -615,3 +615,62 @@ def test_learning_rate_negative_rejected_zero_allowed():
     with pytest.raises(ValidationError):
         make_config(learning_rate=-0.1)
     make_config(learning_rate=0.0)
+
+
+@st.composite
+def filtered_pools(draw):
+    """A generated pool through a job's data filter: a client subset, a feature
+    subset in a drawn order and a sample cap, each drawn or left out."""
+    n, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 3, 8]))
+    spec = SyntheticSpec(n_clients=30, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
+    pool, _ = generate_partitions(spec)
+    names = tuple(f"x{i}" for i in range(d))
+    chosen = draw(st.none() | st.lists(st.sampled_from([p.client_id for p in pool]), min_size=1, max_size=30, unique=True))
+    features = draw(st.none() | st.lists(st.sampled_from(names), min_size=1, max_size=d, unique=True))
+    cap = draw(st.none() | st.integers(1, 14))
+    data_filter = DataFilter(
+        client_ids=chosen and tuple(chosen), feature_names=features and tuple(features), max_samples_per_client=cap
+    )
+    return apply_filter(pool, data_filter), len(features or names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleet=filtered_pools(), bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_filtered_pool_stays_one_pool_and_keeps_per_partition_bits(fleet, bias, seed):
+    fleet, d = fleet
+    parts = list(fleet)
+    assert len(fleet.pools) == 1 and all(p.features.base is fleet.pools[0][0] for p in parts)
+    loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
+    model = np.random.default_rng(seed).normal(size=loss.parameter_dim)
+    scores = FleetScores(fleet, loss)
+    assert scores.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
+    assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleet=filtered_pools(), batch_size=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_a_cohort_taken_from_a_pool_trains_as_its_copies_do(fleet, batch_size, seed):
+    fleet, d = fleet
+    config = make_config(
+        loss=LossSpec(kind="logistic", feature_dim=d, bias=True),
+        batch_mode="full" if batch_size is None else "minibatch",
+        batch_size=batch_size,
+        local_epochs=2,
+        learning_rate=0.3,
+    )
+    rng = np.random.default_rng(seed)
+    model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(fleet))]
+    copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in fleet]
+    assert np.array_equal(local_train(model, fleet, config, iter(seeds)), local_train(model, copies, config, seeds))
+
+
+def test_a_feature_filter_of_the_bench_fleet_is_one_run():
+    spec = SyntheticSpec(
+        n_clients=1000, samples_per_client=100, feature_dim=20, separability=0.5, label_skew=0.6, label_noise=0.05, seed=1
+    )
+    pool, _ = generate_partitions(spec)
+    names = tuple(f"x{i}" for i in range(0, 20, 2))
+    for data_filter in (DataFilter(feature_names=names), DataFilter(feature_names=names, max_samples_per_client=7)):
+        fleet = apply_filter(pool, data_filter)
+        assert len(FleetScores(fleet, LossSpec(kind="logistic", feature_dim=10, bias=True))._runs) == 1
