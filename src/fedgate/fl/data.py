@@ -64,10 +64,6 @@ class DatasetPartition:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def select_features(self, names: tuple[str, ...]) -> DatasetPartition:
-        """Restrict to a subset of feature columns, preserving order of ``names``."""
-        return next(iter(as_fleet([replace(self)]).select_features(names)))  # replaced: a pool of its own
-
 
 def _locked(a: np.ndarray) -> np.ndarray:
     """``a`` when it is, or is a read-only view of, a locked ndarray owning its memory,
@@ -85,7 +81,8 @@ class Fleet:
     """Clients as row ranges of locked pools: client ``i`` holds rows ``starts[i] :
     starts[i] + sizes[i]`` of ``pools[owners[i]]``, named by ``columns[owners[i]]``.
     The generator and ``load_partitions`` lay a fleet in one pool, and ``apply_filter``
-    keeps it there; partitions built by hand are each a pool of their own, uncopied."""
+    keeps it there; partitions built by hand are each a pool of their own, uncopied.
+    Every pool is finite and locked: built from checked partitions or by the generator."""
 
     pools: tuple[tuple[np.ndarray, np.ndarray], ...]  # (rows, d) features, (rows,) labels
     owners: np.ndarray
@@ -98,11 +95,13 @@ class Fleet:
         return len(self.ids)
 
     def __iter__(self):
-        """Each client as a partition over its rows that remembers this fleet."""
+        """Each client as a partition over its rows that remembers this fleet, handed
+        out without ``DatasetPartition``'s checks: the pools passed them when built."""
         for i, (o, s, n) in enumerate(zip(self.owners.tolist(), self.starts.tolist(), self.sizes.tolist())):
             (x, y), (names, label) = self.pools[o], self.columns[o]
-            p = DatasetPartition(self.ids[i], x[s : s + n], y[s : s + n], names, label)
-            p.__dict__.update(_fleet=self, _index=i)
+            p = object.__new__(DatasetPartition)
+            p.__dict__.update(client_id=self.ids[i], features=x[s : s + n], labels=y[s : s + n],
+                              feature_names=names, label_name=label, _fleet=self, _index=i)
             yield p
 
     def select(self, index: Sequence[int]) -> Fleet:

@@ -16,10 +16,13 @@ import numpy as np
 
 from ..canonical import canonical_json_bytes
 from ..errors import ValidationError
-from .config import _real
+from .config import _integer, _real
 from .data import DatasetPartition, Fleet, save_partition
 
 MANIFEST_NAME = "manifest.json"
+# Rows of whole clients the generator's arithmetic takes at once; its temporaries
+# are a block long.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,11 @@ class SyntheticSpec:
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1 or self.samples_per_client < 1 or self.feature_dim < 1:
-            raise ValidationError("n_clients, samples_per_client, feature_dim must be positive")
-        object.__setattr__(self, "separability", _real("separability", self.separability))
+        for name in ("n_clients", "samples_per_client", "feature_dim"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, None))
+        for name in ("separability", "label_skew", "label_noise"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not 0 <= self.label_skew <= 1:
@@ -45,38 +50,40 @@ class SyntheticSpec:
 
 
 def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], dict]:
-    """Build client partitions plus a manifest recording the generator."""
+    """Build client partitions plus a manifest recording the generator. Each client's
+    draws go straight into the pool in client order; the arithmetic runs once per
+    block of whole clients, in place, with one product per client as in a loop."""
     rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x64617461])
     direction = rng.normal(size=spec.feature_dim)
     direction /= np.linalg.norm(direction)
 
-    n, d = spec.samples_per_client, spec.feature_dim
-    pool_x, pool_y = np.empty((spec.n_clients * n, d)), np.empty(spec.n_clients * n)
-    for i in range(spec.n_clients):
-        x = rng.normal(size=(n, d))
-        margins = x @ direction
-        labels = (margins > 0).astype(np.float64)
-
-        if spec.label_skew > 0 and spec.n_clients > 1:
-            # Client i targets a positive-class share of 0.5 + skew*(i/(n-1) - 0.5).
-            target = 0.5 + spec.label_skew * (i / (spec.n_clients - 1) - 0.5)
-            flip_to = rng.random(n) < target
-            sign = np.where(flip_to, 1.0, -1.0)
-            labels = (sign > 0).astype(np.float64)
-            margins = np.abs(margins) * sign
-            x = x - np.outer(x @ direction, direction) + np.outer(margins, direction)
-
+    k, n, d = spec.n_clients, spec.samples_per_client, spec.feature_dim
+    skew, noise, step = spec.label_skew > 0 and k > 1, spec.label_noise > 0, max(1, _BLOCK_ROWS // n)
+    pool_x, pool_y = np.empty((k * n, d)), np.empty(k * n)
+    for first in range(0, k, step):
+        c = min(step, k - first)
+        rows = slice(first * n, (first + c) * n)
+        x, y, u = pool_x[rows].reshape(c, n, d), pool_y[rows].reshape(c, n), np.empty((c, n))
+        for i in range(c):
+            rng.standard_normal(out=x[i])
+            if skew:
+                rng.random(out=u[i])
+            if noise:
+                rng.random(out=y[i])
+        margins = np.matmul(x, direction)
+        if skew:
+            # Client i targets a positive-class share of 0.5 + skew*(i/(k-1) - 0.5).
+            positive = u < 0.5 + spec.label_skew * (np.arange(first, first + c)[:, None] / (k - 1) - 0.5)
+            x -= margins[..., None] * direction
+            x += (np.abs(margins) * np.where(positive, 1.0, -1.0))[..., None] * direction
+        else:
+            positive = margins > 0
         # Push every point off the boundary along the hyperplane normal.
-        offset = spec.separability * np.where(labels > 0.5, 1.0, -1.0)
-        pool_x[i * n : (i + 1) * n] = x + np.outer(offset, direction)
-
-        if spec.label_noise > 0:
-            flips = rng.random(n) < spec.label_noise
-            labels = np.where(flips, 1.0 - labels, labels)
-        pool_y[i * n : (i + 1) * n] = labels
+        x += np.where(positive, spec.separability, -spec.separability)[..., None] * direction
+        y[...] = positive ^ (y < spec.label_noise) if noise else positive
 
     pool_x.flags.writeable = pool_y.flags.writeable = False
-    k, names = spec.n_clients, tuple(f"x{j}" for j in range(d))
+    names = tuple(f"x{j}" for j in range(d))
     starts, ids = np.arange(0, k * n, n), tuple(f"{i:03d}" for i in range(k))
     fleet = Fleet(((pool_x, pool_y),), np.zeros(k, dtype=np.int64), starts, np.full(k, n), ids, ((names, "label"),))
 

@@ -4,8 +4,9 @@ one access request under each scheme), the ledger readers only tests need,
 the hex regex that ``canonical.from_hex`` is held to, the reference sigmoid
 that ``_sigmoid`` is held to bit for bit, the one-model loss oracles that
 ``FleetScores``, ``global_loss``, ``training_accuracy`` and
-``stacked_gradient`` are held to, and the total weighted completion time
-that ``wsjf_order`` is held to (acceptance criterion 09)."""
+``stacked_gradient`` are held to, the per-client generator that
+``generate_partitions`` is held to bit for bit, and the total weighted
+completion time that ``wsjf_order`` is held to (acceptance criterion 09)."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessReq
 from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
+from fedgate.fl import SyntheticSpec
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import stacked_gradient
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
@@ -164,6 +166,44 @@ def gradient(
     x = _checked_features(model, features, loss)
     y = np.asarray(labels, dtype=np.float64)
     return stacked_gradient(model[None], x[None], y[None], loss)[0]
+
+
+
+# --------------------------------------------------------- generator oracle
+
+
+def reference_pool(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The features and labels ``generate_partitions`` must pool, built one client
+    at a time with that client's own arrays, draws and products."""
+    rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x64617461])
+    direction = rng.normal(size=spec.feature_dim)
+    direction /= np.linalg.norm(direction)
+
+    n, d = spec.samples_per_client, spec.feature_dim
+    pool_x, pool_y = np.empty((spec.n_clients * n, d)), np.empty(spec.n_clients * n)
+    for i in range(spec.n_clients):
+        x = rng.normal(size=(n, d))
+        margins = x @ direction
+        labels = (margins > 0).astype(np.float64)
+
+        if spec.label_skew > 0 and spec.n_clients > 1:
+            # Client i targets a positive-class share of 0.5 + skew*(i/(n_clients-1) - 0.5).
+            target = 0.5 + spec.label_skew * (i / (spec.n_clients - 1) - 0.5)
+            flip_to = rng.random(n) < target
+            sign = np.where(flip_to, 1.0, -1.0)
+            labels = (sign > 0).astype(np.float64)
+            margins = np.abs(margins) * sign
+            x = x - np.outer(x @ direction, direction) + np.outer(margins, direction)
+
+        # Push every point off the boundary along the hyperplane normal.
+        offset = spec.separability * np.where(labels > 0.5, 1.0, -1.0)
+        pool_x[i * n : (i + 1) * n] = x + np.outer(offset, direction)
+
+        if spec.label_noise > 0:
+            flips = rng.random(n) < spec.label_noise
+            labels = np.where(flips, 1.0 - labels, labels)
+        pool_y[i * n : (i + 1) * n] = labels
+    return pool_x, pool_y
 
 
 def total_weighted_completion(jobs: list[JobSpec], order: list[int]) -> float:

@@ -308,6 +308,12 @@ def test_no_run_of_other_keys_resets_a_budget(limit, calls):
             assert len(limiter._hits) <= 3
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limiter_refuses_a_limit_below_one(limit):
+    with pytest.raises(ValueError, match="limit must be positive"):
+        SlidingWindowLimiter(limit, SimulatedClock(start=0))
+
+
 # ----------------------------------------------------------------- pending
 
 
@@ -318,6 +324,12 @@ def test_pending_capacity_and_duplicates():
     assert table.try_insert("n2")
     assert not table.try_insert("n3")
     assert table.contains("n2") and not table.contains("n3") and table.peak_size == 2
+
+
+@pytest.mark.parametrize("capacity, ttl", [(0, 30), (-1, 30), (2, 0), (2, -5)])
+def test_pending_refuses_a_capacity_or_ttl_below_one(capacity, ttl):
+    with pytest.raises(ValueError, match="capacity and ttl must be positive"):
+        PendingTable(capacity, ttl, SimulatedClock(start=0))
 
 
 def test_pending_ttl_sweep():

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import (
@@ -15,7 +20,9 @@ from fedgate.fl import (
     write_dataset,
 )
 from fedgate.fl.data import as_fleet, check_shared_feature_space, load_partition, save_partition
-from fedgate.fl.datagen import MANIFEST_NAME
+from fedgate.fl.datagen import _BLOCK_ROWS, MANIFEST_NAME
+
+from support import reference_pool
 
 
 def read_manifest(directory: Path) -> dict:
@@ -178,11 +185,11 @@ def test_select_features_subsets_columns():
         labels=np.zeros(2),
         feature_names=("x", "y", "z"),
     )
-    q = p.select_features(("z", "x"))
+    (q,) = as_fleet([replace(p)]).select_features(("z", "x"))
     assert q.feature_names == ("z", "x")
     assert q.features.tolist() == [[3.0, 1.0], [6.0, 4.0]]
     with pytest.raises(ValidationError):
-        p.select_features(("nope",))
+        as_fleet([replace(p)]).select_features(("nope",))
 
 
 # ----------------------------------------------------------------- datagen
@@ -221,6 +228,97 @@ def test_generated_partitions_are_row_views_of_one_locked_pool_with_pinned_bits(
     # The generator's draws and arithmetic are pinned: the same bits as when
     # each client's arrays were built and copied on their own.
     assert digest.hexdigest() == "e967e9c5f6010f1a00fc68a658c2cdb5382b9baf10385c3aa760f4bd7184f262"
+
+
+@st.composite
+def generator_specs(draw):
+    """Small fleets, and fleets one client short of, at and one client past one or
+    two blocks of whole clients, with sizes that are and are not multiples of 4."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 9, 100]))
+    per_block = _BLOCK_ROWS // n
+    k = draw(st.integers(1, 6) | st.sampled_from([per_block - 1, per_block, per_block + 1, 2 * per_block + 1]))
+    return SyntheticSpec(
+        n_clients=k, samples_per_client=n, feature_dim=draw(st.sampled_from([1, 3, 20])),
+        separability=draw(st.sampled_from([0.0, 0.5, 2.0])), seed=draw(st.integers(0, 2**64 - 1)),
+        label_skew=draw(st.sampled_from([0.0, 0.6, 1.0])), label_noise=draw(st.sampled_from([0.0, 0.1])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=generator_specs())
+@example(spec=SyntheticSpec(_BLOCK_ROWS + 1, 1, 3, 0.5, seed=5, label_skew=0.6, label_noise=0.1))
+@example(spec=SyntheticSpec(2 * (_BLOCK_ROWS // 7), 7, 20, 0.5, seed=6, label_skew=1.0))
+def test_the_block_generator_pools_the_bytes_of_one_client_at_a_time(spec):
+    parts, _ = generate_partitions(spec)
+    want_x, want_y = reference_pool(spec)
+    assert parts[0].features.base.tobytes() == want_x.tobytes()
+    assert parts[0].labels.base.tobytes() == want_y.tobytes()
+
+
+def test_the_generated_pool_does_not_depend_on_the_blas_thread_count():
+    # 601 rows of 20 make each client's product large enough for OpenBLAS to
+    # split over two threads; 7 clients of 601 rows run one past a block.
+    code = """if True:
+        import hashlib
+        from fedgate.fl import SyntheticSpec, generate_partitions
+        from support import reference_pool
+        for k, n in ((7, 601), (1000, 100)):
+            spec = SyntheticSpec(n_clients=k, samples_per_client=n, feature_dim=20, separability=0.5,
+                                 seed=21, label_skew=0.6, label_noise=0.05)
+            parts, _ = generate_partitions(spec)
+            got = parts[0].features.base.tobytes() + parts[0].labels.base.tobytes()
+            want_x, want_y = reference_pool(spec)
+            assert got == want_x.tobytes() + want_y.tobytes(), (k, n)
+            print(hashlib.sha256(got).hexdigest())
+    """
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stdout + result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_fleet_partitions_equal_those_built_by_hand_on_the_same_rows(tmp_path):
+    spec = SyntheticSpec(
+        n_clients=5, samples_per_client=7, feature_dim=3, separability=0.5, seed=4,
+        label_skew=0.6, label_noise=0.1,
+    )
+    write_dataset(spec, tmp_path)
+    for parts in (generate_partitions(spec)[0], load_partitions(tmp_path)):
+        fleet = as_fleet(parts)
+        ((x, y),) = fleet.pools
+        assert not x.flags.writeable and not y.flags.writeable
+        for p, start in zip(parts, fleet.starts.tolist()):
+            rows = slice(start, start + p.size)
+            q = DatasetPartition(p.client_id, x[rows], y[rows], p.feature_names, p.label_name)
+            assert (p.client_id, p.feature_names, p.label_name) == (q.client_id, q.feature_names, q.label_name)
+            for got, want, pool in ((p.features, q.features, x), (p.labels, q.labels, y)):
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert got.base is pool and want.base is pool and not got.flags.writeable
+            with pytest.raises(ValueError):
+                p.features[0, 0] = 9.0
+        back = as_fleet(list(fleet))
+        assert back.pools[0][0] is x and back.pools[0][1] is y
+        assert back.ids == fleet.ids == tuple(p.client_id for p in parts)
+        assert back.starts.tolist() == fleet.starts.tolist() and back.sizes.tolist() == [p.size for p in parts]
+        # Only the handout skips the checks: a replaced partition is checked again.
+        with pytest.raises(ValidationError, match="non-finite"):
+            replace(parts[0], features=np.full((parts[0].size, 3), np.inf))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_clients", 2.5), ("n_clients", True), ("feature_dim", "3"), ("seed", 1.5), ("label_skew", True),
+     ("samples_per_client", None), ("label_noise", "0.1")],
+)
+def test_synthetic_spec_names_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        spec = dict(n_clients=2, samples_per_client=3, feature_dim=2, separability=0.5, seed=1)
+        SyntheticSpec(**{**spec, field: value})
 
 
 def test_labels_follow_recorded_hyperplane():

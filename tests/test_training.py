@@ -16,6 +16,7 @@ from fedgate.fl import (
     generate_partitions,
     run_federation,
 )
+from fedgate.fl.data import as_fleet
 from fedgate.fl.losses import _sigmoid, stacked_gradient
 from fedgate.fl.training import (
     DIVERGENCE_LIMIT,
@@ -482,7 +483,7 @@ def mixed_fleets(draw):
         if kind == "wide":
             rows = slice(start, start + size)
             part = DatasetPartition("w", wide.features[rows], wide.labels[rows], wide.feature_names)
-            part = part.select_features(tuple(names[:d]))
+            (part,) = as_fleet([replace(part)]).select_features(tuple(names[:d]))
             features_labels.append((part.features, part.labels))
         else:
             x, y = pools[kind]
