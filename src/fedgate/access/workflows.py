@@ -71,6 +71,11 @@ DENIED_ATTESTATION_MISMATCH = AccessOutcome("denied", "attestation-mismatch")
 DENIED_STALE_ATTESTATION = AccessOutcome("denied", "stale-attestation")
 
 
+def _check_nonce(nonce: object, what: str) -> None:
+    if type(nonce) is not bytes or len(nonce) != 16:
+        raise ValidationError(f"{what} nonce must be 16 bytes")
+
+
 class AccessRequest:
     """One request, its scheme and nonce checked as given; slotted, since a
     flood builds one per ghost."""
@@ -80,8 +85,7 @@ class AccessRequest:
     def __init__(self, requester: str, service: str, scheme: str, nonce: bytes):
         if scheme not in _SCHEMES:
             raise ValidationError(f"unknown scheme {scheme!r}")
-        if len(nonce) != 16:
-            raise ValidationError("request nonce must be 16 bytes")
+        _check_nonce(nonce, "request")
         self.requester = requester
         self.service = service
         self.scheme = scheme
@@ -166,6 +170,7 @@ class AccessGateway:
 
         The only caller of ``Resolver.resolve``, and so the only maker of attestations.
         """
+        _check_nonce(nonce, "front-desk")
         try:
             document = self._resolver.fetch(requester)
         except UNRESOLVABLE:

@@ -16,10 +16,12 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)  # what json.dumps builds per call
+
 
 def canonical_json_bytes(obj: Any) -> bytes:
     """Encode ``obj`` as canonical JSON bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def sha256_hex(data: bytes) -> str:

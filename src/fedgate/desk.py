@@ -96,7 +96,7 @@ def build_desk(
     tokens = itertools.count(1)
     engine = ContractEngine(
         chain,
-        document_lookup=lambda did: registry.get(did) if did in registry else None,
+        document_lookup=registry.find,
         claim_checker=make_claim_checker(resolver, trusted_issuers),
         clock=clock,
         token_bytes=lambda: _sha256(f"token:{seed}:{next(tokens)}")[:16],

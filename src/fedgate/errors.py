@@ -49,9 +49,12 @@ def from_camel_keys(cls, data: object, what: str, **readers):
     """
     names = _camel_names(cls)
     check_keys(data, what, names.keys())
-    values = {names[key]: value for key, value in data.items()}
+    values = {}
     try:
-        return cls(**{n: readers[n](v) if n in readers else v for n, v in values.items()})
+        for key, value in data.items():
+            name = names[key]
+            values[name] = readers[name](value) if name in readers else value
+        return cls(**values)
     except TypeError as error:  # a required key is absent, or a value has the wrong shape
         raise ValidationError(f"malformed {what}: {error}") from None
 

@@ -8,7 +8,7 @@ lowercase alphanumeric method name, and a method-specific id drawn from
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ValidationError
 
@@ -20,6 +20,7 @@ _SPECIFIC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 class DidIdentifier:
     method: str
     specific_id: str
+    _text: str = field(init=False, repr=False, compare=False)  # ``str()``, formatted once
 
     def __post_init__(self) -> None:
         if not _METHOD_RE.match(self.method):
@@ -30,9 +31,10 @@ class DidIdentifier:
             raise ValidationError(
                 f"specific id may only use [A-Za-z0-9._-], got {self.specific_id!r}"
             )
+        object.__setattr__(self, "_text", f"did:{self.method}:{self.specific_id}")
 
     def __str__(self) -> str:
-        return f"did:{self.method}:{self.specific_id}"
+        return self._text
 
 
 def parse_did(text: str) -> DidIdentifier:

@@ -36,6 +36,7 @@ class UnknownDidError(FedGateError):
 class DidRegistry:
     def __init__(self, recorder: Callable[[str, dict, str], str]):
         self._documents: dict[str, DidDocument] = {}
+        self.find = self._documents.get  # the document under exactly a DID's text, or None
         self._profiles: dict[str, str] = {}
         self._log: list[dict] = []
         self._recorder = recorder
@@ -47,10 +48,10 @@ class DidRegistry:
         return str(did) in self._documents
 
     def get(self, did: DidIdentifier | str) -> DidDocument:
-        try:
-            return self._documents[str(did)]
-        except KeyError:
-            raise UnknownDidError(f"no document registered for {did}") from None
+        document = self.find(str(did))
+        if document is None:
+            raise UnknownDidError(f"no document registered for {did}")
+        return document
 
     def register(self, document: DidDocument, profile_hash: str) -> str:
         """Store a fresh document at version 1; returns the recorder receipt."""

@@ -1,15 +1,16 @@
 """Driver-mediated DID resolution, with signed attestations at the front desk.
 
 The resolver keeps a route table from DID method to driver backend.
-``fetch`` routes a DID to its driver and returns the latest document
-unsigned; every in-process reader (the contract path, claim checks, the
-user-lookup submit step) uses it, since a signature the same process
-makes and checks proves nothing. ``resolve`` attests to a document the
-caller has just fetched: an Ed25519 signature by the resolver over
-``canonical document bytes ‖ request nonce``. Only the front desk calls it,
-because only there does the attestation leave the desk: the requester is
-never shown the document, forwards the attestation, and the gateway checks
-it against the document it fetches itself.
+``fetch`` returns the latest document unsigned, found by its DID's text or,
+for a text no driver holds, routed by its parsed method; every in-process
+reader (the contract path, claim checks, the user-lookup submit step) uses
+it, since a signature the same process makes and checks proves nothing.
+``resolve`` attests to a document the caller has just fetched: an Ed25519
+signature by the resolver over ``canonical document bytes ‖ request nonce``.
+Only the front desk calls it, because only there does the attestation leave
+the desk: the requester is never shown the document, forwards the
+attestation, and the gateway checks it against the document it fetches
+itself.
 
 That check is ``Resolver.verify``, and it signs nothing: the resolver keeps
 each attestation it issues, by nonce, in one table of at most
@@ -59,10 +60,8 @@ class RegistryDriver:
     """Backend that serves documents straight from a :class:`DidRegistry`."""
 
     def __init__(self, registry: DidRegistry):
-        self._registry = registry
-
-    def fetch(self, did: DidIdentifier) -> DidDocument:
-        return self._registry.get(did)
+        self.fetch = registry.get
+        self.find = registry.find
 
 
 class Resolver:
@@ -73,14 +72,20 @@ class Resolver:
         self._issued: OrderedDict[bytes, Attestation] = OrderedDict()
 
     def register_driver(self, method: str, driver) -> None:
-        if not method:
-            raise ValidationError("driver method must be non-empty")
         if method in self._drivers:
             raise ValidationError(f"a driver for method {method!r} already exists")
         self._drivers[method] = driver
 
     def fetch(self, did: DidIdentifier | str) -> DidDocument:
-        """The latest document from the method's driver, with no attestation."""
+        """The latest document from the method's driver, with no attestation.
+
+        A text a driver's ``find`` holds goes unparsed; any other is parsed,
+        so a refusal names its defect.
+        """
+        for method, driver in self._drivers.items():
+            document = driver.find(str(did))
+            if document is not None and document.id.method == method:
+                return document
         identifier = parse_did(did) if isinstance(did, str) else did
         driver = self._drivers.get(identifier.method)
         if driver is None:
@@ -93,7 +98,6 @@ class Resolver:
         Signs, so only the front desk calls it, after its fetch and its rate
         limit; in-process readers only ``fetch``.
         """
-        nonce = bytes(nonce)
         attestation = self._issued[nonce] = Attestation(
             did=str(document.id),
             nonce=nonce,

@@ -135,6 +135,9 @@ class AccessOutcome:
     tx_id: str | None = None
 
 
+GRANTED = AccessOutcome("granted", "all-claims-valid")
+
+
 class ContractEngine:
     """Deploys policies, one per service, and evaluates documents against them.
 
@@ -213,7 +216,7 @@ class ContractEngine:
                 missing.append(requirement.claim_type)
         if missing:
             return AccessOutcome("denied", "missing-claims", tuple(missing))
-        return AccessOutcome("granted", "all-claims-valid")
+        return GRANTED
 
     def execute(self, contract: AccessPolicyContract, document, request_ref: str) -> AccessOutcome:
         """Evaluate at the engine's clock and seal the verdict; grants mint a token.

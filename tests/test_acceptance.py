@@ -10,6 +10,7 @@ import json
 import time
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 
@@ -489,8 +490,8 @@ def test_10_failover_determinism(tmp_path):
     swapped = run("swapped", [FaultEvent(5, "node-001")], standby_clients=1)
     excluded = run("excluded", [FaultEvent(5, "node-001")])
 
-    ref_weights = json.loads(open(reference.model_address).read())["weights"]
-    swap_weights = json.loads(open(swapped.model_address).read())["weights"]
+    ref_weights = json.loads(Path(reference.model_address).read_text())["weights"]
+    swap_weights = json.loads(Path(swapped.model_address).read_text())["weights"]
     bitwise_equal = (
         np.array(ref_weights).tobytes() == np.array(swap_weights).tobytes()
     )

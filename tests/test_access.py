@@ -25,6 +25,8 @@ from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
 from fedgate.errors import FedGateError, ValidationError
 from fedgate.identity import DidDocument, PublicKeyEntry
+from fedgate.identity import did as did_module
+from fedgate.identity import document as document_module
 from fedgate.identity import resolver as resolver_module
 from fedgate.identity.resolver import ISSUED_ATTESTATIONS
 from fedgate.identity.registry import UnknownDidError
@@ -437,12 +439,49 @@ def qualified_user(stack, name="alice"):
 
 @pytest.mark.parametrize(
     "scheme, nonce",
-    [("oauth", b"\x01" * 16), (SCHEME_CONTRACT_LOOKUP, b"\x01" * 15), (SCHEME_USER_LOOKUP, b"\x01" * 17)],
-    ids=["unknown-scheme", "15-byte-nonce", "17-byte-nonce"],
+    [
+        ("oauth", b"\x01" * 16),
+        (SCHEME_CONTRACT_LOOKUP, b"\x01" * 15),
+        (SCHEME_USER_LOOKUP, b"\x01" * 17),
+        (SCHEME_CONTRACT_LOOKUP, "n" * 16),
+        (SCHEME_USER_LOOKUP, [1] * 16),
+        (SCHEME_CONTRACT_LOOKUP, bytearray(16)),
+    ],
+    ids=[
+        "unknown-scheme",
+        "15-byte-nonce",
+        "17-byte-nonce",
+        "16-character-str-nonce",
+        "16-item-list-nonce",
+        "bytearray-nonce",
+    ],
 )
 def test_access_request_refuses_an_unknown_scheme_or_a_nonce_not_16_bytes(scheme, nonce):
     with pytest.raises(ValidationError):
         AccessRequest("did:efed:alice", "fl-study", scheme, nonce)
+
+
+@pytest.mark.parametrize(
+    "nonce",
+    [5, b"", b"\x01" * 3, "n" * 16, b"\x01" * 17],
+    ids=["int", "empty-bytes", "3-byte", "16-character-str", "17-byte"],
+)
+def test_front_desk_refuses_a_nonce_not_16_bytes_before_fetch_limit_or_sign(monkeypatch, nonce):
+    stack = Stack(front_desk_per_minute=1)
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    steps = []
+    for name in ("fetch", "resolve"):
+        step = getattr(stack.resolver, name)
+        monkeypatch.setattr(
+            stack.resolver, name, lambda *a, step=step, name=name: steps.append(name) or step(*a)
+        )
+    with pytest.raises(ValidationError, match="front-desk nonce must be 16 bytes"):
+        stack.gateway.user_lookup(alice.did, nonce)
+    assert steps == []
+    # The one front-desk slot is unspent, so a good nonce still gets its attestation.
+    assert stack.gateway.user_lookup(alice.did, stack.fresh_nonce()).ok
+    assert steps == ["fetch", "resolve"]
 
 
 def test_a_capacity_refusal_is_one_shared_frozen_outcome():
@@ -455,6 +494,38 @@ def test_a_capacity_refusal_is_one_shared_frozen_outcome():
     assert first is second
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.reason = "changed"
+
+
+def test_an_all_valid_verdict_is_one_shared_frozen_outcome():
+    stack = Stack()
+    contract = stack.deploy_membership_policy()
+    document = stack.registry.get(qualified_user(stack).did)
+    first = stack.engine.evaluate(contract, document, stack.clock())
+    assert first.decision == "granted"
+    assert stack.engine.evaluate(contract, document, stack.clock()) is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.reason = "changed"
+
+
+@pytest.mark.parametrize("scheme", ["contract_lookup", "user_lookup"])
+def test_a_members_grant_parses_no_did(monkeypatch, scheme):
+    stack = Stack()
+    stack.deploy_membership_policy()
+    alice = qualified_user(stack)
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return did_module.parse_did(text)
+
+    for module in (resolver_module, document_module):
+        monkeypatch.setattr(module, "parse_did", counting_parse)
+    request = stack.request_a if scheme == SCHEME_CONTRACT_LOOKUP else stack.request_b
+    assert request(alice.did).decision == "granted"
+    assert parsed == []
+    # A DID no driver holds is still parsed, so its refusal can name its defect.
+    assert stack.request_a("did:efed:ghost").reason == "unresolvable"
+    assert parsed == ["did:efed:ghost"]
 
 
 def test_scheme_a_grant_happy_path():
@@ -513,6 +584,19 @@ def test_grant_store_evicts_expired_grants():
     assert len(stack.gateway.grants) == 201
     stack.clock.advance(7200)
     latest = stack.request_a(member.did).grant
+    assert len(stack.gateway.grants) == 1
+    assert stack.gateway.grants.validate(latest.token, stack.clock()) == latest
+
+
+def test_grant_store_drops_a_grant_that_expires_at_the_current_second():
+    stack = Stack()
+    stack.deploy_membership_policy()
+    member = stack.register_actor("member")
+    stack.issuer.issue(member.did, "consortium_member", "yes", 86_400)
+    first = stack.request_a(member.did).grant
+    stack.clock.advance(first.expires_at - stack.clock())
+    latest = stack.request_a(member.did).grant
+    assert stack.clock() == first.expires_at
     assert len(stack.gateway.grants) == 1
     assert stack.gateway.grants.validate(latest.token, stack.clock()) == latest
 

@@ -54,6 +54,14 @@ def test_parse_three_parts():
     assert str(did) == "did:efed:alice01"
 
 
+def test_identifier_text_is_formatted_once_and_is_no_part_of_its_value():
+    did = DidIdentifier("efed", "alice01")
+    assert str(did) is str(did)  # a field read, not a new string per call
+    assert repr(did) == "DidIdentifier(method='efed', specific_id='alice01')"
+    assert did == parse_did("did:efed:alice01") and hash(did) == hash(parse_did("did:efed:alice01"))
+    assert did != DidIdentifier("efed", "alice02")
+
+
 def test_parse_error_variants():
     with pytest.raises(ValidationError, match="scheme must be 'did'"):
         parse_did("urn:efed:alice01")
@@ -222,7 +230,7 @@ def test_seed_7_demo_documents_store_their_canonical_encoding(tmp_path, monkeypa
     out = tmp_path / "demo"
     scenario.run_demo(scenario.ScenarioConfig(out_dir=str(out), seed=7))
     replayed = DidRegistry.replay_log(out / "identity.jsonl", receipt)
-    ids = {json.loads(line)["document"]["id"] for line in (out / "identity.jsonl").open()}
+    ids = {json.loads(line)["document"]["id"] for line in (out / "identity.jsonl").read_text().splitlines()}
     assert len(ids) == len(desks[0].registry) > 2
     for did in ids:
         live = desks[0].registry.get(did)
@@ -556,6 +564,9 @@ class LoopbackDriver:
     def fetch(self, did):
         return self._document
 
+    def find(self, text):
+        return None  # holds nothing by text, so each fetch routes by the parsed method
+
 
 def test_driver_routing_is_per_method():
     registry, resolver = make_resolver()
@@ -572,6 +583,35 @@ def test_driver_routing_is_per_method():
     assert resolver.fetch("did:loop:probe") == other
     with pytest.raises(ValidationError):
         resolver.register_driver("efed", loop)
+
+
+def test_fetch_finds_a_held_text_only_under_its_own_methods_driver():
+    registry, resolver = make_resolver()
+    stray, _ = make_document("probe", method="loop", seed=3)
+    registry.register(stray, profile_hash="stray")  # the efed driver's registry holds a loop DID
+    other, _ = make_document("probe", method="loop", seed=4)
+    resolver.register_driver("loop", LoopbackDriver(other))
+    assert resolver.fetch("did:loop:probe") == other
+    assert resolver.fetch(stray.id) == other
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x", ValidationError, "expected three colon-separated parts, got 1 in 'x'"),
+        ("did:efed", ValidationError, "expected three colon-separated parts, got 2 in 'did:efed'"),
+        ("did:EFED:a", ValidationError, "method must be lowercase alphanumeric, got 'EFED'"),
+        ("did:efed:bad id", ValidationError, "specific id may only use [A-Za-z0-9._-], got 'bad id'"),
+        ("did:efed:nobody", UnknownDidError, "no document registered for did:efed:nobody"),
+        ("did:web:a", UnknownDidError, "no driver registered for method 'web'"),
+    ],
+)
+def test_fetch_refuses_a_text_no_driver_holds_naming_its_defect(text, error, message):
+    registry, resolver = make_resolver()
+    registry.register(make_document()[0], profile_hash="p")
+    with pytest.raises(error) as refused:
+        resolver.fetch(text)
+    assert type(refused.value) is error and str(refused.value) == message
 
 
 def test_distinct_nonces_distinct_attestations():

@@ -8,7 +8,7 @@ byte of a signed or hashed record moves one of them.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgate.canonical import canonical_json_bytes, sha256_hex
@@ -147,3 +147,23 @@ attestations = st.builds(
 def test_each_record_reads_back_what_its_writer_writes(record):
     written = json.loads(canonical_json_bytes(record.to_dict()))
     assert type(record).from_dict(written) == record
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**256), max_value=2**256)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example(value=-0.0)
+@example(value={"caf\u00e9\x00": [2**200, -0.0, 1e308, "\u2028\x1f\U0001f600"], "b": {"a": None}})
+def test_canonical_json_bytes_are_the_bytes_json_dumps_gives(value):
+    dumped = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert canonical_json_bytes(value) == dumped.encode()

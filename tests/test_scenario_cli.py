@@ -301,6 +301,7 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         {"seed": 1.5},
         {"qualifiedUser": 0},
         {"faultSchedule": [{"roundIndex": 2, "nodeId": "server-0", "node": "server-0"}]},
+        {"faultSchedule": 5},
     ],
     ids=[
         "owners-key",
@@ -309,6 +310,7 @@ def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
         "fractional-seed",
         "qualified-users-typo",
         "fault-event-extra-key",
+        "fault-schedule-not-a-list",
     ],
 )
 def test_cli_demo_malformed_config_exits_2(tmp_path, capsys, raw):

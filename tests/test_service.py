@@ -359,7 +359,7 @@ def test_happy_job_completes_with_artifacts(tmp_path):
     assert record.rounds_executed == 5
     rows = read_metrics_csv(record.metrics_address)
     assert [m.round_index for m in rows] == [1, 2, 3, 4, 5]
-    artifact = json.loads(open(record.model_address).read())
+    artifact = json.loads(Path(record.model_address).read_text())
     assert artifact["state"] == "completed"
     assert len(artifact["weights"]) == 2
     assert artifact["roundsExecuted"] == 5
@@ -388,7 +388,7 @@ def test_divergent_job_fails_with_cause(tmp_path):
 def run_reference(tmp_path, config):
     executor, record = submitted_job(tmp_path / "ref", config=config)
     executor.run(record, node_registry=job_fleet())
-    return json.loads(open(record.model_address).read())["weights"]
+    return json.loads(Path(record.model_address).read_text())["weights"]
 
 
 def test_client_standby_preserves_model_bits(tmp_path):
@@ -397,7 +397,7 @@ def test_client_standby_preserves_model_bits(tmp_path):
     executor, record = submitted_job(tmp_path / "faulty", config=config)
     executor.run(record, node_registry=job_fleet([FaultEvent(5, "node-001")], standby_clients=1))
     assert record.state == "completed"
-    weights = json.loads(open(record.model_address).read())["weights"]
+    weights = json.loads(Path(record.model_address).read_text())["weights"]
     assert weights == reference  # exact float repr equality via JSON round-trip
     assert np.array(weights).tobytes() == np.array(reference).tobytes()
 
@@ -419,9 +419,9 @@ def test_server_standby_resumes_bit_exact(tmp_path):
     executor.run(record, node_registry=job_fleet([FaultEvent(5, "server-0")], standby_servers=1))
     assert record.state == "completed"
     assert record.rounds_executed == 20
-    weights = json.loads(open(record.model_address).read())["weights"]
+    weights = json.loads(Path(record.model_address).read_text())["weights"]
     assert weights == reference
-    artifact = json.loads(open(record.model_address).read())
+    artifact = json.loads(Path(record.model_address).read_text())
     assert [a["kind"] for a in artifact["failover"]] == ["server-swap"]
 
 
@@ -449,7 +449,7 @@ def test_server_takeover_in_one_pass_is_bit_exact(tmp_path, schedule, kinds):
     executor, record = submitted_job(tmp_path / "faulty", config=config)
     executor.run(record, node_registry=job_fleet(schedule, standby_clients=1, standby_servers=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
-    artifact = json.loads(open(record.model_address).read())
+    artifact = json.loads(Path(record.model_address).read_text())
     assert [a["kind"] for a in artifact["failover"]] == kinds
     assert np.array(artifact["weights"]).tobytes() == np.array(reference).tobytes()
 
@@ -461,7 +461,7 @@ def test_idle_standby_fault_keeps_the_job_running(tmp_path):
     schedule = [FaultEvent(3, "standby-client-0"), FaultEvent(5, "node-001")]
     executor.run(record, node_registry=job_fleet(schedule, standby_clients=1))
     assert (record.state, record.rounds_executed) == ("completed", 20)
-    artifact = json.loads(open(record.model_address).read())
+    artifact = json.loads(Path(record.model_address).read_text())
     assert [a["kind"] for a in artifact["failover"]] == ["standby-lost", "client-excluded"]
     assert artifact["weights"] != reference  # the dead standby did not adopt node-001
 
