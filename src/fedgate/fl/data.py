@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ValidationError
 
-_PARTITION_FILE_RE = re.compile(r"^client_(?P<cid>[A-Za-z0-9._-]+)\.csv$")
+_PARTITION_FILE_RE = re.compile(r"client_(?P<cid>[A-Za-z0-9._-]+)\.csv")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def save_partition(partition: DatasetPartition, directory: Path) -> Path:
 def load_partition(path: Path) -> DatasetPartition:
     """One ``client_<id>.csv``; a cell that is not a number, a row of the wrong
     width or a row the csv module refuses is a ValidationError naming its line."""
-    match = _PARTITION_FILE_RE.match(path.name)
+    match = _PARTITION_FILE_RE.fullmatch(path.name)
     if not match:
         raise ValidationError(f"{path.name!r} does not match client_<id>.csv")
     with path.open(newline="") as fh:
@@ -203,7 +203,7 @@ def load_partitions(directory: Path) -> list[DatasetPartition]:
     """Load each ``client_<id>.csv`` in a directory, sorted by id, as rows of one
     locked pool when their headers agree."""
     directory = Path(directory)
-    paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.match(p.name))
+    paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.fullmatch(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
     fleet = as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))

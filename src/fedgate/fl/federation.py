@@ -68,12 +68,12 @@ def compute_weights(cohort: Fleet, config: FederationConfig) -> dict[str, float]
 
 def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -> np.ndarray:
     """Convex combination of client models over one cohort's ids, reduced in
-    ascending id order."""
+    ascending id order: the running sum ``acc + w * u`` from ``acc = 0``, in one
+    ``accumulate`` under a zero row (a ``reduce`` sums a one-coordinate model pairwise)."""
     ids = sorted(updates)
-    acc = np.zeros_like(updates[ids[0]])
-    for cid in ids:
-        acc = acc + weights[cid] * updates[cid]
-    return acc
+    terms = np.zeros((len(ids) + 1, len(updates[ids[0]])))
+    np.multiply(np.array([weights[c] for c in ids])[:, None], [updates[c] for c in ids], out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:

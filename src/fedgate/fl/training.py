@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import FedGateError
 from .config import FederationConfig, LossSpec
 from .data import DatasetPartition, Fleet, as_fleet
-from .losses import stacked_gradient
+from .losses import StackedGradient
 
 # A job is aborted once any weight magnitude passes this bound.
 DIVERGENCE_LIMIT = 1e6
@@ -39,20 +39,21 @@ def local_train(
     row i of the returned ``(k, p)`` array is client i's update.
 
     A cohort of several pools is packed into one first. Equally sized clients
-    train as one ``(k, n, d)`` stack that one ``take`` gathers from the pool
-    (one per epoch under minibatch), with one ``stacked_gradient`` per batch.
-    ``round_seeds`` (one per client, in cohort order) is read only under
-    minibatch: each client draws its E epochs' orders in one ``permuted`` call
-    on its seed, so its update has the same bits whichever clients share it. The input model is never
-    modified. If clients diverge, the error names the lowest id among them and
-    the first check that client failed, as training them one by one in id
-    order would. Dimensions come checked by ``check_fleet`` and ``initial_model``.
+    train as one stack: a ``StackedGradient`` gathers their rows from the pool
+    (once per epoch under minibatch) and steps them in place. ``round_seeds``
+    (one per client, in cohort order) is read only under minibatch: each
+    client draws its E epochs' orders in one ``permuted`` call on its seed, so
+    its update has the same bits whichever clients share it. The input model
+    is never modified. If clients diverge, the error names the lowest id among
+    them and the first check that client failed, as training them one by one
+    in id order would.
+    Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
     cohort = as_fleet(partitions)
     if len(cohort.pools) > 1:
         cohort = cohort.packed()
     ((pool_x, pool_y),) = cohort.pools
-    loss, minibatch = config.loss, config.batch_mode == "minibatch"
+    loss, lr, minibatch = config.loss, config.learning_rate, config.batch_mode == "minibatch"
     if minibatch:
         round_seeds = [s & 0xFFFFFFFFFFFFFFFF for s in round_seeds]
     trained = np.empty((len(cohort), model.shape[0]))
@@ -68,19 +69,26 @@ def local_train(
                 orders = np.stack([np.random.default_rng([round_seeds[i]]).permuted(epochs, axis=1) for i in members])
                 rows = orders + starts[:, None, None]  # (k, E, n) rows of the pool
             else:
-                rows = starts[:, None] + np.arange(n)
-                x, y = pool_x.take(rows, axis=0), pool_y.take(rows)
-            step = config.batch_size if minibatch else n
+                rows = (starts[:, None] + np.arange(n))[:, None]  # (k, 1, n): every epoch's rows
+            gradient = StackedGradient(weights, n, config.batch_size if minibatch else n, loss)
             for epoch in range(config.local_epochs):
-                if minibatch:
-                    x, y = pool_x.take(rows[:, epoch], axis=0), pool_y.take(rows[:, epoch])
-                for i in range(0, n, step):
-                    grad = stacked_gradient(weights, x[:, i : i + step], y[:, i : i + step], loss)
-                    if not np.isfinite(grad).all():
-                        _note(failures, ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
-                    weights -= config.learning_rate * grad
-                peak = np.abs(weights).max(axis=1)  # NaN for a row holding one, so it fails too
-                if not (peak <= DIVERGENCE_LIMIT).all():
+                if minibatch or not epoch:
+                    gradient.gather(pool_x, pool_y, rows[:, epoch])
+                epoch_start = weights.copy()
+                # A non-finite gradient leaves its row non-finite to the epoch's end (lr is
+                # finite and >= 0), so an epoch that ends with every row within the limit
+                # had none. One that does not runs again from its start, each step checked.
+                for checked in (False, True):
+                    for grad in gradient:
+                        if checked and not np.isfinite(grad).all():
+                            _note(failures, ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
+                        grad *= lr
+                        weights -= grad
+                    peak = np.abs(weights).max(axis=1)  # NaN for a row holding one, so it fails too
+                    if checked or (peak <= DIVERGENCE_LIMIT).all():
+                        break
+                    np.copyto(weights, epoch_start)
+                if checked:
                     _note(failures, ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
                     _note(failures, ids, peak > DIVERGENCE_LIMIT, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
             trained[members] = weights

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 from ..errors import ValidationError
 
-_METHOD_RE = re.compile(r"^[a-z0-9]+$")
-_SPECIFIC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_METHOD_RE = re.compile(r"[a-z0-9]+")
+_SPECIFIC_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,11 @@ class DidIdentifier:
     _text: str = field(init=False, repr=False, compare=False)  # ``str()``, formatted once
 
     def __post_init__(self) -> None:
-        if not _METHOD_RE.match(self.method):
+        if not _METHOD_RE.fullmatch(self.method):
             raise ValidationError(f"method must be lowercase alphanumeric, got {self.method!r}")
         if not self.specific_id:
             raise ValidationError("method-specific id must be non-empty")
-        if not _SPECIFIC_ID_RE.match(self.specific_id):
+        if not _SPECIFIC_ID_RE.fullmatch(self.specific_id):
             raise ValidationError(
                 f"specific id may only use [A-Za-z0-9._-], got {self.specific_id!r}"
             )

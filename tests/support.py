@@ -21,7 +21,9 @@ from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl import SyntheticSpec
 from fedgate.fl.config import LossSpec
-from fedgate.fl.losses import stacked_gradient
+from fedgate.fl.data import as_fleet
+from fedgate.fl.losses import _sigmoid
+from fedgate.fl.training import DIVERGENCE_LIMIT, TrainingDivergedError
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
 from fedgate.service.jobs import JobSpec
@@ -113,6 +115,12 @@ def reference_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """``_sigmoid``, the gradient step's sigmoid, over buffers of its own."""
+    both = np.empty((2, *z.shape))
+    return _sigmoid(z, (both, *both))
+
+
 def _checked_features(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.ndarray:
     if model.shape != (loss.parameter_dim,):
         raise ValidationError(
@@ -159,6 +167,25 @@ def mean_loss(
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
+def stacked_gradient(
+    weights: np.ndarray, features: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> np.ndarray:
+    """Each of k clients' mean-loss gradients, (k, p), from weights (k, p), features
+    (k, m, d) and labels (k, m), in fresh arrays: the products ``StackedGradient``
+    makes in its buffers, so the same bits."""
+    d = loss.feature_dim
+    z = np.matmul(features, weights[:, :d, None])[..., 0]
+    if loss.bias:
+        z += weights[:, d:]
+    r = z - labels if loss.kind == "squared_error" else reference_sigmoid(z) - labels
+    grad = np.empty_like(weights)
+    np.matmul(r[:, None, :], features, out=grad[:, None, :d])
+    if loss.bias:
+        grad[:, d] = r.sum(axis=1)
+    grad *= (2.0 if loss.kind == "squared_error" else 1.0) / features.shape[1]
+    return grad
+
+
 def gradient(
     model: np.ndarray, features: np.ndarray, labels: np.ndarray, loss: LossSpec
 ) -> np.ndarray:
@@ -166,6 +193,57 @@ def gradient(
     x = _checked_features(model, features, loss)
     y = np.asarray(labels, dtype=np.float64)
     return stacked_gradient(model[None], x[None], y[None], loss)[0]
+
+
+def reference_local_train(model, partitions, config, round_seeds) -> np.ndarray:
+    """What ``local_train`` must return or raise, from a fresh ``stacked_gradient``
+    per batch, a fresh gather per epoch and every check after every step: a
+    non-finite gradient as it happens, the weights at each epoch's end."""
+    cohort = as_fleet(partitions)
+    if len(cohort.pools) > 1:
+        cohort = cohort.packed()
+    ((pool_x, pool_y),) = cohort.pools
+    loss, minibatch = config.loss, config.batch_mode == "minibatch"
+    if minibatch:
+        round_seeds = [s & 0xFFFFFFFFFFFFFFFF for s in round_seeds]
+    trained = np.empty((len(cohort), model.shape[0]))
+    failures: dict[str, str] = {}
+
+    def note(ids, bad, detail):  # each client's first failed check
+        for i in np.flatnonzero(bad):
+            failures.setdefault(ids[i], detail)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
+        for n in dict.fromkeys(cohort.sizes.tolist()):
+            members = np.flatnonzero(cohort.sizes == n)
+            ids = [cohort.ids[i] for i in members]
+            starts = cohort.starts[members]
+            weights = np.tile(model, (len(members), 1))
+            if minibatch:
+                epochs = np.tile(np.arange(n), (config.local_epochs, 1))
+                orders = np.stack([np.random.default_rng([round_seeds[i]]).permuted(epochs, axis=1) for i in members])
+                rows = orders + starts[:, None, None]  # (k, E, n) rows of the pool
+            else:
+                rows = starts[:, None] + np.arange(n)
+                x, y = pool_x.take(rows, axis=0), pool_y.take(rows)
+            step = config.batch_size if minibatch else n
+            for epoch in range(config.local_epochs):
+                if minibatch:
+                    x, y = pool_x.take(rows[:, epoch], axis=0), pool_y.take(rows[:, epoch])
+                for i in range(0, n, step):
+                    grad = stacked_gradient(weights, x[:, i : i + step], y[:, i : i + step], loss)
+                    if not np.isfinite(grad).all():
+                        note(ids, ~np.isfinite(grad).all(axis=1), "non-finite gradient")
+                    weights -= config.learning_rate * grad
+                peak = np.abs(weights).max(axis=1)  # NaN for a row holding one, so it fails too
+                if not (peak <= DIVERGENCE_LIMIT).all():
+                    note(ids, ~np.isfinite(weights).all(axis=1), "non-finite weights")
+                    note(ids, peak > DIVERGENCE_LIMIT, f"weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
+            trained[members] = weights
+    if failures:
+        client_id = min(failures)
+        raise TrainingDivergedError(client_id, failures[client_id])
+    return trained
 
 
 

@@ -145,6 +145,15 @@ def test_load_partitions_sorted(tmp_path):
     assert [p.client_id for p in parts] == ["a", "b", "c"]
 
 
+def test_a_file_name_ending_in_a_newline_is_no_partition_file(tmp_path):
+    path = save_partition(DatasetPartition(client_id="a", features=np.ones((1, 2)), labels=np.zeros(1)), tmp_path)
+    path = path.rename(tmp_path / "client_a.csv\n")
+    with pytest.raises(ValidationError, match="does not match client_<id>.csv"):
+        load_partition(path)
+    with pytest.raises(ValidationError, match="no client_<id>.csv files"):
+        load_partitions(tmp_path)
+
+
 def test_loaded_partitions_are_row_views_of_one_locked_pool(tmp_path):
     rng = np.random.default_rng(3)
     saved = {}

@@ -186,6 +186,34 @@ def test_aggregate_convex_bounds_and_permutation_invariance(data):
     assert aggregate(rev_updates, rev_weights).tobytes() == out.tobytes()
 
 
+def sequential_aggregate(updates, weights):
+    """Oracle: the running sum, one weighted update at a time in ascending id order."""
+    ids = sorted(updates)
+    acc = np.zeros_like(updates[ids[0]])
+    for cid in ids:
+        acc = acc + weights[cid] * updates[cid]
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 60),
+    p=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.2, 1.0]),
+)
+@example(k=1, p=1, seed=0, zero_share=1.0)  # 0.0 + (-0.0) is +0.0, which a sum from the first term would not give
+@example(k=9, p=1, seed=0, zero_share=0.0)  # a one-weight model, which a pairwise sum would reorder
+def test_aggregate_returns_the_bytes_of_the_sequential_sum(k, p, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-8, 9, size=(k, 1))
+    rows[rng.random((k, p)) < zero_share] = -0.0
+    raw = rng.random(k) + 0.01
+    updates = {f"c{i:02d}": rows[i] for i in rng.permutation(k)}
+    weights = {f"c{i:02d}": w for i, w in enumerate(raw / raw.sum())}
+    assert aggregate(updates, weights).tobytes() == sequential_aggregate(updates, weights).tobytes()
+
+
 # ------------------------------------------------------------- federation
 
 

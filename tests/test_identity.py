@@ -77,6 +77,17 @@ def test_parse_error_variants():
         parse_did("did:efed:al ice")
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [("did:efed:alice\n", "specific id may only use"), ("did:efed\n:alice", "method must be lowercase")],
+    ids=["id", "method"],
+)
+def test_a_trailing_newline_is_no_did(text, refusal):
+    # A "$" anchor also matches before a final newline; each part must match whole.
+    with pytest.raises(ValidationError, match=refusal):
+        parse_did(text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     method=st.text(alphabet=METHOD_ALPHA, min_size=1, max_size=12),

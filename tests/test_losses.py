@@ -6,10 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from fedgate.errors import ValidationError
 from fedgate.fl import LossSpec
-from fedgate.fl.losses import _sigmoid
 from fedgate.fl.training import SIGMOID_HALF
 
-from support import gradient, mean_loss, predict, reference_sigmoid
+from support import gradient, mean_loss, predict, reference_sigmoid, sigmoid
 
 
 def finite_difference_gradient(model, x, y, spec, h=1e-6):
@@ -132,6 +131,6 @@ SIGMOID_EDGES += [_nan(bits) for bits in NAN_BITS]  # both signs, a payload, a s
 )
 @example(z=np.array(SIGMOID_EDGES * 5))  # past the SIMD width, so every lane sees each edge
 def test_sigmoid_returns_the_reference_bytes(z):
-    got, want = _sigmoid(z), reference_sigmoid(z)
+    got, want = sigmoid(z), reference_sigmoid(z)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

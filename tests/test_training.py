@@ -17,7 +17,7 @@ from fedgate.fl import (
     run_federation,
 )
 from fedgate.fl.data import as_fleet
-from fedgate.fl.losses import _sigmoid, stacked_gradient
+from fedgate.fl.losses import StackedGradient
 from fedgate.fl.training import (
     DIVERGENCE_LIMIT,
     SIGMOID_HALF,
@@ -29,7 +29,7 @@ from fedgate.fl.training import (
 )
 from fedgate.service.jobs import DataFilter, apply_filter
 
-from support import mean_loss, per_partition_scores, predict, reference_sigmoid
+from support import mean_loss, per_partition_scores, predict, reference_local_train, reference_sigmoid, sigmoid
 
 
 def make_config(**overrides):
@@ -151,6 +151,21 @@ def sequential_local_train(model, partition, config, round_seed):
     return weights
 
 
+class LabelRecorder:
+    """numpy as ``fedgate.fl.losses`` sees it, keeping client 0's labels of each
+    squared-error residual it takes (``np.subtract(scores, labels, out=...)``)."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, scores, labels, out):
+        self.batches.append(labels[0].astype(np.int64))
+        return np.subtract(scores, labels, out=out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -164,20 +179,16 @@ def test_one_draw_per_round_is_the_per_epoch_permutation_stream(seed, n, epochs,
     stream = np.stack([rng.permutation(n) for _ in range(epochs)])
     drawn = np.random.default_rng([seed]).permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
     assert drawn.dtype == stream.dtype and np.array_equal(drawn, stream)
-    # local_train hands stacked_gradient those rows in that order, batch by batch;
-    # each label is its row's index, and a zero learning rate keeps every step finite.
-    batches = []
-
-    def recording(weights, features, labels, loss):
-        batches.append(labels[0].astype(np.int64))
-        return stacked_gradient(weights, features, labels, loss)
-
+    # local_train's gradient subtracts those rows' labels in that order, batch by
+    # batch; each label is its row's index, and a zero learning rate keeps every step finite.
+    recorder = LabelRecorder()
     part = DatasetPartition(client_id="c0", features=np.zeros((n, 1)), labels=np.arange(n, dtype=float))
     config = make_config(
         local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size
     )
-    with mock.patch("fedgate.fl.training.stacked_gradient", recording):
+    with mock.patch("fedgate.fl.losses.np", recorder):
         local_train(np.zeros(1), [part], config, [seed])
+    batches = recorder.batches
     assert np.array_equal(np.concatenate(batches), stream.ravel())
     assert len(batches) == epochs * -(-n // batch_size)
 
@@ -218,6 +229,61 @@ def test_cohort_matches_per_client_oracle(kind, bias, batch_size):
         for p, seed, got in zip(parts, seeds, cohort)
     )
     assert worst <= 1e-12
+
+
+def outcome(train, model, parts, config, seeds):
+    """The bytes ``train`` returns, or the text of the divergence it raises."""
+    try:
+        return train(model, parts, config, seeds).tobytes()
+    except TrainingDivergedError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "squared_error"]),
+    bias=st.booleans(),
+    batch_size=st.none() | st.integers(1, 5),
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    scales=st.lists(st.sampled_from([1.0, 1.0, 30.0, 1e80, 1e160]), min_size=6, max_size=6),
+    learning_rate=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    epochs=st.integers(1, 4),
+    data=st.data(),
+)
+def test_local_train_returns_the_bytes_or_the_error_of_the_reference(
+    kind, bias, batch_size, sizes, scales, learning_rate, epochs, data
+):
+    # Sizes up to 12 under batches up to 5 give short last batches; large feature
+    # scales and learning rates make rows diverge, in any epoch and at any step.
+    config = cohort_config(kind, bias, batch_size, local_epochs=epochs, learning_rate=learning_rate)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = data.draw(st.permutations(range(len(sizes))))
+    parts = [
+        DatasetPartition(f"c{i}", rng.normal(size=(n, 4)) * scale, (rng.random(n) > 0.5).astype(float))
+        for i, n, scale in zip(ids, sizes, scales)
+    ]
+    model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
+    seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
+    args = model, parts, config, seeds
+    assert outcome(local_train, *args) == outcome(reference_local_train, *args)
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("b", "a")], ids=["exceeding-client-first", "overflowing-client-first"])
+def test_a_failed_epoch_is_replayed_from_its_start_with_every_step_checked(names):
+    # Squared error, y = 0, lr 0.5, one row a step, two steps an epoch: each step
+    # scales a weight by 1 - x^2, from 1e-300. At x^2 = 1e150 a client ends epoch 1
+    # at 1 and epoch 2 at 1e300, past 1e6 but finite; from there its gradient would
+    # overflow. At x^2 = 10^152.5 a client ends epoch 1 at 1e5, and its gradient
+    # overflows at epoch 2's second step. The error names whichever holds the lower
+    # id, with the reference's detail: not the "non-finite weights" the epoch's
+    # end finds, nor the "non-finite gradient" a replay from that end would find.
+    config = cohort_config("squared_error", False, 1, local_epochs=2, learning_rate=0.5)
+    exceeding = DatasetPartition(names[0], np.full((2, 4), 1e75 / 2), np.zeros(2))
+    overflowing = DatasetPartition(names[1], np.full((2, 4), 10**76.25 / 2), np.zeros(2))
+    args = np.full(4, 1e-300), [exceeding, overflowing], config, [0, 0]
+    expected = "weight magnitude exceeded 1e+06" if names[0] == "a" else "non-finite gradient"
+    assert outcome(reference_local_train, *args) == f"training diverged on client 'a': {expected}"
+    assert outcome(local_train, *args) == outcome(reference_local_train, *args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,6 +331,30 @@ def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows)
     with pytest.raises(TrainingDivergedError) as alone:
         local_train(model, [early], config, [0])
     assert (alone.value.client_id, str(alone.value).endswith("exceeded 1e+06")) == ("b", True)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_error"])
+@pytest.mark.parametrize("bias", [False, True])
+def test_a_training_step_makes_no_array(kind, bias):
+    # 20 clients, batches of 50: each (k, m) array is 8,000 bytes. A step makes
+    # views and ufunc iterators only; with a bias, numpy's iterator for the
+    # broadcast add of each client's bias takes scratch of one (k, m) array.
+    rng = np.random.default_rng(4)
+    loss = LossSpec(kind=kind, feature_dim=20, bias=bias)
+    weights = rng.normal(size=(20, loss.parameter_dim))
+    gradient = StackedGradient(weights, 100, 50, loss)
+    gradient.gather(rng.normal(size=(500, 20)), (rng.random(500) > 0.5).astype(float), rng.integers(0, 500, (20, 100)))
+    steps = iter(gradient)
+    next(steps)
+    tracemalloc.start()
+    try:
+        grad = next(steps)
+        grad *= 0.1
+        weights -= grad
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 + (8000 if bias else 0)
 
 
 def test_run_federation_trains_each_round_in_one_call(monkeypatch):
@@ -403,8 +493,8 @@ def test_accuracy_threshold_is_exactly_p_at_least_one_half():
     # _sigmoid returns exactly 0.5 down to z = -1e-17, and less from -5.6e-17 on.
     spec = LossSpec(kind="logistic", feature_dim=1)
     scores = np.array([0.0, -0.0, -1e-17, -5.6e-17, -1e-15])
-    assert _sigmoid(scores).tolist()[:3] == [0.5, 0.5, 0.5]
-    assert np.all(_sigmoid(scores[3:]) < 0.5)
+    assert sigmoid(scores).tolist()[:3] == [0.5, 0.5, 0.5]
+    assert np.all(sigmoid(scores[3:]) < 0.5)
     for i, z in enumerate(scores):
         positive = i < 3
         one = np.array([z])
@@ -417,8 +507,8 @@ def test_accuracy_threshold_is_exactly_p_at_least_one_half():
 def test_sigmoid_half_is_the_least_score_sigmoid_rounds_to_one_half(n):
     # numpy's exp runs 1,000 samples through its SIMD body and 1 through its
     # remainder lanes; a numpy whose exp moves this boundary fails here.
-    assert np.all(_sigmoid(np.full(n, SIGMOID_HALF)) >= 0.5)
-    assert np.all(_sigmoid(np.full(n, np.nextafter(SIGMOID_HALF, -np.inf))) < 0.5)
+    assert np.all(sigmoid(np.full(n, SIGMOID_HALF)) >= 0.5)
+    assert np.all(sigmoid(np.full(n, np.nextafter(SIGMOID_HALF, -np.inf))) < 0.5)
 
 
 EDGE_SCORES = [0.0, -0.0, 745.0, -745.0, SIGMOID_HALF]
@@ -448,7 +538,7 @@ def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
     # softplus, so the drift is counted in ulps of the terms, not of their difference.
     drift = abs(global_loss(z, y, spec) - np.mean(softplus - y * z))
     assert drift <= 4 * np.spacing(np.mean(softplus + np.abs(y * z)))
-    hits = np.count_nonzero((_sigmoid(z) >= 0.5) == (y >= 0.5))
+    hits = np.count_nonzero((sigmoid(z) >= 0.5) == (y >= 0.5))
     assert training_accuracy(z, y, spec) == hits / len(z)
 
 
