@@ -3,8 +3,10 @@ trusted issuer and a policy owner, under the short names the tests call, and
 one access request under each scheme), the ledger readers only tests need,
 the hex regex that ``canonical.from_hex`` is held to, the reference sigmoid
 that ``_sigmoid`` is held to bit for bit, the one-model loss oracles that
-``FleetScores``, ``global_loss``, ``training_accuracy`` and
-``stacked_gradient`` are held to, the per-client generator that
+``FleetScores``, ``global_loss`` and ``training_accuracy`` are held to, the
+allocating per-step trainer that ``local_train`` is held to bit for bit (with
+its ``stacked_gradient``, whose one-model case is the gradient oracle), the
+per-client generator that
 ``generate_partitions`` is held to bit for bit, and the total weighted
 completion time that ``wsjf_order`` is held to (acceptance criterion 09)."""
 
