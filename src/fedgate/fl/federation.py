@@ -28,12 +28,18 @@ from .training import (
 )
 
 
+# The most rows a job may step through (rounds x K x E x the largest client's
+# rows), 50 times a bench job's; it also bounds a round's E x n keys per client.
+MAX_JOB_ROWS = 10_000_000
+
+
 def _seed_key(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
 def client_round_seed(rng_seed: int, round_index: int, client_id: str) -> int:
-    """Stable per-(round, client) seed for local minibatch shuffling."""
+    """Stable per-(round, client) seed for local minibatch shuffling, from a
+    SHA-256: ``training.epoch_orders`` expands it into the client's epoch orders."""
     digest = hashlib.sha256(
         b"%d:%d:%s" % (_seed_key(rng_seed), round_index, client_id.encode("utf-8"))
     ).digest()
@@ -78,7 +84,8 @@ def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -
 
 def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
     """``fleet`` sorted by id, checked against ``config``: one client per
-    configured client, each once, of the loss spec's dimension."""
+    configured client, each once, of the loss spec's dimension, and at most
+    ``MAX_JOB_ROWS`` rows stepped through over the job."""
     if not all(a < b for a, b in zip(fleet.ids, fleet.ids[1:])):  # sorted, an id held twice is adjacent
         fleet = fleet.select(sorted(range(len(fleet)), key=fleet.ids.__getitem__))
         if any(a == b for a, b in zip(fleet.ids, fleet.ids[1:])):
@@ -88,6 +95,11 @@ def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
     d = fleet.pools[fleet.owners[0]][0].shape[1]  # every pool a client uses has it
     if d != config.loss.feature_dim:
         raise ValidationError(f"partition feature dimension {d} does not match loss spec {config.loss.feature_dim}")
+    rows = config.total_rounds * config.subset_size * config.local_epochs * int(fleet.sizes.max())
+    if rows > MAX_JOB_ROWS:
+        raise ValidationError(
+            f"total_rounds x subset_size x local_epochs x the largest client's rows is {rows}, over {MAX_JOB_ROWS}"
+        )
     return fleet
 
 

@@ -55,7 +55,7 @@ class StackedGradient:
             scores, both = z[cells].reshape(k, m, 1), e[2 * cells.start : 2 * cells.stop].reshape(2, k, m)
             sigmoid = (both, *both) if logistic else None
             x, y, scale = self._x[cells].reshape(k, m, d), self._y[cells].reshape(k, m), (1.0 if logistic else 2.0) / m
-            self._batches.append((x, y, scores, scores[..., 0], scores[:, None, :, 0], sigmoid, scale))
+            self._batches.append((x, y, scores, scores[..., 0], scores[:, None, :, 0], both[0], sigmoid, scale))
 
     def gather(self, pool_x: np.ndarray, pool_y: np.ndarray, rows: np.ndarray) -> None:
         """Take the features and labels at ``rows`` (k, n) of the pool, in batch order."""
@@ -64,10 +64,12 @@ class StackedGradient:
         pool_y.take(order, out=self._y, mode="clip")
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        for x, y, scores, z, r, sigmoid, scale in self._batches:
+        for x, y, scores, z, r, bias_rows, sigmoid, scale in self._batches:
             np.matmul(x, self._w, out=scores)
             if self._bias is not None:
-                z += self._bias[0]
+                # copyto broadcasts without the (k, m) scratch a broadcast add takes
+                np.copyto(bias_rows, self._bias[0])
+                z += bias_rows
             np.subtract(z if sigmoid is None else _sigmoid(z, sigmoid), y, out=z)  # the residual, r in (k, 1, m)
             np.matmul(r, x, out=self._grad_w)
             if self._bias is not None:

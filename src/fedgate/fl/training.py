@@ -41,9 +41,10 @@ def local_train(
     A cohort of several pools is packed into one first. Equally sized clients
     train as one stack: a ``StackedGradient`` gathers their rows from the pool
     (once per epoch under minibatch) and steps them in place. ``round_seeds``
-    (one per client, in cohort order) is read only under minibatch: each
-    client draws its E epochs' orders in one ``permuted`` call on its seed, so
-    its update has the same bits whichever clients share it. The input model
+    (one per client, in cohort order) is read only under minibatch, where
+    ``epoch_orders`` draws every client's E epoch orders of a size group at
+    once; each client's orders come from its own seed alone, so its update has
+    the same bits whichever clients share it. The input model
     is never modified. If clients diverge, the error names the lowest id among
     them and the first check that client failed, as training them one by one
     in id order would.
@@ -55,7 +56,7 @@ def local_train(
     ((pool_x, pool_y),) = cohort.pools
     loss, lr, minibatch = config.loss, config.learning_rate, config.batch_mode == "minibatch"
     if minibatch:
-        round_seeds = [s & 0xFFFFFFFFFFFFFFFF for s in round_seeds]
+        round_seeds = np.array([s & 0xFFFFFFFFFFFFFFFF for s in round_seeds], dtype=np.uint64)
     trained = np.empty((len(cohort), model.shape[0]))
     failures: dict[str, str] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
@@ -65,9 +66,8 @@ def local_train(
             starts = cohort.starts[members]
             weights = np.tile(model, (len(members), 1))
             if minibatch:
-                epochs = np.tile(np.arange(n), (config.local_epochs, 1))
-                orders = np.stack([np.random.default_rng([round_seeds[i]]).permuted(epochs, axis=1) for i in members])
-                rows = orders + starts[:, None, None]  # (k, E, n) rows of the pool
+                rows = epoch_orders(round_seeds[members], config.local_epochs, n)
+                rows += starts[:, None, None]  # (k, E, n) rows of the pool
             else:
                 rows = (starts[:, None] + np.arange(n))[:, None]  # (k, 1, n): every epoch's rows
             gradient = StackedGradient(weights, n, config.batch_size if minibatch else n, loss)
@@ -96,6 +96,33 @@ def local_train(
         client_id = min(failures)
         raise TrainingDivergedError(client_id, failures[client_id])
     return trained
+
+
+def epoch_orders(seeds: np.ndarray, epochs: int, n: int) -> np.ndarray:
+    """Each uint64 seed's ``epochs`` orders of ``range(n)``, (k, epochs, n) int64.
+
+    An epoch sorts the seed's next n SplitMix64 (Steele, Lea and Flood, OOPSLA
+    2014) outputs with their low b = max(1, (n - 1).bit_length()) bits replaced
+    by the row, so its keys are distinct and its order is unique whatever sort
+    numpy runs. The arithmetic stays on arrays, which wrap where scalars warn.
+    """
+    keys = np.arange(1, epochs * n + 1, dtype=np.uint64)
+    keys *= 0x9E3779B97F4A7C15
+    keys = np.add(seeds[:, None], keys)  # the states after 1 .. E*n steps
+    shifted = np.empty_like(keys)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None)):
+        np.right_shift(keys, shift, out=shifted)
+        keys ^= shifted
+        if multiplier is not None:
+            keys *= multiplier
+    low = max(1, (n - 1).bit_length())
+    keys >>= low
+    keys <<= low
+    keys = keys.reshape(len(seeds), epochs, n)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=-1)
+    keys &= (1 << low) - 1
+    return keys.view(np.int64)
 
 
 def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str) -> None:

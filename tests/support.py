@@ -5,7 +5,8 @@ the hex regex that ``canonical.from_hex`` is held to, the reference sigmoid
 that ``_sigmoid`` is held to bit for bit, the one-model loss oracles that
 ``FleetScores``, ``global_loss`` and ``training_accuracy`` are held to, the
 allocating per-step trainer that ``local_train`` is held to bit for bit (with
-its ``stacked_gradient``, whose one-model case is the gradient oracle), the
+its ``stacked_gradient``, whose one-model case is the gradient oracle, and
+the pure-Python SplitMix64 epoch orders that ``epoch_orders`` is held to), the
 per-client generator that
 ``generate_partitions`` is held to bit for bit, and the total weighted
 completion time that ``wsjf_order`` is held to (acceptance criterion 09)."""
@@ -197,6 +198,29 @@ def gradient(
     return stacked_gradient(model[None], x[None], y[None], loss)[0]
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 (Steele, Lea and Flood, OOPSLA
+    2014) from ``seed``, in Python integers."""
+    out, state = [], seed & _MASK64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_epoch_orders(seed: int, epochs: int, n: int) -> list[list[int]]:
+    """One client's orders of ``range(n)`` for each epoch: epoch e sorts the
+    rows by the high 64 - b bits of outputs e*n .. e*n + n - 1 of its seed's
+    SplitMix64 stream, b = max(1, (n - 1).bit_length()), a tie by row index."""
+    keys, low = splitmix64(seed, epochs * n), max(1, (n - 1).bit_length())
+    return [sorted(range(n), key=lambda j: (keys[e * n + j] >> low, j)) for e in range(epochs)]
+
+
 def reference_local_train(model, partitions, config, round_seeds) -> np.ndarray:
     """What ``local_train`` must return or raise, from a fresh ``stacked_gradient``
     per batch, a fresh gather per epoch and every check after every step: a
@@ -222,8 +246,7 @@ def reference_local_train(model, partitions, config, round_seeds) -> np.ndarray:
             starts = cohort.starts[members]
             weights = np.tile(model, (len(members), 1))
             if minibatch:
-                epochs = np.tile(np.arange(n), (config.local_epochs, 1))
-                orders = np.stack([np.random.default_rng([round_seeds[i]]).permuted(epochs, axis=1) for i in members])
+                orders = np.array([reference_epoch_orders(round_seeds[i], config.local_epochs, n) for i in members])
                 rows = orders + starts[:, None, None]  # (k, E, n) rows of the pool
             else:
                 rows = starts[:, None] + np.arange(n)

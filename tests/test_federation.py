@@ -13,7 +13,15 @@ from fedgate.fl import (
     run_federation,
 )
 from fedgate.fl.data import as_fleet
-from fedgate.fl.federation import aggregate, client_round_seed, compute_weights, initial_model, select_clients
+from fedgate.fl.federation import (
+    MAX_JOB_ROWS,
+    aggregate,
+    check_fleet,
+    client_round_seed,
+    compute_weights,
+    initial_model,
+    select_clients,
+)
 
 from support import gradient
 
@@ -330,6 +338,18 @@ def test_a_fleet_with_an_id_twice_is_refused():
     config = make_config(total_clients=2)
     with pytest.raises(ValidationError, match="duplicate client ids"):
         run_federation(config, [sized_partition("a", 2), sized_partition("a", 3)])
+
+
+@pytest.mark.parametrize("epochs, accepted", [(MAX_JOB_ROWS // 100, True), (MAX_JOB_ROWS // 100 + 1, False)])
+def test_a_job_steps_through_at_most_max_job_rows(epochs, accepted):
+    # 2 rounds x 2 of 2 clients x E epochs x 25 rows, the largest client's: 100 E rows.
+    fleet = as_fleet([sized_partition("a", 3), sized_partition("b", 25)])
+    config = make_config(total_rounds=2, local_epochs=epochs)
+    if accepted:
+        assert check_fleet(config, fleet) is fleet
+    else:
+        with pytest.raises(ValidationError, match=f"largest client's rows is {100 * epochs}, over {MAX_JOB_ROWS}"):
+            check_fleet(config, fleet)
 
 
 @pytest.mark.parametrize("batch_mode, batch_size, derived", [("full", None, 0), ("minibatch", 2, 12)])

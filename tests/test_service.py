@@ -738,6 +738,66 @@ def test_submit_rejects_config_filter_mismatch(tmp_path):
     assert response.status == 400
 
 
+@pytest.mark.parametrize("epochs", [10**12, 2**62], ids=["memory-error", "value-error"])
+def test_a_job_past_the_row_bound_answers_400_and_never_runs(tmp_path, epochs):
+    # Accepted, these raised MemoryError and ValueError out of JobExecutor.run from
+    # the epoch orders' allocation, and the job read "running" from then on.
+    stack, service, api, token = service_stack(tmp_path)
+    config = job_config(local_epochs=epochs, batch_mode="minibatch", batch_size=5)
+    response = api.handle(
+        "POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body={"config": config.to_dict()}
+    )
+    rows = 5 * 2 * epochs * 30
+    assert (response.status, response.body) == (
+        400,
+        {"error": f"total_rounds x subset_size x local_epochs x the largest client's rows is {rows}, over 10000000"},
+    )
+    assert service.run_next(node_registry=job_fleet()) is None
+
+
+def test_every_job_run_next_starts_ends_in_a_final_state(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    ids = ("000", "001", "002", "003")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clients=st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True),
+        cap=st.none() | st.integers(1, 30),
+        kind=st.sampled_from(["logistic", "squared_error"]),
+        bias=st.booleans(),
+        batch_size=st.none() | st.integers(1, 40),
+        learning_rate=st.sampled_from([0.0, 0.5, 30.0, 1e300]),
+        initial=st.none() | st.sampled_from([0.0, 1e7, -1e300]),
+        data=st.data(),
+    )
+    def check(clients, cap, kind, bias, batch_size, learning_rate, initial, data):
+        loss = LossSpec(kind=kind, feature_dim=2, bias=bias)
+        config = FederationConfig(
+            total_rounds=data.draw(st.integers(1, 6)),
+            total_clients=len(clients),
+            subset_size=data.draw(st.integers(1, len(clients))),
+            local_epochs=data.draw(st.integers(1, 30)),
+            learning_rate=learning_rate,
+            loss=loss,
+            rng_seed=data.draw(st.integers(-(2**70), 2**70)),
+            batch_mode="full" if batch_size is None else "minibatch",
+            batch_size=batch_size,
+            weighting=data.draw(st.sampled_from(["proportional", "uniform"])),
+            initial_weights=None if initial is None else (initial,) * loss.parameter_dim,
+        )
+        record = service.submit_job(
+            token,
+            config,
+            estimated_runtime=1.0,
+            priority_weight=1.0,
+            data_filter=DataFilter(client_ids=tuple(clients), max_samples_per_client=cap),
+        )
+        assert service.run_next(node_registry=job_fleet()) is record
+        assert record.state in ("completed", "terminated_early", "failed")
+
+    check()
+
+
 def test_filtered_job_runs_on_subset(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     config = job_config(total_clients=2, subset_size=2)
