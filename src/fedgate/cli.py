@@ -21,7 +21,7 @@ from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import build_desk
 from .errors import FedGateError, ValidationError
-from .fl import SyntheticSpec, read_metrics_csv, write_dataset
+from .fl import SyntheticSpec, write_dataset
 from .ledger import load_chain
 from .scenario import DEFAULT_SEED, START_TIME, ScenarioConfig, run_demo
 
@@ -113,19 +113,6 @@ def _explain_decision(blocks, ref: str) -> int:
     return EXIT_DOMAIN
 
 
-def cmd_plot_metrics(args: argparse.Namespace) -> int:
-    rows = read_metrics_csv(Path(args.metrics))
-    if not rows:
-        raise ValidationError("metrics file has no data rows")
-    out = Path(args.out) if args.out else Path(args.metrics).with_suffix(".dat")
-    lines = ["# round global_loss train_accuracy"]
-    for row in rows:
-        lines.append(f"{row.round_index} {row.global_loss!r} {row.train_accuracy!r}")
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} points to {out}")
-    return EXIT_OK
-
-
 def cmd_import_legacy(args: argparse.Namespace) -> int:
     accounts = read_accounts_csv(Path(args.accounts))
 
@@ -186,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", default=None, metavar="REF", help="print one access decision, by its requestRef or txId"
     )
     verify.set_defaults(func=cmd_verify_chain)
-
-    plot = sub.add_parser("plot-metrics", help="turn a metrics CSV into a gnuplot-ready series")
-    plot.add_argument("metrics", help="metrics CSV file")
-    plot.add_argument("--out", default=None, help="output .dat path")
-    plot.set_defaults(func=cmd_plot_metrics)
 
     legacy = sub.add_parser(
         "import-legacy",

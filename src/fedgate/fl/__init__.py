@@ -1,7 +1,7 @@
 """Federated learning core: losses, local training, selection, aggregation."""
 
 from .config import FederationConfig, LossSpec
-from .data import DatasetPartition, Fleet, as_fleet, load_partitions
+from .data import DatasetPartition, Fleet, load_partitions
 from .datagen import SyntheticSpec, generate_partitions, write_dataset
 from .federation import check_fleet, run_federation
-from .metrics import CsvMetricsWriter, RoundMetrics, read_metrics_csv
+from .metrics import CsvMetricsWriter, RoundMetrics

@@ -28,9 +28,6 @@ class DatasetPartition:
     labels: np.ndarray = field(repr=False)
     feature_names: tuple[str, ...] = ()
     label_name: str = "label"
-    # Set only by ``Fleet.__iter__``: to ``as_fleet`` any other partition is a pool of its own.
-    _fleet: Fleet | None = field(default=None, init=False, repr=False, compare=False)
-    _index: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.features, dtype=np.float64)
@@ -81,7 +78,7 @@ class Fleet:
     """Clients as row ranges of locked pools: client ``i`` holds rows ``starts[i] :
     starts[i] + sizes[i]`` of ``pools[owners[i]]``, named by ``columns[owners[i]]``.
     The generator and ``load_partitions`` lay a fleet in one pool, and ``apply_filter``
-    keeps it there; partitions built by hand are each a pool of their own, uncopied.
+    keeps it there; partitions built by hand (``as_fleet``) are each a pool of their own, uncopied.
     Every pool is finite and locked: built from checked partitions or by the generator."""
 
     pools: tuple[tuple[np.ndarray, np.ndarray], ...]  # (rows, d) features, (rows,) labels
@@ -95,14 +92,19 @@ class Fleet:
         return len(self.ids)
 
     def __iter__(self):
-        """Each client as a partition over its rows that remembers this fleet, handed
-        out without ``DatasetPartition``'s checks: the pools passed them when built."""
+        """Each client as a partition over its rows, handed out without
+        ``DatasetPartition``'s checks: the pools passed them when built."""
         for i, (o, s, n) in enumerate(zip(self.owners.tolist(), self.starts.tolist(), self.sizes.tolist())):
             (x, y), (names, label) = self.pools[o], self.columns[o]
             p = object.__new__(DatasetPartition)
             p.__dict__.update(client_id=self.ids[i], features=x[s : s + n], labels=y[s : s + n],
-                              feature_names=names, label_name=label, _fleet=self, _index=i)
+                              feature_names=names, label_name=label)
             yield p
+
+    def __getitem__(self, i: int) -> DatasetPartition:
+        """Client ``i``, handed out as ``__iter__`` hands it out."""
+        (p,) = self.select([i])
+        return p
 
     def select(self, index: Sequence[int]) -> Fleet:
         """The clients at ``index``, in that order."""
@@ -130,14 +132,8 @@ class Fleet:
         return replace(self, pools=((x, y),), owners=0 * self.owners, starts=starts, columns=columns)
 
 
-def as_fleet(partitions: Fleet | Sequence[DatasetPartition]) -> Fleet:
-    """``partitions`` as a fleet, in list order: those one fleet handed out select
-    from its pools; the arrays of any others are each a pool of their own."""
-    if isinstance(partitions, Fleet):
-        return partitions
-    base = partitions[0]._fleet if partitions else None
-    if base is not None and all(p._fleet is base for p in partitions):
-        return base.select([p._index for p in partitions])
+def as_fleet(partitions: Sequence[DatasetPartition]) -> Fleet:
+    """Hand-built partitions as a fleet, in list order, the arrays of each a pool of its own."""
     check_shared_feature_space(partitions)
     pools, sizes = tuple((p.features, p.labels) for p in partitions), np.array([p.size for p in partitions])
     columns = tuple((p.feature_names, p.label_name) for p in partitions)
@@ -199,12 +195,12 @@ def load_partition(path: Path) -> DatasetPartition:
     )
 
 
-def load_partitions(directory: Path) -> list[DatasetPartition]:
-    """Load each ``client_<id>.csv`` in a directory, sorted by id, as rows of one
-    locked pool when their headers agree."""
+def load_partitions(directory: Path) -> Fleet:
+    """Load each ``client_<id>.csv`` in a directory, sorted by id, as a fleet whose
+    clients are rows of one locked pool when their headers agree."""
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.fullmatch(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
     fleet = as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))
-    return list(fleet.packed() if len(set(fleet.columns)) == 1 else fleet)
+    return fleet.packed() if len(set(fleet.columns)) == 1 else fleet

@@ -17,7 +17,7 @@ import numpy as np
 from ..canonical import canonical_json_bytes
 from ..errors import ValidationError
 from .config import _integer, _real
-from .data import DatasetPartition, Fleet, save_partition
+from .data import Fleet, save_partition
 
 MANIFEST_NAME = "manifest.json"
 # Rows of whole clients the generator's arithmetic takes at once; its temporaries
@@ -49,10 +49,10 @@ class SyntheticSpec:
             raise ValidationError("label_noise must lie in [0, 0.5)")
 
 
-def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], dict]:
-    """Build client partitions plus a manifest recording the generator. Each client's
-    draws go straight into the pool in client order; the arithmetic runs once per
-    block of whole clients, in place, with one product per client as in a loop."""
+def generate_partitions(spec: SyntheticSpec) -> tuple[Fleet, dict]:
+    """The client fleet, one pool, plus a manifest recording the generator. Each
+    client's draws go straight into the pool in client order; the arithmetic runs
+    once per block of whole clients, in place, with one product per client as in a loop."""
     rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x64617461])
     direction = rng.normal(size=spec.feature_dim)
     direction /= np.linalg.norm(direction)
@@ -98,14 +98,14 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[list[DatasetPartition], di
         "labelNoise": spec.label_noise,
         "seed": spec.seed,
     }
-    return list(fleet), manifest
+    return fleet, manifest
 
 
 def write_dataset(spec: SyntheticSpec, directory: Path) -> Path:
     """Generate and persist a dataset directory with its manifest."""
     directory = Path(directory)
-    partitions, manifest = generate_partitions(spec)
-    for p in partitions:
+    fleet, manifest = generate_partitions(spec)
+    for p in fleet:
         save_partition(p, directory)
     (directory / MANIFEST_NAME).write_bytes(canonical_json_bytes(manifest) + b"\n")
     return directory

@@ -10,13 +10,13 @@ order so runs are bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
 from ..errors import ValidationError
 from .config import FederationConfig
-from .data import DatasetPartition, Fleet, as_fleet
+from .data import Fleet
 from .metrics import RoundMetrics
 from .training import (
     DIVERGENCE_LIMIT,
@@ -31,6 +31,9 @@ from .training import (
 # The most rows a job may step through (rounds x K x E x the largest client's
 # rows), 50 times a bench job's; it also bounds a round's E x n keys per client.
 MAX_JOB_ROWS = 10_000_000
+# The most steps a job may take (rounds x K x E x the largest client's steps per
+# epoch), 50 times a bench train-deep job's: a one-row batch takes a step per row.
+MAX_JOB_STEPS = 1_000_000
 
 
 def _seed_key(seed: int) -> int:
@@ -85,7 +88,7 @@ def aggregate(updates: Mapping[str, np.ndarray], weights: Mapping[str, float]) -
 def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
     """``fleet`` sorted by id, checked against ``config``: one client per
     configured client, each once, of the loss spec's dimension, and at most
-    ``MAX_JOB_ROWS`` rows stepped through over the job."""
+    ``MAX_JOB_ROWS`` rows and ``MAX_JOB_STEPS`` steps taken over the job."""
     if not all(a < b for a, b in zip(fleet.ids, fleet.ids[1:])):  # sorted, an id held twice is adjacent
         fleet = fleet.select(sorted(range(len(fleet)), key=fleet.ids.__getitem__))
         if any(a == b for a, b in zip(fleet.ids, fleet.ids[1:])):
@@ -95,10 +98,15 @@ def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
     d = fleet.pools[fleet.owners[0]][0].shape[1]  # every pool a client uses has it
     if d != config.loss.feature_dim:
         raise ValidationError(f"partition feature dimension {d} does not match loss spec {config.loss.feature_dim}")
-    rows = config.total_rounds * config.subset_size * config.local_epochs * int(fleet.sizes.max())
-    if rows > MAX_JOB_ROWS:
+    client_epochs, n = config.total_rounds * config.subset_size * config.local_epochs, int(fleet.sizes.max())
+    if client_epochs * n > MAX_JOB_ROWS:
         raise ValidationError(
-            f"total_rounds x subset_size x local_epochs x the largest client's rows is {rows}, over {MAX_JOB_ROWS}"
+            f"total_rounds x subset_size x local_epochs x the largest client's rows is {client_epochs * n}, over {MAX_JOB_ROWS}"
+        )
+    steps = client_epochs * -(-n // (config.batch_size if config.batch_mode == "minibatch" else n))
+    if steps > MAX_JOB_STEPS:
+        raise ValidationError(
+            f"total_rounds x subset_size x local_epochs x the largest client's steps per epoch is {steps}, over {MAX_JOB_STEPS}"
         )
     return fleet
 
@@ -112,7 +120,7 @@ def initial_model(config: FederationConfig) -> np.ndarray:
 
 def run_federation(
     config: FederationConfig,
-    partitions: Fleet | Sequence[DatasetPartition],
+    fleet: Fleet,
     observer: Callable[[RoundMetrics], object] | None = None,
     *,
     eligibility: Callable[[int], frozenset[str]] | None = None,
@@ -126,7 +134,7 @@ def run_federation(
     may raise to abort the run. All per-round seeds are keyed by the absolute
     round index, so the run is bit-reproducible for a fixed config and fleet.
     """
-    fleet = check_fleet(config, as_fleet(partitions))
+    fleet = check_fleet(config, fleet)
     index = {cid: i for i, cid in enumerate(fleet.ids)}
     roster = fleet.ids  # sorted; sorted again only when the eligible set changes
     eligible_before = all_ids = frozenset(roster)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import FedGateError
 from .config import FederationConfig, LossSpec
-from .data import DatasetPartition, Fleet, as_fleet
+from .data import Fleet
 from .losses import StackedGradient
 
 # A job is aborted once any weight magnitude passes this bound.
@@ -31,7 +31,7 @@ class TrainingDivergedError(FedGateError):
 
 def local_train(
     model: np.ndarray,
-    partitions: Fleet | Sequence[DatasetPartition],
+    cohort: Fleet,
     config: FederationConfig,
     round_seeds: Iterable[int],
 ) -> np.ndarray:
@@ -50,7 +50,6 @@ def local_train(
     in id order would.
     Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
-    cohort = as_fleet(partitions)
     if len(cohort.pools) > 1:
         cohort = cohort.packed()
     ((pool_x, pool_y),) = cohort.pools
@@ -149,8 +148,7 @@ class FleetScores:
 
     So on one BLAS thread each score keeps its per-partition bits."""
 
-    def __init__(self, partitions: Fleet | Sequence[DatasetPartition], loss: LossSpec):
-        fleet = as_fleet(partitions)
+    def __init__(self, fleet: Fleet, loss: LossSpec):
         runs: list[list[int]] = []  # [pool, first start, items, rows per item, item step in rows]
         last = merge_at = None  # the last item's start; where a client must start to merge onto it
         for pool, start, n in zip(fleet.owners.tolist(), fleet.starts.tolist(), fleet.sizes.tolist()):

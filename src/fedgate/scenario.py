@@ -138,16 +138,16 @@ def run_demo(config: ScenarioConfig) -> dict:
         label_skew=LABEL_SKEW,
     )
     write_dataset(spec, data_dir)
-    partitions = load_partitions(data_dir)
+    fleet = load_partitions(data_dir)
     nodes = NodeRegistry.provision(
-        [p.client_id for p in partitions],
+        fleet.ids,
         config.standby_clients,
         config.standby_servers,
         config.fault_schedule,
     )
     clock.advance(1)
 
-    service = FlaasService(desk.gateway, partitions, out_dir / "artifacts", clock, service_name=SERVICE)
+    service = FlaasService(desk.gateway, fleet, out_dir / "artifacts", clock, service_name=SERVICE)
     api = ServiceApi(desk.gateway, service, clock)
 
     decisions: list[dict] = []

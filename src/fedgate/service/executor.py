@@ -16,17 +16,10 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
 
 from ..canonical import canonical_json_bytes
 from ..errors import FedGateError
-from ..fl import (
-    CsvMetricsWriter,
-    DatasetPartition,
-    Fleet,
-    RoundMetrics,
-    run_federation,
-)
+from ..fl import CsvMetricsWriter, Fleet, RoundMetrics, run_federation
 from .jobs import JobRecord, apply_filter
 from .nodes import NodeRegistry
 
@@ -54,8 +47,8 @@ class StagnationGuard:
 
 
 class JobExecutor:
-    def __init__(self, partitions: Fleet | Sequence[DatasetPartition], out_dir: Path):
-        self._fleet = partitions  # apply_filter makes a list a fleet
+    def __init__(self, fleet: Fleet, out_dir: Path):
+        self._fleet = fleet
         self._out_dir = Path(out_dir)
 
     def run(

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..access import AccessGateway
 from ..errors import FedGateError
-from ..fl import DatasetPartition, FederationConfig, as_fleet, check_fleet
+from ..fl import FederationConfig, Fleet, check_fleet
 from ..ledger import GrantToken
 from .executor import JobExecutor
 from .jobs import DataFilter, JobQueue, JobRecord, JobSpec, apply_filter
@@ -33,14 +33,13 @@ class FlaasService:
     def __init__(
         self,
         gateway: AccessGateway,
-        partitions: Sequence[DatasetPartition],
+        fleet: Fleet,
         out_dir: Path,
         clock: Callable[[], int],
         service_name: str,
     ):
         self._gateway = gateway
-        self._partitions = list(partitions)
-        self._fleet = as_fleet(self._partitions)
+        self._fleet = fleet
         self._clock = clock
         self.service_name = service_name
         self.queue = JobQueue()
@@ -66,7 +65,7 @@ class FlaasService:
         """The fleet summary, built on the first call: partitions are read-only."""
         self.authorize(token)
         if self._summary is None:
-            self._summary = summarize_partitions(self._partitions, self.service_name)
+            self._summary = summarize_partitions(self._fleet, self.service_name)
         return self._summary
 
     def metadata(self, token: str) -> dict:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import FedGateError, ValidationError, from_camel_keys
-from ..fl import DatasetPartition, FederationConfig, Fleet, as_fleet
+from ..fl import FederationConfig, Fleet
 from ..fl.config import _integer, _real
 
 
@@ -56,11 +54,10 @@ class DataFilter:
         return from_camel_keys(cls, data, "data filter")
 
 
-def apply_filter(partitions: Fleet | Sequence[DatasetPartition], data_filter: DataFilter) -> Fleet:
+def apply_filter(fleet: Fleet, data_filter: DataFilter) -> Fleet:
     """The fleet a job trains on, in the order given, by index arithmetic on its
     pools: a client filter selects offsets, a sample cap shortens sizes, and a
     feature filter gathers each used pool's columns once, by its own names."""
-    fleet = as_fleet(partitions)
     if data_filter.client_ids is not None:
         wanted = set(data_filter.client_ids)
         missing = wanted.difference(fleet.ids)

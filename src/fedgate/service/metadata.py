@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from typing import Sequence
 
-from ..fl import DatasetPartition
+from ..fl import Fleet
 
 PREVIEW_ROWS = 5
 PREVIEW_DIGITS = 3
@@ -21,7 +20,7 @@ def _label_key(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def summarize_partitions(partitions: Sequence[DatasetPartition], service: str) -> dict:
+def summarize_partitions(fleet: Fleet, service: str) -> dict:
     """The ``/data/metadata`` body: client summaries plus a bounded, value-rounded preview.
 
     Plain JSON, each label histogram sorted by key, but for ``featureNames``:
@@ -29,7 +28,7 @@ def summarize_partitions(partitions: Sequence[DatasetPartition], service: str) -
     Preview rows are the first ``PREVIEW_ROWS`` cells of a depth-major walk
     over the clients, so every partition contributes before any contributes twice.
     """
-    ordered = sorted(partitions, key=lambda q: q.client_id)
+    ordered = sorted(fleet, key=lambda q: q.client_id)
     clients = []
     for p in ordered:
         # count float values in C, then key each distinct value once, not each sample

@@ -8,13 +8,18 @@ allocating per-step trainer that ``local_train`` is held to bit for bit (with
 its ``stacked_gradient``, whose one-model case is the gradient oracle, and
 the pure-Python SplitMix64 epoch orders that ``epoch_orders`` is held to), the
 per-client generator that
-``generate_partitions`` is held to bit for bit, and the total weighted
-completion time that ``wsjf_order`` is held to (acceptance criterion 09)."""
+``generate_partitions`` is held to bit for bit, the total weighted
+completion time that ``wsjf_order`` is held to (acceptance criterion 09), and
+the strict reader of the ``metrics.csv`` a job writes."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +29,8 @@ from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl import SyntheticSpec
 from fedgate.fl.config import LossSpec
-from fedgate.fl.data import as_fleet
 from fedgate.fl.losses import _sigmoid
+from fedgate.fl.metrics import METRICS_HEADER, RoundMetrics
 from fedgate.fl.training import DIVERGENCE_LIMIT, TrainingDivergedError
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
@@ -221,11 +226,10 @@ def reference_epoch_orders(seed: int, epochs: int, n: int) -> list[list[int]]:
     return [sorted(range(n), key=lambda j: (keys[e * n + j] >> low, j)) for e in range(epochs)]
 
 
-def reference_local_train(model, partitions, config, round_seeds) -> np.ndarray:
+def reference_local_train(model, cohort, config, round_seeds) -> np.ndarray:
     """What ``local_train`` must return or raise, from a fresh ``stacked_gradient``
     per batch, a fresh gather per epoch and every check after every step: a
     non-finite gradient as it happens, the weights at each epoch's end."""
-    cohort = as_fleet(partitions)
     if len(cohort.pools) > 1:
         cohort = cohort.packed()
     ((pool_x, pool_y),) = cohort.pools
@@ -317,3 +321,32 @@ def total_weighted_completion(jobs: list[JobSpec], order: list[int]) -> float:
         clock += jobs[index].estimated_runtime
         total += jobs[index].priority_weight * clock
     return total
+
+
+def read_metrics_csv(path: Path) -> list[RoundMetrics]:
+    """Rows of a round-metrics CSV; a malformed line or a non-UTF-8 byte is a ValidationError.
+
+    The file must hold exactly the text ``CsvMetricsWriter`` writes for the
+    rows read from it, so a blank line, a re-spelled or quoted number, a line
+    ended by a line feed alone, or a last line with no end is refused, its
+    line named.
+    """
+    try:
+        text = Path(path).read_bytes().decode()
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader, None)  # the header, which the comparison below checks
+        out = []
+        for row in reader:
+            if len(row) != len(METRICS_HEADER):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields")
+            clients = tuple(c for c in row[3].split(";") if c)
+            out.append(RoundMetrics(int(row[0]), float(row[1]), float(row[2]), clients))
+        written = io.StringIO(newline="")
+        csv.writer(written).writerows([METRICS_HEADER, *(m.to_row() for m in out)])
+        lines = zip_longest(text.splitlines(True), written.getvalue().splitlines(True))
+        for number, (read, wrote) in enumerate(lines, 1):
+            if read != wrote:
+                raise ValueError(f"line {number} is not as its writer writes it")
+    except (ValueError, csv.Error) as exc:  # bad numbers and UTF-8 too; csv.Error: an oversized field
+        raise ValidationError(f"cannot read metrics {path}: {exc}") from None
+    return out

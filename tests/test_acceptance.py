@@ -25,6 +25,7 @@ from fedgate.fl import (
     generate_partitions,
     run_federation,
 )
+from fedgate.fl.data import as_fleet
 from fedgate.fl.federation import aggregate, initial_model
 from fedgate.access.issuance import verify_claim
 from fedgate.ledger import Chain, load_chain, verify_chain_file
@@ -36,7 +37,7 @@ from fedgate.service.jobs import (
     wsjf_order,
 )
 
-from support import Stack, gradient, mean_loss, predict, total_weighted_completion
+from support import Stack, gradient, mean_loss, predict, read_metrics_csv, total_weighted_completion
 from test_federation import centralized_gd_step, random_partitions
 
 
@@ -73,7 +74,7 @@ def test_01_centralized_equivalence():
             initial_weights=tuple(rng.normal(size=spec.parameter_dim)),
         )
         parts = random_partitions(rng, n, dim, logistic=(kind == "logistic"))
-        final = run_federation(config, parts)
+        final = run_federation(config, as_fleet(parts))
         expected = centralized_gd_step(initial_model(config), parts, config)
         worst = max(worst, float(np.max(np.abs(final - expected))))
     elapsed = time.perf_counter() - started
@@ -495,8 +496,6 @@ def test_10_failover_determinism(tmp_path):
     bitwise_equal = (
         np.array(ref_weights).tobytes() == np.array(swap_weights).tobytes()
     )
-
-    from fedgate.fl import read_metrics_csv
 
     later_rounds = [
         m

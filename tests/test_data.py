@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fedgate.errors import ValidationError
 from fedgate.fl import (
     DatasetPartition,
+    Fleet,
     SyntheticSpec,
     generate_partitions,
     load_partitions,
@@ -297,11 +298,10 @@ def test_fleet_partitions_equal_those_built_by_hand_on_the_same_rows(tmp_path):
         label_skew=0.6, label_noise=0.1,
     )
     write_dataset(spec, tmp_path)
-    for parts in (generate_partitions(spec)[0], load_partitions(tmp_path)):
-        fleet = as_fleet(parts)
+    for fleet in (generate_partitions(spec)[0], load_partitions(tmp_path)):
         ((x, y),) = fleet.pools
         assert not x.flags.writeable and not y.flags.writeable
-        for p, start in zip(parts, fleet.starts.tolist()):
+        for p, start in zip(fleet, fleet.starts.tolist()):
             rows = slice(start, start + p.size)
             q = DatasetPartition(p.client_id, x[rows], y[rows], p.feature_names, p.label_name)
             assert (p.client_id, p.feature_names, p.label_name) == (q.client_id, q.feature_names, q.label_name)
@@ -310,13 +310,36 @@ def test_fleet_partitions_equal_those_built_by_hand_on_the_same_rows(tmp_path):
                 assert got.base is pool and want.base is pool and not got.flags.writeable
             with pytest.raises(ValueError):
                 p.features[0, 0] = 9.0
-        back = as_fleet(list(fleet))
-        assert back.pools[0][0] is x and back.pools[0][1] is y
-        assert back.ids == fleet.ids == tuple(p.client_id for p in parts)
-        assert back.starts.tolist() == fleet.starts.tolist() and back.sizes.tolist() == [p.size for p in parts]
         # Only the handout skips the checks: a replaced partition is checked again.
         with pytest.raises(ValidationError, match="non-finite"):
-            replace(parts[0], features=np.full((parts[0].size, 3), np.inf))
+            replace(fleet[0], features=np.full((fleet[0].size, 3), np.inf))
+
+
+def test_both_producers_return_a_fleet_that_indexes_its_clients_as_it_iterates_them(tmp_path):
+    spec = SyntheticSpec(n_clients=5, samples_per_client=7, feature_dim=3, separability=0.5, seed=4)
+    write_dataset(spec, tmp_path)
+    for fleet in (generate_partitions(spec)[0], load_partitions(tmp_path)):
+        assert isinstance(fleet, Fleet)
+        ((x, y),) = fleet.pools
+        parts = list(fleet)
+        for i in (*range(len(fleet)), -1):
+            got, want = fleet[i], parts[i]
+            for f in fields(DatasetPartition):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(a, np.ndarray):  # a view of the pool, as the iterated one is
+                    assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.base is b.base
+                    assert a.base is (x if f.name == "features" else y)
+                else:
+                    assert a == b
+        with pytest.raises(IndexError):
+            fleet[len(fleet)]
+
+
+def test_a_partition_holds_exactly_its_five_fields():
+    # No hidden field (a link back to the fleet that handed a partition out) comes back.
+    assert [f.name for f in fields(DatasetPartition)] == [
+        "client_id", "features", "labels", "feature_names", "label_name"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -376,12 +399,12 @@ def test_write_dataset_layout(tmp_path):
 
 
 def test_a_fleet_hands_out_row_views_that_select_from_its_pool():
-    parts, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2))
-    fleet = as_fleet(parts[::-2])
-    assert fleet.ids == ("005", "003", "001") and fleet.starts.tolist() == [20, 12, 4]
-    assert len(fleet.pools) == 1 and fleet.pools[0][0] is parts[0].features.base
-    # A replaced partition, even with the same rows, is a pool of its own.
-    mixed = as_fleet([parts[0], replace(parts[1], client_id="x")])
+    fleet, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2))
+    picked = fleet.select([5, 3, 1])
+    assert picked.ids == ("005", "003", "001") and picked.starts.tolist() == [20, 12, 4]
+    assert len(picked.pools) == 1 and picked.pools[0][0] is fleet[0].features.base
+    # Hand-built partitions are a pool each, even rows a fleet handed out.
+    mixed = as_fleet([fleet[0], replace(fleet[1], client_id="x")])
     assert len(mixed.pools) == 2 and mixed.pools[1][0] is not mixed.pools[0][0]
     assert [p.client_id for p in mixed] == ["000", "x"]
 
@@ -393,10 +416,10 @@ def test_partitions_that_name_their_columns_differently_keep_their_names(tmp_pat
     assert check_shared_feature_space([a, b, c]) == 2
     for p in (a, b):
         save_partition(p, tmp_path)
-    for parts in ([a, b], load_partitions(tmp_path)):
-        assert [(p.feature_names, p.label_name) for p in parts] == [(("age", "bmi"), "label"), (("bmi", "age"), "y")]
+    for fleet in (as_fleet([a, b]), load_partitions(tmp_path)):
+        assert [(p.feature_names, p.label_name) for p in fleet] == [(("age", "bmi"), "label"), (("bmi", "age"), "y")]
         # A feature filter reads each client's own names.
-        picked = as_fleet(parts).select_features(("age",))
+        picked = fleet.select_features(("age",))
         assert [(p.feature_names, p.features.tolist()) for p in picked] == [(("age",), [[1.0]]), (("age",), [[4.0]])]
     # Only the clients a fleet keeps must hold the names.
     assert [p.client_id for p in as_fleet([a, c]).select([0]).select_features(("age",))] == ["a"]

@@ -15,6 +15,7 @@ from fedgate.fl import (
 from fedgate.fl.data import as_fleet
 from fedgate.fl.federation import (
     MAX_JOB_ROWS,
+    MAX_JOB_STEPS,
     aggregate,
     check_fleet,
     client_round_seed,
@@ -233,7 +234,7 @@ def test_round_count_must_be_positive():
 def test_single_noop_round_returns_initial_model():
     config = make_config(learning_rate=0.0)
     parts = [sized_partition("a", 2), sized_partition("b", 3)]
-    final = run_federation(config, parts)
+    final = run_federation(config, as_fleet(parts))
     assert final.tobytes() == np.zeros(1).tobytes()
 
 
@@ -265,7 +266,7 @@ def test_one_round_equals_centralized_step(kind):
             initial_weights=tuple(rng.normal(size=spec.parameter_dim)),
         )
         parts = random_partitions(rng, n, dim, logistic=(kind == "logistic"))
-        final = run_federation(config, parts)
+        final = run_federation(config, as_fleet(parts))
         expected = centralized_gd_step(initial_model(config), parts, config)
         assert np.max(np.abs(final - expected)) <= 1e-9
 
@@ -285,8 +286,8 @@ def test_run_is_bitwise_reproducible():
         batch_size=2,
     )
     parts = random_partitions(rng, 5, 2, logistic=True)
-    a = run_federation(config, parts)
-    b = run_federation(config, parts)
+    a = run_federation(config, as_fleet(parts))
+    b = run_federation(config, as_fleet(parts))
     assert a.tobytes() == b.tobytes()
 
 
@@ -294,7 +295,7 @@ def test_observer_receives_one_row_per_round():
     config = make_config(total_rounds=4, total_clients=2, subset_size=1)
     parts = [sized_partition("a", 2), sized_partition("b", 3)]
     seen = []
-    run_federation(config, parts, seen.append)
+    run_federation(config, as_fleet(parts), seen.append)
     assert [m.round_index for m in seen] == [1, 2, 3, 4]
     for m in seen:
         assert len(m.selected_clients) == 1
@@ -310,7 +311,7 @@ def test_early_stop_ends_run():
         seen.append(m)
         return m.round_index >= 3
 
-    run_federation(config, parts, observer)
+    run_federation(config, as_fleet(parts), observer)
     assert len(seen) == 3
 
 
@@ -322,7 +323,7 @@ def test_eligibility_excludes_clients():
     def eligibility(t):
         return frozenset({"a", "b", "c"}) if t < 4 else frozenset({"a", "c"})
 
-    run_federation(config, parts, seen.append, eligibility=eligibility)
+    run_federation(config, as_fleet(parts), seen.append, eligibility=eligibility)
     for m in seen:
         if m.round_index >= 4:
             assert "b" not in m.selected_clients
@@ -331,13 +332,13 @@ def test_eligibility_excludes_clients():
 def test_partition_count_must_match_config():
     config = make_config(total_clients=3, subset_size=2)
     with pytest.raises(ValidationError):
-        run_federation(config, [sized_partition("a", 1)])
+        run_federation(config, as_fleet([sized_partition("a", 1)]))
 
 
 def test_a_fleet_with_an_id_twice_is_refused():
     config = make_config(total_clients=2)
     with pytest.raises(ValidationError, match="duplicate client ids"):
-        run_federation(config, [sized_partition("a", 2), sized_partition("a", 3)])
+        run_federation(config, as_fleet([sized_partition("a", 2), sized_partition("a", 3)]))
 
 
 @pytest.mark.parametrize("epochs, accepted", [(MAX_JOB_ROWS // 100, True), (MAX_JOB_ROWS // 100 + 1, False)])
@@ -349,6 +350,22 @@ def test_a_job_steps_through_at_most_max_job_rows(epochs, accepted):
         assert check_fleet(config, fleet) is fleet
     else:
         with pytest.raises(ValidationError, match=f"largest client's rows is {100 * epochs}, over {MAX_JOB_ROWS}"):
+            check_fleet(config, fleet)
+
+
+@pytest.mark.parametrize(
+    "batch_size, rounds, accepted",
+    [(1, MAX_JOB_STEPS // 50, True), (1, MAX_JOB_STEPS // 50 + 1, False), (10, MAX_JOB_STEPS // 50 + 1, True)],
+)
+def test_a_job_takes_at_most_max_job_steps(batch_size, rounds, accepted):
+    # R rounds x 2 of 2 clients x 1 epoch x ceil(25 / b) steps, the largest client's:
+    # 50 R steps at b = 1 and 6 R at b = 10, over 50 R rows, within MAX_JOB_ROWS.
+    fleet = as_fleet([sized_partition("a", 3), sized_partition("b", 25)])
+    config = make_config(total_rounds=rounds, batch_mode="minibatch", batch_size=batch_size)
+    if accepted:
+        assert check_fleet(config, fleet) is fleet
+    else:
+        with pytest.raises(ValidationError, match=f"steps per epoch is {50 * rounds}, over {MAX_JOB_STEPS}"):
             check_fleet(config, fleet)
 
 
@@ -366,13 +383,13 @@ def test_round_seeds_are_derived_only_where_minibatches_draw_them(monkeypatch, b
     config = make_config(
         total_rounds=4, total_clients=5, subset_size=3, batch_mode=batch_mode, batch_size=batch_size
     )
-    run_federation(config, random_partitions(np.random.default_rng(4), 5, 1))
+    run_federation(config, as_fleet(random_partitions(np.random.default_rng(4), 5, 1)))
     assert len(calls) == derived
 
 
 def test_a_run_keeps_its_bits_whatever_the_fleet_layout():
-    # One generated pool, its clients' copies (each a pool of its own) and a
-    # reversed list all train and score to the same bytes.
+    # One generated pool, its clients' copies (each a pool of its own) and the
+    # pool's clients in reverse all train and score to the same bytes.
     parts, _ = generate_partitions(
         SyntheticSpec(n_clients=12, samples_per_client=9, feature_dim=3, separability=0.5, seed=6, label_skew=0.5)
     )
@@ -387,7 +404,7 @@ def test_a_run_keeps_its_bits_whatever_the_fleet_layout():
             batch_size=batch_size,
         )
         runs = []
-        for fleet in (parts, copies, parts[::-1]):
+        for fleet in (parts, as_fleet(copies), parts.select(range(len(parts))[::-1])):
             seen = []
             runs.append((run_federation(config, fleet, seen.append).tobytes(), seen))
         assert runs[0] == runs[1] == runs[2]

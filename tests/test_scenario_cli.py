@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
 from fedgate.canonical import canonical_json_bytes
-from fedgate.cli import main
+from fedgate.cli import build_parser, main
 from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
 from fedgate.errors import ValidationError
@@ -18,16 +21,16 @@ from fedgate.fl import (
     LossSpec,
     RoundMetrics,
     load_partitions,
-    read_metrics_csv,
     run_federation,
 )
+from fedgate.fl.data import as_fleet
 from fedgate.identity import DidRegistry
 from fedgate.ledger import Chain, load_chain, verify_chain_file
 from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, run_demo
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import DataFilter
 
-from support import receipt
+from support import read_metrics_csv, receipt
 
 
 def demo_config(tmp_path, name="demo", **overrides):
@@ -552,41 +555,8 @@ def test_gen_data_high_separability_is_centrally_learnable(tmp_path):
         rng_seed=0,
     )
     captured = []
-    run_federation(config, [pooled], observer=captured.append)
+    run_federation(config, as_fleet([pooled]), observer=captured.append)
     assert captured[-1].train_accuracy >= 0.99
-
-
-def test_cli_plot_metrics_series_matches_csv(tmp_path):
-    out = tmp_path / "demo"
-    main(["demo", "--out", str(out), "--seed", "5"])
-    csv_path = out / "artifacts/job-0001/metrics.csv"
-    dat_path = tmp_path / "series.dat"
-    assert main(["plot-metrics", str(csv_path), "--out", str(dat_path)]) == 0
-
-    from fedgate.fl import read_metrics_csv
-
-    rows = read_metrics_csv(csv_path)
-    lines = dat_path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 1 + len(rows)
-    for row, line in zip(rows, lines[1:]):
-        index, loss, accuracy = line.split()
-        assert int(index) == row.round_index
-        assert float(loss) == row.global_loss  # exact pass-through
-        assert float(accuracy) == row.train_accuracy
-
-
-def test_cli_plot_metrics_rejects_empty_and_missing(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("round,global_loss,train_accuracy,selected_clients\n")
-    assert main(["plot-metrics", str(empty)]) == 2
-    assert main(["plot-metrics", str(tmp_path / "missing.csv")]) == 2
-    malformed = tmp_path / "malformed.csv"
-    malformed.write_text("wrong,header\n1,2\n")
-    assert main(["plot-metrics", str(malformed)]) == 2
-    short = tmp_path / "short.csv"
-    short.write_text("round,global_loss,train_accuracy,selected_clients\n1,0.5\n")
-    assert main(["plot-metrics", str(short)]) == 2
 
 
 def test_read_metrics_csv_refuses_with_validation_error(tmp_path):
@@ -648,11 +618,28 @@ def test_read_metrics_csv_refuses_line_ends_and_quotes_its_writer_never_writes(t
         read_metrics_csv(path)
 
 
-@pytest.mark.parametrize("command", ["verify-chain", "plot-metrics"])
+@pytest.mark.parametrize("command", ["verify-chain"])
 def test_seed_is_refused_where_it_does_nothing(tmp_path, command):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--seed", "1", str(tmp_path / "input")])
     assert exit_info.value.code == 2
+
+
+def quickstart_commands() -> list[list[str]]:
+    """The arguments of each ``fedgate`` line of README's Quickstart block, each
+    ``<...>`` placeholder a token and a trailing ``#`` comment dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [re.sub(r"<[^>]*>", "token", line) for line in block.splitlines() if line.startswith("fedgate ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_every_quickstart_command_parses():
+    commands = quickstart_commands()
+    assert {argv[0] for argv in commands} == {"demo", "verify-chain", "gen-data", "import-legacy"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # an unknown command or flag exits 2
 
 
 def test_cli_import_legacy(tmp_path):

@@ -18,9 +18,9 @@ from fedgate.fl import (
     SyntheticSpec,
     generate_partitions,
     load_partitions,
-    read_metrics_csv,
     write_dataset,
 )
+from fedgate.fl.data import as_fleet
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import (
     DataFilter,
@@ -32,7 +32,7 @@ from fedgate.service.jobs import (
 from fedgate.scenario import ScenarioConfig, run_demo
 from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS, summarize_partitions
 
-from support import Stack, total_weighted_completion
+from support import Stack, read_metrics_csv, total_weighted_completion
 
 
 def fleet_partitions(n_clients=4, samples=30, seed=5):
@@ -97,7 +97,7 @@ def test_histograms_match_source_csvs(tmp_path):
 def test_histogram_keys_each_label_value_like_a_per_sample_count():
     labels = np.array([0.5, -0.0, 0.0, 2.0, 0.5, 1e20, -1.25, 2.0])
     part = DatasetPartition(client_id="h", features=np.zeros((8, 1)), labels=labels)
-    (summary,) = summarize_partitions([part], "fl-study")["clients"]
+    (summary,) = summarize_partitions(as_fleet([part]), "fl-study")["clients"]
     histogram = summary["labelHistogram"]
     assert histogram == {"0.5": 2, "0": 2, "2": 2, str(10**20): 1, "-1.25": 1}
     assert list(histogram) == sorted(histogram)
@@ -111,7 +111,7 @@ def test_preview_walks_uneven_partitions_depth_major():
             DatasetPartition(cid, np.arange(n, dtype=float)[:, None], np.zeros(n))
             for cid, n in sizes
         ]
-        meta = summarize_partitions(parts, "fl-study")
+        meta = summarize_partitions(as_fleet(parts), "fl-study")
         return [(r["clientId"], r["features"][0]) for r in meta["preview"]]
 
     assert rows(("b", 3), ("a", 1), ("c", 2)) == [
@@ -753,6 +753,23 @@ def test_a_job_past_the_row_bound_answers_400_and_never_runs(tmp_path, epochs):
         {"error": f"total_rounds x subset_size x local_epochs x the largest client's rows is {rows}, over 10000000"},
     )
     assert service.run_next(node_registry=job_fleet()) is None
+
+
+def test_a_job_past_the_step_bound_answers_400_and_never_runs(tmp_path):
+    # 5 rounds x 2 clients x 3,400 epochs x 30 one-row steps: 1,020,000 steps over as
+    # many rows. Accepted, it held the one executor for minutes.
+    stack, service, api, token = service_stack(tmp_path)
+    headers = {"Authorization": f"Grant {token}"}
+    config = job_config(local_epochs=3400, batch_mode="minibatch", batch_size=1)
+    response = api.handle("POST", "/jobs", headers=headers, body={"config": config.to_dict()})
+    assert (response.status, response.body) == (
+        400,
+        {"error": "total_rounds x subset_size x local_epochs x the largest client's steps per epoch is 1020000, over 1000000"},
+    )
+    assert service.run_next(node_registry=job_fleet()) is None
+    # The same rows in batches of 10 take 102,000 steps.
+    config = job_config(local_epochs=3400, batch_mode="minibatch", batch_size=10)
+    assert api.handle("POST", "/jobs", headers=headers, body={"config": config.to_dict()}).status == 201
 
 
 def test_every_job_run_next_starts_ends_in_a_final_state(tmp_path):

@@ -63,14 +63,14 @@ def one_sample_partition():
 def test_zero_learning_rate_is_identity():
     config = make_config(learning_rate=0.0)
     model = np.array([3.5])
-    out = local_train(model, [one_sample_partition()], config, [1])
+    out = local_train(model, as_fleet([one_sample_partition()]), config, [1])
     assert np.array_equal(out, [model])
 
 
 def test_hand_computed_single_step():
     # grad = 2(0*1 - 1)*1 = -2; w' = 0 - 1*(-2) = 2
     config = make_config(learning_rate=1.0)
-    [out] = local_train(np.zeros(1), [one_sample_partition()], config, [1])
+    [out] = local_train(np.zeros(1), as_fleet([one_sample_partition()]), config, [1])
     assert out.tolist() == [2.0]
 
 
@@ -83,8 +83,9 @@ def test_two_epochs_compose_single_steps():
     model = np.array([0.3])
     one = make_config(learning_rate=0.05)
     two = make_config(learning_rate=0.05, local_epochs=2)
-    stepped_twice = local_train(local_train(model, [part], one, [9])[0], [part], one, [9])
-    assert np.array_equal(local_train(model, [part], two, [9]), stepped_twice)
+    cohort = as_fleet([part])
+    stepped_twice = local_train(local_train(model, cohort, one, [9])[0], cohort, one, [9])
+    assert np.array_equal(local_train(model, cohort, two, [9]), stepped_twice)
 
 
 def test_input_model_unmodified_and_deterministic():
@@ -100,12 +101,12 @@ def test_input_model_unmodified_and_deterministic():
     )
     model = np.array([0.1, -0.2])
     before = model.copy()
-    first = local_train(model, [part], config, [42])
-    second = local_train(model, [part], config, [42])
+    first = local_train(model, as_fleet([part]), config, [42])
+    second = local_train(model, as_fleet([part]), config, [42])
     assert np.array_equal(model, before)
     assert np.array_equal(first, second)
     # A different round seed shuffles minibatches differently.
-    other = local_train(model, [part], config, [43])
+    other = local_train(model, as_fleet([part]), config, [43])
     assert not np.array_equal(first, other)
 
 
@@ -115,7 +116,7 @@ def test_divergence_names_the_client():
     )
     config = make_config(learning_rate=50.0, local_epochs=200)
     with pytest.raises(TrainingDivergedError) as err:
-        local_train(np.array([1.0]), [part], config, [0])
+        local_train(np.array([1.0]), as_fleet([part]), config, [0])
     assert "patient-7" in str(err.value)
     assert err.value.client_id == "patient-7"
 
@@ -193,7 +194,7 @@ def test_one_draw_per_round_is_the_per_epoch_permutation_stream(seed, n, epochs,
         local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size
     )
     with mock.patch("fedgate.fl.losses.np", recorder):
-        local_train(np.zeros(1), [part], config, [seed])
+        local_train(np.zeros(1), as_fleet([part]), config, [seed])
     batches = recorder.batches
     assert np.array_equal(np.concatenate(batches), stream.ravel())
     assert len(batches) == epochs * -(-n // batch_size)
@@ -222,7 +223,7 @@ def test_seeds_near_two_to_the_64_raise_no_overflow_warning():
         warnings.simplefilter("error")
         orders = epoch_orders(np.array(seeds, dtype=np.uint64), 3, 7)
         for seed in seeds:
-            local_train(np.zeros(1), [part], config, [seed])
+            local_train(np.zeros(1), as_fleet([part]), config, [seed])
     assert orders.tolist() == [reference_epoch_orders(s, 3, 7) for s in seeds]
 
 
@@ -239,7 +240,7 @@ def trained_orders(parts, config, seeds) -> dict[int, list[list[int]]]:
         gather(self, pool_x, pool_y, rows)
 
     with mock.patch.object(StackedGradient, "gather", recording_gather):
-        local_train(np.zeros(1), parts, config, seeds)
+        local_train(np.zeros(1), as_fleet(parts), config, seeds)
     return seen
 
 
@@ -292,7 +293,7 @@ def test_cohort_matches_per_client_oracle(kind, bias, batch_size):
     config = cohort_config(kind, bias, batch_size, local_epochs=3, learning_rate=0.05)
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(parts))]
-    cohort = local_train(model, parts, config, seeds)
+    cohort = local_train(model, as_fleet(parts), config, seeds)
     worst = max(
         np.max(np.abs(got - sequential_local_train(model, p, config, seed)))
         for p, seed, got in zip(parts, seeds, cohort)
@@ -333,7 +334,7 @@ def test_local_train_returns_the_bytes_or_the_error_of_the_reference(
     ]
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
-    args = model, parts, config, seeds
+    args = model, as_fleet(parts), config, seeds
     assert outcome(local_train, *args) == outcome(reference_local_train, *args)
 
 
@@ -349,7 +350,7 @@ def test_a_failed_epoch_is_replayed_from_its_start_with_every_step_checked(names
     config = cohort_config("squared_error", False, 1, local_epochs=2, learning_rate=0.5)
     exceeding = DatasetPartition(names[0], np.full((2, 4), 1e75 / 2), np.zeros(2))
     overflowing = DatasetPartition(names[1], np.full((2, 4), 10**76.25 / 2), np.zeros(2))
-    args = np.full(4, 1e-300), [exceeding, overflowing], config, [0, 0]
+    args = np.full(4, 1e-300), as_fleet([exceeding, overflowing]), config, [0, 0]
     expected = "weight magnitude exceeded 1e+06" if names[0] == "a" else "non-finite gradient"
     assert outcome(reference_local_train, *args) == f"training diverged on client 'a': {expected}"
     assert outcome(local_train, *args) == outcome(reference_local_train, *args)
@@ -371,9 +372,9 @@ def test_client_update_does_not_depend_on_its_cohort(kind, bias, batch_size, siz
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
     order = data.draw(st.permutations(range(len(parts))))
-    cohort = local_train(model, [parts[i] for i in order], config, [seeds[i] for i in order])
+    cohort = local_train(model, as_fleet([parts[i] for i in order]), config, [seeds[i] for i in order])
     for i, got in zip(order, cohort):
-        [alone] = local_train(model, [parts[i]], config, [seeds[i]])
+        [alone] = local_train(model, as_fleet([parts[i]]), config, [seeds[i]])
         assert np.array_equal(alone, got)
 
 
@@ -394,11 +395,11 @@ def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows)
             sequential_local_train(model, part, config, 0)
     for cohort in ([late, early], [early, late]):
         with pytest.raises(TrainingDivergedError) as err:
-            local_train(model, cohort, config, [0, 0])
+            local_train(model, as_fleet(cohort), config, [0, 0])
         assert err.value.client_id == expected.value.client_id == "a"
         assert str(err.value) == str(expected.value)
     with pytest.raises(TrainingDivergedError) as alone:
-        local_train(model, [early], config, [0])
+        local_train(model, as_fleet([early]), config, [0])
     assert (alone.value.client_id, str(alone.value).endswith("exceeded 1e+06")) == ("b", True)
 
 
@@ -439,7 +440,7 @@ def test_run_federation_trains_each_round_in_one_call(monkeypatch):
     rng = np.random.default_rng(8)
     parts = random_partitions(rng, [5, 9, 5, 12, 9], "logistic")
     config = cohort_config("logistic", True, 4, total_rounds=4, total_clients=5, subset_size=3)
-    run_federation(config, parts)
+    run_federation(config, as_fleet(parts))
     assert len(calls) == 4
     assert all(ids == sorted(ids) and len(ids) == 3 for ids in calls)
 
@@ -453,7 +454,7 @@ def pooled_mean_loss(model, partitions, spec):
 
 def pooled_eval(model, partitions, spec):
     """(global_loss, training_accuracy) as ``run_federation`` computes them."""
-    fleet = FleetScores(partitions, spec)
+    fleet = FleetScores(as_fleet(partitions), spec)
     scores = fleet.fill(model)
     return global_loss(scores, fleet.labels, spec), training_accuracy(scores, fleet.labels, spec)
 
@@ -657,7 +658,7 @@ def mixed_fleets(draw):
 def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, seed):
     parts, d = fleet
     loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
-    scores = FleetScores(parts, loss)
+    scores = FleetScores(as_fleet(parts), loss)
     rng = np.random.default_rng(seed)
     assert scores.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
     for _ in range(2):  # refilled in place
@@ -667,28 +668,35 @@ def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, see
 
 @st.composite
 def pool_fleets(draw):
-    """Partitions of one ``generate_partitions`` pool as jobs select them: pieces of
+    """Clients of one ``generate_partitions`` pool as jobs select them: pieces of
     every-k-th clients from an offset, adjacent ranges, ``max_samples_per_client``
-    caps of either, shuffled subsets and stand-alone copies, one after another."""
+    caps of either, shuffled subsets and stand-alone copies, one after another.
+    The fleet selects and caps them on the pool, as ``apply_filter`` does; one
+    that holds a copy is built by ``as_fleet``, each client a pool of its own."""
     n, d = draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 20]))
     spec = SyntheticSpec(n_clients=40, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
     pool, _ = generate_partitions(spec)
-    fleet = []
+    index, sizes, copied = [], [], []
     for kind in draw(st.lists(st.sampled_from(["strided", "range", "shuffled", "own"]), min_size=1, max_size=4)):
         if kind == "strided":
             k = draw(st.integers(1, 9))
-            piece = pool[draw(st.integers(0, k - 1)) :: k]
+            piece = range(draw(st.integers(0, k - 1)), 40, k)
         elif kind == "range":
             start = draw(st.integers(0, 39))
-            piece = pool[start : draw(st.integers(start + 1, 40))]
+            piece = range(start, draw(st.integers(start + 1, 40)))
         elif kind == "shuffled":
-            piece = [pool[i] for i in draw(st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True))]
+            piece = draw(st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True))
         else:
-            piece = [replace(p, features=p.features.copy(), labels=p.labels.copy()) for p in pool[:3]]
+            piece = range(3)
         cap = draw(st.none() | st.integers(1, 13))
-        if cap is not None:
-            piece = [replace(p, features=p.features[:cap], labels=p.labels[:cap]) for p in piece]
-        fleet.extend(piece)
+        index += piece
+        sizes += [n if cap is None else min(n, cap)] * len(piece)
+        copied += [kind == "own"] * len(piece)
+    fleet = replace(pool.select(index), sizes=np.array(sizes))
+    if any(copied):
+        fleet = as_fleet(
+            [replace(p, features=p.features.copy(), labels=p.labels.copy()) if c else p for p, c in zip(fleet, copied)]
+        )
     return fleet, d
 
 
@@ -708,7 +716,7 @@ def test_an_every_tenth_client_filter_of_the_bench_fleet_is_one_run():
     pool, _ = generate_partitions(spec)
     loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
     for offset in (0, 3, 9):
-        chosen = apply_filter(pool, DataFilter(client_ids=tuple(p.client_id for p in pool[offset::10])))
+        chosen = apply_filter(pool, DataFilter(client_ids=pool.ids[offset::10]))
         assert len(chosen) == 100 and len(FleetScores(chosen, loss)._runs) == 1
     capped = apply_filter(pool, DataFilter(max_samples_per_client=7))
     assert len(FleetScores(capped, loss)._runs) == 1
@@ -741,7 +749,7 @@ def test_a_generated_fleet_is_scored_with_one_matmul_per_round(monkeypatch):
         subset_size=5,
         loss=LossSpec(kind="logistic", feature_dim=3, bias=True),
     )
-    run_federation(config, parts[::-1])
+    run_federation(config, parts.select(range(len(parts))[::-1]))
     assert counter.calls == 4
 
 
@@ -764,7 +772,7 @@ def test_evaluation_makes_no_pooled_copy_of_the_features():
     )
     tracemalloc.start()
     try:
-        run_federation(config, parts)
+        run_federation(config, as_fleet(parts))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -822,7 +830,7 @@ def test_a_cohort_taken_from_a_pool_trains_as_its_copies_do(fleet, batch_size, s
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(fleet))]
     copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in fleet]
-    assert np.array_equal(local_train(model, fleet, config, iter(seeds)), local_train(model, copies, config, seeds))
+    assert np.array_equal(local_train(model, fleet, config, iter(seeds)), local_train(model, as_fleet(copies), config, seeds))
 
 
 def test_a_feature_filter_of_the_bench_fleet_is_one_run():
