@@ -49,6 +49,10 @@ class DatasetPartition:
             raise ValidationError(
                 f"{len(names)} feature names for {x.shape[1]} feature columns"
             )
+        columns = (*names, self.label_name)
+        if len(set(columns)) < len(columns):
+            twice = next(n for i, n in enumerate(columns) if n in columns[:i])
+            raise ValidationError(f"partition {self.client_id!r} names two columns {twice!r}")
         object.__setattr__(self, "features", _locked(x))
         object.__setattr__(self, "labels", _locked(y))
         object.__setattr__(self, "feature_names", tuple(names))
@@ -75,30 +79,30 @@ def _locked(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Fleet:
-    """Clients as row ranges of locked pools: client ``i`` holds rows ``starts[i] :
-    starts[i] + sizes[i]`` of ``pools[owners[i]]``, named by ``columns[owners[i]]``.
-    The generator and ``load_partitions`` lay a fleet in one pool, and ``apply_filter``
-    keeps it there; partitions built by hand (``as_fleet``) are each a pool of their own, uncopied.
-    Every pool is finite and locked: built from checked partitions or by the generator."""
+    """Clients as row ranges of one locked pool: client ``i`` holds rows ``starts[i] :
+    starts[i] + sizes[i]`` of ``features`` and ``labels``, and every client names its
+    columns ``feature_names`` and ``label_name``. The pool is finite and locked: copied
+    from checked partitions (``as_fleet``) or written by the generator."""
 
-    pools: tuple[tuple[np.ndarray, np.ndarray], ...]  # (rows, d) features, (rows,) labels
-    owners: np.ndarray
+    features: np.ndarray  # (rows, d)
+    labels: np.ndarray  # (rows,)
     starts: np.ndarray
     sizes: np.ndarray
     ids: tuple[str, ...]
-    columns: tuple[tuple[tuple[str, ...], str], ...]  # each pool's feature names and label name
+    feature_names: tuple[str, ...]
+    label_name: str
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self):
         """Each client as a partition over its rows, handed out without
-        ``DatasetPartition``'s checks: the pools passed them when built."""
-        for i, (o, s, n) in enumerate(zip(self.owners.tolist(), self.starts.tolist(), self.sizes.tolist())):
-            (x, y), (names, label) = self.pools[o], self.columns[o]
+        ``DatasetPartition``'s checks: the pool passed them when built."""
+        x, y = self.features, self.labels
+        for cid, s, n in zip(self.ids, self.starts.tolist(), self.sizes.tolist()):
             p = object.__new__(DatasetPartition)
-            p.__dict__.update(client_id=self.ids[i], features=x[s : s + n], labels=y[s : s + n],
-                              feature_names=names, label_name=label)
+            p.__dict__.update(client_id=cid, features=x[s : s + n], labels=y[s : s + n],
+                              feature_names=self.feature_names, label_name=self.label_name)
             yield p
 
     def __getitem__(self, i: int) -> DatasetPartition:
@@ -109,45 +113,32 @@ class Fleet:
     def select(self, index: Sequence[int]) -> Fleet:
         """The clients at ``index``, in that order."""
         ids = tuple(map(self.ids.__getitem__, index))
-        return replace(self, owners=self.owners[index], starts=self.starts[index], sizes=self.sizes[index], ids=ids)
+        return replace(self, starts=self.starts[index], sizes=self.sizes[index], ids=ids)
 
     def select_features(self, names: tuple[str, ...]) -> Fleet:
-        """The columns ``names``, in that order, of each pool a client uses, gathered once."""
-        pools, columns = list(self.pools), list(self.columns)
-        for o in dict.fromkeys(self.owners.tolist()):
-            (x, y), (have, label) = pools[o], columns[o]
-            missing = [n for n in names if n not in have]
-            if missing:
-                raise ValidationError(f"unknown feature names {missing}")
-            pools[o], columns[o] = (x.take([have.index(n) for n in names], axis=1), y), (tuple(names), label)
-            pools[o][0].flags.writeable = False
-        return replace(self, pools=tuple(pools), columns=tuple(columns))
-
-    def packed(self) -> Fleet:
-        """The clients' rows copied, in order, into one locked pool named as the first client's."""
-        parts = list(self)
-        x, y = np.concatenate([p.features for p in parts]), np.concatenate([p.labels for p in parts])
-        x.flags.writeable = y.flags.writeable = False
-        starts, columns = np.cumsum(self.sizes) - self.sizes, (self.columns[self.owners[0]],)
-        return replace(self, pools=((x, y),), owners=0 * self.owners, starts=starts, columns=columns)
+        """The columns ``names``, in that order, gathered once."""
+        missing = [n for n in names if n not in self.feature_names]
+        if missing:
+            raise ValidationError(f"unknown feature names {missing}")
+        x = self.features.take([self.feature_names.index(n) for n in names], axis=1)
+        x.flags.writeable = False
+        return replace(self, features=x, feature_names=tuple(names))
 
 
 def as_fleet(partitions: Sequence[DatasetPartition]) -> Fleet:
-    """Hand-built partitions as a fleet, in list order, the arrays of each a pool of its own."""
-    check_shared_feature_space(partitions)
-    pools, sizes = tuple((p.features, p.labels) for p in partitions), np.array([p.size for p in partitions])
-    columns = tuple((p.feature_names, p.label_name) for p in partitions)
-    return Fleet(pools, np.arange(len(pools)), 0 * sizes, sizes, tuple(p.client_id for p in partitions), columns)
-
-
-def check_shared_feature_space(partitions: Sequence[DatasetPartition]) -> int:
-    """All partitions in one federation must share the feature dimension."""
+    """Hand-built partitions as a fleet: their rows copied, in list order, into one
+    locked pool. Each must name its columns as the first does."""
     if not partitions:
         raise ValidationError("at least one partition is required")
-    dims = {p.feature_dim for p in partitions}
-    if len(dims) != 1:
-        raise ValidationError(f"partitions disagree on feature dimension: {sorted(dims)}")
-    return dims.pop()
+    first = partitions[0]
+    for p in partitions:
+        if (p.feature_names, p.label_name) != (first.feature_names, first.label_name):
+            header = [*p.feature_names, p.label_name]
+            raise ValidationError(f"partition {p.client_id!r} has columns {header}, not {first.client_id!r}'s")
+    x, y = np.concatenate([p.features for p in partitions]), np.concatenate([p.labels for p in partitions])
+    x.flags.writeable = y.flags.writeable = False
+    sizes, ids = np.array([p.size for p in partitions]), tuple(p.client_id for p in partitions)
+    return Fleet(x, y, np.cumsum(sizes) - sizes, sizes, ids, first.feature_names, first.label_name)
 
 
 def save_partition(partition: DatasetPartition, directory: Path) -> Path:
@@ -196,11 +187,10 @@ def load_partition(path: Path) -> DatasetPartition:
 
 
 def load_partitions(directory: Path) -> Fleet:
-    """Load each ``client_<id>.csv`` in a directory, sorted by id, as a fleet whose
-    clients are rows of one locked pool when their headers agree."""
+    """Load each ``client_<id>.csv`` in a directory, sorted by id, as one fleet
+    (``as_fleet``): every file must have the first one's header."""
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.fullmatch(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
-    fleet = as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))
-    return fleet.packed() if len(set(fleet.columns)) == 1 else fleet
+    return as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))

@@ -85,7 +85,7 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[Fleet, dict]:
     pool_x.flags.writeable = pool_y.flags.writeable = False
     names = tuple(f"x{j}" for j in range(d))
     starts, ids = np.arange(0, k * n, n), tuple(f"{i:03d}" for i in range(k))
-    fleet = Fleet(((pool_x, pool_y),), np.zeros(k, dtype=np.int64), starts, np.full(k, n), ids, ((names, "label"),))
+    fleet = Fleet(pool_x, pool_y, starts, np.full(k, n), ids, names, "label")
 
     manifest = {
         "generator": "linear-hyperplane",

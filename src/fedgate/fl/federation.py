@@ -95,7 +95,7 @@ def check_fleet(config: FederationConfig, fleet: Fleet) -> Fleet:
             raise ValidationError("duplicate client ids across partitions")
     if len(fleet) != config.total_clients:
         raise ValidationError(f"{len(fleet)} partitions for {config.total_clients} configured clients")
-    d = fleet.pools[fleet.owners[0]][0].shape[1]  # every pool a client uses has it
+    d = fleet.features.shape[1]
     if d != config.loss.feature_dim:
         raise ValidationError(f"partition feature dimension {d} does not match loss spec {config.loss.feature_dim}")
     client_epochs, n = config.total_rounds * config.subset_size * config.local_epochs, int(fleet.sizes.max())

@@ -38,21 +38,17 @@ def local_train(
     """Run E epochs of gradient descent on each client's mean loss, all at once;
     row i of the returned ``(k, p)`` array is client i's update.
 
-    A cohort of several pools is packed into one first. Equally sized clients
-    train as one stack: a ``StackedGradient`` gathers their rows from the pool
-    (once per epoch under minibatch) and steps them in place. ``round_seeds``
-    (one per client, in cohort order) is read only under minibatch, where
-    ``epoch_orders`` draws every client's E epoch orders of a size group at
-    once; each client's orders come from its own seed alone, so its update has
-    the same bits whichever clients share it. The input model
-    is never modified. If clients diverge, the error names the lowest id among
-    them and the first check that client failed, as training them one by one
-    in id order would.
+    Equally sized clients train as one stack: a ``StackedGradient`` gathers
+    their rows from the cohort's pool (once per epoch under minibatch) and
+    steps them in place. ``round_seeds`` (one per client, in cohort order) is
+    read only under minibatch, where ``epoch_orders`` draws every client's E
+    epoch orders of a size group at once; each client's orders come from its
+    own seed alone, so its update has the same bits whichever clients share
+    it. The input model is never modified. If clients diverge, the error
+    names the lowest id among them and the first check that client failed,
+    as training them one by one in id order would.
     Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
-    if len(cohort.pools) > 1:
-        cohort = cohort.packed()
-    ((pool_x, pool_y),) = cohort.pools
     loss, lr, minibatch = config.loss, config.learning_rate, config.batch_mode == "minibatch"
     if minibatch:
         round_seeds = np.array([s & 0xFFFFFFFFFFFFFFFF for s in round_seeds], dtype=np.uint64)
@@ -72,7 +68,7 @@ def local_train(
             gradient = StackedGradient(weights, n, config.batch_size if minibatch else n, loss)
             for epoch in range(config.local_epochs):
                 if minibatch or not epoch:
-                    gradient.gather(pool_x, pool_y, rows[:, epoch])
+                    gradient.gather(cohort.features, cohort.labels, rows[:, epoch])
                 epoch_start = weights.copy()
                 # A non-finite gradient leaves its row non-finite to the epoch's end (lr is
                 # finite and >= 0), so an epoch that ends with every row within the limit
@@ -133,15 +129,15 @@ def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str
 class FleetScores:
     """One linear score per sample of a fixed fleet, in its order, refilled in place.
 
-    Clients form runs from their pool, start and size alone, each scored by
-    one matmul on an ``(items, rows, d)`` view of the pool, so no pooled copy
-    is made:
+    Clients form runs from their start and size alone, each scored by one
+    matmul on an ``(items, rows, d)`` view of the fleet's pool, so no pooled
+    copy is made:
 
-    * adjacent ranges of one pool merge into one item. BLAS sums a product's
+    * adjacent ranges merge into one item. BLAS sums a product's
       last ``rows % 4`` rows, and a one-row product, with other kernels (other
       low bits) than the rest, so an item grows only past a member of a
       multiple of four rows and never by a one-row member;
-    * equal-size ranges of one pool at a constant stride (every k-th client,
+    * equal-size ranges at a constant stride (every k-th client,
       capped clients) are the items of one batched product, which numpy
       computes item by item as each client's own product;
     * anything else is a run of its own.
@@ -149,22 +145,21 @@ class FleetScores:
     So on one BLAS thread each score keeps its per-partition bits."""
 
     def __init__(self, fleet: Fleet, loss: LossSpec):
-        runs: list[list[int]] = []  # [pool, first start, items, rows per item, item step in rows]
+        runs, run = [], [0, 0, 0, 0]  # [first start, items, rows per item, item step]; the empty first run takes no client
         last = merge_at = None  # the last item's start; where a client must start to merge onto it
-        for pool, start, n in zip(fleet.owners.tolist(), fleet.starts.tolist(), fleet.sizes.tolist()):
-            run = runs[-1] if runs and runs[-1][0] == pool else None
-            if run is not None and run[2] == 1 and n > 1 and start == merge_at:
-                run[3] += n
-            elif run is not None and n == run[3] and (run[2] == 1 or start - last == run[4]):
-                run[2], run[4], last = run[2] + 1, start - last, start
+        for start, n in zip(fleet.starts.tolist(), fleet.sizes.tolist()):
+            if run[1] == 1 and n > 1 and start == merge_at:
+                run[2] += n
+            elif n == run[2] and (run[1] == 1 or start - last == run[3]):
+                run[1], run[3], last = run[1] + 1, start - last, start
             else:
-                runs.append([pool, start, 1, n, 0])
+                runs.append(run := [start, 1, n, 0])
                 last = start
             merge_at = start + n if n % 4 == 0 else None
         self.scores = np.empty(int(fleet.sizes.sum()))
+        x, y = fleet.features, fleet.labels
         self._runs, labels, end = [], [], 0
-        for pool, start, c, n, step in runs:
-            x, y = fleet.pools[pool]
+        for start, c, n, step in runs:
             out, end = self.scores[end : end + c * n].reshape(c, n), end + c * n
             self._runs.append((as_strided(x[start:], (c, n, x.shape[1]), (step * x.strides[0], *x.strides)), out))
             labels.append(as_strided(y[start:], (c, n), (step * y.strides[0], *y.strides)).reshape(-1))

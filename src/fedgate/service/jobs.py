@@ -31,6 +31,9 @@ def _names(field: str, values) -> tuple[str, ...] | None:
         raise ValidationError(f"{field} must be a list of strings")
     if not values:
         raise ValidationError(f"{field} must not be empty; omit it to keep them all")
+    if len(set(values)) < len(values):
+        twice = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ValidationError(f"{field} names {twice!r} twice")
     return tuple(values)
 
 
@@ -56,8 +59,8 @@ class DataFilter:
 
 def apply_filter(fleet: Fleet, data_filter: DataFilter) -> Fleet:
     """The fleet a job trains on, in the order given, by index arithmetic on its
-    pools: a client filter selects offsets, a sample cap shortens sizes, and a
-    feature filter gathers each used pool's columns once, by its own names."""
+    pool: a client filter selects offsets, a sample cap shortens sizes, and a
+    feature filter gathers the named columns once."""
     if data_filter.client_ids is not None:
         wanted = set(data_filter.client_ids)
         missing = wanted.difference(fleet.ids)

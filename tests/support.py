@@ -230,9 +230,7 @@ def reference_local_train(model, cohort, config, round_seeds) -> np.ndarray:
     """What ``local_train`` must return or raise, from a fresh ``stacked_gradient``
     per batch, a fresh gather per epoch and every check after every step: a
     non-finite gradient as it happens, the weights at each epoch's end."""
-    if len(cohort.pools) > 1:
-        cohort = cohort.packed()
-    ((pool_x, pool_y),) = cohort.pools
+    pool_x, pool_y = cohort.features, cohort.labels
     loss, minibatch = config.loss, config.batch_mode == "minibatch"
     if minibatch:
         round_seeds = [s & 0xFFFFFFFFFFFFFFFF for s in round_seeds]

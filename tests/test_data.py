@@ -20,7 +20,7 @@ from fedgate.fl import (
     load_partitions,
     write_dataset,
 )
-from fedgate.fl.data import as_fleet, check_shared_feature_space, load_partition, save_partition
+from fedgate.fl.data import as_fleet, load_partition, save_partition
 from fedgate.fl.datagen import _BLOCK_ROWS, MANIFEST_NAME
 
 from support import reference_pool
@@ -109,12 +109,28 @@ def test_shared_feature_space():
         DatasetPartition(client_id="a", features=np.ones((2, 3)), labels=np.zeros(2)),
         DatasetPartition(client_id="b", features=np.ones((5, 3)), labels=np.zeros(5)),
     ]
-    assert check_shared_feature_space(parts) == 3
+    assert as_fleet(parts).features.shape == (7, 3)
     bad = parts + [
         DatasetPartition(client_id="c", features=np.ones((1, 4)), labels=np.zeros(1))
     ]
-    with pytest.raises(ValidationError):
-        check_shared_feature_space(bad)
+    with pytest.raises(ValidationError, match="partition 'c' has columns"):
+        as_fleet(bad)
+    with pytest.raises(ValidationError, match="at least one partition"):
+        as_fleet([])
+
+
+@pytest.mark.parametrize(
+    "header, twice", [("x,x,label", "x"), ("x,label,label", "label")], ids=["feature", "feature-and-label"]
+)
+def test_a_partition_names_each_column_once(tmp_path, header, twice):
+    # Read as given, a featureNames filter of "x" would take the first column alone.
+    path = tmp_path / "client_a.csv"
+    path.write_text(f"{header}\n1.0,2.0,0.0\n")
+    with pytest.raises(ValidationError, match=f"^partition 'a' names two columns '{twice}'$"):
+        load_partition(path)
+    *names, label = header.split(",")
+    with pytest.raises(ValidationError, match=f"names two columns '{twice}'"):
+        DatasetPartition("a", np.ones((1, 2)), np.zeros(1), feature_names=tuple(names), label_name=label)
 
 
 def test_csv_round_trip(tmp_path):
@@ -299,7 +315,7 @@ def test_fleet_partitions_equal_those_built_by_hand_on_the_same_rows(tmp_path):
     )
     write_dataset(spec, tmp_path)
     for fleet in (generate_partitions(spec)[0], load_partitions(tmp_path)):
-        ((x, y),) = fleet.pools
+        x, y = fleet.features, fleet.labels
         assert not x.flags.writeable and not y.flags.writeable
         for p, start in zip(fleet, fleet.starts.tolist()):
             rows = slice(start, start + p.size)
@@ -320,7 +336,7 @@ def test_both_producers_return_a_fleet_that_indexes_its_clients_as_it_iterates_t
     write_dataset(spec, tmp_path)
     for fleet in (generate_partitions(spec)[0], load_partitions(tmp_path)):
         assert isinstance(fleet, Fleet)
-        ((x, y),) = fleet.pools
+        x, y = fleet.features, fleet.labels
         parts = list(fleet)
         for i in (*range(len(fleet)), -1):
             got, want = fleet[i], parts[i]
@@ -402,26 +418,26 @@ def test_a_fleet_hands_out_row_views_that_select_from_its_pool():
     fleet, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2))
     picked = fleet.select([5, 3, 1])
     assert picked.ids == ("005", "003", "001") and picked.starts.tolist() == [20, 12, 4]
-    assert len(picked.pools) == 1 and picked.pools[0][0] is fleet[0].features.base
-    # Hand-built partitions are a pool each, even rows a fleet handed out.
+    assert picked.features is fleet[0].features.base
+    # Hand-built partitions are copied into one locked pool, even rows a fleet handed out.
     mixed = as_fleet([fleet[0], replace(fleet[1], client_id="x")])
-    assert len(mixed.pools) == 2 and mixed.pools[1][0] is not mixed.pools[0][0]
-    assert [p.client_id for p in mixed] == ["000", "x"]
+    assert [p.client_id for p in mixed] == ["000", "x"] and mixed.starts.tolist() == [0, 4]
+    for pool, given, view in (
+        (mixed.features, fleet.features, mixed[1].features),
+        (mixed.labels, fleet.labels, mixed[1].labels),
+    ):
+        assert view.base is pool and not pool.flags.writeable and not np.shares_memory(pool, given)
+        assert pool.tobytes() == given[:8].tobytes()
 
 
-def test_partitions_that_name_their_columns_differently_keep_their_names(tmp_path):
+def test_partitions_that_name_their_columns_differently_are_refused(tmp_path):
     a = DatasetPartition("a", np.array([[1.0, 2.0]]), np.zeros(1), feature_names=("age", "bmi"))
-    b = DatasetPartition("b", np.array([[3.0, 4.0]]), np.ones(1), feature_names=("bmi", "age"), label_name="y")
-    c = DatasetPartition("c", np.array([[5.0, 6.0]]), np.ones(1), feature_names=("h", "w"))
-    assert check_shared_feature_space([a, b, c]) == 2
+    b = DatasetPartition("b", np.array([[3.0, 4.0]]), np.ones(1), feature_names=("bmi", "age"))
     for p in (a, b):
         save_partition(p, tmp_path)
-    for fleet in (as_fleet([a, b]), load_partitions(tmp_path)):
-        assert [(p.feature_names, p.label_name) for p in fleet] == [(("age", "bmi"), "label"), (("bmi", "age"), "y")]
-        # A feature filter reads each client's own names.
-        picked = fleet.select_features(("age",))
-        assert [(p.feature_names, p.features.tolist()) for p in picked] == [(("age",), [[1.0]]), (("age",), [[4.0]])]
-    # Only the clients a fleet keeps must hold the names.
-    assert [p.client_id for p in as_fleet([a, c]).select([0]).select_features(("age",))] == ["a"]
-    with pytest.raises(ValidationError, match="unknown feature names"):
-        as_fleet([a, c]).select_features(("age",))
+    # Trained as given, weight 0 would learn "age" from a and "bmi" from b.
+    with pytest.raises(ValidationError, match=r"^partition 'b' has columns \['bmi', 'age', 'label'\], not 'a''s$"):
+        load_partitions(tmp_path)
+    with pytest.raises(ValidationError, match="partition 'y' has columns"):
+        as_fleet([a, replace(a, client_id="y", label_name="y")])
+    assert [p.feature_names for p in as_fleet([a, replace(a, client_id="z")])] == [("age", "bmi")] * 2

@@ -1183,6 +1183,23 @@ def test_a_filter_list_that_is_not_all_strings_is_refused(tmp_path, field, value
     assert service.queue.get("job-0001") is None
 
 
+@pytest.mark.parametrize("field, value", [("clientIds", ["001", "000", "001"]), ("featureNames", ["x0", "x0"])])
+def test_a_filter_list_that_names_an_entry_twice_is_refused(tmp_path, field, value):
+    # Read as given, ["x0", "x0"] would train on one feature twice.
+    message = f"{field} names {value[0]!r} twice"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DataFilter.from_dict({field: value})
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle(
+        "POST",
+        "/jobs",
+        headers={"Authorization": f"Grant {token}"},
+        body={"config": job_config().to_dict(), "dataFilter": {field: value}},
+    )
+    assert (response.status, response.body) == (400, {"error": message})
+    assert service.queue.get("job-0001") is None
+
+
 @pytest.mark.parametrize("cap", [30, 2**63, 10**19])
 def test_a_cap_past_every_client_keeps_them_whole(tmp_path, cap):
     # A JSON integer has no bound, and numpy holds none past int64.

@@ -1,7 +1,7 @@
 """No program reads a raw array address.
 
-A fleet is row ranges of locked pools, and every consumer works from each
-client's pool, start and size: the scores' runs, the cohort's gather and the
+A fleet is row ranges of one locked pool, and every consumer works from each
+client's start and size: the scores' runs, the cohort's gather and the
 filters are index arithmetic. An address (``ndarray.ctypes``,
 ``__array_interface__``, ``byte_bounds``) would bring back the layout
 guessing this replaced. This test walks ``src/`` with ``ast`` and fails on an

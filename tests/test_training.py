@@ -612,45 +612,14 @@ def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
     assert training_accuracy(z, y, spec) == hits / len(z)
 
 
-def locked(array):
-    array.flags.writeable = False
-    return array
-
-
 @st.composite
 def mixed_fleets(draw):
-    """Partitions of one feature width drawn from every layout a fleet can have:
-    consecutive row views of a locked pool, views with gaps between them, views of
-    a second pool, independent arrays and ``select_features`` copies; ids are
-    dealt out in a drawn order, so sorting by id also reorders pool views."""
+    """Hand-built partitions of one drawn feature width and unequal sizes, which
+    ``as_fleet`` packs into one pool, so adjacent clients meet the merge rule."""
     d = draw(st.sampled_from([1, 3, 8, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pools = {kind: (locked(rng.normal(size=(64, d))), locked(rng.random(64))) for kind in ("a", "b")}
-    wide = DatasetPartition("wide", rng.normal(size=(64, d + 2)), rng.random(64))
-    names = list(wide.feature_names)
-    rng.shuffle(names)
-    cursor = {"a": 0, "b": 0, "wide": 0}
-    features_labels = []
-    piece = st.tuples(
-        st.sampled_from(["a", "b", "own", "wide"]), st.integers(1, 9), st.sampled_from([0, 0, 1, 3])
-    )
-    for kind, size, gap in draw(st.lists(piece, min_size=1, max_size=14)):
-        start = cursor.get(kind, 0) + gap
-        if kind == "own" or start + size > 64:
-            features_labels.append((rng.normal(size=(size, d)), rng.random(size)))
-            continue
-        cursor[kind] = start + size
-        if kind == "wide":
-            rows = slice(start, start + size)
-            part = DatasetPartition("w", wide.features[rows], wide.labels[rows], wide.feature_names)
-            (part,) = as_fleet([replace(part)]).select_features(tuple(names[:d]))
-            features_labels.append((part.features, part.labels))
-        else:
-            x, y = pools[kind]
-            features_labels.append((x[start : start + size], y[start : start + size]))
-    ids = draw(st.permutations(range(len(features_labels))))
-    parts = [DatasetPartition(f"{i:03d}", x, y) for i, (x, y) in zip(ids, features_labels)]
-    return sorted(parts, key=lambda p: p.client_id), d
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=14))
+    return [DatasetPartition(f"{i:03d}", rng.normal(size=(n, d)), rng.random(n)) for i, n in enumerate(sizes)], d
 
 
 @settings(max_examples=200, deadline=None)
@@ -670,34 +639,26 @@ def test_fleet_scores_keep_the_bits_of_one_matmul_per_partition(fleet, bias, see
 def pool_fleets(draw):
     """Clients of one ``generate_partitions`` pool as jobs select them: pieces of
     every-k-th clients from an offset, adjacent ranges, ``max_samples_per_client``
-    caps of either, shuffled subsets and stand-alone copies, one after another.
-    The fleet selects and caps them on the pool, as ``apply_filter`` does; one
-    that holds a copy is built by ``as_fleet``, each client a pool of its own."""
+    caps of either and shuffled subsets, one after another, which leave gaps and
+    strides between clients. The fleet selects and caps them on the pool, as
+    ``apply_filter`` does."""
     n, d = draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 20]))
     spec = SyntheticSpec(n_clients=40, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
     pool, _ = generate_partitions(spec)
-    index, sizes, copied = [], [], []
-    for kind in draw(st.lists(st.sampled_from(["strided", "range", "shuffled", "own"]), min_size=1, max_size=4)):
+    index, sizes = [], []
+    for kind in draw(st.lists(st.sampled_from(["strided", "range", "shuffled"]), min_size=1, max_size=4)):
         if kind == "strided":
             k = draw(st.integers(1, 9))
             piece = range(draw(st.integers(0, k - 1)), 40, k)
         elif kind == "range":
             start = draw(st.integers(0, 39))
             piece = range(start, draw(st.integers(start + 1, 40)))
-        elif kind == "shuffled":
-            piece = draw(st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True))
         else:
-            piece = range(3)
+            piece = draw(st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True))
         cap = draw(st.none() | st.integers(1, 13))
         index += piece
         sizes += [n if cap is None else min(n, cap)] * len(piece)
-        copied += [kind == "own"] * len(piece)
-    fleet = replace(pool.select(index), sizes=np.array(sizes))
-    if any(copied):
-        fleet = as_fleet(
-            [replace(p, features=p.features.copy(), labels=p.labels.copy()) if c else p for p, c in zip(fleet, copied)]
-        )
-    return fleet, d
+    return replace(pool.select(index), sizes=np.array(sizes)), d
 
 
 @settings(max_examples=200, deadline=None)
@@ -770,9 +731,10 @@ def test_evaluation_makes_no_pooled_copy_of_the_features():
         subset_size=10,
         loss=LossSpec(kind="logistic", feature_dim=20, bias=True),
     )
+    fleet = as_fleet(parts)  # the one copy, made before the window
     tracemalloc.start()
     try:
-        run_federation(config, as_fleet(parts))
+        run_federation(config, fleet)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -807,7 +769,7 @@ def filtered_pools(draw):
 def test_a_filtered_pool_stays_one_pool_and_keeps_per_partition_bits(fleet, bias, seed):
     fleet, d = fleet
     parts = list(fleet)
-    assert len(fleet.pools) == 1 and all(p.features.base is fleet.pools[0][0] for p in parts)
+    assert all(p.features.base is fleet.features for p in parts)
     loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
     model = np.random.default_rng(seed).normal(size=loss.parameter_dim)
     scores = FleetScores(fleet, loss)
