@@ -39,7 +39,8 @@ one is safe.
 A request nonce opens at most one evaluation: just before the contract
 runs it is spent in the ring of the last ``NONCE_RING_SIZE`` nonces, which
 attestation nonces share, so a replay is denied ``replay``, writes nothing
-and never reuses a tx id. The bounded tables (pending entries, nonces,
+and never reuses a tx id. Every nonce is checked as 16 bytes before the
+ring sees it. The bounded tables (pending entries, nonces,
 grants) each keep one ``OrderedDict`` and evict from its front, unscanned.
 """
 
@@ -213,6 +214,7 @@ class AccessGateway:
     ) -> AccessOutcome:
         if attestation is None:
             return DENIED_MISSING_ATTESTATION
+        _check_nonce(attestation.nonce, "attestation")
         if attestation.did != request.requester:
             return DENIED_ATTESTATION_MISMATCH
         contract = self.engine.for_service(request.service)

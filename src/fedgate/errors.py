@@ -1,7 +1,9 @@
 """Shared exception types, and the field checks and camelCase key map that records in JSON share."""
 
+import sys
 from dataclasses import fields
 from functools import cache
+from numbers import Integral, Real
 
 
 class FedGateError(Exception):
@@ -28,6 +30,24 @@ def check_keys(data: object, what: str, keys) -> None:
         raise ValidationError(f"{what} must be an object, got {type(data).__name__}")
     if not data.keys() <= keys:
         raise ValidationError(f"{what} has unknown keys {sorted(map(str, data.keys() - keys))}")
+
+
+def check_integer(name: str, value, minimum: int | None = 1) -> int:
+    """``value`` as an int of at least ``minimum``; bools, text and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a finite float; bools, text, NaN, infinities and overflowing ints are refused."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @cache

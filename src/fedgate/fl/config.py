@@ -2,33 +2,13 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
-from ..errors import ValidationError, from_camel_keys, to_camel_dict
+from ..errors import ValidationError, check_integer, check_real, from_camel_keys, to_camel_dict
 
 LOSS_KINDS = ("squared_error", "logistic")
 WEIGHTINGS = ("proportional", "uniform")
 BATCH_MODES = ("full", "minibatch")
-
-
-def _integer(name: str, value, minimum: int | None = 1) -> int:
-    """``value`` as an int of at least ``minimum``; bools, text and fractions are refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a finite float; bools, text, NaN, infinities and overflowing ints are refused."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +22,7 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        object.__setattr__(self, "feature_dim", _integer("feature_dim", self.feature_dim))
+        object.__setattr__(self, "feature_dim", check_integer("feature_dim", self.feature_dim))
         if not isinstance(self.bias, bool):
             raise ValidationError(f"bias must be true or false, got {self.bias!r}")
 
@@ -77,20 +57,20 @@ class FederationConfig:
 
     def __post_init__(self) -> None:
         for name in ("total_rounds", "total_clients", "subset_size", "local_epochs"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed, None))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "rng_seed", check_integer("rng_seed", self.rng_seed, None))
         if self.subset_size > self.total_clients:
             raise ValidationError(
                 f"subset_size must lie in [1, {self.total_clients}], got {self.subset_size}"
             )
         # Zero is allowed so a no-op step stays expressible; only negatives rejected.
-        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate))
+        object.__setattr__(self, "learning_rate", check_real("learning_rate", self.learning_rate))
         if self.learning_rate < 0:
             raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_mode not in BATCH_MODES:
             raise ValidationError(f"batch_mode must be one of {BATCH_MODES}, got {self.batch_mode!r}")
         if self.batch_size is not None:
-            object.__setattr__(self, "batch_size", _integer("batch_size", self.batch_size))
+            object.__setattr__(self, "batch_size", check_integer("batch_size", self.batch_size))
         if self.batch_mode == "minibatch" and self.batch_size is None:
             raise ValidationError("minibatch mode requires batch_size >= 1")
         if self.weighting not in WEIGHTINGS:
@@ -101,7 +81,7 @@ class FederationConfig:
                     f"initial_weights has length {len(self.initial_weights)}, "
                     f"expected {self.loss.parameter_dim}"
                 )
-            weights = tuple(_real("initial_weights", w) for w in self.initial_weights)
+            weights = tuple(check_real("initial_weights", w) for w in self.initial_weights)
             object.__setattr__(self, "initial_weights", weights)
 
     def to_dict(self) -> dict:

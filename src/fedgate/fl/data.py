@@ -30,8 +30,8 @@ class DatasetPartition:
     label_name: str = "label"
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.float64)
+        x = np.array(self.features, dtype=np.float64)  # a copy: a partition aliases no caller's data
+        y = np.array(self.labels, dtype=np.float64)
         if x.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
@@ -53,8 +53,9 @@ class DatasetPartition:
         if len(set(columns)) < len(columns):
             twice = next(n for i, n in enumerate(columns) if n in columns[:i])
             raise ValidationError(f"partition {self.client_id!r} names two columns {twice!r}")
-        object.__setattr__(self, "features", _locked(x))
-        object.__setattr__(self, "labels", _locked(y))
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "feature_names", tuple(names))
 
     @property
@@ -64,17 +65,6 @@ class DatasetPartition:
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
-
-
-def _locked(a: np.ndarray) -> np.ndarray:
-    """``a`` when it is, or is a read-only view of, a locked ndarray owning its memory,
-    else a locked copy: a partition never aliases writable data. numpy points a view's
-    ``base`` at the array owning its memory; over a ``bytearray`` that base has a base."""
-    owner = a if a.base is None else a.base
-    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable or owner.base is not None:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

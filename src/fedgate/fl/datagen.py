@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..canonical import canonical_json_bytes
-from ..errors import ValidationError
-from .config import _integer, _real
+from ..errors import ValidationError, check_integer, check_real
 from .data import Fleet, save_partition
 
 MANIFEST_NAME = "manifest.json"
@@ -37,10 +36,10 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_clients", "samples_per_client", "feature_dim"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _integer("seed", self.seed, None))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, None))
         for name in ("separability", "label_skew", "label_noise"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not 0 <= self.label_skew <= 1:

@@ -129,33 +129,22 @@ def _note(failures: dict[str, str], ids: list[str], bad: np.ndarray, detail: str
 class FleetScores:
     """One linear score per sample of a fixed fleet, in its order, refilled in place.
 
-    Clients form runs from their start and size alone, each scored by one
-    matmul on an ``(items, rows, d)`` view of the fleet's pool, so no pooled
-    copy is made:
-
-    * adjacent ranges merge into one item. BLAS sums a product's
-      last ``rows % 4`` rows, and a one-row product, with other kernels (other
-      low bits) than the rest, so an item grows only past a member of a
-      multiple of four rows and never by a one-row member;
-    * equal-size ranges at a constant stride (every k-th client,
-      capped clients) are the items of one batched product, which numpy
-      computes item by item as each client's own product;
-    * anything else is a run of its own.
-
-    So on one BLAS thread each score keeps its per-partition bits."""
+    Clients form runs from their start and size alone: a client of the previous
+    client's size, as far past it as the run's items are apart, joins the run as
+    one more item; any other client starts one. Each run is one batched matmul on
+    an ``(items, rows, d)`` view of the fleet's pool, so no pooled copy is made,
+    and numpy computes it item by item as each client's own product, so each
+    score keeps its per-partition bits."""
 
     def __init__(self, fleet: Fleet, loss: LossSpec):
-        runs, run = [], [0, 0, 0, 0]  # [first start, items, rows per item, item step]; the empty first run takes no client
-        last = merge_at = None  # the last item's start; where a client must start to merge onto it
+        runs = []  # [first start, items, rows per item, item step]
         for start, n in zip(fleet.starts.tolist(), fleet.sizes.tolist()):
-            if run[1] == 1 and n > 1 and start == merge_at:
-                run[2] += n
-            elif n == run[2] and (run[1] == 1 or start - last == run[3]):
-                run[1], run[3], last = run[1] + 1, start - last, start
+            run = runs[-1] if runs else None
+            if run and n == run[2] and (run[1] == 1 or start - last == run[3]):
+                run[1], run[3] = run[1] + 1, start - last
             else:
-                runs.append(run := [start, 1, n, 0])
-                last = start
-            merge_at = start + n if n % 4 == 0 else None
+                runs.append([start, 1, n, 0])
+            last = start
         self.scores = np.empty(int(fleet.sizes.sum()))
         x, y = fleet.features, fleet.labels
         self._runs, labels, end = [], [], 0

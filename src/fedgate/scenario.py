@@ -18,9 +18,8 @@ from .access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import MEMBERSHIP_CLAIM, Actor, build_desk
-from .errors import ValidationError, from_camel_keys
+from .errors import ValidationError, check_integer, from_camel_keys
 from .fl import FederationConfig, LossSpec, SyntheticSpec, load_partitions, write_dataset
-from .fl.config import _integer
 from .ledger import verify_chain_file
 from .service import FaultEvent, FlaasService, NodeRegistry, ServiceApi
 
@@ -72,7 +71,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name, minimum in _INTEGER_FIELDS:
-            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if self.qualified_users > self.users:
             raise ValidationError("qualified_users must lie in [0, users]")
         if self.scheme not in (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP):

@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass, replace
 import numpy as np
 
-from ..errors import FedGateError, ValidationError, from_camel_keys
+from ..errors import FedGateError, ValidationError, check_integer, check_real, from_camel_keys
 from ..fl import FederationConfig, Fleet
-from ..fl.config import _integer, _real
 
 
 def _names(field: str, values) -> tuple[str, ...] | None:
@@ -49,7 +48,7 @@ class DataFilter:
         object.__setattr__(self, "client_ids", _names("clientIds", self.client_ids))
         object.__setattr__(self, "feature_names", _names("featureNames", self.feature_names))
         if self.max_samples_per_client is not None:
-            n = _integer("max_samples_per_client", self.max_samples_per_client)
+            n = check_integer("max_samples_per_client", self.max_samples_per_client)
             object.__setattr__(self, "max_samples_per_client", n)
 
     @classmethod
@@ -86,7 +85,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         # NaN compares false both ways, so it would leave the WSJF order undefined.
         for name in ("estimated_runtime", "priority_weight"):
-            value = _real(name, getattr(self, name))
+            value = check_real(name, getattr(self, name))
             if value <= 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)

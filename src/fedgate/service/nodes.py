@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import FedGateError, ValidationError
-from ..fl.config import _integer
+from ..errors import FedGateError, ValidationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,7 @@ class FaultEvent:
     node_id: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "round_index", _integer("fault round", self.round_index))
+        object.__setattr__(self, "round_index", check_integer("fault round", self.round_index))
         if not isinstance(self.node_id, str):
             raise ValidationError(f"fault node ids must be strings, got {self.node_id!r}")
 

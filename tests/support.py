@@ -9,15 +9,19 @@ its ``stacked_gradient``, whose one-model case is the gradient oracle, and
 the pure-Python SplitMix64 epoch orders that ``epoch_orders`` is held to), the
 per-client generator that
 ``generate_partitions`` is held to bit for bit, the total weighted
-completion time that ``wsjf_order`` is held to (acceptance criterion 09), and
-the strict reader of the ``metrics.csv`` a job writes."""
+completion time that ``wsjf_order`` is held to (acceptance criterion 09), the
+strict reader of the ``metrics.csv`` a job writes, and the runner of a
+snippet under a set number of BLAS threads."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -151,7 +155,7 @@ def raw_scores(model: np.ndarray, features: np.ndarray, loss: LossSpec) -> np.nd
 
 def per_partition_scores(model: np.ndarray, partitions, loss: LossSpec) -> np.ndarray:
     """Scores in list order, one matmul per partition: the bits ``FleetScores.fill``
-    keeps however it merges partitions into runs."""
+    keeps however it batches partitions into runs."""
     return np.concatenate([raw_scores(model, p.features, loss) for p in partitions])
 
 
@@ -309,6 +313,18 @@ def reference_pool(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
             labels = np.where(flips, 1.0 - labels, labels)
         pool_y[i * n : (i + 1) * n] = labels
     return pool_x, pool_y
+
+
+def run_under_blas_threads(code: str, threads: int) -> str:
+    """What ``code`` prints in a fresh interpreter allowed ``threads`` OpenBLAS
+    threads (OpenBLAS reads the limit once, when it loads), with ``src`` and
+    ``tests`` on its path; the calling test fails with the snippet's output if it does."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result.stdout
 
 
 def total_weighted_completion(jobs: list[JobSpec], order: list[int]) -> float:

@@ -997,6 +997,17 @@ def access_body(stack, **fields):
     return body
 
 
+def forged_attestation(nonce_hex):
+    """An attestation body for alice that every field check but the nonce's passes."""
+    return {
+        "did": "did:efed:alice",
+        "nonce": nonce_hex,
+        "documentDigest": "00" * 32,
+        "resolver": "front-desk",
+        "signature": "00" * 64,
+    }
+
+
 def config_body(**fields):
     return {**job_config().to_dict(), **fields}
 
@@ -1009,6 +1020,7 @@ def config_body(**fields):
         ("/access/request", {"nonce": "01" * 15}),
         ("/access/request", {"nonce": "01" * 17}),
         ("/access/request", {"attestation": {}}),
+        ("/access/request", {"attestation": forged_attestation("01" * 17)}),
         ("/jobs", {"config": {}}),
         ("/jobs", {"config": 3}),
         ("/jobs", {"estimatedRuntime": "x"}),
@@ -1036,6 +1048,7 @@ def config_body(**fields):
     ],
     ids=[
         "non-hex-nonce", "unknown-scheme", "15-byte-nonce", "17-byte-nonce", "empty-attestation",
+        "17-byte-attestation-nonce",
         "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
@@ -1085,6 +1098,18 @@ def test_unknown_or_empty_body_keys_answer_400_and_change_nothing(tmp_path, path
     assert named in response.body["error"]
     assert stack.chain.height == height
     assert service.queue.get("job-0001") is None
+
+
+def test_attestation_nonces_of_the_wrong_length_answer_400_and_spend_no_ring_slot(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    ring = stack.gateway._used_nonces._seen
+    size = len(ring)
+    for nonce_hex in ("01" * 15, "01" * 17, "ab" * 100_000):
+        body = access_body(stack, attestation=forged_attestation(nonce_hex))
+        response = api.handle("POST", "/access/request", body=body)
+        assert response.status == 400
+        assert "attestation nonce must be 16 bytes" in response.body["error"]
+    assert len(ring) == size
 
 
 def test_real_body_fields_take_json_integers(tmp_path):

@@ -1,10 +1,10 @@
 """No program reads a raw array address.
 
 A fleet is row ranges of one locked pool, and every consumer works from each
-client's start and size: the scores' runs, the cohort's gather and the
-filters are index arithmetic. An address (``ndarray.ctypes``,
-``__array_interface__``, ``byte_bounds``) would bring back the layout
-guessing this replaced. This test walks ``src/`` with ``ast`` and fails on an
+client's start and size: the scores' batched runs, the cohort's gather and
+the filters are index arithmetic. An address (``ndarray.ctypes``,
+``__array_interface__``, ``byte_bounds``) would let a consumer guess at
+memory layout that the starts and sizes already state. This test walks ``src/`` with ``ast`` and fails on an
 import of ``ctypes`` and on any use of those names, as an attribute, a bare
 name or a string (``getattr``).
 """

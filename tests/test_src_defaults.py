@@ -24,7 +24,7 @@ ALLOWED = {
     "fedgate/access/workflows.py:AccessGateway.__init__(pending_ttl_seconds)": _GATEWAY_LIMIT,
     "fedgate/cli.py:main(argv)": "the fedgate console script calls main() with no arguments",
     "fedgate/desk.py:Desk.deploy_policy(requirements)": "run_demo deploys the membership policy",
-    "fedgate/fl/config.py:_integer(minimum)": "the LossSpec, FederationConfig, FaultEvent and DataFilter checks take 1",
+    "fedgate/errors.py:check_integer(minimum)": "the LossSpec, FederationConfig, FaultEvent and DataFilter checks take 1",
     "fedgate/fl/federation.py:run_federation(observer)": _RUN_FEDERATION,
     "fedgate/fl/federation.py:run_federation(eligibility)": _RUN_FEDERATION,
     "fedgate/service/api.py:ServiceApi.handle(query)": _HANDLE,

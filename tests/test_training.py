@@ -38,6 +38,7 @@ from support import (
     reference_epoch_orders,
     reference_local_train,
     reference_sigmoid,
+    run_under_blas_threads,
     sigmoid,
 )
 
@@ -615,7 +616,7 @@ def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
 @st.composite
 def mixed_fleets(draw):
     """Hand-built partitions of one drawn feature width and unequal sizes, which
-    ``as_fleet`` packs into one pool, so adjacent clients meet the merge rule."""
+    ``as_fleet`` packs into one pool, so adjacent clients meet the run rule."""
     d = draw(st.sampled_from([1, 3, 8, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=14))
@@ -668,6 +669,29 @@ def test_fleet_scores_of_pool_selections_keep_per_partition_bits(fleet, bias, se
     loss = LossSpec(kind="logistic", feature_dim=d, bias=bias)
     model = np.random.default_rng(seed).normal(size=loss.parameter_dim)
     assert FleetScores(parts, loss).fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes()
+
+
+def test_fleet_scores_keep_per_partition_bits_under_two_blas_threads():
+    # OpenBLAS splits a product of this many rows over two threads, and the split
+    # moves with the row count, so a product over two clients' rows rounds some rows
+    # unlike the two clients' own products. On a one-CPU host OpenBLAS caps itself
+    # at one thread, so there this test passes however clients are joined.
+    code = """if True:
+        import numpy as np
+        from fedgate.fl import DatasetPartition, LossSpec
+        from fedgate.fl.data import as_fleet
+        from fedgate.fl.training import FleetScores
+        from support import per_partition_scores
+        rng = np.random.default_rng(11)
+        loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
+        for sizes in ([100000, 2], [100004, 100004]):
+            parts = [DatasetPartition(str(i), rng.normal(size=(n, 20)), rng.random(n)) for i, n in enumerate(sizes)]
+            scores = FleetScores(as_fleet(parts), loss)
+            for _ in range(3):
+                model = rng.normal(size=loss.parameter_dim)
+                assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes(), sizes
+    """
+    run_under_blas_threads(code, 2)
 
 
 def test_an_every_tenth_client_filter_of_the_bench_fleet_is_one_run():
