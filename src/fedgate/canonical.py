@@ -6,7 +6,8 @@ are lowercase hex so the encoding round-trips through text transports.
 
 A desk's two logs (``chain.jsonl``, ``identity.jsonl``) are JSON lines in
 that encoding: ``write_json_lines`` writes each of them and
-``read_json_lines`` reads each of them back, so both share one line rule.
+``read_json_lines`` reads each of them back, one line at a time, so both
+share one line rule.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)  # what json.dumps builds per call
+_DECODE = json.JSONDecoder().raw_decode  # no whitespace skipped either side, unlike json.loads
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -53,18 +55,26 @@ def write_json_lines(path: Path, records: Iterable) -> Path:
     return path
 
 
-def read_json_lines(path: Path) -> tuple[list, int | None]:
-    """The records of a JSON-lines file, and the index of its first unreadable line.
+def read_json_lines(path: Path) -> Iterator[tuple[str, Any]]:
+    """Each line of a JSON-lines file, as its text and the value it holds, one at a time.
 
-    Each line is decoded as UTF-8, strictly, before it is parsed, and holds
-    one JSON value: a blank line, a byte-order mark or a stray non-UTF-8
-    byte is unreadable. The records before that line are returned.
+    Each line is decoded once: as UTF-8, strictly, then as one JSON value
+    that starts at the line's first character and ends at its newline. At
+    the first line that is not so (a blank line, a byte-order mark,
+    whitespace around the value, a stray non-UTF-8 byte, an integer past the
+    digit limit, nesting past the recursion limit, a last line with no
+    newline) the generator raises
+    ``ValueError``. Whitespace inside the value parses; a reader that holds a
+    line to its writer's bytes compares the text. Close the generator
+    (``contextlib.closing``) so the file closes when a reader stops early.
     """
-    records = []
     with Path(path).open("rb") as fh:
         for line in fh:
-            try:  # decoded here, strictly: ``json.loads`` would guess at an encoding
-                records.append(json.loads(line.decode()))
-            except ValueError:  # bad JSON or a blank line, bad UTF-8, an integer past the digit limit
-                return records, len(records)
-    return records, None
+            text = line.decode()  # strictly: ``json.loads`` would guess at an encoding
+            try:
+                value, end = _DECODE(text)
+            except RecursionError:  # arrays or objects nested past the interpreter's depth
+                raise ValueError("a JSON line nests too deep") from None
+            if text[end:] != "\n":
+                raise ValueError(f"a JSON line holds one value and a newline, got {text[end:]!r:.40}")
+            yield text, value

@@ -3,11 +3,13 @@
 Every successful mutation is reported to the recorder the registry is
 built with (the desk passes ``Chain.record``; there is no local stand-in,
 since a test can pass its own) and mirrored into an append-only JSON-lines
-log, in the chain file's encoding and line rule (``fedgate.canonical``),
-that replays back to identical state. ``replay_log`` is that log's one
-validator: the first malformed line, line that is not a JSON line, or line
-the registry itself refuses (a second registration, a version that skips a
-step), is refused with a ``ValidationError`` naming the line.
+log, in the chain file's encoding (``fedgate.canonical``), that replays
+back to identical state. ``replay_log`` is that log's one validator: it
+replays each line as it reads it, and the first malformed line, line that is
+not a JSON line, line that is not exactly the bytes ``write_log`` writes for
+its value, or line the registry itself refuses (a second registration, a
+version that skips a step), is refused with a ``ValidationError`` naming the
+line.
 
 Each registered principal supplies a non-empty string ``profile_hash``; a
 second registration with the same hash is rejected, so one real-world
@@ -16,10 +18,11 @@ profile cannot hold two identities.
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
 from typing import Callable
 
-from ..canonical import read_json_lines, write_json_lines
+from ..canonical import canonical_json_bytes, read_json_lines, write_json_lines
 from ..errors import FedGateError, ValidationError, check_keys
 from .did import DidIdentifier
 from .document import DidDocument
@@ -106,21 +109,29 @@ class DidRegistry:
 
     @classmethod
     def replay_log(cls, path: Path, recorder: Callable[[str, dict, str], str]) -> "DidRegistry":
-        """Rebuild a registry by replaying a JSON-lines mutation log."""
+        """Rebuild a registry by replaying a JSON-lines mutation log, one line at a time."""
         registry = cls(recorder)
-        entries, unreadable = read_json_lines(path)
-        for number, entry in enumerate(entries, start=1):
+        number = 0
+        with closing(read_json_lines(path)) as lines:
             try:
-                check_keys(entry, "log entry", {"op", "document", "profileHash"})
-                op, document = entry["op"], DidDocument.from_dict(entry["document"])
-                if op == "register":
-                    registry.register(document, entry["profileHash"])
-                elif op == "update":
-                    registry.update(document)
-                else:
-                    raise ValidationError(f"unknown log op {op!r}")
-            except (FedGateError, ValueError, KeyError, TypeError) as error:
-                raise ValidationError(f"{path} line {number}: {error}") from None
-        if unreadable is not None:
-            raise ValidationError(f"{path} line {unreadable + 1}: not a JSON line")
+                for number, (text, entry) in enumerate(lines, start=1):
+                    try:
+                        registry._replay(text, entry)
+                    except (FedGateError, ValueError, KeyError, TypeError) as error:
+                        raise ValidationError(f"{path} line {number}: {error}") from None
+            except ValueError:  # the reader's: the line after ``number`` is unreadable
+                raise ValidationError(f"{path} line {number + 1}: not a JSON line") from None
         return registry
+
+    def _replay(self, text: str, entry: object) -> None:
+        """Apply one log line, refused unless it is the bytes ``write_log`` writes."""
+        check_keys(entry, "log entry", {"op", "document", "profileHash"})
+        if canonical_json_bytes(entry) + b"\n" != text.encode():
+            raise ValidationError("not the canonical JSON line its writer writes")
+        op, document = entry["op"], DidDocument.from_dict(entry["document"])
+        if op == "register":
+            self.register(document, entry["profileHash"])
+        elif op == "update":
+            self.update(document)
+        else:
+            raise ValidationError(f"unknown log op {op!r}")

@@ -27,18 +27,21 @@ is an ``int`` in ``[0, 2**64)``, never a bool, a float or a string; a kind,
 submitter or hash is a string) and derives its hash once. ``Chain.record``
 builds its block through them, and so does ``Block.from_dict``, which reads
 one line: the line holds exactly the keys the writer writes at its height,
-and the hash it states must equal the one derived. ``_build_blocks`` adds
-the links between blocks: heights count up from 0 and each ``prev_hash``
-names the block before. ``verify_chain_records``, ``verify_chain_file`` and
+and the hash it states must equal the one derived. ``_blocks`` adds the
+links between blocks: heights count up from 0 and each ``prev_hash`` names
+the block before. ``verify_chain_records``, ``verify_chain_file`` and
 ``load_chain`` all go through it, so they agree on every input, and any
 single flipped bit in the file surfaces as a verification failure at that
-height.
+height. The readers stream: ``fedgate.canonical`` hands them one line at a
+time, so a verification holds one line and the previous hash, and a load
+holds only the blocks it returns.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from ..canonical import canonical_json_bytes, from_hex, read_json_lines, sha256_hex, write_json_lines
 from ..errors import ValidationError
@@ -179,46 +182,50 @@ class Chain:
         return write_json_lines(path, (block.to_dict() for block in self._blocks))
 
 
-def _build_blocks(records: list) -> tuple[list[Block], int | None]:
-    """Blocks built from untrusted records, and the first bad height if any.
+def _blocks(records: Iterable) -> Iterator[Block]:
+    """The blocks of untrusted records, each yielded once it is valid.
 
     ``Block.from_dict`` checks each record's own fields and hash; this adds
-    the links between blocks. A malformed record counts as invalid at the
-    height where it appears; the blocks before it are returned.
+    the links between blocks. The first bad record raises ``ValidationError``
+    (or ``ValueError``, as does the line reader at an unreadable line), so
+    its height is the number of blocks yielded before it.
     """
-    blocks: list[Block] = []
     prev_hash = GENESIS_PREV_HASH
-    for index, record in enumerate(records):
-        try:
-            block = Block.from_dict(record)
-        except (ValueError, ValidationError):
-            return blocks, index
-        if block.height != index or block.prev_hash != prev_hash:
-            return blocks, index
-        blocks.append(block)
+    for height, record in enumerate(records):
+        block = Block.from_dict(record)
+        if block.height != height or block.prev_hash != prev_hash:
+            raise ValidationError(f"block at height {height} does not link to the one before")
+        yield block
         prev_hash = block.hash
-    return blocks, None if blocks else 0
 
 
-def verify_chain_records(records: list[dict]) -> tuple[bool, int | None]:
-    """(ok, first bad height) for raw block dicts; never raises on bad data."""
-    _, bad = _build_blocks(records)
-    return bad is None, bad
+def verify_chain_records(records: Iterable) -> tuple[bool, int | None]:
+    """(ok, first bad height) for raw block dicts, read one at a time from any
+    iterable; never raises on bad data."""
+    count = 0
+    try:
+        for count, _ in enumerate(_blocks(records), start=1):
+            pass
+    except (ValueError, ValidationError):
+        return False, count
+    return (True, None) if count else (False, 0)
 
 
 def verify_chain_file(path: Path) -> tuple[bool, int | None]:
-    """Verify a persisted chain; parse failures count as tampering."""
-    records, unparsable = read_json_lines(path)
-    if unparsable is not None:
-        return False, unparsable
-    return verify_chain_records(records)
+    """Verify a persisted chain, one line at a time; an unreadable line counts as tampering."""
+    with closing(read_json_lines(path)) as lines:
+        return verify_chain_records(record for _, record in lines)
 
 
 def load_chain(path: Path) -> list[Block]:
     """Parse a persisted chain into validated blocks (raises on tampering)."""
-    records, bad = read_json_lines(path)
-    if bad is None:
-        blocks, bad = _build_blocks(records)
-    if bad is not None:
-        raise ValidationError(f"chain invalid at height {bad}")
+    blocks: list[Block] = []
+    with closing(read_json_lines(path)) as lines:
+        try:
+            for block in _blocks(record for _, record in lines):
+                blocks.append(block)
+        except (ValueError, ValidationError):
+            raise ValidationError(f"chain invalid at height {len(blocks)}") from None
+    if not blocks:
+        raise ValidationError("chain invalid at height 0")
     return blocks

@@ -212,6 +212,8 @@ class ServiceApi:
             priority_weight=body.get("priorityWeight", 1.0),
             data_filter=data_filter,
         )
+        if record is None:
+            raise ApiError(429, "the job queue, or this holder's share of it, is full")
         return Response(201, record.to_dict())
 
     def _job_routes(self, match, headers) -> Response:

@@ -86,7 +86,8 @@ class FlaasService:
         estimated_runtime: float,
         priority_weight: float,
         data_filter: DataFilter,
-    ) -> JobRecord:
+    ) -> JobRecord | None:
+        """The queued job, or None when the queue or the holder's share of it is full."""
         grant = self.authorize(token)
         check_fleet(config, apply_filter(self._fleet, data_filter))
         spec = JobSpec(

@@ -6,6 +6,11 @@ minimizes total weighted completion time; ties fall back to submission
 order. The job record is a strict state machine::
 
     queued -> running -> completed | failed | terminated_early
+
+At most ``MAX_QUEUED_JOBS`` jobs wait, ``MAX_QUEUED_PER_HOLDER`` of them
+from one grant holder, and a submission past either bound queues nothing.
+Of the picked jobs the newest ``MAX_FINISHED_JOBS`` are kept; an older one
+answers as unknown, and its files stay on disk.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ import numpy as np
 
 from ..errors import FedGateError, ValidationError, check_integer, check_real, from_camel_keys
 from ..fl import FederationConfig, Fleet
+
+MAX_QUEUED_JOBS = 64
+MAX_QUEUED_PER_HOLDER = 8
+MAX_FINISHED_JOBS = 128
 
 
 def _names(field: str, values) -> tuple[str, ...] | None:
@@ -137,24 +146,37 @@ class JobRecord:
 
 class JobQueue:
     def __init__(self):
-        self._jobs: dict[str, JobRecord] = {}
+        self._queued: dict[str, JobRecord] = {}  # submission order, so ``wsjf_order`` ties stay FIFO
+        self._finished: dict[str, JobRecord] = {}  # pick order, oldest first
         self._counter = itertools.count(1)
 
-    def submit(self, spec: JobSpec, now: int) -> JobRecord:
+    def submit(self, spec: JobSpec, now: int) -> JobRecord | None:
+        """Queue a job; None, queuing nothing, when the queue or the holder's share of it is full."""
+        held = sum(r.spec.holder == spec.holder for r in self._queued.values())
+        if len(self._queued) >= MAX_QUEUED_JOBS or held >= MAX_QUEUED_PER_HOLDER:
+            return None
         record = JobRecord(f"job-{next(self._counter):04d}", spec, submitted_at=int(now))
-        self._jobs[record.job_id] = record
+        self._queued[record.job_id] = record
         return record
 
     def get(self, job_id: str) -> JobRecord | None:
-        return self._jobs.get(job_id)
+        return self._queued.get(job_id) or self._finished.get(job_id)
 
     def schedule_next(self) -> JobRecord | None:
-        """Pick the queued job with the best weight/runtime ratio (FIFO ties)."""
-        # ``_jobs`` keeps submission order, so ``wsjf_order`` ties stay FIFO
-        waiting = [r for r in self._jobs.values() if r.state == "queued"]
-        if not waiting:
+        """Take the queued job with the best weight/runtime ratio (FIFO ties) off the queue.
+
+        It joins the finished records at once: the executor runs each pick to
+        a terminal state before it returns.
+        """
+        if not self._queued:
             return None
-        return waiting[wsjf_order([r.spec for r in waiting])[0]]
+        waiting = list(self._queued.values())
+        record = waiting[wsjf_order([r.spec for r in waiting])[0]]
+        del self._queued[record.job_id]
+        self._finished[record.job_id] = record
+        if len(self._finished) > MAX_FINISHED_JOBS:
+            del self._finished[next(iter(self._finished))]
+        return record
 
 
 def wsjf_order(jobs: list[JobSpec]) -> list[int]:

@@ -26,6 +26,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessRequest
 from fedgate.clock import SimulatedClock
@@ -62,6 +63,15 @@ def find_transaction(chain, tx_id: str) -> Transaction | None:
 
 def payload_dict(tx: Transaction) -> dict:
     return json.loads(tx.payload)
+
+
+# Text that JSON escapes or that splits lines elsewhere: quotes, backslashes,
+# control characters, line separators, non-ASCII and astral characters; no
+# lone surrogate, which no UTF-8 writer can write.
+awkward_text = st.text(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\t \x85\u2028\xe9€\U0001f600a') | st.characters(codec="utf-8"),
+    max_size=10,
+)
 
 
 def receipt(kind: str, payload: dict, submitter: str) -> str:

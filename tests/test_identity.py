@@ -23,7 +23,7 @@ from fedgate.identity.registry import AlreadyRegisteredError, UnknownDidError
 from fedgate.errors import FedGateError
 from fedgate.keys import KeyPair, verify_signature
 
-from support import Stack, is_lowercase_hex, receipt
+from support import Stack, awkward_text, is_lowercase_hex, receipt
 
 METHOD_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
 SPECIFIC_ALPHA = METHOD_ALPHA + METHOD_ALPHA.upper() + "._-"
@@ -395,7 +395,7 @@ def test_log_replay_rejects_a_claim_of_the_wrong_type(tmp_path, field, value):
     line = {"op": "register", "document": document.to_dict(), "profileHash": "p"}
     line["document"]["claims"] = [{**CLAIM_DICT, field: value}]
     path = tmp_path / "registry.jsonl"
-    path.write_text(json.dumps(line) + "\n")
+    path.write_bytes(canonical_json_bytes(line) + b"\n")
     with pytest.raises(ValidationError):
         DidRegistry.replay_log(path, receipt)
 
@@ -426,7 +426,7 @@ def test_document_fields_of_the_wrong_type_are_refused(tmp_path, spoil):
     with pytest.raises(ValidationError):
         DidDocument.from_dict(bad)
     path = tmp_path / "registry.jsonl"
-    path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
+    path.write_bytes(canonical_json_bytes({"op": "register", "document": bad, "profileHash": "p"}) + b"\n")
     with pytest.raises(ValidationError):
         DidRegistry.replay_log(path, receipt)
 
@@ -464,7 +464,7 @@ def test_malformed_documents_are_refused_with_validation_error(tmp_path, spoil):
     with pytest.raises(ValidationError):
         DidDocument.from_dict(bad)
     path = tmp_path / "registry.jsonl"
-    path.write_text(json.dumps({"op": "register", "document": bad, "profileHash": "p"}) + "\n")
+    path.write_bytes(canonical_json_bytes({"op": "register", "document": bad, "profileHash": "p"}) + b"\n")
     with pytest.raises(ValidationError):
         DidRegistry.replay_log(path, receipt)
 
@@ -472,7 +472,7 @@ def test_malformed_documents_are_refused_with_validation_error(tmp_path, spoil):
 def _log_line(specific_id="alice01", seed=1, **changes):
     entry = {"op": "register", "document": make_document(specific_id, seed=seed)[0].to_dict()}
     entry = {**entry, "profileHash": specific_id, **changes}
-    return json.dumps({k: v for k, v in entry.items() if v is not None})
+    return canonical_json_bytes({k: v for k, v in entry.items() if v is not None}).decode()
 
 
 MALFORMED_LOG_LINES = {
@@ -497,8 +497,13 @@ def test_log_replay_refuses_a_malformed_line_naming_it(tmp_path, line):
 # Each is refused as the chain reader refuses it, naming the first such line.
 @pytest.mark.parametrize(
     "before, between, number",
-    [(b"", b"\n\n", 2), (b"\xef\xbb\xbf", b"\n", 1), (b"", b'\n{"op":"caf\xe9"}\n', 2)],
-    ids=["blank-line", "bom-on-line-1", "latin-1-byte"],
+    [
+        (b"", b"\n\n", 2),
+        (b"\xef\xbb\xbf", b"\n", 1),
+        (b"", b'\n{"op":"caf\xe9"}\n', 2),
+        (b"", b"\n" + b"[" * 100_000 + b"\n", 2),
+    ],
+    ids=["blank-line", "bom-on-line-1", "latin-1-byte", "nested-past-the-recursion-limit"],
 )
 def test_log_replay_refuses_a_line_that_is_not_a_json_line_naming_it(tmp_path, before, between, number):
     good = [_log_line(name, seed=seed).encode() for name, seed in (("bob01", 2), ("carol01", 3))]
@@ -506,6 +511,99 @@ def test_log_replay_refuses_a_line_that_is_not_a_json_line_naming_it(tmp_path, b
     path.write_bytes(before + good[0] + between + good[1] + b"\n")
     with pytest.raises(ValidationError, match=f"line {number}: not a JSON line$"):
         DidRegistry.replay_log(path, receipt)
+
+
+def test_log_replay_refuses_whitespace_its_writer_never_writes_naming_the_line(tmp_path):
+    good = [_log_line(name, seed=seed) for name, seed in (("bob01", 2), ("carol01", 3))]
+    path = tmp_path / "registry.jsonl"
+    for spaced in (good[1].replace(",", ", ", 1), good[1].replace(":", ": ", 1)):
+        path.write_text(good[0] + "\n" + spaced + "\n")
+        with pytest.raises(ValidationError, match="line 2: not the canonical JSON line its writer writes$"):
+            DidRegistry.replay_log(path, receipt)
+    path.write_text(good[0] + " \n" + good[1] + "\n")
+    with pytest.raises(ValidationError, match="line 1: not a JSON line$"):
+        DidRegistry.replay_log(path, receipt)
+
+
+@pytest.fixture(scope="module")
+def seed_7_identity_log(tmp_path_factory):
+    """The lines of the seed-7 contract-lookup demo's identity log."""
+    out = tmp_path_factory.mktemp("seed-7") / "demo"
+    scenario.run_demo(scenario.ScenarioConfig(out_dir=str(out), seed=7))
+    return (out / "identity.jsonl").read_bytes().splitlines(keepends=True)
+
+
+def string_interiors(line: bytes) -> set[int]:
+    """The offsets inside a JSON string literal of ``line``: after its opening
+    quote, up to and including its closing one."""
+    offsets, start, escaped = set(), None, False
+    for offset, byte in enumerate(line):
+        if start is None:
+            start = offset if byte == ord('"') else None
+        elif escaped:
+            escaped = False
+        elif byte == ord("\\"):
+            escaped = True
+        elif byte == ord('"'):
+            offsets.update(range(start + 1, offset + 1))
+            start = None
+    return offsets
+
+
+def test_a_space_tab_or_cr_inserted_in_a_seed_7_identity_line_is_refused(seed_7_identity_log, tmp_path):
+    """A tab or a CR before any byte of the log's last line (a claim update)
+    is refused naming that line, and so is a space anywhere outside a string.
+    A space inside a string is not whitespace but another value (a claim
+    value, a profile hash) in the writer's own bytes, which no line rule can
+    tell apart; the log proving itself against the chain would."""
+    lines = seed_7_identity_log
+    number, line = len(lines), lines[-1]
+    assert b'"op":"update"' in line
+    interiors = string_interiors(line)
+    assert line[min(interiors) - 1 : min(interiors) + 9] == b'"document"'
+    path = tmp_path / "identity.jsonl"
+    accepted = []
+    for offset in range(len(line)):
+        for char in (b" ", b"\t", b"\r"):
+            if char == b" " and offset in interiors:
+                continue
+            path.write_bytes(b"".join(lines[:-1]) + line[:offset] + char + line[offset:])
+            try:
+                DidRegistry.replay_log(path, receipt)
+            except ValidationError as error:
+                if f"line {number}: " in str(error):
+                    continue
+            accepted.append((offset, char))
+    assert accepted == []
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(awkward_text, min_size=1, max_size=3), profile=awkward_text)
+def test_an_identity_log_of_awkward_text_replays_document_for_document(tmp_path_factory, values, profile):
+    """Claim values and a profile hash with quotes, backslashes, control
+    characters, non-ASCII and astral text are written and read back whole."""
+    registry = DidRegistry(receipt)
+    document, _ = make_document()
+    registry.register(document, profile_hash="p" + profile)
+    issuer = KeyPair.generate(b"\x0c" * 32)
+    for n, value in enumerate(values):
+        claim = sign_claim(
+            issuer,
+            claim_type="t" + value,
+            value=value,
+            subject=str(document.id),
+            issuer="did:efed:issuer",
+            issued_at=n,
+            expires_at=n + 9,
+        )
+        document = document.with_claim(claim)
+        registry.update(document)
+    path = registry.write_log(tmp_path_factory.mktemp("log") / "identity.jsonl")
+    replayed = DidRegistry.replay_log(path, receipt)
+    assert len(replayed) == 1 and replayed.get(document.id) == document
+    with pytest.raises(AlreadyRegisteredError, match="profile already registered"):
+        replayed.register(make_document("carol01", seed=3)[0], profile_hash="p" + profile)
 
 
 # ---------------------------------------------------------------- resolver

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,10 @@ from fedgate.cli import main
 from fedgate.clock import SimulatedClock
 from fedgate.errors import ValidationError
 from fedgate.ledger import Chain, load_chain, verify_chain_file
-from fedgate.ledger.chain import GENESIS_PREV_HASH, Block, Transaction, verify_chain_records
+from fedgate.ledger.chain import GENESIS_PREV_HASH, TRANSACTION_KINDS, Block, Transaction, verify_chain_records
 from fedgate.scenario import ScenarioConfig, run_demo
 
-from support import find_transaction, payload_dict, transactions
+from support import awkward_text, find_transaction, payload_dict, transactions
 
 
 def tx(n, kind="did_registration", submitter="did:efed:tester"):
@@ -600,3 +602,147 @@ def test_any_field_replacement_never_raises_and_validators_agree(data, tmp_path_
         assert bad == index
         with pytest.raises(ValidationError):
             load_chain(path)
+
+
+# ------------------------------------------------------- one line at a time
+
+
+@pytest.fixture(scope="module")
+def seed_7_chain(tmp_path_factory):
+    """The lines of the seed-7 contract-lookup demo's chain file."""
+    out = tmp_path_factory.mktemp("seed-7") / "demo"
+    run_demo(ScenarioConfig(out_dir=str(out), seed=7))
+    return (out / "chain.jsonl").read_bytes().splitlines(keepends=True)
+
+
+def assert_refused_at(path, height):
+    assert verify_chain_file(path) == (False, height)
+    with pytest.raises(ValidationError, match=f"chain invalid at height {height}$"):
+        load_chain(path)
+
+
+def test_whitespace_around_a_lines_value_is_refused_at_its_height(seed_7_chain, tmp_path):
+    # A line's value must end at its newline: parsed with ``json.loads``, this
+    # file verified (True, None) and loaded all 11 blocks. The space after a
+    # comma on line 6 is inside a value, where the chain readers still accept
+    # whitespace; only the identity log's reader compares a line's bytes.
+    lines = list(seed_7_chain)
+    assert len(lines) == 11
+    lines[4] = lines[4][:-1] + b" \r\n"
+    lines[6] = lines[6].replace(b",", b", ", 1)
+    path = tmp_path / "spaced.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert_refused_at(path, 4)
+    for height, spoiled in ((2, b" " + seed_7_chain[2]), (3, seed_7_chain[3][:-1] + b"\t\n")):
+        path.write_bytes(b"".join(seed_7_chain[:height] + [spoiled] + seed_7_chain[height + 1 :]))
+        assert_refused_at(path, height)
+
+
+def test_a_line_nested_past_the_recursion_limit_is_refused_not_raised(seed_7_chain, tmp_path, capsys):
+    # The JSON decoder raises RecursionError, not ValueError, on such a line.
+    path = tmp_path / "deep.jsonl"
+    path.write_bytes(b"".join(seed_7_chain[:2]) + b"[" * 100_000 + b"\n")
+    assert_refused_at(path, 2)
+    capsys.readouterr()
+    assert main(["verify-chain", str(path)]) == 1
+    assert capsys.readouterr().out == "chain invalid at height 2\n"
+
+
+def test_a_last_line_without_its_newline_is_refused(seed_7_chain, tmp_path):
+    path = tmp_path / "cut.jsonl"
+    path.write_bytes(b"".join(seed_7_chain)[:-1])
+    assert_refused_at(path, len(seed_7_chain) - 1)
+
+
+def test_the_readers_close_the_file_when_they_stop_early(seed_7_chain, tmp_path, monkeypatch):
+    import fedgate.canonical as canonical
+
+    opened = []
+    original = canonical.Path.open
+
+    def tracked(self, *args, **kwargs):
+        opened.append(original(self, *args, **kwargs))
+        return opened[-1]
+
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"".join(seed_7_chain[:3]) + b"not json\n" + b"".join(seed_7_chain[4:]))
+    monkeypatch.setattr(canonical.Path, "open", tracked)
+    assert_refused_at(path, 3)
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(TRANSACTION_KINDS)),
+            st.dictionaries(awkward_text, awkward_text | st.integers(), max_size=3),
+            awkward_text,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_a_chain_of_awkward_text_reads_back_block_for_block(entries, tmp_path_factory):
+    """Payloads and submitters with quotes, backslashes, control characters,
+    line separators, non-ASCII and astral text: the file holds each block's
+    canonical JSON line and reads back through both strict readers to equal
+    blocks."""
+    clock = SimulatedClock(start=5)
+    chain = Chain(clock=clock)
+    for kind, payload, submitter in entries:
+        clock.advance(1)
+        chain.record(kind, payload, submitter)
+    path = chain.write_chain(tmp_path_factory.mktemp("chain") / "chain.jsonl")
+    assert path.read_bytes() == b"".join(canonical_json_bytes(b.to_dict()) + b"\n" for b in chain.blocks)
+    assert verify_chain_file(path) == (True, None)
+
+    def fields(blocks):
+        return [
+            (b.hash, b.height, b.prev_hash, b.timestamp, [(t.kind, t.payload, t.submitter) for t in b.transactions])
+            for b in blocks
+        ]
+
+    assert fields(load_chain(path)) == fields(chain.blocks)
+
+
+def write_long_chain(path, n_blocks):
+    """A chain file of ``n_blocks`` written one block at a time, so the writer holds no chain."""
+    block = Block(0, GENESIS_PREV_HASH, 0, ())
+    with path.open("wb") as fh:
+        fh.write(canonical_json_bytes(block.to_dict()) + b"\n")
+        for height in range(1, n_blocks):
+            tx = Transaction("access_grant", canonical_json_bytes({"n": height, "pad": "x" * 200}), "did:efed:m")
+            block = Block(height, block.hash, height, (tx,))
+            fh.write(canonical_json_bytes(block.to_dict()) + b"\n")
+    return path
+
+
+def heap_use(fn, *args):
+    """``fn(*args)``'s result, and the bytes it left allocated and its heap peak, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+def test_an_audit_holds_one_line_at_a_time(tmp_path):
+    """``verify_chain_file``'s heap peak stays under one small bound whatever
+    the chain's length, and ``load_chain`` peaks at the blocks it returns plus
+    that bound: neither holds a list of parsed lines (which took 4 MB and
+    2 MB on the 2,000-block chain, 40 MB and 21 MB on the 20,000-block one)."""
+    bound = 64 * 1024
+    small = write_long_chain(tmp_path / "small.jsonl", 10)
+    verify_chain_file(small), load_chain(small)  # first calls, outside the measure
+    for n_blocks in (2_000, 20_000):
+        path = write_long_chain(tmp_path / f"chain-{n_blocks}.jsonl", n_blocks)
+        result, _, peak = heap_use(verify_chain_file, path)
+        assert result == (True, None)
+        assert peak < bound, (n_blocks, peak)
+        blocks, retained, peak = heap_use(load_chain, path)
+        assert len(blocks) == n_blocks
+        assert peak - retained < bound, (n_blocks, peak, retained)

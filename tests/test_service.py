@@ -21,8 +21,12 @@ from fedgate.fl import (
     write_dataset,
 )
 from fedgate.fl.data import as_fleet
+import fedgate.service.jobs as jobs_module
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import (
+    MAX_FINISHED_JOBS,
+    MAX_QUEUED_JOBS,
+    MAX_QUEUED_PER_HOLDER,
     DataFilter,
     JobQueue,
     JobSpec,
@@ -229,6 +233,88 @@ def test_draining_the_queue_follows_wsjf_order(jobs):
     ratios = [jobs[i][1] / jobs[i][0] for i in drained]
     for a, b, ra, rb in zip(drained, drained[1:], ratios, ratios[1:]):
         assert ra > rb or (ra == rb and a < b)
+
+
+def test_one_holders_loop_of_job_submissions_gets_429_at_its_bound(tmp_path):
+    # Unbounded, one holder's loop of 5,000 submissions all got 201.
+    stack, service, api, token = service_stack(tmp_path)
+    headers = {"Authorization": f"Grant {token}"}
+    body = {"config": job_config().to_dict()}
+    statuses = [
+        api.handle("POST", "/jobs", headers=headers, body=body).status for _ in range(3 * MAX_QUEUED_PER_HOLDER)
+    ]
+    assert statuses == [201] * MAX_QUEUED_PER_HOLDER + [429] * (2 * MAX_QUEUED_PER_HOLDER)
+    refused = api.handle("POST", "/jobs", headers=headers, body=body)
+    assert refused.body == {"error": "the job queue, or this holder's share of it, is full"}
+    assert len(service.queue._queued) == MAX_QUEUED_PER_HOLDER
+    # A run frees one slot, and only one.
+    service.run_next(node_registry=job_fleet())
+    assert [api.handle("POST", "/jobs", headers=headers, body=body).status for _ in range(2)] == [201, 429]
+
+
+def holder_spec(holder: str) -> JobSpec:
+    return JobSpec(holder=holder, config=job_config(), estimated_runtime=10.0, priority_weight=1.0)
+
+
+def test_the_queue_refuses_a_job_past_its_bound_for_all_holders():
+    q = JobQueue()
+    holders = [f"did:efed:h{i}" for i in range(MAX_QUEUED_JOBS // MAX_QUEUED_PER_HOLDER + 1)]
+    specs = [holder_spec(h) for h in holders for _ in range(MAX_QUEUED_PER_HOLDER)]
+    assert len(specs) > MAX_QUEUED_JOBS
+    queued = [q.submit(spec, now=0) for spec in specs]
+    assert all(queued[:MAX_QUEUED_JOBS]) and not any(queued[MAX_QUEUED_JOBS:])
+    assert q.get(f"job-{MAX_QUEUED_JOBS + 1:04d}") is None  # nothing was queued, no id spent
+    q.schedule_next()
+    assert q.submit(holder_spec(holders[-1]), now=1).job_id == f"job-{MAX_QUEUED_JOBS + 1:04d}"
+
+
+def test_an_evicted_job_answers_404_and_keeps_its_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+    stack, service, api, token = service_stack(tmp_path)
+    headers = {"Authorization": f"Grant {token}"}
+    body = {"config": job_config().to_dict()}
+    first, second = (api.handle("POST", "/jobs", headers=headers, body=body).body["jobId"] for _ in range(2))
+    evicted = service.run_next(node_registry=job_fleet())
+    assert api.handle("GET", f"/jobs/{first}", headers=headers).status == 200
+    service.run_next(node_registry=job_fleet())
+    for path in (f"/jobs/{first}", f"/jobs/{first}/metrics", f"/jobs/{first}/model"):
+        response = api.handle("GET", path, headers=headers)
+        assert (response.status, response.body) == (404, {"error": f"no job {first}"})
+    assert api.handle("GET", f"/jobs/{second}", headers=headers).body["state"] == "completed"
+    assert Path(evicted.model_address).is_file() and Path(evicted.metrics_address).is_file()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(
+        # ``count`` picks when ``width`` is 0, else ``count`` submissions cycling over ``width`` holders
+        st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=100)),
+        max_size=12,
+    )
+)
+def test_the_job_tables_stay_within_their_bounds(runs):
+    specs = [holder_spec(f"did:efed:h{i}") for i in range(12)]
+    q = JobQueue()
+    queued: list[str] = []  # the model: ids of queued jobs, and of picks in pick order
+    picked: list[str] = []
+    for width, count in runs:
+        for step in range(count):
+            if width == 0:
+                record = q.schedule_next()
+                assert (record is None) == (not queued)
+                if record is not None:
+                    queued.remove(record.job_id)
+                    picked.append(record.job_id)
+            else:
+                spec = specs[step % width]
+                held = sum(q.get(i).spec.holder == spec.holder for i in queued)
+                record = q.submit(spec, now=0)
+                assert (record is None) == (len(queued) >= MAX_QUEUED_JOBS or held >= MAX_QUEUED_PER_HOLDER)
+                if record is not None:
+                    queued.append(record.job_id)
+            assert len(q._queued) <= MAX_QUEUED_JOBS and len(q._finished) <= MAX_FINISHED_JOBS
+            assert list(q._queued) == queued and list(q._finished) == picked[-MAX_FINISHED_JOBS:]
+    assert all(q.get(i) is None for i in picked[:-MAX_FINISHED_JOBS])
 
 
 # ------------------------------------------------------------------ filter
