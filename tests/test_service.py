@@ -1069,6 +1069,124 @@ def test_every_refusal_answers_only_its_verdict_and_writes_nothing(tmp_path, set
     assert stack.chain.height == height
 
 
+_PIN_NONCE = "5a" * 16
+_ABSENT = object()
+# Texts no document is held under, each with another defect: one part, two
+# parts, an uppercase method, a space in the specific id, no registration,
+# no driver for the method.
+_GHOST_TEXTS = {
+    "one-part": "x",
+    "two-parts": "did:efed",
+    "uppercase-method": "did:EFED:a",
+    "bad-specific-id": "did:efed:bad id",
+    "unregistered": "did:efed:nobody",
+    "no-driver": "did:web:a",
+}
+
+
+def _pinned(**fields):
+    """A setup whose body is alice's contract-lookup request with ``fields``
+    set, or dropped where the value is ``_ABSENT``."""
+
+    def setup(stack, api):
+        body = {
+            "requester": "did:efed:alice",
+            "service": "fl-study",
+            "scheme": "contract_lookup",
+            "nonce": _PIN_NONCE,
+            **fields,
+        }
+        return {key: value for key, value in body.items() if value is not _ABSENT}
+
+    return setup
+
+
+def _ghost_under(scheme, text):
+    """A request by ``text``; under user lookup it carries an attestation
+    naming ``text``, so the refusal comes from the lookup itself."""
+
+    def setup(stack, api):
+        body = _pinned(requester=text, scheme=scheme)(stack, api)
+        if scheme == "user_lookup":
+            body["attestation"] = {**forged_attestation("a5" * 16), "did": text}
+        return body
+
+    return setup
+
+
+def _replayed(requester):
+    def setup(stack, api):
+        body = _pinned(requester=requester)(stack, api)
+        _post(api, body)
+        return body
+
+    return setup
+
+
+def _past_capacity(stack, api):
+    _capacity_refusals(stack, api)
+    return _pinned(requester="did:efed:late")(stack, api)
+
+
+def _malformed(message):
+    return 400, {"error": message}
+
+
+def _not_hex(text):
+    return _malformed(f"body field 'nonce' is malformed: not canonical lowercase hex: {text!r}")
+
+
+_UNRESOLVABLE = (403, {"decision": "denied", "reason": "unresolvable", "missing": []})
+_REQUEST_FIELDS = ("requester", "service", "scheme", "nonce")
+
+# Every access-request refusal, and the exact reply it gets.
+PINNED_REFUSALS = {
+    "unknown-key": (_pinned(extra=1), _malformed("access request has unknown keys ['extra']")),
+    **{
+        f"{kind}-{field}": (
+            _pinned(**{field: value}),
+            _malformed(f"body field {field!r} is required as a string"),
+        )
+        for kind, value in (("no", _ABSENT), ("int", 7))
+        for field in _REQUEST_FIELDS
+    },
+    "uppercase-nonce": (_pinned(nonce="5A" * 16), _not_hex("5A" * 16)),
+    "short-nonce": (_pinned(nonce="5a"), _malformed("request nonce must be 16 bytes")),
+    "odd-length-nonce": (_pinned(nonce="5a" * 15 + "5"), _not_hex("5a" * 15 + "5")),
+    "whitespace-nonce": (_pinned(nonce="5a " * 16), _not_hex("5a " * 16)),
+    "15-byte-nonce": (_pinned(nonce="5a" * 15), _malformed("request nonce must be 16 bytes")),
+    "unknown-scheme": (_pinned(scheme="oauth"), _malformed("unknown scheme 'oauth'")),
+    "unknown-service": (_pinned(service="nope"), (404, {"error": "no contract grants service 'nope'"})),
+    **{
+        f"{scheme}-{defect}": (_ghost_under(scheme, text), _UNRESOLVABLE)
+        for scheme in ("contract_lookup", "user_lookup")
+        for defect, text in _GHOST_TEXTS.items()
+    },
+    "ghost-replay": (
+        _replayed("did:efed:ghost"),
+        (403, {"decision": "denied", "reason": "replay", "missing": []}),
+    ),
+    "member-replay": (
+        _replayed("did:efed:alice"),
+        (403, {"decision": "denied", "reason": "replay", "missing": []}),
+    ),
+    "full-table": (
+        _past_capacity,
+        (503, {"decision": "rejected-capacity", "reason": "pending table full", "missing": []}),
+    ),
+}
+
+
+@pytest.mark.parametrize("setup, expected", PINNED_REFUSALS.values(), ids=PINNED_REFUSALS)
+def test_each_access_request_refusal_keeps_its_exact_reply(tmp_path, setup, expected):
+    stack, service, api, token = service_stack(tmp_path)
+    body = setup(stack, api)
+    height = stack.chain.height
+    response = _post(api, body)
+    assert (response.status, response.body) == expected
+    assert stack.chain.height == height
+
+
 # ------------------------------------------------------ api edge inputs
 
 
