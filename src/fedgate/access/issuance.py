@@ -2,7 +2,7 @@
 
 Issuers live on an allow-list (the consortium). Issuing appends the
 signed claim to the subject's document through the registry's update
-path, so the document version ticks forward. Verification fetches the
+path, so the document version ticks forward. Verification finds the
 issuer's document (unsigned; the check runs in-process) and checks
 trust, signature, and validity window, reporting a machine-readable
 reason for every rejection.
@@ -16,7 +16,6 @@ from typing import Callable
 from ..claims import VerifiableClaim, sign_claim
 from ..errors import FedGateError
 from ..identity import DidRegistry, Resolver
-from ..identity.resolver import UNRESOLVABLE
 from ..keys import KeyPair
 
 CLAIM_CACHE_SIZE = 4096
@@ -77,9 +76,8 @@ def verify_claim(
     """
     if claim.issuer not in trusted_issuers:
         return False, "untrusted-issuer"
-    try:
-        issuer = resolver.fetch(claim.issuer)
-    except UNRESOLVABLE:
+    issuer = resolver.find(claim.issuer)
+    if issuer is None:
         return False, "unresolvable-issuer"
     key = (claim, tuple(k.public_bytes for k in issuer.public_keys))
     signed = cache.pop(key, None)

@@ -2,25 +2,27 @@
 
 Contract-initiated lookup (scheme ``contract_lookup``): the requester
 hands over only their DID; the gateway parks the request in the bounded
-pending table, fetches the document, rate-limits, and runs the contract.
+pending table, finds the document, rate-limits, and runs the contract.
 Requests whose DID never resolves stay parked until the ttl sweep
 reclaims them — that bounded parking lot is the DoS story.
 
 User-initiated lookup (scheme ``user_lookup``): the requester first asks
 the resolver front desk for an attestation (never the document itself),
-then submits that attestation. The gateway fetches the document
+then submits that attestation. The gateway finds the document
 server-side, checks the attestation binds it, consumes the attestation
 nonce, and runs the same contract — so the verdict matches scheme A for
-the same holder, contract, and clock. The front desk fetches, applies its
-own, larger rate limit, then attests; the pending table is never touched.
+the same holder, contract, and clock. The front desk finds the document,
+applies its own, larger rate limit, then attests; the pending table is never
+touched.
 
-Both limiters run after the fetch, so a made-up DID never spends a limiter
-slot and cannot evict a member's window. A rate-refused request's pending
-entry leaves at once, its nonce unspent.
+A made-up DID is answered ``unresolvable`` by one dictionary miss in
+``Resolver.find``, nothing parsed or raised. Both limiters run after that
+lookup, so it never spends a limiter slot or evicts a member's window. A
+rate-refused request's pending entry leaves at once, its nonce unspent.
 
 Only the front desk makes attestations: its attestation is the one that
 leaves the desk. Every other step reads the document with
-``Resolver.fetch``, which signs nothing, because a signature this process
+``Resolver.find``, which signs nothing, because a signature this process
 makes and then checks itself proves nothing. The submit step checks the
 attestation with ``Resolver.verify`` against the one the resolver kept, so a
 grant makes no Ed25519 sign under contract lookup, one under user lookup,
@@ -40,8 +42,9 @@ A request nonce opens at most one evaluation: just before the contract
 runs it is spent in the ring of the last ``NONCE_RING_SIZE`` nonces, which
 attestation nonces share, so a replay is denied ``replay``, writes nothing
 and never reuses a tx id. Every nonce is checked as 16 bytes before the
-ring sees it. The bounded tables (pending entries, nonces,
-grants) each keep one ``OrderedDict`` and evict from its front, unscanned.
+ring sees it, and both tables key it by its hex. The bounded tables (pending
+entries, nonces, grants) each keep one ``OrderedDict`` and evict from its
+front, unscanned.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ValidationError
+from ..canonical import from_hex
+from ..errors import ValidationError, check_keys
 from ..identity import Attestation, Resolver
-from ..identity.resolver import UNRESOLVABLE
 from ..ledger import AccessOutcome, AccessPolicyContract, ContractEngine, GrantToken
 from .pending import PendingTable
 from .ratelimit import SlidingWindowLimiter
@@ -60,6 +63,8 @@ from .ratelimit import SlidingWindowLimiter
 SCHEME_CONTRACT_LOOKUP = "contract_lookup"
 SCHEME_USER_LOOKUP = "user_lookup"
 _SCHEMES = (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP)
+_BODY_KEYS = frozenset({"requester", "service", "scheme", "nonce", "attestation"})
+_BODY_STRINGS = ("requester", "service", "scheme", "nonce")
 NONCE_RING_SIZE = 4096
 
 
@@ -78,19 +83,35 @@ def _check_nonce(nonce: object, what: str) -> None:
 
 
 class AccessRequest:
-    """One request, its scheme and nonce checked as given; slotted, since a
-    flood builds one per ghost."""
+    """One request, its scheme and nonce checked as given, the nonce kept as
+    its hex; slotted, since a flood builds one per ghost."""
 
-    __slots__ = ("requester", "service", "scheme", "nonce")
+    __slots__ = ("requester", "service", "scheme", "nonce_hex")
 
     def __init__(self, requester: str, service: str, scheme: str, nonce: bytes):
         if scheme not in _SCHEMES:
             raise ValidationError(f"unknown scheme {scheme!r}")
-        _check_nonce(nonce, "request")
+        if type(nonce) is not bytes or len(nonce) != 16:  # ``_check_nonce``, in line for a flood
+            raise ValidationError("request nonce must be 16 bytes")
         self.requester = requester
         self.service = service
         self.scheme = scheme
-        self.nonce = nonce
+        self.nonce_hex = nonce.hex()
+
+    @classmethod
+    def from_body(cls, body: dict) -> "AccessRequest":
+        """The request a JSON body holds, but its ``attestation``. Refuses, in order: an
+        unknown key, a field not a string, a nonce not lowercase hex, then (in the
+        constructor) an unknown scheme and a nonce not 16 bytes."""
+        check_keys(body, "access request", _BODY_KEYS)
+        for field in _BODY_STRINGS:
+            if not isinstance(body.get(field), str):
+                raise ValidationError(f"body field {field!r} is required as a string")
+        try:
+            nonce = from_hex(body["nonce"])
+        except ValueError as error:
+            raise ValidationError(f"body field 'nonce' is malformed: {error}") from None
+        return cls(body["requester"], body["service"], body["scheme"], nonce)
 
 
 @dataclass(frozen=True)
@@ -172,9 +193,8 @@ class AccessGateway:
         The only caller of ``Resolver.resolve``, and so the only maker of attestations.
         """
         _check_nonce(nonce, "front-desk")
-        try:
-            document = self._resolver.fetch(requester)
-        except UNRESOLVABLE:
+        document = self._resolver.find(requester)
+        if document is None:
             return LookupResult(False, None, "unresolvable")
         if not self._front_desk_limiter.allow(requester):
             return LookupResult(False, None, "rejected-rate")
@@ -185,20 +205,17 @@ class AccessGateway:
     def request_access(
         self, request: AccessRequest, attestation: Attestation | None
     ) -> AccessOutcome:
-        if request.scheme == SCHEME_CONTRACT_LOOKUP:
-            return self._contract_lookup(request)
-        return self._user_lookup_submit(request, attestation)
-
-    def _contract_lookup(self, request: AccessRequest) -> AccessOutcome:
+        """Contract lookup runs here in line, since a flood of ghosts comes this way."""
+        if request.scheme != SCHEME_CONTRACT_LOOKUP:
+            return self._user_lookup_submit(request, attestation)
         contract = self.engine.for_service(request.service)
-        nonce_hex = request.nonce.hex()
+        nonce_hex = request.nonce_hex
         if not self.pending.try_insert(nonce_hex):
             if self.pending.contains(nonce_hex):
                 return DENIED_REPLAY
             return REJECTED_CAPACITY
-        try:
-            document = self._resolver.fetch(request.requester)
-        except UNRESOLVABLE:
+        document = self._resolver.find(request.requester)
+        if document is None:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return DENIED_UNRESOLVABLE
@@ -220,14 +237,13 @@ class AccessGateway:
         contract = self.engine.for_service(request.service)
         if not self._used_nonces.consume(attestation.nonce.hex()):
             return DENIED_REPLAY
-        try:
-            document = self._resolver.fetch(request.requester)
-        except UNRESOLVABLE:
+        document = self._resolver.find(request.requester)
+        if document is None:
             return DENIED_UNRESOLVABLE
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document):
             return DENIED_STALE_ATTESTATION
-        return self._execute(contract, document, request.nonce.hex())
+        return self._execute(contract, document, request.nonce_hex)
 
     def _execute(self, contract: AccessPolicyContract, document, nonce_hex: str) -> AccessOutcome:
         if not self._used_nonces.consume(nonce_hex):

@@ -33,7 +33,7 @@ class AlreadyRegisteredError(FedGateError):
 
 
 class UnknownDidError(FedGateError):
-    """No document is stored for the requested DID, or no driver serves its method."""
+    """No document is stored for the requested DID."""
 
 
 class DidRegistry:

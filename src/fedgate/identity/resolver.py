@@ -1,22 +1,22 @@
 """Driver-mediated DID resolution, with signed attestations at the front desk.
 
 The resolver keeps a route table from DID method to driver backend.
-``fetch`` returns the latest document unsigned, found by its DID's text or,
-for a text no driver holds, routed by its parsed method; every in-process
-reader (the contract path, claim checks, the user-lookup submit step) uses
-it, since a signature the same process makes and checks proves nothing.
-``resolve`` attests to a document the caller has just fetched: an Ed25519
+``find`` returns the latest document under a DID's exact text, unsigned, or
+None, parsing and raising nothing; every in-process reader (the contract
+path, claim checks, the user-lookup submit step) uses it, since a signature
+the same process makes and checks proves nothing.
+``resolve`` attests to a document the caller has just found: an Ed25519
 signature by the resolver over ``canonical document bytes ‖ request nonce``.
 Only the front desk calls it, because only there does the attestation leave
 the desk: the requester is never shown the document, forwards the
-attestation, and the gateway checks it against the document it fetches
+attestation, and the gateway checks it against the document it finds
 itself.
 
 That check is ``Resolver.verify``, and it signs nothing: the resolver keeps
 each attestation it issues, by nonce, in one table of at most
 ``ISSUED_ATTESTATIONS``, oldest evicted first. ``verify`` pops the nonce's
 entry and accepts only that attestation, field for field (the signature in
-constant time), over the document just fetched: an attestation is checked
+constant time), over the document just found: an attestation is checked
 once, ever. So a user-lookup grant costs one Ed25519 sign and a
 contract-lookup grant none. The key is a required argument: a resolver
 never draws a random one, since every caller passes its own.
@@ -31,12 +31,9 @@ from dataclasses import dataclass
 from ..canonical import from_hex
 from ..errors import ValidationError, from_camel_keys, to_camel_dict
 from ..keys import KeyPair
-from .did import DidIdentifier, parse_did
 from .document import DidDocument
-from .registry import DidRegistry, UnknownDidError
+from .registry import DidRegistry
 
-# What ``Resolver.fetch`` raises for a DID it cannot serve.
-UNRESOLVABLE = (UnknownDidError, ValidationError)
 ISSUED_ATTESTATIONS = 4096
 
 
@@ -60,7 +57,6 @@ class RegistryDriver:
     """Backend that serves documents straight from a :class:`DidRegistry`."""
 
     def __init__(self, registry: DidRegistry):
-        self.fetch = registry.get
         self.find = registry.find
 
 
@@ -76,27 +72,22 @@ class Resolver:
             raise ValidationError(f"a driver for method {method!r} already exists")
         self._drivers[method] = driver
 
-    def fetch(self, did: DidIdentifier | str) -> DidDocument:
-        """The latest document from the method's driver, with no attestation.
+    def find(self, did: str) -> DidDocument | None:
+        """The latest document held under exactly the text ``did``, or None.
 
-        A text a driver's ``find`` holds goes unparsed; any other is parsed,
-        so a refusal names its defect.
+        A driver's document counts only when it is of that driver's method.
         """
         for method, driver in self._drivers.items():
-            document = driver.find(str(did))
+            document = driver.find(did)
             if document is not None and document.id.method == method:
                 return document
-        identifier = parse_did(did) if isinstance(did, str) else did
-        driver = self._drivers.get(identifier.method)
-        if driver is None:
-            raise UnknownDidError(f"no driver registered for method {identifier.method!r}")
-        return driver.fetch(identifier)
+        return None
 
     def resolve(self, document: DidDocument, nonce: bytes) -> Attestation:
-        """Attest to ``document``, just fetched, under ``nonce``; keep it for ``verify``.
+        """Attest to ``document``, just found, under ``nonce``; keep it for ``verify``.
 
-        Signs, so only the front desk calls it, after its fetch and its rate
-        limit; in-process readers only ``fetch``.
+        Signs, so only the front desk calls it, after its lookup and its rate
+        limit; in-process readers only ``find``.
         """
         attestation = self._issued[nonce] = Attestation(
             did=str(document.id),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..access import AccessGateway, AccessRequest
-from ..canonical import from_hex
 from ..errors import ValidationError, check_keys
 from ..fl import FederationConfig
 from ..identity import Attestation
@@ -23,7 +22,6 @@ from .facade import FlaasService, UnauthorizedTokenError, UnknownJobError
 from .jobs import DataFilter
 
 _JOB_PATH = re.compile(r"/jobs/(?P<job_id>[A-Za-z0-9-]+)(?P<tail>/metrics|/model)?")
-_REQUEST_KEYS = frozenset({"requester", "service", "scheme", "nonce", "attestation"})
 _JOB_KEYS = frozenset({"config", "dataFilter", "estimatedRuntime", "priorityWeight"})
 
 _OUTCOME_STATUS = {
@@ -96,10 +94,10 @@ class ServiceApi:
             return Response(400, {"error": str(error)})
 
     def _route(self, method, path, query, headers, body) -> Response:
+        if path == "/access/request" and method == "POST":  # first: a flood of ghosts comes here
+            return self._access_request(body)
         if path == "/access/requirements" and method == "GET":
             return self._requirements(query)
-        if path == "/access/request" and method == "POST":
-            return self._access_request(body)
         if path == "/access/howto" and method == "GET":
             return self._howto()
         if path == "/data/metadata" and method == "GET":
@@ -128,16 +126,7 @@ class ServiceApi:
         )
 
     def _access_request(self, body) -> Response:
-        check_keys(body, "access request", _REQUEST_KEYS)
-        for field in ("requester", "service", "scheme", "nonce"):
-            if not isinstance(body.get(field), str):
-                raise ApiError(400, f"body field {field!r} is required as a string")
-        request = AccessRequest(
-            requester=body["requester"],
-            service=body["service"],
-            scheme=body["scheme"],
-            nonce=_parse("nonce", from_hex, body["nonce"]),
-        )
+        request = AccessRequest.from_body(body)
         attestation = (
             _parse("attestation", Attestation.from_dict, body["attestation"])
             if "attestation" in body

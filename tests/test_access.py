@@ -310,7 +310,7 @@ def test_no_run_of_other_keys_resets_a_budget(limit, calls):
             assert len(limiter._hits) <= 3
 
 
-@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("limit", [0, -1, float("inf"), float("nan"), True, 2.5])
 def test_limiter_refuses_a_limit_below_one(limit):
     with pytest.raises(ValueError, match="limit must be positive"):
         SlidingWindowLimiter(limit, SimulatedClock(start=0))
@@ -328,7 +328,12 @@ def test_pending_capacity_and_duplicates():
     assert table.contains("n2") and not table.contains("n3") and table.peak_size == 2
 
 
-@pytest.mark.parametrize("capacity, ttl", [(0, 30), (-1, 30), (2, 0), (2, -5)])
+@pytest.mark.parametrize(
+    "capacity, ttl",
+    [(0, 30), (-1, 30), (2, 0), (2, -5)]
+    + [(bound, 30) for bound in (float("inf"), float("nan"), True, 2.5)]
+    + [(2, bound) for bound in (float("inf"), float("nan"), True, 2.5)],
+)
 def test_pending_refuses_a_capacity_or_ttl_below_one(capacity, ttl):
     with pytest.raises(ValueError, match="capacity and ttl must be positive"):
         PendingTable(capacity, ttl, SimulatedClock(start=0))
@@ -471,7 +476,7 @@ def test_front_desk_refuses_a_nonce_not_16_bytes_before_fetch_limit_or_sign(monk
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
     steps = []
-    for name in ("fetch", "resolve"):
+    for name in ("find", "resolve"):
         step = getattr(stack.resolver, name)
         monkeypatch.setattr(
             stack.resolver, name, lambda *a, step=step, name=name: steps.append(name) or step(*a)
@@ -481,7 +486,7 @@ def test_front_desk_refuses_a_nonce_not_16_bytes_before_fetch_limit_or_sign(monk
     assert steps == []
     # The one front-desk slot is unspent, so a good nonce still gets its attestation.
     assert stack.gateway.user_lookup(alice.did, stack.fresh_nonce()).ok
-    assert steps == ["fetch", "resolve"]
+    assert steps == ["find", "resolve"]
 
 
 def test_a_capacity_refusal_is_one_shared_frozen_outcome():
@@ -513,19 +518,21 @@ def test_a_members_grant_parses_no_did(monkeypatch, scheme):
     stack.deploy_membership_policy()
     alice = qualified_user(stack)
     parsed = []
+    parse_did = did_module.parse_did
 
     def counting_parse(text):
         parsed.append(text)
-        return did_module.parse_did(text)
+        return parse_did(text)
 
-    for module in (resolver_module, document_module):
+    for module in (did_module, document_module):
         monkeypatch.setattr(module, "parse_did", counting_parse)
     request = stack.request_a if scheme == SCHEME_CONTRACT_LOOKUP else stack.request_b
     assert request(alice.did).decision == "granted"
     assert parsed == []
-    # A DID no driver holds is still parsed, so its refusal can name its defect.
+    # Nor is a DID no document is held under: its refusal is one reason.
     assert stack.request_a("did:efed:ghost").reason == "unresolvable"
-    assert parsed == ["did:efed:ghost"]
+    assert stack.request_a("did:efed:bad id").reason == "unresolvable"
+    assert parsed == []
 
 
 def test_scheme_a_grant_happy_path():
@@ -661,7 +668,7 @@ def test_a_rate_refused_request_leaves_no_entry_and_spends_no_nonce():
     assert stack.request_a(alice.did).decision == "granted"
     request = AccessRequest(alice.did, "fl-study", SCHEME_CONTRACT_LOOKUP, stack.fresh_nonce())
     assert stack.gateway.request_access(request, None).decision == "rejected-rate"
-    assert not stack.gateway.pending.contains(request.nonce.hex())
+    assert not stack.gateway.pending.contains(request.nonce_hex)
     # A parked ghost fills the table, which refuses before the limiter is asked.
     assert stack.request_a("did:efed:ghost").reason == "unresolvable"
     assert stack.gateway.request_access(request, None).decision == "rejected-capacity"
@@ -785,7 +792,7 @@ def test_scheme_b_attestation_signed_by_another_key_rejected():
     lookup = stack.gateway.user_lookup(alice.did, stack.fresh_nonce())
     # A valid Ed25519 signature over the very bytes the desk signs, by a key
     # that is not the desk's.
-    body = stack.resolver.fetch(alice.did).canonical_bytes() + lookup.attestation.nonce
+    body = stack.resolver.find(alice.did).canonical_bytes() + lookup.attestation.nonce
     forged = dataclasses.replace(lookup.attestation, signature=alice.key.sign(body))
     assert verify_signature(alice.key.public_bytes, body, forged.signature)
     request = AccessRequest(
@@ -1053,7 +1060,7 @@ def test_issued_attestations_stay_within_their_bound(bound, steps):
     stack = Stack()
     alice = stack.register_actor("alice")
     resolver = stack.resolver
-    document = resolver.fetch(alice.did)
+    document = resolver.find(alice.did)
     model: OrderedDict[bytes, object] = OrderedDict()
     latest = {}
     with mock.patch.object(resolver_module, "ISSUED_ATTESTATIONS", bound):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedgate
 from fedgate.canonical import canonical_json_bytes
 from fedgate.errors import FedGateError, ValidationError
 from fedgate.fl import (
@@ -1185,6 +1187,52 @@ def test_each_access_request_refusal_keeps_its_exact_reply(tmp_path, setup, expe
     response = _post(api, body)
     assert (response.status, response.body) == expected
     assert stack.chain.height == height
+
+
+FEDGATE_SRC = str(Path(fedgate.__file__).parent)
+
+# Python calls in ``src/fedgate`` for one ghost, the most this path may make:
+# an unknown or malformed DID makes 12 (19 and 16 when each lookup parsed its
+# DID and raised), a capacity refusal 11 (14).
+GHOST_CALLS = {"unknown": 12, "malformed": 12, "capacity": 11}
+
+
+def _traced_post(api, body):
+    """``_post`` under ``sys.settrace``: the reply, the name of each call in
+    ``src/fedgate`` and of each frame there that saw an exception event."""
+    calls, raised = [], []
+
+    def in_frame(frame, event, arg):
+        if event == "exception":
+            raised.append(frame.f_code.co_name)
+        return in_frame
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(FEDGATE_SRC):
+            calls.append(frame.f_code.co_name)
+            return in_frame
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        response = _post(api, body)
+    finally:
+        sys.settrace(previous)
+    return response, calls, raised
+
+
+@pytest.mark.parametrize("ghost", GHOST_CALLS)
+def test_a_ghost_is_refused_by_lookups_not_exceptions(tmp_path, ghost):
+    stack, service, api, token = service_stack(tmp_path)
+    if ghost == "capacity":
+        _capacity_refusals(stack, api)
+    requester = {"unknown": "did:efed:ghost", "malformed": "did:efed:bad id"}.get(ghost, "did:efed:late")
+    response, calls, raised = _traced_post(api, _ghost_body(stack, requester))
+    assert response.status == (503 if ghost == "capacity" else 403)
+    assert raised == []
+    assert "parse_did" not in calls
+    assert len(calls) <= GHOST_CALLS[ghost], calls
 
 
 # ------------------------------------------------------ api edge inputs

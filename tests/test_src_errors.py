@@ -21,8 +21,8 @@ KEPT = {
         "import_legacy_accounts reports a taken DID or profile hash as skipped"
     ),
     "fedgate/identity/registry.py:UnknownDidError": (
-        "the gateway denies it as unresolvable (resolver.UNRESOLVABLE); "
-        "bench/desk.py's document_lookup reads it as no document"
+        "bench/desk.py's document_lookup reads it as no document; the gateway and "
+        "the claim check look up with Resolver.find, which raises nothing"
     ),
     "fedgate/ledger/contracts.py:ContractNotFoundError": "ServiceApi.handle answers 404",
     "fedgate/service/facade.py:UnauthorizedTokenError": "ServiceApi.handle answers 401",
@@ -64,7 +64,7 @@ def exception_classes(root: Path) -> dict[str, ast.ClassDef]:
 
 
 def caught_by_name(roots: list[Path]) -> set[str]:
-    """Names in an ``except`` clause, through module-level tuples such as ``UNRESOLVABLE``."""
+    """Names in an ``except`` clause, also through a module-level tuple of exception types."""
     tuples, caught = {}, set()
     for root in roots:
         for _, tree in _parsed(root):
