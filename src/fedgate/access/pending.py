@@ -9,7 +9,7 @@ the front and stops at the first live one. If the clock steps back, an entry
 parked afterwards waits behind a later-born one: eviction only waits, and the
 capacity bound holds regardless. ``peak_size`` records the high-water mark
 so load tests can assert the bound actually held. Capacity and ttl are ints
-of at least 1: infinity, NaN or a bool would leave the table unbounded.
+of at least 1: infinity, NaN or a bool would leave it unbounded or unswept.
 """
 
 from __future__ import annotations

@@ -63,15 +63,15 @@ from .ratelimit import SlidingWindowLimiter
 SCHEME_CONTRACT_LOOKUP = "contract_lookup"
 SCHEME_USER_LOOKUP = "user_lookup"
 _SCHEMES = (SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP)
-_BODY_KEYS = frozenset({"requester", "service", "scheme", "nonce", "attestation"})
 _BODY_STRINGS = ("requester", "service", "scheme", "nonce")
+_BODY_KEYS = frozenset((*_BODY_STRINGS, "attestation"))
 NONCE_RING_SIZE = 4096
 
 
 REJECTED_RATE = AccessOutcome("rejected-rate", "per-requester rate limit")
 REJECTED_CAPACITY = AccessOutcome("rejected-capacity", "pending table full")
 DENIED_REPLAY = AccessOutcome("denied", "replay")
-DENIED_UNRESOLVABLE = AccessOutcome("denied", "unresolvable")
+DENIED_NO_DOCUMENT = AccessOutcome("denied", "unresolvable")
 DENIED_MISSING_ATTESTATION = AccessOutcome("denied", "missing-attestation")
 DENIED_ATTESTATION_MISMATCH = AccessOutcome("denied", "attestation-mismatch")
 DENIED_STALE_ATTESTATION = AccessOutcome("denied", "stale-attestation")
@@ -218,7 +218,7 @@ class AccessGateway:
         if document is None:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
-            return DENIED_UNRESOLVABLE
+            return DENIED_NO_DOCUMENT
         if not self._contract_limiter.allow(request.requester):
             self.pending.remove(nonce_hex)  # its nonce stays unspent
             return REJECTED_RATE
@@ -239,7 +239,7 @@ class AccessGateway:
             return DENIED_REPLAY
         document = self._resolver.find(request.requester)
         if document is None:
-            return DENIED_UNRESOLVABLE
+            return DENIED_NO_DOCUMENT
         # The attestation came from outside, so it is checked here.
         if not self._resolver.verify(attestation, document):
             return DENIED_STALE_ATTESTATION
