@@ -51,7 +51,8 @@ class DatasetPartition:
             )
         columns = (*names, self.label_name)
         if len(set(columns)) < len(columns):
-            twice = next(n for i, n in enumerate(columns) if n in columns[:i])
+            seen = set()
+            twice = next(n for n in columns if n in seen or seen.add(n))
             raise ValidationError(f"partition {self.client_id!r} names two columns {twice!r}")
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "features", x)

@@ -139,6 +139,7 @@ def run_federation(
     roster = fleet.ids  # sorted; sorted again only when the eligible set changes
     eligible_before = all_ids = frozenset(roster)
     evaluation = FleetScores(fleet, config.loss)
+    stacks = {}  # the job's training stacks by (clients, rows), see ``local_train``
     model = initial_model(config)
 
     for t in range(1, config.total_rounds + 1):
@@ -151,7 +152,7 @@ def run_federation(
         # one stacked call; aggregation still reduces in sorted-id order.
         cohort = fleet.select([index[cid] for cid in selected])
         seeds = (client_round_seed(config.rng_seed, t, cid) for cid in selected)  # drawn under minibatch only
-        updates = dict(zip(selected, local_train(model, cohort, config, seeds)))
+        updates = dict(zip(selected, local_train(model, cohort, config, seeds, stacks)))
 
         model = aggregate(updates, compute_weights(cohort, config))
         if np.abs(model).max() > DIVERGENCE_LIMIT:

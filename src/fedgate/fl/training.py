@@ -34,19 +34,25 @@ def local_train(
     cohort: Fleet,
     config: FederationConfig,
     round_seeds: Iterable[int],
+    stacks: dict[tuple[int, int], tuple[np.ndarray, StackedGradient]],
 ) -> np.ndarray:
     """Run E epochs of gradient descent on each client's mean loss, all at once;
     row i of the returned ``(k, p)`` array is client i's update.
 
     Equally sized clients train as one stack: a ``StackedGradient`` gathers
     their rows from the cohort's pool (once per epoch under minibatch) and
-    steps them in place. ``round_seeds`` (one per client, in cohort order) is
-    read only under minibatch, where ``epoch_orders`` draws every client's E
-    epoch orders of a size group at once; each client's orders come from its
-    own seed alone, so its update has the same bits whichever clients share
-    it. The input model is never modified. If clients diverge, the error
-    names the lowest id among them and the first check that client failed,
-    as training them one by one in id order would.
+    steps them in place. ``stacks`` is one job's holder of each stack's
+    weights and ``StackedGradient`` by (clients, rows), for one config: a
+    shape it lacks is built, one this call does not use is dropped, and the
+    weights are refilled from the model. Every buffer is written before it
+    is read, so a held stack gives the bits a new one would. ``round_seeds``
+    (one per client, in cohort order) is read only under minibatch, where
+    ``epoch_orders`` draws every client's E epoch orders of a size group at
+    once; each client's orders come from its own seed alone, so its update
+    has the same bits whichever clients share it. The input model is never
+    modified, and no returned row shares memory with ``stacks``. If clients
+    diverge, the error names the lowest id among them and the first check
+    that client failed, as training them one by one in id order would.
     Dimensions come checked by ``check_fleet`` and ``initial_model``.
     """
     loss, lr, minibatch = config.loss, config.learning_rate, config.batch_mode == "minibatch"
@@ -54,18 +60,26 @@ def local_train(
         round_seeds = np.array([s & 0xFFFFFFFFFFFFFFFF for s in round_seeds], dtype=np.uint64)
     trained = np.empty((len(cohort), model.shape[0]))
     failures: dict[str, str] = {}
+    groups = {}
+    for n in dict.fromkeys(cohort.sizes.tolist()):
+        members = np.flatnonzero(cohort.sizes == n)
+        groups[len(members), n] = members
+    for shape in stacks.keys() - groups.keys():  # the holder keeps this round's shapes only
+        del stacks[shape]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged row steps on to the end
-        for n in dict.fromkeys(cohort.sizes.tolist()):
-            members = np.flatnonzero(cohort.sizes == n)
+        for (k, n), members in groups.items():
+            if (k, n) not in stacks:
+                weights = np.empty((k, model.shape[0]))
+                stacks[k, n] = weights, StackedGradient(weights, n, config.batch_size if minibatch else n, loss)
+            weights, gradient = stacks[k, n]
+            np.copyto(weights, model)
             ids = [cohort.ids[i] for i in members]
             starts = cohort.starts[members]
-            weights = np.tile(model, (len(members), 1))
             if minibatch:
                 rows = epoch_orders(round_seeds[members], config.local_epochs, n)
                 rows += starts[:, None, None]  # (k, E, n) rows of the pool
             else:
                 rows = (starts[:, None] + np.arange(n))[:, None]  # (k, 1, n): every epoch's rows
-            gradient = StackedGradient(weights, n, config.batch_size if minibatch else n, loss)
             for epoch in range(config.local_epochs):
                 if minibatch or not epoch:
                     gradient.gather(cohort.features, cohort.labels, rows[:, epoch])

@@ -73,9 +73,9 @@ class ServiceApi:
         headers: dict | None = None,
         body: dict | None = None,
     ) -> Response:
-        query = query or {}
-        headers = headers or {}
-        body = body or {}
+        query = {} if query is None else query
+        headers = {} if headers is None else headers
+        body = {} if body is None else body
         try:
             if not isinstance(method, str) or not isinstance(path, str):
                 raise ApiError(400, "method and path must be strings")

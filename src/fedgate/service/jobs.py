@@ -40,7 +40,8 @@ def _names(field: str, values) -> tuple[str, ...] | None:
     if not values:
         raise ValidationError(f"{field} must not be empty; omit it to keep them all")
     if len(set(values)) < len(values):
-        twice = next(v for i, v in enumerate(values) if v in values[:i])
+        seen = set()
+        twice = next(v for v in values if v in seen or seen.add(v))
         raise ValidationError(f"{field} names {twice!r} twice")
     return tuple(values)
 

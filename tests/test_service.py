@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import json
 import re
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -1460,21 +1462,66 @@ def test_a_filter_list_that_is_not_all_strings_is_refused(tmp_path, field, value
     assert service.queue.get("job-0001") is None
 
 
-@pytest.mark.parametrize("field, value", [("clientIds", ["001", "000", "001"]), ("featureNames", ["x0", "x0"])])
+@contextmanager
+def within_seconds(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+LONG_LIST_WITH_ONE_REPEAT = [f"c{i}" for i in range(199_999)] + ["c0"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("clientIds", ["001", "000", "001"]),
+        ("featureNames", ["x0", "x0"]),
+        ("clientIds", LONG_LIST_WITH_ONE_REPEAT),
+        ("featureNames", LONG_LIST_WITH_ONE_REPEAT),
+    ],
+)
 def test_a_filter_list_that_names_an_entry_twice_is_refused(tmp_path, field, value):
-    # Read as given, ["x0", "x0"] would train on one feature twice.
+    # Read as given, ["x0", "x0"] would train on one feature twice. The body is
+    # read before the grant is checked, so anyone can send the long list, whose
+    # repeat took minutes to find when each entry was sought in those before it.
     message = f"{field} names {value[0]!r} twice"
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        DataFilter.from_dict({field: value})
     stack, service, api, token = service_stack(tmp_path)
-    response = api.handle(
-        "POST",
-        "/jobs",
-        headers={"Authorization": f"Grant {token}"},
-        body={"config": job_config().to_dict(), "dataFilter": {field: value}},
-    )
-    assert (response.status, response.body) == (400, {"error": message})
+    body = {"config": job_config().to_dict(), "dataFilter": {field: value}}
+    with within_seconds(5):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DataFilter.from_dict({field: value})
+        for grant in (token, "not-a-token"):
+            response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {grant}"}, body=body)
+            assert (response.status, response.body) == (400, {"error": message})
     assert service.queue.get("job-0001") is None
+
+
+@pytest.mark.parametrize(
+    "method, path, inputs, message",
+    [
+        *[("POST", "/access/request", {"body": body}, "body must be a JSON object") for body in ([], "", 0, False, [1])],
+        *[("GET", "/access/requirements", {"query": query}, "query and headers must be mappings") for query in ([], 0)],
+        *[("GET", "/data/metadata", {"headers": headers}, "query and headers must be mappings") for headers in ([], "")],
+    ],
+    ids=[
+        "empty-list-body", "empty-text-body", "zero-body", "false-body", "list-body",
+        "empty-list-query", "zero-query", "empty-list-headers", "empty-text-headers",
+    ],
+)
+def test_a_falsy_non_mapping_is_refused_as_malformed_not_read_as_empty(tmp_path, method, path, inputs, message):
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle(method, path, **inputs)
+    assert (response.status, response.body) == (400, {"error": message})
 
 
 @pytest.mark.parametrize("cap", [30, 2**63, 10**19])

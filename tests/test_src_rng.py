@@ -106,5 +106,5 @@ def test_a_minibatch_round_builds_no_generator(monkeypatch):
         DatasetPartition(f"c{i}", np.full((n, 2), 0.5 * i), (np.arange(n) % 2).astype(float))
         for i, n in enumerate([5, 7, 5])
     ]
-    trained = local_train(np.zeros(3), as_fleet(parts), config, [1, 2**64 - 1, 3])
+    trained = local_train(np.zeros(3), as_fleet(parts), config, [1, 2**64 - 1, 3], {})
     assert trained.shape == (3, 3) and np.isfinite(trained).all()

@@ -64,14 +64,14 @@ def one_sample_partition():
 def test_zero_learning_rate_is_identity():
     config = make_config(learning_rate=0.0)
     model = np.array([3.5])
-    out = local_train(model, as_fleet([one_sample_partition()]), config, [1])
+    out = local_train(model, as_fleet([one_sample_partition()]), config, [1], {})
     assert np.array_equal(out, [model])
 
 
 def test_hand_computed_single_step():
     # grad = 2(0*1 - 1)*1 = -2; w' = 0 - 1*(-2) = 2
     config = make_config(learning_rate=1.0)
-    [out] = local_train(np.zeros(1), as_fleet([one_sample_partition()]), config, [1])
+    [out] = local_train(np.zeros(1), as_fleet([one_sample_partition()]), config, [1], {})
     assert out.tolist() == [2.0]
 
 
@@ -85,8 +85,8 @@ def test_two_epochs_compose_single_steps():
     one = make_config(learning_rate=0.05)
     two = make_config(learning_rate=0.05, local_epochs=2)
     cohort = as_fleet([part])
-    stepped_twice = local_train(local_train(model, cohort, one, [9])[0], cohort, one, [9])
-    assert np.array_equal(local_train(model, cohort, two, [9]), stepped_twice)
+    stepped_twice = local_train(local_train(model, cohort, one, [9], {})[0], cohort, one, [9], {})
+    assert np.array_equal(local_train(model, cohort, two, [9], {}), stepped_twice)
 
 
 def test_input_model_unmodified_and_deterministic():
@@ -102,12 +102,12 @@ def test_input_model_unmodified_and_deterministic():
     )
     model = np.array([0.1, -0.2])
     before = model.copy()
-    first = local_train(model, as_fleet([part]), config, [42])
-    second = local_train(model, as_fleet([part]), config, [42])
+    first = local_train(model, as_fleet([part]), config, [42], {})
+    second = local_train(model, as_fleet([part]), config, [42], {})
     assert np.array_equal(model, before)
     assert np.array_equal(first, second)
     # A different round seed shuffles minibatches differently.
-    other = local_train(model, as_fleet([part]), config, [43])
+    other = local_train(model, as_fleet([part]), config, [43], {})
     assert not np.array_equal(first, other)
 
 
@@ -117,7 +117,7 @@ def test_divergence_names_the_client():
     )
     config = make_config(learning_rate=50.0, local_epochs=200)
     with pytest.raises(TrainingDivergedError) as err:
-        local_train(np.array([1.0]), as_fleet([part]), config, [0])
+        local_train(np.array([1.0]), as_fleet([part]), config, [0], {})
     assert "patient-7" in str(err.value)
     assert err.value.client_id == "patient-7"
 
@@ -195,7 +195,7 @@ def test_one_draw_per_round_is_the_per_epoch_permutation_stream(seed, n, epochs,
         local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size
     )
     with mock.patch("fedgate.fl.losses.np", recorder):
-        local_train(np.zeros(1), as_fleet([part]), config, [seed])
+        local_train(np.zeros(1), as_fleet([part]), config, [seed], {})
     batches = recorder.batches
     assert np.array_equal(np.concatenate(batches), stream.ravel())
     assert len(batches) == epochs * -(-n // batch_size)
@@ -224,7 +224,7 @@ def test_seeds_near_two_to_the_64_raise_no_overflow_warning():
         warnings.simplefilter("error")
         orders = epoch_orders(np.array(seeds, dtype=np.uint64), 3, 7)
         for seed in seeds:
-            local_train(np.zeros(1), as_fleet([part]), config, [seed])
+            local_train(np.zeros(1), as_fleet([part]), config, [seed], {})
     assert orders.tolist() == [reference_epoch_orders(s, 3, 7) for s in seeds]
 
 
@@ -241,7 +241,7 @@ def trained_orders(parts, config, seeds) -> dict[int, list[list[int]]]:
         gather(self, pool_x, pool_y, rows)
 
     with mock.patch.object(StackedGradient, "gather", recording_gather):
-        local_train(np.zeros(1), as_fleet(parts), config, seeds)
+        local_train(np.zeros(1), as_fleet(parts), config, seeds, {})
     return seen
 
 
@@ -294,7 +294,7 @@ def test_cohort_matches_per_client_oracle(kind, bias, batch_size):
     config = cohort_config(kind, bias, batch_size, local_epochs=3, learning_rate=0.05)
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(parts))]
-    cohort = local_train(model, as_fleet(parts), config, seeds)
+    cohort = local_train(model, as_fleet(parts), config, seeds, {})
     worst = max(
         np.max(np.abs(got - sequential_local_train(model, p, config, seed)))
         for p, seed, got in zip(parts, seeds, cohort)
@@ -336,7 +336,7 @@ def test_local_train_returns_the_bytes_or_the_error_of_the_reference(
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
     args = model, as_fleet(parts), config, seeds
-    assert outcome(local_train, *args) == outcome(reference_local_train, *args)
+    assert outcome(lambda *a: local_train(*a, {}), *args) == outcome(reference_local_train, *args)
 
 
 @pytest.mark.parametrize("names", [("a", "b"), ("b", "a")], ids=["exceeding-client-first", "overflowing-client-first"])
@@ -354,7 +354,7 @@ def test_a_failed_epoch_is_replayed_from_its_start_with_every_step_checked(names
     args = np.full(4, 1e-300), as_fleet([exceeding, overflowing]), config, [0, 0]
     expected = "weight magnitude exceeded 1e+06" if names[0] == "a" else "non-finite gradient"
     assert outcome(reference_local_train, *args) == f"training diverged on client 'a': {expected}"
-    assert outcome(local_train, *args) == outcome(reference_local_train, *args)
+    assert outcome(lambda *a: local_train(*a, {}), *args) == outcome(reference_local_train, *args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,10 +373,84 @@ def test_client_update_does_not_depend_on_its_cohort(kind, bias, batch_size, siz
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**64, size=len(parts), dtype=np.uint64)]
     order = data.draw(st.permutations(range(len(parts))))
-    cohort = local_train(model, as_fleet([parts[i] for i in order]), config, [seeds[i] for i in order])
+    cohort = local_train(model, as_fleet([parts[i] for i in order]), config, [seeds[i] for i in order], {})
     for i, got in zip(order, cohort):
-        [alone] = local_train(model, as_fleet([parts[i]]), config, [seeds[i]])
+        [alone] = local_train(model, as_fleet([parts[i]]), config, [seeds[i]], {})
         assert np.array_equal(alone, got)
+
+
+@pytest.mark.parametrize("kind, bias", [("logistic", True), ("squared_error", False)])
+@pytest.mark.parametrize("batch_size", [None, 3], ids=["full-batch", "minibatch"])
+def test_a_held_stack_trains_each_round_to_the_bytes_of_a_fresh_one(kind, bias, batch_size):
+    # Rounds of unequal sizes (5, 9, 12 rows): the third clamps K after a client
+    # is lost, the fourth diverges on c06 and leaves non-finite or unbounded
+    # weights in its stacks, and the fifth reuses those stacks. Every reused stack must start
+    # from the round's model, and no update may alias what the holder keeps.
+    rng = np.random.default_rng(52)
+    parts = random_partitions(rng, [5, 9, 5, 12, 9, 5], kind)
+    parts.append(DatasetPartition("c06", rng.normal(size=(5, 4)) * 1e160, np.ones(5)))
+    config = cohort_config(kind, bias, batch_size, local_epochs=2, learning_rate=0.05)
+    rounds = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 1, 3, 4], [1, 2, 4, 6], [1, 2, 4, 5], [0, 2, 3, 5]]
+    stacks, held_before, kept = {}, {}, []
+    for members in rounds:
+        cohort = as_fleet([parts[i] for i in members])
+        model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=len(members), dtype=np.uint64)]
+        args = model, cohort, config, seeds
+        expected = outcome(reference_local_train, *args)
+        try:
+            update = local_train(*args, stacks)
+        except TrainingDivergedError as err:
+            assert (err.client_id, str(err)) == ("c06", expected)
+        else:
+            assert update.tobytes() == expected
+            for weights, gradient in stacks.values():
+                assert not np.shares_memory(update, weights) and not np.shares_memory(update, gradient.grad)
+            kept.append((update, update.tobytes()))
+        sizes = cohort.sizes.tolist()
+        assert set(stacks) == {(sizes.count(n), n) for n in sizes}
+        for shape in stacks.keys() & held_before.keys():
+            assert stacks[shape] is held_before[shape]
+        held_before = dict(stacks)
+    assert all(update.tobytes() == frozen for update, frozen in kept)
+    assert len(kept) == len(rounds) - 1
+
+
+def test_a_train_deep_shaped_job_builds_one_stack_that_dies_with_the_job(monkeypatch):
+    import weakref
+
+    import fedgate.fl.federation as federation
+    import fedgate.fl.training as training
+
+    built, held = [], []
+
+    class CountedGradient(StackedGradient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    def watching(model, cohort, config, round_seeds, stacks):
+        update = local_train(model, cohort, config, round_seeds, stacks)
+        held.append(sorted(stacks))
+        return update
+
+    monkeypatch.setattr(training, "StackedGradient", CountedGradient)
+    monkeypatch.setattr(federation, "local_train", watching)
+    spec = SyntheticSpec(n_clients=20, samples_per_client=100, feature_dim=20, separability=0.5, label_skew=0.6, seed=3)
+    fleet, _ = generate_partitions(spec)
+    config = FederationConfig(
+        total_rounds=20,
+        total_clients=20,
+        subset_size=20,
+        local_epochs=5,
+        learning_rate=0.05,
+        loss=LossSpec(kind="logistic", feature_dim=20, bias=True),
+        batch_mode="minibatch",
+        batch_size=10,
+    )
+    run_federation(config, fleet)
+    assert held == [[(20, 100)]] * 20
+    assert len(built) == 1 and built[0]() is None
 
 
 @pytest.mark.parametrize("late_rows", [1, 2])
@@ -396,11 +470,11 @@ def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows)
             sequential_local_train(model, part, config, 0)
     for cohort in ([late, early], [early, late]):
         with pytest.raises(TrainingDivergedError) as err:
-            local_train(model, as_fleet(cohort), config, [0, 0])
+            local_train(model, as_fleet(cohort), config, [0, 0], {})
         assert err.value.client_id == expected.value.client_id == "a"
         assert str(err.value) == str(expected.value)
     with pytest.raises(TrainingDivergedError) as alone:
-        local_train(model, as_fleet([early]), config, [0])
+        local_train(model, as_fleet([early]), config, [0], {})
     assert (alone.value.client_id, str(alone.value).endswith("exceeded 1e+06")) == ("b", True)
 
 
@@ -433,9 +507,9 @@ def test_run_federation_trains_each_round_in_one_call(monkeypatch):
 
     calls = []
 
-    def counting(model, partitions, config, round_seeds):
+    def counting(model, partitions, config, round_seeds, stacks):
         calls.append([p.client_id for p in partitions])
-        return local_train(model, partitions, config, round_seeds)
+        return local_train(model, partitions, config, round_seeds, stacks)
 
     monkeypatch.setattr(federation, "local_train", counting)
     rng = np.random.default_rng(8)
@@ -816,7 +890,7 @@ def test_a_cohort_taken_from_a_pool_trains_as_its_copies_do(fleet, batch_size, s
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(fleet))]
     copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in fleet]
-    assert np.array_equal(local_train(model, fleet, config, iter(seeds)), local_train(model, as_fleet(copies), config, seeds))
+    assert np.array_equal(local_train(model, fleet, config, iter(seeds), {}), local_train(model, as_fleet(copies), config, seeds, {}))
 
 
 def test_a_feature_filter_of_the_bench_fleet_is_one_run():
