@@ -20,7 +20,7 @@ from .access.legacy import import_legacy_accounts, read_accounts_csv
 from .canonical import canonical_json_bytes
 from .clock import SimulatedClock
 from .desk import build_desk
-from .errors import FedGateError, ValidationError
+from .errors import ValidationError
 from .fl import SyntheticSpec, write_dataset
 from .ledger import load_chain
 from .scenario import DEFAULT_SEED, START_TIME, ScenarioConfig, run_demo
@@ -197,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot use file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FedGateError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

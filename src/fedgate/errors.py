@@ -7,7 +7,7 @@ from numbers import Integral, Real
 
 
 class FedGateError(Exception):
-    """A refused operation (the CLI exits 1, a job ends failed); base of every fedgate error."""
+    """A refused operation (a job ends failed); base of every fedgate error."""
 
 
 class ValidationError(FedGateError):

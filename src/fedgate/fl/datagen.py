@@ -44,8 +44,6 @@ class SyntheticSpec:
             raise ValidationError("separability must be >= 0")
         if not 0 <= self.label_skew <= 1:
             raise ValidationError("label_skew must lie in [0, 1]")
-        if not 0 <= self.label_noise < 0.5:
-            raise ValidationError("label_noise must lie in [0, 0.5)")
 
 
 def generate_partitions(spec: SyntheticSpec) -> tuple[Fleet, dict]:

@@ -81,8 +81,6 @@ class AccessPolicyContract:
         object.__setattr__(self, "required_claims", tuple(self.required_claims))
         if not self.required_claims:
             raise ValidationError("a contract must require at least one claim")
-        if not self.grants_service:
-            raise ValidationError("grants_service must be non-empty")
         object.__setattr__(self, "contract_id", sha256_hex(self.signing_bytes()))
 
     def signing_bytes(self) -> bytes:
@@ -145,11 +143,11 @@ class ContractEngine:
     service check also refuses a second copy. ``for_service`` is the one
     lookup; its caller carries the contract to ``evaluate`` and ``execute``.
 
-    ``document_lookup`` maps a DID string to its current document (or
-    raises/returns None); ``claim_checker(claim, now)`` returns
-    ``(valid, reason)`` and carries the issuer-trust and signature
-    policy. ``token_bytes`` mints each grant token's bytes, so a desk built
-    from a seed mints reproducible ones.
+    ``document_lookup`` maps a DID string to its current document, or None
+    when it has none; an exception it raises escapes ``deploy``.
+    ``claim_checker(claim, now)`` returns ``(valid, reason)`` and carries the
+    issuer-trust and signature policy. ``token_bytes`` mints each grant
+    token's bytes, so a desk built from a seed mints reproducible ones.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ from ..access import AccessGateway, AccessRequest
 from ..errors import ValidationError, check_keys
 from ..fl import FederationConfig
 from ..identity import Attestation
-from ..ledger import ContractNotFoundError
+from ..ledger import ContractNotFoundError, GrantToken
 from .facade import FlaasService, UnauthorizedTokenError, UnknownJobError
 from .jobs import DataFilter
 
@@ -101,16 +101,14 @@ class ServiceApi:
         if path == "/access/howto" and method == "GET":
             return self._howto()
         if path == "/data/metadata" and method == "GET":
-            token = self._token(headers)
-            return Response(200, self._service.metadata(token))
+            return Response(200, self._service.metadata(self._grant(headers)))
         if path == "/data/preview" and method == "GET":
-            token = self._token(headers)
-            return Response(200, {"preview": self._service.preview(token)})
+            return Response(200, {"preview": self._service.preview(self._grant(headers))})
         if path == "/jobs" and method == "POST":
-            return self._submit_job(headers, body)
+            return self._submit_job(self._grant(headers), body)
         match = _JOB_PATH.fullmatch(path)
         if match and method == "GET":
-            return self._job_routes(match, headers)
+            return self._job_routes(match, self._grant(headers))
         raise ApiError(404, f"no route for {method} {path}")
 
     # ------------------------------------------------------------- access
@@ -177,14 +175,14 @@ class ServiceApi:
 
     # --------------------------------------------------------------- jobs
 
-    def _token(self, headers) -> str:
+    def _grant(self, headers) -> GrantToken:
+        """The grant the ``Authorization`` header redeems, before any body is read."""
         value = headers.get("Authorization", "")
         if not isinstance(value, str) or not value.startswith("Grant "):
             raise UnauthorizedTokenError("expected 'Authorization: Grant <token>'")
-        return value[len("Grant ") :]
+        return self._service.authorize(value[len("Grant ") :])
 
-    def _submit_job(self, headers, body) -> Response:
-        token = self._token(headers)
+    def _submit_job(self, grant, body) -> Response:
         check_keys(body, "job body", _JOB_KEYS)
         if "config" not in body:
             raise ApiError(400, "body field 'config' is required")
@@ -195,7 +193,7 @@ class ServiceApi:
             else DataFilter()
         )
         record = self._service.submit_job(
-            token,
+            grant,
             config,
             estimated_runtime=body.get("estimatedRuntime", 60.0),
             priority_weight=body.get("priorityWeight", 1.0),
@@ -205,13 +203,12 @@ class ServiceApi:
             raise ApiError(429, "the job queue, or this holder's share of it, is full")
         return Response(201, record.to_dict())
 
-    def _job_routes(self, match, headers) -> Response:
-        token = self._token(headers)
+    def _job_routes(self, match, grant) -> Response:
         job_id = match.group("job_id")
         tail = match.group("tail")
         if tail == "/metrics":
-            csv_text = self._service.job_artifact(token, job_id, "metrics")
+            csv_text = self._service.job_artifact(grant, job_id, "metrics")
             return Response(200, csv_text, content_type="text/csv")
         if tail == "/model":
-            return Response(200, self._service.job_artifact(token, job_id, "model"))
-        return Response(200, self._service.job(token, job_id).to_dict())
+            return Response(200, self._service.job_artifact(grant, job_id, "model"))
+        return Response(200, self._service.job(grant, job_id).to_dict())

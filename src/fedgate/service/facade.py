@@ -1,7 +1,8 @@
 """Grant-gated service operations: metadata, preview, job lifecycle.
 
-Every operation redeems a grant token against the gateway's store; no
-token, no data. Job submission runs ``check_fleet``, the check that opens
+``authorize`` redeems a grant token against the gateway's store, and
+every data and job operation takes the grant it returns: no token, no
+data. Job submission runs ``check_fleet``, the check that opens
 the run, on the partitions the job's filter leaves visible.
 """
 
@@ -61,26 +62,25 @@ class FlaasService:
 
     # --------------------------------------------------------------- data
 
-    def _cached_summary(self, token: str) -> dict:
+    def _cached_summary(self) -> dict:
         """The fleet summary, built on the first call: partitions are read-only."""
-        self.authorize(token)
         if self._summary is None:
             self._summary = summarize_partitions(self._fleet, self.service_name)
         return self._summary
 
-    def metadata(self, token: str) -> dict:
+    def metadata(self, grant: GrantToken) -> dict:
         """The ``/data/metadata`` body, a fresh copy of the summary for each caller."""
-        return copy_summary(self._cached_summary(token))
+        return copy_summary(self._cached_summary())
 
-    def preview(self, token: str) -> list[dict]:
+    def preview(self, grant: GrantToken) -> list[dict]:
         """The summary's preview rows, a fresh copy for each caller."""
-        return copy_preview(self._cached_summary(token)["preview"])
+        return copy_preview(self._cached_summary()["preview"])
 
     # --------------------------------------------------------------- jobs
 
     def submit_job(
         self,
-        token: str,
+        grant: GrantToken,
         config: FederationConfig,
         *,
         estimated_runtime: float,
@@ -88,7 +88,6 @@ class FlaasService:
         data_filter: DataFilter,
     ) -> JobRecord | None:
         """The queued job, or None when the queue or the holder's share of it is full."""
-        grant = self.authorize(token)
         check_fleet(config, apply_filter(self._fleet, data_filter))
         spec = JobSpec(
             holder=grant.holder,
@@ -106,21 +105,20 @@ class FlaasService:
             return None
         return self.executor.run(record, node_registry=node_registry)
 
-    def job(self, token: str, job_id: str) -> JobRecord:
+    def job(self, grant: GrantToken, job_id: str) -> JobRecord:
         """The job, if this grant's holder submitted it.
 
         Another holder's job answers as unknown, so its id leaks nothing.
         """
-        grant = self.authorize(token)
         record = self.queue.get(job_id)
         if record is None or record.spec.holder != grant.holder:
             raise UnknownJobError(f"no job {job_id}")
         return record
 
-    def job_artifact(self, token: str, job_id: str, kind: str) -> str | dict:
+    def job_artifact(self, grant: GrantToken, job_id: str, kind: str) -> str | dict:
         """The job's ``metrics`` CSV text or ``model`` JSON; one not written yet,
         or gone or unreadable on disk, answers as unknown, as another holder's job does."""
-        record = self.job(token, job_id)
+        record = self.job(grant, job_id)
         address = record.metrics_address if kind == "metrics" else record.model_address
         if address is None:
             raise UnknownJobError(f"job {job_id} has no {kind} yet")

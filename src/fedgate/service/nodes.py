@@ -12,6 +12,7 @@ promoted; the job keeps running.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,7 @@ class NodeRegistry:
         self._standby_clients: list[str] = []
         self._client_of: dict[str, str] = {}  # live client node -> the client it serves
         self._excluded_since: dict[str, int] = {}
-        self.faults: tuple[FaultEvent, ...] = ()
+        self._due: dict[int, list[str]] = {}  # fault node ids by round, in schedule order
         self.actions: list[dict] = []  # the failover log model.json carries
 
     @classmethod
@@ -62,18 +63,20 @@ class NodeRegistry:
         registry._is_server = dict.fromkeys(clients, False)
         registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
         named = [event.node_id for event in faults]
+        times = Counter(named)
         for node_id in named:
             if node_id not in registry._is_server:
                 raise ValidationError(f"fault names unknown node {node_id!r}")
-            if named.count(node_id) > 1:
+            if times[node_id] > 1:
                 raise ValidationError(f"fault schedule names node {node_id!r} twice")
-        registry.faults = tuple(faults)
+        for event in faults:
+            registry._due.setdefault(event.round_index, []).append(event.node_id)
         return registry
 
     def advance(self, round_index: int) -> None:
         """Apply the faults due at this round: server nodes first, then the
         rest, each in schedule order; losing the server loses the job."""
-        due = [e.node_id for e in self.faults if e.round_index == round_index]
+        due = self._due.get(round_index, ())
         for node_id in sorted(due, key=lambda n: not self._is_server[n]):
             action = self.fail(node_id, round_index)
             self.actions.append(action)

@@ -952,6 +952,11 @@ def test_read_accounts_csv(tmp_path):
     empty.write_text("username,role\n")
     with pytest.raises(ValidationError):
         read_accounts_csv(empty)
+    for row in ("dr_smith,", " ,doctor", "dr_smith"):
+        blank = tmp_path / "blank.csv"
+        blank.write_text(f"username,role\nnurse.jones,nurse\n{row}\n")
+        with pytest.raises(ValidationError, match="blank username or role"):
+            read_accounts_csv(blank)
 
 
 # ------------------------------------------------------ crypto per grant

@@ -122,6 +122,21 @@ def test_a_partition_names_each_column_once(tmp_path, header, twice):
         DatasetPartition("a", np.ones((1, 2)), np.zeros(1), feature_names=tuple(names), label_name=label)
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [("", "is empty"), ("label\n1.0\n", "needs at least one feature column and a label column"), ("x,label\n", "holds no data rows")],
+    ids=["empty-file", "label-column-only", "header-only"],
+)
+def test_a_partition_file_without_a_feature_column_or_a_row_is_refused(tmp_path, text, refusal):
+    # The file reader is the one check: a partition refuses no rank, row count or name count itself.
+    path = tmp_path / "client_a.csv"
+    path.write_text(text)
+    for read in (lambda: load_partition(path), lambda: load_partitions(tmp_path)):
+        with pytest.raises(ValidationError) as refused:
+            read()
+        assert str(refused.value) == f"{path} {refusal}"
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     part = DatasetPartition(

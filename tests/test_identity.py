@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -491,6 +492,32 @@ def test_log_replay_refuses_a_malformed_line_naming_it(tmp_path, line):
     path = tmp_path / "registry.jsonl"
     path.write_text(good + "\n" + line + "\n")
     with pytest.raises(ValidationError, match="line 2"):
+        DidRegistry.replay_log(path, receipt)
+
+
+# Canonical lines whose only fault is one a document, key or claim check refuses.
+REFUSED_LOG_LINES = {
+    "empty-key-id": (lambda entry: entry["document"]["publicKeys"][0].update(keyId=""), "key_id must be non-empty"),
+    "version-0": (lambda entry: entry["document"].update(version=0), "version must be >= 1, got 0"),
+    "duplicate-key-id": (
+        lambda entry: entry["document"].update(publicKeys=entry["document"]["publicKeys"] * 2),
+        "duplicate key ids in document did:efed:alice01",
+    ),
+    "unknown-op": (lambda entry: entry.update(op="delete"), "unknown log op 'delete'"),
+    "claim-expires-as-issued": (
+        lambda entry: entry["document"].update(claims=[{**CLAIM_DICT, "issuedAt": 9}]),
+        "claim 'role' issued_at 9 must precede expires_at 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("spoil, message", REFUSED_LOG_LINES.values(), ids=REFUSED_LOG_LINES)
+def test_log_replay_refuses_a_canonical_line_a_record_check_refuses_naming_it(tmp_path, spoil, message):
+    entry = json.loads(_log_line())
+    spoil(entry)
+    path = tmp_path / "registry.jsonl"
+    path.write_bytes(_log_line("bob01", seed=2).encode() + b"\n" + canonical_json_bytes(entry) + b"\n")
+    with pytest.raises(ValidationError, match=f"line 2: {re.escape(message)}$"):
         DidRegistry.replay_log(path, receipt)
 
 

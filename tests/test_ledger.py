@@ -118,6 +118,15 @@ def test_simulated_clock_refuses_a_time_that_is_not_an_int(bad):
     assert clock() == 5
 
 
+def test_a_simulated_clock_only_moves_forward():
+    # The grant store and the pending table evict on this rule.
+    clock = SimulatedClock(start=5)
+    with pytest.raises(ValueError, match="^clocks only move forward$"):
+        clock.advance(-1)
+    assert clock() == 5
+    assert clock.advance(0) == 5
+
+
 def test_height_counts_appends():
     chain = Chain(clock=SimulatedClock(0))
     for i in range(5):
@@ -517,6 +526,17 @@ def test_a_chain_file_in_the_nested_layout_is_refused_at_genesis(tmp_path, capsy
     with pytest.raises(ValidationError, match="height 0"):
         load_chain(path)
     capsys.readouterr()
+    assert main(["verify-chain", str(path)]) == 1
+    assert capsys.readouterr().out == "chain invalid at height 0\n"
+
+
+def test_an_empty_chain_file_is_refused_at_genesis(tmp_path, capsys):
+    # Every chain holds its genesis block, so a file of no lines holds no chain.
+    path = tmp_path / "chain.jsonl"
+    path.write_bytes(b"")
+    assert verify_chain_file(path) == (False, 0)
+    with pytest.raises(ValidationError, match="^chain invalid at height 0$"):
+        load_chain(path)
     assert main(["verify-chain", str(path)]) == 1
     assert capsys.readouterr().out == "chain invalid at height 0\n"
 

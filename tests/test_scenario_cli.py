@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP
 from fedgate.access.legacy import import_legacy_accounts, read_accounts_csv
 from fedgate.canonical import canonical_json_bytes
 from fedgate.cli import build_parser, main
@@ -262,8 +263,9 @@ TWICE = [{"roundIndex": 3, "nodeId": "node-001"}, {"roundIndex": 5, "nodeId": "n
         ({"qualifiedUsers": 0, "faultSchedule": PAST_T}, "beyond T=8", None),
         ({"faultSchedule": [{"roundIndex": 2, "nodeId": "node-999"}]}, "unknown node", ["data"]),
         ({"faultSchedule": TWICE, "standbyClients": 1}, "names node 'node-001' twice", ["data"]),
+        ({"faultSchedule": [{"roundIndex": 2, "nodeId": 1}]}, "fault node ids must be strings, got 1", None),
     ],
-    ids=["beyond-final-round", "beyond-final-round-nobody-granted", "unknown-node", "repeated-node"],
+    ids=["beyond-final-round", "beyond-final-round-nobody-granted", "unknown-node", "repeated-node", "numeric-node"],
 )
 def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(
     tmp_path, capsys, raw, message, written
@@ -277,6 +279,40 @@ def test_bad_fault_schedule_exits_2_before_the_ledger_is_written(
         assert not out.exists()
     else:
         assert sorted(p.name for p in out.iterdir()) == written
+
+
+def test_cli_demo_whose_faults_take_every_client_fails_its_job(tmp_path, capsys):
+    raw = {"faultSchedule": [{"roundIndex": 3, "nodeId": f"node-00{i}"} for i in range(3)]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "demo"
+    assert main(["demo", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == "job: failed"
+    job = json.loads((out / "summary.json").read_text())["job"]
+    assert (job["state"], job["cause"], job["roundsExecuted"]) == ("failed", "no eligible clients to select from", 2)
+
+
+def test_a_demo_that_loses_its_server_names_no_model(tmp_path):
+    summary = run_demo(demo_config(tmp_path, fault_schedule=(FaultEvent(4, "server-0"),)))
+    assert summary["exitCode"] == 1
+    assert summary["job"] == {
+        "jobId": "job-0001",
+        "state": "failed",
+        "cause": "server failed with no standby",
+        "roundsExecuted": 3,
+        "metrics": "artifacts/job-0001/metrics.csv",
+        "model": None,
+    }
+    assert not (tmp_path / "demo" / "artifacts/job-0001/model.json").exists()
+
+
+def test_cli_demo_scheme_flag_picks_the_workflow(tmp_path):
+    for scheme in (SCHEME_USER_LOOKUP, SCHEME_CONTRACT_LOOKUP):
+        out = tmp_path / scheme
+        assert main(["demo", "--out", str(out), "--scheme", scheme]) == 0
+        summary = json.loads((out / "summary.json").read_bytes())
+        assert summary == run_demo(demo_config(tmp_path, f"{scheme}-in-process", scheme=scheme))
+        assert summary["scheme"] == scheme
 
 
 def test_cli_demo_idle_standby_fault_keeps_the_job_running(tmp_path):
@@ -420,6 +456,22 @@ def test_cli_gen_data_names_a_non_finite_separability(tmp_path, capsys, value):
     assert main(["gen-data", "--out", str(out), "--separability", value]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "separability must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--separability", "-0.5", "separability must be >= 0"),
+        ("--label-skew", "1.5", "label_skew must lie in [0, 1]"),
+        ("--label-skew", "-0.25", "label_skew must lie in [0, 1]"),
+    ],
+    ids=["negative-separability", "skew-above-one", "negative-skew"],
+)
+def test_cli_gen_data_refuses_a_flag_out_of_its_range(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not out.exists()
 
 

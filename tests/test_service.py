@@ -25,6 +25,7 @@ from fedgate.fl import (
     write_dataset,
 )
 from fedgate.fl.data import as_fleet
+import fedgate.service.api as api_module
 import fedgate.service.jobs as jobs_module
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import (
@@ -352,9 +353,13 @@ def test_node_registry_invariants():
     for node_id in ("server-1", "node-a2", "standby-client-1"):
         with pytest.raises(ValidationError, match="unknown node"):
             NodeRegistry.provision(["a", "b"], 1, 1, faults=[FaultEvent(2, node_id)])
-    # each node fails at most once
+    # each node fails at most once; the first fault to name a refused node is the one named
     with pytest.raises(ValidationError, match="names node 'node-a' twice"):
         NodeRegistry.provision(["a", "b"], 1, 1, faults=[FaultEvent(2, "node-a"), FaultEvent(4, "node-a")])
+    with pytest.raises(ValidationError, match="names node 'node-a' twice"):
+        NodeRegistry.provision(["a", "b"], faults=[FaultEvent(2, "node-a"), FaultEvent(3, "node-x"), FaultEvent(4, "node-a")])
+    with pytest.raises(ValidationError, match="unknown node 'node-x'"):
+        NodeRegistry.provision(["a", "b"], faults=[FaultEvent(2, "node-x"), FaultEvent(3, "node-a"), FaultEvent(4, "node-a")])
     with pytest.raises(ValidationError):
         NodeRegistry.provision(["a", "a"])
 
@@ -579,6 +584,22 @@ def test_fault_on_unknown_node_is_refused_at_provision():
         job_fleet([FaultEvent(2, "node-999")])
 
 
+def test_a_long_fault_schedule_is_checked_and_applied_in_one_pass():
+    # Each fault was counted in the whole schedule, and each round scanned it:
+    # 20,000 faults took 5.5 s to check, a time that grew with the count squared.
+    clients = [f"{i:06d}" for i in range(200_000)]
+    faults = [FaultEvent(5 * i + 1, f"node-{cid}") for i, cid in enumerate(clients)]
+    with within_seconds(5):
+        with pytest.raises(ValidationError, match="^fault schedule names node 'node-000000' twice$"):
+            NodeRegistry.provision(clients, faults=[*faults, FaultEvent(1, "node-x"), faults[0]])
+        with pytest.raises(ValidationError, match="^fault names unknown node 'node-x'$"):
+            NodeRegistry.provision(clients, faults=[*faults, FaultEvent(1, "node-x")])
+        registry = NodeRegistry.provision(clients, faults=faults)
+        for t in range(1, 1001):
+            registry.advance(t)
+    assert [a["failedNode"] for a in registry.actions] == [e.node_id for e in faults[:200]]
+
+
 # ---------------------------------------------------------- facade and api
 
 
@@ -635,7 +656,7 @@ def test_metadata_is_built_once_and_never_aliased(tmp_path, monkeypatch):
     assert preview == pristine["preview"]
     preview[0]["features"][0] = 99.0
     assert api.handle("GET", "/data/preview", headers=headers).body["preview"] == pristine["preview"]
-    returned = service.metadata(token)
+    returned = service.metadata(service.authorize(token))
     returned["preview"][0]["label"] = -1.0
     returned["clients"][0]["labelHistogram"]["9"] = 9
     assert api.handle("GET", "/data/metadata", headers=headers).body == pristine
@@ -810,7 +831,7 @@ def test_submit_rejects_config_filter_mismatch(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     with pytest.raises(ValidationError, match="2 partitions for 4 configured clients"):
         service.submit_job(
-            token,
+            service.authorize(token),
             job_config(),  # expects 4 clients
             estimated_runtime=1.0,
             priority_weight=1.0,
@@ -893,7 +914,7 @@ def test_every_job_run_next_starts_ends_in_a_final_state(tmp_path):
             initial_weights=None if initial is None else (initial,) * loss.parameter_dim,
         )
         record = service.submit_job(
-            token,
+            service.authorize(token),
             config,
             estimated_runtime=1.0,
             priority_weight=1.0,
@@ -909,7 +930,7 @@ def test_filtered_job_runs_on_subset(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     config = job_config(total_clients=2, subset_size=2)
     record = service.submit_job(
-        token,
+        service.authorize(token),
         config,
         estimated_runtime=1.0,
         priority_weight=1.0,
@@ -1275,6 +1296,7 @@ def config_body(**fields):
         ("/access/request", {"nonce": "01" * 17}),
         ("/access/request", {"attestation": {}}),
         ("/access/request", {"attestation": forged_attestation("01" * 17)}),
+        ("/access/request", {"attestation": forged_attestation("AB" * 16)}),
         ("/jobs", {"config": {}}),
         ("/jobs", {"config": 3}),
         ("/jobs", {"estimatedRuntime": "x"}),
@@ -1299,17 +1321,24 @@ def config_body(**fields):
         ("/jobs", {"config": config_body(initialWeights=[])}),
         ("/jobs", {"dataFilter": {"featurenames": ["x0"]}}),
         ("/jobs", {"config": config_body(weightng="uniform")}),
+        ("/jobs", {"config": config_body(loss={"kind": "hinge", "featureDim": 2})}),
+        ("/jobs", {"config": config_body(subsetSize=5)}),
+        ("/jobs", {"config": config_body(batchMode="stochastic")}),
+        ("/jobs", {"config": config_body(batchMode="minibatch")}),
+        ("/jobs", {"config": config_body(weighting="equal")}),
+        ("/jobs", {"config": config_body(loss={"kind": "logistic", "featureDim": 3})}),
     ],
     ids=[
         "non-hex-nonce", "unknown-scheme", "15-byte-nonce", "17-byte-nonce", "empty-attestation",
-        "17-byte-attestation-nonce",
+        "17-byte-attestation-nonce", "uppercase-attestation-nonce",
         "empty-config", "int-config", "text-runtime",
         "nan-runtime-and-weight", "infinite-runtime", "text-bias", "text-batch-size-full-batch",
         "nan-initial-weight", "nan-learning-rate", "fractional-rounds", "bool-rounds", "bool-sample-cap",
         "fractional-sample-cap", "zero-sample-cap", "text-sample-cap",
         "bool-learning-rate", "text-learning-rate", "bool-and-text-initial-weights", "bool-runtime",
         "text-priority-weight", "overflowing-runtime", "empty-initial-weights", "filter-key-typo",
-        "config-key-typo",
+        "config-key-typo", "unknown-loss-kind", "subset-over-clients", "unknown-batch-mode",
+        "minibatch-without-size", "unknown-weighting", "feature-dim-unlike-the-fleet",
     ],
 )
 def test_malformed_body_field_answers_400(tmp_path, path, fields):
@@ -1491,18 +1520,63 @@ LONG_LIST_WITH_ONE_REPEAT = [f"c{i}" for i in range(199_999)] + ["c0"]
     ],
 )
 def test_a_filter_list_that_names_an_entry_twice_is_refused(tmp_path, field, value):
-    # Read as given, ["x0", "x0"] would train on one feature twice. The body is
-    # read before the grant is checked, so anyone can send the long list, whose
-    # repeat took minutes to find when each entry was sought in those before it.
+    # Read as given, ["x0", "x0"] would train on one feature twice. A holder may
+    # send the long list, whose repeat took minutes to find when each entry was
+    # sought in those before it; a bad grant is refused before the list is read.
     message = f"{field} names {value[0]!r} twice"
     stack, service, api, token = service_stack(tmp_path)
     body = {"config": job_config().to_dict(), "dataFilter": {field: value}}
     with within_seconds(5):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             DataFilter.from_dict({field: value})
-        for grant in (token, "not-a-token"):
+        for grant, status, error in ((token, 400, message), ("not-a-token", 401, BAD_GRANT)):
             response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {grant}"}, body=body)
-            assert (response.status, response.body) == (400, {"error": message})
+            assert (response.status, response.body) == (status, {"error": error})
+    assert service.queue.get("job-0001") is None
+
+
+BAD_GRANT = "unknown or expired grant token for fl-study"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"config": {"totalRounds": "x"}},
+        {},
+        {"confg": {}},
+        {"config": job_config().to_dict(), "dataFilter": {"clientIds": LONG_LIST_WITH_ONE_REPEAT}},
+    ],
+    ids=["malformed-config", "no-config", "unknown-key", "long-repeating-filter"],
+)
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("Grant nope", BAD_GRANT),
+        ("Grant ", "missing grant token"),
+        ("Bearer nope", "expected 'Authorization: Grant <token>'"),
+    ],
+    ids=["unknown-token", "empty-token", "not-a-grant"],
+)
+def test_a_bad_grant_answers_401_before_the_job_body_is_read(tmp_path, monkeypatch, body, header, message):
+    stack, service, api, token = service_stack(tmp_path)
+    read = []
+    monkeypatch.setattr(api_module, "check_keys", lambda *args: read.append(args))
+    response = api.handle("POST", "/jobs", headers={"Authorization": header}, body=body)
+    assert (response.status, response.body) == (401, {"error": message})
+    assert read == [] and service.queue.get("job-0001") is None
+
+
+def test_an_unknown_route_answers_404_whatever_the_grant(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    for header in ({}, {"Authorization": "Grant nope"}, {"Authorization": f"Grant {token}"}):
+        response = api.handle("POST", "/jobs/job-0001", headers=header, body={"config": {}})
+        assert (response.status, response.body) == (404, {"error": "no route for POST /jobs/job-0001"})
+
+
+def test_a_job_body_without_a_config_answers_400(tmp_path):
+    stack, service, api, token = service_stack(tmp_path)
+    response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body={"priorityWeight": 2.0})
+    assert (response.status, response.body) == (400, {"error": "body field 'config' is required"})
     assert service.queue.get("job-0001") is None
 
 

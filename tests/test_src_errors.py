@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 KEPT = {
-    "fedgate/errors.py:FedGateError": "cli.main exits 1 (refused); JobExecutor.run marks the job failed",
+    "fedgate/errors.py:FedGateError": "JobExecutor.run marks the job failed",
     "fedgate/errors.py:ValidationError": "cli.main exits 2; ServiceApi.handle answers 400",
     "fedgate/identity/registry.py:AlreadyRegisteredError": (
         "import_legacy_accounts reports a taken DID or profile hash as skipped"
