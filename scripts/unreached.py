@@ -9,8 +9,10 @@ Run from anywhere; any arguments are pytest's, and the default is the whole of
 Before ``fedgate`` is imported, a ``sys.settrace`` hook starts recording the
 line events of every frame whose code lives under ``src/fedgate``; then pytest
 runs in this process. One thread drives a desk, so the hook of the one thread
-sees every statement a test runs in-process. Code a test runs in a subprocess
-(the CLI and script tests) is not traced.
+sees every statement a test runs in-process. The hook is not set on the one
+other thread ``src/`` starts, a large fleet's evaluation worker, which runs
+only ``FleetScores._fill``, a method the calling thread runs too. Code a test
+runs in a subprocess (the CLI and script tests) is not traced.
 
 Every statement counts except a docstring, ``pass``, ``global``, ``nonlocal``
 and an annotation without a value in a function body, none of which compiles

@@ -129,42 +129,44 @@ def run_federation(
 
     Per-round metrics go to ``observer``, whose truthy return ends the run
     after that round; loss and accuracy both come from one ``FleetScores``
-    vector per round. ``eligibility(t)`` runs before round ``t`` and returns
-    the fleet's clients that may be selected in it (failover exclusions); it
-    may raise to abort the run. All per-round seeds are keyed by the absolute
-    round index, so the run is bit-reproducible for a fixed config and fleet.
+    fill per round, whose worker thread, if it has one, ends with the run
+    however the run ends. ``eligibility(t)`` runs before round ``t`` and
+    returns the fleet's clients that may be selected in it (failover
+    exclusions); it may raise to abort the run. All per-round seeds are keyed
+    by the absolute round index, so the run is bit-reproducible for a fixed
+    config and fleet.
     """
     fleet = check_fleet(config, fleet)
     index = {cid: i for i, cid in enumerate(fleet.ids)}
     roster = fleet.ids  # sorted; sorted again only when the eligible set changes
     eligible_before = all_ids = frozenset(roster)
-    evaluation = FleetScores(fleet, config.loss)
     stacks = {}  # the job's training stacks by (clients, rows), see ``local_train``
     model = initial_model(config)
 
-    for t in range(1, config.total_rounds + 1):
-        eligible = eligibility(t) if eligibility is not None else all_ids
-        if eligible != eligible_before:
-            eligible_before, roster = eligible, tuple(sorted(eligible))
-        selected = select_clients(config, t, roster)
+    with FleetScores(fleet, config.loss) as evaluation:  # its worker, if any, lives as long as the job
+        for t in range(1, config.total_rounds + 1):
+            eligible = eligibility(t) if eligibility is not None else all_ids
+            if eligible != eligible_before:
+                eligible_before, roster = eligible, tuple(sorted(eligible))
+            selected = select_clients(config, t, roster)
 
-        # Clients are mutually independent, so the round's cohort trains in
-        # one stacked call; aggregation still reduces in sorted-id order.
-        cohort = fleet.select([index[cid] for cid in selected])
-        seeds = (client_round_seed(config.rng_seed, t, cid) for cid in selected)  # drawn under minibatch only
-        updates = dict(zip(selected, local_train(model, cohort, config, seeds, stacks)))
+            # Clients are mutually independent, so the round's cohort trains in
+            # one stacked call; aggregation still reduces in sorted-id order.
+            cohort = fleet.select([index[cid] for cid in selected])
+            seeds = (client_round_seed(config.rng_seed, t, cid) for cid in selected)  # drawn under minibatch only
+            updates = dict(zip(selected, local_train(model, cohort, config, seeds, stacks)))
 
-        model = aggregate(updates, compute_weights(cohort, config))
-        if np.abs(model).max() > DIVERGENCE_LIMIT:
-            raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
+            model = aggregate(updates, compute_weights(cohort, config))
+            if np.abs(model).max() > DIVERGENCE_LIMIT:
+                raise TrainingDivergedError("<aggregate>", f"global weight magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
-        scores = evaluation.fill(model)
-        metrics = RoundMetrics(
-            round_index=t,
-            global_loss=global_loss(scores, evaluation.labels, config.loss),
-            train_accuracy=training_accuracy(scores, evaluation.labels, config.loss),
-            selected_clients=selected,
-        )
-        if observer is not None and observer(metrics):
-            break
+            loss = global_loss(evaluation, model)  # fills the evaluation that accuracy reads
+            metrics = RoundMetrics(
+                round_index=t,
+                global_loss=loss,
+                train_accuracy=training_accuracy(evaluation),
+                selected_clients=selected,
+            )
+            if observer is not None and observer(metrics):
+                break
     return model

@@ -41,7 +41,7 @@ class DidRegistry:
         self._documents: dict[str, DidDocument] = {}
         self.find = self._documents.get  # the document under exactly a DID's text, or None
         self._profiles: dict[str, str] = {}
-        self._log: list[dict] = []
+        self._log: list[tuple[dict, DidDocument]] = []  # each line but its document, encoded by write_log
         self._recorder = recorder
 
     def __len__(self) -> int:
@@ -95,17 +95,17 @@ class DidRegistry:
         self._documents[str(document.id)] = document
         if profile_hash is not None:
             self._profiles[profile_hash] = str(document.id)
-        entry = {"op": op, "document": document.to_dict()}
+        entry = {"op": op}
         if profile_hash is not None:
             entry["profileHash"] = profile_hash
-        self._log.append(entry)
+        self._log.append((entry, document))
         return receipt
 
     # ------------------------------------------------------------ log I/O
 
     def write_log(self, path: Path) -> Path:
         """Persist the mutation history as one canonical JSON object per line."""
-        return write_json_lines(path, self._log)
+        return write_json_lines(path, ({**entry, "document": document.to_dict()} for entry, document in self._log))
 
     @classmethod
     def replay_log(cls, path: Path, recorder: Callable[[str, dict, str], str]) -> "DidRegistry":

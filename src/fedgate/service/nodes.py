@@ -12,7 +12,7 @@ promoted; the job keeps running.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +33,9 @@ class FaultEvent:
 class NodeRegistry:
     def __init__(self):
         self._is_server: dict[str, bool] = {}  # every node id this fleet holds
-        self._standby_servers: list[str] = []
-        self._standby_clients: list[str] = []
+        # each standby pool in promotion order; a failed idle standby leaves it in O(1)
+        self._standby_servers: OrderedDict[str, None] = OrderedDict()
+        self._standby_clients: OrderedDict[str, None] = OrderedDict()
         self._client_of: dict[str, str] = {}  # live client node -> the client it serves
         self._excluded_since: dict[str, int] = {}
         self._due: dict[int, list[str]] = {}  # fault node ids by round, in schedule order
@@ -57,8 +58,8 @@ class NodeRegistry:
             raise ValidationError("each partition is served by exactly one node")
         registry = cls()
         registry._client_of = {f"node-{cid}": cid for cid in client_ids}
-        registry._standby_clients = [f"standby-client-{i}" for i in range(standby_clients)]
-        registry._standby_servers = [f"standby-server-{i}" for i in range(standby_servers)]
+        registry._standby_clients = OrderedDict.fromkeys(f"standby-client-{i}" for i in range(standby_clients))
+        registry._standby_servers = OrderedDict.fromkeys(f"standby-server-{i}" for i in range(standby_servers))
         clients = [*registry._client_of, *registry._standby_clients]
         registry._is_server = dict.fromkeys(clients, False)
         registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
@@ -94,15 +95,15 @@ class NodeRegistry:
         replacement = client_id = None
         pool = self._standby_servers if self._is_server[node_id] else self._standby_clients
         if node_id in pool:
-            pool.remove(node_id)
+            del pool[node_id]
             kind = "standby-lost"
         elif self._is_server[node_id]:
-            replacement = self._standby_servers.pop(0) if self._standby_servers else None
+            replacement = self._standby_servers.popitem(last=False)[0] if self._standby_servers else None
             kind = "server-lost" if replacement is None else "server-swap"
         else:
             client_id = self._client_of.pop(node_id)
             if self._standby_clients:
-                replacement = self._standby_clients.pop(0)
+                replacement = self._standby_clients.popitem(last=False)[0]
                 self._client_of[replacement] = client_id
                 kind = "client-swap"
             else:

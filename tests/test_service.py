@@ -600,6 +600,25 @@ def test_a_long_fault_schedule_is_checked_and_applied_in_one_pass():
     assert [a["failedNode"] for a in registry.actions] == [e.node_id for e in faults[:200]]
 
 
+def test_many_idle_standbys_fail_in_one_round_in_linear_time():
+    # Each failed standby was found and removed in a list, and each promotion
+    # popped the list's head: 20,000 standbys failing in one round took 5 s or more.
+    standbys = 80_000
+    names = [f"standby-client-{i}" for i in reversed(range(1, standbys))]
+    faults = [FaultEvent(2, name) for name in names] + [FaultEvent(2, "node-a"), FaultEvent(3, "node-b")]
+    registry = NodeRegistry.provision(["a", "b"], standby_clients=standbys, faults=faults)
+    with within_seconds(5):
+        registry.advance(2)
+        registry.advance(3)
+    assert [a["failedNode"] for a in registry.actions] == [*names, "node-a", "node-b"]
+    assert {a["kind"] for a in registry.actions[:-2]} == {"standby-lost"}
+    # the one standby left serves a; none is left for b
+    assert [(a["kind"], a["replacement"], a["clientId"]) for a in registry.actions[-2:]] == [
+        ("client-swap", "standby-client-0", "a"),
+        ("client-excluded", None, "b"),
+    ]
+
+
 # ---------------------------------------------------------- facade and api
 
 
@@ -819,6 +838,9 @@ def test_missing_or_unreadable_artifact_answers_404(tmp_path):
     headers = {"Authorization": f"Grant {token}"}
     body = {"config": job_config().to_dict()}
     job_id = api.handle("POST", "/jobs", headers=headers, body=body).body["jobId"]
+    for kind in ("model", "metrics"):  # queued: nothing written yet
+        response = api.handle("GET", f"/jobs/{job_id}/{kind}", headers=headers)
+        assert (response.status, response.body) == (404, {"error": f"job {job_id} has no {kind} yet"})
     record = service.run_next(node_registry=job_fleet())
     Path(record.model_address).unlink()
     Path(record.metrics_address).write_bytes(b"round\n\xff\n")  # not UTF-8

@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -22,6 +24,7 @@ from fedgate.fl.losses import StackedGradient
 from fedgate.fl.training import (
     DIVERGENCE_LIMIT,
     SIGMOID_HALF,
+    SPLIT_ROWS,
     FleetScores,
     TrainingDivergedError,
     epoch_orders,
@@ -529,9 +532,15 @@ def pooled_mean_loss(model, partitions, spec):
 
 def pooled_eval(model, partitions, spec):
     """(global_loss, training_accuracy) as ``run_federation`` computes them."""
-    fleet = FleetScores(as_fleet(partitions), spec)
-    scores = fleet.fill(model)
-    return global_loss(scores, fleet.labels, spec), training_accuracy(scores, fleet.labels, spec)
+    with FleetScores(as_fleet(partitions), spec) as evaluation:
+        return global_loss(evaluation, model), training_accuracy(evaluation)
+
+
+def reductions(scores, labels, kind="logistic"):
+    """(global_loss, training_accuracy) of these scores: each is a one-feature
+    sample's own value, scored by the model [1.0], which keeps it."""
+    part = DatasetPartition(client_id="z", features=np.asarray(scores)[:, None], labels=np.asarray(labels))
+    return pooled_eval(np.array([1.0]), [part], LossSpec(kind=kind, feature_dim=1))
 
 
 def per_partition_accuracy(model, partitions, spec):
@@ -636,16 +645,14 @@ def test_zero_model_scores_every_sample_positive():
 
 def test_accuracy_threshold_is_exactly_p_at_least_one_half():
     # _sigmoid returns exactly 0.5 down to z = -1e-17, and less from -5.6e-17 on.
-    spec = LossSpec(kind="logistic", feature_dim=1)
     scores = np.array([0.0, -0.0, -1e-17, -5.6e-17, -1e-15])
     assert sigmoid(scores).tolist()[:3] == [0.5, 0.5, 0.5]
     assert np.all(sigmoid(scores[3:]) < 0.5)
     for i, z in enumerate(scores):
         positive = i < 3
-        one = np.array([z])
-        assert training_accuracy(one, np.array([1.0]), spec) == float(positive)
-        assert training_accuracy(one, np.array([0.0]), spec) == float(not positive)
-    assert training_accuracy(scores, np.ones(5), spec) == 3 / 5
+        assert reductions([z], [1.0])[1] == float(positive)
+        assert reductions([z], [0.0])[1] == float(not positive)
+    assert reductions(scores, np.ones(5))[1] == 3 / 5
 
 
 @pytest.mark.parametrize("n", [1, 1000])
@@ -676,15 +683,15 @@ TINY_SCORES = [sign * 10.0**-e for e in range(17, 301) for sign in (1.0, -1.0)]
 )
 @example(pairs=[(5.0313109891246635, 1.0)])  # one ulp of softplus, 1,024 ulps of the loss
 def test_logistic_reductions_match_logaddexp_and_sigmoid(pairs):
-    spec = LossSpec(kind="logistic", feature_dim=1)
     z, y = (np.array(column) for column in zip(*pairs))
     softplus = np.logaddexp(0.0, z)
     # The two exps differ by an ulp at times, and y*z can cancel most of
     # softplus, so the drift is counted in ulps of the terms, not of their difference.
-    drift = abs(global_loss(z, y, spec) - np.mean(softplus - y * z))
+    loss, accuracy = reductions(z, y)
+    drift = abs(loss - np.mean(softplus - y * z))
     assert drift <= 4 * np.spacing(np.mean(softplus + np.abs(y * z)))
     hits = np.count_nonzero((sigmoid(z) >= 0.5) == (y >= 0.5))
-    assert training_accuracy(z, y, spec) == hits / len(z)
+    assert accuracy == hits / len(z)
 
 
 @st.composite
@@ -760,12 +767,18 @@ def test_fleet_scores_keep_per_partition_bits_under_two_blas_threads():
         loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
         for sizes in ([100000, 2], [100004, 100004]):
             parts = [DatasetPartition(str(i), rng.normal(size=(n, 20)), rng.random(n)) for i, n in enumerate(sizes)]
-            scores = FleetScores(as_fleet(parts), loss)
-            for _ in range(3):
-                model = rng.normal(size=loss.parameter_dim)
-                assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes(), sizes
+            with FleetScores(as_fleet(parts), loss) as scores:
+                for _ in range(3):
+                    model = rng.normal(size=loss.parameter_dim)
+                    assert scores.fill(model).tobytes() == per_partition_scores(model, parts, loss).tobytes(), sizes
     """
     run_under_blas_threads(code, 2)
+
+
+def runs_per_half(fleet, loss):
+    """How many batched matmuls fill each half of the fleet's scores."""
+    with FleetScores(fleet, loss) as scores:
+        return [len(runs) for runs, _ in scores._halves]
 
 
 def test_an_every_tenth_client_filter_of_the_bench_fleet_is_one_run():
@@ -776,9 +789,9 @@ def test_an_every_tenth_client_filter_of_the_bench_fleet_is_one_run():
     loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
     for offset in (0, 3, 9):
         chosen = apply_filter(pool, DataFilter(client_ids=pool.ids[offset::10]))
-        assert len(chosen) == 100 and len(FleetScores(chosen, loss)._runs) == 1
+        assert len(chosen) == 100 and runs_per_half(chosen, loss) == [1]
     capped = apply_filter(pool, DataFilter(max_samples_per_client=7))
-    assert len(FleetScores(capped, loss)._runs) == 1
+    assert runs_per_half(capped, loss) == [1]
 
 
 class MatmulCounter:
@@ -901,4 +914,154 @@ def test_a_feature_filter_of_the_bench_fleet_is_one_run():
     names = tuple(f"x{i}" for i in range(0, 20, 2))
     for data_filter in (DataFilter(feature_names=names), DataFilter(feature_names=names, max_samples_per_client=7)):
         fleet = apply_filter(pool, data_filter)
-        assert len(FleetScores(fleet, LossSpec(kind="logistic", feature_dim=10, bias=True))._runs) == 1
+        assert set(runs_per_half(fleet, LossSpec(kind="logistic", feature_dim=10, bias=True))) == {1}
+
+
+# ---------------------------------------------------------------- split evaluation
+
+
+def allow_cpus(monkeypatch, count):
+    """Make this process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def bench_fleet():
+    spec = SyntheticSpec(
+        n_clients=1000, samples_per_client=100, feature_dim=20, separability=0.5, label_skew=0.6, label_noise=0.05, seed=1
+    )
+    return generate_partitions(spec)[0], LossSpec(kind="logistic", feature_dim=20, bias=True)
+
+
+def every_other_client_fleet():
+    # 300 of 600 clients, every other one: one strided run, which the split cuts at item 150
+    spec = SyntheticSpec(n_clients=600, samples_per_client=100, feature_dim=4, separability=0.5, seed=3)
+    pool, _ = generate_partitions(spec)
+    return pool.select(range(1, 600, 2)), LossSpec(kind="logistic", feature_dim=4, bias=True)
+
+
+def unequal_fleet(kind):
+    rng = np.random.default_rng(17)
+    parts, rows = [], 0
+    while rows < SPLIT_ROWS + 5000:
+        n = int(rng.integers(1, 700))
+        labels = rng.random(n) if kind == "squared_error" else (rng.random(n) > 0.5).astype(float)
+        parts.append(DatasetPartition(f"{len(parts):04d}", rng.normal(size=(n, 3)), labels))
+        rows += n
+    return as_fleet(parts), LossSpec(kind=kind, feature_dim=3, bias=kind == "logistic")
+
+
+SPLIT_FLEETS = {
+    "bench": bench_fleet,
+    "strided": every_other_client_fleet,
+    "unequal": lambda: unequal_fleet("logistic"),
+    "squared-no-bias": lambda: unequal_fleet("squared_error"),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_FLEETS)
+def test_a_split_evaluation_keeps_every_bit_of_the_one_thread_evaluation(monkeypatch, name):
+    fleet, loss = SPLIT_FLEETS[name]()
+    rng = np.random.default_rng(23)
+    models = [rng.normal(scale=0.5, size=loss.parameter_dim) for _ in range(3)]
+    results = {}
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        with FleetScores(fleet, loss) as evaluation:
+            rows = [rows for _, rows in evaluation._halves]
+            results[cpus] = []
+            for model in models:
+                loss_value = global_loss(evaluation, model)
+                results[cpus].append(
+                    (evaluation.scores.tobytes(), evaluation.terms.tobytes(), evaluation.hits.tobytes(),
+                     loss_value, training_accuracy(evaluation))
+                )
+        if cpus == 1:
+            assert rows == [slice(0, len(evaluation.scores))]
+        else:  # halves of the rows, cut at a client's end
+            ends = np.cumsum(fleet.sizes)
+            assert len(rows) == 2 and rows[0].stop in ends and rows[1] == slice(rows[0].stop, int(ends[-1]))
+            assert abs(2 * rows[0].stop - ends[-1]) <= fleet.sizes.max()
+    assert results[1] == results[2]
+    assert results[2][0][0] == per_partition_scores(models[0], list(fleet), loss).tobytes()
+
+
+def test_the_split_cuts_a_strided_run_in_two(monkeypatch):
+    fleet, loss = every_other_client_fleet()
+    allow_cpus(monkeypatch, 2)
+    with FleetScores(fleet, loss) as evaluation:
+        (first, _), (second, _) = evaluation._halves
+        assert [out.shape for _, out in first + second] == [(150, 100), (150, 100)]
+    allow_cpus(monkeypatch, 1)
+    assert runs_per_half(fleet, loss) == [1]
+
+
+def test_a_fleet_below_split_rows_or_of_one_client_is_filled_on_one_thread(monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    loss = LossSpec(kind="logistic", feature_dim=2, bias=True)
+    rng = np.random.default_rng(4)
+    for sizes in ([SPLIT_ROWS // 2 - 1, SPLIT_ROWS // 2], [SPLIT_ROWS + 10]):
+        fleet = as_fleet([DatasetPartition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
+        with FleetScores(fleet, loss) as evaluation:
+            assert len(evaluation._halves) == 1 and evaluation._worker is None
+
+
+def test_an_error_on_the_worker_reaches_the_caller(monkeypatch):
+    fill = FleetScores._fill
+
+    def failing(self, model, runs, rows):
+        if rows.start:
+            raise FloatingPointError("worker rows")
+        fill(self, model, runs, rows)
+
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(FleetScores, "_fill", failing)
+    fleet, loss = every_other_client_fleet()
+    with FleetScores(fleet, loss) as evaluation:
+        with pytest.raises(FloatingPointError, match="worker rows"):
+            evaluation.fill(np.ones(loss.parameter_dim))
+
+
+def thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+def settled_thread_count(expected):
+    """This process's thread count once it reaches ``expected``, or after 5 s:
+    a joined thread may still be leaving the kernel's list."""
+    deadline = time.monotonic() + 5
+    while thread_count() != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return thread_count()
+
+
+def test_a_job_ends_its_worker_when_it_returns(monkeypatch):
+    fleet, _ = every_other_client_fleet()
+    config = make_config(
+        total_rounds=3, total_clients=len(fleet), subset_size=5, loss=LossSpec(kind="logistic", feature_dim=4, bias=True)
+    )
+    runs = {}
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        before, rounds = thread_count(), []
+        model = run_federation(config, fleet, lambda m: rounds.append((m, thread_count())))
+        runs[cpus] = model.tobytes(), [m for m, _ in rounds]
+        assert [n for _, n in rounds] == [before + cpus - 1] * 3
+        assert settled_thread_count(before) == before
+    assert runs[1] == runs[2]
+
+
+def test_a_job_ends_its_worker_when_training_diverges(monkeypatch):
+    # w steps to w - 50.5 * 2w = -100w on every row, so the model passes the
+    # divergence limit in round 2, after round 1's split evaluation
+    rows = SPLIT_ROWS // 3 + 1
+    parts = [DatasetPartition(f"{i}", np.ones((rows, 1)), np.zeros(rows)) for i in range(3)]
+    config = make_config(
+        total_rounds=3, total_clients=3, subset_size=3, learning_rate=50.5, initial_weights=(1000.0,)
+    )
+    allow_cpus(monkeypatch, 2)
+    before, counts = thread_count(), []
+    with pytest.raises(TrainingDivergedError, match="weight magnitude exceeded") as caught:
+        run_federation(config, as_fleet(parts), lambda m: counts.append(thread_count()))
+    assert counts == [before + 1]
+    # the traceback keeps the job's frame, and so its evaluation, alive: only a shutdown ends the worker
+    assert caught.tb is not None and settled_thread_count(before) == before
