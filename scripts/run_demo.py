@@ -1,13 +1,14 @@
 """Run the end-to-end scenario under both authentication schemes.
 
 Usage:
-    python scripts/run_demo.py --out demo-runs --seed 7
+    python scripts/run_demo.py --out demo-runs [--seed N]
 
 Runs the default story (three data owners, one attestor, one qualified and
 one unqualified user) once per scheme, plus two variants where a node is
 killed mid-training with a standby available: a client, then the server.
 Prints a comparison of the decisions, job outcomes, and artifact checksums
-so determinism is visible.
+so determinism is visible. The seed defaults to the demo's,
+``fedgate.scenario.DEFAULT_SEED``, as for ``fedgate demo``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from fedgate.scenario import ScenarioConfig, run_demo
+from fedgate.scenario import DEFAULT_SEED, ScenarioConfig, run_demo
 from fedgate.service import FaultEvent
 
 
@@ -33,7 +34,7 @@ def weights_digest(path: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="demo-runs")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     root = Path(args.out)

@@ -12,7 +12,10 @@ runs in this process. One thread drives a desk, so the hook of the one thread
 sees every statement a test runs in-process. The hook is not set on the one
 other thread ``src/`` starts, a large fleet's evaluation worker, which runs
 only ``FleetScores._fill``, a method the calling thread runs too. Code a test
-runs in a subprocess (the CLI and script tests) is not traced.
+runs in a subprocess (the CLI and script tests) is not traced. A small pytest
+plugin files the lines run so far under each test function as it ends, and
+under ``OUTSIDE`` as the next one starts, so that ``scripts/mutants.py`` can
+run a mutant against only the tests that ran its statement.
 
 Every statement counts except a docstring, ``pass``, ``global``, ``nonlocal``
 and an annotation without a value in a function body, none of which compiles
@@ -28,7 +31,7 @@ statements that did not run are exactly the keys of ``ALLOWED``, which are
 ``(module, qualname, text)`` with no line number, so that an edit elsewhere in
 the module keeps them; each value says why its statement stays.
 
-The hook slows tier-1 about 1.8 times (87 s against 48 s for 661 tests on a
+The hook slows tier-1 about 1.7 times (80 s against 47 s for 724 tests on a
 2-CPU host), so this sweep is not part of tier-1; ``tests/test_unreached.py``
 runs it over one small test file.
 """
@@ -37,12 +40,14 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "fedgate"
+OUTSIDE = ""  # the key, among the tests, of the lines run outside any test
 
 ALLOWED = {
     ("fedgate/access/legacy.py", "<module>", "from ..desk import Desk"): (
@@ -52,14 +57,6 @@ ALLOWED = {
     ("fedgate/cli.py", "<module>", "sys.exit(main())"): (
         "runs only under ``python -m fedgate.cli``; the fedgate console script and the tests "
         "call main directly"
-    ),
-    (
-        "fedgate/fl/federation.py",
-        "run_federation",
-        "raise TrainingDivergedError('<aggregate>', f'global weight magnitude exceeded {DIVERGENCE_LIMIT:g}')",
-    ): (
-        "local_train holds every update within DIVERGENCE_LIMIT, so only rounding at the "
-        "bound makes their convex combination pass it; this keeps the returned model within it"
     ),
 }
 
@@ -86,8 +83,8 @@ def _header(node: ast.stmt) -> tuple[range, str]:
     return range(first, max(inner.lineno, first + 1)), text
 
 
-def statements(path: Path) -> list[tuple[int, str, str, range]]:
-    """``(line, qualname, text, header lines)`` for each counted statement in ``path``."""
+def statements(path: Path) -> list[tuple[int, str, str, range, ast.stmt]]:
+    """``(line, qualname, text, header lines, node)`` for each counted statement in ``path``."""
     found = []
 
     def walk(body: list[ast.stmt], qualname: str, in_function: bool) -> None:
@@ -97,7 +94,7 @@ def statements(path: Path) -> list[tuple[int, str, str, range]]:
             if isinstance(node, ast.AnnAssign) and node.value is None and in_function:
                 continue
             lines, text = _header(node)
-            found.append((node.lineno, qualname, text, lines))
+            found.append((node.lineno, qualname, text, lines, node))
             if isinstance(node, _DEFINITIONS):
                 inner = node.name if qualname == "<module>" else f"{qualname}.{node.name}"
                 walk(node.body, inner, not isinstance(node, ast.ClassDef))
@@ -111,57 +108,82 @@ def statements(path: Path) -> list[tuple[int, str, str, range]]:
     return found
 
 
-def record(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``pytest_args`` under the hook: its exit code, and the
-    lines that ran in each file under ``src/fedgate``, by real path."""
-    ran: dict[str, set[int]] = {}  # by code file name, for the files under src/fedgate
-    traced: dict[str, bool] = {}  # each code file name seen: is it under src/fedgate?
+def record(pytest_args: list[str]) -> tuple[int, dict[str, dict[str, set[int]]]]:
+    """Run pytest with ``pytest_args`` under the hook: its exit code, and, for
+    each test function (``path::name``, parameters stripped), the lines it ran
+    in each file under ``src/fedgate``, by real path. Lines run outside any
+    test, such as a module's body on import during collection, are under
+    ``OUTSIDE``."""
+    ran: dict[str, bytearray] = {}  # by code file name: one byte per line, set once the line runs
+    real: dict[str, str | None] = {}  # each code file name seen: its real path if under src/fedgate
+    by_test: dict[str, dict[str, set[int]]] = {}
     prefix = str(PACKAGE) + os.sep
 
-    # One shared line hook, not a closure per call: a test that bounds its heap
-    # peak with ``tracemalloc`` sees nothing the hook allocates.
+    # One shared line hook that sets a byte, not a closure per call: a test
+    # that bounds its heap peak with ``tracemalloc`` sees nothing the hook allocates.
     def on_line(frame, event, arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            ran[frame.f_code.co_filename][frame.f_lineno] = 1
         return on_line
 
     def on_call(frame, event, arg):
         filename = frame.f_code.co_filename
-        if filename not in traced:
-            traced[filename] = os.path.realpath(filename).startswith(prefix)
-            if traced[filename]:
-                ran[filename] = set()
-        return on_line if traced[filename] else None
+        if filename not in real:
+            path = os.path.realpath(filename)
+            real[filename] = path if path.startswith(prefix) else None
+            if real[filename]:
+                ran[filename] = bytearray(Path(path).read_bytes().count(b"\n") + 2)
+        return on_line if real[filename] else None
+
+    def file_under(test: str) -> None:
+        for filename, flags in ran.items():
+            lines = [m.start() for m in re.finditer(b"\x01", flags)]
+            if lines:
+                by_test.setdefault(test, {}).setdefault(real[filename], set()).update(lines)
+                flags[:] = bytes(len(flags))
 
     sys.path.insert(0, str(SRC))
     sys.settrace(on_call)
     try:
         import pytest
 
-        code = pytest.main(pytest_args)
+        class PerTest:
+            """Files the lines run so far under ``OUTSIDE`` as a test starts, and under the test as it ends."""
+
+            @pytest.hookimpl(wrapper=True)
+            def pytest_runtest_protocol(self, item):
+                file_under(OUTSIDE)
+                try:
+                    return (yield)
+                finally:
+                    file_under(f"{item.path}::{item.nodeid.partition('::')[2].partition('[')[0]}")
+
+        code = pytest.main(pytest_args, plugins=[PerTest()])
     finally:
         sys.settrace(None)
-    real: dict[str, set[int]] = {}
-    for filename, lines in ran.items():
-        real.setdefault(os.path.realpath(filename), set()).update(lines)
-    return int(code), real
+    file_under(OUTSIDE)
+    return int(code), by_test
 
 
-def unreached(ran: dict[str, set[int]]) -> list[tuple[str, int, str, str]]:
-    """``(module, line, qualname, text)`` for each statement of ``src/fedgate`` no line of whose header ran."""
+def unreached(by_test: dict[str, dict[str, set[int]]]) -> list[tuple[str, int, str, str]]:
+    """``(module, line, qualname, text)`` for each statement of ``src/fedgate`` no line of whose header ran in any test or outside one."""
+    ran: dict[str, set[int]] = {}
+    for files in by_test.values():
+        for path, lines in files.items():
+            ran.setdefault(path, set()).update(lines)
     missed = []
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = ran.get(os.path.realpath(path), set())
         module = path.relative_to(SRC).as_posix()
-        for line, qualname, text, header in statements(path):
+        for line, qualname, text, header, _ in statements(path):
             if lines.isdisjoint(header):
                 missed.append((module, line, qualname, text))
     return missed
 
 
 def main(argv: list[str]) -> int:
-    code, ran = record(argv or [str(ROOT / "tests")])
-    missed = unreached(ran)
+    code, by_test = record(argv or [str(ROOT / "tests")])
+    missed = unreached(by_test)
     print(f"\n{len(missed)} statements of src/fedgate ran under no test:")
     for module, line, qualname, text in missed:
         print(f"{module}:{line} {qualname}: {text}")

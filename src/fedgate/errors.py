@@ -50,6 +50,12 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def first_repeat(values):
+    """The first of ``values`` equal to one before it, or None when they all differ."""
+    seen = set()
+    return next((v for v in values if v in seen or seen.add(v)), None)
+
+
 @cache
 def _camel_names(cls) -> dict[str, str]:
     """Each field name of ``cls`` that its constructor takes, keyed by its camelCase."""

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, first_repeat
 
 _PARTITION_FILE_RE = re.compile(r"client_(?P<cid>[A-Za-z0-9._-]+)\.csv")
 
@@ -43,9 +43,8 @@ class DatasetPartition:
             raise ValidationError(f"partition {self.client_id!r} holds non-finite values")
         names = self.feature_names or tuple(f"x{i}" for i in range(x.shape[1]))
         columns = (*names, self.label_name)
-        if len(set(columns)) < len(columns):
-            seen = set()
-            twice = next(n for n in columns if n in seen or seen.add(n))
+        twice = first_repeat(columns)
+        if twice is not None:
             raise ValidationError(f"partition {self.client_id!r} names two columns {twice!r}")
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "features", x)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 import numpy as np
@@ -196,7 +195,11 @@ class FleetScores:
                 self._halves.append((views, slice(first, end)))
         self.labels = np.concatenate(labels)
         self._dim, self._bias, self._logistic = loss.feature_dim, loss.bias, loss.kind == "logistic"
-        self._worker = ThreadPoolExecutor(1, "fleet-scores") if len(self._halves) > 1 else None
+        self._worker = None
+        if len(self._halves) > 1:
+            from concurrent.futures import ThreadPoolExecutor  # here: a fleet that never splits loads no pool
+
+            self._worker = ThreadPoolExecutor(1, "fleet-scores")
 
     def __enter__(self) -> "FleetScores":
         return self

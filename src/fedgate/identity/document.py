@@ -77,8 +77,6 @@ class DidDocument:
         object.__setattr__(self, "authentication", tuple(self.authentication))
         object.__setattr__(self, "claims", tuple(self.claims))
         check_field_types(self, "document", (("version", int),))
-        if not all(isinstance(ref, str) for ref in self.authentication):
-            raise ValidationError(f"authentication entries must be strings in document {self.id}")
         if self.version < 1:
             raise ValidationError(f"version must be >= 1, got {self.version}")
         key_ids = [k.key_id for k in self.public_keys]

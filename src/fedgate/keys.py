@@ -27,8 +27,6 @@ class KeyPair:
     _key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.private_bytes) != 32:
-            raise ValueError("Ed25519 seed must be exactly 32 bytes")
         key = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
         object.__setattr__(self, "_key", key)
         public = key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)

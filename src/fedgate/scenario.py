@@ -201,7 +201,6 @@ def run_demo(config: ScenarioConfig) -> dict:
     )
     as_configured = (
         chain_ok
-        and config.qualified_users > 0
         and len(granted) == config.qualified_users
         and len(denied) == config.users - config.qualified_users
         and healthy_job

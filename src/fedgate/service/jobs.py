@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, replace
 import numpy as np
 
-from ..errors import FedGateError, ValidationError, check_integer, check_real, from_camel_keys
+from ..errors import FedGateError, ValidationError, check_integer, check_real, first_repeat, from_camel_keys
 from ..fl import FederationConfig, Fleet
 
 MAX_QUEUED_JOBS = 64
@@ -39,9 +39,8 @@ def _names(field: str, values) -> tuple[str, ...] | None:
         raise ValidationError(f"{field} must be a list of strings")
     if not values:
         raise ValidationError(f"{field} must not be empty; omit it to keep them all")
-    if len(set(values)) < len(values):
-        seen = set()
-        twice = next(v for v in values if v in seen or seen.add(v))
+    twice = first_repeat(values)
+    if twice is not None:
         raise ValidationError(f"{field} names {twice!r} twice")
     return tuple(values)
 

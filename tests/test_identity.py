@@ -111,8 +111,10 @@ def test_seeded_keypair_is_pinned_and_comparable():
     )
     assert key == KeyPair.generate(b"\x07" * 32)
     assert key != KeyPair.generate(b"\x08" * 32)
-    with pytest.raises(ValueError):
-        KeyPair.generate(b"\x07" * 31)
+    # the Ed25519 library refuses a seed of any other length than 32 bytes
+    for size in (0, 31, 33):
+        with pytest.raises(ValueError, match="32 bytes"):
+            KeyPair.generate(b"\x07" * size)
 
 
 def test_keypairs_verify_only_their_own_signatures():
@@ -518,6 +520,22 @@ def test_log_replay_refuses_a_canonical_line_a_record_check_refuses_naming_it(tm
     path = tmp_path / "registry.jsonl"
     path.write_bytes(_log_line("bob01", seed=2).encode() + b"\n" + canonical_json_bytes(entry) + b"\n")
     with pytest.raises(ValidationError, match=f"line 2: {re.escape(message)}$"):
+        DidRegistry.replay_log(path, receipt)
+
+
+# Key ids are strings, so an authentication entry that is not one names no key,
+# and one that cannot be hashed cannot be sought among them.
+@pytest.mark.parametrize(
+    "ref, message",
+    [(5, "authentication entry 5 references no key"), (["key-1"], "malformed DID document")],
+    ids=["int", "list"],
+)
+def test_log_replay_refuses_an_authentication_entry_that_is_no_string_naming_it(tmp_path, ref, message):
+    entry = json.loads(_log_line())
+    entry["document"]["authentication"] = [ref]
+    path = tmp_path / "registry.jsonl"
+    path.write_bytes(_log_line("bob01", seed=2).encode() + b"\n" + canonical_json_bytes(entry) + b"\n")
+    with pytest.raises(ValidationError, match=f"line 2: {re.escape(message)}"):
         DidRegistry.replay_log(path, receipt)
 
 

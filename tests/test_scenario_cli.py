@@ -252,6 +252,13 @@ def test_scenario_config_invariants():
         ScenarioConfig(qualified_users=5)
 
 
+def test_scenario_config_bounds_are_inclusive():
+    # every user may be qualified, and a fault may fall in the last round
+    last = DEFAULT_FEDERATION.total_rounds
+    config = ScenarioConfig(users=2, qualified_users=2, fault_schedule=(FaultEvent(last, "node-000"),))
+    assert (config.qualified_users, config.fault_schedule[0].round_index) == (config.users, last)
+
+
 PAST_T = [{"roundIndex": 9, "nodeId": "node-000"}]
 TWICE = [{"roundIndex": 3, "nodeId": "node-001"}, {"roundIndex": 5, "nodeId": "node-001"}]
 
@@ -736,6 +743,15 @@ def test_cli_import_legacy_seed_7_artifacts_are_pinned(tmp_path):
     assert digests == LEGACY_DIGESTS
     report = json.loads((out / "report.json").read_bytes())
     assert [r["status"] for r in report] == ["imported", "imported", "skipped", "imported"]
+
+
+def test_cli_import_legacy_without_a_seed_writes_the_seed_7_artifacts(tmp_path, capsys):
+    accounts = tmp_path / "accounts.csv"
+    accounts.write_text(LEGACY_ACCOUNTS)
+    out = tmp_path / "legacy"
+    assert main(["import-legacy", str(accounts), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"imported 3 of 4 accounts into {out}\n"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LEGACY_DIGESTS} == LEGACY_DIGESTS
 
 
 def test_import_legacy_accounts_returns_the_report_rows(tmp_path):

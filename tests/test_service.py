@@ -19,6 +19,7 @@ from fedgate.fl import (
     DatasetPartition,
     FederationConfig,
     LossSpec,
+    RoundMetrics,
     SyntheticSpec,
     generate_partitions,
     load_partitions,
@@ -28,6 +29,7 @@ from fedgate.fl.data import as_fleet
 import fedgate.service.api as api_module
 import fedgate.service.jobs as jobs_module
 from fedgate.service import FaultEvent, NodeRegistry
+from fedgate.service.executor import STAGNATION_IMPROVEMENT, StagnationGuard
 from fedgate.service.jobs import (
     MAX_FINISHED_JOBS,
     MAX_QUEUED_JOBS,
@@ -471,6 +473,13 @@ def test_zero_learning_rate_terminates_early(tmp_path):
     assert "improvement" in record.cause
 
 
+def test_an_improvement_of_exactly_the_threshold_is_stale():
+    guard = StagnationGuard()
+    for t, loss in enumerate([STAGNATION_IMPROVEMENT, 0.0], start=1):  # 0.0 improves by exactly the threshold
+        guard.observe(RoundMetrics(t, loss, 1.0, ("c0",)))
+    assert (guard.best, guard.stale_rounds) == (STAGNATION_IMPROVEMENT, 1)
+
+
 def test_divergent_job_fails_with_cause(tmp_path):
     config = job_config(total_rounds=10, learning_rate=1e9)
     executor, record = submitted_job(tmp_path, config=config)
@@ -648,6 +657,16 @@ def test_metadata_requires_valid_token(tmp_path):
         ).status
         == 401
     )
+
+
+def test_a_grant_is_refused_from_the_second_it_expires(tmp_path):
+    stack, service, api, _ = service_stack(tmp_path)
+    grant = stack.request_a("did:efed:alice").grant
+    headers = {"Authorization": f"Grant {grant.token}"}
+    stack.clock.advance(grant.expires_at - 1 - stack.clock())
+    assert api.handle("GET", "/data/metadata", headers=headers).status == 200
+    stack.clock.advance(1)
+    assert api.handle("GET", "/data/metadata", headers=headers).status == 401
 
 
 def test_metadata_is_built_once_and_never_aliased(tmp_path, monkeypatch):
@@ -1432,6 +1451,14 @@ def test_real_body_fields_take_json_integers(tmp_path):
     assert all(type(v) is float for v in (spec.estimated_runtime, spec.config.learning_rate))
 
 
+def test_a_real_body_field_takes_the_largest_finite_float(tmp_path):
+    # the finite check's bound: an int past it, 10**400, answers 400 above
+    stack, service, api, token = service_stack(tmp_path)
+    body = {"config": job_config().to_dict(), "estimatedRuntime": sys.float_info.max}
+    response = api.handle("POST", "/jobs", headers={"Authorization": f"Grant {token}"}, body=body)
+    assert (response.status, response.body["estimatedRuntime"]) == (201, sys.float_info.max)
+
+
 def test_count_body_fields_take_integral_floats(tmp_path):
     stack, service, api, token = service_stack(tmp_path)
     body = {
@@ -1539,13 +1566,15 @@ LONG_LIST_WITH_ONE_REPEAT = [f"c{i}" for i in range(199_999)] + ["c0"]
         ("featureNames", ["x0", "x0"]),
         ("clientIds", LONG_LIST_WITH_ONE_REPEAT),
         ("featureNames", LONG_LIST_WITH_ONE_REPEAT),
+        ("clientIds", ["000", "001", "002", "001"]),
     ],
 )
 def test_a_filter_list_that_names_an_entry_twice_is_refused(tmp_path, field, value):
     # Read as given, ["x0", "x0"] would train on one feature twice. A holder may
     # send the long list, whose repeat took minutes to find when each entry was
     # sought in those before it; a bad grant is refused before the list is read.
-    message = f"{field} names {value[0]!r} twice"
+    # Each list ends with its one repeat, which is not always its first entry.
+    message = f"{field} names {value[-1]!r} twice"
     stack, service, api, token = service_stack(tmp_path)
     body = {"config": job_config().to_dict(), "dataFilter": {field: value}}
     with within_seconds(5):

@@ -13,6 +13,9 @@ change.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +81,11 @@ def test_the_guard_sees_every_import_form(tmp_path):
         "tests/probe.py:5 concurrent.futures",
         "tests/probe.py:6 asyncio",
     ]
+
+
+def test_importing_the_service_loads_no_thread_pool():
+    # only a fleet that splits imports concurrent.futures, where it makes its worker
+    code = "import sys, fedgate.service; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.stdout == "False\n", run.stderr

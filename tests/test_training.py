@@ -125,6 +125,20 @@ def test_divergence_names_the_client():
     assert err.value.client_id == "patient-7"
 
 
+def test_a_client_exactly_at_the_limit_is_not_named_beside_one_past_it():
+    # squared error, full batch, lr 0.5 from w = 0 on x = 1: one epoch ends at w = y,
+    # so in one stack "a" ends exactly at DIVERGENCE_LIMIT and "b" ten times past it
+    cohort = [
+        DatasetPartition(client_id=cid, features=np.array([[1.0]]), labels=np.array([y]))
+        for cid, y in (("a", DIVERGENCE_LIMIT), ("b", 10 * DIVERGENCE_LIMIT))
+    ]
+    config = make_config(learning_rate=0.5)
+    with pytest.raises(TrainingDivergedError) as err:
+        local_train(np.array([0.0]), as_fleet(cohort), config, [0, 0], {})
+    assert err.value.client_id == "b"
+    assert local_train(np.array([0.0]), as_fleet(cohort[:1]), config, [0], {}).tolist() == [[DIVERGENCE_LIMIT]]
+
+
 def sequential_local_train(model, partition, config, round_seed):
     """Oracle: one client trained alone, as ``local_train`` did before cohorts, with
     its own gradient formula on a design matrix that carries a ones column for bias."""
@@ -1003,6 +1017,15 @@ def test_a_fleet_below_split_rows_or_of_one_client_is_filled_on_one_thread(monke
         fleet = as_fleet([DatasetPartition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
         with FleetScores(fleet, loss) as evaluation:
             assert len(evaluation._halves) == 1 and evaluation._worker is None
+
+
+def test_a_fleet_of_exactly_split_rows_is_filled_in_two_halves(monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(4)
+    sizes = [SPLIT_ROWS // 2, SPLIT_ROWS - SPLIT_ROWS // 2]
+    fleet = as_fleet([DatasetPartition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
+    with FleetScores(fleet, LossSpec(kind="logistic", feature_dim=2, bias=True)) as evaluation:
+        assert len(evaluation._halves) == 2 and evaluation._worker is not None
 
 
 def test_an_error_on_the_worker_reaches_the_caller(monkeypatch):
