@@ -52,9 +52,9 @@ exactly the keys of ``EQUIVALENT``, which are ``(module, qualname, text,
 operator)``; each value says why no test can tell that mutant from the code.
 One key covers every like swap in one statement.
 
-Sweeping the 534 mutants of every module against tier-1 took 42 minutes on
-a 2-CPU host (2,520 s), or 20 minutes as two runs over halves of the modules
-side by side (1,184 and 1,215 s), so the sweep is not part of tier-1;
+Sweeping the 507 mutants of every module against tier-1 took 25 minutes on
+a 2-CPU host (1,471 s; an earlier sweep of 534 mutants took 2,520 s), so
+the sweep is not part of tier-1;
 ``tests/test_mutants.py`` runs it over one small module and a probe test.
 """
 

@@ -8,8 +8,7 @@ share one ttl and sit in birth order, so a sweep pops expired entries from
 the front and stops at the first live one. If the clock steps back, an entry
 parked afterwards waits behind a later-born one: eviction only waits, and the
 capacity bound holds regardless. ``peak_size`` records the high-water mark
-so load tests can assert the bound actually held. Capacity and ttl are ints
-of at least 1: infinity, NaN or a bool would leave it unbounded or unswept.
+so load tests can assert the bound actually held.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from typing import Callable
 
 class PendingTable:
     def __init__(self, capacity: int, ttl_seconds: int, clock: Callable[[], int]):
-        if type(capacity) is not int or type(ttl_seconds) is not int or min(capacity, ttl_seconds) < 1:
-            raise ValueError(f"capacity and ttl must be positive ints, got {capacity!r} and {ttl_seconds!r}")
         self.capacity = capacity
         self.ttl = ttl_seconds
         self._clock = clock

@@ -25,8 +25,6 @@ class SlidingWindowLimiter:
     """
 
     def __init__(self, limit: int, clock: Callable[[], int]):
-        if type(limit) is not int or limit < 1:  # a bool, float, NaN or infinity too
-            raise ValueError(f"limit must be positive and an int, got {limit!r}")
         self.limit = limit
         self._clock = clock
         self._hits: OrderedDict[str, deque[int]] = OrderedDict()

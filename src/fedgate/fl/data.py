@@ -32,13 +32,7 @@ class DatasetPartition:
     def __post_init__(self) -> None:
         x = np.array(self.features, dtype=np.float64)  # a copy: a partition aliases no caller's data
         y = np.array(self.labels, dtype=np.float64)
-        # Rank, row count and names are ``load_partition``'s to check: it builds every program's partitions.
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValidationError(
-                f"labels shape {y.shape} does not match {x.shape[0]} feature rows"
-            )
-        if not self.client_id:
-            raise ValidationError("client_id must be non-empty")
+        # Shapes, the name count and the id are ``load_partition``'s to check: it builds every program's partitions.
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError(f"partition {self.client_id!r} holds non-finite values")
         names = self.feature_names or tuple(f"x{i}" for i in range(x.shape[1]))
@@ -111,8 +105,6 @@ class Fleet:
 def as_fleet(partitions: Sequence[DatasetPartition]) -> Fleet:
     """Hand-built partitions as a fleet: their rows copied, in list order, into one
     locked pool. Each must name its columns as the first does."""
-    if not partitions:
-        raise ValidationError("at least one partition is required")
     first = partitions[0]
     for p in partitions:
         if (p.feature_names, p.label_name) != (first.feature_names, first.label_name):

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..canonical import from_hex
-from ..errors import ValidationError, from_camel_keys, to_camel_dict
+from ..errors import from_camel_keys, to_camel_dict
 from ..keys import KeyPair
 from .document import DidDocument
 from .registry import DidRegistry
@@ -68,8 +68,6 @@ class Resolver:
         self._issued: OrderedDict[bytes, Attestation] = OrderedDict()
 
     def register_driver(self, method: str, driver) -> None:
-        if method in self._drivers:
-            raise ValidationError(f"a driver for method {method!r} already exists")
         self._drivers[method] = driver
 
     def find(self, did: str) -> DidDocument | None:

@@ -65,7 +65,7 @@ class JobExecutor:
         the last round.
         """
         config = record.spec.config
-        record.transition("running")
+        record.state = "running"
         job_dir = self._out_dir / record.job_id  # the metrics writer creates it
         metrics_path = job_dir / "metrics.csv"
         record.metrics_address = str(metrics_path)
@@ -104,12 +104,12 @@ class JobExecutor:
             model_path.write_bytes(canonical_json_bytes(artifact) + b"\n")
         except (FedGateError, OSError) as error:  # OSError: an artifact could not be written
             record.rounds_executed, record.cause = len(rows), str(error)
-            record.transition("failed")
+            record.state = "failed"
             return record
 
         record.rounds_executed = len(rows)
         if guard.triggered:
             record.cause = f"no loss improvement > {STAGNATION_IMPROVEMENT:g} over {STAGNATION_WINDOW} rounds"
         record.model_address = str(model_path)
-        record.transition(state)
+        record.state = state
         return record

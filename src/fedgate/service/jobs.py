@@ -3,7 +3,7 @@
 A job's priority is ``priority_weight / estimated_runtime`` (runtime as
 estimated by the submitting user). On a single executor this ordering
 minimizes total weighted completion time; ties fall back to submission
-order. The job record is a strict state machine::
+order. A record starts ``queued``, and only the executor moves it on::
 
     queued -> running -> completed | failed | terminated_early
 
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, replace
 import numpy as np
 
-from ..errors import FedGateError, ValidationError, check_integer, check_real, first_repeat, from_camel_keys
+from ..errors import ValidationError, check_integer, check_real, first_repeat, from_camel_keys
 from ..fl import FederationConfig, Fleet
 
 MAX_QUEUED_JOBS = 64
@@ -104,14 +104,6 @@ class JobSpec:
         return self.priority_weight / self.estimated_runtime
 
 
-_TRANSITIONS = {
-    "queued": {"running"},
-    "running": {"completed", "failed", "terminated_early"},
-    "completed": set(),
-    "failed": set(),
-    "terminated_early": set(),
-}
-
 @dataclass
 class JobRecord:
     job_id: str
@@ -122,13 +114,6 @@ class JobRecord:
     model_address: str | None = None
     cause: str | None = None
     rounds_executed: int = 0
-
-    def transition(self, new_state: str) -> None:
-        if new_state not in _TRANSITIONS:
-            raise FedGateError(f"unknown state {new_state!r}")
-        if new_state not in _TRANSITIONS[self.state]:
-            raise FedGateError(f"illegal transition {self.state} -> {new_state}")
-        self.state = new_state
 
     def to_dict(self) -> dict:
         return {

@@ -12,11 +12,11 @@ promoted; the job keeps running.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import FedGateError, ValidationError, check_integer
+from ..errors import FedGateError, ValidationError, check_integer, first_repeat
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,9 @@ class NodeRegistry:
     ) -> "NodeRegistry":
         """``server-0``, ``node-<client id>`` per partition, then the standbys.
 
-        A fault naming a node this fleet does not hold, or a node an earlier
-        fault names, is refused here, so each node fails at most once.
+        A fault naming a node this fleet does not hold is refused here, and
+        then one naming a node an earlier fault names, so each node fails at most once.
         """
-        if len(set(client_ids)) != len(client_ids):
-            raise ValidationError("each partition is served by exactly one node")
         registry = cls()
         registry._client_of = {f"node-{cid}": cid for cid in client_ids}
         registry._standby_clients = OrderedDict.fromkeys(f"standby-client-{i}" for i in range(standby_clients))
@@ -64,12 +62,12 @@ class NodeRegistry:
         registry._is_server = dict.fromkeys(clients, False)
         registry._is_server.update(dict.fromkeys(["server-0", *registry._standby_servers], True))
         named = [event.node_id for event in faults]
-        times = Counter(named)
         for node_id in named:
             if node_id not in registry._is_server:
                 raise ValidationError(f"fault names unknown node {node_id!r}")
-            if times[node_id] > 1:
-                raise ValidationError(f"fault schedule names node {node_id!r} twice")
+        twice = first_repeat(named)
+        if twice is not None:
+            raise ValidationError(f"fault schedule names node {twice!r} twice")
         for event in faults:
             registry._due.setdefault(event.round_index, []).append(event.node_id)
         return registry

@@ -23,7 +23,7 @@ from fedgate.access.workflows import NONCE_RING_SIZE, _NonceRing
 from fedgate.claims import sign_claim
 from fedgate.clock import SimulatedClock
 from fedgate.desk import build_desk
-from fedgate.errors import FedGateError, ValidationError
+from fedgate.errors import ValidationError
 from fedgate.identity import DidDocument, PublicKeyEntry
 from fedgate.identity import did as did_module
 from fedgate.identity import document as document_module
@@ -50,17 +50,17 @@ def test_issue_appends_claim_and_bumps_version():
     assert claim.expires_at - claim.issued_at == 3600
 
 
-def test_untrusted_issuer_forbidden():
+def test_a_rogue_issuers_claim_opens_nothing():
+    # Issuing trusts its caller; the claim lands, and verification refuses it.
     stack = Stack()
+    stack.deploy_membership_policy()
     alice = stack.register_actor("alice")
-    rogue_actor = stack.register_actor("rogue")
-    from fedgate.access.issuance import ClaimIssuer
-
-    rogue = ClaimIssuer(
-        rogue_actor.did, rogue_actor.key, stack.registry, stack.trusted, stack.clock
-    )
-    with pytest.raises(FedGateError, match="is not a trusted issuer"):
-        rogue.issue(alice.did, "consortium_member", "yes", 3600)
+    rogue = stack.claim_issuer(stack.register_actor("rogue"))
+    claim = rogue.issue(alice.did, "consortium_member", "yes", 3600)
+    assert stack.registry.get(alice.did).claims == (claim,)
+    outcome = stack.request_a(alice.did)
+    assert (outcome.decision, outcome.reason) == ("denied", "missing-claims")
+    assert verify_claim(claim, stack.clock(), stack.resolver, stack.trusted, OrderedDict()) == (False, "untrusted-issuer")
 
 
 def test_issue_to_unknown_subject():
@@ -310,12 +310,6 @@ def test_no_run_of_other_keys_resets_a_budget(limit, calls):
             assert len(limiter._hits) <= 3
 
 
-@pytest.mark.parametrize("limit", [0, -1, float("inf"), float("nan"), True, 2.5])
-def test_limiter_refuses_a_limit_below_one(limit):
-    with pytest.raises(ValueError, match="limit must be positive"):
-        SlidingWindowLimiter(limit, SimulatedClock(start=0))
-
-
 # ----------------------------------------------------------------- pending
 
 
@@ -326,17 +320,6 @@ def test_pending_capacity_and_duplicates():
     assert table.try_insert("n2")
     assert not table.try_insert("n3")
     assert table.contains("n2") and not table.contains("n3") and table.peak_size == 2
-
-
-@pytest.mark.parametrize(
-    "capacity, ttl",
-    [(0, 30), (-1, 30), (2, 0), (2, -5)]
-    + [(bound, 30) for bound in (float("inf"), float("nan"), True, 2.5)]
-    + [(2, bound) for bound in (float("inf"), float("nan"), True, 2.5)],
-)
-def test_pending_refuses_a_capacity_or_ttl_below_one(capacity, ttl):
-    with pytest.raises(ValueError, match="capacity and ttl must be positive"):
-        PendingTable(capacity, ttl, SimulatedClock(start=0))
 
 
 def test_pending_ttl_sweep():

@@ -29,10 +29,6 @@ def read_manifest(directory: Path) -> dict:
 
 def test_partition_validation():
     with pytest.raises(ValidationError):
-        DatasetPartition(client_id="a", features=np.ones((2, 2)), labels=np.zeros(3))
-    with pytest.raises(ValidationError):
-        DatasetPartition(client_id="", features=np.ones((2, 2)), labels=np.zeros(2))
-    with pytest.raises(ValidationError):
         DatasetPartition(
             client_id="a", features=np.array([[1.0, np.nan]]), labels=np.zeros(1)
         )
@@ -104,8 +100,6 @@ def test_shared_feature_space():
     ]
     with pytest.raises(ValidationError, match="partition 'c' has columns"):
         as_fleet(bad)
-    with pytest.raises(ValidationError, match="at least one partition"):
-        as_fleet([])
 
 
 @pytest.mark.parametrize(

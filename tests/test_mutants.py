@@ -1,6 +1,6 @@
 """``scripts/mutants.py`` runs each mutant of ``src/fedgate`` against the tests that reach it.
 
-Its full sweep takes about 40 minutes on a 2-CPU host, so it is not part of tier-1. This runs
+Its full sweep takes 25 to 42 minutes on a 2-CPU host, so it is not part of tier-1. This runs
 it, in a subprocess, over one small module and one probe test, and checks that
 every key of its ``EQUIVALENT`` table and of ``scripts/unreached.py``'s
 ``ALLOWED`` table still names a statement of ``src/fedgate``.
