@@ -31,7 +31,7 @@ statements that did not run are exactly the keys of ``ALLOWED``, which are
 ``(module, qualname, text)`` with no line number, so that an edit elsewhere in
 the module keeps them; each value says why its statement stays.
 
-The hook slows tier-1 about 1.7 times (80 s against 47 s for 724 tests on a
+The hook slows tier-1 about 1.7 times (70 s against 41 s for 714 tests on a
 2-CPU host), so this sweep is not part of tier-1; ``tests/test_unreached.py``
 runs it over one small test file.
 """

@@ -144,9 +144,6 @@ class GrantStore:
             return None
         return record
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 class _NonceRing:
     """Remembers the most recent ``NONCE_RING_SIZE`` consumed nonces."""

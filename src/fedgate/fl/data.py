@@ -16,34 +16,19 @@ import numpy as np
 
 from ..errors import ValidationError, first_repeat
 
-_PARTITION_FILE_RE = re.compile(r"client_(?P<cid>[A-Za-z0-9._-]+)\.csv")
+PARTITION_FILE_RE = re.compile(r"client_(?P<cid>[A-Za-z0-9._-]+)\.csv")
 
 
 @dataclass(frozen=True)
 class DatasetPartition:
-    """One client's local data: features, labels, and an opaque client id."""
+    """One client's local data: features, labels, an opaque client id and the
+    column names. A plain record: ``as_fleet`` checks and copies its data."""
 
     client_id: str
     features: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
-    feature_names: tuple[str, ...] = ()
-    label_name: str = "label"
-
-    def __post_init__(self) -> None:
-        x = np.array(self.features, dtype=np.float64)  # a copy: a partition aliases no caller's data
-        y = np.array(self.labels, dtype=np.float64)
-        # Shapes, the name count and the id are ``load_partition``'s to check: it builds every program's partitions.
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValidationError(f"partition {self.client_id!r} holds non-finite values")
-        names = self.feature_names or tuple(f"x{i}" for i in range(x.shape[1]))
-        columns = (*names, self.label_name)
-        twice = first_repeat(columns)
-        if twice is not None:
-            raise ValidationError(f"partition {self.client_id!r} names two columns {twice!r}")
-        x.flags.writeable = y.flags.writeable = False
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "feature_names", tuple(names))
+    feature_names: tuple[str, ...]
+    label_name: str
 
     @property
     def size(self) -> int:
@@ -59,7 +44,7 @@ class Fleet:
     """Clients as row ranges of one locked pool: client ``i`` holds rows ``starts[i] :
     starts[i] + sizes[i]`` of ``features`` and ``labels``, and every client names its
     columns ``feature_names`` and ``label_name``. The pool is finite and locked: copied
-    from checked partitions (``as_fleet``) or written by the generator."""
+    and checked by ``as_fleet`` or written by the generator."""
 
     features: np.ndarray  # (rows, d)
     labels: np.ndarray  # (rows,)
@@ -73,14 +58,10 @@ class Fleet:
         return len(self.ids)
 
     def __iter__(self):
-        """Each client as a partition over its rows, handed out without
-        ``DatasetPartition``'s checks: the pool passed them when built."""
+        """Each client as a partition over its rows of the pool."""
         x, y = self.features, self.labels
         for cid, s, n in zip(self.ids, self.starts.tolist(), self.sizes.tolist()):
-            p = object.__new__(DatasetPartition)
-            p.__dict__.update(client_id=cid, features=x[s : s + n], labels=y[s : s + n],
-                              feature_names=self.feature_names, label_name=self.label_name)
-            yield p
+            yield DatasetPartition(cid, x[s : s + n], y[s : s + n], self.feature_names, self.label_name)
 
     def __getitem__(self, i: int) -> DatasetPartition:
         """Client ``i``, handed out as ``__iter__`` hands it out."""
@@ -103,16 +84,25 @@ class Fleet:
 
 
 def as_fleet(partitions: Sequence[DatasetPartition]) -> Fleet:
-    """Hand-built partitions as a fleet: their rows copied, in list order, into one
-    locked pool. Each must name its columns as the first does."""
+    """Partitions as a fleet, the one check and the one copy of partition data: each
+    names its columns as the first does, which names none twice, and every value is
+    finite. The rows are copied, in list order, into one locked float64 pool."""
     first = partitions[0]
+    twice = first_repeat((*first.feature_names, first.label_name))
+    if twice is not None:
+        raise ValidationError(f"partition {first.client_id!r} names two columns {twice!r}")
     for p in partitions:
         if (p.feature_names, p.label_name) != (first.feature_names, first.label_name):
             header = [*p.feature_names, p.label_name]
             raise ValidationError(f"partition {p.client_id!r} has columns {header}, not {first.client_id!r}'s")
-    x, y = np.concatenate([p.features for p in partitions]), np.concatenate([p.labels for p in partitions])
-    x.flags.writeable = y.flags.writeable = False
+    x = np.concatenate([p.features for p in partitions], dtype=np.float64)
+    y = np.concatenate([p.labels for p in partitions], dtype=np.float64)
     sizes, ids = np.array([p.size for p in partitions]), tuple(p.client_id for p in partitions)
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y))
+    if bad.any():  # named by the partition that holds the first bad row
+        owner = partitions[int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right"))]
+        raise ValidationError(f"partition {owner.client_id!r} holds non-finite values")
+    x.flags.writeable = y.flags.writeable = False
     return Fleet(x, y, np.cumsum(sizes) - sizes, sizes, ids, first.feature_names, first.label_name)
 
 
@@ -129,9 +119,10 @@ def save_partition(partition: DatasetPartition, directory: Path) -> Path:
 
 
 def load_partition(path: Path) -> DatasetPartition:
-    """One ``client_<id>.csv``; a cell that is not a number, a row of the wrong
-    width or a row the csv module refuses is a ValidationError naming its line."""
-    match = _PARTITION_FILE_RE.fullmatch(path.name)
+    """One ``client_<id>.csv``, as views of the array parsed from it (``as_fleet`` checks
+    its values and names); a cell that is not a number, a row of the wrong width
+    or a row the csv module refuses is a ValidationError naming its line."""
+    match = PARTITION_FILE_RE.fullmatch(path.name)
     if not match:
         raise ValidationError(f"{path.name!r} does not match client_<id>.csv")
     with path.open(newline="") as fh:
@@ -165,7 +156,7 @@ def load_partitions(directory: Path) -> Fleet:
     """Load each ``client_<id>.csv`` in a directory, sorted by id, as one fleet
     (``as_fleet``): every file must have the first one's header."""
     directory = Path(directory)
-    paths = sorted(p for p in directory.iterdir() if _PARTITION_FILE_RE.fullmatch(p.name))
+    paths = sorted(p for p in directory.iterdir() if PARTITION_FILE_RE.fullmatch(p.name))
     if not paths:
         raise ValidationError(f"no client_<id>.csv files found in {directory}")
     return as_fleet(sorted((load_partition(p) for p in paths), key=lambda p: p.client_id))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..canonical import canonical_json_bytes
 from ..errors import ValidationError, check_integer, check_real
-from .data import Fleet, save_partition
+from .data import PARTITION_FILE_RE, Fleet, save_partition
 
 MANIFEST_NAME = "manifest.json"
 # Rows of whole clients the generator's arithmetic takes at once; its temporaries
@@ -31,7 +31,7 @@ class SyntheticSpec:
     feature_dim: int
     separability: float
     seed: int
-    label_skew: float = 0.0
+    label_skew: float
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
@@ -99,9 +99,14 @@ def generate_partitions(spec: SyntheticSpec) -> tuple[Fleet, dict]:
 
 
 def write_dataset(spec: SyntheticSpec, directory: Path) -> Path:
-    """Generate and persist a dataset directory with its manifest."""
+    """Generate and persist a dataset directory with its manifest. A directory that
+    holds a partition file for an id this dataset does not write is refused first."""
     directory = Path(directory)
     fleet, manifest = generate_partitions(spec)
+    ours = {f"client_{cid}.csv" for cid in fleet.ids}
+    for path in sorted(directory.glob("client_*.csv")):
+        if path.name not in ours and PARTITION_FILE_RE.fullmatch(path.name):
+            raise ValidationError(f"{path} holds a partition this dataset does not write")
     for p in fleet:
         save_partition(p, directory)
     (directory / MANIFEST_NAME).write_bytes(canonical_json_bytes(manifest) + b"\n")

@@ -65,8 +65,8 @@ class PublicKeyEntry:
 @dataclass(frozen=True)
 class DidDocument:
     id: DidIdentifier
-    public_keys: tuple[PublicKeyEntry, ...] = ()
-    authentication: tuple[str, ...] = ()
+    public_keys: tuple[PublicKeyEntry, ...]
+    authentication: tuple[str, ...]
     claims: tuple[VerifiableClaim, ...] = ()
     version: int = 1
     # (canonical bytes, their SHA-256), encoded once: this record and all it holds are frozen.

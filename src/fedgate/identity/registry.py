@@ -44,12 +44,6 @@ class DidRegistry:
         self._log: list[tuple[dict, DidDocument]] = []  # each line but its document, encoded by write_log
         self._recorder = recorder
 
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, did: DidIdentifier | str) -> bool:
-        return str(did) in self._documents
-
     def get(self, did: DidIdentifier | str) -> DidDocument:
         document = self.find(str(did))
         if document is None:

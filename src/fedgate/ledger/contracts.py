@@ -34,7 +34,7 @@ class ContractNotFoundError(FedGateError):
 @dataclass(frozen=True)
 class ClaimPredicate:
     kind: str
-    value: str | None = None
+    value: str | None
     values: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

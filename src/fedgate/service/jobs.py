@@ -89,7 +89,7 @@ class JobSpec:
     config: FederationConfig
     estimated_runtime: float
     priority_weight: float
-    data_filter: DataFilter = DataFilter()
+    data_filter: DataFilter
 
     def __post_init__(self) -> None:
         # NaN compares false both ways, so it would leave the WSJF order undefined.
@@ -108,8 +108,8 @@ class JobSpec:
 class JobRecord:
     job_id: str
     spec: JobSpec
+    submitted_at: int
     state: str = "queued"
-    submitted_at: int = 0
     metrics_address: str | None = None
     model_address: str | None = None
     cause: str | None = None

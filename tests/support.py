@@ -7,7 +7,7 @@ that ``_sigmoid`` is held to bit for bit, the one-model loss oracles that
 allocating per-step trainer that ``local_train`` is held to bit for bit (with
 its ``stacked_gradient``, whose one-model case is the gradient oracle, and
 the pure-Python SplitMix64 epoch orders that ``epoch_orders`` is held to), the
-per-client generator that
+maker of hand-built partitions, the per-client generator that
 ``generate_partitions`` is held to bit for bit, the total weighted
 completion time that ``wsjf_order`` is held to (acceptance criterion 09), the
 strict reader of the ``metrics.csv`` a job writes, and the runner of a
@@ -32,7 +32,7 @@ from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessReq
 from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
 from fedgate.errors import ValidationError
-from fedgate.fl import SyntheticSpec
+from fedgate.fl import DatasetPartition, SyntheticSpec
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import _sigmoid
 from fedgate.fl.metrics import METRICS_HEADER, RoundMetrics
@@ -285,6 +285,16 @@ def reference_local_train(model, cohort, config, round_seeds) -> np.ndarray:
         client_id = min(failures)
         raise TrainingDivergedError(client_id, failures[client_id])
     return trained
+
+
+
+# ------------------------------------------------------ hand-built partitions
+
+
+def make_partition(client_id: str, features, labels, feature_names: tuple[str, ...] = (), label_name: str = "label"):
+    """A hand-built partition; unnamed feature columns are named ``x0``, ``x1``, ..."""
+    names = feature_names or tuple(f"x{i}" for i in range(np.shape(features)[1]))
+    return DatasetPartition(client_id, features, labels, tuple(names), label_name)
 
 
 

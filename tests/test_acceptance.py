@@ -94,7 +94,7 @@ def test_02_desk_scale_convergence():
         samples_per_client=200,
         feature_dim=2,
         separability=2.0,
-        seed=20,
+        seed=20, label_skew=0.0,
     )
     parts, _ = generate_partitions(spec)
     loss = LossSpec(kind="logistic", feature_dim=2)
@@ -311,9 +311,9 @@ def test_07_scheme_equivalence():
         if predicate_kind == "equals":
             predicate = ClaimPredicate(kind="equals", value="yes")
         elif predicate_kind == "one_of":
-            predicate = ClaimPredicate(kind="one_of", values=("yes", "provisional"))
+            predicate = ClaimPredicate(kind="one_of", value=None, values=("yes", "provisional"))
         else:
-            predicate = ClaimPredicate(kind="present")
+            predicate = ClaimPredicate(kind="present", value=None)
         stack.deploy_policy(
             "fl-study", (ClaimRequirement(claim_type, predicate),)
         )
@@ -456,7 +456,7 @@ def test_09_wsjf_optimality():
 
 def test_10_failover_determinism(tmp_path):
     spec = SyntheticSpec(
-        n_clients=4, samples_per_client=30, feature_dim=2, separability=2.0, seed=5
+        n_clients=4, samples_per_client=30, feature_dim=2, separability=2.0, seed=5, label_skew=0.0
     )
     parts, _ = generate_partitions(spec)
     config = FederationConfig(

@@ -106,15 +106,15 @@ def membership_claim(value="yes", issued_at=9_000, expires_at=20_000, issuer=ISS
 def test_predicate_matching():
     assert ClaimPredicate(kind="equals", value="a").matches("a")
     assert not ClaimPredicate(kind="equals", value="a").matches("b")
-    assert ClaimPredicate(kind="one_of", values=("a", "b")).matches("b")
-    assert not ClaimPredicate(kind="one_of", values=("a", "b")).matches("c")
-    assert ClaimPredicate(kind="present").matches("anything")
+    assert ClaimPredicate(kind="one_of", value=None, values=("a", "b")).matches("b")
+    assert not ClaimPredicate(kind="one_of", value=None, values=("a", "b")).matches("c")
+    assert ClaimPredicate(kind="present", value=None).matches("anything")
     with pytest.raises(ValidationError):
-        ClaimPredicate(kind="equals")
+        ClaimPredicate(kind="equals", value=None)
     with pytest.raises(ValidationError):
-        ClaimPredicate(kind="one_of")
+        ClaimPredicate(kind="one_of", value=None)
     with pytest.raises(ValidationError):
-        ClaimPredicate(kind="matches_regex")
+        ClaimPredicate(kind="matches_regex", value=None)
 
 
 def test_contract_requires_claims():
@@ -133,8 +133,8 @@ def test_contract_id_binds_body():
 
 
 def test_each_signed_body_is_the_persisted_record_less_its_seal():
-    one_of = ClaimRequirement("role", ClaimPredicate(kind="one_of", values=("b", "a")))
-    present = ClaimRequirement("site", ClaimPredicate(kind="present"))
+    one_of = ClaimRequirement("role", ClaimPredicate(kind="one_of", value=None, values=("b", "a")))
+    present = ClaimRequirement("site", ClaimPredicate(kind="present", value=None))
     contracts = [membership_contract(), AccessPolicyContract((one_of, present), "svc", "did:efed:owner")]
     claims = [membership_claim(), membership_claim(value="no", issued_at=1, expires_at=2)]
     for record, seal in [(c, "contractId") for c in contracts] + [(c, "signature") for c in claims]:
@@ -166,7 +166,7 @@ def test_deploy_rejects_wrong_signer():
 def test_deploy_rejects_unknown_owner_and_duplicates():
     engine, _, _ = make_engine()
     ghost = AccessPolicyContract.create(
-        (ClaimRequirement("x", ClaimPredicate(kind="present")),),
+        (ClaimRequirement("x", ClaimPredicate(kind="present", value=None)),),
         "svc",
         "did:efed:ghost",
     )
@@ -183,8 +183,8 @@ def test_two_services_have_independent_requirements():
     a = membership_contract(service="svc-a", claim_type="consortium_member")
     b = AccessPolicyContract.create(
         (
-            ClaimRequirement("role", ClaimPredicate(kind="one_of", values=("doctor", "nurse"))),
-            ClaimRequirement("hospital", ClaimPredicate(kind="present")),
+            ClaimRequirement("role", ClaimPredicate(kind="one_of", value=None, values=("doctor", "nurse"))),
+            ClaimRequirement("hospital", ClaimPredicate(kind="present", value=None)),
         ),
         "svc-b",
         "did:efed:owner",
@@ -220,7 +220,7 @@ def test_denial_lists_missing_claim_types():
     contract = AccessPolicyContract.create(
         (
             ClaimRequirement("consortium_member", ClaimPredicate(kind="equals", value="yes")),
-            ClaimRequirement("role", ClaimPredicate(kind="present")),
+            ClaimRequirement("role", ClaimPredicate(kind="present", value=None)),
         ),
         "fl-study",
         "did:efed:owner",
@@ -250,7 +250,7 @@ def test_tampered_claim_is_the_missing_one():
     contract = AccessPolicyContract.create(
         (
             ClaimRequirement("consortium_member", ClaimPredicate(kind="equals", value="yes")),
-            ClaimRequirement("role", ClaimPredicate(kind="present")),
+            ClaimRequirement("role", ClaimPredicate(kind="present", value=None)),
             ClaimRequirement("hospital", ClaimPredicate(kind="equals", value="st-mary")),
         ),
         "fl-study",

@@ -20,7 +20,7 @@ from fedgate.fl import (
 from fedgate.fl.data import as_fleet, load_partition, save_partition
 from fedgate.fl.datagen import _BLOCK_ROWS, MANIFEST_NAME
 
-from support import reference_pool, run_under_blas_threads
+from support import make_partition, reference_pool, run_under_blas_threads
 
 
 def read_manifest(directory: Path) -> dict:
@@ -28,14 +28,29 @@ def read_manifest(directory: Path) -> dict:
 
 
 def test_partition_validation():
-    with pytest.raises(ValidationError):
-        DatasetPartition(
-            client_id="a", features=np.array([[1.0, np.nan]]), labels=np.zeros(1)
-        )
+    with pytest.raises(ValidationError, match="^partition 'a' holds non-finite values$"):
+        as_fleet([make_partition("a", np.array([[1.0, np.nan]]), np.zeros(1))])
+
+
+@pytest.mark.parametrize(
+    "array, row, owner",
+    [("features", 1, "a"), ("features", 2, "b"), ("features", 4, "b"), ("labels", 5, "c")],
+    ids=["last-row-of-the-first", "first-row-of-the-second", "last-row-of-the-second", "infinite-label-of-the-third"],
+)
+def test_as_fleet_names_the_partition_that_holds_the_first_non_finite_row(array, row, owner):
+    # Rows 0-1 are a's, 2-4 b's and 5 c's; one value of row ``row`` is not finite.
+    x, y = np.ones((6, 2)), np.zeros(6)
+    if array == "features":
+        x[row, 1] = np.nan
+    else:
+        y[row] = np.inf
+    parts = [make_partition(cid, x[s:e], y[s:e]) for cid, s, e in (("a", 0, 2), ("b", 2, 5), ("c", 5, 6))]
+    with pytest.raises(ValidationError, match=f"^partition '{owner}' holds non-finite values$"):
+        as_fleet(parts)
 
 
 def test_partition_arrays_are_read_only():
-    p = DatasetPartition(client_id="a", features=np.ones((2, 2)), labels=np.zeros(2))
+    (p,) = as_fleet([make_partition("a", np.ones((2, 2)), np.zeros(2))])
     with pytest.raises(ValueError):
         p.features[0, 0] = 9.0
     with pytest.raises(ValueError):
@@ -50,8 +65,9 @@ def locked_pool(rows=6, cols=2):
 
 def test_mutating_the_callers_input_leaves_the_partition_unchanged():
     x, y = np.ones((3, 2)), np.zeros(3)
-    p = DatasetPartition(client_id="a", features=x, labels=y)
+    fleet = as_fleet([make_partition("a", x, y)])
     x[0, 0], y[0] = 9.0, 9.0
+    (p,) = fleet
     assert p.features.tolist() == [[1.0, 1.0]] * 3 and p.labels.tolist() == [0.0] * 3
 
 
@@ -59,7 +75,7 @@ def test_a_read_only_view_of_a_writable_owner_is_copied():
     owner = np.ones((4, 2))
     view = owner[:2]
     view.flags.writeable = False
-    p = DatasetPartition(client_id="a", features=view, labels=np.zeros(2))
+    (p,) = as_fleet([make_partition("a", view, np.zeros(2))])
     assert not np.shares_memory(p.features, owner)
     owner[0, 0] = 9.0
     assert p.features[0, 0] == 1.0
@@ -69,20 +85,27 @@ def test_a_locked_view_over_a_bytearray_is_copied():
     buffer = bytearray(np.ones(4).tobytes())
     flat = np.frombuffer(buffer)
     flat.flags.writeable = False
-    p = DatasetPartition(client_id="a", features=flat.reshape(2, 2), labels=np.zeros(2))
+    (p,) = as_fleet([make_partition("a", flat.reshape(2, 2), np.zeros(2))])
     assert not np.shares_memory(p.features, flat)
     buffer[:8] = np.float64(9.0).tobytes()
     assert p.features.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
-@pytest.mark.parametrize("source", ["writable", "pool-view"])
+@pytest.mark.parametrize("source", ["writable", "pool-view", "integers"])
 def test_partition_arrays_refuse_writes_copied_or_not(source):
+    # A partition's arrays are the caller's own: as_fleet copies them, as float64, whatever they are.
     if source == "writable":
         x, y = np.ones((2, 2)), np.zeros(2)
-    else:
+    elif source == "pool-view":
         x, y = locked_pool()[:2], np.zeros(2)
         y.flags.writeable = False
-    p = DatasetPartition(client_id="a", features=x, labels=y)
+    else:
+        x, y = np.ones((2, 2), dtype=np.int64), np.zeros(2, dtype=np.int64)
+    given = make_partition("a", x, y)
+    assert given.features is x and given.labels is y
+    (p,) = as_fleet([given])
+    assert p.features.dtype == p.labels.dtype == np.float64
+    assert not np.shares_memory(p.features, x) and not np.shares_memory(p.labels, y)
     with pytest.raises(ValueError):
         p.features[0, 0] = 9.0
     with pytest.raises(ValueError):
@@ -91,12 +114,12 @@ def test_partition_arrays_refuse_writes_copied_or_not(source):
 
 def test_shared_feature_space():
     parts = [
-        DatasetPartition(client_id="a", features=np.ones((2, 3)), labels=np.zeros(2)),
-        DatasetPartition(client_id="b", features=np.ones((5, 3)), labels=np.zeros(5)),
+        make_partition(client_id="a", features=np.ones((2, 3)), labels=np.zeros(2)),
+        make_partition(client_id="b", features=np.ones((5, 3)), labels=np.zeros(5)),
     ]
     assert as_fleet(parts).features.shape == (7, 3)
     bad = parts + [
-        DatasetPartition(client_id="c", features=np.ones((1, 4)), labels=np.zeros(1))
+        make_partition(client_id="c", features=np.ones((1, 4)), labels=np.zeros(1))
     ]
     with pytest.raises(ValidationError, match="partition 'c' has columns"):
         as_fleet(bad)
@@ -109,11 +132,33 @@ def test_a_partition_names_each_column_once(tmp_path, header, twice):
     # Read as given, a featureNames filter of "x" would take the first column alone.
     path = tmp_path / "client_a.csv"
     path.write_text(f"{header}\n1.0,2.0,0.0\n")
+    assert load_partition(path).feature_names == tuple(header.split(",")[:-1])  # the file reader leaves names to as_fleet
     with pytest.raises(ValidationError, match=f"^partition 'a' names two columns '{twice}'$"):
-        load_partition(path)
+        load_partitions(tmp_path)
     *names, label = header.split(",")
-    with pytest.raises(ValidationError, match=f"names two columns '{twice}'"):
-        DatasetPartition("a", np.ones((1, 2)), np.zeros(1), feature_names=tuple(names), label_name=label)
+    with pytest.raises(ValidationError, match=f"^partition 'a' names two columns '{twice}'$"):
+        as_fleet([DatasetPartition("a", np.ones((1, 2)), np.zeros(1), tuple(names), label)])
+
+
+def test_as_fleet_refuses_a_label_named_like_a_feature_and_checks_the_first_partition_for_repeats():
+    named = make_partition("a", np.ones((1, 2)), np.zeros(1), feature_names=("age", "bmi"), label_name="bmi")
+    with pytest.raises(ValidationError, match="^partition 'a' names two columns 'bmi'$"):
+        as_fleet([named])
+    fine = replace(named, label_name="label")
+    with pytest.raises(ValidationError, match=r"^partition 'b' has columns \['age', 'bmi', 'bmi'\], not 'a''s$"):
+        as_fleet([fine, replace(named, client_id="b")])
+
+
+def test_a_non_finite_cell_of_a_partition_file_is_refused_where_the_files_become_a_fleet(tmp_path):
+    write_dataset(SyntheticSpec(n_clients=3, samples_per_client=4, feature_dim=2, separability=0.5, seed=3, label_skew=0.0), tmp_path)
+    path = tmp_path / "client_001.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    read = load_partition(path)
+    assert np.isnan(read.features[0, 0]) and read.features.base is read.labels.base  # views of one parsed array
+    with pytest.raises(ValidationError, match="^partition '001' holds non-finite values$"):
+        load_partitions(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +178,7 @@ def test_a_partition_file_without_a_feature_column_or_a_row_is_refused(tmp_path,
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    part = DatasetPartition(
+    part = make_partition(
         client_id="007",
         features=rng.normal(size=(13, 4)),
         labels=(rng.random(13) > 0.4).astype(float),
@@ -151,7 +196,7 @@ def test_csv_round_trip(tmp_path):
 def test_load_partitions_sorted(tmp_path):
     for cid in ("b", "a", "c"):
         save_partition(
-            DatasetPartition(
+            make_partition(
                 client_id=cid, features=np.ones((1, 2)), labels=np.zeros(1)
             ),
             tmp_path,
@@ -161,7 +206,7 @@ def test_load_partitions_sorted(tmp_path):
 
 
 def test_a_file_name_ending_in_a_newline_is_no_partition_file(tmp_path):
-    path = save_partition(DatasetPartition(client_id="a", features=np.ones((1, 2)), labels=np.zeros(1)), tmp_path)
+    path = save_partition(make_partition(client_id="a", features=np.ones((1, 2)), labels=np.zeros(1)), tmp_path)
     path = path.rename(tmp_path / "client_a.csv\n")
     with pytest.raises(ValidationError, match="does not match client_<id>.csv"):
         load_partition(path)
@@ -173,7 +218,7 @@ def test_loaded_partitions_are_row_views_of_one_locked_pool(tmp_path):
     rng = np.random.default_rng(3)
     saved = {}
     for cid, n in (("b", 3), ("a", 2), ("c", 4)):
-        saved[cid] = DatasetPartition(client_id=cid, features=rng.normal(size=(n, 2)), labels=rng.random(n))
+        saved[cid] = make_partition(client_id=cid, features=rng.normal(size=(n, 2)), labels=rng.random(n))
         save_partition(saved[cid], tmp_path)
     parts = load_partitions(tmp_path)
     pool = parts[0].features.base
@@ -193,7 +238,7 @@ def test_loaded_partitions_are_row_views_of_one_locked_pool(tmp_path):
     ids=["non-numeric-cell", "extra-field", "oversized-field"],
 )
 def test_load_partitions_names_the_line_of_a_bad_cell(tmp_path, edit, line):
-    write_dataset(SyntheticSpec(n_clients=2, samples_per_client=5, feature_dim=2, separability=0.5, seed=3), tmp_path)
+    write_dataset(SyntheticSpec(n_clients=2, samples_per_client=5, feature_dim=2, separability=0.5, seed=3, label_skew=0.0), tmp_path)
     path = tmp_path / "client_001.csv"
     lines = path.read_text().splitlines()
     lines[line - 1] = edit(lines)
@@ -203,7 +248,7 @@ def test_load_partitions_names_the_line_of_a_bad_cell(tmp_path, edit, line):
 
 
 def test_select_features_subsets_columns():
-    p = DatasetPartition(
+    p = make_partition(
         client_id="a",
         features=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
         labels=np.zeros(2),
@@ -221,7 +266,7 @@ def test_select_features_subsets_columns():
 
 def test_generated_shapes_and_determinism():
     spec = SyntheticSpec(
-        n_clients=4, samples_per_client=25, feature_dim=3, separability=1.0, seed=11
+        n_clients=4, samples_per_client=25, feature_dim=3, separability=1.0, seed=11, label_skew=0.0
     )
     parts1, manifest1 = generate_partitions(spec)
     parts2, manifest2 = generate_partitions(spec)
@@ -313,16 +358,16 @@ def test_fleet_partitions_equal_those_built_by_hand_on_the_same_rows(tmp_path):
             assert (p.client_id, p.feature_names, p.label_name) == (q.client_id, q.feature_names, q.label_name)
             for got, want, pool in ((p.features, q.features, x), (p.labels, q.labels, y)):
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape
-                assert got.base is pool and not np.shares_memory(want, pool) and not got.flags.writeable
+                assert got.base is want.base is pool and not got.flags.writeable
             with pytest.raises(ValueError):
                 p.features[0, 0] = 9.0
-        # Only the handout skips the checks: a replaced partition is checked again.
-        with pytest.raises(ValidationError, match="non-finite"):
-            replace(fleet[0], features=np.full((fleet[0].size, 3), np.inf))
+        # A partition is a plain record: a replaced one is checked where it joins a fleet.
+        with pytest.raises(ValidationError, match="^partition '000' holds non-finite values$"):
+            as_fleet([replace(fleet[0], features=np.full((fleet[0].size, 3), np.inf))])
 
 
 def test_both_producers_return_a_fleet_that_indexes_its_clients_as_it_iterates_them(tmp_path):
-    spec = SyntheticSpec(n_clients=5, samples_per_client=7, feature_dim=3, separability=0.5, seed=4)
+    spec = SyntheticSpec(n_clients=5, samples_per_client=7, feature_dim=3, separability=0.5, seed=4, label_skew=0.0)
     write_dataset(spec, tmp_path)
     for fleet in (generate_partitions(spec)[0], load_partitions(tmp_path)):
         assert isinstance(fleet, Fleet)
@@ -355,13 +400,13 @@ def test_a_partition_holds_exactly_its_five_fields():
 )
 def test_synthetic_spec_names_a_field_of_the_wrong_type(field, value):
     with pytest.raises(ValidationError, match=f"^{field} must be"):
-        spec = dict(n_clients=2, samples_per_client=3, feature_dim=2, separability=0.5, seed=1)
+        spec = dict(n_clients=2, samples_per_client=3, feature_dim=2, separability=0.5, seed=1, label_skew=0.0)
         SyntheticSpec(**{**spec, field: value})
 
 
 def test_labels_follow_recorded_hyperplane():
     spec = SyntheticSpec(
-        n_clients=3, samples_per_client=40, feature_dim=2, separability=2.0, seed=3
+        n_clients=3, samples_per_client=40, feature_dim=2, separability=2.0, seed=3, label_skew=0.0
     )
     parts, manifest = generate_partitions(spec)
     direction = np.array(manifest["hyperplane"], dtype=np.float64)
@@ -391,7 +436,7 @@ def test_label_skew_shifts_positive_share():
 
 def test_write_dataset_layout(tmp_path):
     spec = SyntheticSpec(
-        n_clients=2, samples_per_client=5, feature_dim=2, separability=0.5, seed=21
+        n_clients=2, samples_per_client=5, feature_dim=2, separability=0.5, seed=21, label_skew=0.0
     )
     out = tmp_path / "ds"
     write_dataset(spec, out)
@@ -405,7 +450,7 @@ def test_write_dataset_layout(tmp_path):
 
 
 def test_a_fleet_hands_out_row_views_that_select_from_its_pool():
-    fleet, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2))
+    fleet, _ = generate_partitions(SyntheticSpec(n_clients=6, samples_per_client=4, feature_dim=2, separability=0.5, seed=2, label_skew=0.0))
     picked = fleet.select([5, 3, 1])
     assert picked.ids == ("005", "003", "001") and picked.starts.tolist() == [20, 12, 4]
     assert picked.features is fleet[0].features.base
@@ -421,8 +466,8 @@ def test_a_fleet_hands_out_row_views_that_select_from_its_pool():
 
 
 def test_partitions_that_name_their_columns_differently_are_refused(tmp_path):
-    a = DatasetPartition("a", np.array([[1.0, 2.0]]), np.zeros(1), feature_names=("age", "bmi"))
-    b = DatasetPartition("b", np.array([[3.0, 4.0]]), np.ones(1), feature_names=("bmi", "age"))
+    a = make_partition("a", np.array([[1.0, 2.0]]), np.zeros(1), feature_names=("age", "bmi"))
+    b = make_partition("b", np.array([[3.0, 4.0]]), np.ones(1), feature_names=("bmi", "age"))
     for p in (a, b):
         save_partition(p, tmp_path)
     # Trained as given, weight 0 would learn "age" from a and "bmi" from b.

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import (
-    DatasetPartition,
     FederationConfig,
     LossSpec,
     SyntheticSpec,
@@ -24,7 +23,7 @@ from fedgate.fl.federation import (
     select_clients,
 )
 
-from support import gradient
+from support import gradient, make_partition
 
 
 def make_config(**overrides):
@@ -49,7 +48,7 @@ def random_partitions(rng, n_clients, dim, max_samples=8, logistic=False):
             (rng.random(n) > 0.5).astype(float) if logistic else rng.normal(size=n)
         )
         parts.append(
-            DatasetPartition(
+            make_partition(
                 client_id=f"c{i:02d}", features=rng.normal(size=(n, dim)), labels=labels
             )
         )
@@ -100,7 +99,7 @@ def test_selection_clamps_to_small_roster():
 
 
 def sized_partition(cid, n):
-    return DatasetPartition(
+    return make_partition(
         client_id=cid, features=np.ones((n, 1)), labels=np.zeros(n)
     )
 
@@ -143,7 +142,7 @@ _ZEROS.flags.writeable = False
 def test_weights_sum_to_one(sizes, weighting):
     # Up to the bench fleet's 1,000 partitions: every weight is a convex one and
     # the sum is 1 up to float error, the check ``aggregate`` takes on trust.
-    parts = [DatasetPartition(f"c{i}", _ONES[:n], _ZEROS[:n]) for i, n in enumerate(sizes)]
+    parts = [make_partition(f"c{i}", _ONES[:n], _ZEROS[:n]) for i, n in enumerate(sizes)]
     config = make_config(total_clients=len(parts), subset_size=len(parts), weighting=weighting)
     w = compute_weights(as_fleet(parts), config)
     assert sorted(w) == sorted(p.client_id for p in parts)
@@ -393,7 +392,7 @@ def test_a_run_keeps_its_bits_whatever_the_fleet_layout():
     parts, _ = generate_partitions(
         SyntheticSpec(n_clients=12, samples_per_client=9, feature_dim=3, separability=0.5, seed=6, label_skew=0.5)
     )
-    copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in parts]
+    copies = [make_partition(p.client_id, p.features.copy(), p.labels.copy()) for p in parts]
     for batch_mode, batch_size in (("full", None), ("minibatch", 4)):
         config = make_config(
             total_rounds=5,

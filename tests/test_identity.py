@@ -245,7 +245,7 @@ def test_seed_7_demo_documents_store_their_canonical_encoding(tmp_path, monkeypa
     scenario.run_demo(scenario.ScenarioConfig(out_dir=str(out), seed=7))
     replayed = DidRegistry.replay_log(out / "identity.jsonl", receipt)
     ids = {json.loads(line)["document"]["id"] for line in (out / "identity.jsonl").read_text().splitlines()}
-    assert len(ids) == len(desks[0].registry) > 2
+    assert len(ids) == len(desks[0].registry._documents) > 2
     for did in ids:
         live = desks[0].registry.get(did)
         assert_stored_encoding(live)
@@ -298,7 +298,7 @@ def test_register_and_get():
     doc, _ = make_document()
     registry.register(doc, profile_hash="profile-a")
     assert registry.get("did:efed:alice01") == doc
-    assert "did:efed:alice01" in registry
+    assert registry.find("did:efed:alice01") is doc
 
 
 def test_duplicate_id_rejected():
@@ -384,7 +384,7 @@ def test_log_replay_reproduces_state(tmp_path):
 
     path = registry.write_log(tmp_path / "registry.jsonl")
     replayed = DidRegistry.replay_log(path, receipt)
-    assert len(replayed) == len(registry) == 2
+    assert len(replayed._documents) == len(registry._documents) == 2
     for did in (a.id, b.id):
         assert replayed.get(did) == registry.get(did)
     # replay enforces the same uniqueness rules
@@ -646,7 +646,7 @@ def test_an_identity_log_of_awkward_text_replays_document_for_document(tmp_path_
         registry.update(document)
     path = registry.write_log(tmp_path_factory.mktemp("log") / "identity.jsonl")
     replayed = DidRegistry.replay_log(path, receipt)
-    assert len(replayed) == 1 and replayed.get(document.id) == document
+    assert len(replayed._documents) == 1 and replayed.get(document.id) == document
     with pytest.raises(AlreadyRegisteredError, match="profile already registered"):
         replayed.register(make_document("carol01", seed=3)[0], profile_hash="p" + profile)
 

@@ -48,9 +48,9 @@ FEDERATION = FederationConfig(
 )
 CONTRACT = AccessPolicyContract(
     (
-        ClaimRequirement("role", ClaimPredicate("one_of", values=("b", "a"))),
+        ClaimRequirement("role", ClaimPredicate("one_of", None, values=("b", "a"))),
         ClaimRequirement("member", ClaimPredicate("equals", "true")),
-        ClaimRequirement("id", ClaimPredicate("present")),
+        ClaimRequirement("id", ClaimPredicate("present", None)),
     ),
     "fl-study",
     "did:efed:owner-0",

@@ -17,7 +17,6 @@ from fedgate.desk import build_desk
 from fedgate.errors import ValidationError
 from fedgate.fl import (
     CsvMetricsWriter,
-    DatasetPartition,
     FederationConfig,
     LossSpec,
     RoundMetrics,
@@ -31,7 +30,7 @@ from fedgate.scenario import DEFAULT_FEDERATION, START_TIME, ScenarioConfig, run
 from fedgate.service import FaultEvent, NodeRegistry
 from fedgate.service.jobs import DataFilter
 
-from support import read_metrics_csv, receipt
+from support import make_partition, read_metrics_csv, receipt
 
 
 def demo_config(tmp_path, name="demo", **overrides):
@@ -482,6 +481,33 @@ def test_cli_gen_data_refuses_a_flag_out_of_its_range(tmp_path, capsys, flag, va
     assert not out.exists()
 
 
+def test_gen_data_refuses_a_directory_that_holds_another_datasets_partitions(tmp_path, capsys):
+    # Left in place, client_003 and client_004 would join the 3-client dataset's fleet.
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(out), "--clients", "5"]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["gen-data", "--out", str(out), "--clients", "3"]) == 2
+    assert capsys.readouterr().err == f"invalid input: {out / 'client_003.csv'} holds a partition this dataset does not write\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    # A rerun over the same ids overwrites them; a file no loader reads stays unread.
+    (out / "client_0 copy.csv").write_text("not a partition\n")
+    assert main(["gen-data", "--out", str(out), "--clients", "5", "--seed", "8"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*written, "client_0 copy.csv"])
+    assert (out / "client_000.csv").read_bytes() != written["client_000.csv"]
+
+
+def test_a_demo_over_the_out_dir_of_a_larger_demo_names_the_partition_left_behind(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"federation": dataclasses.replace(DEFAULT_FEDERATION, total_clients=5).to_dict()}))
+    out = tmp_path / "demo"
+    assert main(["demo", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["demo", "--out", str(out)]) == 2
+    stale = out / "data" / "client_003.csv"
+    assert capsys.readouterr().err == f"invalid input: {stale} holds a partition this dataset does not write\n"
+
+
 def test_cli_demo_and_verify_chain(tmp_path):
     out = tmp_path / "demo"
     assert main(["demo", "--out", str(out), "--seed", "5"]) == 0
@@ -599,7 +625,7 @@ def test_gen_data_high_separability_is_centrally_learnable(tmp_path):
         ]
     )
     parts = load_partitions(out)
-    pooled = DatasetPartition(
+    pooled = make_partition(
         client_id="all",
         features=np.vstack([p.features for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),

@@ -16,7 +16,6 @@ import fedgate
 from fedgate.canonical import canonical_json_bytes
 from fedgate.errors import ValidationError
 from fedgate.fl import (
-    DatasetPartition,
     FederationConfig,
     LossSpec,
     RoundMetrics,
@@ -43,7 +42,7 @@ from fedgate.service.jobs import (
 from fedgate.scenario import ScenarioConfig, run_demo
 from fedgate.service.metadata import PREVIEW_DIGITS, PREVIEW_ROWS, summarize_partitions
 
-from support import Stack, read_metrics_csv, total_weighted_completion
+from support import Stack, make_partition, read_metrics_csv, total_weighted_completion
 
 
 def fleet_partitions(n_clients=4, samples=30, seed=5):
@@ -52,7 +51,7 @@ def fleet_partitions(n_clients=4, samples=30, seed=5):
         samples_per_client=samples,
         feature_dim=2,
         separability=2.0,
-        seed=seed,
+        seed=seed, label_skew=0.0,
     )
     parts, _ = generate_partitions(spec)
     return parts
@@ -87,7 +86,7 @@ def job_spec(config=None, runtime=10.0, weight=1.0, data_filter=None):
 
 def test_histograms_match_source_csvs(tmp_path):
     spec = SyntheticSpec(
-        n_clients=3, samples_per_client=40, feature_dim=2, separability=1.0, seed=8
+        n_clients=3, samples_per_client=40, feature_dim=2, separability=1.0, seed=8, label_skew=0.0
     )
     write_dataset(spec, tmp_path)
     parts = load_partitions(tmp_path)
@@ -107,7 +106,7 @@ def test_histograms_match_source_csvs(tmp_path):
 
 def test_histogram_keys_each_label_value_like_a_per_sample_count():
     labels = np.array([0.5, -0.0, 0.0, 2.0, 0.5, 1e20, -1.25, 2.0])
-    part = DatasetPartition(client_id="h", features=np.zeros((8, 1)), labels=labels)
+    part = make_partition(client_id="h", features=np.zeros((8, 1)), labels=labels)
     (summary,) = summarize_partitions(as_fleet([part]), "fl-study")["clients"]
     histogram = summary["labelHistogram"]
     assert histogram == {"0.5": 2, "0": 2, "2": 2, str(10**20): 1, "-1.25": 1}
@@ -119,7 +118,7 @@ def test_histogram_keys_each_label_value_like_a_per_sample_count():
 def test_preview_walks_uneven_partitions_depth_major():
     def rows(*sizes):
         parts = [
-            DatasetPartition(cid, np.arange(n, dtype=float)[:, None], np.zeros(n))
+            make_partition(cid, np.arange(n, dtype=float)[:, None], np.zeros(n))
             for cid, n in sizes
         ]
         meta = summarize_partitions(as_fleet(parts), "fl-study")
@@ -238,7 +237,7 @@ def test_one_holders_loop_of_job_submissions_gets_429_at_its_bound(tmp_path):
 
 
 def holder_spec(holder: str) -> JobSpec:
-    return JobSpec(holder=holder, config=job_config(), estimated_runtime=10.0, priority_weight=1.0)
+    return JobSpec(holder=holder, config=job_config(), estimated_runtime=10.0, priority_weight=1.0, data_filter=DataFilter())
 
 
 def test_the_queue_refuses_a_job_past_its_bound_for_all_holders():

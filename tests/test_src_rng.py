@@ -16,9 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fedgate.fl import DatasetPartition, FederationConfig, LossSpec
+from fedgate.fl import FederationConfig, LossSpec
 from fedgate.fl.data import as_fleet
 from fedgate.fl.training import local_train
+
+from support import make_partition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GENERATOR_NAMES = ("default_rng", "SeedSequence", "Generator", "PCG64")
@@ -103,7 +105,7 @@ def test_a_minibatch_round_builds_no_generator(monkeypatch):
         batch_size=2,
     )
     parts = [
-        DatasetPartition(f"c{i}", np.full((n, 2), 0.5 * i), (np.arange(n) % 2).astype(float))
+        make_partition(f"c{i}", np.full((n, 2), 0.5 * i), (np.arange(n) % 2).astype(float))
         for i, n in enumerate([5, 7, 5])
     ]
     trained = local_train(np.zeros(3), as_fleet(parts), config, [1, 2**64 - 1, 3], {})

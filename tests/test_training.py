@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fedgate.errors import ValidationError
 from fedgate.fl import (
-    DatasetPartition,
     FederationConfig,
     LossSpec,
     SyntheticSpec,
@@ -35,6 +34,7 @@ from fedgate.fl.training import (
 from fedgate.service.jobs import DataFilter, apply_filter
 
 from support import (
+    make_partition,
     mean_loss,
     per_partition_scores,
     predict,
@@ -61,7 +61,7 @@ def make_config(**overrides):
 
 
 def one_sample_partition():
-    return DatasetPartition(client_id="c0", features=np.array([[1.0]]), labels=np.array([1.0]))
+    return make_partition(client_id="c0", features=np.array([[1.0]]), labels=np.array([1.0]))
 
 
 def test_zero_learning_rate_is_identity():
@@ -79,7 +79,7 @@ def test_hand_computed_single_step():
 
 
 def test_two_epochs_compose_single_steps():
-    part = DatasetPartition(
+    part = make_partition(
         client_id="c0",
         features=np.array([[1.0], [2.0], [-1.0]]),
         labels=np.array([1.0, 0.5, 0.0]),
@@ -94,7 +94,7 @@ def test_two_epochs_compose_single_steps():
 
 def test_input_model_unmodified_and_deterministic():
     rng = np.random.default_rng(3)
-    part = DatasetPartition(
+    part = make_partition(
         client_id="a", features=rng.normal(size=(8, 2)), labels=rng.normal(size=8)
     )
     config = make_config(
@@ -115,7 +115,7 @@ def test_input_model_unmodified_and_deterministic():
 
 
 def test_divergence_names_the_client():
-    part = DatasetPartition(
+    part = make_partition(
         client_id="patient-7", features=np.array([[10.0]]), labels=np.array([0.0])
     )
     config = make_config(learning_rate=50.0, local_epochs=200)
@@ -129,7 +129,7 @@ def test_a_client_exactly_at_the_limit_is_not_named_beside_one_past_it():
     # squared error, full batch, lr 0.5 from w = 0 on x = 1: one epoch ends at w = y,
     # so in one stack "a" ends exactly at DIVERGENCE_LIMIT and "b" ten times past it
     cohort = [
-        DatasetPartition(client_id=cid, features=np.array([[1.0]]), labels=np.array([y]))
+        make_partition(client_id=cid, features=np.array([[1.0]]), labels=np.array([y]))
         for cid, y in (("a", DIVERGENCE_LIMIT), ("b", 10 * DIVERGENCE_LIMIT))
     ]
     config = make_config(learning_rate=0.5)
@@ -207,7 +207,7 @@ def test_one_draw_per_round_is_the_per_epoch_permutation_stream(seed, n, epochs,
     # local_train's gradient subtracts those rows' labels in that order, batch by
     # batch; each label is its row's index, and a zero learning rate keeps every step finite.
     recorder = LabelRecorder()
-    part = DatasetPartition(client_id="c0", features=np.zeros((n, 1)), labels=np.arange(n, dtype=float))
+    part = make_partition(client_id="c0", features=np.zeros((n, 1)), labels=np.arange(n, dtype=float))
     config = make_config(
         local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size
     )
@@ -235,7 +235,7 @@ def test_every_epoch_order_is_a_permutation_of_the_rows(seeds, n, epochs):
 def test_seeds_near_two_to_the_64_raise_no_overflow_warning():
     # numpy warns on integer scalar overflow, and raises under "raise"; arrays wrap silently.
     seeds = [2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 2**63]
-    part = DatasetPartition(client_id="c0", features=np.zeros((7, 1)), labels=np.zeros(7))
+    part = make_partition(client_id="c0", features=np.zeros((7, 1)), labels=np.zeros(7))
     config = make_config(local_epochs=3, batch_mode="minibatch", batch_size=2)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -272,7 +272,7 @@ def trained_orders(parts, config, seeds) -> dict[int, list[list[int]]]:
 def test_a_client_draws_the_same_orders_alone_and_in_a_cohort_of_mixed_sizes(sizes, epochs, batch_size, data):
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(sizes), max_size=len(sizes)))
     parts = [
-        DatasetPartition(f"c{c}", np.zeros((n, 1)), 1000.0 * c + np.arange(n)) for c, n in enumerate(sizes)
+        make_partition(f"c{c}", np.zeros((n, 1)), 1000.0 * c + np.arange(n)) for c, n in enumerate(sizes)
     ]
     config = make_config(local_epochs=epochs, learning_rate=0.0, batch_mode="minibatch", batch_size=batch_size)
     in_cohort = trained_orders(parts, config, seeds)
@@ -297,7 +297,7 @@ def random_partitions(rng, sizes, kind):
         if kind == "squared_error":
             labels = labels + rng.normal(scale=0.4, size=n)
         parts.append(
-            DatasetPartition(client_id=f"c{i:02d}", features=rng.normal(size=(n, 4)), labels=labels)
+            make_partition(client_id=f"c{i:02d}", features=rng.normal(size=(n, 4)), labels=labels)
         )
     return parts
 
@@ -347,7 +347,7 @@ def test_local_train_returns_the_bytes_or_the_error_of_the_reference(
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     ids = data.draw(st.permutations(range(len(sizes))))
     parts = [
-        DatasetPartition(f"c{i}", rng.normal(size=(n, 4)) * scale, (rng.random(n) > 0.5).astype(float))
+        make_partition(f"c{i}", rng.normal(size=(n, 4)) * scale, (rng.random(n) > 0.5).astype(float))
         for i, n, scale in zip(ids, sizes, scales)
     ]
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
@@ -366,8 +366,8 @@ def test_a_failed_epoch_is_replayed_from_its_start_with_every_step_checked(names
     # id, with the reference's detail: not the "non-finite weights" the epoch's
     # end finds, nor the "non-finite gradient" a replay from that end would find.
     config = cohort_config("squared_error", False, 1, local_epochs=2, learning_rate=0.5)
-    exceeding = DatasetPartition(names[0], np.full((2, 4), 1e75 / 2), np.zeros(2))
-    overflowing = DatasetPartition(names[1], np.full((2, 4), 10**76.25 / 2), np.zeros(2))
+    exceeding = make_partition(names[0], np.full((2, 4), 1e75 / 2), np.zeros(2))
+    overflowing = make_partition(names[1], np.full((2, 4), 10**76.25 / 2), np.zeros(2))
     args = np.full(4, 1e-300), as_fleet([exceeding, overflowing]), config, [0, 0]
     expected = "weight magnitude exceeded 1e+06" if names[0] == "a" else "non-finite gradient"
     assert outcome(reference_local_train, *args) == f"training diverged on client 'a': {expected}"
@@ -405,7 +405,7 @@ def test_a_held_stack_trains_each_round_to_the_bytes_of_a_fresh_one(kind, bias, 
     # from the round's model, and no update may alias what the holder keeps.
     rng = np.random.default_rng(52)
     parts = random_partitions(rng, [5, 9, 5, 12, 9, 5], kind)
-    parts.append(DatasetPartition("c06", rng.normal(size=(5, 4)) * 1e160, np.ones(5)))
+    parts.append(make_partition("c06", rng.normal(size=(5, 4)) * 1e160, np.ones(5)))
     config = cohort_config(kind, bias, batch_size, local_epochs=2, learning_rate=0.05)
     rounds = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 1, 3, 4], [1, 2, 4, 6], [1, 2, 4, 5], [0, 2, 3, 5]]
     stacks, held_before, kept = {}, {}, []
@@ -476,10 +476,10 @@ def test_cohort_divergence_names_the_client_the_sequential_loop_names(late_rows)
     # "b" grows 1e8-fold, passes 1e6 in epoch 1 and overflows by epoch 39, which
     # must not replace its first detail; the lower id "a" grows 9-fold and only
     # passes 1e6 in epoch 7. "a" trains in a separate stack when late_rows = 2.
-    late = DatasetPartition(
+    late = make_partition(
         client_id="a", features=np.full((late_rows, 1), np.sqrt(10.0)), labels=np.zeros(late_rows)
     )
-    early = DatasetPartition(client_id="b", features=np.array([[1e4]]), labels=np.array([0.0]))
+    early = make_partition(client_id="b", features=np.array([[1e4]]), labels=np.array([0.0]))
     config = make_config(learning_rate=0.5, local_epochs=40)
     model = np.array([1.0])
     with pytest.raises(TrainingDivergedError) as expected:
@@ -553,7 +553,7 @@ def pooled_eval(model, partitions, spec):
 def reductions(scores, labels, kind="logistic"):
     """(global_loss, training_accuracy) of these scores: each is a one-feature
     sample's own value, scored by the model [1.0], which keeps it."""
-    part = DatasetPartition(client_id="z", features=np.asarray(scores)[:, None], labels=np.asarray(labels))
+    part = make_partition(client_id="z", features=np.asarray(scores)[:, None], labels=np.asarray(labels))
     return pooled_eval(np.array([1.0]), [part], LossSpec(kind=kind, feature_dim=1))
 
 
@@ -582,8 +582,8 @@ def test_global_loss_single_partition_equals_local():
 def test_global_loss_weighted_combination():
     # Sizes 1 and 3 with per-partition means a and b combine as (a + 3b)/4.
     spec = LossSpec(kind="squared_error", feature_dim=1)
-    p1 = DatasetPartition(client_id="s", features=np.array([[1.0]]), labels=np.array([0.0]))
-    p2 = DatasetPartition(
+    p1 = make_partition(client_id="s", features=np.array([[1.0]]), labels=np.array([0.0]))
+    p2 = make_partition(
         client_id="t",
         features=np.array([[1.0], [2.0], [3.0]]),
         labels=np.array([1.0, 1.0, 1.0]),
@@ -605,7 +605,7 @@ def test_global_loss_decomposition_random_partitions():
         for i in range(int(rng.integers(1, 5))):
             n = int(rng.integers(1, 9))
             parts.append(
-                DatasetPartition(
+                make_partition(
                     client_id=f"c{i}",
                     features=rng.normal(size=(n, 3)),
                     labels=(rng.random(n) > 0.5).astype(float),
@@ -633,7 +633,7 @@ def test_pooled_evaluation_matches_per_partition_oracle(kind, bias):
             if kind == "squared_error":
                 labels = labels + rng.normal(scale=0.4, size=n)
             parts.append(
-                DatasetPartition(
+                make_partition(
                     client_id=f"c{i}", features=rng.normal(size=(n, 4)), labels=labels
                 )
             )
@@ -651,7 +651,7 @@ def test_zero_model_scores_every_sample_positive():
     # predict gives probability 0.5 to every sample, and 0.5 counts as positive.
     spec = LossSpec(kind="logistic", feature_dim=2, bias=True)
     labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    part = DatasetPartition(client_id="z", features=np.ones((5, 2)), labels=labels)
+    part = make_partition(client_id="z", features=np.ones((5, 2)), labels=labels)
     model = np.zeros(spec.parameter_dim)
     assert np.all(predict(model, part.features, spec) == 0.5)
     assert pooled_eval(model, [part], spec)[1] == 3 / 5 == per_partition_accuracy(model, [part], spec)
@@ -715,7 +715,7 @@ def mixed_fleets(draw):
     d = draw(st.sampled_from([1, 3, 8, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=14))
-    return [DatasetPartition(f"{i:03d}", rng.normal(size=(n, d)), rng.random(n)) for i, n in enumerate(sizes)], d
+    return [make_partition(f"{i:03d}", rng.normal(size=(n, d)), rng.random(n)) for i, n in enumerate(sizes)], d
 
 
 @settings(max_examples=200, deadline=None)
@@ -739,7 +739,7 @@ def pool_fleets(draw):
     strides between clients. The fleet selects and caps them on the pool, as
     ``apply_filter`` does."""
     n, d = draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 20]))
-    spec = SyntheticSpec(n_clients=40, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
+    spec = SyntheticSpec(n_clients=40, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)), label_skew=0.0)
     pool, _ = generate_partitions(spec)
     index, sizes = [], []
     for kind in draw(st.lists(st.sampled_from(["strided", "range", "shuffled"]), min_size=1, max_size=4)):
@@ -773,14 +773,14 @@ def test_fleet_scores_keep_per_partition_bits_under_two_blas_threads():
     # at one thread, so there this test passes however clients are joined.
     code = """if True:
         import numpy as np
-        from fedgate.fl import DatasetPartition, LossSpec
+        from fedgate.fl import LossSpec
         from fedgate.fl.data import as_fleet
         from fedgate.fl.training import FleetScores
-        from support import per_partition_scores
+        from support import make_partition, per_partition_scores
         rng = np.random.default_rng(11)
         loss = LossSpec(kind="logistic", feature_dim=20, bias=True)
         for sizes in ([100000, 2], [100004, 100004]):
-            parts = [DatasetPartition(str(i), rng.normal(size=(n, 20)), rng.random(n)) for i, n in enumerate(sizes)]
+            parts = [make_partition(str(i), rng.normal(size=(n, 20)), rng.random(n)) for i, n in enumerate(sizes)]
             with FleetScores(as_fleet(parts), loss) as scores:
                 for _ in range(3):
                     model = rng.normal(size=loss.parameter_dim)
@@ -827,7 +827,7 @@ def test_a_generated_fleet_is_scored_with_one_matmul_per_round(monkeypatch):
 
     counter = MatmulCounter()
     monkeypatch.setattr(training, "np", counter)
-    spec = SyntheticSpec(n_clients=30, samples_per_client=12, feature_dim=3, separability=0.5, seed=2)
+    spec = SyntheticSpec(n_clients=30, samples_per_client=12, feature_dim=3, separability=0.5, seed=2, label_skew=0.0)
     parts, _ = generate_partitions(spec)
     config = make_config(
         total_rounds=4,
@@ -842,7 +842,7 @@ def test_a_generated_fleet_is_scored_with_one_matmul_per_round(monkeypatch):
 def test_evaluation_makes_no_pooled_copy_of_the_features():
     rng = np.random.default_rng(5)
     parts = [
-        DatasetPartition(
+        make_partition(
             client_id=f"{i:03d}",
             features=rng.normal(size=(100, 20)),
             labels=(rng.random(100) > 0.5).astype(float),
@@ -877,7 +877,7 @@ def filtered_pools(draw):
     """A generated pool through a job's data filter: a client subset, a feature
     subset in a drawn order and a sample cap, each drawn or left out."""
     n, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 3, 8]))
-    spec = SyntheticSpec(n_clients=30, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)))
+    spec = SyntheticSpec(n_clients=30, samples_per_client=n, feature_dim=d, separability=0.5, seed=draw(st.integers(0, 99)), label_skew=0.0)
     pool, _ = generate_partitions(spec)
     names = tuple(f"x{i}" for i in range(d))
     chosen = draw(st.none() | st.lists(st.sampled_from([p.client_id for p in pool]), min_size=1, max_size=30, unique=True))
@@ -916,7 +916,7 @@ def test_a_cohort_taken_from_a_pool_trains_as_its_copies_do(fleet, batch_size, s
     rng = np.random.default_rng(seed)
     model = rng.normal(scale=0.5, size=config.loss.parameter_dim)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=len(fleet))]
-    copies = [DatasetPartition(p.client_id, p.features.copy(), p.labels.copy()) for p in fleet]
+    copies = [make_partition(p.client_id, p.features.copy(), p.labels.copy()) for p in fleet]
     assert np.array_equal(local_train(model, fleet, config, iter(seeds), {}), local_train(model, as_fleet(copies), config, seeds, {}))
 
 
@@ -948,7 +948,7 @@ def bench_fleet():
 
 def every_other_client_fleet():
     # 300 of 600 clients, every other one: one strided run, which the split cuts at item 150
-    spec = SyntheticSpec(n_clients=600, samples_per_client=100, feature_dim=4, separability=0.5, seed=3)
+    spec = SyntheticSpec(n_clients=600, samples_per_client=100, feature_dim=4, separability=0.5, seed=3, label_skew=0.0)
     pool, _ = generate_partitions(spec)
     return pool.select(range(1, 600, 2)), LossSpec(kind="logistic", feature_dim=4, bias=True)
 
@@ -959,7 +959,7 @@ def unequal_fleet(kind):
     while rows < SPLIT_ROWS + 5000:
         n = int(rng.integers(1, 700))
         labels = rng.random(n) if kind == "squared_error" else (rng.random(n) > 0.5).astype(float)
-        parts.append(DatasetPartition(f"{len(parts):04d}", rng.normal(size=(n, 3)), labels))
+        parts.append(make_partition(f"{len(parts):04d}", rng.normal(size=(n, 3)), labels))
         rows += n
     return as_fleet(parts), LossSpec(kind=kind, feature_dim=3, bias=kind == "logistic")
 
@@ -1014,7 +1014,7 @@ def test_a_fleet_below_split_rows_or_of_one_client_is_filled_on_one_thread(monke
     loss = LossSpec(kind="logistic", feature_dim=2, bias=True)
     rng = np.random.default_rng(4)
     for sizes in ([SPLIT_ROWS // 2 - 1, SPLIT_ROWS // 2], [SPLIT_ROWS + 10]):
-        fleet = as_fleet([DatasetPartition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
+        fleet = as_fleet([make_partition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
         with FleetScores(fleet, loss) as evaluation:
             assert len(evaluation._halves) == 1 and evaluation._worker is None
 
@@ -1023,7 +1023,7 @@ def test_a_fleet_of_exactly_split_rows_is_filled_in_two_halves(monkeypatch):
     allow_cpus(monkeypatch, 2)
     rng = np.random.default_rng(4)
     sizes = [SPLIT_ROWS // 2, SPLIT_ROWS - SPLIT_ROWS // 2]
-    fleet = as_fleet([DatasetPartition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
+    fleet = as_fleet([make_partition(f"{i}", rng.normal(size=(n, 2)), rng.random(n)) for i, n in enumerate(sizes)])
     with FleetScores(fleet, LossSpec(kind="logistic", feature_dim=2, bias=True)) as evaluation:
         assert len(evaluation._halves) == 2 and evaluation._worker is not None
 
@@ -1077,7 +1077,7 @@ def test_a_job_ends_its_worker_when_training_diverges(monkeypatch):
     # w steps to w - 50.5 * 2w = -100w on every row, so the model passes the
     # divergence limit in round 2, after round 1's split evaluation
     rows = SPLIT_ROWS // 3 + 1
-    parts = [DatasetPartition(f"{i}", np.ones((rows, 1)), np.zeros(rows)) for i in range(3)]
+    parts = [make_partition(f"{i}", np.ones((rows, 1)), np.zeros(rows)) for i in range(3)]
     config = make_config(
         total_rounds=3, total_clients=3, subset_size=3, learning_rate=50.5, initial_weights=(1000.0,)
     )
