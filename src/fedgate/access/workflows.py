@@ -18,7 +18,9 @@ touched.
 A made-up DID is answered ``unresolvable`` by one dictionary miss in
 ``Resolver.find``, nothing parsed or raised. Both limiters run after that
 lookup, so it never spends a limiter slot or evicts a member's window. A
-rate-refused request's pending entry leaves at once, its nonce unspent.
+rate-refused request's pending entry leaves at once, its nonce unspent. A
+spent nonce is refused before the limiter too: every sealed verdict publishes
+it as ``requestRef``, and its replay must not spend its holder's slot.
 
 Only the front desk makes attestations: its attestation is the one that
 leaves the desk. Every other step reads the document with
@@ -150,6 +152,7 @@ class _NonceRing:
 
     def __init__(self):
         self._seen: OrderedDict[str, None] = OrderedDict()
+        self.spent = self._seen.__contains__  # whether a nonce was consumed; consumes nothing
 
     def consume(self, nonce_hex: str) -> bool:
         """True if fresh (and now consumed); False on replay."""
@@ -216,6 +219,9 @@ class AccessGateway:
             # The lookup the contract kicked off never completes; the entry
             # stays parked until the ttl sweep reclaims it.
             return DENIED_NO_DOCUMENT
+        if self._used_nonces.spent(nonce_hex):  # a ledger reader's replay spends no rate slot
+            self.pending.remove(nonce_hex)
+            return DENIED_REPLAY
         if not self._contract_limiter.allow(request.requester):
             self.pending.remove(nonce_hex)  # its nonce stays unspent
             return REJECTED_RATE

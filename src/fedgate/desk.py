@@ -74,10 +74,8 @@ class Desk:
     def claim_issuer(self, actor: Actor) -> ClaimIssuer:
         return ClaimIssuer(actor.did, actor.key, self.registry, self.trusted, self.clock)
 
-    def deploy_policy(
-        self, service: str, owner: Actor, requirements=MEMBERSHIP_POLICY
-    ) -> AccessPolicyContract:
-        contract = AccessPolicyContract(requirements, service, owner.did)
+    def deploy_policy(self, service: str, owner: Actor) -> AccessPolicyContract:
+        contract = AccessPolicyContract(MEMBERSHIP_POLICY, service, owner.did)
         self.engine.deploy(contract, owner.key.sign(contract.signing_bytes()))
         return contract
 

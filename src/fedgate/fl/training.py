@@ -30,14 +30,6 @@ SIGMOID_HALF = -4.510281037539698e-17
 SPLIT_ROWS = 25_000
 
 
-class TrainingDivergedError(FedGateError):
-    """Local training produced non-finite or unbounded weights."""
-
-    def __init__(self, client_id: str, detail: str):
-        self.client_id = client_id
-        super().__init__(f"training diverged on client {client_id!r}: {detail}")
-
-
 def local_train(
     model: np.ndarray,
     cohort: Fleet,
@@ -112,7 +104,7 @@ def local_train(
             trained[members] = weights
     if failures:
         client_id = min(failures)
-        raise TrainingDivergedError(client_id, failures[client_id])
+        raise FedGateError(f"training diverged on client {client_id!r}: {failures[client_id]}")
     return trained
 
 

@@ -1,15 +1,14 @@
 """Access policies as data, executed deterministically against documents.
 
-A contract lists required claims, each with a predicate over the claim
-value (``equals`` / ``one_of`` / ``present``), names the service it
-gates, and is owned by a DID. Evaluation is a pure function of
-(contract, document, now): it consults only the injected claim checker.
-Execution additionally reads the engine's clock, mints a session grant
-token and seals the verdict onto the chain as an ``access_grant`` or
-``access_denial`` transaction. The verdict is an :class:`AccessOutcome`, the
-value the requester receives. The clock and the token source are required:
-no default stands in for them, since every caller (and every test) passes
-its own.
+A contract lists required claims, each with the value its claim must
+equal, names the service it gates, and is owned by a DID. Evaluation is a
+pure function of (contract, document, now): it consults only the injected
+claim checker. Execution additionally reads the engine's clock, mints a
+session grant token and seals the verdict onto the chain as an
+``access_grant`` or ``access_denial`` transaction. The verdict is an
+:class:`AccessOutcome`, the value the requester receives. The clock and the
+token source are required: no default stands in for them, since every caller
+(and every test) passes its own.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..keys import verify_signature
 from .chain import Chain
 
 GRANT_LIFETIME_SECONDS = 3600
-_PREDICATE_KINDS = ("equals", "one_of", "present")
 
 
 class ContractNotFoundError(FedGateError):
@@ -33,32 +31,18 @@ class ContractNotFoundError(FedGateError):
 
 @dataclass(frozen=True)
 class ClaimPredicate:
+    """The value a required claim must equal. The body is sealed and hashed into
+    the contract id, so ``kind`` names the one rule ``evaluate`` runs."""
+
     kind: str
-    value: str | None
-    values: tuple[str, ...] = ()
+    value: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _PREDICATE_KINDS:
+        if self.kind != "equals":
             raise ValidationError(f"unknown predicate kind {self.kind!r}")
-        if self.kind == "equals" and self.value is None:
-            raise ValidationError("equals predicate needs a value")
-        if self.kind == "one_of" and not self.values:
-            raise ValidationError("one_of predicate needs a non-empty value set")
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def matches(self, value: str) -> bool:
-        if self.kind == "equals":
-            return value == self.value
-        if self.kind == "one_of":
-            return value in self.values
-        return True
 
     def to_dict(self) -> dict:
-        if self.kind == "equals":
-            return {"kind": "equals", "value": self.value}
-        if self.kind == "one_of":
-            return {"kind": "one_of", "values": sorted(self.values)}
-        return {"kind": "present"}
+        return to_camel_dict(self)
 
 
 @dataclass(frozen=True)
@@ -204,7 +188,7 @@ class ContractEngine:
                     continue
                 if claim.subject != subject:
                     continue
-                if not requirement.predicate.matches(claim.value):
+                if claim.value != requirement.predicate.value:
                     continue
                 valid, _reason = self._claim_checker(claim, now)
                 if valid:

@@ -45,7 +45,6 @@ class ApiError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
-        self.message = message
 
 
 def _parse(field: str, parser: Callable, value):
@@ -85,7 +84,7 @@ class ServiceApi:
                 raise ApiError(400, "body must be a JSON object")
             return self._route(method.upper(), path, query, headers, body)
         except ApiError as error:
-            return Response(error.status, {"error": error.message})
+            return Response(error.status, {"error": str(error)})
         except UnauthorizedTokenError as error:
             return Response(401, {"error": str(error)})
         except (UnknownJobError, ContractNotFoundError) as error:

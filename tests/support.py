@@ -31,12 +31,12 @@ from hypothesis import strategies as st
 from fedgate.access import SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP, AccessRequest
 from fedgate.clock import SimulatedClock
 from fedgate.desk import Actor, build_desk
-from fedgate.errors import ValidationError
+from fedgate.errors import FedGateError, ValidationError
 from fedgate.fl import DatasetPartition, SyntheticSpec
 from fedgate.fl.config import LossSpec
 from fedgate.fl.losses import _sigmoid
 from fedgate.fl.metrics import METRICS_HEADER, RoundMetrics
-from fedgate.fl.training import DIVERGENCE_LIMIT, TrainingDivergedError
+from fedgate.fl.training import DIVERGENCE_LIMIT
 from fedgate.ledger import AccessOutcome, AccessPolicyContract, ClaimRequirement
 from fedgate.ledger.chain import Transaction
 from fedgate.service.jobs import JobSpec
@@ -103,7 +103,10 @@ class Stack:
     def deploy_policy(
         self, service: str, requirements: tuple[ClaimRequirement, ...]
     ) -> AccessPolicyContract:
-        return self.desk.deploy_policy(service, self.owner, requirements)
+        """Deploy a policy of any requirements, signed by the owner."""
+        contract = AccessPolicyContract(requirements, service, self.owner.did)
+        self.engine.deploy(contract, self.owner.key.sign(contract.signing_bytes()))
+        return contract
 
     def deploy_membership_policy(self, service: str = "fl-study") -> AccessPolicyContract:
         return self.desk.deploy_policy(service, self.owner)
@@ -240,6 +243,11 @@ def reference_epoch_orders(seed: int, epochs: int, n: int) -> list[list[int]]:
     return [sorted(range(n), key=lambda j: (keys[e * n + j] >> low, j)) for e in range(epochs)]
 
 
+def diverged(client_id: str, detail: str) -> FedGateError:
+    """The error ``local_train`` raises for the client it names, by its text."""
+    return FedGateError(f"training diverged on client {client_id!r}: {detail}")
+
+
 def reference_local_train(model, cohort, config, round_seeds) -> np.ndarray:
     """What ``local_train`` must return or raise, from a fresh ``stacked_gradient``
     per batch, a fresh gather per epoch and every check after every step: a
@@ -283,7 +291,7 @@ def reference_local_train(model, cohort, config, round_seeds) -> np.ndarray:
             trained[members] = weights
     if failures:
         client_id = min(failures)
-        raise TrainingDivergedError(client_id, failures[client_id])
+        raise diverged(client_id, failures[client_id])
     return trained
 
 

@@ -713,24 +713,30 @@ def test_scheme_b_happy_path_and_replay():
 @pytest.mark.parametrize("qualified", [True, False], ids=["member", "unqualified"])
 @pytest.mark.parametrize("scheme", [SCHEME_CONTRACT_LOOKUP, SCHEME_USER_LOOKUP])
 def test_request_nonce_opens_one_evaluation(scheme, qualified):
-    stack = Stack()
+    # Three slots a minute: a replay that spent one, as anyone reading a
+    # payload's requestRef can send, would leave the holder's next request none.
+    stack = Stack(contract_path_per_minute=3)
     stack.deploy_membership_policy()
     actor = qualified_user(stack) if qualified else stack.register_actor("bob")
     request = AccessRequest(actor.did, "fl-study", scheme, stack.fresh_nonce())
 
-    def send():
+    def send(request):
         attestation = None
         if scheme == SCHEME_USER_LOOKUP:  # each send carries a fresh attestation
             attestation = stack.gateway.user_lookup(actor.did, stack.fresh_nonce()).attestation
         return stack.gateway.request_access(request, attestation=attestation)
 
-    first = send()
+    first = send(request)
     assert first.decision == ("granted" if qualified else "denied")
     assert first.tx_id is not None
     height = stack.chain.height
-    replay = send()
-    assert (replay.decision, replay.reason, replay.tx_id) == ("denied", "replay", None)
+    for _ in range(2):
+        replay = send(request)
+        assert (replay.decision, replay.reason, replay.tx_id) == ("denied", "replay", None)
+        assert not stack.gateway.pending.contains(request.nonce_hex)
     assert stack.chain.height == height
+    fresh = send(AccessRequest(actor.did, "fl-study", scheme, stack.fresh_nonce()))
+    assert (fresh.decision, fresh.reason) == (first.decision, first.reason)
     tx_ids = [tx.tx_id for block in stack.chain.blocks for tx in block.transactions]
     assert len(tx_ids) == len(set(tx_ids))
 

@@ -104,17 +104,17 @@ def membership_claim(value="yes", issued_at=9_000, expires_at=20_000, issuer=ISS
 
 
 def test_predicate_matching():
-    assert ClaimPredicate(kind="equals", value="a").matches("a")
-    assert not ClaimPredicate(kind="equals", value="a").matches("b")
-    assert ClaimPredicate(kind="one_of", value=None, values=("a", "b")).matches("b")
-    assert not ClaimPredicate(kind="one_of", value=None, values=("a", "b")).matches("c")
-    assert ClaimPredicate(kind="present", value=None).matches("anything")
-    with pytest.raises(ValidationError):
-        ClaimPredicate(kind="equals", value=None)
-    with pytest.raises(ValidationError):
-        ClaimPredicate(kind="one_of", value=None)
-    with pytest.raises(ValidationError):
-        ClaimPredicate(kind="matches_regex", value=None)
+    """A claim meets a requirement only by the exact value; a body that names
+    another rule is refused, since the sealed body must state the one evaluate runs."""
+    engine, _, _ = make_engine()
+    contract = membership_contract()
+    for value, granted in (("yes", True), ("Yes", False), ("yes ", False), ("", False)):
+        verdict = engine.evaluate(contract, holder_with([membership_claim(value=value)]), now=10_000)
+        assert (verdict.decision == "granted") == granted, value
+    assert ClaimPredicate(kind="equals", value="a").to_dict() == {"kind": "equals", "value": "a"}
+    for kind in ("one_of", "present", "matches_regex"):
+        with pytest.raises(ValidationError, match=f"unknown predicate kind '{kind}'"):
+            ClaimPredicate(kind=kind, value="a")
 
 
 def test_contract_requires_claims():
@@ -133,9 +133,9 @@ def test_contract_id_binds_body():
 
 
 def test_each_signed_body_is_the_persisted_record_less_its_seal():
-    one_of = ClaimRequirement("role", ClaimPredicate(kind="one_of", value=None, values=("b", "a")))
-    present = ClaimRequirement("site", ClaimPredicate(kind="present", value=None))
-    contracts = [membership_contract(), AccessPolicyContract((one_of, present), "svc", "did:efed:owner")]
+    role = ClaimRequirement("role", ClaimPredicate(kind="equals", value="b"))
+    site = ClaimRequirement("site", ClaimPredicate(kind="equals", value=""))
+    contracts = [membership_contract(), AccessPolicyContract((role, site), "svc", "did:efed:owner")]
     claims = [membership_claim(), membership_claim(value="no", issued_at=1, expires_at=2)]
     for record, seal in [(c, "contractId") for c in contracts] + [(c, "signature") for c in claims]:
         body = json.loads(canonical_json_bytes(record.to_dict()))
@@ -166,7 +166,7 @@ def test_deploy_rejects_wrong_signer():
 def test_deploy_rejects_unknown_owner_and_duplicates():
     engine, _, _ = make_engine()
     ghost = AccessPolicyContract.create(
-        (ClaimRequirement("x", ClaimPredicate(kind="present", value=None)),),
+        (ClaimRequirement("x", ClaimPredicate(kind="equals", value="yes")),),
         "svc",
         "did:efed:ghost",
     )
@@ -183,8 +183,8 @@ def test_two_services_have_independent_requirements():
     a = membership_contract(service="svc-a", claim_type="consortium_member")
     b = AccessPolicyContract.create(
         (
-            ClaimRequirement("role", ClaimPredicate(kind="one_of", value=None, values=("doctor", "nurse"))),
-            ClaimRequirement("hospital", ClaimPredicate(kind="present", value=None)),
+            ClaimRequirement("role", ClaimPredicate(kind="equals", value="doctor")),
+            ClaimRequirement("hospital", ClaimPredicate(kind="equals", value="st-mary")),
         ),
         "svc-b",
         "did:efed:owner",
@@ -220,7 +220,7 @@ def test_denial_lists_missing_claim_types():
     contract = AccessPolicyContract.create(
         (
             ClaimRequirement("consortium_member", ClaimPredicate(kind="equals", value="yes")),
-            ClaimRequirement("role", ClaimPredicate(kind="present", value=None)),
+            ClaimRequirement("role", ClaimPredicate(kind="equals", value="researcher")),
         ),
         "fl-study",
         "did:efed:owner",
@@ -250,7 +250,7 @@ def test_tampered_claim_is_the_missing_one():
     contract = AccessPolicyContract.create(
         (
             ClaimRequirement("consortium_member", ClaimPredicate(kind="equals", value="yes")),
-            ClaimRequirement("role", ClaimPredicate(kind="present", value=None)),
+            ClaimRequirement("role", ClaimPredicate(kind="equals", value="researcher")),
             ClaimRequirement("hospital", ClaimPredicate(kind="equals", value="st-mary")),
         ),
         "fl-study",

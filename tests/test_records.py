@@ -48,9 +48,9 @@ FEDERATION = FederationConfig(
 )
 CONTRACT = AccessPolicyContract(
     (
-        ClaimRequirement("role", ClaimPredicate("one_of", None, values=("b", "a"))),
+        ClaimRequirement("role", ClaimPredicate("equals", "b")),
         ClaimRequirement("member", ClaimPredicate("equals", "true")),
-        ClaimRequirement("id", ClaimPredicate("present", None)),
+        ClaimRequirement("id", ClaimPredicate("equals", "é")),
     ),
     "fl-study",
     "did:efed:owner-0",
@@ -76,7 +76,7 @@ def test_federation_config_json_is_pinned():
 
 
 def test_contract_id_is_pinned():
-    assert CONTRACT.contract_id == "3a86ba49545eea8fe8a4555beba45bda2f67df0d55e7db0888aefec3777fb9c0"
+    assert CONTRACT.contract_id == "e4e11b62cee8f41df4e35502d9c63ca553f42db1c7fada7a5a093b39cb6bcd37"
     assert CONTRACT.to_dict()["contractId"] == CONTRACT.contract_id
 
 

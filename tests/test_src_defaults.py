@@ -30,7 +30,6 @@ ALLOWED = {
     "fedgate/access/workflows.py:AccessGateway.__init__(pending_capacity)": _GATEWAY_LIMIT,
     "fedgate/access/workflows.py:AccessGateway.__init__(pending_ttl_seconds)": _GATEWAY_LIMIT,
     "fedgate/cli.py:main(argv)": "the fedgate console script calls main() with no arguments",
-    "fedgate/desk.py:Desk.deploy_policy(requirements)": "run_demo deploys the membership policy",
     "fedgate/errors.py:check_integer(minimum)": "the LossSpec, FederationConfig, FaultEvent and DataFilter checks take 1",
     "fedgate/fl/federation.py:run_federation(observer)": _RUN_FEDERATION,
     "fedgate/fl/federation.py:run_federation(eligibility)": _RUN_FEDERATION,
@@ -50,7 +49,6 @@ ALLOWED = {
     "fedgate/fl/datagen.py:SyntheticSpec.label_noise": "fedgate gen-data and the demo's dataset add no label noise",
     "fedgate/identity/document.py:DidDocument.claims": "DidDocument.for_key and bench/desk.py register documents with no claim",
     "fedgate/identity/document.py:DidDocument.version": "DidDocument.for_key and bench/desk.py register first versions",
-    "fedgate/ledger/contracts.py:ClaimPredicate.values": "fedgate.desk.MEMBERSHIP_POLICY's equals predicate",
     "fedgate/ledger/contracts.py:AccessOutcome.missing": _OUTCOME,
     "fedgate/ledger/contracts.py:AccessOutcome.grant": _OUTCOME,
     "fedgate/ledger/contracts.py:AccessOutcome.tx_id": _OUTCOME,
@@ -128,8 +126,8 @@ def defaulted_fields(root: Path) -> list[str]:
 
 def test_every_default_in_src_has_a_caller_outside_the_tests():
     parameters, fields = defaulted_parameters(SRC), defaulted_fields(SRC)
-    assert len(parameters) == len(set(parameters)) == 15
-    assert len(fields) == len(set(fields)) == 32
+    assert len(parameters) == len(set(parameters)) == 14
+    assert len(fields) == len(set(fields)) == 31
     assert set(parameters + fields) == set(ALLOWED)
 
 

@@ -2,9 +2,11 @@
 
 The test walks ``src/`` with ``ast`` and lists every exception class. The
 list must equal ``KEPT``, which names, for each type, the code outside the
-tests that catches it by name (or the data it carries beyond its message).
-A new exception that only a test catches fails here: raise its base class,
-which already has the same handling, and let the test match the message.
+tests that catches it by name, and each attribute a type sets beyond its
+message must be read off the caught error there. A new exception that only a
+test catches fails here: raise its base class, which already has the same
+handling, and let the test match the message. So does an attribute that only
+a test reads.
 """
 
 import ast
@@ -28,7 +30,6 @@ KEPT = {
     "fedgate/service/facade.py:UnauthorizedTokenError": "ServiceApi.handle answers 401",
     "fedgate/service/facade.py:UnknownJobError": "ServiceApi.handle answers 404",
     "fedgate/service/api.py:ApiError": "carries the status ServiceApi.handle answers",
-    "fedgate/fl/training.py:TrainingDivergedError": "carries the client_id that diverged",
 }
 
 
@@ -84,8 +85,42 @@ def test_src_declares_exactly_the_kept_exception_types():
     assert set(found) == set(KEPT)
 
 
+def read_off_caught(roots: list[Path]) -> dict[str, set[str]]:
+    """For each name in an ``except ... as error`` clause, the attributes its body reads off ``error``."""
+    read: dict[str, set[str]] = {}
+    for root in roots:
+        for _, tree in _parsed(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None and node.name:
+                    attributes = {
+                        n.attr
+                        for statement in node.body
+                        for n in ast.walk(statement)
+                        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == node.name
+                    }
+                    kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    for kind in kinds:
+                        read.setdefault(ast.unparse(kind).split(".")[-1], set()).update(attributes)
+    return read
+
+
+def set_by_init(node: ast.ClassDef) -> set[str]:
+    """The attributes the class's ``__init__`` sets on ``self``."""
+    return {
+        target.attr
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+        for n in ast.walk(method)
+        if isinstance(n, ast.Assign)
+        for target in n.targets
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+    }
+
+
 def test_each_kept_type_is_caught_outside_the_tests_or_carries_data():
-    caught = caught_by_name([SRC, ROOT / "bench", ROOT / "scripts"])
+    roots = [SRC, ROOT / "bench", ROOT / "scripts"]
+    caught, read = caught_by_name(roots), read_off_caught(roots)
     for key, node in exception_classes(SRC).items():
-        carries = any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in node.body)
-        assert node.name in caught or carries, f"{key}: {KEPT.get(key)}"
+        assert node.name in caught, f"{key}: {KEPT.get(key)}"
+        unread = set_by_init(node) - read.get(node.name, set())
+        assert not unread, f"{key}: no code outside the tests reads {sorted(unread)}"
